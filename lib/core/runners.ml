@@ -357,10 +357,21 @@ let evict_upcall ?rng ~(domain : Graft_kernel.Upcall.domain) ~capacity_nodes ()
 
 type md5 = {
   m_tech : Technology.t;
-  load : bytes -> unit;  (** kernel-side copy into the graft's space *)
+  load : bytes -> unit;
+      (** kernel-side copy into the graft's space; raises
+          [Invalid_argument] for a chunk longer than the capacity *)
   compute : int -> unit;  (** fingerprint the first n bytes — timed *)
   digest_hex : unit -> string;
 }
+
+(* A chunk longer than [capacity] would run past the graft's data
+   window into the cells laid out after it (the digest, then the MD5
+   tables), so every tier rejects it before copying. *)
+let check_chunk ~capacity data =
+  if Bytes.length data > capacity then
+    invalid_arg
+      (Printf.sprintf "Runners.md5: %d-byte chunk exceeds capacity %d"
+         (Bytes.length data) capacity)
 
 let native_md5 (module A : Access.S) tech ~capacity =
   let module M = Md5_graft.Make (A) in
@@ -368,7 +379,10 @@ let native_md5 (module A : Access.S) tech ~capacity =
   let last = ref "" in
   {
     m_tech = tech;
-    load = (fun data -> Bytes.blit data 0 buf 0 (Bytes.length data));
+    load =
+      (fun data ->
+        check_chunk ~capacity data;
+        Bytes.blit data 0 buf 0 (Bytes.length data));
     compute =
       (fun n ->
         last := M.digest (if n = capacity then buf else Bytes.sub buf 0 n));
@@ -401,7 +415,10 @@ let gel_md5 tech ~capacity =
   let entry = gel_entry tech env in
   {
     m_tech = tech;
-    load = (fun data -> load_bytes_into_cells cells data_w.Memory.base data);
+    load =
+      (fun data ->
+        check_chunk ~capacity data;
+        load_bytes_into_cells cells data_w.Memory.base data);
     compute = (fun n -> ignore (entry ~entry:"run" ~args:[| n |]));
     digest_hex = (fun () -> digest_hex_of_cells cells digest_w.Memory.base);
   }
@@ -428,7 +445,10 @@ let script_md5 ~capacity =
   let cells = Memory.cells mem in
   {
     m_tech = Technology.Source_interp;
-    load = (fun data -> load_bytes_into_cells cells data_w.Memory.base data);
+    load =
+      (fun data ->
+        check_chunk ~capacity data;
+        load_bytes_into_cells cells data_w.Memory.base data);
     compute =
       (fun n ->
         ignore

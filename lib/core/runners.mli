@@ -117,7 +117,9 @@ val evict_regvm :
 
 type md5 = {
   m_tech : Technology.t;
-  load : bytes -> unit;  (** kernel-side copy into the graft's space *)
+  load : bytes -> unit;
+      (** kernel-side copy into the graft's space; raises
+          [Invalid_argument] for a chunk longer than the capacity *)
   compute : int -> unit;  (** fingerprint the first n bytes — timed *)
   digest_hex : unit -> string;
 }

@@ -5,7 +5,9 @@
     right (an AST-walking interpreter sits between a bytecode VM and a
     source-level interpreter in the paper's taxonomy of interpretation
     costs). Every access is checked; fuel is decremented per evaluated
-    node so runaway grafts are preempted. *)
+    node so runaway grafts are preempted. The walk recurses directly,
+    never through a partial application, so only a call allocates (its
+    arguments and locals). *)
 
 open Graft_mem
 
@@ -108,12 +110,9 @@ let rec eval st locals (e : Ir.expr) : int =
   | Ir.Neg (Ir.Kword, a) -> Wordops.neg (eval st locals a)
   | Ir.And (a, b) -> if eval st locals a = 0 then 0 else eval st locals b
   | Ir.Or (a, b) -> if eval st locals a <> 0 then 1 else eval st locals b
-  | Ir.Call (fidx, args) ->
-      let argv = Array.map (eval st locals) args in
-      call st fidx argv
+  | Ir.Call (fidx, args) -> call st fidx (eval_args st locals args)
   | Ir.CallExt (eidx, args) ->
-      let argv = Array.map (eval st locals) args in
-      st.image.Link.host.(eidx) argv
+      st.image.Link.host.(eidx) (eval_args st locals args)
   | Ir.ToWord a -> Wordops.of_int (eval st locals a)
   | Ir.ToBool a -> if eval st locals a = 0 then 0 else 1
 
@@ -137,22 +136,32 @@ and exec st locals (s : Ir.stmt) : unit =
   | Ir.If (cond, t, f) ->
       if eval st locals cond <> 0 then exec_block st locals t
       else exec_block st locals f
-  | Ir.While (cond, body, step) ->
-      let rec loop () =
-        if eval st locals cond <> 0 then begin
+  | Ir.While (cond, body, step) -> (
+      try
+        while eval st locals cond <> 0 do
           (try exec_block st locals body with Continue_exc -> ());
-          exec_block st locals step;
-          loop ()
-        end
-      in
-      (try loop () with Break_exc -> ())
+          exec_block st locals step
+        done
+      with Break_exc -> ())
   | Ir.Return None -> raise (Return_exc 0)
   | Ir.Return (Some e) -> raise (Return_exc (eval st locals e))
   | Ir.Break -> raise Break_exc
   | Ir.Continue -> raise Continue_exc
   | Ir.Eval e -> ignore (eval st locals e)
 
-and exec_block st locals stmts = List.iter (exec st locals) stmts
+and exec_block st locals = function
+  | [] -> ()
+  | s :: rest ->
+      exec st locals s;
+      exec_block st locals rest
+
+(* Arguments in order, left to right, as [Array.map] would. *)
+and eval_args st locals args =
+  let argv = Array.make (Array.length args) 0 in
+  for i = 0 to Array.length args - 1 do
+    argv.(i) <- eval st locals args.(i)
+  done;
+  argv
 
 and call st fidx argv =
   st.depth <- st.depth + 1;

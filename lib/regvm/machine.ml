@@ -62,14 +62,6 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
       let fuel = ref fuel in
       let prof = s.prof in
       let icount = ref 0 in
-      let new_frame ret_pc dst =
-        if !depth >= max_frames then Fault.raise_fault Fault.Stack_overflow;
-        let frame = frames.(!depth) in
-        frame.ret_pc <- ret_pc;
-        frame.dst <- dst;
-        incr depth;
-        frame.regs
-      in
       let addr_check access a =
         if a < 0 || a >= ncells then
           Fault.raise_fault (Fault.Out_of_bounds { access; addr = a })
@@ -77,9 +69,18 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
       let tok = Graft_trace.Trace.hot_begin () in
       let outcome =
         try
-          let regs = ref (new_frame (-1) 0) in
-        Array.iteri (fun i v -> !regs.(Isa.reg_base + i) <- v) args;
-        let pc = ref p.Program.funcs.(fidx).Program.entry in
+          (* Frame 0, set up in place: no closure captures [regs],
+             [depth] or any other mutable loop variable, so none of
+             them lives in a heap box. *)
+          let frame = frames.(0) in
+          frame.ret_pc <- -1;
+          frame.dst <- 0;
+          depth := 1;
+          let regs = ref frame.regs in
+          for i = 0 to Array.length args - 1 do
+            !regs.(Isa.reg_base + i) <- args.(i)
+          done;
+          let pc = ref p.Program.funcs.(fidx).Program.entry in
         let result = ref 0 in
         let running = ref true in
         while !running do
@@ -125,7 +126,13 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
           | Isa.Brz (rs, t) -> if r.(rs) = 0 then pc := t
           | Isa.Brnz (rs, t) -> if r.(rs) <> 0 then pc := t
           | Isa.Call { f; dst; argbase; nargs } ->
-              let callee = new_frame !pc dst in
+              let dp = !depth in
+              if dp >= max_frames then Fault.raise_fault Fault.Stack_overflow;
+              let frame = frames.(dp) in
+              frame.ret_pc <- !pc;
+              frame.dst <- dst;
+              depth := dp + 1;
+              let callee = frame.regs in
               for i = 0 to nargs - 1 do
                 callee.(Isa.reg_base + i) <- r.(argbase + i)
               done;

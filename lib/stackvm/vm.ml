@@ -6,7 +6,12 @@
 
     A {!session} holds the operand stack and frame table so a resident
     graft pays no allocation on each kernel-to-graft entry, as a real
-    in-kernel VM would not. *)
+    in-kernel VM would not.
+
+    Both dispatch loops keep their state in mutable locals no closure
+    captures: without flambda a captured [ref] is a heap box and a
+    helper closure an indirect call, so push, pop and every check are
+    written out at each opcode instead. *)
 
 open Graft_mem
 open Graft_gel
@@ -53,6 +58,43 @@ let create_session ?profile p =
     prof = profile;
   }
 
+(* The faults the loops raise. A failed check raises inline rather
+   than calling a raiser: the compiler then knows the check's cold path
+   does not return, and keeps no loop variable alive across it. *)
+let underflow = Fault.Fault (Fault.Illegal_instruction "stack underflow")
+let overflow = Fault.Fault Fault.Stack_overflow
+let out_of_fuel = Fault.Fault Fault.Fuel_exhausted
+let div_zero = Fault.Fault Fault.Division_by_zero
+let halt = Fault.Fault (Fault.Illegal_instruction "halt")
+
+let out_of_bounds access addr =
+  Fault.Fault (Fault.Out_of_bounds { access; addr })
+
+let read_only (d : Program.arrdesc) i =
+  Fault.Fault
+    (Fault.Protection { access = Fault.Write; addr = d.Program.base + i })
+
+(* [Wordops.mask], as a constant the loops' written-out word arithmetic
+   can fold ([Wordops] is not inlined across modules). *)
+let word_mask = 0xFFFFFFFF
+
+(* A frame's local slab, grown to hold [nlocals]. The slab is reused
+   when big enough: GEL locals are always written before read, so
+   stale values are invisible. *)
+let frame_locals fr nlocals =
+  if Array.length fr.locals < nlocals then
+    fr.locals <- Array.make (max 8 nlocals) 0;
+  fr.locals
+
+(* Frame 0 of an entry into [f]: the arguments become its first
+   locals, as if pushed and popped by a call. *)
+let entry_frame frames (f : Program.funcdesc) args =
+  let fr = frames.(0) in
+  fr.ret_pc <- -1;
+  let locals = frame_locals fr f.Program.nlocals in
+  Array.blit args 0 locals 0 (Array.length args);
+  locals
+
 let run_session (s : session) ~entry ~(args : int array) ~fuel :
     (int, [ `Fault of Fault.t | `Bad_entry of string ]) result =
   let p = s.p in
@@ -67,298 +109,574 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
   | Some fidx -> (
       let code = p.Program.code in
       let cells = p.Program.cells in
+      let arrays = p.Program.arrays in
       let stack = s.stack in
       let frames = s.frames in
-      let sp = ref 0 in
-      let depth = ref 0 in
+      let prof = s.prof in
       let fuel0 = fuel in
       let fuel = ref fuel in
-      let prof = s.prof in
-      let push v =
-        if !sp >= stack_size then Fault.raise_fault Fault.Stack_overflow;
-        Array.unsafe_set stack !sp v;
-        incr sp
-      in
-      let pop () =
-        (* The verifier proves no underflow for verified code; the check
-           stays as defence in depth and costs one compare. *)
-        if !sp <= 0 then
-          Fault.raise_fault (Fault.Illegal_instruction "stack underflow");
-        decr sp;
-        Array.unsafe_get stack !sp
-      in
-      let enter_func target ret_pc =
-        if !depth >= max_frames then Fault.raise_fault Fault.Stack_overflow;
-        let f = p.Program.funcs.(target) in
-        let frame = frames.(!depth) in
-        frame.ret_pc <- ret_pc;
-        (* Reuse the local slab when it is big enough: GEL locals are
-           always written before read, so stale values are invisible. *)
-        if Array.length frame.locals < f.Program.nlocals then
-          frame.locals <- Array.make (max 8 f.Program.nlocals) 0;
-        for i = f.Program.nargs - 1 downto 0 do
-          frame.locals.(i) <- pop ()
-        done;
-        incr depth;
-        f.Program.entry
-      in
-      (* Fused opcodes charge the fuel of every instruction they
-         replace, re-checked before the group's observable action, so
-         optimized code exhausts fuel exactly where plain code does. *)
-      let burn n =
-        fuel := !fuel - n;
-        if !fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted
-      in
-      let binop f =
-        let b = pop () in
-        let a = pop () in
-        push (f a b)
-      in
-      let divlike f =
-        let b = pop () in
-        let a = pop () in
-        if b = 0 then Fault.raise_fault Fault.Division_by_zero;
-        push (f a b)
-      in
-      let cmp f =
-        let b = pop () in
-        let a = pop () in
-        push (if f a b then 1 else 0)
-      in
-      let aload arr =
-        let d = p.Program.arrays.(arr) in
-        let i = pop () in
-        if i < 0 || i >= d.Program.len then
-          Fault.raise_fault
-            (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-        push (Array.unsafe_get cells (d.Program.base + i))
-      in
-      let astore arr =
-        let d = p.Program.arrays.(arr) in
-        let v = pop () in
-        let i = pop () in
-        if i < 0 || i >= d.Program.len then
-          Fault.raise_fault
-            (Fault.Out_of_bounds { access = Fault.Write; addr = i });
-        if not d.Program.writable then
-          Fault.raise_fault
-            (Fault.Protection
-               { access = Fault.Write; addr = d.Program.base + i });
-        Array.unsafe_set cells (d.Program.base + i) v
-      in
+      let f = p.Program.funcs.(fidx) in
+      (* Operand-stack height: the top value is [stack.(!sp - 1)]. *)
+      let sp = ref 0 in
+      let depth = ref 1 in
+      let pc = ref f.Program.entry in
+      (* Current frame's locals, re-cached on call and return. *)
+      let locs = ref (entry_frame frames f args) in
       let result = ref 0 in
       let running = ref true in
-      let pc = ref 0 in
       (* Sampled entry span (see [Trace.hot_begin]): a resident graft is
          entered once per kernel event, far too often to time every
          run. *)
       let tok = Graft_trace.Trace.hot_begin () in
       let outcome =
         try
-          Array.iter push args;
-        pc := enter_func fidx (-1);
-        while !running do
-          decr fuel;
-          if !fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-          let instr = Array.unsafe_get code !pc in
-          incr pc;
-          (match prof with
-          | None -> ()
-          | Some pr ->
-              Graft_trace.Opprof.hit pr (Opcode.index instr)
-                (Opcode.width instr));
-          match instr with
-          | Opcode.Const n -> push n
-          | Opcode.Load_local n -> push frames.(!depth - 1).locals.(n)
-          | Opcode.Store_local n -> frames.(!depth - 1).locals.(n) <- pop ()
-          | Opcode.Load_global a -> push (Array.unsafe_get cells a)
-          | Opcode.Store_global a -> Array.unsafe_set cells a (pop ())
-          | Opcode.Aload arr -> aload arr
-          | Opcode.Astore arr -> astore arr
-          (* Unchecked accesses: the verifier proved the index in
-             bounds (and the array writable) before execution began, so
-             these really do skip the tests — a wrong proof admitted
-             here would corrupt the host, which is why [Verify] derives
-             its own intervals instead of trusting the manifest. *)
-          | Opcode.Aload_u arr ->
-              let d = p.Program.arrays.(arr) in
-              push (Array.unsafe_get cells (d.Program.base + pop ()))
-          | Opcode.Astore_u arr ->
-              let d = p.Program.arrays.(arr) in
-              let v = pop () in
-              let i = pop () in
-              Array.unsafe_set cells (d.Program.base + i) v
-          | Opcode.Mlookup m ->
-              let k = pop () in
-              push (Graft_kernel.Graftmap.lookup p.Program.maps.(m) k)
-          | Opcode.Mupdate m ->
-              let v = pop () in
-              let k = pop () in
-              push (Graft_kernel.Graftmap.update p.Program.maps.(m) k v)
-          | Opcode.Mlookup_u m ->
-              push (Graft_kernel.Graftmap.unsafe_get p.Program.maps.(m) (pop ()))
-          | Opcode.Mupdate_u m ->
-              let v = pop () in
-              let k = pop () in
-              Graft_kernel.Graftmap.unsafe_set p.Program.maps.(m) k v;
-              push 1
-          | Opcode.Div_u -> binop ( / )
-          | Opcode.Mod_u -> binop (fun a b -> a mod b)
-          | Opcode.Add -> binop ( + )
-          | Opcode.Sub -> binop ( - )
-          | Opcode.Mul -> binop ( * )
-          | Opcode.Div -> divlike ( / )
-          | Opcode.Mod -> divlike (fun a b -> a mod b)
-          | Opcode.Shl -> binop Wordops.int_shl
-          | Opcode.Shr -> binop Wordops.int_shr
-          | Opcode.Lshr -> binop Wordops.int_lshr
-          | Opcode.Band -> binop ( land )
-          | Opcode.Bor -> binop ( lor )
-          | Opcode.Bxor -> binop ( lxor )
-          | Opcode.Bnot -> push (lnot (pop ()))
-          | Opcode.Neg -> push (-pop ())
-          | Opcode.Wadd -> binop Wordops.add
-          | Opcode.Wsub -> binop Wordops.sub
-          | Opcode.Wmul -> binop Wordops.mul
-          | Opcode.Wshl -> binop Wordops.shl
-          | Opcode.Wshr -> binop Wordops.shr
-          | Opcode.Wbnot -> push (Wordops.bnot (pop ()))
-          | Opcode.Wneg -> push (Wordops.neg (pop ()))
-          | Opcode.Wmask -> push (Wordops.of_int (pop ()))
-          | Opcode.Lt -> cmp ( < )
-          | Opcode.Le -> cmp ( <= )
-          | Opcode.Gt -> cmp ( > )
-          | Opcode.Ge -> cmp ( >= )
-          | Opcode.Eq -> cmp ( = )
-          | Opcode.Ne -> cmp ( <> )
-          | Opcode.Tobool -> push (if pop () = 0 then 0 else 1)
-          | Opcode.Not -> push (if pop () = 0 then 1 else 0)
-          | Opcode.Jmp t -> pc := t
-          | Opcode.Jz t -> if pop () = 0 then pc := t
-          | Opcode.Jnz t -> if pop () <> 0 then pc := t
-          | Opcode.Call target -> pc := enter_func target !pc
-          | Opcode.Callext target ->
-              let arity = p.Program.ext_arity.(target) in
-              let argv = Array.make arity 0 in
-              for i = arity - 1 downto 0 do
-                argv.(i) <- pop ()
-              done;
-              push (p.Program.host.(target) argv)
-          | Opcode.Ret ->
-              let v = pop () in
-              decr depth;
-              let ret_pc = frames.(!depth).ret_pc in
-              if ret_pc = -1 then begin
-                result := v;
-                running := false
-              end
-              else begin
-                push v;
-                pc := ret_pc
-              end
-          | Opcode.Pop -> ignore (pop ())
-          | Opcode.Dup ->
-              let v = pop () in
-              push v;
-              push v
-          | Opcode.Halt -> Fault.raise_fault (Fault.Illegal_instruction "halt")
-          | Opcode.Bink (op, k) ->
-              burn 1;
-              push (Opcode.bink_fn op (pop ()) k)
-          | Opcode.Cmpk (c, k) ->
-              burn 1;
-              push (if Opcode.cmp_fn c (pop ()) k then 1 else 0)
-          | Opcode.Jcmp (c, flag, t) ->
-              burn 1;
-              let b = pop () in
-              let a = pop () in
-              if Opcode.cmp_fn c a b = flag then pc := t
-          | Opcode.Jcmpk (c, k, flag, t) ->
-              burn 2;
-              if Opcode.cmp_fn c (pop ()) k = flag then pc := t
-          | Opcode.Aload_k (arr, k) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              if k < 0 || k >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = k });
-              push (Array.unsafe_get cells (d.Program.base + k))
-          | Opcode.Local_addk (n, k) ->
-              burn 3;
-              let locals = frames.(!depth - 1).locals in
-              locals.(n) <- locals.(n) + k
-          | Opcode.Load_local2 (a, b) ->
-              burn 1;
-              let locals = frames.(!depth - 1).locals in
-              push locals.(a);
-              push locals.(b)
-          | Opcode.Bin_local (op, n) ->
-              burn 1;
-              push (Opcode.bink_fn op (pop ()) frames.(!depth - 1).locals.(n))
-          | Opcode.Bin_local2 (op, a, b) ->
-              burn 2;
-              let locals = frames.(!depth - 1).locals in
-              push (Opcode.bink_fn op locals.(a) locals.(b))
-          | Opcode.Aload_local (arr, n) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let i = frames.(!depth - 1).locals.(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              push (Array.unsafe_get cells (d.Program.base + i))
-          | Opcode.Move_local (dst, src) ->
-              burn 1;
-              let locals = frames.(!depth - 1).locals in
-              locals.(dst) <- locals.(src)
-          | Opcode.Jcmpk_local (c, n, k, flag, t) ->
-              burn 3;
-              if Opcode.cmp_fn c frames.(!depth - 1).locals.(n) k = flag then
-                pc := t
-          | Opcode.Store_localk (n, k) ->
-              burn 1;
-              frames.(!depth - 1).locals.(n) <- k
-          | Opcode.Bin_store (op, n) ->
-              burn 1;
-              let b = pop () in
-              let a = pop () in
-              frames.(!depth - 1).locals.(n) <- Opcode.bink_fn op a b
-          | Opcode.Bink_store (op, k, n) ->
-              burn 2;
-              frames.(!depth - 1).locals.(n) <- Opcode.bink_fn op (pop ()) k
-          | Opcode.Bink_local (op, n, k) ->
-              burn 2;
-              push (Opcode.bink_fn op frames.(!depth - 1).locals.(n) k)
-          | Opcode.Bin_aload_local (op, arr, n) ->
-              (* The array access is the pattern's 2nd instruction, so
-                 fuel is charged in two steps to keep the
-                 fuel-vs-bounds fault order of the unfused code. *)
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let i = frames.(!depth - 1).locals.(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              let v = Array.unsafe_get cells (d.Program.base + i) in
-              burn 1;
-              push (Opcode.bink_fn op (pop ()) v)
-          | Opcode.Aload_local_store (arr, n, dst) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let locals = frames.(!depth - 1).locals in
-              let i = locals.(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              let v = Array.unsafe_get cells (d.Program.base + i) in
-              burn 1;
-              locals.(dst) <- v
-          | Opcode.Move_local2 (d1, s1, d2, s2) ->
-              burn 3;
-              let locals = frames.(!depth - 1).locals in
-              locals.(d1) <- locals.(s1);
-              locals.(d2) <- locals.(s2)
-        done;
+          while !running do
+            fuel := !fuel - 1;
+            if !fuel < 0 then raise out_of_fuel;
+            let instr = Array.unsafe_get code !pc in
+            incr pc;
+            (match prof with
+            | None -> ()
+            | Some pr ->
+                Graft_trace.Opprof.hit pr (Opcode.index instr)
+                  (Opcode.width instr));
+            (* Stack discipline, written out per opcode: a pop checks
+               underflow first, a push that grows the stack checks
+               overflow, and a result replacing its operands is stored
+               in place (no push can overflow there). The verifier
+               proves no underflow for verified code; the check stays
+               as defence in depth and costs one compare. *)
+            match instr with
+            | Opcode.Const n ->
+                let t = !sp in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t n;
+                sp := t + 1
+            | Opcode.Load_local n ->
+                let v = !locs.(n) in
+                let t = !sp in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t v;
+                sp := t + 1
+            | Opcode.Store_local n ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                sp := t;
+                !locs.(n) <- Array.unsafe_get stack t
+            | Opcode.Load_global a ->
+                let t = !sp in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t (Array.unsafe_get cells a);
+                sp := t + 1
+            | Opcode.Store_global a ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                sp := t;
+                Array.unsafe_set cells a (Array.unsafe_get stack t)
+            | Opcode.Aload arr ->
+                let d = arrays.(arr) in
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                let i = Array.unsafe_get stack t in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Read i);
+                Array.unsafe_set stack t
+                  (Array.unsafe_get cells (d.Program.base + i))
+            | Opcode.Astore arr ->
+                let d = arrays.(arr) in
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t;
+                let i = Array.unsafe_get stack t in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Write i);
+                if not d.Program.writable then raise (read_only d i);
+                Array.unsafe_set cells (d.Program.base + i)
+                  (Array.unsafe_get stack (t + 1))
+            (* Unchecked accesses: the verifier proved the index in
+               bounds (and the array writable) before execution began,
+               so these really do skip the tests — a wrong proof
+               admitted here would corrupt the host, which is why
+               [Verify] derives its own intervals instead of trusting
+               the manifest. *)
+            | Opcode.Aload_u arr ->
+                let d = arrays.(arr) in
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get cells
+                     (d.Program.base + Array.unsafe_get stack t))
+            | Opcode.Astore_u arr ->
+                let d = arrays.(arr) in
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t;
+                Array.unsafe_set cells
+                  (d.Program.base + Array.unsafe_get stack t)
+                  (Array.unsafe_get stack (t + 1))
+            | Opcode.Mlookup m ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (Graft_kernel.Graftmap.lookup p.Program.maps.(m)
+                     (Array.unsafe_get stack t))
+            | Opcode.Mupdate m ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Graft_kernel.Graftmap.update p.Program.maps.(m)
+                     (Array.unsafe_get stack t)
+                     (Array.unsafe_get stack (t + 1)))
+            | Opcode.Mlookup_u m ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (Graft_kernel.Graftmap.unsafe_get p.Program.maps.(m)
+                     (Array.unsafe_get stack t))
+            | Opcode.Mupdate_u m ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Graft_kernel.Graftmap.unsafe_set p.Program.maps.(m)
+                  (Array.unsafe_get stack t)
+                  (Array.unsafe_get stack (t + 1));
+                Array.unsafe_set stack t 1
+            | Opcode.Div_u ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t / Array.unsafe_get stack (t + 1))
+            | Opcode.Mod_u ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t mod Array.unsafe_get stack (t + 1))
+            | Opcode.Add ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t + Array.unsafe_get stack (t + 1))
+            | Opcode.Sub ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t - Array.unsafe_get stack (t + 1))
+            | Opcode.Mul ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t * Array.unsafe_get stack (t + 1))
+            | Opcode.Div ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                let b = Array.unsafe_get stack (t + 1) in
+                if b = 0 then raise div_zero;
+                sp := t + 1;
+                Array.unsafe_set stack t (Array.unsafe_get stack t / b)
+            | Opcode.Mod ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                let b = Array.unsafe_get stack (t + 1) in
+                if b = 0 then raise div_zero;
+                sp := t + 1;
+                Array.unsafe_set stack t (Array.unsafe_get stack t mod b)
+            | Opcode.Shl ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Wordops.int_shl (Array.unsafe_get stack t)
+                     (Array.unsafe_get stack (t + 1)))
+            | Opcode.Shr ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Wordops.int_shr (Array.unsafe_get stack t)
+                     (Array.unsafe_get stack (t + 1)))
+            | Opcode.Lshr ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Wordops.int_lshr (Array.unsafe_get stack t)
+                     (Array.unsafe_get stack (t + 1)))
+            | Opcode.Band ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t land Array.unsafe_get stack (t + 1))
+            | Opcode.Bor ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t lor Array.unsafe_get stack (t + 1))
+            | Opcode.Bxor ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t lxor Array.unsafe_get stack (t + 1))
+            | Opcode.Bnot ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t (lnot (Array.unsafe_get stack t))
+            | Opcode.Neg ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t (-Array.unsafe_get stack t)
+            (* Word arithmetic: [Wordops] semantics, written out. *)
+            | Opcode.Wadd ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  ((Array.unsafe_get stack t + Array.unsafe_get stack (t + 1))
+                  land word_mask)
+            | Opcode.Wsub ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  ((Array.unsafe_get stack t - Array.unsafe_get stack (t + 1))
+                  land word_mask)
+            | Opcode.Wmul ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t * Array.unsafe_get stack (t + 1)
+                  land word_mask)
+            | Opcode.Wshl ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  ((Array.unsafe_get stack t
+                   lsl (Array.unsafe_get stack (t + 1) land 31))
+                  land word_mask)
+            | Opcode.Wshr ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t
+                  lsr (Array.unsafe_get stack (t + 1) land 31))
+            | Opcode.Wbnot ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (lnot (Array.unsafe_get stack t) land word_mask)
+            | Opcode.Wneg ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (-Array.unsafe_get stack t land word_mask)
+            | Opcode.Wmask ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get stack t land word_mask)
+            | Opcode.Lt ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (if Array.unsafe_get stack t < Array.unsafe_get stack (t + 1)
+                   then 1
+                   else 0)
+            | Opcode.Le ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (if Array.unsafe_get stack t <= Array.unsafe_get stack (t + 1)
+                   then 1
+                   else 0)
+            | Opcode.Gt ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (if Array.unsafe_get stack t > Array.unsafe_get stack (t + 1)
+                   then 1
+                   else 0)
+            | Opcode.Ge ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (if Array.unsafe_get stack t >= Array.unsafe_get stack (t + 1)
+                   then 1
+                   else 0)
+            | Opcode.Eq ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (if Array.unsafe_get stack t = Array.unsafe_get stack (t + 1)
+                   then 1
+                   else 0)
+            | Opcode.Ne ->
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t + 1;
+                Array.unsafe_set stack t
+                  (if Array.unsafe_get stack t <> Array.unsafe_get stack (t + 1)
+                   then 1
+                   else 0)
+            | Opcode.Tobool ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (if Array.unsafe_get stack t = 0 then 0 else 1)
+            | Opcode.Not ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (if Array.unsafe_get stack t = 0 then 1 else 0)
+            | Opcode.Jmp t -> pc := t
+            | Opcode.Jz target ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                sp := t;
+                if Array.unsafe_get stack t = 0 then pc := target
+            | Opcode.Jnz target ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                sp := t;
+                if Array.unsafe_get stack t <> 0 then pc := target
+            | Opcode.Call target ->
+                let dp = !depth in
+                if dp >= max_frames then raise overflow;
+                let f = p.Program.funcs.(target) in
+                let fr = frames.(dp) in
+                fr.ret_pc <- !pc;
+                let locals = frame_locals fr f.Program.nlocals in
+                (* The top [nargs] operands, last argument on top. *)
+                let nargs = f.Program.nargs in
+                let t = !sp - nargs in
+                if t < 0 then raise underflow;
+                for i = 0 to nargs - 1 do
+                  locals.(i) <- Array.unsafe_get stack (t + i)
+                done;
+                sp := t;
+                depth := dp + 1;
+                locs := locals;
+                pc := f.Program.entry
+            | Opcode.Callext target ->
+                let arity = p.Program.ext_arity.(target) in
+                let argv = Array.make arity 0 in
+                let t = !sp - arity in
+                if t < 0 then raise underflow;
+                for i = 0 to arity - 1 do
+                  argv.(i) <- Array.unsafe_get stack (t + i)
+                done;
+                sp := t;
+                let v = p.Program.host.(target) argv in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t v;
+                sp := t + 1
+            | Opcode.Ret ->
+                (* The return value stays where it is: the caller's
+                   push of it would store it into the same slot. *)
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                let dp = !depth - 1 in
+                depth := dp;
+                let ret_pc = frames.(dp).ret_pc in
+                if ret_pc = -1 then begin
+                  result := Array.unsafe_get stack t;
+                  running := false
+                end
+                else begin
+                  locs := frames.(dp - 1).locals;
+                  pc := ret_pc
+                end
+            | Opcode.Pop ->
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                sp := t
+            | Opcode.Dup ->
+                let t = !sp in
+                if t < 1 then raise underflow;
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t (Array.unsafe_get stack (t - 1));
+                sp := t + 1
+            | Opcode.Halt -> raise halt
+            (* Fused opcodes charge the fuel of every instruction they
+               replace, re-checked before the group's observable
+               action, so optimized code exhausts fuel exactly where
+               plain code does. *)
+            | Opcode.Bink (op, k) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (Opcode.bink_fn op (Array.unsafe_get stack t) k)
+            | Opcode.Cmpk (c, k) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (if Opcode.cmp_fn c (Array.unsafe_get stack t) k then 1
+                   else 0)
+            | Opcode.Jcmp (c, flag, target) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t;
+                if
+                  Opcode.cmp_fn c (Array.unsafe_get stack t)
+                    (Array.unsafe_get stack (t + 1))
+                  = flag
+                then pc := target
+            | Opcode.Jcmpk (c, k, flag, target) ->
+                fuel := !fuel - 2;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                sp := t;
+                if Opcode.cmp_fn c (Array.unsafe_get stack t) k = flag then
+                  pc := target
+            | Opcode.Aload_k (arr, k) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let d = arrays.(arr) in
+                if k < 0 || k >= d.Program.len then
+                  raise (out_of_bounds Fault.Read k);
+                let t = !sp in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get cells (d.Program.base + k));
+                sp := t + 1
+            | Opcode.Local_addk (n, k) ->
+                fuel := !fuel - 3;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                locals.(n) <- locals.(n) + k
+            | Opcode.Load_local2 (a, b) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                let t = !sp in
+                if t + 1 >= stack_size then raise overflow;
+                Array.unsafe_set stack t locals.(a);
+                Array.unsafe_set stack (t + 1) locals.(b);
+                sp := t + 2
+            | Opcode.Bin_local (op, n) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let v = !locs.(n) in
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (Opcode.bink_fn op (Array.unsafe_get stack t) v)
+            | Opcode.Bin_local2 (op, a, b) ->
+                fuel := !fuel - 2;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                let v = Opcode.bink_fn op locals.(a) locals.(b) in
+                let t = !sp in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t v;
+                sp := t + 1
+            | Opcode.Aload_local (arr, n) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let d = arrays.(arr) in
+                let i = !locs.(n) in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Read i);
+                let t = !sp in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t
+                  (Array.unsafe_get cells (d.Program.base + i));
+                sp := t + 1
+            | Opcode.Move_local (dst, src) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                locals.(dst) <- locals.(src)
+            | Opcode.Jcmpk_local (c, n, k, flag, target) ->
+                fuel := !fuel - 3;
+                if !fuel < 0 then raise out_of_fuel;
+                if Opcode.cmp_fn c !locs.(n) k = flag then pc := target
+            | Opcode.Store_localk (n, k) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                !locs.(n) <- k
+            | Opcode.Bin_store (op, n) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !sp - 2 in
+                if t < 0 then raise underflow;
+                sp := t;
+                !locs.(n) <-
+                  Opcode.bink_fn op (Array.unsafe_get stack t)
+                    (Array.unsafe_get stack (t + 1))
+            | Opcode.Bink_store (op, k, n) ->
+                fuel := !fuel - 2;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                sp := t;
+                !locs.(n) <- Opcode.bink_fn op (Array.unsafe_get stack t) k
+            | Opcode.Bink_local (op, n, k) ->
+                fuel := !fuel - 2;
+                if !fuel < 0 then raise out_of_fuel;
+                let v = Opcode.bink_fn op !locs.(n) k in
+                let t = !sp in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t v;
+                sp := t + 1
+            | Opcode.Bin_aload_local (op, arr, n) ->
+                (* The array access is the pattern's 2nd instruction, so
+                   fuel is charged in two steps to keep the
+                   fuel-vs-bounds fault order of the unfused code. *)
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let d = arrays.(arr) in
+                let i = !locs.(n) in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Read i);
+                let v = Array.unsafe_get cells (d.Program.base + i) in
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !sp - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set stack t
+                  (Opcode.bink_fn op (Array.unsafe_get stack t) v)
+            | Opcode.Aload_local_store (arr, n, dst) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let d = arrays.(arr) in
+                let locals = !locs in
+                let i = locals.(n) in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Read i);
+                let v = Array.unsafe_get cells (d.Program.base + i) in
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                locals.(dst) <- v
+            | Opcode.Move_local2 (d1, s1, d2, s2) ->
+                fuel := !fuel - 3;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                locals.(d1) <- locals.(s1);
+                locals.(d2) <- locals.(s2)
+          done;
           Ok !result
         with Fault.Fault f ->
           Graft_trace.Trace.instant Graft_trace.Trace.Vm_stack
@@ -410,378 +728,517 @@ let run_session_opt (s : session) ~entry ~(args : int array) ~fuel :
   | Some fidx -> (
       let code = p.Program.code in
       let cells = p.Program.cells in
+      let arrays = p.Program.arrays in
       let stack = s.stack in
       let frames = s.frames in
-      let h = ref 0 in
-      let tos = ref 0 in
-      let depth = ref 0 in
+      let prof = s.prof in
       let fuel0 = fuel in
       let fuel = ref fuel in
-      let prof = s.prof in
+      (* A push spills [tos] to [stack.(!h)]; a pop reloads it from
+         [stack.(!h - 1)]; the second operand is [stack.(!h - 1)]. *)
+      let h = ref 0 in
+      let tos = ref 0 in
+      let depth = ref 1 in
+      let f = p.Program.funcs.(fidx) in
+      let pc = ref f.Program.entry in
       (* Current frame's locals, re-cached on call and return: fused
          code touches a local in almost every instruction, and going
          through [frames.(!depth - 1).locals] each time costs a
          bounds-checked array read plus a field load per access. *)
-      let locs = ref frames.(0).locals in
-      let underflow () =
-        Fault.raise_fault (Fault.Illegal_instruction "stack underflow")
-      in
-      let push v =
-        if !h >= stack_size then Fault.raise_fault Fault.Stack_overflow;
-        Array.unsafe_set stack !h !tos;
-        incr h;
-        tos := v
-      in
-      let pop () =
-        if !h <= 0 then underflow ();
-        let v = !tos in
-        decr h;
-        tos := Array.unsafe_get stack !h;
-        v
-      in
-      (* Drop two operands, leaving the stack one element shorter than
-         [pop (); pop ()] would read it: callers consume [tos] and
-         [under ()] themselves. *)
-      let under () =
-        (* Second-from-top operand; caller must then call [shrink2]. *)
-        Array.unsafe_get stack (!h - 1)
-      in
-      let shrink2 () =
-        h := !h - 2;
-        tos := Array.unsafe_get stack !h
-      in
-      let burn n =
-        fuel := !fuel - n;
-        if !fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted
-      in
-      let enter_func target ret_pc =
-        if !depth >= max_frames then Fault.raise_fault Fault.Stack_overflow;
-        let f = p.Program.funcs.(target) in
-        let frame = frames.(!depth) in
-        frame.ret_pc <- ret_pc;
-        if Array.length frame.locals < f.Program.nlocals then
-          frame.locals <- Array.make (max 8 f.Program.nlocals) 0;
-        for i = f.Program.nargs - 1 downto 0 do
-          frame.locals.(i) <- pop ()
-        done;
-        incr depth;
-        locs := frame.locals;
-        f.Program.entry
-      in
-      let binop f =
-        if !h < 2 then underflow ();
-        let a = under () in
-        decr h;
-        tos := f a !tos
-      in
-      let divlike f =
-        if !h < 2 then underflow ();
-        let b = !tos in
-        let a = under () in
-        if b = 0 then Fault.raise_fault Fault.Division_by_zero;
-        decr h;
-        tos := f a b
-      in
-      let cmp f =
-        if !h < 2 then underflow ();
-        let a = under () in
-        decr h;
-        tos := if f a !tos then 1 else 0
-      in
-      let unop f =
-        if !h < 1 then underflow ();
-        tos := f !tos
-      in
-      let aload arr =
-        let d = p.Program.arrays.(arr) in
-        if !h < 1 then underflow ();
-        let i = !tos in
-        if i < 0 || i >= d.Program.len then
-          Fault.raise_fault
-            (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-        tos := Array.unsafe_get cells (d.Program.base + i)
-      in
-      let astore arr =
-        let d = p.Program.arrays.(arr) in
-        if !h < 2 then underflow ();
-        let v = !tos in
-        let i = under () in
-        if i < 0 || i >= d.Program.len then
-          Fault.raise_fault
-            (Fault.Out_of_bounds { access = Fault.Write; addr = i });
-        if not d.Program.writable then
-          Fault.raise_fault
-            (Fault.Protection
-               { access = Fault.Write; addr = d.Program.base + i });
-        shrink2 ();
-        Array.unsafe_set cells (d.Program.base + i) v
-      in
+      let locs = ref (entry_frame frames f args) in
       let result = ref 0 in
       let running = ref true in
-      let pc = ref 0 in
       (* Sampled entry span (see [Trace.hot_begin]): a resident graft is
          entered once per kernel event, far too often to time every
          run. *)
       let tok = Graft_trace.Trace.hot_begin () in
       let outcome =
         try
-          Array.iter push args;
-        pc := enter_func fidx (-1);
-        while !running do
-          decr fuel;
-          if !fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-          let instr = Array.unsafe_get code !pc in
-          incr pc;
-          (match prof with
-          | None -> ()
-          | Some pr ->
-              Graft_trace.Opprof.hit pr (Opcode.index instr)
-                (Opcode.width instr));
-          match instr with
-          | Opcode.Const n -> push n
-          | Opcode.Load_local n -> push (!locs).(n)
-          | Opcode.Store_local n -> (!locs).(n) <- pop ()
-          | Opcode.Load_global a -> push (Array.unsafe_get cells a)
-          | Opcode.Store_global a -> Array.unsafe_set cells a (pop ())
-          | Opcode.Aload arr -> aload arr
-          | Opcode.Astore arr -> astore arr
-          | Opcode.Aload_u arr ->
-              let d = p.Program.arrays.(arr) in
-              if !h < 1 then underflow ();
-              tos := Array.unsafe_get cells (d.Program.base + !tos)
-          | Opcode.Astore_u arr ->
-              let d = p.Program.arrays.(arr) in
-              if !h < 2 then underflow ();
-              let v = !tos in
-              let i = under () in
-              shrink2 ();
-              Array.unsafe_set cells (d.Program.base + i) v
-          | Opcode.Mlookup m ->
-              if !h < 1 then underflow ();
-              tos := Graft_kernel.Graftmap.lookup p.Program.maps.(m) !tos
-          | Opcode.Mupdate m ->
-              if !h < 2 then underflow ();
-              let v = !tos in
-              let k = under () in
-              decr h;
-              tos := Graft_kernel.Graftmap.update p.Program.maps.(m) k v
-          | Opcode.Mlookup_u m ->
-              if !h < 1 then underflow ();
-              tos := Graft_kernel.Graftmap.unsafe_get p.Program.maps.(m) !tos
-          | Opcode.Mupdate_u m ->
-              if !h < 2 then underflow ();
-              let v = !tos in
-              let k = under () in
-              decr h;
-              Graft_kernel.Graftmap.unsafe_set p.Program.maps.(m) k v;
-              tos := 1
-          | Opcode.Div_u -> binop ( / )
-          | Opcode.Mod_u -> binop (fun a b -> a mod b)
-          (* The arithmetic core is written out rather than routed
-             through [binop f]: one closure call per executed
-             instruction is real money in a dispatch loop. *)
-          | Opcode.Add ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a + !tos
-          | Opcode.Sub ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a - !tos
-          | Opcode.Mul ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a * !tos
-          | Opcode.Div -> divlike ( / )
-          | Opcode.Mod -> divlike (fun a b -> a mod b)
-          | Opcode.Shl -> binop Wordops.int_shl
-          | Opcode.Shr -> binop Wordops.int_shr
-          | Opcode.Lshr -> binop Wordops.int_lshr
-          | Opcode.Band ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a land !tos
-          | Opcode.Bor ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a lor !tos
-          | Opcode.Bxor ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a lxor !tos
-          | Opcode.Bnot -> unop lnot
-          | Opcode.Neg -> unop (fun v -> -v)
-          | Opcode.Wadd ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := Wordops.add a !tos
-          | Opcode.Wsub ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := Wordops.sub a !tos
-          | Opcode.Wmul -> binop Wordops.mul
-          | Opcode.Wshl ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := Wordops.shl a !tos
-          | Opcode.Wshr ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := Wordops.shr a !tos
-          | Opcode.Wbnot -> unop Wordops.bnot
-          | Opcode.Wneg -> unop Wordops.neg
-          | Opcode.Wmask -> unop Wordops.of_int
-          | Opcode.Lt -> cmp ( < )
-          | Opcode.Le -> cmp ( <= )
-          | Opcode.Gt -> cmp ( > )
-          | Opcode.Ge -> cmp ( >= )
-          | Opcode.Eq -> cmp ( = )
-          | Opcode.Ne -> cmp ( <> )
-          | Opcode.Tobool -> unop (fun v -> if v = 0 then 0 else 1)
-          | Opcode.Not -> unop (fun v -> if v = 0 then 1 else 0)
-          | Opcode.Jmp t -> pc := t
-          | Opcode.Jz t -> if pop () = 0 then pc := t
-          | Opcode.Jnz t -> if pop () <> 0 then pc := t
-          | Opcode.Call target -> pc := enter_func target !pc
-          | Opcode.Callext target ->
-              let arity = p.Program.ext_arity.(target) in
-              let argv = Array.make arity 0 in
-              for i = arity - 1 downto 0 do
-                argv.(i) <- pop ()
-              done;
-              push (p.Program.host.(target) argv)
-          | Opcode.Ret ->
-              let v = pop () in
-              decr depth;
-              let ret_pc = frames.(!depth).ret_pc in
-              if ret_pc = -1 then begin
-                result := v;
-                running := false
-              end
-              else begin
-                locs := frames.(!depth - 1).locals;
-                push v;
-                pc := ret_pc
-              end
-          | Opcode.Pop -> ignore (pop ())
-          | Opcode.Dup ->
-              if !h < 1 then underflow ();
-              push !tos
-          | Opcode.Halt -> Fault.raise_fault (Fault.Illegal_instruction "halt")
-          | Opcode.Bink (op, k) ->
-              burn 1;
-              if !h < 1 then underflow ();
-              tos := Opcode.bink_fn op !tos k
-          | Opcode.Cmpk (c, k) ->
-              burn 1;
-              if !h < 1 then underflow ();
-              tos := (if Opcode.cmp_fn c !tos k then 1 else 0)
-          | Opcode.Jcmp (c, flag, t) ->
-              burn 1;
-              if !h < 2 then underflow ();
-              let b = !tos in
-              let a = under () in
-              shrink2 ();
-              if Opcode.cmp_fn c a b = flag then pc := t
-          | Opcode.Jcmpk (c, k, flag, t) ->
-              burn 2;
-              if Opcode.cmp_fn c (pop ()) k = flag then pc := t
-          | Opcode.Aload_k (arr, k) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              if k < 0 || k >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = k });
-              push (Array.unsafe_get cells (d.Program.base + k))
-          | Opcode.Local_addk (n, k) ->
-              burn 3;
-              let locals = !locs in
-              locals.(n) <- locals.(n) + k
-          | Opcode.Load_local2 (a, b) ->
-              burn 1;
-              let locals = !locs in
-              push locals.(a);
-              push locals.(b)
-          | Opcode.Bin_local (op, n) ->
-              burn 1;
-              if !h < 1 then underflow ();
-              tos := Opcode.bink_fn op !tos (!locs).(n)
-          | Opcode.Bin_local2 (op, a, b) ->
-              burn 2;
-              let locals = !locs in
-              push (Opcode.bink_fn op locals.(a) locals.(b))
-          | Opcode.Aload_local (arr, n) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let i = (!locs).(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              push (Array.unsafe_get cells (d.Program.base + i))
-          | Opcode.Move_local (dst, src) ->
-              burn 1;
-              let locals = !locs in
-              locals.(dst) <- locals.(src)
-          | Opcode.Jcmpk_local (c, n, k, flag, t) ->
-              burn 3;
-              if Opcode.cmp_fn c (!locs).(n) k = flag then
-                pc := t
-          | Opcode.Store_localk (n, k) ->
-              burn 1;
-              (!locs).(n) <- k
-          | Opcode.Bin_store (op, n) ->
-              burn 1;
-              if !h < 2 then underflow ();
-              let a = under () in
-              let b = !tos in
-              shrink2 ();
-              (!locs).(n) <- Opcode.bink_fn op a b
-          | Opcode.Bink_store (op, k, n) ->
-              burn 2;
-              (!locs).(n) <- Opcode.bink_fn op (pop ()) k
-          | Opcode.Bink_local (op, n, k) ->
-              burn 2;
-              push (Opcode.bink_fn op (!locs).(n) k)
-          | Opcode.Bin_aload_local (op, arr, n) ->
-              (* Two-step fuel charge: the array access is the
-                 pattern's 2nd instruction (see [run_session]). *)
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let i = (!locs).(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              let v = Array.unsafe_get cells (d.Program.base + i) in
-              burn 1;
-              if !h < 1 then underflow ();
-              tos := Opcode.bink_fn op !tos v
-          | Opcode.Aload_local_store (arr, n, dst) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let locals = !locs in
-              let i = locals.(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              let v = Array.unsafe_get cells (d.Program.base + i) in
-              burn 1;
-              locals.(dst) <- v
-          | Opcode.Move_local2 (d1, s1, d2, s2) ->
-              burn 3;
-              let locals = !locs in
-              locals.(d1) <- locals.(s1);
-              locals.(d2) <- locals.(s2)
-        done;
+          while !running do
+            fuel := !fuel - 1;
+            if !fuel < 0 then raise out_of_fuel;
+            let instr = Array.unsafe_get code !pc in
+            incr pc;
+            (match prof with
+            | None -> ()
+            | Some pr ->
+                Graft_trace.Opprof.hit pr (Opcode.index instr)
+                  (Opcode.width instr));
+            match instr with
+            | Opcode.Const n ->
+                let t = !h in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1;
+                tos := n
+            | Opcode.Load_local n ->
+                let v = !locs.(n) in
+                let t = !h in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1;
+                tos := v
+            | Opcode.Store_local n ->
+                let t = !h - 1 in
+                if t < 0 then raise underflow;
+                !locs.(n) <- !tos;
+                h := t;
+                tos := Array.unsafe_get stack t
+            | Opcode.Load_global a ->
+                let t = !h in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1;
+                tos := Array.unsafe_get cells a
+            | Opcode.Store_global a ->
+                let t = !h - 1 in
+                if t < 0 then raise underflow;
+                Array.unsafe_set cells a !tos;
+                h := t;
+                tos := Array.unsafe_get stack t
+            | Opcode.Aload arr ->
+                let d = arrays.(arr) in
+                if !h < 1 then raise underflow;
+                let i = !tos in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Read i);
+                tos := Array.unsafe_get cells (d.Program.base + i)
+            | Opcode.Astore arr ->
+                let d = arrays.(arr) in
+                let t = !h - 2 in
+                if t < 0 then raise underflow;
+                let v = !tos in
+                let i = Array.unsafe_get stack (t + 1) in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Write i);
+                if not d.Program.writable then raise (read_only d i);
+                h := t;
+                tos := Array.unsafe_get stack t;
+                Array.unsafe_set cells (d.Program.base + i) v
+            | Opcode.Aload_u arr ->
+                let d = arrays.(arr) in
+                if !h < 1 then raise underflow;
+                tos := Array.unsafe_get cells (d.Program.base + !tos)
+            | Opcode.Astore_u arr ->
+                let d = arrays.(arr) in
+                let t = !h - 2 in
+                if t < 0 then raise underflow;
+                let v = !tos in
+                let i = Array.unsafe_get stack (t + 1) in
+                h := t;
+                tos := Array.unsafe_get stack t;
+                Array.unsafe_set cells (d.Program.base + i) v
+            | Opcode.Mlookup m ->
+                if !h < 1 then raise underflow;
+                tos := Graft_kernel.Graftmap.lookup p.Program.maps.(m) !tos
+            | Opcode.Mupdate m ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                let v = !tos in
+                let k = Array.unsafe_get stack t in
+                h := t;
+                tos := Graft_kernel.Graftmap.update p.Program.maps.(m) k v
+            | Opcode.Mlookup_u m ->
+                if !h < 1 then raise underflow;
+                tos := Graft_kernel.Graftmap.unsafe_get p.Program.maps.(m) !tos
+            | Opcode.Mupdate_u m ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                let v = !tos in
+                let k = Array.unsafe_get stack t in
+                h := t;
+                Graft_kernel.Graftmap.unsafe_set p.Program.maps.(m) k v;
+                tos := 1
+            (* Binary operations: [a] is the second operand
+               ([stack.(!h - 1)]), [b] the cached top; the result
+               becomes the new top, one element shorter. *)
+            | Opcode.Div_u ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t / !tos
+            | Opcode.Mod_u ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t mod !tos
+            | Opcode.Add ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t + !tos
+            | Opcode.Sub ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t - !tos
+            | Opcode.Mul ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t * !tos
+            | Opcode.Div ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                let b = !tos in
+                if b = 0 then raise div_zero;
+                h := t;
+                tos := Array.unsafe_get stack t / b
+            | Opcode.Mod ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                let b = !tos in
+                if b = 0 then raise div_zero;
+                h := t;
+                tos := Array.unsafe_get stack t mod b
+            | Opcode.Shl ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Wordops.int_shl (Array.unsafe_get stack t) !tos
+            | Opcode.Shr ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Wordops.int_shr (Array.unsafe_get stack t) !tos
+            | Opcode.Lshr ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Wordops.int_lshr (Array.unsafe_get stack t) !tos
+            | Opcode.Band ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t land !tos
+            | Opcode.Bor ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t lor !tos
+            | Opcode.Bxor ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t lxor !tos
+            | Opcode.Bnot ->
+                if !h < 1 then raise underflow;
+                tos := lnot !tos
+            | Opcode.Neg ->
+                if !h < 1 then raise underflow;
+                tos := - !tos
+            (* Word arithmetic: [Wordops] semantics, written out. *)
+            | Opcode.Wadd ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := (Array.unsafe_get stack t + !tos) land word_mask
+            | Opcode.Wsub ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := (Array.unsafe_get stack t - !tos) land word_mask
+            | Opcode.Wmul ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t * !tos land word_mask
+            | Opcode.Wshl ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos :=
+                  (Array.unsafe_get stack t lsl (!tos land 31)) land word_mask
+            | Opcode.Wshr ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t lsr (!tos land 31)
+            | Opcode.Wbnot ->
+                if !h < 1 then raise underflow;
+                tos := lnot !tos land word_mask
+            | Opcode.Wneg ->
+                if !h < 1 then raise underflow;
+                tos := - !tos land word_mask
+            | Opcode.Wmask ->
+                if !h < 1 then raise underflow;
+                tos := !tos land word_mask
+            | Opcode.Lt ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := if Array.unsafe_get stack t < !tos then 1 else 0
+            | Opcode.Le ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := if Array.unsafe_get stack t <= !tos then 1 else 0
+            | Opcode.Gt ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := if Array.unsafe_get stack t > !tos then 1 else 0
+            | Opcode.Ge ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := if Array.unsafe_get stack t >= !tos then 1 else 0
+            | Opcode.Eq ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := if Array.unsafe_get stack t = !tos then 1 else 0
+            | Opcode.Ne ->
+                let t = !h - 1 in
+                if t < 1 then raise underflow;
+                h := t;
+                tos := if Array.unsafe_get stack t <> !tos then 1 else 0
+            | Opcode.Tobool ->
+                if !h < 1 then raise underflow;
+                tos := if !tos = 0 then 0 else 1
+            | Opcode.Not ->
+                if !h < 1 then raise underflow;
+                tos := if !tos = 0 then 1 else 0
+            | Opcode.Jmp t -> pc := t
+            | Opcode.Jz target ->
+                let t = !h - 1 in
+                if t < 0 then raise underflow;
+                let v = !tos in
+                h := t;
+                tos := Array.unsafe_get stack t;
+                if v = 0 then pc := target
+            | Opcode.Jnz target ->
+                let t = !h - 1 in
+                if t < 0 then raise underflow;
+                let v = !tos in
+                h := t;
+                tos := Array.unsafe_get stack t;
+                if v <> 0 then pc := target
+            | Opcode.Call target ->
+                let dp = !depth in
+                if dp >= max_frames then raise overflow;
+                let f = p.Program.funcs.(target) in
+                let fr = frames.(dp) in
+                fr.ret_pc <- !pc;
+                let locals = frame_locals fr f.Program.nlocals in
+                (* The top [nargs] operands, last argument in [tos]. *)
+                let nargs = f.Program.nargs in
+                if nargs > 0 then begin
+                  let t = !h - nargs in
+                  if t < 0 then raise underflow;
+                  for i = 0 to nargs - 2 do
+                    locals.(i) <- Array.unsafe_get stack (t + 1 + i)
+                  done;
+                  locals.(nargs - 1) <- !tos;
+                  h := t;
+                  tos := Array.unsafe_get stack t
+                end;
+                depth := dp + 1;
+                locs := locals;
+                pc := f.Program.entry
+            | Opcode.Callext target ->
+                let arity = p.Program.ext_arity.(target) in
+                let argv = Array.make arity 0 in
+                if arity > 0 then begin
+                  let t = !h - arity in
+                  if t < 0 then raise underflow;
+                  for i = 0 to arity - 2 do
+                    argv.(i) <- Array.unsafe_get stack (t + 1 + i)
+                  done;
+                  argv.(arity - 1) <- !tos;
+                  h := t;
+                  tos := Array.unsafe_get stack t
+                end;
+                let v = p.Program.host.(target) argv in
+                let t = !h in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1;
+                tos := v
+            | Opcode.Ret ->
+                (* The return value stays in [tos]: the caller's push of
+                   it would spill the same slot and cache the same
+                   value. *)
+                if !h < 1 then raise underflow;
+                let dp = !depth - 1 in
+                depth := dp;
+                let ret_pc = frames.(dp).ret_pc in
+                if ret_pc = -1 then begin
+                  result := !tos;
+                  running := false
+                end
+                else begin
+                  locs := frames.(dp - 1).locals;
+                  pc := ret_pc
+                end
+            | Opcode.Pop ->
+                let t = !h - 1 in
+                if t < 0 then raise underflow;
+                h := t;
+                tos := Array.unsafe_get stack t
+            | Opcode.Dup ->
+                let t = !h in
+                if t < 1 then raise underflow;
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1
+            | Opcode.Halt -> raise halt
+            | Opcode.Bink (op, k) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                if !h < 1 then raise underflow;
+                tos := Opcode.bink_fn op !tos k
+            | Opcode.Cmpk (c, k) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                if !h < 1 then raise underflow;
+                tos := if Opcode.cmp_fn c !tos k then 1 else 0
+            | Opcode.Jcmp (c, flag, target) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !h - 2 in
+                if t < 0 then raise underflow;
+                let b = !tos in
+                let a = Array.unsafe_get stack (t + 1) in
+                h := t;
+                tos := Array.unsafe_get stack t;
+                if Opcode.cmp_fn c a b = flag then pc := target
+            | Opcode.Jcmpk (c, k, flag, target) ->
+                fuel := !fuel - 2;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !h - 1 in
+                if t < 0 then raise underflow;
+                let v = !tos in
+                h := t;
+                tos := Array.unsafe_get stack t;
+                if Opcode.cmp_fn c v k = flag then pc := target
+            | Opcode.Aload_k (arr, k) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let d = arrays.(arr) in
+                if k < 0 || k >= d.Program.len then
+                  raise (out_of_bounds Fault.Read k);
+                let t = !h in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1;
+                tos := Array.unsafe_get cells (d.Program.base + k)
+            | Opcode.Local_addk (n, k) ->
+                fuel := !fuel - 3;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                locals.(n) <- locals.(n) + k
+            | Opcode.Load_local2 (a, b) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                let t = !h in
+                if t + 1 >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                Array.unsafe_set stack (t + 1) locals.(a);
+                h := t + 2;
+                tos := locals.(b)
+            | Opcode.Bin_local (op, n) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                if !h < 1 then raise underflow;
+                tos := Opcode.bink_fn op !tos !locs.(n)
+            | Opcode.Bin_local2 (op, a, b) ->
+                fuel := !fuel - 2;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                let v = Opcode.bink_fn op locals.(a) locals.(b) in
+                let t = !h in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1;
+                tos := v
+            | Opcode.Aload_local (arr, n) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let d = arrays.(arr) in
+                let i = !locs.(n) in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Read i);
+                let t = !h in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1;
+                tos := Array.unsafe_get cells (d.Program.base + i)
+            | Opcode.Move_local (dst, src) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                locals.(dst) <- locals.(src)
+            | Opcode.Jcmpk_local (c, n, k, flag, target) ->
+                fuel := !fuel - 3;
+                if !fuel < 0 then raise out_of_fuel;
+                if Opcode.cmp_fn c !locs.(n) k = flag then pc := target
+            | Opcode.Store_localk (n, k) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                !locs.(n) <- k
+            | Opcode.Bin_store (op, n) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !h - 2 in
+                if t < 0 then raise underflow;
+                let a = Array.unsafe_get stack (t + 1) in
+                let b = !tos in
+                h := t;
+                tos := Array.unsafe_get stack t;
+                !locs.(n) <- Opcode.bink_fn op a b
+            | Opcode.Bink_store (op, k, n) ->
+                fuel := !fuel - 2;
+                if !fuel < 0 then raise out_of_fuel;
+                let t = !h - 1 in
+                if t < 0 then raise underflow;
+                let v = !tos in
+                h := t;
+                tos := Array.unsafe_get stack t;
+                !locs.(n) <- Opcode.bink_fn op v k
+            | Opcode.Bink_local (op, n, k) ->
+                fuel := !fuel - 2;
+                if !fuel < 0 then raise out_of_fuel;
+                let v = Opcode.bink_fn op !locs.(n) k in
+                let t = !h in
+                if t >= stack_size then raise overflow;
+                Array.unsafe_set stack t !tos;
+                h := t + 1;
+                tos := v
+            | Opcode.Bin_aload_local (op, arr, n) ->
+                (* Two-step fuel charge: the array access is the
+                   pattern's 2nd instruction (see [run_session]). *)
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let d = arrays.(arr) in
+                let i = !locs.(n) in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Read i);
+                let v = Array.unsafe_get cells (d.Program.base + i) in
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                if !h < 1 then raise underflow;
+                tos := Opcode.bink_fn op !tos v
+            | Opcode.Aload_local_store (arr, n, dst) ->
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                let d = arrays.(arr) in
+                let locals = !locs in
+                let i = locals.(n) in
+                if i < 0 || i >= d.Program.len then
+                  raise (out_of_bounds Fault.Read i);
+                let v = Array.unsafe_get cells (d.Program.base + i) in
+                fuel := !fuel - 1;
+                if !fuel < 0 then raise out_of_fuel;
+                locals.(dst) <- v
+            | Opcode.Move_local2 (d1, s1, d2, s2) ->
+                fuel := !fuel - 3;
+                if !fuel < 0 then raise out_of_fuel;
+                let locals = !locs in
+                locals.(d1) <- locals.(s1);
+                locals.(d2) <- locals.(s2)
+          done;
           Ok !result
         with Fault.Fault f ->
           Graft_trace.Trace.instant Graft_trace.Trace.Vm_stack

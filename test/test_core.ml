@@ -162,6 +162,59 @@ let test_md5_runner_partial_length () =
       Technology.Bytecode_vm; Technology.Ast_interp; Technology.Source_interp;
     ]
 
+let test_md5_runner_rejects_oversize () =
+  let r = Prng.create 0x3D7L in
+  let capacity = 256 in
+  let oversize = Prng.bytes r 520 in
+  let data = Prng.bytes r capacity in
+  let expect = Graft_md5.Md5.to_hex (Graft_md5.Md5.digest_bytes data) in
+  List.iter
+    (fun tech ->
+      let name = Technology.name tech in
+      let runner = Runners.md5 tech ~capacity in
+      (match runner.Runners.load oversize with
+      | () -> Alcotest.failf "%s: a 520-byte chunk was accepted" name
+      | exception Invalid_argument _ -> ());
+      (* Nothing past the data window was touched: the digest window
+         and the graft's MD5 tables still give the right answer. *)
+      runner.Runners.load data;
+      runner.Runners.compute capacity;
+      check_str name expect (runner.Runners.digest_hex ()))
+    runner_techs
+
+(* Minor words allocated by [f ()]. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The interpreted loops keep their dispatch state in locals no closure
+   captures, so a resident entry allocates no more than a JIT entry;
+   the AST walker allocates per call, never per node. *)
+let test_md5_runner_allocation () =
+  let data = Prng.bytes (Prng.create 0x3D8L) 160 in
+  let entry_words tech =
+    let runner = Runners.md5 tech ~capacity:256 in
+    runner.Runners.load data;
+    (* The first entry grows the session's frame slabs. *)
+    runner.Runners.compute 160;
+    minor_words (fun () -> runner.Runners.compute 160)
+  in
+  let jit = entry_words Technology.Jit in
+  List.iter
+    (fun tech ->
+      let w = entry_words tech in
+      if w > jit then
+        Alcotest.failf "%s: %.0f minor words per entry, the JIT %.0f"
+          (Technology.name tech) w jit)
+    [
+      Technology.Bytecode_vm; Technology.Safe_lang_static;
+      Technology.Bytecode_opt;
+    ];
+  let ast = entry_words Technology.Ast_interp in
+  if ast >= 2500. then
+    Alcotest.failf "ast-interp: %.0f minor words per 160-byte op" ast
+
 (* ---------- logdisk runners across technologies ---------- *)
 
 let test_logdisk_runners_agree () =
@@ -394,6 +447,8 @@ let () =
         [
           Alcotest.test_case "all agree" `Quick test_md5_runners_agree;
           Alcotest.test_case "partial length" `Quick test_md5_runner_partial_length;
+          Alcotest.test_case "oversize chunk" `Quick test_md5_runner_rejects_oversize;
+          Alcotest.test_case "entry allocation" `Quick test_md5_runner_allocation;
         ] );
       ( "logdisk runners",
         [ Alcotest.test_case "all agree" `Quick test_logdisk_runners_agree ] );

@@ -614,6 +614,55 @@ let test_tiers_differential () =
       done)
     diff_programs
 
+(* Both dispatch loops write the [Wordops] semantics out per opcode;
+   hold each written-out word opcode to the reference interpreter,
+   which calls [Wordops], over the whole int range. *)
+let word_ops_src =
+  "fn main(a : int, b : int, op : int) : int {\n\
+   var x : word = word(a);\n\
+   var y : word = word(b);\n\
+   if (op == 0) { return int(x + y); }\n\
+   if (op == 1) { return int(x - y); }\n\
+   if (op == 2) { return int(x * y); }\n\
+   if (op == 3) { return int(x << b); }\n\
+   if (op == 4) { return int(x >> b); }\n\
+   if (op == 5) { return int(~x); }\n\
+   if (op == 6) { return int(-x); }\n\
+   return int(x);\n\
+   }"
+
+let test_word_ops_written_out () =
+  let p = Stackvm.load_exn (fresh_image word_ops_src) in
+  List.iter
+    (fun op ->
+      if not (Array.mem op p.Program.code) then
+        Alcotest.failf "no %s in the plain code"
+          Opcode.class_names.(Opcode.index op))
+    Opcode.[ Wadd; Wsub; Wmul; Wshl; Wshr; Wbnot; Wneg; Wmask ];
+  let reference = fresh_image word_ops_src in
+  let s = Vm.create_session p in
+  let r = Graft_util.Prng.create 0x3D9L in
+  let edges = [| 0; 1; -1; 31; 32; 0xFFFFFFFF; 0x80000000; max_int; min_int |] in
+  let ne = Array.length edges in
+  for i = 0 to 299 do
+    (* Every pair of edge operands first, then random ones. *)
+    let a, b =
+      if i < ne * ne then (edges.(i / ne), edges.(i mod ne))
+      else
+        ( Int64.to_int (Graft_util.Prng.next r),
+          Int64.to_int (Graft_util.Prng.next r) )
+    in
+    for op = 0 to 7 do
+      let args = [| a; b; op |] in
+      let expect = Interp.run reference ~entry:"main" ~args ~fuel:1000 in
+      let plain = Vm.run_session s ~entry:"main" ~args ~fuel:1000 in
+      let opt = Vm.run_session_opt s ~entry:"main" ~args ~fuel:1000 in
+      if plain <> expect || opt <> expect then
+        Alcotest.failf "op %d on (%d, %d): interp %s, plain %s, opt %s" op a b
+          (show_tier expect) (show_tier plain) (show_tier opt)
+    done
+  done
+
 let faulty_src =
   (* Faults on purpose: a[n] is out of bounds for n outside [0, 8) and
      the division faults for n = -100. *)
@@ -886,6 +935,8 @@ let () =
           Alcotest.test_case "factorial" `Quick test_factorial;
           Alcotest.test_case "fibonacci" `Quick test_fib;
           Alcotest.test_case "word ops" `Quick test_word_ops;
+          Alcotest.test_case "written-out word ops" `Quick
+            test_word_ops_written_out;
           Alcotest.test_case "arrays" `Quick test_arrays;
           Alcotest.test_case "array init" `Quick test_array_initializer;
           Alcotest.test_case "globals" `Quick test_globals;
