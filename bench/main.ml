@@ -18,9 +18,9 @@
      dune exec bench/main.exe -- full table5   specific tables (full)
      dune exec bench/main.exe -- opt table2    add the optimized bytecode
                                                tier as an extra column
-     dune exec bench/main.exe -- stackvm-json  interpreted-vs-optimized
-                                               tier comparison to
-                                               BENCH_stackvm.json
+
+   The bytecode-tier comparison behind BENCH_stackvm.json is
+   `graftkit bench --save-baseline FILE`.
 *)
 
 open Bechamel
@@ -140,35 +140,6 @@ let run_micro () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Bytecode tier comparison (machine-readable).                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Interpreted vs optimized vs JIT bytecode tiers over each graft's
-   core op, written as v4 JSON (medians with bootstrap CIs) so CI and
-   plots can track the speedups. The suite, the harness, and the
-   schema live in Graft_report.Benchgate — the same code
-   `graftkit bench` runs. *)
-let stackvm_json ?(path = "BENCH_stackvm.json") () =
-  let rows = Graft_report.Benchgate.run_suite () in
-  List.iter
-    (fun (r : Graft_report.Benchgate.row) ->
-      let open Graft_stats.Robust in
-      Printf.printf
-        "%-20s interp %10.1f ns/op   opt %10.1f ns/op   jit %10.1f ns/op   \
-         opt %.2fx   jit %.2fx\n\
-         %!"
-        r.Graft_report.Benchgate.graft r.Graft_report.Benchgate.interp.median
-        r.Graft_report.Benchgate.opt.median
-        r.Graft_report.Benchgate.jit.median
-        (r.Graft_report.Benchgate.interp.median
-        /. r.Graft_report.Benchgate.opt.median)
-        (r.Graft_report.Benchgate.interp.median
-        /. r.Graft_report.Benchgate.jit.median))
-    rows;
-  Graft_report.Benchgate.save ~path rows;
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
 (* Experiment tables.                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -210,7 +181,6 @@ let () =
   let tables = known_tables scale in
   match args with
   | [ "micro" ] -> run_micro ()
-  | [ "stackvm-json" ] -> stackvm_json ()
   | [] ->
       run_micro ();
       List.iter

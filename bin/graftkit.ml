@@ -830,6 +830,62 @@ let jit_cmd =
              closure-threaded code")
     [ jit_dump_cmd ]
 
+(* ---------- regression gate ---------- *)
+
+let baseline_arg =
+  Arg.(value & opt (some file) None
+       & info [ "baseline" ] ~docv:"FILE"
+           ~doc:"Gate the fresh results against this baseline: a \
+                 regression (CI-disjoint AND a median move beyond the \
+                 threshold) exits 1.")
+
+let save_arg =
+  Arg.(value & opt (some string) None
+       & info [ "save-baseline" ] ~docv:"FILE"
+           ~doc:"Write the fresh results as a baseline to $(docv).")
+
+let threshold_arg =
+  Arg.(value & opt (some float) None
+       & info [ "threshold" ] ~docv:"FRAC"
+           ~doc:"Override the suite's regression thresholds (fractional: \
+                 0.3 = 30%).")
+
+(* The one path every gated suite takes. The baseline is read before
+   [measure] runs and before anything is saved, so one file can be
+   both --baseline and --save-baseline, and an unreadable baseline
+   fails before a long measurement. An unreadable or mismatched
+   baseline exits 2, a regression exits 1. *)
+let gated ~cmd ?threshold ~baseline ~save measure =
+  let fail msg =
+    prerr_endline (cmd ^ ": " ^ msg);
+    exit 2
+  in
+  let base =
+    Option.map
+      (fun path ->
+        match Graft_report.Gate.load path with Ok b -> b | Error m -> fail m)
+      baseline
+  in
+  let doc = measure () in
+  Option.iter
+    (fun path ->
+      Graft_report.Gate.save ~path doc;
+      Printf.printf "baseline written to %s\n" path)
+    save;
+  Option.iter
+    (fun base ->
+      match Graft_report.Gate.gate ?threshold ~baseline:base doc with
+      | Error msg -> fail msg
+      | Ok checks ->
+          print_string (Graft_report.Gate.render checks);
+          if Graft_report.Gate.passed checks then
+            Printf.printf "%s: no regressions\n" cmd
+          else begin
+            prerr_endline (cmd ^ ": REGRESSION detected");
+            exit 1
+          end)
+    base
+
 (* ---------- bench ---------- *)
 
 let bench_cmd =
@@ -837,96 +893,42 @@ let bench_cmd =
     Arg.(value & opt scale_conv Graft_report.Experiments.Quick
          & info [ "s"; "scale" ] ~doc:"Harness scale: quick or full.")
   in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Baseline JSON (v2, v3 or v4) to compare against.")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Exit nonzero if any graft regressed vs the baseline \
-                   (CI-disjoint AND median moved beyond the threshold).")
-  in
-  let save =
-    Arg.(value & opt (some string) None
-         & info [ "save-baseline" ] ~docv:"FILE"
-             ~doc:"Write the fresh results as a v4 baseline to $(docv).")
-  in
-  let threshold =
-    Arg.(value & opt (some float) None
-         & info [ "threshold" ] ~docv:"FRAC"
-             ~doc:"Override the per-graft regression thresholds (fractional: \
-                   0.3 = 30%).")
-  in
-  let run scale baseline check save threshold =
+  let run scale baseline save threshold =
     let config =
       match scale with
       | Graft_report.Experiments.Quick -> Graft_stats.Harness.quick
       | Graft_report.Experiments.Full -> Graft_stats.Harness.full
     in
-    let rows = Graft_report.Benchgate.run_suite ~config () in
+    gated ~cmd:"bench" ?threshold ~baseline ~save @@ fun () ->
+    let rows = Graft_report.Tierbench.run_suite ~config () in
     let t =
       Graft_util.Tablefmt.create
         [| "Graft"; "interp"; "opt"; "jit"; "opt-speedup"; "jit-speedup";
            "rounds" |]
     in
     List.iter
-      (fun (r : Graft_report.Benchgate.row) ->
+      (fun (r : Graft_report.Tierbench.row) ->
         let open Graft_stats.Robust in
+        let cell e =
+          Printf.sprintf "%.1f ns [%.1f, %.1f]" e.median e.ci95_lo e.ci95_hi
+        in
         Graft_util.Tablefmt.add_row t
           [|
-            r.Graft_report.Benchgate.graft;
-            Printf.sprintf "%.1f ns [%.1f, %.1f]"
-              r.Graft_report.Benchgate.interp.median
-              r.Graft_report.Benchgate.interp.ci95_lo
-              r.Graft_report.Benchgate.interp.ci95_hi;
-            Printf.sprintf "%.1f ns [%.1f, %.1f]"
-              r.Graft_report.Benchgate.opt.median
-              r.Graft_report.Benchgate.opt.ci95_lo
-              r.Graft_report.Benchgate.opt.ci95_hi;
-            Printf.sprintf "%.1f ns [%.1f, %.1f]"
-              r.Graft_report.Benchgate.jit.median
-              r.Graft_report.Benchgate.jit.ci95_lo
-              r.Graft_report.Benchgate.jit.ci95_hi;
+            r.Graft_report.Tierbench.graft;
+            cell r.Graft_report.Tierbench.interp;
+            cell r.Graft_report.Tierbench.opt;
+            cell r.Graft_report.Tierbench.jit;
             Printf.sprintf "%.2fx"
-              (r.Graft_report.Benchgate.interp.median
-              /. r.Graft_report.Benchgate.opt.median);
+              (r.Graft_report.Tierbench.interp.median
+              /. r.Graft_report.Tierbench.opt.median);
             Printf.sprintf "%.2fx"
-              (r.Graft_report.Benchgate.interp.median
-              /. r.Graft_report.Benchgate.jit.median);
-            string_of_int r.Graft_report.Benchgate.rounds;
+              (r.Graft_report.Tierbench.interp.median
+              /. r.Graft_report.Tierbench.jit.median);
+            string_of_int r.Graft_report.Tierbench.rounds;
           |])
       rows;
     Graft_util.Tablefmt.print t;
-    (match save with
-    | Some path ->
-        Graft_report.Benchgate.save ~path rows;
-        Printf.printf "baseline written to %s\n" path
-    | None -> ());
-    match baseline with
-    | None ->
-        if check then begin
-          prerr_endline "bench: --check requires --baseline FILE";
-          exit 2
-        end
-    | Some path -> (
-        match Graft_report.Benchgate.load_baseline path with
-        | Error msg ->
-            prerr_endline ("bench: " ^ msg);
-            exit 2
-        | Ok base ->
-            let checks =
-              Graft_report.Benchgate.gate ?threshold ~baseline:base rows
-            in
-            List.iter
-              (fun c -> print_endline (Graft_report.Benchgate.pp_check c))
-              checks;
-            if Graft_report.Benchgate.failed checks then begin
-              prerr_endline "bench: REGRESSION detected";
-              if check then exit 1
-            end
-            else print_endline "bench: no regressions")
+    Graft_report.Tierbench.doc rows
   in
   Cmd.v
     (Cmd.info "bench"
@@ -934,7 +936,7 @@ let bench_cmd =
              harness and optionally gate against a saved baseline \
              (noise-aware: a regression requires disjoint 95% CIs and a \
              median move beyond the per-graft threshold)")
-    Term.(const run $ scale $ baseline $ check $ save $ threshold)
+    Term.(const run $ scale $ baseline_arg $ save_arg $ threshold_arg)
 
 (* ---------- metrics ---------- *)
 
@@ -1093,30 +1095,9 @@ let serve_cmd =
          & info [ "openmetrics" ] ~docv:"FILE"
              ~doc:"Write the final OpenMetrics exposition to $(docv).")
   in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"BENCH_serve.json baseline to compare against.")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Exit nonzero if any gated metric regressed vs the \
-                   baseline.")
-  in
-  let save =
-    Arg.(value & opt (some string) None
-         & info [ "save-baseline" ] ~docv:"FILE"
-             ~doc:"Write the fresh results as a serve baseline to $(docv).")
-  in
-  let threshold =
-    Arg.(value & opt (some float) None
-         & info [ "threshold" ] ~docv:"FRAC"
-             ~doc:"Override the 0.10 default regression threshold.")
-  in
   let run smoke tenants duration rate seed window snapshot_every faults
       domains throughput domain_counts reps lens lens_thr flight_dir
-      json snapshots_out openmetrics_out baseline check save threshold =
+      json snapshots_out openmetrics_out baseline save threshold =
     let base = if smoke then Graft_slo.Serve.smoke else Graft_slo.Serve.default in
     let cfg =
       Graft_slo.Serve.
@@ -1135,50 +1116,19 @@ let serve_cmd =
           lens_threshold_us = Option.value ~default:0 lens_thr;
         }
     in
+    gated ~cmd:"serve" ?threshold ~baseline ~save @@ fun () ->
     if throughput then begin
       (* Scaling mode: ops per wall-second vs domain count; --baseline /
          --save-baseline refer to BENCH_throughput.json here. *)
       let report =
         Graft_slo.Throughput.run ~reps ~domain_counts:domain_counts cfg
       in
-      if json then print_string (Graft_slo.Throughput.to_json report ^ "\n")
+      let doc = Graft_slo.Throughput.doc report in
+      if json then print_string (Graft_report.Gate.to_json doc ^ "\n")
       else print_string (Graft_slo.Throughput.render report);
-      (match save with
-      | Some path ->
-          Graft_slo.Throughput.save ~path report;
-          Printf.printf "throughput baseline written to %s\n" path
-      | None -> ());
-      (match baseline with
-      | None ->
-          if check then begin
-            prerr_endline "serve: --check requires --baseline FILE";
-            exit 2
-          end
-      | Some path -> (
-          match Graft_slo.Throughput.load_baseline path with
-          | Error msg ->
-              prerr_endline ("serve: " ^ msg);
-              exit 2
-          | Ok b -> (
-              match
-                Graft_slo.Throughput.gate ?threshold ~baseline:b report
-              with
-              | Error msg ->
-                  prerr_endline ("serve: " ^ msg);
-                  exit 2
-              | Ok checks ->
-                  List.iter
-                    (fun c ->
-                      print_endline (Graft_slo.Throughput.pp_check c))
-                    checks;
-                  if Graft_slo.Throughput.passed checks then
-                    print_endline "serve: no throughput regressions"
-                  else begin
-                    prerr_endline "serve: throughput REGRESSION detected";
-                    if check then exit 1
-                  end)));
-      exit 0
-    end;
+      doc
+    end
+    else
     let r = Graft_slo.Serve.run cfg in
     if json then print_string (Graft_slo.Serve.to_json r ^ "\n")
     else print_string (Graft_slo.Serve.render r);
@@ -1204,35 +1154,7 @@ let serve_cmd =
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc (Graft_metrics.to_openmetrics ()))
     | None -> ());
-    (match save with
-    | Some path ->
-        Graft_slo.Servegate.save ~path r;
-        Printf.printf "serve baseline written to %s\n" path
-    | None -> ());
-    match baseline with
-    | None ->
-        if check then begin
-          prerr_endline "serve: --check requires --baseline FILE";
-          exit 2
-        end
-    | Some path -> (
-        match Graft_slo.Servegate.load_baseline path with
-        | Error msg ->
-            prerr_endline ("serve: " ^ msg);
-            exit 2
-        | Ok base -> (
-            match Graft_slo.Servegate.gate ?threshold ~baseline:base r with
-            | Error msg ->
-                prerr_endline ("serve: " ^ msg);
-                exit 2
-            | Ok checks ->
-                print_string (Graft_slo.Servegate.render_checks checks);
-                if Graft_slo.Servegate.passed checks then
-                  print_endline "serve: no regressions"
-                else begin
-                  prerr_endline "serve: REGRESSION detected";
-                  if check then exit 1
-                end))
+    Graft_slo.Servebench.doc r
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1241,12 +1163,13 @@ let serve_cmd =
              injected faults, and report time-series SLO telemetry — \
              per-tenant latency percentiles, fairness, error-budget burn, \
              and MTTR. Deterministic in --seed; optionally gate against \
-             BENCH_serve.json")
+             BENCH_serve.json (or, with --throughput, \
+             BENCH_throughput.json)")
     Term.(
       const run $ smoke $ tenants $ duration $ rate $ seed $ window
       $ snapshot_every $ faults $ domains $ throughput $ domain_counts
       $ reps $ lens $ lens_threshold $ flight_dir $ json $ snapshots_out
-      $ openmetrics_out $ baseline $ check $ save $ threshold)
+      $ openmetrics_out $ baseline_arg $ save_arg $ threshold_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -384,8 +384,7 @@ let native_md5 (module A : Access.S) tech ~capacity =
         check_chunk ~capacity data;
         Bytes.blit data 0 buf 0 (Bytes.length data));
     compute =
-      (fun n ->
-        last := M.digest (if n = capacity then buf else Bytes.sub buf 0 n));
+      (fun n -> last := M.digest ~len:n buf);
     digest_hex = (fun () -> Graft_md5.Md5.to_hex !last);
   }
 

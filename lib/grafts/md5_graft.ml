@@ -74,11 +74,16 @@ module Make (A : Access.S) = struct
     ctx.c <- (ctx.c + !c) land mask;
     ctx.d <- (ctx.d + !d) land mask
 
-  (** One-shot digest of [buf]. The trailing partial block and padding
-      are staged in a 128-byte tail buffer, as the RFC reference does. *)
-  let digest (buf : bytes) : string =
+  (** One-shot digest of the first [len] bytes of [buf], read in place.
+      The masking regimes confine reads to [buf] itself, so it keeps its
+      power-of-two length whatever [len] is. The trailing partial block
+      and padding are staged in a 128-byte tail buffer, as the RFC
+      reference does. Raises [Invalid_argument] for a [len] outside
+      [buf], since the unchecked regimes would read past it. *)
+  let digest ~len (buf : bytes) : string =
+    if len < 0 || len > Bytes.length buf then
+      invalid_arg "Md5_graft.digest: length outside the buffer";
     let ctx = init () in
-    let len = Bytes.length buf in
     let nblocks = len / 64 in
     for blk = 0 to nblocks - 1 do
       transform ctx buf (blk * 64)
@@ -108,7 +113,8 @@ module Make (A : Access.S) = struct
     put 12 ctx.d;
     Bytes.to_string out
 
-  let digest_hex buf = Graft_md5.Md5.to_hex (digest buf)
+  let digest_hex buf =
+    Graft_md5.Md5.to_hex (digest ~len:(Bytes.length buf) buf)
 end
 
 module Unsafe = Make (Access.Unsafe)

@@ -13,11 +13,7 @@
 
     Scaling is bounded by the cores actually available: the artifact
     records [Domain.recommended_domain_count ()] so a reader (or the
-    CI gate) can tell a scheduler problem from a one-core container.
-    The regression gate mirrors Benchgate's noise-aware rule with the
-    sign flipped — throughput is higher-better: a row regresses only
-    when its CI is disjoint below the baseline's AND the median fell
-    beyond the threshold. *)
+    CI gate) can tell a scheduler problem from a one-core container. *)
 
 type row = {
   tp_domains : int;
@@ -68,162 +64,21 @@ let speedup report row =
       /. first.tp_est.Graft_stats.Robust.median
   | _ -> 1.0
 
-(* ------------------------------------------------------------------ *)
-(* The BENCH_throughput.json artifact.                                 *)
-(* ------------------------------------------------------------------ *)
-
-let schema_version = 1
-
-let row_json report r =
-  let open Graft_stats.Robust in
-  Printf.sprintf
-    "{\"domains\":%d,\"ops\":%d,\"ops_per_s\":%.1f,\"ci95_lo\":%.1f,\
-     \"ci95_hi\":%.1f,\"cv\":%.4f,\"speedup_vs_first\":%.3f}"
-    r.tp_domains r.tp_ops r.tp_est.median r.tp_est.ci95_lo r.tp_est.ci95_hi
-    r.tp_est.cv (speedup report r)
-
-let to_json report =
-  let cfg = report.tr_config in
-  Graft_report.Envelope.wrap ~schema_version
-    (Printf.sprintf
-       "\"suite\":\"serve-throughput\",\"seed\":%d,\"tenants\":%d,\
-        \"duration_s\":%.2f,\"base_rate\":%.2f,\"reps\":%d,\"cores\":%d,\
-        \"rows\":[%s]"
-       cfg.Serve.seed cfg.Serve.tenants cfg.Serve.duration_s
-       cfg.Serve.base_rate report.tr_reps report.tr_cores
-       (String.concat "," (List.map (row_json report) report.tr_rows)))
-
-let save ~path report =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_json report);
-      Out_channel.output_string oc "\n")
-
-(* ------------------------------------------------------------------ *)
-(* Baseline parsing and the higher-better gate.                        *)
-(* ------------------------------------------------------------------ *)
-
-type baseline_row = { b_domains : int; b_ops_per_s : float; b_lo : float;
-                      b_hi : float }
-
-type baseline = {
-  bl_seed : int;
-  bl_tenants : int;
-  bl_duration_s : float;
-  bl_rows : baseline_row list;
-}
-
-let parse_baseline text =
-  let open Graft_util.Minijson in
-  match parse text with
-  | Error msg -> Error ("throughput baseline: " ^ msg)
-  | Ok doc -> (
-      let num key obj = Option.bind (member key obj) to_float in
-      match (num "seed" doc, num "tenants" doc, num "duration_s" doc,
-             Option.bind (member "rows" doc) to_list)
-      with
-      | Some seed, Some tenants, Some dur, Some rows ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | obj :: rest -> (
-                match
-                  (num "domains" obj, num "ops_per_s" obj, num "ci95_lo" obj,
-                   num "ci95_hi" obj)
-                with
-                | Some d, Some v, Some lo, Some hi ->
-                    go
-                      ({ b_domains = int_of_float d; b_ops_per_s = v;
-                         b_lo = lo; b_hi = hi }
-                      :: acc)
-                      rest
-                | _ -> Error "throughput baseline: malformed row")
-          in
-          Result.map
-            (fun rows ->
-              {
-                bl_seed = int_of_float seed;
-                bl_tenants = int_of_float tenants;
-                bl_duration_s = dur;
-                bl_rows = rows;
-              })
-            (go [] rows)
-      | _ -> Error "throughput baseline: missing seed/tenants/duration_s/rows")
-
-let load_baseline path =
-  match
-    In_channel.with_open_bin path In_channel.input_all
-  with
-  | text -> parse_baseline text
-  | exception Sys_error msg -> Error msg
-
-type check = {
-  c_domains : int;
-  c_base : float;
-  c_cur : float;
-  c_verdict : Graft_report.Benchgate.verdict;
-}
-
-(** Compare a fresh report to a baseline. Wall-clock throughput is
-    higher-better, so Benchgate's noise-aware rule runs mirrored: a
-    row regresses only when the fresh CI sits wholly {e below} the
-    baseline CI and the median fell more than [threshold]. Domain
-    counts present on only one side are skipped. Errors when the
-    baseline was recorded for a different workload. *)
-let gate ?(threshold = 0.30) ~baseline report =
-  let cfg = report.tr_config in
-  if
-    baseline.bl_seed <> cfg.Serve.seed
-    || baseline.bl_tenants <> cfg.Serve.tenants
-    || baseline.bl_duration_s <> cfg.Serve.duration_s
-  then
-    Error
-      (Printf.sprintf
-         "baseline is for seed %d / %d tenants / %.2fs, run was seed %d / %d \
-          tenants / %.2fs"
-         baseline.bl_seed baseline.bl_tenants baseline.bl_duration_s
-         cfg.Serve.seed cfg.Serve.tenants cfg.Serve.duration_s)
-  else
-    Ok
-      (List.filter_map
+(** The BENCH_throughput.json rows: ops per wall-second at each domain
+    count, higher-better. These are wall-clock numbers on a shared
+    machine, so the tolerated move is a loose 0.30. *)
+let doc report =
+  let d =
+    Graft_report.Gate.make ~suite:"serve-throughput"
+      ~config:(Servebench.config report.tr_config)
+      (List.map
          (fun r ->
-           List.find_opt (fun b -> b.b_domains = r.tp_domains)
-             baseline.bl_rows
-           |> Option.map (fun b ->
-                  let open Graft_stats.Robust in
-                  let cur = r.tp_est.median in
-                  let verdict =
-                    (* Mirror of Benchgate.compare_ci for a
-                       higher-better metric. *)
-                    if
-                      r.tp_est.ci95_hi < b.b_lo
-                      && cur < b.b_ops_per_s *. (1.0 -. threshold)
-                    then Graft_report.Benchgate.Regression
-                    else if
-                      r.tp_est.ci95_lo > b.b_hi
-                      && cur > b.b_ops_per_s *. (1.0 +. threshold)
-                    then Graft_report.Benchgate.Improvement
-                    else Graft_report.Benchgate.Pass
-                  in
-                  {
-                    c_domains = r.tp_domains;
-                    c_base = b.b_ops_per_s;
-                    c_cur = cur;
-                    c_verdict = verdict;
-                  }))
+           Graft_report.Gate.of_estimate
+             ~key:(Printf.sprintf "domains=%d" r.tp_domains)
+             ~higher_better:true ~threshold:0.30 r.tp_est)
          report.tr_rows)
-
-let passed checks =
-  not
-    (List.exists
-       (fun c -> c.c_verdict = Graft_report.Benchgate.Regression)
-       checks)
-
-let pp_check c =
-  Printf.sprintf
-    "domains %-2d  base %10.1f ops/s   now %10.1f ops/s   %+6.1f%%  %s"
-    c.c_domains c.c_base c.c_cur
-    (if c.c_base = 0.0 then 0.0
-     else (c.c_cur -. c.c_base) /. c.c_base *. 100.0)
-    (Graft_report.Benchgate.verdict_name c.c_verdict)
+  in
+  { d with Graft_report.Gate.cores = Some report.tr_cores }
 
 let render report =
   let buf = Buffer.create 512 in

@@ -155,11 +155,10 @@ let test_md5_runner_partial_length () =
       runner.Runners.load data;
       runner.Runners.compute n;
       check_str (Technology.name tech) expect (runner.Runners.digest_hex ()))
-    (* SFI regimes require pow2 sizes; partial lengths tested on the
-       others. *)
     [
       Technology.Unsafe_c; Technology.Safe_lang; Technology.Safe_lang_nil;
-      Technology.Bytecode_vm; Technology.Ast_interp; Technology.Source_interp;
+      Technology.Sfi_write_jump; Technology.Sfi_full; Technology.Bytecode_vm;
+      Technology.Ast_interp; Technology.Source_interp;
     ]
 
 let test_md5_runner_rejects_oversize () =

@@ -232,7 +232,18 @@ let test_md5_graft_all_regimes_pow2 () =
       check_str "checked" expect (Md5_graft.Checked.digest_hex data);
       check_str "checked-nil" expect (Md5_graft.Checked_nil.digest_hex data);
       check_str "sfi-wj" expect (Md5_graft.Sfi_wj.digest_hex data);
-      check_str "sfi-full" expect (Md5_graft.Sfi_full.digest_hex data))
+      check_str "sfi-full" expect (Md5_graft.Sfi_full.digest_hex data);
+      (* A length outside the buffer is refused before any unchecked
+         read could run past it. *)
+      List.iter
+        (fun len ->
+          check_bool
+            (Printf.sprintf "len %d refused" len)
+            true
+            (match Md5_graft.Unsafe.digest ~len data with
+            | exception Invalid_argument _ -> true
+            | _ -> false))
+        [ -1; size + 1 ])
     [ 64; 256; 4096; 65536 ]
 
 let prop_md5_graft_matches_reference =

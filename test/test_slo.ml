@@ -10,7 +10,8 @@ module Fairness = Graft_slo.Fairness
 module Slo = Graft_slo.Slo
 module Mttr = Graft_slo.Mttr
 module Serve = Graft_slo.Serve
-module Servegate = Graft_slo.Servegate
+module Servebench = Graft_slo.Servebench
+module Gate = Graft_report.Gate
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -354,46 +355,82 @@ let test_serve_json_parses () =
 
 let test_servegate_roundtrip () =
   let r = Serve.run tiny in
-  match Servegate.parse_baseline (Servegate.to_json r) with
+  let doc = Servebench.doc r in
+  match Gate.parse (Gate.to_json doc) with
   | Error msg -> Alcotest.fail msg
   | Ok base -> (
-      match Servegate.gate ~baseline:base r with
+      match Gate.gate ~baseline:base doc with
       | Error msg -> Alcotest.fail msg
       | Ok checks ->
-          check_int "all metrics checked"
-            (List.length (Servegate.metrics r))
-            (List.length checks);
-          check_bool "self-comparison passes" true (Servegate.passed checks))
+          check_int "all metrics checked" 9 (List.length checks);
+          check_bool "self-comparison passes" true (Gate.passed checks))
 
+(* Serve's numbers are exact, so they gate as degenerate intervals. *)
 let test_servegate_verdicts () =
-  let open Graft_report.Benchgate in
   let c ~hb ~base ~cur =
-    Servegate.compare_metric ~threshold:0.10 ~higher_better:hb ~base ~cur
+    let row v =
+      { Gate.key = "m"; value = v; ci95_lo = v; ci95_hi = v;
+        higher_better = hb; threshold = 0.10 }
+    in
+    Gate.verdict ~base:(row base) (row cur)
   in
   check_bool "small drift passes" true
-    (c ~hb:false ~base:100.0 ~cur:105.0 = Pass);
+    (c ~hb:false ~base:100.0 ~cur:105.0 = Gate.Pass);
   check_bool "latency up = regression" true
-    (c ~hb:false ~base:100.0 ~cur:120.0 = Regression);
+    (c ~hb:false ~base:100.0 ~cur:120.0 = Gate.Regression);
   check_bool "latency down = improvement" true
-    (c ~hb:false ~base:100.0 ~cur:80.0 = Improvement);
+    (c ~hb:false ~base:100.0 ~cur:80.0 = Gate.Improvement);
   check_bool "throughput down = regression" true
-    (c ~hb:true ~base:100.0 ~cur:80.0 = Regression);
+    (c ~hb:true ~base:100.0 ~cur:80.0 = Gate.Regression);
   check_bool "throughput up = improvement" true
-    (c ~hb:true ~base:100.0 ~cur:120.0 = Improvement);
+    (c ~hb:true ~base:100.0 ~cur:120.0 = Gate.Improvement);
   check_bool "zero baseline, zero current" true
-    (c ~hb:false ~base:0.0 ~cur:0.0 = Pass);
+    (c ~hb:false ~base:0.0 ~cur:0.0 = Gate.Pass);
   check_bool "zero baseline, nonzero current" true
-    (c ~hb:false ~base:0.0 ~cur:1.0 = Regression)
+    (c ~hb:false ~base:0.0 ~cur:1.0 = Gate.Regression)
 
 let test_servegate_config_mismatch () =
-  let r = Serve.run tiny in
-  match Servegate.parse_baseline (Servegate.to_json r) with
+  match Gate.parse (Gate.to_json (Servebench.doc (Serve.run tiny))) with
   | Error msg -> Alcotest.fail msg
   | Ok base -> (
       let r' = Serve.run { tiny with seed = 99 } in
-      match Servegate.gate ~baseline:base r' with
+      match Gate.gate ~baseline:base (Servebench.doc r') with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "config mismatch must be an error")
+
+(* The CLI reads --baseline before it writes --save-baseline, so one
+   file given to both flags still gates the run: a copy of the
+   committed baseline with p50 doctored down to 10 us must fail. *)
+let test_gate_cli_load_before_save () =
+  let base =
+    match Gate.load "../BENCH_serve.json" with
+    | Ok d -> d
+    | Error msg -> Alcotest.fail msg
+  in
+  let doctor r =
+    if r.Gate.key = "p50_us" then
+      { r with Gate.value = 10.0; ci95_lo = 10.0; ci95_hi = 10.0 }
+    else r
+  in
+  let path = Filename.temp_file "bench_serve" ".json" in
+  Gate.save ~path { base with Gate.rows = List.map doctor base.Gate.rows };
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/graftkit.exe serve --smoke --baseline %s --save-baseline %s \
+          > /dev/null 2>&1"
+         (Filename.quote path) (Filename.quote path))
+  in
+  let saved = Gate.load path in
+  Sys.remove path;
+  check_int "doctored baseline regresses" 1 code;
+  match saved with
+  | Error msg -> Alcotest.fail msg
+  | Ok d ->
+      check_bool "fresh run saved over it" true
+        (List.exists
+           (fun r -> r.Gate.key = "p50_us" && r.Gate.value <> 10.0)
+           d.Gate.rows)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point.                                                        *)
@@ -450,5 +487,7 @@ let () =
           Alcotest.test_case "verdicts" `Quick test_servegate_verdicts;
           Alcotest.test_case "config mismatch" `Quick
             test_servegate_config_mismatch;
+          Alcotest.test_case "load before save" `Quick
+            test_gate_cli_load_before_save;
         ] );
     ]

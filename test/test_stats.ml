@@ -4,7 +4,8 @@
 
 module Robust = Graft_stats.Robust
 module Harness = Graft_stats.Harness
-module Benchgate = Graft_report.Benchgate
+module Gate = Graft_report.Gate
+module Tierbench = Graft_report.Tierbench
 module Minijson = Graft_util.Minijson
 
 let check_bool = Alcotest.(check bool)
@@ -95,118 +96,188 @@ let prop_estimate_ordered =
 
 (* ---------- gate verdicts on synthetic baselines ---------- *)
 
-let base ns lo hi = { Benchgate.b_ns = ns; b_lo = lo; b_hi = hi }
+let row ?(hb = false) ?(t = 0.30) key v lo hi =
+  { Gate.key; value = v; ci95_lo = lo; ci95_hi = hi; higher_better = hb;
+    threshold = t }
 
 let test_gate_verdicts () =
-  let t = 0.30 in
+  let v ~base:(lo, hi) cur = Gate.verdict ~base:(row "k" 100.0 lo hi) cur in
   (* Overlapping CIs never fail, however far the median moved. *)
   check_bool "overlap passes" true
-    (Benchgate.compare_ci ~threshold:t ~base:(base 100.0 90.0 110.0)
-       ~cur_ns:150.0 ~cur_lo:105.0 ~cur_hi:160.0
-    = Benchgate.Pass);
+    (v ~base:(90.0, 110.0) (row "k" 150.0 105.0 160.0) = Gate.Pass);
   (* Disjoint but under threshold: still a pass. *)
   check_bool "small real move passes" true
-    (Benchgate.compare_ci ~threshold:t ~base:(base 100.0 99.0 101.0)
-       ~cur_ns:110.0 ~cur_lo:109.0 ~cur_hi:111.0
-    = Benchgate.Pass);
+    (v ~base:(99.0, 101.0) (row "k" 110.0 109.0 111.0) = Gate.Pass);
   (* Disjoint and beyond threshold: regression. *)
   check_bool "real big move regresses" true
-    (Benchgate.compare_ci ~threshold:t ~base:(base 100.0 99.0 101.0)
-       ~cur_ns:140.0 ~cur_lo:138.0 ~cur_hi:142.0
-    = Benchgate.Regression);
+    (v ~base:(99.0, 101.0) (row "k" 140.0 138.0 142.0) = Gate.Regression);
   (* Symmetric improvement. *)
   check_bool "improvement detected" true
-    (Benchgate.compare_ci ~threshold:t ~base:(base 100.0 99.0 101.0)
-       ~cur_ns:60.0 ~cur_lo:59.0 ~cur_hi:61.0
-    = Benchgate.Improvement)
+    (v ~base:(99.0, 101.0) (row "k" 60.0 59.0 61.0) = Gate.Improvement);
+  (* The same moves on a higher-better row swap their verdicts. *)
+  check_bool "higher-better fall regresses" true
+    (v ~base:(99.0, 101.0) (row ~hb:true "k" 60.0 59.0 61.0)
+    = Gate.Regression);
+  (* An explicit threshold overrides the row's. *)
+  check_bool "override loosens" true
+    (Gate.verdict ~threshold:3.0 ~base:(row "k" 100.0 99.0 101.0)
+       (row "k" 140.0 138.0 142.0)
+    = Gate.Pass)
 
-let synthetic_v3 =
-  {|{"schema_version":3,"host":"ci","ocaml":"5.1.0",
-     "results":[{"graft":"md5_64k","interp_ns_per_op":1000.0,
-       "interp_ci95_lo":990.0,"interp_ci95_hi":1010.0,"interp_cv":0.01,
-       "opt_ns_per_op":400.0,"opt_ci95_lo":395.0,"opt_ci95_hi":405.0,
-       "opt_cv":0.01,"rounds":15,"speedup":2.5}]}|}
+let synthetic =
+  {|{"schema_version":5,"host":"ci","ocaml":"5.1.0",
+     "suite":"stackvm","cores":2,"config":{},
+     "rows":[
+       {"key":"md5_64k/interp","value":1000.0,"ci95_lo":990.0,
+        "ci95_hi":1010.0,"higher_better":false,"threshold":0.15},
+       {"key":"md5_64k/opt","value":400.0,"ci95_lo":395.0,"ci95_hi":405.0,
+        "higher_better":false,"threshold":0.15}]}|}
 
-let synthetic_v2 =
-  {|{"schema_version":2,"host":"old","ocaml":"5.1.0",
-     "results":[{"graft":"md5_64k","interp_ns_per_op":1000.0,
-       "opt_ns_per_op":400.0,"speedup":2.5}]}|}
+let fresh rows = Gate.make ~suite:"stackvm" ~config:[] rows
 
+(* Tier-suite rows as a timing run hands them to {!Tierbench.doc}. *)
 let est median lo hi =
   let e = Robust.estimate [| median |] in
   { e with Robust.median; ci95_lo = lo; ci95_hi = hi }
 
-let row ?jit graft i o =
+let tier ?jit graft i o =
   let jit = match jit with Some j -> j | None -> o in
-  { Benchgate.graft; interp = i; opt = o; jit; rounds = 15 }
+  { Tierbench.graft; interp = i; opt = o; jit; rounds = 15 }
 
 let test_gate_on_parsed_baseline () =
   let baseline =
-    match Benchgate.parse_baseline synthetic_v3 with
-    | Ok b -> b
+    match Gate.parse synthetic with Ok b -> b | Error e -> Alcotest.fail e
+  in
+  let gate tiers =
+    match Gate.gate ~baseline (Tierbench.doc tiers) with
+    | Ok checks -> checks
     | Error e -> Alcotest.fail e
   in
-  (* Unchanged numbers: both tiers pass. *)
+  (* Unchanged numbers pass. *)
   let ok =
-    Benchgate.gate ~baseline
-      [ row "md5_64k" (est 1005.0 992.0 1012.0) (est 402.0 396.0 406.0) ]
+    gate [ tier "md5_64k" (est 1005.0 992.0 1012.0) (est 402.0 396.0 406.0) ]
   in
-  check_bool "unchanged passes" false (Benchgate.failed ok);
-  (* v3 rows carry no jit columns, so only interp/opt are gated. *)
+  check_bool "unchanged passes" true (Gate.passed ok);
+  (* The baseline has no jit row, so only interp/opt are gated. *)
   Alcotest.(check int) "two checks" 2 (List.length ok);
-  check_bool "v3 baseline has no jit column" true
-    ((List.hd baseline).Benchgate.b_jit = None);
   (* Doctored: interp CI-disjoint and 50% over. *)
   let bad =
-    Benchgate.gate ~baseline
-      [ row "md5_64k" (est 1500.0 1480.0 1520.0) (est 402.0 396.0 406.0) ]
+    gate [ tier "md5_64k" (est 1500.0 1480.0 1520.0) (est 402.0 396.0 406.0) ]
   in
-  check_bool "doctored fails" true (Benchgate.failed bad);
+  check_bool "doctored fails" false (Gate.passed bad);
+  (* 20% over fails md5_64k's 0.15 default, which 0.30 would pass. *)
+  let md5_tight =
+    gate [ tier "md5_64k" (est 1200.0 1190.0 1210.0) (est 402.0 396.0 406.0) ]
+  in
+  check_bool "md5_64k gates at 0.15" false (Gate.passed md5_tight);
   (* Unknown grafts are skipped, not compared. *)
-  let skipped =
-    Benchgate.gate ~baseline
-      [ row "unknown" (est 1.0 1.0 1.0) (est 1.0 1.0 1.0) ]
-  in
-  Alcotest.(check int) "unknown skipped" 0 (List.length skipped)
-
-let test_v2_baseline_degenerate () =
-  let baseline =
-    match Benchgate.parse_baseline synthetic_v2 with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
-  let b = List.hd baseline in
-  check_float "degenerate lo" 1000.0 b.Benchgate.b_interp.Benchgate.b_lo;
-  check_float "degenerate hi" 1000.0 b.Benchgate.b_interp.Benchgate.b_hi;
-  (* Against a point baseline the rule reduces to median comparison. *)
-  let bad =
-    Benchgate.gate ~baseline
-      [ row "md5_64k" (est 1500.0 1480.0 1520.0) (est 402.0 396.0 406.0) ]
-  in
-  check_bool "v2 gate still gates" true (Benchgate.failed bad)
+  Alcotest.(check int) "unknown skipped" 0
+    (List.length (gate [ tier "unknown" (est 1.0 1.0 1.0) (est 1.0 1.0 1.0) ]));
+  (* Another suite is an error, not a verdict. *)
+  check_bool "suite mismatch" true
+    (Result.is_error
+       (Gate.gate ~baseline { (fresh []) with Gate.suite = "serve" }))
 
 let test_roundtrip_json () =
-  let rows =
-    [
-      row "md5_64k"
-        ~jit:(est 200.0 198.0 202.0)
-        (est 1000.0 990.0 1010.0)
-        (est 400.0 395.0 405.0);
-    ]
+  let roundtrip d =
+    match Gate.parse (Gate.to_json d) with
+    | Ok d' -> d'
+    | Error e -> Alcotest.fail e
   in
-  match Benchgate.parse_baseline (Benchgate.to_json rows) with
+  let d =
+    Tierbench.doc
+      [ tier "md5_64k"
+          ~jit:(est (200.0 +. (1.0 /. 3.0)) 198.0 202.37)
+          (est 1000.0 990.0 1010.0) (est 400.0 395.0 405.0) ]
+  in
+  let d' = roundtrip d in
+  (* Every number reads back as the same float. *)
+  check_bool "roundtrip exact" true (d' = d);
+  let checks =
+    match Gate.gate ~baseline:d' d with Ok c -> c | Error e -> Alcotest.fail e
+  in
+  (* The jit row round-trips, and the gate compares it. *)
+  Alcotest.(check int) "three checks with jit" 3 (List.length checks);
+  check_bool "self-gate passes" true (Gate.passed checks);
+  let hb = fresh [ row ~hb:true "x" (1.0 /. 3.0) 0.25 (2.0 /. 3.0) ] in
+  check_bool "higher-better roundtrip" true (roundtrip hb = hb)
+
+(* {!Tierbench.doc} is the tier suite's whole policy: three lower-better
+   rows per graft, md5_64k at 0.15 and the nanosecond-scale ops at
+   0.30, keyed as the committed BENCH_stackvm.json keys them. *)
+let test_tier_rows () =
+  let grafts =
+    [ "evict_contains"; "md5_64k"; "logdisk_map_write"; "packet_filter" ]
+  in
+  let e = est 100.0 99.0 101.0 in
+  let d = Tierbench.doc (List.map (fun g -> tier g e e) grafts) in
+  Alcotest.(check string) "suite" "stackvm" d.Gate.suite;
+  Alcotest.(check (list string))
+    "keys"
+    (List.concat_map
+       (fun g -> List.map (fun t -> g ^ "/" ^ t) [ "interp"; "opt"; "jit" ])
+       grafts)
+    (List.map (fun r -> r.Gate.key) d.Gate.rows);
+  List.iter
+    (fun r ->
+      check_bool (r.Gate.key ^ " lower is better") false r.Gate.higher_better;
+      check_float (r.Gate.key ^ " threshold")
+        (if String.starts_with ~prefix:"md5_64k/" r.Gate.key then 0.15
+         else 0.30)
+        r.Gate.threshold)
+    d.Gate.rows;
+  match Gate.load "../BENCH_stackvm.json" with
   | Error e -> Alcotest.fail e
-  | Ok [ b ] -> (
-      check_float "roundtrip ns" 1000.0 b.Benchgate.b_interp.Benchgate.b_ns;
-      check_float "roundtrip lo" 990.0 b.Benchgate.b_interp.Benchgate.b_lo;
-      (* v4 rows round-trip the jit column, and the gate uses it. *)
-      match b.Benchgate.b_jit with
-      | None -> Alcotest.fail "v4 roundtrip lost the jit column"
-      | Some j ->
-          check_float "roundtrip jit ns" 200.0 j.Benchgate.b_ns;
-          let checks = Benchgate.gate ~baseline:[ b ] rows in
-          Alcotest.(check int) "three checks with jit" 3 (List.length checks))
-  | Ok _ -> Alcotest.fail "expected one row"
+  | Ok baseline -> (
+      match Gate.gate ~baseline d with
+      | Error e -> Alcotest.fail e
+      | Ok checks ->
+          Alcotest.(check int) "every committed row gated" 12
+            (List.length checks))
+
+(* ---------- the committed baselines ---------- *)
+
+let committed =
+  [ ("../BENCH_stackvm.json", "stackvm", 12);
+    ("../BENCH_serve.json", "serve", 9);
+    ("../BENCH_throughput.json", "serve-throughput", 2) ]
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let test_committed_baselines () =
+  List.iter
+    (fun (path, suite, n) ->
+      match Gate.load path with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok d ->
+          Alcotest.(check string) (path ^ " suite") suite d.Gate.suite;
+          Alcotest.(check int) (path ^ " rows") n (List.length d.Gate.rows))
+    committed
+
+(* A damaged baseline must come back as [Error], never as an
+   exception: every truncation of each committed file is an error, and
+   random byte mutations of it parse to [Ok] or [Error]. *)
+let test_parser_truncations () =
+  List.iter
+    (fun (path, _, _) ->
+      let text = read path in
+      for n = 0 to String.length (String.trim text) - 1 do
+        match Gate.parse (String.sub text 0 n) with
+        | Ok _ -> Alcotest.failf "%s cut at %d parsed" path n
+        | Error _ -> ()
+      done)
+    committed
+
+let prop_parser_total =
+  QCheck.Test.make ~count:500 ~name:"mutated baselines never raise"
+    QCheck.(
+      pair (int_bound 2)
+        (list_of_size Gen.(1 -- 4) (pair (int_bound 100_000) char)))
+    (fun (which, edits) ->
+      let path, _, _ = List.nth committed which in
+      let b = Bytes.of_string (read path) in
+      List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) edits;
+      match Gate.parse (Bytes.to_string b) with Ok _ | Error _ -> true)
 
 (* ---------- minijson ---------- *)
 
@@ -253,8 +324,13 @@ let () =
           Alcotest.test_case "verdict rule" `Quick test_gate_verdicts;
           Alcotest.test_case "parsed baseline" `Quick
             test_gate_on_parsed_baseline;
-          Alcotest.test_case "v2 degenerate" `Quick test_v2_baseline_degenerate;
           Alcotest.test_case "json roundtrip" `Quick test_roundtrip_json;
+          Alcotest.test_case "tier rows" `Quick test_tier_rows;
+          Alcotest.test_case "committed baselines" `Quick
+            test_committed_baselines;
+          Alcotest.test_case "truncated baselines" `Quick
+            test_parser_truncations;
+          QCheck_alcotest.to_alcotest prop_parser_total;
           Alcotest.test_case "minijson" `Quick test_minijson;
         ] );
     ]

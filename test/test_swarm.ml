@@ -188,6 +188,38 @@ let test_serve_replay_stable () =
   let b = Serve.to_json (Serve.run cfg) in
   check_bool "byte-stable replay at N=2" true (String.equal a b)
 
+(* The scaling sweep: every domain count recomputes the same report,
+   and each row's CI brackets its median. Then the sweep gates against
+   itself, and refuses a baseline of another workload. *)
+let test_throughput_sweep () =
+  let module T = Graft_slo.Throughput in
+  let module Gate = Graft_report.Gate in
+  let report = T.run ~reps:2 ~domain_counts:[ 2; 1 ] tiny in
+  let rows = report.T.tr_rows in
+  Alcotest.(check (list int))
+    "rows ascending" [ 1; 2 ]
+    (List.map (fun r -> r.T.tp_domains) rows);
+  List.iter
+    (fun r ->
+      let e = r.T.tp_est in
+      check_int "same simulated ops" (List.hd rows).T.tp_ops r.T.tp_ops;
+      check_bool "ci95_lo <= median <= ci95_hi" true
+        (e.Graft_stats.Robust.ci95_lo <= e.Graft_stats.Robust.median
+        && e.Graft_stats.Robust.median <= e.Graft_stats.Robust.ci95_hi);
+      check_bool "ops/s > 0" true (e.Graft_stats.Robust.median > 0.0))
+    rows;
+  let doc = T.doc report in
+  (match Gate.gate ~baseline:doc doc with
+  | Ok checks ->
+      check_int "one row per domain count" 2 (List.length checks);
+      check_bool "self-gate passes" true (Gate.passed checks)
+  | Error msg -> Alcotest.fail msg);
+  let other =
+    T.doc (T.run ~reps:1 ~domain_counts:[ 1 ] { tiny with Serve.seed = 7 })
+  in
+  check_bool "other seed is an error" true
+    (Result.is_error (Gate.gate ~baseline:other doc))
+
 (* ------------------------------------------------------------------ *)
 (* 3. Exhaustive interleavings of the strike protocol.                 *)
 (* ------------------------------------------------------------------ *)
@@ -370,6 +402,7 @@ let () =
             test_serve_domains_equivalent;
           Alcotest.test_case "byte-stable replay" `Quick
             test_serve_replay_stable;
+          Alcotest.test_case "throughput sweep" `Quick test_throughput_sweep;
         ] );
       ( "strike protocol",
         [
