@@ -48,9 +48,8 @@ let known_tables scale =
     ("a5", fun () -> ablation_upcall ());
     ("a6", fun () -> ablation_pfvm scale);
     ("a7", fun () -> ablation_hipec scale);
-    ("a8", fun () -> ablation_trace scale);
-    ("a9", fun () -> ablation_supervision scale);
-    ("a10", fun () -> ablation_metrics scale);
+    ("a8", fun () -> ablation_overhead scale);
+    ("a11", fun () -> ablation_gate scale);
     (* A14 lives in graft_slo (the serve harness depends on the report
        library, so the report library can't call serve). *)
     ("a14", fun () -> Graft_slo.Flight.ablation scale);
@@ -64,7 +63,8 @@ let tables_cmd =
   let only =
     Arg.(value & pos_all string []
          & info [] ~docv:"TABLE"
-             ~doc:"Tables to run (table1..table6, figure1, a1..a14); all when omitted.")
+             ~doc:"Tables to run (table1..table6, figure1, a1..a8, a11, \
+                   a14); all when omitted.")
   in
   let run scale only =
     let available = known_tables scale in
@@ -89,6 +89,30 @@ let tables_cmd =
     Term.(const run $ scale $ only)
 
 (* ---------- gel ---------- *)
+
+(* Compile a GEL file and return the program with a linker that gives
+   each call a fresh image in its own memory, sized to the program's
+   footprint. A compile or link error exits 1. *)
+let load_gel ~optimize file =
+  let src = In_channel.with_open_text file In_channel.input_all in
+  match Graft_gel.Gel.compile ~optimize src with
+  | Error e ->
+      prerr_endline ("compile error: " ^ Graft_gel.Srcloc.to_string e);
+      exit 1
+  | Ok prog ->
+      let link () =
+        let mem =
+          Graft_mem.Memory.create
+            (max 1024
+               (Graft_core.Runners.next_pow2 (Graft_gel.Link.footprint prog + 64)))
+        in
+        match Graft_gel.Link.link prog ~mem ~shared:[] ~hosts:[] with
+        | Error msg ->
+            prerr_endline ("link error: " ^ msg);
+            exit 1
+        | Ok image -> image
+      in
+      (prog, link)
 
 let tech_conv =
   let parse s =
@@ -121,97 +145,83 @@ let gel_cmd =
     Arg.(value & flag & info [ "O"; "optimize" ] ~doc:"Run the IR optimizer.")
   in
   let run file entry args tech fuel dump optimize =
-    let src = In_channel.with_open_text file In_channel.input_all in
-    match Graft_gel.Gel.compile ~optimize src with
-    | Error e ->
-        prerr_endline ("compile error: " ^ Graft_gel.Srcloc.to_string e);
-        exit 1
-    | Ok prog -> (
-        let mem =
-          Graft_mem.Memory.create
-            (max 1024
-               (Graft_core.Runners.next_pow2 (Graft_gel.Link.footprint prog + 64)))
-        in
-        match Graft_gel.Link.link prog ~mem ~shared:[] ~hosts:[] with
-        | Error msg ->
-            prerr_endline ("link error: " ^ msg);
+    let prog, link = load_gel ~optimize file in
+    let image = link () in
+    if dump then begin
+      print_endline "-- IR --";
+      print_string (Graft_gel.Pretty.program prog);
+      print_endline "-- stack VM --";
+      print_string
+        (Graft_stackvm.Disasm.program
+           (Graft_stackvm.Stackvm.load_exn image));
+      print_endline "-- stack VM (optimized) --";
+      print_string
+        (Graft_stackvm.Disasm.program
+           (Graft_stackvm.Stackvm.load_opt_exn image));
+      let static_p = Graft_stackvm.Stackvm.load_static_exn image in
+      let elided, total = Graft_stackvm.Stackvm.elision_stats static_p in
+      Printf.printf
+        "-- stack VM (static checks: %d of %d checks elided) --\n"
+        elided total;
+      print_string (Graft_stackvm.Disasm.program static_p);
+      print_endline "-- register VM (SFI write+jump) --";
+      print_string
+        (Graft_regvm.Disasm.program (Graft_regvm.Regvm.load_exn image))
+    end
+    else begin
+      let argv = Array.of_list args in
+      let show = function
+        | Ok v -> Printf.printf "%d\n" v
+        | Error (`Fault f) ->
+            Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f);
             exit 1
-        | Ok image ->
-            if dump then begin
-              print_endline "-- IR --";
-              print_string (Graft_gel.Pretty.program prog);
-              print_endline "-- stack VM --";
-              print_string
-                (Graft_stackvm.Disasm.program
-                   (Graft_stackvm.Stackvm.load_exn image));
-              print_endline "-- stack VM (optimized) --";
-              print_string
-                (Graft_stackvm.Disasm.program
-                   (Graft_stackvm.Stackvm.load_opt_exn image));
-              let static_p = Graft_stackvm.Stackvm.load_static_exn image in
-              let elided, total = Graft_stackvm.Stackvm.elision_stats static_p in
-              Printf.printf
-                "-- stack VM (static checks: %d of %d checks elided) --\n"
-                elided total;
-              print_string (Graft_stackvm.Disasm.program static_p);
-              print_endline "-- register VM (SFI write+jump) --";
-              print_string
-                (Graft_regvm.Disasm.program (Graft_regvm.Regvm.load_exn image))
-            end
-            else begin
-              let argv = Array.of_list args in
-              let show = function
-                | Ok v -> Printf.printf "%d\n" v
-                | Error (`Fault f) ->
-                    Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f);
-                    exit 1
-                | Error (`Bad_entry m) ->
-                    prerr_endline m;
-                    exit 2
-              in
-              match tech with
-              | Technology.Ast_interp ->
-                  show (Graft_gel.Interp.run image ~entry ~args:argv ~fuel)
-              | Technology.Bytecode_vm ->
-                  show
-                    (Graft_stackvm.Vm.run
-                       (Graft_stackvm.Stackvm.load_exn image)
-                       ~entry ~args:argv ~fuel)
-              | Technology.Bytecode_opt ->
-                  show
-                    (Graft_stackvm.Vm.run_opt
-                       (Graft_stackvm.Stackvm.load_opt_exn image)
-                       ~entry ~args:argv ~fuel)
-              | Technology.Safe_lang_static ->
-                  show
-                    (Graft_stackvm.Vm.run
-                       (Graft_stackvm.Stackvm.load_static_exn image)
-                       ~entry ~args:argv ~fuel)
-              | Technology.Jit ->
-                  show
-                    (Graft_jit.Jit.run
-                       (Graft_jit.Jit.load_exn image)
-                       ~entry ~args:argv ~fuel)
-              | Technology.Sfi_write_jump | Technology.Sfi_full ->
-                  let protection =
-                    if tech = Technology.Sfi_full then Graft_regvm.Program.Full
-                    else Graft_regvm.Program.Write_jump
-                  in
-                  let p = Graft_regvm.Regvm.load_exn ~protection image in
-                  (match Graft_regvm.Machine.run p ~entry ~args:argv ~fuel with
-                  | Ok o -> Printf.printf "%d\n" o.Graft_regvm.Machine.value
-                  | Error (`Fault f) ->
-                      Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f);
-                      exit 1
-                  | Error (`Bad_entry m) ->
-                      prerr_endline m;
-                      exit 2)
-              | t ->
-                  prerr_endline
-                    ("technology " ^ Technology.name t
-                   ^ " does not execute GEL files");
-                  exit 2
-            end)
+        | Error (`Bad_entry m) ->
+            prerr_endline m;
+            exit 2
+      in
+      match tech with
+      | Technology.Ast_interp ->
+          show (Graft_gel.Interp.run image ~entry ~args:argv ~fuel)
+      | Technology.Bytecode_vm ->
+          show
+            (Graft_stackvm.Vm.run
+               (Graft_stackvm.Stackvm.load_exn image)
+               ~entry ~args:argv ~fuel)
+      | Technology.Bytecode_opt ->
+          show
+            (Graft_stackvm.Vm.run_opt
+               (Graft_stackvm.Stackvm.load_opt_exn image)
+               ~entry ~args:argv ~fuel)
+      | Technology.Safe_lang_static ->
+          show
+            (Graft_stackvm.Vm.run
+               (Graft_stackvm.Stackvm.load_static_exn image)
+               ~entry ~args:argv ~fuel)
+      | Technology.Jit ->
+          show
+            (Graft_jit.Jit.run
+               (Graft_jit.Jit.load_exn image)
+               ~entry ~args:argv ~fuel)
+      | Technology.Sfi_write_jump | Technology.Sfi_full ->
+          let protection =
+            if tech = Technology.Sfi_full then Graft_regvm.Program.Full
+            else Graft_regvm.Program.Write_jump
+          in
+          let p = Graft_regvm.Regvm.load_exn ~protection image in
+          (match Graft_regvm.Machine.run p ~entry ~args:argv ~fuel with
+          | Ok o -> Printf.printf "%d\n" o.Graft_regvm.Machine.value
+          | Error (`Fault f) ->
+              Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f);
+              exit 1
+          | Error (`Bad_entry m) ->
+              prerr_endline m;
+              exit 2)
+      | t ->
+          prerr_endline
+            ("technology " ^ Technology.name t
+           ^ " does not execute GEL files");
+          exit 2
+    end
   in
   Cmd.v
     (Cmd.info "gel" ~doc:"Compile and run a GEL graft")
@@ -672,107 +682,90 @@ let profile_cmd =
              ~doc:"Run the entry this many times per tier.")
   in
   let run file entry args fuel top repeat =
-    let src = In_channel.with_open_text file In_channel.input_all in
-    match Graft_gel.Gel.compile ~optimize:false src with
-    | Error e ->
-        prerr_endline ("compile error: " ^ Graft_gel.Srcloc.to_string e);
-        exit 1
-    | Ok prog ->
-        let argv = Array.of_list args in
-        (* Fresh image per tier: the program mutates its own memory. *)
-        let fresh_image () =
-          let mem =
-            Graft_mem.Memory.create
-              (max 1024
-                 (Graft_core.Runners.next_pow2 (Graft_gel.Link.footprint prog + 64)))
-          in
-          match Graft_gel.Link.link prog ~mem ~shared:[] ~hosts:[] with
-          | Error msg ->
-              prerr_endline ("link error: " ^ msg);
-              exit 1
-          | Ok image -> image
-        in
-        let report label prof result =
-          let total_fuel = Graft_trace.Opprof.total_fuel prof in
-          Printf.printf "== %s: %d ops, %d fuel ==\n" label
-            (Graft_trace.Opprof.total_count prof)
-            total_fuel;
-          (match result with
-          | Ok v -> Printf.printf "result: %d\n" v
-          | Error (`Fault f) ->
-              Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f)
-          | Error (`Bad_entry m) ->
-              prerr_endline m;
-              exit 2);
-          let t =
-            Graft_util.Tablefmt.create [| "opcode"; "count"; "fuel"; "fuel%" |]
-          in
-          List.iter
-            (fun (name, count, fl) ->
-              Graft_util.Tablefmt.add_row t
-                [|
-                  name;
-                  string_of_int count;
-                  string_of_int fl;
-                  Printf.sprintf "%.1f"
-                    (100.0 *. float_of_int fl /. float_of_int (max 1 total_fuel));
-                |])
-            (Graft_trace.Opprof.top prof ~n:top);
-          Graft_util.Tablefmt.print t;
-          List.iter
-            (fun (range, c) -> Printf.printf "fuel/entry %-14s %d\n" range c)
-            (Graft_trace.Histo.rows (Graft_trace.Opprof.runs prof));
-          print_newline ()
-        in
-        let repeated f =
-          let last = ref (f ()) in
-          for _ = 2 to repeat do
-            last := f ()
-          done;
-          !last
-        in
-        (let prof =
-           Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
-         in
-         let s =
-           Graft_stackvm.Vm.create_session ~profile:prof
-             (Graft_stackvm.Stackvm.load_exn (fresh_image ()))
-         in
-         report "bytecode-vm" prof
-           (repeated (fun () ->
-                Graft_stackvm.Vm.run_session s ~entry ~args:argv ~fuel)));
-        (let prof =
-           Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
-         in
-         let s =
-           Graft_stackvm.Vm.create_session ~profile:prof
-             (Graft_stackvm.Stackvm.load_opt_exn (fresh_image ()))
-         in
-         report "bytecode-opt" prof
-           (repeated (fun () ->
-                Graft_stackvm.Vm.run_session_opt s ~entry ~args:argv ~fuel)));
-        (let prof =
-           Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
-         in
-         let s =
-           Graft_jit.Jit.create_session ~profile:prof
-             (Graft_jit.Jit.load_exn (fresh_image ()))
-         in
-         report "jit" prof
-           (repeated (fun () ->
-                Graft_jit.Jit.run_session s ~entry ~args:argv ~fuel)));
-        let prof =
-          Graft_trace.Opprof.create ~names:Graft_regvm.Isa.class_names
-        in
-        let s =
-          Graft_regvm.Machine.create_session ~profile:prof
-            (Graft_regvm.Regvm.load_exn (fresh_image ()))
-        in
-        report "regvm (sfi-wj)" prof
-          (Result.map
-             (fun o -> o.Graft_regvm.Machine.value)
-             (repeated (fun () ->
-                  Graft_regvm.Machine.run_session s ~entry ~args:argv ~fuel)))
+    (* Fresh image per tier: the program mutates its own memory. *)
+    let _, fresh_image = load_gel ~optimize:false file in
+    let argv = Array.of_list args in
+    let report label prof result =
+      let total_fuel = Graft_trace.Opprof.total_fuel prof in
+      Printf.printf "== %s: %d ops, %d fuel ==\n" label
+        (Graft_trace.Opprof.total_count prof)
+        total_fuel;
+      (match result with
+      | Ok v -> Printf.printf "result: %d\n" v
+      | Error (`Fault f) ->
+          Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f)
+      | Error (`Bad_entry m) ->
+          prerr_endline m;
+          exit 2);
+      let t =
+        Graft_util.Tablefmt.create [| "opcode"; "count"; "fuel"; "fuel%" |]
+      in
+      List.iter
+        (fun (name, count, fl) ->
+          Graft_util.Tablefmt.add_row t
+            [|
+              name;
+              string_of_int count;
+              string_of_int fl;
+              Printf.sprintf "%.1f"
+                (100.0 *. float_of_int fl /. float_of_int (max 1 total_fuel));
+            |])
+        (Graft_trace.Opprof.top prof ~n:top);
+      Graft_util.Tablefmt.print t;
+      List.iter
+        (fun (range, c) -> Printf.printf "fuel/entry %-14s %d\n" range c)
+        (Graft_trace.Histo.rows (Graft_trace.Opprof.runs prof));
+      print_newline ()
+    in
+    let repeated f =
+      let last = ref (f ()) in
+      for _ = 2 to repeat do
+        last := f ()
+      done;
+      !last
+    in
+    (let prof =
+       Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
+     in
+     let s =
+       Graft_stackvm.Vm.create_session ~profile:prof
+         (Graft_stackvm.Stackvm.load_exn (fresh_image ()))
+     in
+     report "bytecode-vm" prof
+       (repeated (fun () ->
+            Graft_stackvm.Vm.run_session s ~entry ~args:argv ~fuel)));
+    (let prof =
+       Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
+     in
+     let s =
+       Graft_stackvm.Vm.create_session ~profile:prof
+         (Graft_stackvm.Stackvm.load_opt_exn (fresh_image ()))
+     in
+     report "bytecode-opt" prof
+       (repeated (fun () ->
+            Graft_stackvm.Vm.run_session_opt s ~entry ~args:argv ~fuel)));
+    (let prof =
+       Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
+     in
+     let s =
+       Graft_jit.Jit.create_session ~profile:prof
+         (Graft_jit.Jit.load_exn (fresh_image ()))
+     in
+     report "jit" prof
+       (repeated (fun () ->
+            Graft_jit.Jit.run_session s ~entry ~args:argv ~fuel)));
+    let prof =
+      Graft_trace.Opprof.create ~names:Graft_regvm.Isa.class_names
+    in
+    let s =
+      Graft_regvm.Machine.create_session ~profile:prof
+        (Graft_regvm.Regvm.load_exn (fresh_image ()))
+    in
+    report "regvm (sfi-wj)" prof
+      (Result.map
+         (fun o -> o.Graft_regvm.Machine.value)
+         (repeated (fun () ->
+              Graft_regvm.Machine.run_session s ~entry ~args:argv ~fuel)))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -786,33 +779,17 @@ let jit_dump_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.gel")
   in
   let run file =
-    let src = In_channel.with_open_text file In_channel.input_all in
-    match Graft_gel.Gel.compile ~optimize:false src with
-    | Error e ->
-        prerr_endline ("compile error: " ^ Graft_gel.Srcloc.to_string e);
+    let _, link = load_gel ~optimize:false file in
+    match Graft_jit.Jit.load (link ()) with
+    | Error msg ->
+        prerr_endline ("jit load error: " ^ msg);
         exit 1
-    | Ok prog -> (
-        let mem =
-          Graft_mem.Memory.create
-            (max 1024
-               (Graft_core.Runners.next_pow2 (Graft_gel.Link.footprint prog + 64)))
-        in
-        match Graft_gel.Link.link prog ~mem ~shared:[] ~hosts:[] with
-        | Error msg ->
-            prerr_endline ("link error: " ^ msg);
-            exit 1
-        | Ok image -> (
-            match Graft_jit.Jit.load image with
-            | Error msg ->
-                prerr_endline ("jit load error: " ^ msg);
-                exit 1
-            | Ok t ->
-                let elided, total = Graft_jit.Jit.elision_stats t in
-                Printf.printf
-                  "-- Graftjit plan (%d of %d checks elided at compile time) \
-                   --\n"
-                  elided total;
-                print_string (Graft_jit.Jit.describe t)))
+    | Ok t ->
+        let elided, total = Graft_jit.Jit.elision_stats t in
+        Printf.printf
+          "-- Graftjit plan (%d of %d checks elided at compile time) --\n"
+          elided total;
+        print_string (Graft_jit.Jit.describe t)
   in
   Cmd.v
     (Cmd.info "dump"

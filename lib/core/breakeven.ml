@@ -59,12 +59,3 @@ let per_block_s ~total_s ~blocks =
     bytes/iterations for all three grafts. *)
 let extrapolate ~measured_s ~measured_size ~full_size =
   measured_s *. (float_of_int full_size /. float_of_int measured_size)
-
-(** Break-even from a directly measured full-size point. Graftjit is
-    the first interpretation-family tier fast enough to run every graft
-    at full size, so its column needs no {!extrapolate} call and its
-    break-even point carries no linearity assumption — this replaces
-    the "modeled JIT" projection the earlier reports derived by scaling
-    the optimized-interpreter column. *)
-let break_even_measured ~event_cost_s ~measured_s =
-  break_even ~event_cost_s ~graft_cost_s:measured_s

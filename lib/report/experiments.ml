@@ -32,19 +32,16 @@ let render t =
   Buffer.contents buf
 
 (* Technologies measured in the graft tables, in presentation order:
-   the paper's five columns first, then the ablation variants. *)
+   the paper's five columns first, then the ablation variants, then
+   the tiers the paper only anticipated (optimized bytecode, statically
+   checked bytecode, the JIT). *)
 let table_techs =
   [
     Technology.Unsafe_c; Technology.Safe_lang; Technology.Sfi_write_jump;
     Technology.Bytecode_vm; Technology.Source_interp; Technology.Safe_lang_nil;
-    Technology.Sfi_full; Technology.Ast_interp;
+    Technology.Sfi_full; Technology.Ast_interp; Technology.Bytecode_opt;
+    Technology.Safe_lang_static; Technology.Jit;
   ]
-
-(* Opt-in extra columns (e.g. the optimized bytecode tier). Kept out of
-   [table_techs] so the default tables reproduce the paper unchanged;
-   the bench driver's "opt" switch appends here. *)
-let extra_techs : Technology.t list ref = ref []
-let graft_techs () = table_techs @ !extra_techs
 
 let target_s = function Quick -> 0.02 | Full -> 0.1
 let runs_of = function Quick -> 5 | Full -> 10
@@ -136,18 +133,18 @@ let table1 ?(rounds = 100) () =
 let hot_pages = Array.init 64 (fun i -> 3 * i)
 let absent_page = 100_000
 
-let measure_contains scale tech =
+let contains_op tech =
   let rng = Prng.create 0x7AB2EL in
   let runner = Runners.evict ~rng tech ~capacity_nodes:128 () in
   runner.Runners.refresh ~hot:hot_pages ~lru:[||];
   (* Defeat any possibility of the result being cached: alternate the
      probed page (both absent). *)
   let flip = ref false in
-  let op () =
+  fun () ->
     flip := not !flip;
     ignore (runner.Runners.contains (if !flip then absent_page else absent_page + 1))
-  in
-  time_op scale op
+
+let measure_contains scale tech = time_op scale (contains_op tech)
 
 type tech_timing = {
   tt_tech : Technology.t;
@@ -161,7 +158,7 @@ let table2_data scale =
     (fun tech ->
       let meas = measure_contains scale tech in
       { tt_tech = tech; meas; scaled_from = None; full_s = med meas })
-    (graft_techs ())
+    table_techs
 
 let table2 ?(data = None) scale =
   let data = match data with Some d -> d | None -> table2_data scale in
@@ -353,7 +350,7 @@ let table5_data scale =
         scaled_from = (if size = md5_full_bytes then None else Some size);
         full_s;
       })
-    (graft_techs ())
+    table_techs
 
 let table5 ?(data = None) scale =
   let data = match data with Some d -> d | None -> table5_data scale in
@@ -479,7 +476,7 @@ let table6_data scale =
           };
         io_result;
       })
-    (graft_techs ())
+    table_techs
 
 let table6 ?(data = None) scale =
   let data = match data with Some d -> d | None -> table6_data scale in
@@ -934,264 +931,156 @@ let ablation_hipec scale =
       ];
   }
 
-(* Round count for the overhead ablations (A8-A10): the deltas of
-   interest are a few percent, so they get more rounds than the tables. *)
+(* Round count for the overhead ablation (A8): the deltas of interest
+   are a few percent, so it gets more rounds than the tables. *)
 let overhead_config scale =
   { (harness_config scale) with
     min_rounds = 2 * runs_of scale;
     max_rounds = 4 * runs_of scale;
   }
 
-(* A8: Graftscope tracing overhead on the Table 2 operation. Each
-   technology is timed three ways: the bare op (no span site at all),
-   the op wrapped in a workload-track span with the tracer disabled
-   (the cost of an instrumented-but-off site: one sink load and
-   branch), and the same with the tracer recording into a ring. The
-   harness interleaves the three configurations round-by-round and
-   GC-fences each sample — without the fence, collecting a round's
-   discarded ring lands inside the enabled samples and reads as tracer
-   overhead — and the deltas are round-paired, each with its own CI. *)
-let ablation_trace scale =
+(* The budget the enabled tracers are held to (A8's ring, A14's lens),
+   judged on the paired delta's CI by [Harness.budget]. *)
+let overhead_budget_pct = 5.0
+
+let budget_note =
+  "budget: within = the delta's whole 95% CI is at or under the budget, \
+   over = its whole CI is above it, unproven = the CI straddles it"
+
+(* A8: what the instrumentation layers cost the Table 2 operation. Per
+   technology, one interleaved harness times five stages of the op,
+   each adding one layer (the table's first note defines them). The
+   harness GC-fences each sample: without the fence, collecting a
+   round's discarded ring lands inside the next sample and reads as
+   tracer overhead. Each stage's delta is paired by round with the
+   stage it adds a layer to. *)
+let ablation_overhead scale =
   let module T = Graft_trace.Trace in
-  let techs =
-    [ Technology.Unsafe_c; Technology.Safe_lang; Technology.Bytecode_vm ]
-  in
-  let make_op tech =
-    let rng = Prng.create 0x7AB2EL in
-    let runner = Runners.evict ~rng tech ~capacity_nodes:128 () in
-    runner.Runners.refresh ~hot:hot_pages ~lru:[||];
-    let flip = ref false in
-    fun () ->
-      flip := not !flip;
-      ignore
-        (runner.Runners.contains
-           (if !flip then absent_page else absent_page + 1))
-  in
-  T.disable ();
-  let rows =
-    List.map
-      (fun tech ->
-        let raw_op = make_op tech in
-        let op = make_op tech in
-        (* The Table 2 op reaches built-in instrumentation only through
-           the VM technologies' dispatch loops, so every row also wraps
-           the op in its own workload-track span — the cost any
-           subsystem pays for carrying a sampled span site. *)
-        let traced () =
-          let tok = T.hot_begin () in
-          op ();
-          T.span_end T.App "contains" tok
-        in
-        let recorded = ref 0 in
-        let ms =
-          Harness.interleaved ~config:(overhead_config scale)
-            [|
-              Harness.stage raw_op;
-              Harness.stage traced;
-              {
-                Harness.prepare =
-                  (fun () -> T.enable ~capacity:(1 lsl 15) ~sample:32 ());
-                op = traced;
-                finish =
-                  (fun () ->
-                    recorded := !recorded + T.total_recorded ();
-                    T.disable ());
-              };
-            |]
-        in
-        (tech, ms.(0), ms.(1), ms.(2), !recorded))
-      techs
-  in
-  let t =
-    Tablefmt.create
-      [|
-        "Technology"; "bare"; "off"; "on"; "off vs bare"; "on vs off"; "events";
-      |]
-  in
-  List.iter
-    (fun (tech, raw, off, on, recorded) ->
-      Tablefmt.add_row t
-        [|
-          Technology.paper_name tech;
-          fmt_meas raw;
-          fmt_meas off;
-          fmt_meas on;
-          Harness.pp_delta
-            (Harness.paired_delta_pct raw.Harness.samples off.Harness.samples);
-          Harness.pp_delta
-            (Harness.paired_delta_pct off.Harness.samples on.Harness.samples);
-          string_of_int recorded;
-        |])
-    rows;
-  {
-    id = "Ablation A8";
-    title = "Graftscope tracing overhead (Table 2 hot-list search)";
-    body = Tablefmt.render t;
-    notes =
-      [
-        "off = span site compiled in, tracer disabled (one sink load + \
-         branch per op, the 'zero when disabled' claim); on = recording \
-         into a 32K-slot ring with 1-in-32 span sampling";
-        "the VM technologies additionally carry their built-in dispatch-loop \
-         span sites in every configuration; configurations run in \
-         interleaved GC-fenced rounds, cells are outlier-rejected medians \
-         ±95% CI half-width, and deltas are round-paired medians with \
-         their own CIs — a delta whose CI straddles zero is noise, not \
-         tracer cost";
-      ];
-  }
-
-(* A9: Graftjail supervision overhead. Every graft invocation runs
-   under the manager's exception barrier (an OCaml try plus fault and
-   invocation bookkeeping) — the price of the containment the
-   protection matrix demonstrates. Measured on the Table 2 hot-list
-   search: the bare closure call vs the same closure through
-   [Manager.invoke] on a healthy attached graft. *)
-let ablation_supervision scale =
-  let techs =
-    [ Technology.Unsafe_c; Technology.Safe_lang; Technology.Bytecode_vm ]
-  in
-  let rows =
-    List.map
-      (fun tech ->
-        let rng = Prng.create 0x9A11L in
-        let runner = Runners.evict ~rng tech ~capacity_nodes:128 () in
-        runner.Runners.refresh ~hot:hot_pages ~lru:[||];
-        let flip = ref false in
-        let op () =
-          flip := not !flip;
-          runner.Runners.contains
-            (if !flip then absent_page else absent_page + 1)
-        in
-        let m = Manager.create () in
-        let g =
-          Manager.register m
-            ~name:("sup:" ^ Technology.name tech)
-            ~tech ~structure:Taxonomy.Prioritization ~motivation:Taxonomy.Policy
-            ()
-        in
-        g.Manager.state <- Manager.Attached;
-        let bare () = ignore (op ()) in
-        let supervised () = ignore (Manager.invoke g op) in
-        (* Interleaved rounds, paired deltas (as in A8): the barrier
-           costs nanoseconds, far below host noise on one round. *)
-        let ms =
-          Harness.interleaved ~config:(overhead_config scale)
-            [| Harness.stage bare; Harness.stage supervised |]
-        in
-        (tech, ms.(0), ms.(1)))
-      techs
-  in
-  let t =
-    Tablefmt.create [| "Technology"; "bare"; "supervised"; "overhead" |]
-  in
-  List.iter
-    (fun (tech, bare, sup) ->
-      Tablefmt.add_row t
-        [|
-          Technology.paper_name tech;
-          fmt_meas bare;
-          fmt_meas sup;
-          Harness.pp_delta
-            (Harness.paired_delta_pct bare.Harness.samples sup.Harness.samples);
-        |])
-    rows;
-  {
-    id = "Ablation A9";
-    title = "Graftjail supervision overhead (Table 2 hot-list search)";
-    body = Tablefmt.render t;
-    notes =
-      [
-        "supervised = the op called through Manager.invoke on a healthy \
-         attached graft: one exception barrier plus invocation bookkeeping \
-         per call, the constant cost of the containment the protection \
-         matrix demonstrates";
-        "columns are outlier-rejected medians of interleaved GC-fenced \
-         rounds ±95% CI half-width; the overhead column is the median of \
-         round-paired deltas with its own CI";
-      ];
-  }
-
-(* A10: Graftmeter metrics overhead. The supervised invocation path
-   increments per-graft counters (invocations, faults, fallbacks,
-   quarantines); the registry's claim is that a disabled counter costs
-   one global-flag load and branch per [inc]. Measured three ways on
-   the Table 2 op: bare closure, Manager.invoke with metrics disabled,
-   Manager.invoke with metrics enabled. *)
-let ablation_metrics scale =
   let techs =
     [ Technology.Unsafe_c; Technology.Safe_lang; Technology.Bytecode_vm ]
   in
   let metrics_were_on = Graft_metrics.enabled () in
   Graft_metrics.disable ();
+  T.disable ();
   let rows =
     List.map
       (fun tech ->
-        let rng = Prng.create 0xA10L in
-        let runner = Runners.evict ~rng tech ~capacity_nodes:128 () in
-        runner.Runners.refresh ~hot:hot_pages ~lru:[||];
-        let flip = ref false in
-        let op () =
-          flip := not !flip;
-          runner.Runners.contains
-            (if !flip then absent_page else absent_page + 1)
+        let bare = contains_op tech in
+        (* The Table 2 op reaches built-in instrumentation only through
+           the VM technologies' dispatch loops, so the site stages wrap
+           it in their own span: the cost any subsystem pays for
+           carrying a sampled span site. *)
+        let site () =
+          let tok = T.hot_begin () in
+          bare ();
+          T.span_end T.App "contains" tok
         in
-        let m = Manager.create () in
         let g =
-          Manager.register m
-            ~name:("met:" ^ Technology.name tech)
+          Manager.register (Manager.create ())
+            ~name:("overhead:" ^ Technology.name tech)
             ~tech ~structure:Taxonomy.Prioritization ~motivation:Taxonomy.Policy
             ()
         in
         g.Manager.state <- Manager.Attached;
-        let bare () = ignore (op ()) in
-        let supervised () = ignore (Manager.invoke g op) in
-        let ms =
-          Harness.interleaved ~config:(overhead_config scale)
-            [|
-              Harness.stage bare;
-              Harness.stage supervised;
+        let invoke () = ignore (Manager.invoke g bare) in
+        let recorded = ref 0 in
+        (* (label, the stage its delta is taken against, thunk) *)
+        let stages =
+          [|
+            ("bare", None, Harness.stage bare);
+            ("site", Some 0, Harness.stage site);
+            ( "ring",
+              Some 1,
+              {
+                Harness.prepare =
+                  (fun () -> T.enable ~capacity:(1 lsl 15) ~sample:32 ());
+                op = site;
+                finish =
+                  (fun () ->
+                    recorded := !recorded + T.total_recorded ();
+                    T.disable ());
+              } );
+            ("invoke", Some 0, Harness.stage invoke);
+            ( "metrics",
+              Some 3,
               {
                 Harness.prepare = Graft_metrics.enable;
-                op = supervised;
+                op = invoke;
                 finish = Graft_metrics.disable;
-              };
-            |]
+              } );
+          |]
         in
-        (tech, ms.(0), ms.(1), ms.(2)))
+        let ms =
+          Harness.interleaved ~config:(overhead_config scale)
+            (Array.map (fun (_, _, thunk) -> thunk) stages)
+        in
+        (tech, stages, ms, !recorded))
       techs
   in
   if metrics_were_on then Graft_metrics.enable ();
   let t =
     Tablefmt.create
-      [| "Technology"; "bare"; "metrics off"; "metrics on"; "on vs off" |]
+      ~aligns:Tablefmt.[| Left; Left; Right; Right; Right; Right |]
+      [|
+        "Technology"; "stage"; "per call"; "paired delta";
+        Printf.sprintf "budget <=%.0f%% (95%% CI)" overhead_budget_pct;
+        "events";
+      |]
   in
-  List.iter
-    (fun (tech, bare, off, on) ->
-      Tablefmt.add_row t
-        [|
-          Technology.paper_name tech;
-          fmt_meas bare;
-          fmt_meas off;
-          fmt_meas on;
-          Harness.pp_delta
-            (Harness.paired_delta_pct off.Harness.samples on.Harness.samples);
-        |])
+  List.iteri
+    (fun i (tech, stages, (ms : Harness.measurement array), recorded) ->
+      if i > 0 then Tablefmt.add_sep t;
+      Array.iteri
+        (fun k (label, against, _) ->
+          let delta =
+            Option.map
+              (fun b ->
+                let base, _, _ = stages.(b) in
+                ( Harness.paired_delta_pct ms.(b).Harness.samples
+                    ms.(k).Harness.samples,
+                  base ))
+              against
+          in
+          let ring = label = "ring" in
+          Tablefmt.add_row t
+            [|
+              (if k = 0 then Technology.paper_name tech else "");
+              label;
+              fmt_meas ms.(k);
+              (match delta with
+              | Some (d, base) -> Harness.pp_delta d ^ " vs " ^ base
+              | None -> "-");
+              (match delta with
+              | Some (d, _) when ring ->
+                  Harness.budget ~pct:overhead_budget_pct d
+              | _ -> "");
+              (if ring then string_of_int recorded else "");
+            |])
+        stages)
     rows;
   {
-    id = "Ablation A10";
-    title = "Graftmeter metrics overhead (Table 2 hot-list search)";
+    id = "Ablation A8";
+    title =
+      "Instrumentation overhead: tracing, supervision, metrics (Table 2 \
+       hot-list search)";
     body = Tablefmt.render t;
     notes =
       [
-        "metrics off = Manager.invoke with the registry's global flag \
-         clear, so each per-graft counter inc is one flag load and \
-         branch; metrics on = the same invocation with counters \
-         actually incrementing";
-        "columns are outlier-rejected medians of interleaved GC-fenced \
-         rounds ±95% CI half-width; an 'on vs off' delta whose CI \
-         straddles zero means the enabled cost is within measurement \
-         noise";
+        "bare = the op alone; site = the op in a span site compiled in, \
+         tracer disabled (the 'zero when disabled' claim); ring = that \
+         site recording into a 32K-slot ring with 1-in-32 span sampling, \
+         events counted over every round; invoke = the bare op through \
+         Manager.invoke on a healthy attached graft (one exception \
+         barrier plus invocation bookkeeping) with the metrics registry \
+         off, so each counter inc is one flag load and branch; metrics = \
+         the same invocation with counters incrementing";
+        "the VM technologies also carry their built-in dispatch-loop span \
+         sites in every stage; stages run in interleaved GC-fenced rounds, \
+         cells are outlier-rejected medians ±95% CI half-width, and each \
+         delta is the median of round-paired deltas against the stage it \
+         adds a layer to, with its own CI; a delta whose CI straddles \
+         zero is noise";
+        budget_note;
       ];
   }
 
@@ -1290,27 +1179,3 @@ let ablation_gate scale =
          everywhere else";
       ];
   }
-
-(* ------------------------------------------------------------------ *)
-
-let all scale =
-  [
-    table1 ~rounds:(match scale with Quick -> 30 | Full -> 100) ();
-    table2 scale;
-    table3 ();
-    table4 ~runs:(match scale with Quick -> 2 | Full -> 5) ();
-    table5 scale;
-    table6 scale;
-    figure1 scale;
-    ablation_nil scale;
-    ablation_sfi scale;
-    ablation_interp scale;
-    ablation_regvm ();
-    ablation_upcall ();
-    ablation_pfvm scale;
-    ablation_hipec scale;
-    ablation_trace scale;
-    ablation_supervision scale;
-    ablation_metrics scale;
-    ablation_gate scale;
-  ]

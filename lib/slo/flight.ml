@@ -139,53 +139,57 @@ let write ~dir r =
 (* ------------------------------------------------------------------ *)
 
 (** Ablation A14: serve wall-clock with Graftlens off vs on, as a
-    round-paired delta. Lives here rather than in
-    [Graft_report.Experiments] because the serve harness depends on
-    the report library (for the envelope); like A12/A13 it is
+    round-paired delta judged against the tracing budget. Lives here
+    rather than in [Graft_report.Experiments] because the serve
+    harness depends on the report library (for the envelope); it is
     registered directly in graftkit's table list. *)
 let ablation (scale : Graft_report.Experiments.scale) :
     Graft_report.Experiments.table =
-  let reps =
-    match scale with Graft_report.Experiments.Quick -> 4 | Full -> 8
-  in
+  let module E = Graft_report.Experiments in
+  let module H = Graft_stats.Harness in
+  let reps = match scale with E.Quick -> 4 | E.Full -> 8 in
   (* Measure at full smoke size: the lens carries a small fixed cost
      (ring allocation at enable) that a shorter run would overstate
      relative to the steady-state per-op cost users actually pay. *)
   let base = Serve.smoke in
-  let wall cfg = (Serve.run cfg).Serve.r_wall_s in
-  (* Warm both paths once (code, allocator) before timing. *)
-  ignore (wall base);
-  ignore (wall { base with Serve.lens = true });
-  let off = Array.make reps 0.0 and on_ = Array.make reps 0.0 in
-  (* Interleave off/on rounds so drift (thermal, GC heap growth) pairs
-     out of the delta. *)
-  for i = 0 to reps - 1 do
-    off.(i) <- wall base;
-    on_.(i) <- wall { base with Serve.lens = true }
-  done;
-  let delta = Graft_stats.Harness.paired_delta_pct off on_ in
-  let med arr =
-    Graft_stats.Robust.median (Array.copy arr) *. 1e3 (* ms *)
+  let serve cfg = H.stage (fun () -> ignore (Serve.run cfg)) in
+  (* One serve run per round, off and on interleaved, so drift
+     (thermal, GC heap growth) pairs out of the delta; the harness
+     warms both paths once before timing. *)
+  let ms =
+    H.interleaved
+      ~config:(E.slow_config ~rounds:reps scale)
+      [| serve base; serve { base with Serve.lens = true } |]
   in
-  let t = Graft_util.Tablefmt.create [| "Tracing"; "serve wall"; "delta" |] in
+  let delta = H.paired_delta_pct ms.(0).H.samples ms.(1).H.samples in
+  let t =
+    Graft_util.Tablefmt.create
+      [|
+        "Tracing"; "serve run"; "paired delta";
+        Printf.sprintf "budget <=%.0f%% (95%% CI)" E.overhead_budget_pct;
+      |]
+  in
   Graft_util.Tablefmt.add_row t
-    [| "off (default)"; Printf.sprintf "%.1f ms" (med off); "-" |];
+    [| "off (default)"; E.fmt_meas ms.(0); "-"; "" |];
   Graft_util.Tablefmt.add_row t
     [|
       "Graftlens on";
-      Printf.sprintf "%.1f ms" (med on_);
-      Graft_stats.Harness.pp_delta delta;
+      E.fmt_meas ms.(1);
+      H.pp_delta delta;
+      H.budget ~pct:E.overhead_budget_pct delta;
     |];
   {
-    Graft_report.Experiments.id = "Ablation A14";
+    E.id = "Ablation A14";
     title = "Graftlens causal-tracing overhead on the serve path";
     body = Graft_util.Tablefmt.render t;
     notes =
       [
         Printf.sprintf
           "%d round-paired serve runs (%d tenants, %.0fs simulated) per \
-           regime; budget: enabled overhead <= 5%%"
-          reps base.Serve.tenants base.Serve.duration_s;
+           regime, in interleaved GC-fenced rounds"
+          (Array.length ms.(0).H.samples)
+          base.Serve.tenants base.Serve.duration_s;
+        E.budget_note;
         "disabled-path identity is pinned separately: test_lens asserts \
          lens-off reports are byte-identical, and CI's serve gate compares \
          against the committed baseline";

@@ -1,10 +1,8 @@
 (* The one timing loop.
 
-   Before Graftmeter the repo had three hand-rolled copies of the same
-   protocol — bench/main.ml's tier comparison, the A8/A9 ablations in
-   lib/report/experiments.ml, and lib/measure/upcallbench.ml — each
-   with its own notion of rounds, fencing, and summary. This module is
-   the single entry point:
+   It times the graft tables and ablations of [graftkit tables], the
+   tier suite behind BENCH_stackvm.json, and the upcall round trip,
+   all under one protocol:
 
    - iteration count calibrated once, on the first configuration, so
      every configuration times the same batch size;
@@ -21,7 +19,8 @@
 
    Per-round pairing survives: [samples] arrays are index-aligned
    across configurations, so {!paired_delta_pct} can compare within a
-   round, where host conditions are shared. *)
+   round, where host conditions are shared, and {!budget} judges such
+   a delta on its CI rather than its median. *)
 
 open Graft_util
 
@@ -146,3 +145,17 @@ let paired_delta_pct a b =
 let pp_delta (e : Robust.estimate) =
   Printf.sprintf "%+.1f%% ±%.1f%%" e.Robust.median
     ((e.Robust.ci95_hi -. e.Robust.ci95_lo) /. 2.0)
+
+(** Judge a paired delta against a budget on its CI: "within" only
+    when the whole interval is at or under [pct], "over" only when the
+    whole interval is above it. A median under budget with a CI that
+    reaches past it proves nothing either way. The bounds are printed
+    because the CI need not be centred on the median. *)
+let budget ~pct (e : Robust.estimate) =
+  let verdict =
+    if e.Robust.ci95_hi <= pct then "within"
+    else if e.Robust.ci95_lo > pct then "over"
+    else "unproven"
+  in
+  Printf.sprintf "%s [%+.1f%%, %+.1f%%]" verdict e.Robust.ci95_lo
+    e.Robust.ci95_hi

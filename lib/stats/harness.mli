@@ -1,7 +1,7 @@
 (** The unified timing harness: calibrated batches, interleaved
     GC-fenced rounds, CI-driven auto-repetition. The single entry
-    point behind bench/main.ml, the report ablations, and the measure
-    benches. *)
+    point behind the graft tables and ablations of [graftkit tables],
+    the tier suite [graftkit bench] gates, and the upcall bench. *)
 
 type config = {
   warmup : int;  (** warmup batches per configuration before timing *)
@@ -50,3 +50,9 @@ val paired_delta_pct : float array -> float array -> Robust.estimate
 
 (** "+1.3% ±0.8%": a paired delta with its CI half-width. *)
 val pp_delta : Robust.estimate -> string
+
+(** A paired delta judged against a budget of [pct] percent on its CI,
+    not its median: "within" when [ci95_hi <= pct], "over" when
+    [ci95_lo > pct], "unproven" when the CI straddles the budget,
+    followed by the CI: "unproven [-1.2%, +6.0%]". *)
+val budget : pct:float -> Robust.estimate -> string

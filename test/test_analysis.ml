@@ -692,6 +692,71 @@ fn main(n : int) : int {
     (List.length
        (Analyze.check ~entries:[ "contains"; "choose" ] clean_prog clean_meta))
 
+(* [graftkit check --json] as CI would consume it: the example grafts
+   and the built-ins analyze clean under --werror, the document is the
+   shared envelope at schema 3, and a graft with warnings fails
+   --werror with every diagnostic carrying its five fields. *)
+let test_check_json () =
+  let module J = Graft_util.Minijson in
+  let parse out =
+    match J.parse out with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "check JSON does not parse: %s" msg
+  in
+  let field k doc =
+    match J.member k doc with
+    | Some v -> v
+    | None -> Alcotest.failf "check JSON has no %S" k
+  in
+  let str k doc = Option.get (J.to_string (field k doc)) in
+  let num k doc = Option.get (J.to_float (field k doc)) in
+  let files doc = Option.get (J.to_list (field "files" doc)) in
+  let dir = "../examples/grafts" in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".gel")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  check_bool "example grafts found" true (examples <> []);
+  let code, out =
+    Cli.graftkit ([ "check"; "--werror"; "--json"; "--builtin" ] @ examples)
+  in
+  check_int "clean under --werror" 0 code;
+  let doc = parse out in
+  check_int "schema" 3 (int_of_float (num "schema_version" doc));
+  List.iter (fun k -> ignore (str k doc)) [ "host"; "ocaml" ];
+  Alcotest.(check string) "tool" "check" (str "tool" doc);
+  check_bool "werror" true (field "werror" doc = J.Bool true);
+  check_int "warnings" 0 (int_of_float (num "warnings" doc));
+  let labels = List.map (str "file") (files doc) in
+  List.iter
+    (fun l -> check_bool ("analyzed " ^ l) true (List.mem l labels))
+    (examples @ [ "builtin:demux"; "builtin:hotset" ]);
+  let bad = Filename.temp_file "check" ".gel" in
+  Out_channel.with_open_text bad (fun oc ->
+      output_string oc
+        "fn main(n : int) : int {\n  var unused : int = 5;\n  return n / 0;\n}\n");
+  let code, out = Cli.graftkit [ "check"; "--werror"; "--json"; bad ] in
+  Sys.remove bad;
+  check_int "warnings fail --werror" 1 code;
+  let doc = parse out in
+  let diags =
+    List.concat_map
+      (fun f -> Option.get (J.to_list (field "diagnostics" f)))
+      (files doc)
+  in
+  check_int "one diagnostic per warning"
+    (int_of_float (num "warnings" doc))
+    (List.length diags);
+  check_bool "diagnostics emitted" true (diags <> []);
+  List.iter
+    (fun d ->
+      List.iter
+        (fun k -> ignore (field k d))
+        [ "line"; "col"; "severity"; "kind"; "message" ])
+    diags
+
 let suite =
   [
     ("interval basics", `Quick, test_interval_basics);
@@ -709,6 +774,7 @@ let suite =
     ("sfi elision: bogus claims rejected", `Quick, test_regvm_bogus_claims);
     ("verifier rejects bogus proofs", `Quick, test_bogus_proofs);
     ("graftkit check diagnostics", `Quick, test_check_diagnostics);
+    ("graftkit check --json", `Quick, test_check_json);
   ]
 
 let () =

@@ -124,7 +124,8 @@ let test_exemplar_soundness () =
     ids
 
 let test_flight_determinism () =
-  let b1 = Flight.bundle (Serve.run lens_cfg) in
+  let r = Serve.run lens_cfg in
+  let b1 = Flight.bundle r in
   let b2 = Flight.bundle (Serve.run lens_cfg) in
   check_bool "smoke run triggers the recorder" true (b1 <> []);
   check_string "manifest leads the bundle" "manifest.json" (fst (List.hd b1));
@@ -137,7 +138,56 @@ let test_flight_determinism () =
   (* The trace file carries per-domain processes and causal ids. *)
   let trace = List.assoc "trace.json" b1 in
   check_bool "per-domain process named" true (contains trace "domain-0");
-  check_bool "causal ids exported" true (contains trace "trace_id")
+  check_bool "causal ids exported" true (contains trace "trace_id");
+  (* Every file is JSON, and the manifest describes this run: the
+     files beside it and the retained-op count the report carries. *)
+  let module J = Graft_util.Minijson in
+  let parse (name, contents) =
+    match J.parse contents with
+    | Ok doc -> (name, doc)
+    | Error msg -> Alcotest.failf "%s does not parse: %s" name msg
+  in
+  let docs = List.map parse b1 in
+  let get k doc =
+    match J.member k doc with
+    | Some v -> v
+    | None -> Alcotest.failf "no %S" k
+  in
+  let manifest = List.assoc "manifest.json" docs in
+  check_bool "manifest suite" true
+    (J.to_string (get "suite" manifest) = Some "serve-flight");
+  check_bool "manifest lists the other files" true
+    (Option.map (List.filter_map J.to_string)
+       (J.to_list (get "files" manifest))
+    = Some (List.map fst (List.tl b1)));
+  let retained =
+    match r.Serve.r_lens with
+    | Some lo -> lo.Serve.lo_retained
+    | None -> Alcotest.fail "lens on but no lens_out"
+  in
+  check_bool "ops retained" true (retained > 0);
+  let manifest_retained = J.to_float (get "retained_ops" manifest) in
+  check_bool "manifest retained_ops is the run's" true
+    (manifest_retained = Some (float_of_int retained));
+  check_bool "manifest retained_ops is the report's" true
+    (match J.parse (Serve.to_json r) with
+    | Ok report ->
+        J.to_float (get "retained_ops" (get "lens" report)) = manifest_retained
+    | Error msg -> Alcotest.failf "serve JSON does not parse: %s" msg);
+  let events =
+    Option.get (J.to_list (get "traceEvents" (List.assoc "trace.json" docs)))
+  in
+  check_bool "process metadata parsed" true
+    (List.exists
+       (fun e -> J.to_string (get "name" e) = Some "process_name")
+       events);
+  check_bool "trace ids parsed" true
+    (List.exists
+       (fun e ->
+         match J.member "args" e with
+         | Some a -> J.member "trace_id" a <> None
+         | None -> false)
+       events)
 
 let test_lens_off_identity () =
   let cfg = { Serve.smoke with Serve.lens = false } in

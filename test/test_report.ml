@@ -80,6 +80,13 @@ let test_ablation_upcall () =
   check_bool "has 64KB row" true (contains s "64KB");
   check_bool "has upcalls" true (contains s "16")
 
+(* The CLI's table list is the only one: every ablation it documents
+   must be reachable by name. *)
+let test_cli_table_a11 () =
+  let code, out = Cli.graftkit [ "tables"; "a11" ] in
+  Alcotest.(check int) "exit 0" 0 code;
+  check_bool "A11 printed" true (contains out "Ablation A11")
+
 let () =
   Alcotest.run "graft_report"
     [
@@ -95,5 +102,6 @@ let () =
           Alcotest.test_case "figure1 smoke" `Slow test_figure1_smoke;
           Alcotest.test_case "ablation regvm" `Quick test_ablation_regvm;
           Alcotest.test_case "ablation upcall" `Quick test_ablation_upcall;
+          Alcotest.test_case "graftkit tables a11" `Quick test_cli_table_a11;
         ] );
     ]

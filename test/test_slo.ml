@@ -330,24 +330,74 @@ let test_serve_shape () =
 let test_serve_json_parses () =
   let r = Serve.run tiny in
   let open Graft_util.Minijson in
-  match parse (Serve.to_json r) with
-  | Error msg -> Alcotest.fail ("serve JSON does not parse: " ^ msg)
-  | Ok doc ->
-      let num k = Option.bind (member k doc) to_float in
-      check_bool "suite tag" true
-        (Option.bind (member "suite" doc) to_string = Some "serve");
-      check_float "ops round-trips" (float_of_int r.Serve.r_ops)
-        (Option.get (num "ops"));
-      check_bool "p999 present" true (num "p999_us" <> None);
-      check_bool "jain present" true (num "jain" <> None);
-      check_bool "burn present" true (num "burn" <> None);
-      check_bool "mttr present" true (num "mttr_mean_s" <> None);
-      (match Option.bind (member "snapshots" doc) to_list with
-      | Some l -> check_bool "snapshot series" true (List.length l >= 2)
-      | None -> Alcotest.fail "no snapshots array");
-      match parse (Serve.snapshots_json r) with
-      | Error msg -> Alcotest.fail ("snapshots JSON does not parse: " ^ msg)
-      | Ok _ -> ()
+  let parse_doc what json =
+    match parse json with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "%s JSON does not parse: %s" what msg
+  in
+  let doc = parse_doc "serve" (Serve.to_json r) in
+  let num_of d k =
+    match Option.bind (member k d) to_float with
+    | Some v -> v
+    | None -> Alcotest.failf "no number %S" k
+  in
+  let num = num_of doc in
+  let ordered d =
+    num_of d "p50_us" <= num_of d "p95_us"
+    && num_of d "p95_us" <= num_of d "p99_us"
+    && num_of d "p99_us" <= num_of d "p999_us"
+  in
+  check_float "schema" 2.0 (num "schema_version");
+  List.iter
+    (fun k ->
+      check_bool ("envelope " ^ k) true
+        (Option.bind (member k doc) to_string <> None))
+    [ "host"; "ocaml" ];
+  check_bool "suite tag" true
+    (Option.bind (member "suite" doc) to_string = Some "serve");
+  check_float "seed" (float_of_int tiny.Serve.seed) (num "seed");
+  check_float "tenant count" (float_of_int tiny.Serve.tenants) (num "tenants");
+  check_float "one domain" 1.0 (num "domains");
+  check_float "ops round-trips" (float_of_int r.Serve.r_ops) (num "ops");
+  check_float "every op accounted" (num "ops") (num "good" +. num "errors");
+  check_bool "percentiles ordered" true (ordered doc);
+  check_bool "jain in [0, 1]" true (num "jain" >= 0.0 && num "jain" <= 1.0);
+  check_bool "burn non-negative" true (num "burn" >= 0.0);
+  check_bool "faults produce incidents" true
+    (num "mttr_incidents" +. num "mttr_open" > 0.0);
+  check_bool "forced strikes quarantine" true (num "quarantined" >= 1.0);
+  check_bool "mttr present" true (num "mttr_mean_s" >= 0.0);
+  (* "tenants" is both the count and, later, the per-tenant rows. *)
+  let tenants =
+    match doc with
+    | Obj kvs ->
+        List.concat
+          (List.filter_map
+             (fun (k, v) -> if k = "tenants" then to_list v else None)
+             kvs)
+    | _ -> []
+  in
+  check_int "tenant rows" tiny.Serve.tenants (List.length tenants);
+  List.iter
+    (fun t -> check_bool "tenant percentiles ordered" true (ordered t))
+    tenants;
+  (match Option.bind (member "snapshots" doc) to_list with
+  | Some l -> check_bool "snapshot series" true (List.length l >= 2)
+  | None -> Alcotest.fail "no snapshots array");
+  let snaps = parse_doc "snapshots" (Serve.snapshots_json r) in
+  check_bool "snapshots suite" true
+    (Option.bind (member "suite" snaps) to_string = Some "serve-snapshots");
+  let series = Option.get (Option.bind (member "snapshots" snaps) to_list) in
+  check_bool "snapshots taken" true (List.length series >= 2);
+  let rec advancing = function
+    | a :: (b :: _ as rest) ->
+        num_of a "t_s" < num_of b "t_s"
+        && num_of a "ops" <= num_of b "ops"
+        && advancing rest
+    | _ -> true
+  in
+  check_bool "snapshot times strictly increase, ops never decrease" true
+    (advancing series)
 
 (* ------------------------------------------------------------------ *)
 (* The serve gate.                                                     *)

@@ -61,6 +61,31 @@ let test_paired_delta () =
   let d = Harness.paired_delta_pct a b in
   check_bool "10% slower" true (Float.abs (d.Robust.median -. 10.0) < 1e-9)
 
+(* A budget verdict reads the CI, never the median alone. *)
+let test_budget_verdicts () =
+  let delta ~lo ~median ~hi =
+    { (Robust.estimate [| median |]) with
+      Robust.median; ci95_lo = lo; ci95_hi = hi }
+  in
+  let verdict ~lo ~median ~hi =
+    Harness.budget ~pct:5.0 (delta ~lo ~median ~hi)
+  in
+  Alcotest.(check string) "CI under budget" "within [+0.2%, +2.6%]"
+    (verdict ~lo:0.2 ~median:1.4 ~hi:2.6);
+  Alcotest.(check string) "CI above budget" "over [+5.5%, +9.0%]"
+    (verdict ~lo:5.5 ~median:7.0 ~hi:9.0);
+  Alcotest.(check string) "CI straddles budget" "unproven [-7.0%, +9.8%]"
+    (verdict ~lo:(-7.0) ~median:1.4 ~hi:9.8);
+  Alcotest.(check string) "median under, upper bound over"
+    "unproven [+0.2%, +6.0%]"
+    (verdict ~lo:0.2 ~median:3.1 ~hi:6.0);
+  Alcotest.(check string) "upper bound equal to budget"
+    "within [+1.0%, +5.0%]"
+    (verdict ~lo:1.0 ~median:3.0 ~hi:5.0);
+  Alcotest.(check string) "lower bound equal to budget"
+    "unproven [+5.0%, +7.0%]"
+    (verdict ~lo:5.0 ~median:6.0 ~hi:7.0)
+
 (* ---------- qcheck properties ---------- *)
 
 let nonempty_floats =
@@ -312,6 +337,7 @@ let () =
         [
           Alcotest.test_case "measure" `Quick test_harness_measure;
           Alcotest.test_case "paired delta" `Quick test_paired_delta;
+          Alcotest.test_case "budget verdicts" `Quick test_budget_verdicts;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
