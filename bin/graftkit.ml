@@ -135,7 +135,8 @@ let gel_cmd =
   let tech =
     Arg.(value & opt tech_conv Technology.Ast_interp
          & info [ "t"; "tech" ]
-             ~doc:"Execution technology: ast-interp, bytecode-vm, sfi-wj, sfi-full.")
+             ~doc:"Execution technology: ast-interp, bytecode-vm, \
+                   bytecode-opt, safe-lang-static, jit, sfi-wj or sfi-full.")
   in
   let fuel =
     Arg.(value & opt int 10_000_000 & info [ "fuel" ] ~doc:"CPU quantum (abstract units).")
@@ -168,60 +169,22 @@ let gel_cmd =
       print_string
         (Graft_regvm.Disasm.program (Graft_regvm.Regvm.load_exn image))
     end
-    else begin
-      let argv = Array.of_list args in
-      let show = function
-        | Ok v -> Printf.printf "%d\n" v
-        | Error (`Fault f) ->
-            Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f);
-            exit 1
-        | Error (`Bad_entry m) ->
-            prerr_endline m;
-            exit 2
-      in
-      match tech with
-      | Technology.Ast_interp ->
-          show (Graft_gel.Interp.run image ~entry ~args:argv ~fuel)
-      | Technology.Bytecode_vm ->
-          show
-            (Graft_stackvm.Vm.run
-               (Graft_stackvm.Stackvm.load_exn image)
-               ~entry ~args:argv ~fuel)
-      | Technology.Bytecode_opt ->
-          show
-            (Graft_stackvm.Vm.run_opt
-               (Graft_stackvm.Stackvm.load_opt_exn image)
-               ~entry ~args:argv ~fuel)
-      | Technology.Safe_lang_static ->
-          show
-            (Graft_stackvm.Vm.run
-               (Graft_stackvm.Stackvm.load_static_exn image)
-               ~entry ~args:argv ~fuel)
-      | Technology.Jit ->
-          show
-            (Graft_jit.Jit.run
-               (Graft_jit.Jit.load_exn image)
-               ~entry ~args:argv ~fuel)
-      | Technology.Sfi_write_jump | Technology.Sfi_full ->
-          let protection =
-            if tech = Technology.Sfi_full then Graft_regvm.Program.Full
-            else Graft_regvm.Program.Write_jump
-          in
-          let p = Graft_regvm.Regvm.load_exn ~protection image in
-          (match Graft_regvm.Machine.run p ~entry ~args:argv ~fuel with
-          | Ok o -> Printf.printf "%d\n" o.Graft_regvm.Machine.value
+    else
+      match Graft_core.Runners.engine ~fuel tech image with
+      | exception Invalid_argument _ ->
+          prerr_endline
+            ("technology " ^ Technology.name tech
+           ^ " does not execute GEL files");
+          exit 2
+      | run -> (
+          match run ~entry ~args:(Array.of_list args) with
+          | Ok v -> Printf.printf "%d\n" v
           | Error (`Fault f) ->
               Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f);
               exit 1
           | Error (`Bad_entry m) ->
               prerr_endline m;
               exit 2)
-      | t ->
-          prerr_endline
-            ("technology " ^ Technology.name t
-           ^ " does not execute GEL files");
-          exit 2
-    end
   in
   Cmd.v
     (Cmd.info "gel" ~doc:"Compile and run a GEL graft")
@@ -259,21 +222,6 @@ let check_cmd =
                    unchanged.")
   in
   let run files entries werror builtin json =
-    let json_escape s =
-      let b = Buffer.create (String.length s) in
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string b "\\\""
-          | '\\' -> Buffer.add_string b "\\\\"
-          | '\n' -> Buffer.add_string b "\\n"
-          | '\t' -> Buffer.add_string b "\\t"
-          | c when Char.code c < 0x20 ->
-              Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char b c)
-        s;
-      Buffer.contents b
-    in
     let warnings = ref 0 in
     (* (label, diagnostics) per analyzed source; a diagnostic is
        (line, col, severity, kind, message). *)
@@ -341,14 +289,14 @@ let check_cmd =
         ]
     end;
     if json then begin
+      let quote = Graft_util.Minijson.quote in
       let diag_json (line, col, severity, kind, msg) =
         Printf.sprintf
-          "{\"line\":%d,\"col\":%d,\"severity\":\"%s\",\"kind\":\"%s\",\"message\":\"%s\"}"
-          line col (json_escape severity) (json_escape kind) (json_escape msg)
+          "{\"line\":%d,\"col\":%d,\"severity\":%s,\"kind\":%s,\"message\":%s}"
+          line col (quote severity) (quote kind) (quote msg)
       in
       let file_json (label, diags) =
-        Printf.sprintf "{\"file\":\"%s\",\"diagnostics\":[%s]}"
-          (json_escape label)
+        Printf.sprintf "{\"file\":%s,\"diagnostics\":[%s]}" (quote label)
           (String.concat "," (List.map diag_json diags))
       in
       print_endline
@@ -717,55 +665,24 @@ let profile_cmd =
         (Graft_trace.Histo.rows (Graft_trace.Opprof.runs prof));
       print_newline ()
     in
-    let repeated f =
-      let last = ref (f ()) in
-      for _ = 2 to repeat do
-        last := f ()
-      done;
-      !last
-    in
-    (let prof =
-       Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
-     in
-     let s =
-       Graft_stackvm.Vm.create_session ~profile:prof
-         (Graft_stackvm.Stackvm.load_exn (fresh_image ()))
-     in
-     report "bytecode-vm" prof
-       (repeated (fun () ->
-            Graft_stackvm.Vm.run_session s ~entry ~args:argv ~fuel)));
-    (let prof =
-       Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
-     in
-     let s =
-       Graft_stackvm.Vm.create_session ~profile:prof
-         (Graft_stackvm.Stackvm.load_opt_exn (fresh_image ()))
-     in
-     report "bytecode-opt" prof
-       (repeated (fun () ->
-            Graft_stackvm.Vm.run_session_opt s ~entry ~args:argv ~fuel)));
-    (let prof =
-       Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
-     in
-     let s =
-       Graft_jit.Jit.create_session ~profile:prof
-         (Graft_jit.Jit.load_exn (fresh_image ()))
-     in
-     report "jit" prof
-       (repeated (fun () ->
-            Graft_jit.Jit.run_session s ~entry ~args:argv ~fuel)));
-    let prof =
-      Graft_trace.Opprof.create ~names:Graft_regvm.Isa.class_names
-    in
-    let s =
-      Graft_regvm.Machine.create_session ~profile:prof
-        (Graft_regvm.Regvm.load_exn (fresh_image ()))
-    in
-    report "regvm (sfi-wj)" prof
-      (Result.map
-         (fun o -> o.Graft_regvm.Machine.value)
-         (repeated (fun () ->
-              Graft_regvm.Machine.run_session s ~entry ~args:argv ~fuel)))
+    let stack_ops = Graft_stackvm.Opcode.class_names in
+    List.iter
+      (fun (label, tech, names) ->
+        let prof = Graft_trace.Opprof.create ~names in
+        let run =
+          Graft_core.Runners.engine ~profile:prof ~fuel tech (fresh_image ())
+        in
+        let last = ref (run ~entry ~args:argv) in
+        for _ = 2 to repeat do
+          last := run ~entry ~args:argv
+        done;
+        report label prof !last)
+      [
+        ("bytecode-vm", Technology.Bytecode_vm, stack_ops);
+        ("bytecode-opt", Technology.Bytecode_opt, stack_ops);
+        ("jit", Technology.Jit, stack_ops);
+        ("regvm (sfi-wj)", Technology.Sfi_write_jump, Graft_regvm.Isa.class_names);
+      ]
   in
   Cmd.v
     (Cmd.info "profile"

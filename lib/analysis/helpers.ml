@@ -31,7 +31,6 @@ let table =
   ]
 
 let find name = List.find_opt (fun s -> s.h_name = name) table
-let is_helper name = find name <> None
 
 (** Check every helper-named extern of [prog] against the table.
     Non-helper externs are unconstrained (they are kernel-provided

@@ -240,8 +240,6 @@ let bor_like i1 i2 =
 
 open Graft_gel
 
-let clamp_word i = if leq i word_top then i else word_top
-
 (* Word-kind add/sub/mul wrap modulo 2^32: exact when the unwrapped
    result already fits, else the whole word range. *)
 let word_wrap i = if leq i word_top then i else word_top

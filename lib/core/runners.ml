@@ -43,14 +43,14 @@ let script_fail = function
 
 type gel_env = { image : Link.image; windows : (string * Memory.region) list }
 
-(** Compile [source] and link it into a fresh power-of-two memory with
-    the given shared windows (name, length, writable). [optimize] runs
-    the IR optimizer (the optimized tier's pre-pass) before linking.
-    [hosts] resolves extern declarations (e.g. the graft-map helper
-    dispatchers from {!Graft_kernel.Graftmap.hosts}). *)
-let gel_env ?(optimize = false) ?(hosts = []) source windows =
+(** Compile [source] for [tech] and link it into a fresh power-of-two
+    memory with the given shared windows (name, length, writable). The
+    IR optimizer runs first for bytecode-opt alone: it is that tier's
+    pre-pass. [hosts] resolves extern declarations (e.g. the graft-map
+    helper dispatchers from {!Graft_kernel.Graftmap.hosts}). *)
+let gel_env ?(hosts = []) (tech : Technology.t) source windows =
   let prog =
-    match Gel.compile ~optimize source with
+    match Gel.compile ~optimize:(tech = Technology.Bytecode_opt) source with
     | Ok p -> p
     | Error e -> failwith ("GEL graft does not compile: " ^ Srcloc.to_string e)
   in
@@ -75,58 +75,59 @@ let window env name =
   | Some r -> r
   | None -> invalid_arg ("no GEL window " ^ name)
 
-type gel_entry = entry:string -> args:int array -> int
+(** Adapt {!Graft_kernel.Graftmap.hosts} dispatchers to GEL hosts. *)
+let map_hosts maps =
+  List.map
+    (fun (hname, hfn) -> { Link.hname; hfn })
+    (Graft_kernel.Graftmap.hosts maps)
 
-(** An entry-point invoker for the given VM technology over a linked
-    image. Loading (compile + verify) happens once, here. [maps] lets
-    the stack tiers lower typed-helper calls to map opcodes; [bounded]
-    makes every tier's verifier demand a loop-bound certificate for
-    each backward jump (the reference interpreter gates on the IR-level
-    {!Graft_analysis.Loopbound} check at construction). *)
-let gel_entry ?maps ?(bounded = false) (tech : Technology.t) (env : gel_env) :
-    gel_entry =
+type engine =
+  entry:string ->
+  args:int array ->
+  (int, [ `Fault of Fault.t | `Bad_entry of string ]) result
+
+(** The tier table: the one place that maps a VM technology to its
+    loader and engine. Loading (verify, and compile where the tier
+    compiles) happens once, here; each call enters a resident session
+    with [fuel]. [maps] lets the stack tiers lower typed-helper calls
+    to map opcodes; [bounded] makes every tier's verifier demand a
+    loop-bound certificate for each backward jump (the reference
+    interpreter gates on the IR-level {!Graft_analysis.Loopbound}
+    check at construction); [profile] counts executed opcodes on the
+    tiers that keep a profile (all but the reference interpreter). *)
+let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
+    (image : Link.image) : engine =
+  let stack p =
+    let session = Graft_stackvm.Vm.create_session ?profile p in
+    fun ~entry ~args -> Graft_stackvm.Vm.run_session session ~entry ~args ~fuel
+  in
   match tech with
   | Technology.Ast_interp ->
       (* No bytecode verifier on this tier: the gate is the same typed
          helper table plus the IR-level bound derivation the bytecode
          verifiers re-check at machine level. *)
-      (match Graft_analysis.Helpers.check_externs env.image.Link.prog with
+      (match Graft_analysis.Helpers.check_externs image.Link.prog with
       | Ok () -> ()
       | Error msg -> failwith ("GEL graft rejected: " ^ msg));
       if bounded then (
-        match Graft_analysis.Loopbound.check_image env.image with
+        match Graft_analysis.Loopbound.check_image image with
         | Ok () -> ()
         | Error msg -> failwith ("GEL graft rejected: " ^ msg));
-      fun ~entry ~args ->
-        run_fail (Interp.run env.image ~entry ~args ~fuel:huge_fuel)
+      fun ~entry ~args -> Interp.run image ~entry ~args ~fuel
   | Technology.Bytecode_vm ->
-      let p = Graft_stackvm.Stackvm.load_exn ?maps ~bounded env.image in
-      let session = Graft_stackvm.Vm.create_session p in
-      fun ~entry ~args ->
-        run_fail
-          (Graft_stackvm.Vm.run_session session ~entry ~args ~fuel:huge_fuel)
+      stack (Graft_stackvm.Stackvm.load_exn ?maps ~bounded image)
   | Technology.Bytecode_opt ->
-      let p = Graft_stackvm.Stackvm.load_opt_exn ?maps ~bounded env.image in
-      let session = Graft_stackvm.Vm.create_session p in
-      fun ~entry ~args ->
-        run_fail
-          (Graft_stackvm.Vm.run_session_opt session ~entry ~args
-             ~fuel:huge_fuel)
+      (* Peephole-fused code runs on the same loop as plain code. *)
+      stack (Graft_stackvm.Stackvm.load_opt_exn ?maps ~bounded image)
   | Technology.Safe_lang_static ->
-      let p = Graft_stackvm.Stackvm.load_static_exn ?maps ~bounded env.image in
-      let session = Graft_stackvm.Vm.create_session p in
-      fun ~entry ~args ->
-        run_fail
-          (Graft_stackvm.Vm.run_session session ~entry ~args ~fuel:huge_fuel)
+      stack (Graft_stackvm.Stackvm.load_static_exn ?maps ~bounded image)
   | Technology.Jit ->
       (* Graftjit: static-tier elisions, then closure-threaded native
          compilation; the session compiles once, entries are cheap. *)
-      let t = Graft_jit.Jit.load_exn ?maps ~bounded env.image in
-      let session = Graft_jit.Jit.create_session t in
-      fun ~entry ~args ->
-        run_fail
-          (Graft_jit.Jit.run_session session ~entry ~args ~fuel:huge_fuel)
-  | Technology.Sfi_write_jump | Technology.Sfi_full ->
+      let t = Graft_jit.Jit.load_exn ?maps ~bounded image in
+      let session = Graft_jit.Jit.create_session ?profile t in
+      fun ~entry ~args -> Graft_jit.Jit.run_session session ~entry ~args ~fuel
+  | Technology.Sfi_write_jump | Technology.Sfi_full -> (
       (* The register-VM route, used for the A4 instruction-count
          ablation; headline SFI numbers come from the native masked
          regimes. Maps reach this tier as linked host calls, so [maps]
@@ -135,16 +136,24 @@ let gel_entry ?maps ?(bounded = false) (tech : Technology.t) (env : gel_env) :
         if tech = Technology.Sfi_full then Graft_regvm.Program.Full
         else Graft_regvm.Program.Write_jump
       in
-      let p = Graft_regvm.Regvm.load_exn ~protection ~bounded env.image in
-      let session = Graft_regvm.Machine.create_session p in
+      let p = Graft_regvm.Regvm.load_exn ~protection ~bounded image in
+      let session = Graft_regvm.Machine.create_session ?profile p in
       fun ~entry ~args ->
-        (run_fail
-           (Graft_regvm.Machine.run_session session ~entry ~args
-              ~fuel:huge_fuel))
-          .Graft_regvm.Machine.value
+        match
+          Graft_regvm.Machine.run_session session ~entry ~args ~fuel
+        with
+        | Ok o -> Ok o.Graft_regvm.Machine.value
+        | Error e -> Error e)
   | t ->
-      invalid_arg
-        ("Runners.gel_entry: not a VM technology: " ^ Technology.name t)
+      invalid_arg ("Runners.engine: not a VM technology: " ^ Technology.name t)
+
+type gel_entry = entry:string -> args:int array -> int
+
+(** {!engine} at [huge_fuel], with faults and bad entries raised as
+    [Failure]. *)
+let gel_entry ?maps ?bounded tech env : gel_entry =
+  let run = engine ?maps ?bounded ~fuel:huge_fuel tech env.image in
+  fun ~entry ~args -> run_fail (run ~entry ~args)
 
 (* ------------------------------------------------------------------ *)
 (* Page eviction.                                                      *)
@@ -200,8 +209,7 @@ let native_evict (module A : Access.S) tech ~capacity_nodes ~rng =
 let gel_evict tech ~capacity_nodes ~rng =
   let cells_len = evict_cells capacity_nodes in
   let env =
-    gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
+    gel_env tech
       (Gel_sources.evict ~heap_cells:cells_len)
       [ ("heap", cells_len, false) ]
   in
@@ -290,8 +298,11 @@ let evict ?rng (tech : Technology.t) ~capacity_nodes () : evict =
     page to (membership, instruction count). *)
 let evict_regvm ?rng ?elide ~protection ~capacity_nodes () =
   let cells_len = evict_cells capacity_nodes in
+  (* Any register-VM technology: at every protection the register VM
+     runs the unoptimized IR. *)
   let env =
-    gel_env (Gel_sources.evict ~heap_cells:cells_len)
+    gel_env Technology.Sfi_write_jump
+      (Gel_sources.evict ~heap_cells:cells_len)
       [ ("heap", cells_len, false) ]
   in
   let w = window env "heap" in
@@ -403,8 +414,7 @@ let load_bytes_into_cells cells base data =
 let gel_md5 tech ~capacity =
   let data_cells = capacity + 128 in
   let env =
-    gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
+    gel_env tech
       (Gel_sources.md5 ~data_cells)
       [ ("data", data_cells, true); ("digest", 16, true) ]
   in
@@ -488,11 +498,7 @@ let native_logdisk (module A : Access.S) ~nblocks =
   L.make_policy ~nblocks ()
 
 let gel_logdisk tech ~nblocks =
-  let env =
-    gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
-      (Gel_sources.logdisk ~nblocks) []
-  in
+  let env = gel_env tech (Gel_sources.logdisk ~nblocks) [] in
   let entry = gel_entry tech env in
   {
     Graft_kernel.Logdisk.pname = Technology.name tech;
@@ -504,7 +510,8 @@ let gel_logdisk tech ~nblocks =
     on the register VM at the given protection level (ablation A4's
     store-heavy case). *)
 let logdisk_regvm_instructions ?elide ~protection ~nblocks ~writes () =
-  let env = gel_env (Gel_sources.logdisk ~nblocks) [] in
+  (* As in [evict_regvm]: the unoptimized IR at every protection. *)
+  let env = gel_env Technology.Sfi_write_jump (Gel_sources.logdisk ~nblocks) [] in
   let p = Graft_regvm.Regvm.load_exn ~protection ?elide env.image in
   let session = Graft_regvm.Machine.create_session p in
   let total = ref 0 in
@@ -601,8 +608,7 @@ let packet_filter (tech : Technology.t) ~protocol ~port :
   in
   let gel_based () =
     let env =
-      gel_env
-        ~optimize:(tech = Technology.Bytecode_opt)
+      gel_env tech
         (Gel_sources.packet_filter ~window_cells:pkt_window_cells ~protocol
            ~port)
         [ ("pkt", pkt_window_cells, false) ]
@@ -659,12 +665,6 @@ let packet_filter (tech : Technology.t) ~protocol ~port :
 (* Graftgate: stateful demux and hot-set grafts over graft maps.       *)
 (* ------------------------------------------------------------------ *)
 
-(** Adapt {!Graft_kernel.Graftmap.hosts} dispatchers to GEL hosts. *)
-let map_hosts maps =
-  List.map
-    (fun (hname, hfn) -> { Link.hname; hfn })
-    (Graft_kernel.Graftmap.hosts maps)
-
 type demux = {
   d_tech : Technology.t;
   demux : Graft_kernel.Netpkt.t -> int;
@@ -684,9 +684,7 @@ let demux (tech : Technology.t) ~protocol ~marker : demux =
   let gel_based () =
     let maps = [| conn |] in
     let env =
-      gel_env
-        ~optimize:(tech = Technology.Bytecode_opt)
-        ~hosts:(map_hosts maps)
+      gel_env ~hosts:(map_hosts maps) tech
         (Gel_sources.demux ~window_cells:pkt_window_cells ~protocol ~marker)
         [ ("pkt", pkt_window_cells, false) ]
     in
@@ -733,9 +731,7 @@ let hotset (tech : Technology.t) ~capacity : hotset =
   let m = Graft_kernel.Graftmap.create_lru ~name:"hotset" capacity in
   let maps = [| m |] in
   let env =
-    gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
-      ~hosts:(map_hosts maps) Gel_sources.hotset []
+    gel_env ~hosts:(map_hosts maps) tech Gel_sources.hotset []
   in
   let entry = gel_entry ~maps ~bounded:true tech env in
   {

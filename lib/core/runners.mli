@@ -24,27 +24,27 @@ val huge_fuel : int
 val next_pow2 : int -> int
 
 (* ------------------------------------------------------------------ *)
-(** {1 Shared GEL plumbing}
+(** {1 Shared GEL plumbing and the tier table}
 
-    Exported for harnesses (the Graftjail saboteurs) that need a
-    linked image but their own entry invokers — e.g. with a small fuel
-    budget, or preserving the faulting [Fault.t] rather than the
-    [Failure] wrapper the benchmark runners use. *)
+    Exported for harnesses (the Graftjail saboteurs, the CLI) that
+    need a linked image but their own fuel budget or the faulting
+    [Fault.t] rather than the [Failure] wrapper the benchmark runners
+    use. *)
 
 type gel_env = {
   image : Graft_gel.Link.image;
   windows : (string * Graft_mem.Memory.region) list;
 }
 
-(** Compile [source] and link it into a fresh power-of-two memory with
-    the given shared windows (name, length, writable). [optimize] runs
-    the IR optimizer before linking. [hosts] resolves extern
-    declarations (e.g. the graft-map helper dispatchers from
-    {!Graft_kernel.Graftmap.hosts}). Raises [Failure] if the source
+(** [gel_env tech source windows] compiles [source] for [tech] and
+    links it into a fresh power-of-two memory with the given shared
+    windows (name, length, writable). The IR optimizer runs first for
+    bytecode-opt, and for no other technology. [hosts] resolves extern
+    declarations (e.g. {!map_hosts}). Raises [Failure] if the source
     does not compile or link. *)
 val gel_env :
-  ?optimize:bool ->
   ?hosts:Graft_gel.Link.host list ->
+  Technology.t ->
   string ->
   (string * int * bool) list ->
   gel_env
@@ -52,15 +52,42 @@ val gel_env :
 (** Look up a shared window by name. *)
 val window : gel_env -> string -> Graft_mem.Memory.region
 
+(** {!Graft_kernel.Graftmap.hosts} dispatchers as GEL link hosts. *)
+val map_hosts : Graft_kernel.Graftmap.t array -> Graft_gel.Link.host list
+
+type engine =
+  entry:string ->
+  args:int array ->
+  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+
+(** The tier table: [engine ~fuel tech image] loads [image] for VM
+    technology [tech] (verifying, and compiling where the tier
+    compiles) and returns an invoker that enters a resident session
+    with [fuel] per call. This is the only place that maps a VM
+    technology to its loader and engine: ast-interp to {!Graft_gel.Interp};
+    bytecode-vm, bytecode-opt and safe-lang-static to their loaders and
+    the one {!Graft_stackvm.Vm} loop; jit to Graftjit; sfi-wj and
+    sfi-full to the register VM. [maps] lets the stack tiers lower
+    typed-helper calls to map opcodes; [bounded] makes every tier's
+    verifier demand an independently re-derived loop-bound certificate
+    for each backward jump; [profile] counts executed opcodes (indexed
+    by {!Graft_stackvm.Opcode.class_names} on the stack tiers and the
+    JIT, {!Graft_regvm.Isa.class_names} on the register VM; the
+    reference interpreter keeps none). Raises [Failure] if the graft
+    is rejected, [Invalid_argument] for non-VM technologies. *)
+val engine :
+  ?maps:Graft_kernel.Graftmap.t array ->
+  ?bounded:bool ->
+  ?profile:Graft_trace.Opprof.t ->
+  fuel:int ->
+  Technology.t ->
+  Graft_gel.Link.image ->
+  engine
+
 type gel_entry = entry:string -> args:int array -> int
 
-(** An entry-point invoker for a VM technology over a linked image;
-    loading (compile + verify) happens once, at construction. [maps]
-    lets the stack tiers lower typed-helper calls to map opcodes;
-    [bounded] makes every tier's verifier demand an independently
-    re-derived loop-bound certificate for each backward jump. Raises
-    [Failure] if the graft is rejected, [Invalid_argument] for non-VM
-    technologies. *)
+(** {!engine} at {!huge_fuel} over [env]'s image, raising [Failure]
+    on a fault or a bad entry point. *)
 val gel_entry :
   ?maps:Graft_kernel.Graftmap.t array ->
   ?bounded:bool ->

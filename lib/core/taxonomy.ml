@@ -14,16 +14,6 @@ type structure =
   | Stream  (** a filter inserted into a data stream (MD5, compression) *)
   | Black_box  (** inputs, state, one output (ACLs, logical disk) *)
 
-let motivation_name = function
-  | Policy -> "policy"
-  | Performance -> "performance"
-  | Functionality -> "functionality"
-
-let structure_name = function
-  | Prioritization -> "prioritization"
-  | Stream -> "stream"
-  | Black_box -> "black box"
-
 (** The paper's representative graft for each structure. *)
 let representative = function
   | Prioritization -> "VM page eviction"

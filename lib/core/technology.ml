@@ -17,8 +17,8 @@ type t =
   | Sfi_full  (** ablation A2: full read+write+jump SFI *)
   | Bytecode_vm  (** paper: "Java" — stack bytecode interpreter *)
   | Bytecode_opt
-      (** the optimizing bytecode tier: IR pre-pass, superinstruction
-          fusion, and a top-of-stack-cached dispatch loop — a stand-in
+      (** the optimizing bytecode tier: IR pre-pass and superinstruction
+          fusion, run on the stack VM's one dispatch loop — a stand-in
           for the JIT column the paper projects for Java *)
   | Safe_lang_static
       (** the statically-checked tier: abstract interpretation over the

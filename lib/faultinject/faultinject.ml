@@ -37,9 +37,6 @@ let class_name = function
   | Map_misuse -> "map-misuse"
   | Runaway_loop -> "runaway-loop"
 
-let class_of_name s =
-  List.find_opt (fun c -> class_name c = s) all_classes
-
 (** A representative [Fault.t] for each class, for injection points
     that raise directly rather than misbehaving through a technology
     (kernel-side hooks, the property tests). *)

@@ -199,21 +199,7 @@ let render_demo (d : fallback_demo) =
 
 let schema_version = 1
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let quote s = "\"" ^ json_escape s ^ "\""
+let quote = Graft_util.Minijson.quote
 
 (** Deterministic JSON: fixed key order, cells in (technology, fault)
     table order, no timestamps — [diff]-able against a committed

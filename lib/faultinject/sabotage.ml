@@ -242,49 +242,20 @@ let vm_fuel = 20_000
 (* A per-technology entry invoker over the saboteur image, raising the
    original Fault (rather than Runners' Failure wrapper) so the matrix
    records the true fault class at the barrier. *)
-let map_hosts maps =
-  List.map
-    (fun (hname, hfn) -> { Graft_gel.Link.hname; hfn })
-    (K.Graftmap.hosts maps)
-
 let vm_entry tech =
   let env =
     Runners.gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
-      ~hosts:(map_hosts [| K.Graftmap.create_array ~name:"jail-map" 8 |])
-      gel_saboteur
+      ~hosts:
+        (Runners.map_hosts [| K.Graftmap.create_array ~name:"jail-map" 8 |])
+      tech gel_saboteur
       [ ("win", wlen, true) ]
   in
-  let fail = function
+  let run = Runners.engine ~fuel:vm_fuel tech env.Runners.image in
+  fun ~entry ~args ->
+    match run ~entry ~args with
     | Ok v -> v
     | Error (`Fault f) -> Fault.raise_fault f
     | Error (`Bad_entry m) -> failwith ("saboteur entry: " ^ m)
-  in
-  match tech with
-  | Technology.Ast_interp ->
-      fun ~entry ~args ->
-        fail (Graft_gel.Interp.run env.Runners.image ~entry ~args ~fuel:vm_fuel)
-  | Technology.Bytecode_vm ->
-      let p = Graft_stackvm.Stackvm.load_exn env.Runners.image in
-      let s = Graft_stackvm.Vm.create_session p in
-      fun ~entry ~args ->
-        fail (Graft_stackvm.Vm.run_session s ~entry ~args ~fuel:vm_fuel)
-  | Technology.Bytecode_opt ->
-      let p = Graft_stackvm.Stackvm.load_opt_exn env.Runners.image in
-      let s = Graft_stackvm.Vm.create_session p in
-      fun ~entry ~args ->
-        fail (Graft_stackvm.Vm.run_session_opt s ~entry ~args ~fuel:vm_fuel)
-  | Technology.Safe_lang_static ->
-      let p = Graft_stackvm.Stackvm.load_static_exn env.Runners.image in
-      let s = Graft_stackvm.Vm.create_session p in
-      fun ~entry ~args ->
-        fail (Graft_stackvm.Vm.run_session s ~entry ~args ~fuel:vm_fuel)
-  | Technology.Jit ->
-      let t = Graft_jit.Jit.load_exn env.Runners.image in
-      let s = Graft_jit.Jit.create_session t in
-      fun ~entry ~args ->
-        fail (Graft_jit.Jit.run_session s ~entry ~args ~fuel:vm_fuel)
-  | t -> invalid_arg ("Sabotage.vm_entry: " ^ Technology.name t)
 
 (* Graftgate's negative control as a saboteur: submit the demux graft
    whose scan loop is a raw while (semantically bounded, but not the
@@ -294,7 +265,7 @@ let vm_entry tech =
 let runaway_cell tech =
   let maps = [| K.Graftmap.create_array ~name:"conn" 64 |] in
   let env =
-    Runners.gel_env ~hosts:(map_hosts maps)
+    Runners.gel_env ~hosts:(Runners.map_hosts maps) tech
       (Graft_grafts.Gel_sources.demux_unbounded
          ~window_cells:Runners.pkt_window_cells ~protocol:6 ~marker:0x42)
       [ ("pkt", Runners.pkt_window_cells, false) ]

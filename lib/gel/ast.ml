@@ -76,5 +76,3 @@ let binop_to_string = function
   | Band -> "&" | Bor -> "|" | Bxor -> "^"
   | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
   | And -> "&&" | Or -> "||"
-
-let unop_to_string = function Neg -> "-" | Not -> "!" | Bnot -> "~"

@@ -87,14 +87,6 @@ let find_func prog name =
   in
   go 0
 
-let find_array prog name =
-  let rec go i =
-    if i >= Array.length prog.arrays then None
-    else if prog.arrays.(i).aname = name then Some i
-    else go (i + 1)
-  in
-  go 0
-
 (** Count of expression + statement nodes, a rough program size used by
     fuel heuristics and tests. *)
 let size prog =

@@ -245,14 +245,3 @@ let hosts (maps : t array) : (string * (int array -> int)) list =
     ("map_contains", fun argv -> contains (map_of argv.(0)) argv.(1));
     ("map_size", fun argv -> size (map_of argv.(0)));
   ]
-
-(** Process-wide registry of shared maps, keyed by name — the
-    kernel-object door through which several grafts can attach the
-    same map (eBPF's pinned maps). *)
-let shared : (string, t) Hashtbl.t = Hashtbl.create 8
-
-let share t = Hashtbl.replace shared t.name t
-
-let find_shared name = Hashtbl.find_opt shared name
-
-let unshare name = Hashtbl.remove shared name

@@ -156,10 +156,6 @@ let domain_counter ?help name labels =
   let key = Domain.DLS.new_key (fun () -> counter ?help name labels) in
   fun () -> Domain.DLS.get key
 
-let domain_gauge ?help name labels =
-  let key = Domain.DLS.new_key (fun () -> gauge ?help name labels) in
-  fun () -> Domain.DLS.get key
-
 let domain_histogram ?help ?subbits name labels =
   let key = Domain.DLS.new_key (fun () -> histogram ?help ?subbits name labels) in
   fun () -> Domain.DLS.get key
@@ -393,27 +389,12 @@ let registry_openmetrics reg =
 
 let to_openmetrics () = registry_openmetrics (merged_view ())
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_labels labels =
   "{"
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+           Graft_util.Minijson.quote k ^ ":" ^ Graft_util.Minijson.quote v)
          labels)
   ^ "}"
 
@@ -433,8 +414,9 @@ let registry_json reg =
         | Histogram _ -> Khistogram
       in
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"labels\":%s,"
-           (json_escape s.family) (kind_str kind) (json_labels s.labels));
+        (Printf.sprintf "{\"name\":%s,\"kind\":\"%s\",\"labels\":%s,"
+           (Graft_util.Minijson.quote s.family) (kind_str kind)
+           (json_labels s.labels));
       (match s.cell with
       | Counter c -> Buffer.add_string buf (Printf.sprintf "\"value\":%d}" c.c)
       | Gauge g ->

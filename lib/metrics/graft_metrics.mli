@@ -81,7 +81,6 @@ val set_exemplars : string -> labels -> exemplar list -> unit
     storage. *)
 
 val domain_counter : ?help:string -> string -> labels -> unit -> counter
-val domain_gauge : ?help:string -> string -> labels -> unit -> gauge
 
 val domain_histogram :
   ?help:string -> ?subbits:int -> string -> labels -> unit -> Graft_trace.Histo.t

@@ -11,8 +11,8 @@ let host () = try Unix.gethostname () with _ -> "unknown"
 let fields ~schema_version =
   [
     ("schema_version", string_of_int schema_version);
-    ("host", Printf.sprintf "\"%s\"" (host ()));
-    ("ocaml", Printf.sprintf "\"%s\"" Sys.ocaml_version);
+    ("host", Graft_util.Minijson.quote (host ()));
+    ("ocaml", Graft_util.Minijson.quote Sys.ocaml_version);
   ]
 
 (** Rendered "k":v,... prefix (no braces), ready to lead an object. *)

@@ -442,8 +442,6 @@ let bind_command t ~name f = Hashtbl.replace t.commands name f
 
 let define_variable t name value = Hashtbl.replace t.globals.vars name value
 
-let read_variable t name = Hashtbl.find_opt t.globals.vars name
-
 (** Evaluate a script at top level. *)
 let eval t (src : string) : (string, Fault.t) result =
   match eval_script t src with

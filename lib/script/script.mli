@@ -29,10 +29,8 @@ val bind_array :
 (** Register a host command callable from scripts. *)
 val bind_command : t -> name:string -> (t -> string list -> string) -> unit
 
-(** Set / read a global variable from the kernel side. *)
+(** Set a global variable from the kernel side. *)
 val define_variable : t -> string -> string -> unit
-
-val read_variable : t -> string -> string option
 
 (** Evaluate a script at top level; the result is the last command's
     result. Faults (including fuel exhaustion) are contained. *)

@@ -12,20 +12,6 @@
 
 let schema_version = 1
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* A recording is warranted when the run produced the evidence the
    recorder exists to explain: a page alert or a quarantine. *)
 let triggered (r : Serve.result) =
@@ -97,7 +83,7 @@ let manifest_json (r : Serve.result) (lo : Serve.lens_out) files =
        r.Serve.r_alerts_page r.Serve.r_quarantined lo.Serve.lo_threshold_us
        lo.Serve.lo_retained
        (String.concat ","
-          (List.map (fun f -> "\"" ^ json_escape f ^ "\"") files)))
+          (List.map Graft_util.Minijson.quote files)))
 
 (** The post-mortem bundle as (filename, contents) pairs, manifest
     first. Empty when the run didn't enable the lens or didn't

@@ -121,8 +121,10 @@ let tech_rotation =
     Technology.Bytecode_vm; Technology.Sfi_full; Technology.Ast_interp;
   |]
 
-(* Synthetic service-time multiplier per tier, anchored on the
-   measured interp/opt/jit ratios in BENCH_stackvm.json. *)
+(* Synthetic service-time multiplier per tier. These are hand-set model
+   constants, not measurements: BENCH_stackvm.json's md5 interp÷JIT
+   ratio is about 1.3–1.5×, not the 3.0× below. BENCH_serve.json and
+   the benchmark's latency replay depend on these exact values. *)
 let tech_mult = function
   | Technology.Jit -> 1.0
   | Technology.Safe_lang_static -> 0.9

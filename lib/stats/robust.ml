@@ -134,8 +134,3 @@ let rel_half_width e =
 let pp_percall e =
   Printf.sprintf "%s ±%.1f%%" (Timer.pp_seconds e.median)
     (100.0 *. rel_half_width e)
-
-(** Long form with explicit bounds: "12.3us [12.1us, 12.6us]". *)
-let pp_ci e =
-  Printf.sprintf "%s [%s, %s]" (Timer.pp_seconds e.median)
-    (Timer.pp_seconds e.ci95_lo) (Timer.pp_seconds e.ci95_hi)

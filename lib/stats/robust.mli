@@ -51,6 +51,3 @@ val rel_half_width : estimate -> float
 
 (** "12.3us ±1.4%": median with the 95% CI half-width as a percentage. *)
 val pp_percall : estimate -> string
-
-(** "12.3us [12.1us, 12.6us]". *)
-val pp_ci : estimate -> string

@@ -48,7 +48,7 @@ type track =
   | Logdisk  (** policy runs, segment flushes *)
   | Upcall  (** protection-boundary crossings *)
   | Manager  (** graft lifecycle and metered invocations *)
-  | Vm_stack  (** stack VM entries (both dispatch tiers) *)
+  | Vm_stack  (** stack VM entries (every stack tier) *)
   | Vm_reg  (** register VM entries *)
   | Clock  (** simulated-time charges *)
   | App  (** workload-level marks (ablation A8, CLI scenarios) *)

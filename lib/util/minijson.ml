@@ -3,8 +3,8 @@
    file. Recursive descent over the full grammar (objects, arrays,
    strings with escapes, numbers, booleans, null); no streaming, no
    preserved number formatting, errors as [Error msg] with a byte
-   offset. Writing JSON stays with the printf-style emitters — this
-   module only reads. *)
+   offset. Writing JSON stays with the printf-style emitters; this
+   module gives them the one string escaper. *)
 
 type t =
   | Null
@@ -199,3 +199,20 @@ let to_string = function
 let to_list = function
   | List l -> Some l
   | _ -> None
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let quote s = "\"" ^ escape s ^ "\""

@@ -1,7 +1,7 @@
 (** A minimal JSON reader for consuming the toolkit's own output
     (e.g. the bench regression gate reading a committed baseline).
     Parses the full grammar; numbers become floats. Writing stays with
-    the printf-style emitters. *)
+    the printf-style emitters, which share {!escape}. *)
 
 type t =
   | Null
@@ -20,3 +20,11 @@ val member : string -> t -> t option
 val to_float : t -> float option
 val to_string : t -> string option
 val to_list : t -> t list option
+
+(** The body of a JSON string literal for [s], without the quotes:
+    quote, backslash, newline and tab get their short escapes, other
+    control bytes [\u00XX]; every other byte passes through. *)
+val escape : string -> string
+
+(** [escape s] between double quotes. *)
+val quote : string -> string

@@ -45,6 +45,130 @@ let test_trust_models () =
 let test_paper_columns () =
   check_int "five columns" 5 (List.length Technology.paper_columns)
 
+(* ---------- the tier table ---------- *)
+
+let vm_techs =
+  Technology.
+    [
+      Ast_interp; Bytecode_vm; Bytecode_opt; Safe_lang_static; Jit;
+      Sfi_write_jump; Sfi_full;
+    ]
+
+(* A loop the peephole pass fuses ([i = i + 1], [i < 8]) over array
+   accesses the static tier proves in bounds, plus a division. *)
+let table_src =
+  "array a[8];\n\
+   fn main(n : int) : int {\n\
+   var s = 0;\n\
+   for (var i = 0; i < 8; i = i + 1) { a[i] = i * n; s = s + a[i]; }\n\
+   return s;\n\
+   }\n\
+   fn div(x : int, y : int) : int { return x / y; }"
+
+(* [tech]'s engine over a fresh image of [table_src] linked without the
+   IR pre-pass, so every tier runs the same program and fuel compares
+   across tiers. *)
+let table_engine ?profile tech =
+  Runners.engine ?profile ~fuel:100_000 tech
+    (Runners.gel_env Technology.Bytecode_vm table_src []).Runners.image
+
+let show_run = function
+  | Ok v -> string_of_int v
+  | Error (`Fault f) -> "fault " ^ Graft_mem.Fault.to_string f
+  | Error (`Bad_entry m) -> "bad entry " ^ m
+
+let test_tier_table_agrees () =
+  let calls = [ ("main", [| 3 |]); ("div", [| 7; 0 |]); ("nope", [||]) ] in
+  let reference = table_engine Technology.Ast_interp in
+  let expected = List.map (fun (entry, args) -> reference ~entry ~args) calls in
+  check_str "reference result" "84" (show_run (List.hd expected));
+  List.iter
+    (fun tech ->
+      let run = table_engine tech in
+      List.iter2
+        (fun (entry, args) want ->
+          let got = run ~entry ~args in
+          if got <> want then
+            Alcotest.failf "%s %s: %s, the interpreter %s" (Technology.name tech)
+              entry (show_run got) (show_run want))
+        calls expected)
+    vm_techs;
+  match table_engine Technology.Unsafe_c with
+  | (_ : Runners.engine) -> Alcotest.fail "unsafe-c got an engine"
+  | exception Invalid_argument _ -> ()
+
+(* The table wires each technology to its own loader: only fused code
+   executes superinstructions (the opcodes charging more fuel than one
+   per execution), and it charges the plain code's fuel; only
+   statically checked code executes elided ([.u]) opcodes; only full
+   SFI masks loads. *)
+let test_tier_table_loaders () =
+  let profile tech =
+    let prof =
+      Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
+    in
+    let run = table_engine ~profile:prof tech in
+    check_str (Technology.name tech ^ " result") "84"
+      (show_run (run ~entry:"main" ~args:[| 3 |]));
+    let executed = Graft_trace.Opprof.top prof ~n:max_int in
+    ( Graft_trace.Opprof.total_fuel prof,
+      List.exists (fun (_, count, fuel) -> fuel > count) executed,
+      List.exists
+        (fun (name, _, _) -> String.ends_with ~suffix:".u" name)
+        executed )
+  in
+  let plain_fuel, plain_fused, plain_elided = profile Technology.Bytecode_vm in
+  let opt_fuel, opt_fused, _ = profile Technology.Bytecode_opt in
+  let _, _, static_elided = profile Technology.Safe_lang_static in
+  check_bool "bytecode-vm runs no fused opcode" false plain_fused;
+  check_bool "bytecode-opt runs a fused opcode" true opt_fused;
+  check_int "bytecode-opt charges bytecode-vm's fuel" plain_fuel opt_fuel;
+  check_bool "bytecode-vm runs no elided opcode" false plain_elided;
+  check_bool "safe-lang-static runs an elided opcode" true static_elided;
+  (* Full SFI masks the loads write+jump leaves free. *)
+  let regvm_count tech =
+    let prof = Graft_trace.Opprof.create ~names:Graft_regvm.Isa.class_names in
+    let run = table_engine ~profile:prof tech in
+    ignore (run ~entry:"main" ~args:[| 3 |]);
+    Graft_trace.Opprof.total_count prof
+  in
+  check_bool "sfi-full executes more than sfi-wj" true
+    (regvm_count Technology.Sfi_full > regvm_count Technology.Sfi_write_jump)
+
+(* [graftkit gel] prints the table's result, exits 1 on a fault and 2
+   on a bad entry point or a technology that runs no GEL. *)
+let test_gel_cli () =
+  let gcd = "../examples/grafts/gcd.gel" in
+  List.iter
+    (fun tech ->
+      let code, out =
+        Cli.graftkit
+          [ "gel"; gcd; "-e"; "gcd"; "-a"; "252"; "-a"; "105"; "-t";
+            Technology.name tech ]
+      in
+      check_int (Technology.name tech ^ " exit") 0 code;
+      check_str (Technology.name tech ^ " output") "21\n" out)
+    vm_techs;
+  check_int "bad entry" 2 (fst (Cli.graftkit [ "gel"; gcd; "-e"; "nope" ]));
+  check_int "unsafe-c" 2
+    (fst (Cli.graftkit [ "gel"; gcd; "-e"; "gcd"; "-a"; "1"; "-a"; "2";
+                         "-t"; "unsafe-c" ]));
+  let probe = Filename.temp_file "divz" ".gel" in
+  Out_channel.with_open_text probe (fun oc ->
+      output_string oc "fn main(n : int) : int { return 7 / n; }\n");
+  List.iter
+    (fun tech ->
+      let code, out =
+        Cli.graftkit [ "gel"; probe; "-a"; "0"; "-t"; Technology.name tech ]
+      in
+      check_int (Technology.name tech ^ " fault exit") 1 code;
+      check_bool
+        (Technology.name tech ^ " fault printed")
+        true
+        (String.starts_with ~prefix:"fault: " out))
+    vm_techs;
+  Sys.remove probe
+
 (* ---------- evict runners across technologies ---------- *)
 
 let ref_contains hot page = Array.exists (fun p -> p = page) hot
@@ -432,6 +556,13 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_technology_roundtrip;
           Alcotest.test_case "trust models" `Quick test_trust_models;
           Alcotest.test_case "paper columns" `Quick test_paper_columns;
+        ] );
+      ( "tier table",
+        [
+          Alcotest.test_case "agrees with the interpreter" `Quick
+            test_tier_table_agrees;
+          Alcotest.test_case "loaders" `Quick test_tier_table_loaders;
+          Alcotest.test_case "graftkit gel" `Quick test_gel_cli;
         ] );
       ( "evict runners",
         [

@@ -202,10 +202,7 @@ let fuel = 50_000_000
    must leave byte-identical kernel state. *)
 let fuzz_maps () = [| Graft_kernel.Graftmap.create_array ~name:"fuzz" 8 |]
 
-let map_hosts maps =
-  List.map
-    (fun (hname, hfn) -> { Link.hname; hfn })
-    (Graft_kernel.Graftmap.hosts maps)
+let map_hosts = Graft_core.Runners.map_hosts
 
 let build_image ?(optimize = false) ?(hosts = []) src =
   let prog =
@@ -253,8 +250,8 @@ let stackvm_engine ?(optimize = false) name =
   }
 
 (* The optimized bytecode tier: peephole-fused program image run by the
-   top-of-stack-caching dispatch loop. Must be observably identical to
-   the plain tier, including fault identity and fuel accounting. *)
+   same dispatch loop. Must be observably identical to the plain tier,
+   including fault identity and fuel accounting. *)
 let stackvm_opt_engine ?(optimize = false) name =
   {
     ename = name;
@@ -263,7 +260,7 @@ let stackvm_opt_engine ?(optimize = false) name =
         let maps = fuzz_maps () in
         let image = build_image ~optimize ~hosts:(map_hosts maps) src in
         let prog = Graft_stackvm.Stackvm.load_opt_exn ~maps image in
-        match Graft_stackvm.Vm.run_opt prog ~entry:"main" ~args ~fuel with
+        match Graft_stackvm.Vm.run prog ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
         | Error (`Fault f) -> Error (Fault.to_string f)
         | Error (`Bad_entry m) -> Error m);
@@ -434,7 +431,7 @@ let checked_fault_engines =
     stack (fun _ image -> Graft_stackvm.Stackvm.load_exn image)
       Graft_stackvm.Vm.run "bytecode-vm";
     stack (fun _ image -> Graft_stackvm.Stackvm.load_opt_exn image)
-      Graft_stackvm.Vm.run_opt "bytecode-peep";
+      Graft_stackvm.Vm.run "bytecode-peep";
     stack (fun maps image ->
         Graft_stackvm.Stackvm.load_static_exn ~maps image)
       Graft_stackvm.Vm.run "bytecode-static";

@@ -229,16 +229,11 @@ let test_hotset_parity () =
 (* Rejection paths: every bounded loader refuses what it must.         *)
 (* ------------------------------------------------------------------ *)
 
-let gel_hosts maps =
-  List.map
-    (fun (hname, hfn) -> { Graft_gel.Link.hname; hfn })
-    (Map.hosts maps)
-
 let pkt_windows = [ ("pkt", Runners.pkt_window_cells, false) ]
 
-let demux_env ~src () =
+let demux_env ~src tech =
   let maps = [| Map.create_array ~name:"conn" 64 |] in
-  (maps, Runners.gel_env ~hosts:(gel_hosts maps) src pkt_windows)
+  (maps, Runners.gel_env ~hosts:(Runners.map_hosts maps) tech src pkt_windows)
 
 let expect_rejected what tech f =
   match
@@ -259,7 +254,7 @@ let test_unbounded_rejected () =
   in
   List.iter
     (fun tech ->
-      let maps, env = demux_env ~src () in
+      let maps, env = demux_env ~src tech in
       expect_rejected "an uncertified backward jump" tech (fun () ->
           Runners.gel_entry ~maps ~bounded:true tech env);
       (* The same tier without ~bounded accepts it: the fuel watchdog
@@ -301,7 +296,7 @@ let test_helper_mismatch_rejected () =
       List.iter
         (fun tech ->
           let maps = [| Map.create_array ~name:"m" 8 |] in
-          let env = Runners.gel_env ~hosts:(gel_hosts maps) src [] in
+          let env = Runners.gel_env ~hosts:(Runners.map_hosts maps) tech src [] in
           expect_rejected what tech (fun () ->
               Runners.gel_entry ~maps tech env))
         hotset_techs)
@@ -313,7 +308,8 @@ let test_helper_mismatch_rejected () =
     Runners.gel_env
       ~hosts:
         ({ Graft_gel.Link.hname = "map_probe"; hfn = (fun _ -> 41) }
-        :: gel_hosts maps)
+        :: Runners.map_hosts maps)
+      Technology.Bytecode_vm
       "extern fn map_probe(int) : int;\n\
        fn main(k : int) : int { return map_probe(k) + 1; }"
       []
@@ -330,7 +326,7 @@ let test_tampered_cert_rejected () =
       ~src:
         (Graft_grafts.Gel_sources.demux ~window_cells:Runners.pkt_window_cells
            ~protocol ~marker)
-      ()
+      Technology.Bytecode_vm
   in
   let p = Graft_stackvm.Stackvm.load_exn ~maps ~bounded:true env.Runners.image in
   let module SP = Graft_stackvm.Program in
@@ -381,7 +377,7 @@ let test_map_oob_faults () =
   List.iter
     (fun tech ->
       let maps = [| Map.create_array ~name:"m8" 8 |] in
-      let env = Runners.gel_env ~hosts:(gel_hosts maps) src [] in
+      let env = Runners.gel_env ~hosts:(Runners.map_hosts maps) tech src [] in
       let entry = Runners.gel_entry ~maps tech env in
       check_int
         (Technology.name tech ^ ": in-range key reads")
@@ -476,7 +472,7 @@ let test_demux_fuel_parity () =
       ~protocol ~marker
   in
   let make_tier load run =
-    let maps, env = demux_env ~src () in
+    let maps, env = demux_env ~src Technology.Safe_lang_static in
     let prog = load ~maps ~bounded:true env.Runners.image in
     let cells = Graft_mem.Memory.cells env.Runners.image.Graft_gel.Link.mem in
     let w = Runners.window env "pkt" in

@@ -85,6 +85,37 @@ let extract_ids text =
   done;
   List.rev !ids
 
+(* [s] without [prefix] and [suffix], when it has both. *)
+let inner ~prefix ~suffix s =
+  let n = String.length s
+  and p = String.length prefix
+  and q = String.length suffix in
+  if n >= p + q && String.starts_with ~prefix s && String.ends_with ~suffix s
+  then Some (String.sub s p (n - p - q))
+  else None
+
+(* An OpenMetrics bucket sample with an exemplar:
+   [<family>_bucket{le="<n>"} <count> # {trace_id="<8 hex>"} <value>]. *)
+let exemplar_line line =
+  let all p s = s <> "" && String.for_all p s in
+  let digit c = c >= '0' && c <= '9' in
+  let hex c = digit c || (c >= 'a' && c <= 'f') in
+  match String.split_on_char ' ' line with
+  | [ bucket; count; "#"; ex; value ] -> (
+      all digit count && all digit value
+      && (match String.index_opt bucket '{' with
+         | Some i ->
+             String.ends_with ~suffix:"_bucket" (String.sub bucket 0 i)
+             && inner ~prefix:"{le=\"" ~suffix:"\"}"
+                  (String.sub bucket i (String.length bucket - i))
+                |> Option.fold ~none:false ~some:(all digit)
+         | None -> false)
+      &&
+      match inner ~prefix:"{trace_id=\"" ~suffix:"\"}" ex with
+      | Some id -> String.length id = 8 && all hex id
+      | None -> false)
+  | _ -> false
+
 let test_exemplar_soundness () =
   let r = Serve.run lens_cfg in
   let lo =
@@ -111,9 +142,20 @@ let test_exemplar_soundness () =
     (List.exists
        (fun (m : Lens.op_mark) -> Lens.tenant_of_tid m.Lens.om_tid = 0)
        marks);
+  (* Syntax: the exposition carries exemplars, each on a bucket sample
+     in the OpenMetrics form, and ends with [# EOF]. *)
+  let text = Graft_metrics.to_openmetrics () in
+  let lines = String.split_on_char '\n' (String.trim text) in
+  check_bool "bucket exemplar present" true (List.exists exemplar_line lines);
+  List.iter
+    (fun l ->
+      if contains l " # {" && not (exemplar_line l) then
+        Alcotest.failf "malformed exemplar line: %S" l)
+    lines;
+  check_string "last line" "# EOF" (List.hd (List.rev lines));
   (* Soundness: every exemplar id the exposition carries resolves to a
      retention marker still present in a ring. *)
-  let ids = extract_ids (Graft_metrics.to_openmetrics ()) in
+  let ids = extract_ids text in
   check_bool "exposition carries exemplars" true (ids <> []);
   let retained =
     List.map (fun (m : Lens.op_mark) -> Lens.tid_string m.Lens.om_tid) marks
@@ -189,6 +231,19 @@ let test_flight_determinism () =
          | None -> false)
        events)
 
+(* [graftkit trace --serve --domains 2]: a lens-armed run's Chrome
+   trace parses and draws one process per worker domain. *)
+let test_serve_trace_domains () =
+  let code, js =
+    Cli.graftkit [ "trace"; "--serve"; "--domains"; "2"; "--format=chrome" ]
+  in
+  check_int "exit" 0 code;
+  (match Graft_util.Minijson.parse js with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "serve trace does not parse: %s" msg);
+  check_bool "second domain's pid" true (contains js "\"pid\":2");
+  check_bool "second domain named" true (contains js "domain-1")
+
 let test_lens_off_identity () =
   let cfg = { Serve.smoke with Serve.lens = false } in
   let j1 = Serve.to_json (Serve.run cfg) in
@@ -218,5 +273,7 @@ let () =
           Alcotest.test_case "byte-deterministic bundle" `Quick
             test_flight_determinism;
           Alcotest.test_case "lens-off identity" `Quick test_lens_off_identity;
+          Alcotest.test_case "2-domain serve trace" `Quick
+            test_serve_trace_domains;
         ] );
     ]

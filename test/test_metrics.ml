@@ -118,6 +118,55 @@ let test_scenario_populates () =
   let fp = M.counter "graftkit_manager_invocations" [ ("graft", "fp") ] in
   check_bool "md5 graft invoked" true (M.counter_value fp > 0)
 
+(* An OpenMetrics line is a comment or starts with a sample: a metric
+   name, optional [{labels}], one space and a number. *)
+let sample_line line =
+  let n = String.length line in
+  let name_start c =
+    c = '_' || c = ':' || (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z')
+  in
+  let name_char c = name_start c || (c >= '0' && c <= '9') in
+  let num_char c = (c >= '0' && c <= '9') || String.contains ".eE+-" c in
+  if n > 0 && line.[0] = '#' then true
+  else if n = 0 || not (name_start line.[0]) then false
+  else
+    let i = ref 1 in
+    while !i < n && name_char line.[!i] do incr i done;
+    (if !i < n && line.[!i] = '{' then
+       match String.index_from_opt line !i '}' with
+       | Some j -> i := j + 1
+       | None -> i := n);
+    !i + 1 < n && line.[!i] = ' ' && num_char line.[!i + 1]
+
+(* [graftkit metrics all] end to end: every line is a sample or a
+   comment, the instrumented families carry TYPE lines (the histogram
+   with its +Inf bucket, count and sum), the exposition ends with
+   [# EOF], and the JSON form parses. *)
+let test_cli_exposition () =
+  let code, text = Cli.graftkit [ "metrics"; "all" ] in
+  check_int "exit" 0 code;
+  let lines = String.split_on_char '\n' (String.trim text) in
+  List.iter
+    (fun l -> if not (sample_line l) then Alcotest.failf "not a sample: %S" l)
+    lines;
+  let has_line l = check_bool l true (List.mem l lines) in
+  let has_prefix p =
+    check_bool p true (List.exists (String.starts_with ~prefix:p) lines)
+  in
+  has_line "# TYPE graftkit_manager_invocations counter";
+  has_prefix "graftkit_manager_invocations_total{graft=";
+  has_line "# TYPE graftkit_logdisk_segment_fill histogram";
+  has_prefix "graftkit_logdisk_segment_fill_bucket{le=\"+Inf\"}";
+  has_prefix "graftkit_logdisk_segment_fill_count ";
+  has_prefix "graftkit_logdisk_segment_fill_sum ";
+  has_line "# TYPE graftkit_vm_sessions counter";
+  Alcotest.(check string) "last line" "# EOF" (List.hd (List.rev lines));
+  let code, json = Cli.graftkit [ "metrics"; "all"; "-f"; "json" ] in
+  check_int "json exit" 0 code;
+  match Minijson.parse json with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("metrics all JSON does not parse: " ^ e)
+
 let () =
   Alcotest.run "graft_metrics"
     [
@@ -139,5 +188,6 @@ let () =
             (with_registry test_json_parses);
           Alcotest.test_case "scenario populates" `Quick
             (with_registry test_scenario_populates);
+          Alcotest.test_case "graftkit metrics all" `Quick test_cli_exposition;
         ] );
     ]

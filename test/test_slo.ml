@@ -327,6 +327,23 @@ let test_serve_shape () =
   in
   check_int "tenant demand sums to ops" r.Serve.r_ops demand_sum
 
+(* The OpenMetrics snapshot a serve run leaves ([serve --openmetrics])
+   carries the trace-drop gauge and the per-graft supervision series,
+   and ends with [# EOF]. *)
+let test_serve_openmetrics () =
+  ignore (Serve.run tiny);
+  let lines =
+    String.split_on_char '\n' (String.trim (Graft_metrics.to_openmetrics ()))
+  in
+  List.iter
+    (fun p ->
+      check_bool p true (List.exists (String.starts_with ~prefix:p) lines))
+    [
+      "graftkit_trace_dropped_events "; "graftkit_manager_state{graft=";
+      "graftkit_manager_strikes{graft="; "graftkit_manager_invocations_total{graft=";
+    ];
+  Alcotest.(check string) "last line" "# EOF" (List.hd (List.rev lines))
+
 let test_serve_json_parses () =
   let r = Serve.run tiny in
   let open Graft_util.Minijson in
@@ -529,6 +546,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_serve_deterministic;
           Alcotest.test_case "report shape" `Quick test_serve_shape;
           Alcotest.test_case "json parses" `Quick test_serve_json_parses;
+          Alcotest.test_case "openmetrics snapshot" `Quick test_serve_openmetrics;
         ] );
       ( "servegate",
         [

@@ -556,7 +556,7 @@ let prop_verifier_total_and_safe =
           | Ok _ | Error (`Fault _) -> true
           | Error (`Bad_entry _) -> false))
 
-(* ---------- the optimized tier: peephole + TOS-caching loop ---------- *)
+(* ---------- the optimized tier: peephole-fused code ---------- *)
 
 let loopy_src =
   "array a[8];\n\
@@ -592,7 +592,7 @@ let test_peephole_fuses () =
 let run_both_tiers src ~args ~fuel =
   let base = Vm.run (Stackvm.load_exn (fresh_image src)) ~entry:"main" ~args ~fuel in
   let opt =
-    Vm.run_opt (Stackvm.load_opt_exn (fresh_image src)) ~entry:"main" ~args ~fuel
+    Vm.run (Stackvm.load_opt_exn (fresh_image src)) ~entry:"main" ~args ~fuel
   in
   (base, opt)
 
@@ -614,7 +614,7 @@ let test_tiers_differential () =
       done)
     diff_programs
 
-(* Both dispatch loops write the [Wordops] semantics out per opcode;
+(* The dispatch loop writes the [Wordops] semantics out per opcode;
    hold each written-out word opcode to the reference interpreter,
    which calls [Wordops], over the whole int range. *)
 let word_ops_src =
@@ -656,10 +656,9 @@ let test_word_ops_written_out () =
       let args = [| a; b; op |] in
       let expect = Interp.run reference ~entry:"main" ~args ~fuel:1000 in
       let plain = Vm.run_session s ~entry:"main" ~args ~fuel:1000 in
-      let opt = Vm.run_session_opt s ~entry:"main" ~args ~fuel:1000 in
-      if plain <> expect || opt <> expect then
-        Alcotest.failf "op %d on (%d, %d): interp %s, plain %s, opt %s" op a b
-          (show_tier expect) (show_tier plain) (show_tier opt)
+      if plain <> expect then
+        Alcotest.failf "op %d on (%d, %d): interp %s, plain %s" op a b
+          (show_tier expect) (show_tier plain)
     done
   done
 
@@ -849,7 +848,7 @@ let test_bounded_opt_certified () =
   List.iter
     (fun n ->
       let base = Vm.run plain ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
-      let fused = Vm.run_opt opt ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
+      let fused = Vm.run opt ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
       if base <> fused then
         Alcotest.failf "bounded tiers disagree on n=%d: %s vs %s" n
           (show_tier base) (show_tier fused))
@@ -871,10 +870,10 @@ let fuel_parity_corpus =
   ]
 
 let test_fuel_parity_sessions () =
-  let run_tier load runner src args fuel =
+  let run_tier load src args fuel =
     let image = fresh_image src in
     let s = Vm.create_session (load image) in
-    let r = runner s ~entry:"main" ~args ~fuel in
+    let r = Vm.run_session s ~entry:"main" ~args ~fuel in
     (r, Array.copy (Memory.cells image.Link.mem))
   in
   List.iter
@@ -888,10 +887,8 @@ let test_fuel_parity_sessions () =
             else if fuel > 4000 then
               Alcotest.failf "%s: no terminal outcome within 4000 fuel" name
             else begin
-              let r1, m1 = run_tier Stackvm.load_exn Vm.run_session src args fuel in
-              let r2, m2 =
-                run_tier Stackvm.load_opt_exn Vm.run_session_opt src args fuel
-              in
+              let r1, m1 = run_tier Stackvm.load_exn src args fuel in
+              let r2, m2 = run_tier Stackvm.load_opt_exn src args fuel in
               if r1 <> r2 then
                 Alcotest.failf "%s args %d fuel %d: plain %s, opt %s" name
                   args.(0) fuel (show_tier r1) (show_tier r2);

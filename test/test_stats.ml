@@ -320,7 +320,17 @@ let test_minijson () =
         (Minijson.to_string (List.nth l 4)));
   check_bool "trailing junk rejected" true
     (Result.is_error (Minijson.parse "{} extra"));
-  check_bool "bad syntax rejected" true (Result.is_error (Minijson.parse "{"))
+  check_bool "bad syntax rejected" true (Result.is_error (Minijson.parse "{"));
+  (* The emitters' one escaper: short forms for quote, backslash,
+     newline and tab, [\u00XX] for other control bytes, and every byte
+     survives a round trip through the reader. *)
+  Alcotest.(check string) "short escapes" {|"q\"b\\n\nt\tc\u0001"|}
+    (Minijson.quote "q\"b\\n\nt\tc\001");
+  let all_bytes = String.init 256 Char.chr in
+  Alcotest.(check (option string)) "escape round-trips" (Some all_bytes)
+    (match Minijson.parse (Minijson.quote all_bytes) with
+    | Ok v -> Minijson.to_string v
+    | Error e -> Alcotest.fail e)
 
 let () =
   Alcotest.run "graft_stats"

@@ -11,7 +11,7 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* Minimal recursive-descent JSON validator — no dependencies, just
    enough to catch broken escaping or unbalanced structure in the
-   exporters (CI additionally runs the output through python3).        *)
+   exporters.                                                          *)
 (* ------------------------------------------------------------------ *)
 
 exception Bad_json
@@ -330,6 +330,23 @@ let mk_event ?(tid = 0) ?(ts = 10) name =
     tid;
   }
 
+(* [graftkit trace all --format=chrome] end to end: the document
+   parses with the toolkit's JSON reader and carries events. *)
+let test_cli_chrome_all () =
+  let code, js = Cli.graftkit [ "trace"; "all"; "--format=chrome" ] in
+  check_int "exit" 0 code;
+  match Graft_util.Minijson.parse js with
+  | Error msg -> Alcotest.failf "trace all JSON does not parse: %s" msg
+  | Ok doc ->
+      check_bool "trace events present" true
+        (match
+           Option.bind
+             (Graft_util.Minijson.member "traceEvents" doc)
+             Graft_util.Minijson.to_list
+         with
+        | Some (_ :: _) -> true
+        | _ -> false)
+
 let test_chrome_processes () =
   let js =
     Export.chrome_json_of
@@ -400,11 +417,7 @@ let test_opprof_tier_parity () =
       else Graft_stackvm.Stackvm.load_exn
     in
     let s = Graft_stackvm.Vm.create_session ~profile:pr (load image) in
-    let run =
-      if opt then Graft_stackvm.Vm.run_session_opt
-      else Graft_stackvm.Vm.run_session
-    in
-    match run s ~entry:"main" ~args ~fuel with
+    match Graft_stackvm.Vm.run_session s ~entry:"main" ~args ~fuel with
     | Ok v -> (v, pr)
     | Error _ -> Alcotest.fail "stack tier faulted"
   in
@@ -526,6 +539,7 @@ let () =
           Alcotest.test_case "summary" `Quick test_summary_contents;
           Alcotest.test_case "per-domain processes" `Quick
             test_chrome_processes;
+          Alcotest.test_case "graftkit trace all" `Quick test_cli_chrome_all;
         ] );
       ( "opprof",
         [
