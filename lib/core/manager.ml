@@ -66,15 +66,10 @@ type t = { grafts : (string, graft) Hashtbl.t }
 
 let create () = { grafts = Hashtbl.create 8 }
 
-let register t ~name ~tech ~structure ~motivation ?max_faults
-    ?(policy = default_policy) () =
+let register t ~name ~tech ~structure ~motivation ?(policy = default_policy)
+    () =
   if Hashtbl.mem t.grafts name then
     invalid_arg (Printf.sprintf "Manager.register: graft %s already exists" name);
-  let policy =
-    match max_faults with
-    | None -> policy
-    | Some n -> { policy with max_faults = n }
-  in
   check_policy policy;
   let labels = [ ("graft", name) ] in
   let g =

@@ -59,16 +59,15 @@ type t
 
 val create : unit -> t
 
-(** Register a graft. [max_faults] overrides just that field of
-    [policy] (compatibility shorthand). Raises [Invalid_argument] on
-    duplicate names or a policy with any field < 1. *)
+(** Register a graft under [policy] (default {!default_policy}).
+    Raises [Invalid_argument] on duplicate names or a policy with any
+    field < 1. *)
 val register :
   t ->
   name:string ->
   tech:Technology.t ->
   structure:Taxonomy.structure ->
   motivation:Taxonomy.motivation ->
-  ?max_faults:int ->
   ?policy:policy ->
   unit ->
   graft

@@ -57,14 +57,13 @@ let m_fuel_hist =
   Graft_metrics.domain_histogram "graftkit_vm_fuel_per_session" []
 
 (* ------------------------------------------------------------------ *)
-(* Block plan: basic blocks + per-pc stack heights.                    *)
+(* Block plan: basic blocks over the verifier's per-pc stack heights.  *)
 (* ------------------------------------------------------------------ *)
 
 type binfo = {
   b_func : int;  (** owning function index *)
   b_start : int;  (** first pc *)
   b_len : int;  (** instruction count *)
-  b_h0 : int;  (** operand-stack height on entry; -1 = unreachable *)
 }
 
 type plan = {
@@ -72,9 +71,10 @@ type plan = {
   blocks : binfo array;
   block_of_pc : int array;  (** leader pc -> block id; -1 elsewhere *)
   f_entry_block : int array;
-  f_max_height : int array;
-      (** per function: max verified operand height, for the one-shot
-          entry capacity check *)
+  heights : Graft_stackvm.Verify.heights;
+      (** the verifier's pass-1 heights: [at] gives every pc's
+          operand-stack height (-1 = unreachable), [fmax] each
+          function's maximum, for the one-shot entry capacity check *)
 }
 
 type t = { plan : plan }
@@ -93,77 +93,33 @@ let reject_fused code =
              (Opcode.to_string op)))
     code
 
-(* Pass-1 of [Verify], re-run: single consistent stack height per
-   reachable pc. The program is already verified, so inconsistency
-   here is a compiler bug, not a graft bug. *)
-let derive_heights (p : Program.t) heights fmax fi (f : Program.funcdesc) =
-  let lo = f.Program.entry and hi = f.Program.code_end in
-  let worklist = Queue.create () in
-  let schedule pc h =
-    if pc < lo || pc >= hi then
-      failwith
-        (Printf.sprintf "graftjit: jump target %d outside function %d" pc fi);
-    if heights.(pc) = -1 then begin
-      heights.(pc) <- h;
-      Queue.add pc worklist
-    end
-    else if heights.(pc) <> h then
-      failwith
-        (Printf.sprintf "graftjit: inconsistent height at %d in function %d"
-           pc fi)
-  in
-  if lo < hi then schedule lo 0;
-  while not (Queue.is_empty worklist) do
-    let pc = Queue.pop worklist in
-    let h = heights.(pc) in
-    let instr = p.Program.code.(pc) in
-    let pops, pushes =
-      match instr with
-      | Opcode.Call target -> (p.Program.funcs.(target).Program.nargs, 1)
-      | Opcode.Callext target -> (p.Program.ext_arity.(target), 1)
-      | op -> Opcode.effect op
-    in
-    let h' = h - pops + pushes in
-    if h > fmax.(fi) then fmax.(fi) <- h;
-    if h' > fmax.(fi) then fmax.(fi) <- h';
-    match instr with
-    | Opcode.Jmp t -> schedule t h'
-    | Opcode.Jz t | Opcode.Jnz t ->
-        schedule t h';
-        schedule (pc + 1) h'
-    | Opcode.Ret -> ()
-    | _ -> schedule (pc + 1) h'
-  done
-
 let build_plan (prog : Program.t) : plan =
   reject_fused prog.Program.code;
+  let heights =
+    match Graft_stackvm.Verify.heights prog with
+    | Ok h -> h
+    | Error msg -> failwith msg
+  in
   let code = prog.Program.code in
   let ncode = Array.length code in
-  let nfuncs = Array.length prog.Program.funcs in
+  (* A block ends after a branch, call, return or halt, and starts at
+     every jump target and function entry. *)
   let leader = Array.make (max 1 ncode) false in
-  let heights = Array.make (max 1 ncode) (-1) in
-  let fmax = Array.make (max 1 nfuncs) 0 in
-  Array.iteri
-    (fun fi (f : Program.funcdesc) ->
+  Array.iter
+    (fun (f : Program.funcdesc) ->
       let lo = f.Program.entry and hi = f.Program.code_end in
       if lo < hi then leader.(lo) <- true;
       for pc = lo to hi - 1 do
-        match code.(pc) with
-        | Opcode.Jmp t | Opcode.Jz t | Opcode.Jnz t ->
-            leader.(t) <- true;
-            if pc + 1 < hi then leader.(pc + 1) <- true
-        | Opcode.Call _ | Opcode.Ret | Opcode.Halt ->
-            if pc + 1 < hi then leader.(pc + 1) <- true
-        | _ -> ()
-      done;
-      derive_heights prog heights fmax fi f)
+        let op = code.(pc) in
+        Option.iter (fun t -> leader.(t) <- true) (Opcode.target op);
+        let ends =
+          match op with
+          | Opcode.Call _ | Opcode.Ret | Opcode.Halt -> true
+          | _ -> Opcode.target op <> None
+        in
+        if ends && pc + 1 < hi then leader.(pc + 1) <- true
+      done)
     prog.Program.funcs;
-  let terminator = function
-    | Opcode.Jmp _ | Opcode.Jz _ | Opcode.Jnz _ | Opcode.Call _ | Opcode.Ret
-    | Opcode.Halt ->
-        true
-    | _ -> false
-  in
   let block_of_pc = Array.make (max 1 ncode) (-1) in
   let blocks = ref [] in
   let nblocks = ref 0 in
@@ -174,19 +130,11 @@ let build_plan (prog : Program.t) : plan =
       while !pc < hi do
         let start = !pc in
         incr pc;
-        while !pc < hi && (not leader.(!pc)) && not (terminator code.(!pc - 1))
-        do
+        while !pc < hi && not leader.(!pc) do
           incr pc
         done;
         block_of_pc.(start) <- !nblocks;
-        blocks :=
-          {
-            b_func = fi;
-            b_start = start;
-            b_len = !pc - start;
-            b_h0 = heights.(start);
-          }
-          :: !blocks;
+        blocks := { b_func = fi; b_start = start; b_len = !pc - start } :: !blocks;
         incr nblocks
       done)
     prog.Program.funcs;
@@ -199,7 +147,7 @@ let build_plan (prog : Program.t) : plan =
         else -1)
       prog.Program.funcs
   in
-  { prog; blocks; block_of_pc; f_entry_block; f_max_height = fmax }
+  { prog; blocks; block_of_pc; f_entry_block; heights }
 
 (* ------------------------------------------------------------------ *)
 (* Loading.                                                            *)
@@ -254,37 +202,27 @@ type session = {
 
 (* Compile every block of [plan] into a closure over the given session
    state. Stack slots are addressed as [st.bp + offset] with the
-   offset a compile-time constant; unsafe accesses are sound because
-   the entry capacity check bounds [bp + f_max_height] and the
-   verifier bounds every height. *)
+   offset a compile-time constant (the verifier's height at each pc);
+   unsafe accesses are sound because the entry capacity check bounds
+   [bp + fmax] and the verifier bounds every height. *)
 let compile_blocks (plan : plan) (st : state) (stack : int array)
     (frames : jframe array) (prof : Graft_trace.Opprof.t option) :
     (unit -> int) array =
   let p = plan.prog in
   let code = p.Program.code in
   let cells = p.Program.cells in
-  (* Map a plain binary opcode onto the fused-operand selector so the
-     generic builder can reuse [Opcode.bink_fn] (a direct call). *)
-  let bink_of = function
-    | Opcode.Mul -> Opcode.KMul
-    | Opcode.Shl -> Opcode.KShl
-    | Opcode.Shr -> Opcode.KShr
-    | Opcode.Lshr -> Opcode.KLshr
-    | Opcode.Wmul -> Opcode.KWmul
-    | Opcode.Wshl -> Opcode.KWshl
-    | Opcode.Wshr -> Opcode.KWshr
-    | op ->
-        failwith ("graftjit: no selector for " ^ Opcode.to_string op)
-  in
+  let at = plan.heights.Graft_stackvm.Verify.at in
+  let fmax = plan.heights.Graft_stackvm.Verify.fmax in
   let compile_block (bi : binfo) =
-    if bi.b_h0 < 0 then fun () ->
+    if at.(bi.b_start) < 0 then fun () ->
       Fault.raise_fault (Fault.Illegal_instruction "jit: unreachable block")
     else begin
       let last = bi.b_start + bi.b_len - 1 in
-      (* [comp pc h] builds the closure chain from [pc] to the end of
+      (* [comp pc] builds the closure chain from [pc] to the end of
          the block; each instruction closure charges its fuel, then
          (when profiling) counts itself, then performs its effect —
-         the interpreter's exact order.
+         the interpreter's exact order. [h] is the verifier's stack
+         height at [pc], so every slot offset is a constant.
 
          [fused pc h] is the JIT's own superinstruction layer: runs of
          adjacent pure instructions (stack/local/unchecked-load effects
@@ -302,37 +240,17 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
          early. Profiled sessions skip fusion entirely so the Opprof
          hit sequence stays per-instruction, bit-identical to the
          interpreter's. *)
-      let rec comp pc h : unit -> int =
-        match (if prof = None then fused pc h else None) with
-        | Some cl -> cl
-        | None -> comp1 pc h
+      let rec comp pc : unit -> int =
+        if pc > last then
+          (* Fallthrough into the next leader. *)
+          let fall = plan.block_of_pc.(pc) in
+          fun () -> fall
+        else
+          let h = at.(pc) in
+          match (if prof = None then fused pc h else None) with
+          | Some cl -> cl
+          | None -> comp1 pc h
       and fused pc h : (unit -> int) option =
-        let sel = function
-          | Opcode.Add -> Some Opcode.KAdd
-          | Opcode.Sub -> Some Opcode.KSub
-          | Opcode.Mul -> Some Opcode.KMul
-          | Opcode.Band -> Some Opcode.KBand
-          | Opcode.Bor -> Some Opcode.KBor
-          | Opcode.Bxor -> Some Opcode.KBxor
-          | Opcode.Shl -> Some Opcode.KShl
-          | Opcode.Shr -> Some Opcode.KShr
-          | Opcode.Lshr -> Some Opcode.KLshr
-          | Opcode.Wadd -> Some Opcode.KWadd
-          | Opcode.Wsub -> Some Opcode.KWsub
-          | Opcode.Wmul -> Some Opcode.KWmul
-          | Opcode.Wshl -> Some Opcode.KWshl
-          | Opcode.Wshr -> Some Opcode.KWshr
-          | _ -> None
-        in
-        let cmp_of = function
-          | Opcode.Lt -> Some Opcode.Clt
-          | Opcode.Le -> Some Opcode.Cle
-          | Opcode.Gt -> Some Opcode.Cgt
-          | Opcode.Ge -> Some Opcode.Cge
-          | Opcode.Eq -> Some Opcode.Ceq
-          | Opcode.Ne -> Some Opcode.Cne
-          | _ -> None
-        in
         let usel = function
           | Opcode.Bnot -> Some lnot
           | Opcode.Neg -> Some (fun v -> -v)
@@ -352,7 +270,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
             Some Opcode.Add,
             Some (Opcode.Store_local m) )
           when n = m ->
-            let kk = comp (pc + 4) h in
+            let kk = comp (pc + 4) in
             Some
               (fun () ->
                 let f = st.fuel - 4 in
@@ -373,7 +291,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
             Some (Opcode.Aload arr) ) ->
             let d = p.Program.arrays.(arr) in
             let base0 = d.Program.base and len = d.Program.len in
-            let kk = comp (pc + 4) (h + 1) in
+            let kk = comp (pc + 4) in
             let i0 = h in
             Some
               (fun () ->
@@ -392,8 +310,8 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
             Some (Opcode.Const k),
             Some cop,
             Some ((Opcode.Jz t | Opcode.Jnz t) as j) )
-          when pc + 3 = last && cmp_of cop <> None ->
-            let c = force (cmp_of cop) in
+          when pc + 3 = last && Opcode.cmpop cop <> None ->
+            let c = force (Opcode.cmpop cop) in
             let jnz = match j with Opcode.Jnz _ -> true | _ -> false in
             let tgt = plan.block_of_pc.(t) in
             let fall = plan.block_of_pc.(pc + 4) in
@@ -410,8 +328,8 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
             Some cop,
             Some ((Opcode.Jz t | Opcode.Jnz t) as j),
             _ )
-          when pc + 2 = last && cmp_of cop <> None ->
-            let c = force (cmp_of cop) in
+          when pc + 2 = last && Opcode.cmpop cop <> None ->
+            let c = force (Opcode.cmpop cop) in
             let jnz = match j with Opcode.Jnz _ -> true | _ -> false in
             let tgt = plan.block_of_pc.(t) in
             let fall = plan.block_of_pc.(pc + 3) in
@@ -426,8 +344,8 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 else fall)
         (* [cmp; jz/jnz t] *)
         | Some cop, Some ((Opcode.Jz t | Opcode.Jnz t) as j), _, _
-          when pc + 1 = last && cmp_of cop <> None ->
-            let c = force (cmp_of cop) in
+          when pc + 1 = last && Opcode.cmpop cop <> None ->
+            let c = force (Opcode.cmpop cop) in
             let jnz = match j with Opcode.Jnz _ -> true | _ -> false in
             let tgt = plan.block_of_pc.(t) in
             let fall = plan.block_of_pc.(pc + 2) in
@@ -450,7 +368,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
            the batched charge's effects. *)
         | Some op1, Some Opcode.Ret, _, _
           when pc + 1 = last
-               && (sel op1 <> None
+               && (Opcode.total_binop op1 <> None
                   || match op1 with
                      | Opcode.Load_local _ | Opcode.Const _ -> true
                      | _ -> false) ->
@@ -460,7 +378,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                   fun () -> Array.unsafe_get st.locals n
               | Opcode.Const k -> fun () -> k
               | op1 ->
-                  let fn = Opcode.bink_fn (force (sel op1)) in
+                  let fn = Opcode.bink_fn (force (Opcode.total_binop op1)) in
                   let ia = h - 2 and ib = h - 1 in
                   fun () ->
                     let base = st.bp in
@@ -506,7 +424,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
             let nargs = callee.Program.nargs in
             let nlocals = callee.Program.nlocals in
             let centry = plan.f_entry_block.(target) in
-            let cmax = plan.f_max_height.(target) in
+            let cmax = fmax.(target) in
             let a0 = h + 1 - nargs in
             let i0 = h in
             let fall = plan.block_of_pc.(pc + 2) in
@@ -537,9 +455,9 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 centry)
         (* [lload a; lload b; op] *)
         | Some (Opcode.Load_local a), Some (Opcode.Load_local b), Some op3, _
-          when sel op3 <> None ->
-            let fn = Opcode.bink_fn (force (sel op3)) in
-            let kk = comp (pc + 3) (h + 1) in
+          when Opcode.total_binop op3 <> None ->
+            let fn = Opcode.bink_fn (force (Opcode.total_binop op3)) in
+            let kk = comp (pc + 3) in
             let i0 = h in
             Some
               (fun () ->
@@ -552,9 +470,9 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [lload n; const k; op] *)
         | Some (Opcode.Load_local n), Some (Opcode.Const k), Some op3, _
-          when sel op3 <> None ->
-            let fn = Opcode.bink_fn (force (sel op3)) in
-            let kk = comp (pc + 3) (h + 1) in
+          when Opcode.total_binop op3 <> None ->
+            let fn = Opcode.bink_fn (force (Opcode.total_binop op3)) in
+            let kk = comp (pc + 3) in
             let i0 = h in
             Some
               (fun () ->
@@ -566,9 +484,9 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [const k; lload n; op] — konst-first binop (e.g. 32 - n). *)
         | Some (Opcode.Const k), Some (Opcode.Load_local n), Some op3, _
-          when sel op3 <> None ->
-            let fn = Opcode.bink_fn (force (sel op3)) in
-            let kk = comp (pc + 3) (h + 1) in
+          when Opcode.total_binop op3 <> None ->
+            let fn = Opcode.bink_fn (force (Opcode.total_binop op3)) in
+            let kk = comp (pc + 3) in
             let i0 = h in
             Some
               (fun () ->
@@ -581,10 +499,10 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [lload n; aload.u arr; op] — table operand folded into the
            binop (the md5 round's x[k] / t[i] adds). *)
         | Some (Opcode.Load_local n), Some (Opcode.Aload_u arr), Some op3, _
-          when sel op3 <> None ->
-            let fn = Opcode.bink_fn (force (sel op3)) in
+          when Opcode.total_binop op3 <> None ->
+            let fn = Opcode.bink_fn (force (Opcode.total_binop op3)) in
             let base0 = p.Program.arrays.(arr).Program.base in
-            let kk = comp (pc + 3) h in
+            let kk = comp (pc + 3) in
             let ia = h - 1 in
             Some
               (fun () ->
@@ -604,7 +522,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
             Some (Opcode.Store_local d),
             _ ) ->
             let base0 = p.Program.arrays.(arr).Program.base in
-            let kk = comp (pc + 3) h in
+            let kk = comp (pc + 3) in
             Some
               (fun () ->
                 let f = st.fuel - 3 in
@@ -619,7 +537,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         | Some (Opcode.Load_local n), Some (Opcode.Aload arr), _, _ ->
             let d = p.Program.arrays.(arr) in
             let base0 = d.Program.base and len = d.Program.len in
-            let kk = comp (pc + 2) (h + 1) in
+            let kk = comp (pc + 2) in
             let i0 = h in
             Some
               (fun () ->
@@ -633,38 +551,10 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 Array.unsafe_set stack (st.bp + i0)
                   (Array.unsafe_get cells (base0 + i));
                 kk ())
-        (* [const k; aload arr] — the bounds test is decidable at
-           compile time; out-of-range indices still fault lazily, with
-           the interpreter's exact fault value, only when (and if) the
-           group is reached with enough fuel. *)
-        | Some (Opcode.Const k), Some (Opcode.Aload arr), _, _ ->
-            let d = p.Program.arrays.(arr) in
-            let base0 = d.Program.base and len = d.Program.len in
-            if k < 0 || k >= len then
-              Some
-                (fun () ->
-                  let f = st.fuel - 2 in
-                  st.fuel <- f;
-                  if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-                  Fault.raise_fault
-                    (Fault.Out_of_bounds { access = Fault.Read; addr = k }))
-            else begin
-              let addr = base0 + k in
-              let kk = comp (pc + 2) (h + 1) in
-              let i0 = h in
-              Some
-                (fun () ->
-                  let f = st.fuel - 2 in
-                  st.fuel <- f;
-                  if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-                  Array.unsafe_set stack (st.bp + i0)
-                    (Array.unsafe_get cells addr);
-                  kk ())
-            end
         (* [lload n; aload.u arr] *)
         | Some (Opcode.Load_local n), Some (Opcode.Aload_u arr), _, _ ->
             let base0 = p.Program.arrays.(arr).Program.base in
-            let kk = comp (pc + 2) (h + 1) in
+            let kk = comp (pc + 2) in
             let i0 = h in
             Some
               (fun () ->
@@ -678,7 +568,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [const k; aload.u arr] — constant-index load. *)
         | Some (Opcode.Const k), Some (Opcode.Aload_u arr), _, _ ->
             let addr = p.Program.arrays.(arr).Program.base + k in
-            let kk = comp (pc + 2) (h + 1) in
+            let kk = comp (pc + 2) in
             let i0 = h in
             Some
               (fun () ->
@@ -689,9 +579,9 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                   (Array.unsafe_get cells addr);
                 kk ())
         (* [const k; op] *)
-        | Some (Opcode.Const k), Some op2, _, _ when sel op2 <> None ->
-            let fn = Opcode.bink_fn (force (sel op2)) in
-            let kk = comp (pc + 2) h in
+        | Some (Opcode.Const k), Some op2, _, _ when Opcode.total_binop op2 <> None ->
+            let fn = Opcode.bink_fn (force (Opcode.total_binop op2)) in
+            let kk = comp (pc + 2) in
             let ia = h - 1 in
             Some
               (fun () ->
@@ -716,7 +606,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
               | Opcode.Div | Opcode.Div_u -> ( / )
               | _ -> fun a b -> a mod b
             in
-            let kk = comp (pc + 2) h in
+            let kk = comp (pc + 2) in
             let ia = h - 1 in
             Some
               (fun () ->
@@ -728,9 +618,9 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                   (fn (Array.unsafe_get stack slot) k);
                 kk ())
         (* [lload n; op] *)
-        | Some (Opcode.Load_local n), Some op2, _, _ when sel op2 <> None ->
-            let fn = Opcode.bink_fn (force (sel op2)) in
-            let kk = comp (pc + 2) h in
+        | Some (Opcode.Load_local n), Some op2, _, _ when Opcode.total_binop op2 <> None ->
+            let fn = Opcode.bink_fn (force (Opcode.total_binop op2)) in
+            let kk = comp (pc + 2) in
             let ia = h - 1 in
             Some
               (fun () ->
@@ -745,7 +635,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [lload n; unop] *)
         | Some (Opcode.Load_local n), Some uop, _, _ when usel uop <> None ->
             let fn = force (usel uop) in
-            let kk = comp (pc + 2) (h + 1) in
+            let kk = comp (pc + 2) in
             let i0 = h in
             Some
               (fun () ->
@@ -756,9 +646,9 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                   (fn (Array.unsafe_get st.locals n));
                 kk ())
         (* [op; lstore d] *)
-        | Some op1, Some (Opcode.Store_local d), _, _ when sel op1 <> None ->
-            let fn = Opcode.bink_fn (force (sel op1)) in
-            let kk = comp (pc + 2) (h - 2) in
+        | Some op1, Some (Opcode.Store_local d), _, _ when Opcode.total_binop op1 <> None ->
+            let fn = Opcode.bink_fn (force (Opcode.total_binop op1)) in
+            let kk = comp (pc + 2) in
             let ia = h - 2 and ib = h - 1 in
             Some
               (fun () ->
@@ -773,10 +663,10 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [op1; op2] — two stacked binops: op2 combines the value
            under op1's operands with op1's result (e.g. wlshr; wor). *)
-        | Some op1, Some op2, _, _ when sel op1 <> None && sel op2 <> None ->
-            let f1 = Opcode.bink_fn (force (sel op1)) in
-            let f2 = Opcode.bink_fn (force (sel op2)) in
-            let kk = comp (pc + 2) (h - 2) in
+        | Some op1, Some op2, _, _ when Opcode.total_binop op1 <> None && Opcode.total_binop op2 <> None ->
+            let f1 = Opcode.bink_fn (force (Opcode.total_binop op1)) in
+            let f2 = Opcode.bink_fn (force (Opcode.total_binop op2)) in
+            let kk = comp (pc + 2) in
             let ia = h - 3 and ib = h - 2 and ic = h - 1 in
             Some
               (fun () ->
@@ -794,7 +684,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [lload n; lstore d] *)
         | Some (Opcode.Load_local n), Some (Opcode.Store_local d), _, _ ->
-            let kk = comp (pc + 2) h in
+            let kk = comp (pc + 2) in
             Some
               (fun () ->
                 let f = st.fuel - 2 in
@@ -805,7 +695,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [const k; lstore d] *)
         | Some (Opcode.Const k), Some (Opcode.Store_local d), _, _ ->
-            let kk = comp (pc + 2) h in
+            let kk = comp (pc + 2) in
             Some
               (fun () ->
                 let f = st.fuel - 2 in
@@ -815,7 +705,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [lload a; lload b] *)
         | Some (Opcode.Load_local a), Some (Opcode.Load_local b), _, _ ->
-            let kk = comp (pc + 2) (h + 2) in
+            let kk = comp (pc + 2) in
             let i0 = h in
             Some
               (fun () ->
@@ -828,11 +718,6 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         | _ -> None
       and comp1 pc h : unit -> int =
-        if pc > last then
-          (* Fallthrough into the next leader. *)
-          let fall = plan.block_of_pc.(pc) in
-          fun () -> fall
-        else begin
           let instr = code.(pc) in
           let idx = Opcode.index instr in
           (* All instructions here are plain (width 1): [reject_fused]. *)
@@ -847,14 +732,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
             if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
             note ()
           in
-          let pops, pushes =
-            match instr with
-            | Opcode.Call target -> (p.Program.funcs.(target).Program.nargs, 1)
-            | Opcode.Callext target -> (p.Program.ext_arity.(target), 1)
-            | op -> Opcode.effect op
-          in
-          let h' = h - pops + pushes in
-          let rest () = comp (pc + 1) h' in
+          let rest () = comp (pc + 1) in
           (* Builders: [ia] second-from-top, [ib] top, result at [ia]. *)
           let binop2 fn =
             let k = rest () in
@@ -1090,14 +968,14 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
           | Opcode.Wsub -> binop2 Wordops.sub
           | Opcode.Mul | Opcode.Wmul | Opcode.Shl | Opcode.Shr | Opcode.Lshr
           | Opcode.Wshl | Opcode.Wshr ->
-              let sel = bink_of instr in
+              let b = Option.get (Opcode.binop instr) in
               let k = rest () in
               let ia = h - 2 and ib = h - 1 in
               fun () ->
                 charge ();
                 let base = st.bp in
                 Array.unsafe_set stack (base + ia)
-                  (Opcode.bink_fn sel
+                  (Opcode.bink_fn b
                      (Array.unsafe_get stack (base + ia))
                      (Array.unsafe_get stack (base + ib)));
                 k ()
@@ -1125,15 +1003,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
           | Opcode.Not -> unop (fun v -> if v = 0 then 1 else 0)
           | Opcode.Lt | Opcode.Le | Opcode.Gt | Opcode.Ge | Opcode.Eq
           | Opcode.Ne ->
-              let c =
-                match instr with
-                | Opcode.Lt -> Opcode.Clt
-                | Opcode.Le -> Opcode.Cle
-                | Opcode.Gt -> Opcode.Cgt
-                | Opcode.Ge -> Opcode.Cge
-                | Opcode.Eq -> Opcode.Ceq
-                | _ -> Opcode.Cne
-              in
+              let c = Option.get (Opcode.cmpop instr) in
               let k = rest () in
               let ia = h - 2 and ib = h - 1 in
               fun () ->
@@ -1200,7 +1070,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
               let nargs = callee.Program.nargs in
               let nlocals = callee.Program.nlocals in
               let centry = plan.f_entry_block.(target) in
-              let cmax = plan.f_max_height.(target) in
+              let cmax = fmax.(target) in
               let a0 = h - nargs in
               let fall = plan.block_of_pc.(pc + 1) in
               fun () ->
@@ -1250,9 +1120,8 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
           | op ->
               (* Fused opcodes were rejected at load. *)
               failwith ("graftjit: cannot compile " ^ Opcode.to_string op)
-        end
       in
-      comp bi.b_start bi.b_h0
+      comp bi.b_start
     end
   in
   Array.map compile_block plan.blocks
@@ -1305,7 +1174,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
           Array.blit args 0 frame.locals 0 (Array.length args);
           st.depth <- 1;
           st.locals <- frame.locals;
-          if plan.f_max_height.(fidx) > stack_size then
+          if plan.heights.Graft_stackvm.Verify.fmax.(fidx) > stack_size then
             Fault.raise_fault Fault.Stack_overflow;
           drive s.blocks plan.f_entry_block.(fidx);
           Ok st.result
@@ -1360,11 +1229,7 @@ let describe (t : t) : string =
           (fun acc b ->
             let n = ref 0 in
             for pc = b.b_start to b.b_start + b.b_len - 1 do
-              match p.Program.code.(pc) with
-              | Opcode.Aload_u _ | Opcode.Astore_u _ | Opcode.Div_u
-              | Opcode.Mod_u | Opcode.Mlookup_u _ | Opcode.Mupdate_u _ ->
-                  incr n
-              | _ -> ()
+              if Opcode.is_unchecked p.Program.code.(pc) then incr n
             done;
             acc + !n)
           0 blocks
@@ -1379,20 +1244,17 @@ let describe (t : t) : string =
           Buffer.add_string buf
             (Printf.sprintf "  block %d @ [%d,%d) %s\n" bid b.b_start
                (b.b_start + b.b_len)
-               (if b.b_h0 < 0 then "unreachable"
-                else Printf.sprintf "h0=%d" b.b_h0));
+               (let h0 = plan.heights.Graft_stackvm.Verify.at.(b.b_start) in
+                if h0 < 0 then "unreachable" else Printf.sprintf "h0=%d" h0));
           for pc = b.b_start to b.b_start + b.b_len - 1 do
             let annot =
-              match p.Program.code.(pc) with
-              | Opcode.Aload_u _ | Opcode.Astore_u _ | Opcode.Div_u
-              | Opcode.Mod_u | Opcode.Mlookup_u _ | Opcode.Mupdate_u _ -> (
-                  match proof_at pc with
-                  | Some claim ->
-                      Printf.sprintf "   ; elided, proof %s"
-                        (Graft_analysis.Interval.to_string claim)
-                  | None -> "   ; elided"
-                  )
-              | _ -> ""
+              if not (Opcode.is_unchecked p.Program.code.(pc)) then ""
+              else
+                match proof_at pc with
+                | Some claim ->
+                    Printf.sprintf "   ; elided, proof %s"
+                      (Graft_analysis.Interval.to_string claim)
+                | None -> "   ; elided"
             in
             Buffer.add_string buf
               (Printf.sprintf "    %4d: %s%s\n" pc

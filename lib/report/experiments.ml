@@ -160,8 +160,8 @@ let table2_data scale =
       { tt_tech = tech; meas; scaled_from = None; full_s = med meas })
     table_techs
 
-let table2 ?(data = None) scale =
-  let data = match data with Some d -> d | None -> table2_data scale in
+let table2 scale =
+  let data = table2_data scale in
   let baseline =
     (List.find (fun d -> d.tt_tech = Technology.Unsafe_c) data).full_s
   in
@@ -352,8 +352,8 @@ let table5_data scale =
       })
     table_techs
 
-let table5 ?(data = None) scale =
-  let data = match data with Some d -> d | None -> table5_data scale in
+let table5 scale =
+  let data = table5_data scale in
   let baseline =
     (List.find (fun d -> d.tt_tech = Technology.Unsafe_c) data).full_s
   in
@@ -478,8 +478,8 @@ let table6_data scale =
       })
     table_techs
 
-let table6 ?(data = None) scale =
-  let data = match data with Some d -> d | None -> table6_data scale in
+let table6 scale =
+  let data = table6_data scale in
   let baseline =
     (List.find (fun d -> d.lt.tt_tech = Technology.Unsafe_c) data).lt.full_s
   in

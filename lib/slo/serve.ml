@@ -973,7 +973,7 @@ let run cfg =
 (* JSON and text reports.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let schema_version = 2
+let schema_version = 3
 
 let snapshot_json s =
   Printf.sprintf
@@ -1029,7 +1029,7 @@ let to_json r =
         \"budget_left\":%.4f,\"alerts_page\":%d,\"alerts_ticket\":%d,\
         \"mttr_incidents\":%d,\"mttr_open\":%d,\"mttr_mean_s\":%.4f,\
         \"mttr_max_s\":%.4f,\"faults\":%d,\"quarantined\":%d,\
-        \"fired\":[%s],\"windows\":[%s],\"tenants\":[%s],\"snapshots\":[%s]"
+        \"fired\":[%s],\"windows\":[%s],\"per_tenant\":[%s],\"snapshots\":[%s]"
        cfg.seed cfg.tenants cfg.domains (4 * cfg.tenants) cfg.duration_s
        cfg.base_rate cfg.window_s cfg.subbits cfg.latency_slo_us cfg.slo_target
        r.r_ops r.r_good r.r_errors r.r_throughput r.r_p50_us r.r_p95_us

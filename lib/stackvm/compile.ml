@@ -64,15 +64,15 @@ let next_fact ctx =
       ctx.fact_i <- ctx.fact_i + 1;
       Some f
 
-(* Emit the checked or, under a [safe] fact, the unchecked form of an
-   access/division site, recording the claimed interval for the
-   verifier when a check is elided. *)
-let emit_site ctx ~checked ~unchecked =
+(* Emit the [checked] form of an access/division site or, under a
+   [safe] fact, its unchecked twin, recording the claimed interval for
+   the verifier when a check is elided. *)
+let emit_site ctx checked =
   let em = ctx.em in
   match next_fact ctx with
   | Some { Graft_analysis.Analyze.safe = true; claim } ->
       ctx.proofs_rev <- (em.len, claim) :: ctx.proofs_rev;
-      emit em unchecked
+      emit em (Option.get (Opcode.twin checked))
   | _ -> emit em checked
 
 let rec compile_expr ctx (e : Ir.expr) =
@@ -84,13 +84,13 @@ let rec compile_expr ctx (e : Ir.expr) =
       emit em (Opcode.Load_global (ctx.image.Link.global_base + slot))
   | Ir.Load (arr, idx) ->
       compile_expr ctx idx;
-      emit_site ctx ~checked:(Opcode.Aload arr) ~unchecked:(Opcode.Aload_u arr)
+      emit_site ctx (Opcode.Aload arr)
   | Ir.Arith (kind, op, a, b) -> (
       compile_expr ctx a;
       compile_expr ctx b;
       match op with
-      | Ir.Div -> emit_site ctx ~checked:Opcode.Div ~unchecked:Opcode.Div_u
-      | Ir.Mod -> emit_site ctx ~checked:Opcode.Mod ~unchecked:Opcode.Mod_u
+      | Ir.Div -> emit_site ctx Opcode.Div
+      | Ir.Mod -> emit_site ctx Opcode.Mod
       | _ -> emit em (arith_op kind op))
   | Ir.Cmp (cmp, a, b) ->
       compile_expr ctx a;
@@ -148,13 +148,11 @@ let rec compile_expr ctx (e : Ir.expr) =
       match site with
       | Some (Graft_analysis.Helpers.Lookup m) ->
           compile_expr ctx args.(1);
-          emit_site ctx ~checked:(Opcode.Mlookup m)
-            ~unchecked:(Opcode.Mlookup_u m)
+          emit_site ctx (Opcode.Mlookup m)
       | Some (Graft_analysis.Helpers.Update m) ->
           compile_expr ctx args.(1);
           compile_expr ctx args.(2);
-          emit_site ctx ~checked:(Opcode.Mupdate m)
-            ~unchecked:(Opcode.Mupdate_u m)
+          emit_site ctx (Opcode.Mupdate m)
       | None ->
           Array.iter (compile_expr ctx) args;
           emit em (Opcode.Callext eidx))
@@ -197,8 +195,7 @@ let rec compile_stmt ctx (s : Ir.stmt) =
   | Ir.Store (arr, idx, v) ->
       compile_expr ctx idx;
       compile_expr ctx v;
-      emit_site ctx ~checked:(Opcode.Astore arr)
-        ~unchecked:(Opcode.Astore_u arr)
+      emit_site ctx (Opcode.Astore arr)
   | Ir.If (cond, t, f) ->
       compile_expr ctx cond;
       let jz = emit_patch em in

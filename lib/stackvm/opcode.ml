@@ -177,6 +177,94 @@ let cmp_fn c a b =
   | Ceq -> a = b
   | Cne -> a <> b
 
+(* ------------------------------------------------------------------ *)
+(* Opcode facts. Each is matched here once, and every pass that needs  *)
+(* one reads it from here: the compiler, the peephole pass, the        *)
+(* verifier's three passes, the elision counter and the JIT.           *)
+(* ------------------------------------------------------------------ *)
+
+(** Jump target of a plain or fused branch; [None] for every other
+    instruction. *)
+let target = function
+  | Jmp t | Jz t | Jnz t | Jcmp (_, _, t) | Jcmpk (_, _, _, t)
+  | Jcmpk_local (_, _, _, _, t) ->
+      Some t
+  | _ -> None
+
+(** [map_target f op] moves [op]'s jump target [t] to [f t]; an
+    instruction without a target comes back unchanged. *)
+let map_target f = function
+  | Jmp t -> Jmp (f t)
+  | Jz t -> Jz (f t)
+  | Jnz t -> Jnz (f t)
+  | Jcmp (c, flag, t) -> Jcmp (c, flag, f t)
+  | Jcmpk (c, k, flag, t) -> Jcmpk (c, k, flag, f t)
+  | Jcmpk_local (c, n, k, flag, t) -> Jcmpk_local (c, n, k, flag, f t)
+  | op -> op
+
+(** Operator selector of a plain binary opcode (the checked [Div] and
+    [Mod] included); [None] for every other instruction. *)
+let binop = function
+  | Add -> Some KAdd | Sub -> Some KSub | Mul -> Some KMul
+  | Div -> Some KDiv | Mod -> Some KMod
+  | Shl -> Some KShl | Shr -> Some KShr | Lshr -> Some KLshr
+  | Band -> Some KBand | Bor -> Some KBor | Bxor -> Some KBxor
+  | Wadd -> Some KWadd | Wsub -> Some KWsub | Wmul -> Some KWmul
+  | Wshl -> Some KWshl | Wshr -> Some KWshr
+  | _ -> None
+
+(** {!binop} without the operators that fault on a zero right operand:
+    the ones that may fuse with a run-time (local or stack) operand. *)
+let total_binop op =
+  match binop op with Some b when not (bink_divlike b) -> Some b | _ -> None
+
+(** Comparison selector of a plain comparison opcode. *)
+let cmpop = function
+  | Lt -> Some Clt | Le -> Some Cle | Gt -> Some Cgt
+  | Ge -> Some Cge | Eq -> Some Ceq | Ne -> Some Cne
+  | _ -> None
+
+(** The (checked, unchecked) forms of a check site, given either one.
+    These six pairs are the only instructions the static tier chooses
+    between. *)
+let check_site = function
+  | Aload a | Aload_u a -> Some (Aload a, Aload_u a)
+  | Astore a | Astore_u a -> Some (Astore a, Astore_u a)
+  | Div | Div_u -> Some (Div, Div_u)
+  | Mod | Mod_u -> Some (Mod, Mod_u)
+  | Mlookup m | Mlookup_u m -> Some (Mlookup m, Mlookup_u m)
+  | Mupdate m | Mupdate_u m -> Some (Mupdate m, Mupdate_u m)
+  | _ -> None
+
+(** The other form of a check site: [Aload a] <-> [Aload_u a], ... *)
+let twin op = Option.map (fun (c, u) -> if op = c then u else c) (check_site op)
+
+(** A check-elided instruction, admitted only under a re-verified
+    proof. *)
+let is_unchecked op =
+  match check_site op with Some (_, u) -> op = u | None -> false
+
+(** Every local an instruction names, in operand order. *)
+let locals = function
+  | Load_local n | Store_local n | Local_addk (n, _) | Bin_local (_, n)
+  | Jcmpk_local (_, n, _, _, _) | Store_localk (n, _) | Bin_store (_, n)
+  | Bink_store (_, _, n) | Bink_local (_, n, _) | Aload_local (_, n)
+  | Bin_aload_local (_, _, n) ->
+      [ n ]
+  | Load_local2 (a, b) | Bin_local2 (_, a, b) | Move_local (a, b)
+  | Aload_local_store (_, a, b) ->
+      [ a; b ]
+  | Move_local2 (d1, s1, d2, s2) -> [ d1; s1; d2; s2 ]
+  | _ -> []
+
+(** The locals an instruction writes. *)
+let writes = function
+  | Store_local n | Local_addk (n, _) | Move_local (n, _) | Store_localk (n, _)
+  | Bin_store (_, n) | Bink_store (_, _, n) | Aload_local_store (_, _, n) ->
+      [ n ]
+  | Move_local2 (d1, _, d2, _) -> [ d1; d2 ]
+  | _ -> []
+
 (** Stack effect (pops, pushes), with call effects resolved by the
     caller since they depend on the function table. *)
 let effect = function

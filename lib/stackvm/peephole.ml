@@ -66,47 +66,17 @@ let entry_points (p : Program.t) =
   let t = Array.make (max 1 ncode) false in
   let mark x = if x >= 0 && x < ncode then t.(x) <- true in
   Array.iter (fun (f : Program.funcdesc) -> mark f.Program.entry) p.funcs;
-  Array.iter
-    (function
-      | Opcode.Jmp x | Opcode.Jz x | Opcode.Jnz x
-      | Opcode.Jcmp (_, _, x) | Opcode.Jcmpk (_, _, _, x)
-      | Opcode.Jcmpk_local (_, _, _, _, x) ->
-          mark x
-      | _ -> ())
-    p.code;
+  Array.iter (fun op -> Option.iter mark (Opcode.target op)) p.code;
   t
 
-let bink_of = function
-  | Opcode.Add -> Some Opcode.KAdd
-  | Opcode.Sub -> Some Opcode.KSub
-  | Opcode.Mul -> Some Opcode.KMul
-  | Opcode.Shl -> Some Opcode.KShl
-  | Opcode.Shr -> Some Opcode.KShr
-  | Opcode.Lshr -> Some Opcode.KLshr
-  | Opcode.Band -> Some Opcode.KBand
-  | Opcode.Bor -> Some Opcode.KBor
-  | Opcode.Bxor -> Some Opcode.KBxor
-  | Opcode.Wadd -> Some Opcode.KWadd
-  | Opcode.Wsub -> Some Opcode.KWsub
-  | Opcode.Wmul -> Some Opcode.KWmul
-  | Opcode.Wshl -> Some Opcode.KWshl
-  | Opcode.Wshr -> Some Opcode.KWshr
+(* The operator of [op] when it may fuse with the constant right
+   operand [k]: division and modulo only by a non-zero constant. *)
+let binop_k k op =
+  match Opcode.binop op with
+  | Some b when k <> 0 || not (Opcode.bink_divlike b) -> Some b
   | _ -> None
 
-(* Div/Mod are fusable only against a non-zero constant divisor. *)
-let bink_of_div = function
-  | Opcode.Div -> Some Opcode.KDiv
-  | Opcode.Mod -> Some Opcode.KMod
-  | _ -> None
-
-let cmp_of = function
-  | Opcode.Lt -> Some Opcode.Clt
-  | Opcode.Le -> Some Opcode.Cle
-  | Opcode.Gt -> Some Opcode.Cgt
-  | Opcode.Ge -> Some Opcode.Cge
-  | Opcode.Eq -> Some Opcode.Ceq
-  | Opcode.Ne -> Some Opcode.Cne
-  | _ -> None
+let jnz = function Opcode.Jnz _ -> true | _ -> false
 
 (* Longest match first at [i]; returns the fused opcode and the number
    of plain instructions it consumes. [free k] means instruction i+k
@@ -118,12 +88,13 @@ let match_at code free i =
       | Opcode.Load_local n, Opcode.Const k, Opcode.Add, Opcode.Store_local n'
         when n = n' ->
           Some (Opcode.Local_addk (n, k), 4)
-      | Opcode.Load_local n, Opcode.Const k, c, Opcode.Jz t
-        when cmp_of c <> None ->
-          Some (Opcode.Jcmpk_local (Option.get (cmp_of c), n, k, false, t), 4)
-      | Opcode.Load_local n, Opcode.Const k, c, Opcode.Jnz t
-        when cmp_of c <> None ->
-          Some (Opcode.Jcmpk_local (Option.get (cmp_of c), n, k, true, t), 4)
+      | ( Opcode.Load_local n,
+          Opcode.Const k,
+          c,
+          ((Opcode.Jz t | Opcode.Jnz t) as j) )
+        when Opcode.cmpop c <> None ->
+          Some
+            (Opcode.Jcmpk_local (Option.get (Opcode.cmpop c), n, k, jnz j, t), 4)
       | ( Opcode.Load_local s1,
           Opcode.Store_local d1,
           Opcode.Load_local s2,
@@ -135,29 +106,20 @@ let match_at code free i =
   let len3 () =
     if free 1 && free 2 then
       match (code.(i), code.(i + 1), code.(i + 2)) with
-      | Opcode.Const k, c, Opcode.Jz t -> (
-          match cmp_of c with
-          | Some c -> Some (Opcode.Jcmpk (c, k, false, t), 3)
-          | None -> None)
-      | Opcode.Const k, c, Opcode.Jnz t -> (
-          match cmp_of c with
-          | Some c -> Some (Opcode.Jcmpk (c, k, true, t), 3)
-          | None -> None)
-      | Opcode.Load_local a, Opcode.Load_local b, op when bink_of op <> None
-        ->
-          Some (Opcode.Bin_local2 (Option.get (bink_of op), a, b), 3)
-      | Opcode.Const k, op, Opcode.Store_local n when bink_of op <> None ->
-          Some (Opcode.Bink_store (Option.get (bink_of op), k, n), 3)
-      | Opcode.Const k, op, Opcode.Store_local n
-        when k <> 0 && bink_of_div op <> None ->
-          Some (Opcode.Bink_store (Option.get (bink_of_div op), k, n), 3)
-      | Opcode.Load_local n, Opcode.Const k, op when bink_of op <> None ->
-          Some (Opcode.Bink_local (Option.get (bink_of op), n, k), 3)
-      | Opcode.Load_local n, Opcode.Const k, op
-        when k <> 0 && bink_of_div op <> None ->
-          Some (Opcode.Bink_local (Option.get (bink_of_div op), n, k), 3)
-      | Opcode.Load_local n, Opcode.Aload a, op when bink_of op <> None ->
-          Some (Opcode.Bin_aload_local (Option.get (bink_of op), a, n), 3)
+      | Opcode.Const k, c, ((Opcode.Jz t | Opcode.Jnz t) as j)
+        when Opcode.cmpop c <> None ->
+          Some (Opcode.Jcmpk (Option.get (Opcode.cmpop c), k, jnz j, t), 3)
+      | Opcode.Load_local a, Opcode.Load_local b, op
+        when Opcode.total_binop op <> None ->
+          Some (Opcode.Bin_local2 (Option.get (Opcode.total_binop op), a, b), 3)
+      | Opcode.Const k, op, Opcode.Store_local n when binop_k k op <> None ->
+          Some (Opcode.Bink_store (Option.get (binop_k k op), k, n), 3)
+      | Opcode.Load_local n, Opcode.Const k, op when binop_k k op <> None ->
+          Some (Opcode.Bink_local (Option.get (binop_k k op), n, k), 3)
+      | Opcode.Load_local n, Opcode.Aload a, op
+        when Opcode.total_binop op <> None ->
+          Some
+            (Opcode.Bin_aload_local (Option.get (Opcode.total_binop op), a, n), 3)
       | Opcode.Load_local n, Opcode.Aload a, Opcode.Store_local dst ->
           Some (Opcode.Aload_local_store (a, n, dst), 3)
       | _ -> None
@@ -166,29 +128,25 @@ let match_at code free i =
   let len2 () =
     if free 1 then
       match (code.(i), code.(i + 1)) with
-      | Opcode.Const k, op when bink_of op <> None ->
-          Some (Opcode.Bink (Option.get (bink_of op), k), 2)
-      | Opcode.Const k, op when k <> 0 && bink_of_div op <> None ->
-          Some (Opcode.Bink (Option.get (bink_of_div op), k), 2)
-      | Opcode.Const k, c when cmp_of c <> None ->
-          Some (Opcode.Cmpk (Option.get (cmp_of c), k), 2)
+      | Opcode.Const k, op when binop_k k op <> None ->
+          Some (Opcode.Bink (Option.get (binop_k k op), k), 2)
+      | Opcode.Const k, c when Opcode.cmpop c <> None ->
+          Some (Opcode.Cmpk (Option.get (Opcode.cmpop c), k), 2)
       | Opcode.Const k, Opcode.Aload a -> Some (Opcode.Aload_k (a, k), 2)
       | Opcode.Const k, Opcode.Store_local n ->
           Some (Opcode.Store_localk (n, k), 2)
-      | c, Opcode.Jz t when cmp_of c <> None ->
-          Some (Opcode.Jcmp (Option.get (cmp_of c), false, t), 2)
-      | c, Opcode.Jnz t when cmp_of c <> None ->
-          Some (Opcode.Jcmp (Option.get (cmp_of c), true, t), 2)
+      | c, ((Opcode.Jz t | Opcode.Jnz t) as j) when Opcode.cmpop c <> None ->
+          Some (Opcode.Jcmp (Option.get (Opcode.cmpop c), jnz j, t), 2)
       | Opcode.Load_local a, Opcode.Load_local b ->
           Some (Opcode.Load_local2 (a, b), 2)
-      | Opcode.Load_local n, op when bink_of op <> None ->
-          Some (Opcode.Bin_local (Option.get (bink_of op), n), 2)
+      | Opcode.Load_local n, op when Opcode.total_binop op <> None ->
+          Some (Opcode.Bin_local (Option.get (Opcode.total_binop op), n), 2)
       | Opcode.Load_local n, Opcode.Aload a ->
           Some (Opcode.Aload_local (a, n), 2)
       | Opcode.Load_local src, Opcode.Store_local dst ->
           Some (Opcode.Move_local (dst, src), 2)
-      | op, Opcode.Store_local n when bink_of op <> None ->
-          Some (Opcode.Bin_store (Option.get (bink_of op), n), 2)
+      | op, Opcode.Store_local n when Opcode.total_binop op <> None ->
+          Some (Opcode.Bin_store (Option.get (Opcode.total_binop op), n), 2)
       | _ -> None
     else None
   in
@@ -251,18 +209,7 @@ let optimize (p : Program.t) : Program.t =
     if y < 0 then invalid_arg "Peephole.optimize: unmappable jump target";
     y
   in
-  let code' =
-    Array.init !olen (fun j ->
-        match out.(j) with
-        | Opcode.Jmp x -> Opcode.Jmp (remap x)
-        | Opcode.Jz x -> Opcode.Jz (remap x)
-        | Opcode.Jnz x -> Opcode.Jnz (remap x)
-        | Opcode.Jcmp (c, flag, x) -> Opcode.Jcmp (c, flag, remap x)
-        | Opcode.Jcmpk (c, k, flag, x) -> Opcode.Jcmpk (c, k, flag, remap x)
-        | Opcode.Jcmpk_local (c, n, k, flag, x) ->
-            Opcode.Jcmpk_local (c, n, k, flag, remap x)
-        | op -> op)
-  in
+  let code' = Array.init !olen (fun j -> Opcode.map_target remap out.(j)) in
   let funcs =
     Array.map
       (fun (f : Program.funcdesc) ->

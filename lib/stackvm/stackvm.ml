@@ -97,12 +97,6 @@ let load_static_exn ?maps ?bounded image =
 let elision_stats (p : Program.t) : int * int =
   Array.fold_left
     (fun (elided, total) op ->
-      match op with
-      | Opcode.Aload_u _ | Opcode.Astore_u _ | Opcode.Div_u | Opcode.Mod_u
-      | Opcode.Mlookup_u _ | Opcode.Mupdate_u _ ->
-          (elided + 1, total + 1)
-      | Opcode.Aload _ | Opcode.Astore _ | Opcode.Div | Opcode.Mod
-      | Opcode.Mlookup _ | Opcode.Mupdate _ ->
-          (elided, total + 1)
-      | _ -> (elided, total))
+      if Opcode.twin op = None then (elided, total)
+      else ((if Opcode.is_unchecked op then elided + 1 else elided), total + 1))
     (0, 0) p.Program.code

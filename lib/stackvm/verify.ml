@@ -78,11 +78,34 @@ let rec refine_sym locals sym truth =
         true
       end
 
-let is_unchecked = function
-  | Opcode.Aload_u _ | Opcode.Astore_u _ | Opcode.Div_u | Opcode.Mod_u
-  | Opcode.Mlookup_u _ | Opcode.Mupdate_u _ ->
-      true
-  | _ -> false
+(* The interval transfer functions behind each fused-operand
+   selector. Kind-erased operators (div, mod, bitwise) use the int
+   rules, which [I.arith] makes sound for word operands too. *)
+let ir_arith = function
+  | Opcode.KAdd -> (Ir.Kint, Ir.Add)
+  | Opcode.KSub -> (Ir.Kint, Ir.Sub)
+  | Opcode.KMul -> (Ir.Kint, Ir.Mul)
+  | Opcode.KDiv -> (Ir.Kint, Ir.Div)
+  | Opcode.KMod -> (Ir.Kint, Ir.Mod)
+  | Opcode.KShl -> (Ir.Kint, Ir.Shl)
+  | Opcode.KShr -> (Ir.Kint, Ir.Shr)
+  | Opcode.KLshr -> (Ir.Kint, Ir.Lshr)
+  | Opcode.KBand -> (Ir.Kint, Ir.Band)
+  | Opcode.KBor -> (Ir.Kint, Ir.Bor)
+  | Opcode.KBxor -> (Ir.Kint, Ir.Bxor)
+  | Opcode.KWadd -> (Ir.Kword, Ir.Add)
+  | Opcode.KWsub -> (Ir.Kword, Ir.Sub)
+  | Opcode.KWmul -> (Ir.Kword, Ir.Mul)
+  | Opcode.KWshl -> (Ir.Kword, Ir.Shl)
+  | Opcode.KWshr -> (Ir.Kword, Ir.Shr)
+
+let ir_cmp = function
+  | Opcode.Clt -> Ir.Lt
+  | Opcode.Cle -> Ir.Le
+  | Opcode.Cgt -> Ir.Gt
+  | Opcode.Cge -> Ir.Ge
+  | Opcode.Ceq -> Ir.Eq
+  | Opcode.Cne -> Ir.Ne
 
 (* Joins at a program point widen only after the point has been visited
    this many times. The threshold is deliberately generous: the
@@ -137,17 +160,16 @@ let check_elisions (p : Program.t) : (unit, string) result =
     let lo = f.Program.entry and hi = f.Program.code_end in
     let states = Array.make (max 1 (hi - lo)) None in
     let visits = Array.make (max 1 (hi - lo)) 0 in
-    (* Widening points: targets of back edges (by pc order). Every CFG
-       cycle's minimum pc is entered from a higher pc inside the cycle,
-       so every cycle contains one — enough for termination — while
-       straight-line merge points keep plain joins, so the narrowing a
-       guard proves is not thrown away downstream of a widened loop
-       head. *)
+    (* Widening points: targets of back edges (by pc order), fused
+       branches included. Every CFG cycle's minimum pc is entered from
+       a higher pc inside the cycle, so every cycle contains one —
+       enough for termination — while straight-line merge points keep
+       plain joins, so the narrowing a guard proves is not thrown away
+       downstream of a widened loop head. *)
     let widen_at = Array.make (max 1 (hi - lo)) false in
     for pc = lo to hi - 1 do
-      match p.code.(pc) with
-      | Opcode.Jmp t | Opcode.Jz t | Opcode.Jnz t ->
-          if t >= lo && t <= pc then widen_at.(t - lo) <- true
+      match Opcode.target p.code.(pc) with
+      | Some t when t >= lo && t <= pc -> widen_at.(t - lo) <- true
       | _ -> ()
     done;
     let worklist = Queue.create () in
@@ -229,7 +251,8 @@ let check_elisions (p : Program.t) : (unit, string) result =
         locals.(n) <- iv;
         stack := List.map (fun (iv, s) -> (iv, kill_sym n s)) !stack
       in
-      let binop kind op =
+      let binop b =
+        let kind, op = ir_arith b in
         let ib, _ = pop () in
         let ia, _ = pop () in
         push (I.arith kind op ia ib) Snone
@@ -241,7 +264,7 @@ let check_elisions (p : Program.t) : (unit, string) result =
       let cmp c =
         let _, sb = pop () in
         let _, sa = pop () in
-        push I.bool_result (Scmp (c, src_of sa, src_of sb))
+        push I.bool_result (Scmp (ir_cmp c, src_of sa, src_of sb))
       in
       let branch target ~jump_truth =
         let iv, sym = pop () in
@@ -334,33 +357,17 @@ let check_elisions (p : Program.t) : (unit, string) result =
           require_sub ib claim "divisor";
           push (I.arith Ir.Kint Ir.Mod ia ib) Snone;
           next ()
-      | Opcode.Add -> binop Ir.Kint Ir.Add; next ()
-      | Opcode.Sub -> binop Ir.Kint Ir.Sub; next ()
-      | Opcode.Mul -> binop Ir.Kint Ir.Mul; next ()
-      | Opcode.Div -> binop Ir.Kint Ir.Div; next ()
-      | Opcode.Mod -> binop Ir.Kint Ir.Mod; next ()
-      | Opcode.Shl -> binop Ir.Kint Ir.Shl; next ()
-      | Opcode.Shr -> binop Ir.Kint Ir.Shr; next ()
-      | Opcode.Lshr -> binop Ir.Kint Ir.Lshr; next ()
-      | Opcode.Band -> binop Ir.Kint Ir.Band; next ()
-      | Opcode.Bor -> binop Ir.Kint Ir.Bor; next ()
-      | Opcode.Bxor -> binop Ir.Kint Ir.Bxor; next ()
-      | Opcode.Wadd -> binop Ir.Kword Ir.Add; next ()
-      | Opcode.Wsub -> binop Ir.Kword Ir.Sub; next ()
-      | Opcode.Wmul -> binop Ir.Kword Ir.Mul; next ()
-      | Opcode.Wshl -> binop Ir.Kword Ir.Shl; next ()
-      | Opcode.Wshr -> binop Ir.Kword Ir.Shr; next ()
+      | op when Opcode.binop op <> None ->
+          binop (Option.get (Opcode.binop op));
+          next ()
+      | op when Opcode.cmpop op <> None ->
+          cmp (Option.get (Opcode.cmpop op));
+          next ()
       | Opcode.Bnot -> unop (I.bnot Ir.Kint); next ()
       | Opcode.Neg -> unop (I.neg_k Ir.Kint); next ()
       | Opcode.Wbnot -> unop (I.bnot Ir.Kword); next ()
       | Opcode.Wneg -> unop (I.neg_k Ir.Kword); next ()
       | Opcode.Wmask -> unop I.to_word; next ()
-      | Opcode.Lt -> cmp Ir.Lt; next ()
-      | Opcode.Le -> cmp Ir.Le; next ()
-      | Opcode.Gt -> cmp Ir.Gt; next ()
-      | Opcode.Ge -> cmp Ir.Ge; next ()
-      | Opcode.Eq -> cmp Ir.Eq; next ()
-      | Opcode.Ne -> cmp Ir.Ne; next ()
       | Opcode.Tobool ->
           (* Truth-preserving: keep the provenance so a later branch can
              still refine through it. *)
@@ -412,28 +419,15 @@ let check_elisions (p : Program.t) : (unit, string) result =
           for _ = 1 to pushes do
             push I.top Snone
           done;
-          (match instr with
-          | Opcode.Local_addk (n, _)
-          | Opcode.Move_local (n, _)
-          | Opcode.Store_localk (n, _)
-          | Opcode.Bin_store (_, n)
-          | Opcode.Bink_store (_, _, n)
-          | Opcode.Aload_local_store (_, _, n) ->
-              store_local n I.top
-          | Opcode.Move_local2 (d1, _, d2, _) ->
-              store_local d1 I.top;
-              store_local d2 I.top
-          | _ -> ());
-          (match instr with
-          | Opcode.Jcmp (_, _, t)
-          | Opcode.Jcmpk (_, _, _, t)
-          | Opcode.Jcmpk_local (_, _, _, _, t) ->
-              schedule t (Array.copy locals, !stack);
-              schedule (pc + 1) (locals, !stack)
-          | _ -> next ())
+          List.iter (fun n -> store_local n I.top) (Opcode.writes instr);
+          Option.iter
+            (fun t -> schedule t (Array.copy locals, !stack))
+            (Opcode.target instr);
+          next ()
     done
   in
-  if Array.length p.proofs = 0 && not (Array.exists is_unchecked p.code) then
+  if Array.length p.proofs = 0 && not (Array.exists Opcode.is_unchecked p.code)
+  then
     Ok ()
   else
     try
@@ -443,7 +437,7 @@ let check_elisions (p : Program.t) : (unit, string) result =
          weight the compiler has no business emitting. *)
       Array.iteri
         (fun pc op ->
-          if is_unchecked op && not (Hashtbl.mem claims pc) then
+          if Opcode.is_unchecked op && not (Hashtbl.mem claims pc) then
             bad "unchecked instruction without proof at %d" pc)
         p.code;
       Array.iteri check_func p.funcs;
@@ -473,34 +467,6 @@ let check_bounds (p : Program.t) : (unit, string) result =
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
   let disasm pc = Opcode.to_string p.code.(pc) in
-  let writes_local n = function
-    | Opcode.Store_local m
-    | Opcode.Local_addk (m, _)
-    | Opcode.Move_local (m, _)
-    | Opcode.Store_localk (m, _)
-    | Opcode.Bin_store (_, m)
-    | Opcode.Bink_store (_, _, m)
-    | Opcode.Aload_local_store (_, _, m) ->
-        m = n
-    | Opcode.Move_local2 (d1, _, d2, _) -> d1 = n || d2 = n
-    | _ -> false
-  in
-  let targets = function
-    | Opcode.Jmp t | Opcode.Jz t | Opcode.Jnz t
-    | Opcode.Jcmp (_, _, t)
-    | Opcode.Jcmpk (_, _, _, t)
-    | Opcode.Jcmpk_local (_, _, _, _, t) ->
-        [ t ]
-    | _ -> []
-  in
-  let cmp_of pc =
-    match p.code.(pc) with
-    | Opcode.Lt -> Some Ir.Lt
-    | Opcode.Le -> Some Ir.Le
-    | Opcode.Gt -> Some Ir.Gt
-    | Opcode.Ge -> Some Ir.Ge
-    | _ -> None
-  in
   (* Re-derive the loop windows for a backward [Jmp t] at [b] and check
      them against certificate [c]. *)
   let check_window b t (c : Graft_analysis.Loopbound.cert) =
@@ -527,9 +493,9 @@ let check_bounds (p : Program.t) : (unit, string) result =
       | _ -> fail "loop head has no constant limit"
     in
     let cmp =
-      match cmp_of (t + 2) with
-      | Some cm -> cm
-      | None -> fail "loop head comparison is not Lt/Le/Gt/Ge"
+      match Option.map ir_cmp (Opcode.cmpop p.code.(t + 2)) with
+      | Some ((Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as cm) -> cm
+      | _ -> fail "loop head comparison is not Lt/Le/Gt/Ge"
     in
     (match p.code.(t + 3) with
     | Opcode.Jz e when e > b -> ()
@@ -560,7 +526,7 @@ let check_bounds (p : Program.t) : (unit, string) result =
     | _ -> fail "counter step does not advance toward the limit");
     (* The step window is the only counter write inside the loop. *)
     for pc = t to b do
-      if pc <> b - 1 && writes_local counter p.code.(pc) then
+      if pc <> b - 1 && List.mem counter (Opcode.writes p.code.(pc)) then
         fail
           (Printf.sprintf "counter is also written at %d (%s)" pc (disasm pc))
     done;
@@ -571,12 +537,12 @@ let check_bounds (p : Program.t) : (unit, string) result =
        value. Only [t - 2], the initialiser's [Const], is a legal entry. *)
     for pc = 0 to ncode - 1 do
       if pc < t - 2 || pc > b then
-        List.iter
+        Option.iter
           (fun u ->
             if u >= t - 1 && u <= b then
               bad "jump at %d (%s) enters a certified loop at %d" pc
                 (disasm pc) u)
-          (targets p.code.(pc))
+          (Opcode.target p.code.(pc))
     done;
     (* Nor may any jump — even from inside the body — land past the
        step window's start: reaching the back edge must mean the whole
@@ -586,12 +552,12 @@ let check_bounds (p : Program.t) : (unit, string) result =
        that path. (A jump to b-4, the step's first instruction, is the
        compiled [continue] and runs the full step.) *)
     for pc = 0 to ncode - 1 do
-      List.iter
+      Option.iter
         (fun u ->
           if u > b - 4 && u <= b then
             bad "jump at %d (%s) enters a certified loop's step window at %d"
               pc (disasm pc) u)
-        (targets p.code.(pc))
+        (Opcode.target p.code.(pc))
     done;
     (* Recompute the closed form and require exact agreement. *)
     match Graft_analysis.Loopbound.trips ~init ~limit ~cmp ~step with
@@ -624,26 +590,29 @@ let check_bounds (p : Program.t) : (unit, string) result =
       p.loop_bounds;
     Array.iteri
       (fun pc instr ->
-        match instr with
-        | Opcode.Jz t | Opcode.Jnz t when t <= pc ->
-            bad "conditional backward jump at %d (%s)" pc (disasm pc)
-        | Opcode.Jcmp (_, _, t)
-        | Opcode.Jcmpk (_, _, _, t)
-        | Opcode.Jcmpk_local (_, _, _, _, t)
-          when t <= pc ->
-            bad "fused backward jump at %d (%s)" pc (disasm pc)
-        | Opcode.Jmp t when t <= pc -> (
+        match (instr, Opcode.target instr) with
+        | _, None -> ()
+        | _, Some t when t > pc -> ()
+        | Opcode.Jmp _, Some t -> (
             match Hashtbl.find_opt certs pc with
             | Some c -> check_window pc t c
             | None ->
                 bad "backward jump at %d (%s) without a loop-bound certificate"
                   pc (disasm pc))
-        | _ -> ())
+        | (Opcode.Jz _ | Opcode.Jnz _), _ ->
+            bad "conditional backward jump at %d (%s)" pc (disasm pc)
+        | _ -> bad "fused backward jump at %d (%s)" pc (disasm pc))
       p.code;
     Ok ()
   with Bad msg -> Error msg
 
-let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
+(* ------------------------------------------------------------------ *)
+(* Pass 1: tables, operands, and one stack height per reachable pc.    *)
+(* ------------------------------------------------------------------ *)
+
+type heights = { at : int array; fmax : int array }
+
+let heights (p : Program.t) : (heights, string) result =
   let ncode = Array.length p.code in
   let nfuncs = Array.length p.funcs in
   let narrays = Array.length p.arrays in
@@ -683,6 +652,8 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
           bad "array %d: descriptor outside the address space" i)
       p.arrays
   in
+  let at = Array.make (max 1 ncode) (-1) in
+  let fmax = Array.make (max 1 nfuncs) 0 in
   (* Per-function stack-height dataflow. *)
   let check_func fi (f : Program.funcdesc) =
     let lo = f.Program.entry and hi = f.Program.code_end in
@@ -726,6 +697,7 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
       let h' = h - pops + pushes in
       if h' > max_stack then
         bad "function %d (%s): stack overflow at %d" fi f.Program.name pc;
+      fmax.(fi) <- max fmax.(fi) (max h h');
       (* Fused division: only a non-zero constant divisor can be proven
          fault-free; anything else must stay a plain Div/Mod so the
          runtime fault path is preserved. *)
@@ -744,59 +716,21 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
           bad "function %d (%s): fused division by a popped operand at %d" fi
             f.Program.name pc
       | _ -> ());
-      (* Operand validity. *)
+      (* Operand validity: array, global and map ids, then locals. *)
       (match instr with
-      | Opcode.Load_local n | Opcode.Store_local n | Opcode.Local_addk (n, _)
-      | Opcode.Bin_local (_, n) | Opcode.Jcmpk_local (_, n, _, _, _)
-      | Opcode.Store_localk (n, _) | Opcode.Bin_store (_, n)
-      | Opcode.Bink_store (_, _, n) | Opcode.Bink_local (_, n, _) ->
-          if n < 0 || n >= f.Program.nlocals then
-            bad "function %d (%s): local %d out of range at %d" fi
-              f.Program.name n pc
-      | Opcode.Load_local2 (a, b) | Opcode.Bin_local2 (_, a, b)
-      | Opcode.Move_local (a, b) ->
-          List.iter
-            (fun n ->
-              if n < 0 || n >= f.Program.nlocals then
-                bad "function %d (%s): local %d out of range at %d" fi
-                  f.Program.name n pc)
-            [ a; b ]
-      | Opcode.Move_local2 (d1, s1, d2, s2) ->
-          List.iter
-            (fun n ->
-              if n < 0 || n >= f.Program.nlocals then
-                bad "function %d (%s): local %d out of range at %d" fi
-                  f.Program.name n pc)
-            [ d1; s1; d2; s2 ]
       | Opcode.Load_global a | Opcode.Store_global a ->
           if a < 0 || a >= Array.length p.cells then
             bad "function %d (%s): global address %d out of range" fi
               f.Program.name a
       | Opcode.Aload a | Opcode.Astore a | Opcode.Aload_u a
-      | Opcode.Astore_u a | Opcode.Aload_k (a, _) ->
+      | Opcode.Astore_u a | Opcode.Aload_k (a, _) | Opcode.Aload_local (a, _)
+      | Opcode.Bin_aload_local (_, a, _) | Opcode.Aload_local_store (a, _, _) ->
           (* The constant index of [Aload_k] is deliberately not
              checked against the array length: the unfused form would
              fault at run time, and the fused form must preserve that
              behaviour rather than fail at load time. *)
           if a < 0 || a >= narrays then
             bad "function %d (%s): array id %d out of range" fi f.Program.name a
-      | Opcode.Aload_local (a, n) | Opcode.Bin_aload_local (_, a, n) ->
-          if a < 0 || a >= narrays then
-            bad "function %d (%s): array id %d out of range" fi f.Program.name
-              a;
-          if n < 0 || n >= f.Program.nlocals then
-            bad "function %d (%s): local %d out of range at %d" fi
-              f.Program.name n pc
-      | Opcode.Aload_local_store (a, n, dst) ->
-          if a < 0 || a >= narrays then
-            bad "function %d (%s): array id %d out of range" fi f.Program.name
-              a;
-          List.iter
-            (fun n ->
-              if n < 0 || n >= f.Program.nlocals then
-                bad "function %d (%s): local %d out of range at %d" fi
-                  f.Program.name n pc)
-            [ n; dst ]
       | Opcode.Mlookup m | Opcode.Mupdate m | Opcode.Mlookup_u m
       | Opcode.Mupdate_u m ->
           if m < 0 || m >= Array.length p.maps then
@@ -806,30 +740,36 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
           bad "function %d (%s): reachable halt at %d (unpatched jump?)" fi
             f.Program.name pc
       | _ -> ());
+      List.iter
+        (fun n ->
+          if n < 0 || n >= f.Program.nlocals then
+            bad "function %d (%s): local %d out of range at %d" fi
+              f.Program.name n pc)
+        (Opcode.locals instr);
       (* Successors. *)
-      (match instr with
-      | Opcode.Jmp t -> schedule t h'
-      | Opcode.Jz t | Opcode.Jnz t
-      | Opcode.Jcmp (_, _, t) | Opcode.Jcmpk (_, _, _, t)
-      | Opcode.Jcmpk_local (_, _, _, _, t) ->
+      match (instr, Opcode.target instr) with
+      | Opcode.Ret, _ -> ()
+      | Opcode.Jmp _, Some t -> schedule t h'
+      | _, Some t ->
           schedule t h';
           schedule (pc + 1) h'
-      | Opcode.Ret -> ()
-      | _ ->
+      | _, None ->
           if pc + 1 >= hi then
             bad "function %d (%s): control falls off the end" fi f.Program.name;
-          schedule (pc + 1) h')
-    done
+          schedule (pc + 1) h'
+    done;
+    Array.blit heights 0 at lo (hi - lo)
   in
-  match
-    try
-      check_tables ();
-      Array.iteri check_func p.funcs;
-      Ok ()
-    with Bad msg -> Error msg
-  with
-  | Error _ as e -> e
-  | Ok () -> (
+  try
+    check_tables ();
+    Array.iteri check_func p.funcs;
+    Ok { at; fmax }
+  with Bad msg -> Error msg
+
+let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
+  match heights p with
+  | Error msg -> Error msg
+  | Ok _ -> (
       match if bounded then check_bounds p else Ok () with
       | Error _ as e -> e
       | Ok () -> check_elisions p)

@@ -11,6 +11,19 @@
 val max_stack : int
 val max_locals : int
 
+(** Pass 1's product: the operand-stack height on entry to every pc
+    ([at], -1 where no path reaches it) and, per function, the largest
+    height any reachable instruction has before or after it runs
+    ([fmax]). *)
+type heights = { at : int array; fmax : int array }
+
+val heights : Program.t -> (heights, string) result
+(** [heights p] runs pass 1 alone: the static tables, every operand,
+    and the per-function stack-height dataflow. It fails exactly when
+    {!verify} fails pass 1, with the same message. Every later stage
+    that needs a stack height (the JIT's block plan) reads it from
+    here. *)
+
 val verify : ?bounded:bool -> Program.t -> (unit, string) result
 (** [verify ?bounded p] checks [p]. With [bounded:true] (Graftgate
     mode), every backward jump must additionally be covered by a

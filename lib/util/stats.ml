@@ -1,12 +1,3 @@
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-
 let check_nonempty name samples =
   if Array.length samples = 0 then
     invalid_arg (Printf.sprintf "Stats.%s: empty sample array" name)
@@ -42,46 +33,3 @@ let percentile p samples =
   end
 
 let median samples = percentile 50.0 samples
-
-let summarize samples =
-  check_nonempty "summarize" samples;
-  let mn = Array.fold_left min samples.(0) samples in
-  let mx = Array.fold_left max samples.(0) samples in
-  {
-    n = Array.length samples;
-    mean = mean samples;
-    stddev = stddev samples;
-    min = mn;
-    max = mx;
-    median = median samples;
-  }
-
-let rel_stddev_pct s = if s.mean = 0.0 then 0.0 else 100.0 *. s.stddev /. s.mean
-
-let linear_fit points =
-  let n = Array.length points in
-  if n < 2 then invalid_arg "Stats.linear_fit: need at least two points";
-  let sx = ref 0.0 and sy = ref 0.0 and sxx = ref 0.0 and sxy = ref 0.0 in
-  Array.iter
-    (fun (x, y) ->
-      sx := !sx +. x;
-      sy := !sy +. y;
-      sxx := !sxx +. (x *. x);
-      sxy := !sxy +. (x *. y))
-    points;
-  let nf = float_of_int n in
-  let denom = (nf *. !sxx) -. (!sx *. !sx) in
-  if denom = 0.0 then invalid_arg "Stats.linear_fit: degenerate x values";
-  let b = ((nf *. !sxy) -. (!sx *. !sy)) /. denom in
-  let a = (!sy -. (b *. !sx)) /. nf in
-  (a, b)
-
-let geomean samples =
-  check_nonempty "geomean" samples;
-  let acc = ref 0.0 in
-  Array.iter
-    (fun x ->
-      if x <= 0.0 then invalid_arg "Stats.geomean: non-positive sample";
-      acc := !acc +. log x)
-    samples;
-  exp (!acc /. float_of_int (Array.length samples))

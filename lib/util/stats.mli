@@ -1,19 +1,5 @@
-(** Summary statistics over float samples, as used by the paper's tables
-    (mean of N runs with standard deviation reported as a percentage of
-    the mean). *)
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-
-(** [summarize samples] computes the summary of a non-empty sample
-    array. Raises [Invalid_argument] on an empty array. *)
-val summarize : float array -> summary
+(** Basic sample statistics over float arrays, the building blocks of
+    [Graft_stats.Robust]. *)
 
 (** Sample mean. Raises [Invalid_argument] on an empty array. *)
 val mean : float array -> float
@@ -21,20 +7,8 @@ val mean : float array -> float
 (** Sample standard deviation (n-1 denominator; 0 for singletons). *)
 val stddev : float array -> float
 
-(** [rel_stddev_pct s] is the standard deviation as a percentage of the
-    mean, the "(x.x%)" the paper prints next to each time. 0 when the
-    mean is 0. *)
-val rel_stddev_pct : summary -> float
-
 (** [percentile p samples] for [p] in [0,100], by linear interpolation
     on the sorted samples. *)
 val percentile : float -> float array -> float
 
 val median : float array -> float
-
-(** Least-squares fit [y = a +. b *. x]; returns [(a, b)].
-    Raises [Invalid_argument] if fewer than two points. *)
-val linear_fit : (float * float) array -> float * float
-
-(** Geometric mean of strictly positive samples. *)
-val geomean : float array -> float

@@ -13,12 +13,6 @@ let time_it f =
   let t1 = now_ns () in
   (Int64.to_float (Int64.sub t1 t0) /. 1e9, result)
 
-type measurement = {
-  per_call_s : Stats.summary;
-  iters : int;
-  runs : int;
-}
-
 let run_batch f iters =
   let t0 = now_ns () in
   for _ = 1 to iters do
@@ -26,17 +20,6 @@ let run_batch f iters =
   done;
   let t1 = now_ns () in
   Int64.to_float (Int64.sub t1 t0) /. 1e9
-
-let measure ?(warmup = 1) ~runs ~iters f =
-  if runs < 1 then invalid_arg "Timer.measure: runs < 1";
-  if iters < 1 then invalid_arg "Timer.measure: iters < 1";
-  for _ = 1 to warmup do
-    ignore (run_batch f iters)
-  done;
-  let samples =
-    Array.init runs (fun _ -> run_batch f iters /. float_of_int iters)
-  in
-  { per_call_s = Stats.summarize samples; iters; runs }
 
 let calibrate_iters ?(max_iters = 10_000_000) ~target_s f =
   if target_s <= 0.0 then invalid_arg "Timer.calibrate_iters: target <= 0";
@@ -58,6 +41,3 @@ let pp_seconds s =
   else if abs < 1e-3 then Printf.sprintf "%.3gus" (s *. 1e6)
   else if abs < 1.0 then Printf.sprintf "%.3gms" (s *. 1e3)
   else Printf.sprintf "%.3gs" s
-
-let pp_percall (s : Stats.summary) =
-  Printf.sprintf "%s (%.1f%%)" (pp_seconds s.mean) (Stats.rel_stddev_pct s)

@@ -1,8 +1,6 @@
-(** Wall-clock measurement harness.
-
-    The paper reports "mean of 30 runs of N iterations each (standard
-    deviations in parentheses)"; [measure] reproduces that protocol with
-    warmup and per-run iteration batching. *)
+(** Wall-clock clock reads, batch calibration and duration printing.
+    The repeated-run measurement protocol itself lives in
+    [Graft_stats.Harness]. *)
 
 (** Monotonic timestamp in nanoseconds. *)
 val now_ns : unit -> int64
@@ -14,23 +12,10 @@ val now_ns_int : unit -> int
 (** [time_it f] runs [f ()] once and returns (elapsed seconds, result). *)
 val time_it : (unit -> 'a) -> float * 'a
 
-type measurement = {
-  per_call_s : Stats.summary;  (** per-iteration seconds across runs *)
-  iters : int;                 (** iterations per run *)
-  runs : int;
-}
-
-(** [measure ~runs ~iters f] times [runs] batches of [iters] calls of
-    [f] after one warmup batch, returning per-call statistics. *)
-val measure : ?warmup:int -> runs:int -> iters:int -> (unit -> unit) -> measurement
-
 (** [calibrate_iters ~target_s f] picks an iteration count such that a
     batch of calls to [f] takes roughly [target_s] seconds (at least 1;
     capped at [max_iters], default 10_000_000). *)
 val calibrate_iters : ?max_iters:int -> target_s:float -> (unit -> unit) -> int
-
-(** Pretty "12.3us (0.4%)" rendering of a per-call summary, paper style. *)
-val pp_percall : Stats.summary -> string
 
 (** Human-readable seconds: ns/us/ms/s with 3 significant digits. *)
 val pp_seconds : float -> string

@@ -405,7 +405,8 @@ let test_manager_disables_faulty_graft () =
   ignore
     (Manager.register m ~name:"bad" ~tech:Technology.Bytecode_vm
        ~structure:Taxonomy.Prioritization ~motivation:Taxonomy.Policy
-       ~max_faults:2 ());
+       ~policy:{ Manager.default_policy with max_faults = 2 }
+       ());
   let vm = Graft_kernel.Vmsys.create { Graft_kernel.Vmsys.nframes = 2; npages = 16; pages_per_fault = 1 } in
   (* A runner whose choose always faults. *)
   let runner =

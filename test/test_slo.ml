@@ -32,27 +32,23 @@ let prop_count_le_matches_naive =
     ~count:300 histo_input (fun (subbits, xs) ->
       let h = Histo.create ~subbits () in
       List.iter (Histo.add h) xs;
+      (* The inclusive bound of each sample's bucket, via a probe
+         histo: once per sample, not once per pair. *)
+      let bounds =
+        List.map
+          (fun v ->
+            let probe = Histo.create ~subbits () in
+            Histo.add probe v;
+            Histo.percentile probe 1.0)
+          xs
+      in
       (* count_le at a bucket bound must equal the number of samples
          whose own bucket bound is <= it. *)
       List.for_all
-        (fun v ->
-          let bound =
-            (* the inclusive bound of v's bucket, via a probe histo *)
-            let probe = Histo.create ~subbits () in
-            Histo.add probe v;
-            Histo.percentile probe 1.0
-          in
-          let naive =
-            List.length
-              (List.filter
-                 (fun x ->
-                   let p = Histo.create ~subbits () in
-                   Histo.add p x;
-                   Histo.percentile p 1.0 <= bound)
-                 xs)
-          in
+        (fun bound ->
+          let naive = List.length (List.filter (fun b -> b <= bound) bounds) in
           Histo.count_le h bound = naive)
-        xs)
+        bounds)
 
 let prop_percentiles_ordered =
   QCheck.Test.make ~name:"p50 <= p95 <= p99 <= p999 on every layout"
@@ -364,7 +360,17 @@ let test_serve_json_parses () =
     && num_of d "p95_us" <= num_of d "p99_us"
     && num_of d "p99_us" <= num_of d "p999_us"
   in
-  check_float "schema" 2.0 (num "schema_version");
+  check_float "schema" 3.0 (num "schema_version");
+  (* No object anywhere in the document repeats a key. *)
+  let rec unique_keys = function
+    | Obj kvs ->
+        let keys = List.map fst kvs in
+        List.length (List.sort_uniq compare keys) = List.length keys
+        && List.for_all (fun (_, v) -> unique_keys v) kvs
+    | List l -> List.for_all unique_keys l
+    | _ -> true
+  in
+  check_bool "no repeated key" true (unique_keys doc);
   List.iter
     (fun k ->
       check_bool ("envelope " ^ k) true
@@ -384,15 +390,10 @@ let test_serve_json_parses () =
     (num "mttr_incidents" +. num "mttr_open" > 0.0);
   check_bool "forced strikes quarantine" true (num "quarantined" >= 1.0);
   check_bool "mttr present" true (num "mttr_mean_s" >= 0.0);
-  (* "tenants" is both the count and, later, the per-tenant rows. *)
   let tenants =
-    match doc with
-    | Obj kvs ->
-        List.concat
-          (List.filter_map
-             (fun (k, v) -> if k = "tenants" then to_list v else None)
-             kvs)
-    | _ -> []
+    match Option.bind (member "per_tenant" doc) to_list with
+    | Some l -> l
+    | None -> Alcotest.fail "no per_tenant array"
   in
   check_int "tenant rows" tiny.Serve.tenants (List.length tenants);
   List.iter

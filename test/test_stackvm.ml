@@ -399,6 +399,159 @@ let test_verify_fused_jump_outside () =
        Opcode.Ret |]
     "outside"
 
+(* ---------- verifier: termination at fused back edges ---------- *)
+
+(* Run [f] under a wall-clock alarm, so a verifier that stops
+   terminating fails this test instead of hanging the suite. *)
+let within_seconds n f =
+  let exception Timeout in
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timeout))
+  in
+  ignore (Unix.alarm n);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+      try f () with Timeout -> Alcotest.failf "did not finish within %ds" n)
+
+(* A counting loop whose step is plain [lload; const; add; lstore],
+   followed by one proved [aload.u] that sends the program through
+   pass 2. [~fused] closes the loop with [Jcmpk_local], which pass 2
+   models without refinement, so the counter's interval grows by one
+   per round until the loop head widens; the twin closes it with
+   [lload; const; ne; jnz]. *)
+let counted_loop ~fused =
+  let close =
+    if fused then [| Opcode.Jcmpk_local (Opcode.Cne, 0, 100, true, 2) |]
+    else [| Opcode.Load_local 0; Opcode.Const 100; Opcode.Ne; Opcode.Jnz 2 |]
+  in
+  let code =
+    Array.concat
+      [
+        [| Opcode.Const 0; Opcode.Store_local 0; Opcode.Load_local 0;
+           Opcode.Const 1; Opcode.Add; Opcode.Store_local 0 |];
+        close;
+        [| Opcode.Const 0; Opcode.Aload_u 0; Opcode.Ret |];
+      ]
+  in
+  let n = Array.length code in
+  mkprog
+    ~arrays:[| { Program.base = 0; len = 4; writable = false } |]
+    ~proofs:[| (n - 2, Graft_analysis.Interval.const 0) |]
+    ~funcs:[| fdesc ~entry:0 ~code_end:n "f" |]
+    code
+
+let test_verify_fused_back_edge () =
+  Alcotest.(check int) "ten instructions" 10
+    (Array.length (counted_loop ~fused:true).Program.code);
+  List.iter
+    (fun fused ->
+      match within_seconds 10 (fun () -> Verify.verify (counted_loop ~fused)) with
+      | Ok () -> ()
+      | Error msg ->
+          Alcotest.failf "%s loop rejected: %s"
+            (if fused then "fused" else "ne/jnz")
+            msg)
+    [ false; true ]
+
+let test_verify_heights () =
+  let code =
+    [| Opcode.Const 1; Opcode.Const 2; Opcode.Jmp 4; Opcode.Pop; Opcode.Add;
+       Opcode.Ret |]
+  in
+  match Verify.heights (mkprog ~funcs:[| fdesc ~entry:0 ~code_end:6 "f" |] code) with
+  | Error msg -> Alcotest.failf "rejected: %s" msg
+  | Ok h ->
+      Alcotest.(check (array int)) "per-pc heights" [| 0; 1; 2; -1; 2; 1 |]
+        h.Verify.at;
+      Alcotest.(check (array int)) "per-function maximum" [| 2 |] h.Verify.fmax
+
+(* ---------- opcode facts ---------- *)
+
+(* One instance of every [Opcode.t] constructor; jumps aim at pc 5. *)
+let every_opcode =
+  Opcode.
+    [
+      Const 1; Load_local 0; Store_local 0; Load_global 0; Store_global 0;
+      Aload 0; Astore 0; Aload_u 0; Astore_u 0; Mlookup 0; Mupdate 0;
+      Mlookup_u 0; Mupdate_u 0; Add; Sub; Mul; Div; Mod; Div_u; Mod_u; Shl;
+      Shr; Lshr; Band; Bor; Bxor; Bnot; Neg; Wadd; Wsub; Wmul; Wshl; Wshr;
+      Wbnot; Wneg; Wmask; Lt; Le; Gt; Ge; Eq; Ne; Tobool; Not; Jmp 5; Jz 5;
+      Jnz 5; Call 0; Callext 0; Ret; Pop; Dup; Halt; Bink (KAdd, 1);
+      Cmpk (Clt, 1); Jcmp (Clt, true, 5); Jcmpk (Clt, 1, true, 5);
+      Aload_k (0, 1); Local_addk (0, 1); Load_local2 (0, 1);
+      Bin_local (KAdd, 0); Bin_local2 (KAdd, 0, 1); Aload_local (0, 1);
+      Move_local (0, 1); Jcmpk_local (Clt, 0, 1, true, 5);
+      Store_localk (0, 1); Bin_store (KAdd, 0); Bink_store (KAdd, 1, 0);
+      Bink_local (KAdd, 0, 1); Bin_aload_local (KAdd, 0, 1);
+      Aload_local_store (0, 1, 2); Move_local2 (0, 1, 2, 3);
+    ]
+
+let test_opcode_facts () =
+  let name op = Opcode.class_names.(Opcode.index op) in
+  let names = Alcotest.(check (list string)) in
+  names "one instance per constructor"
+    (Array.to_list Opcode.class_names)
+    (List.map (fun i -> Opcode.class_names.(i))
+       (List.sort compare (List.map Opcode.index every_opcode)));
+  (* [map_target] moves exactly the constructors [target] reports,
+     and nothing but the target. *)
+  List.iter
+    (fun op ->
+      let moved = Opcode.map_target (fun t -> t + 100) op in
+      match Opcode.target op with
+      | Some t ->
+          Alcotest.(check (option int)) (name op ^ " moved") (Some (t + 100))
+            (Opcode.target moved);
+          Alcotest.(check bool) (name op ^ " otherwise kept") true
+            (Opcode.map_target (fun _ -> t) moved = op)
+      | None -> Alcotest.(check bool) (name op ^ " kept") true (moved = op))
+    every_opcode;
+  names "branches" [ "jmp"; "jz"; "jnz"; "jcmp"; "jcmp.k"; "jcmp.lk" ]
+    (List.map name (List.filter (fun op -> Opcode.target op <> None) every_opcode));
+  (* [twin] pairs exactly the six checked/unchecked forms. *)
+  let pairs =
+    List.filter_map
+      (fun op ->
+        match Opcode.twin op with
+        | Some u when Opcode.is_unchecked u ->
+            Alcotest.(check bool) (name op ^ " twin of twin") true
+              (Opcode.twin u = Some op && not (Opcode.is_unchecked op));
+            Some (name op ^ "/" ^ name u)
+        | _ -> None)
+      every_opcode
+  in
+  names "check-site pairs"
+    [ "aload/aload.u"; "astore/astore.u"; "mlookup/mlookup.u";
+      "mupdate/mupdate.u"; "div/div.u"; "mod/mod.u" ]
+    pairs;
+  names "unchecked forms"
+    [ "aload.u"; "astore.u"; "mlookup.u"; "mupdate.u"; "div.u"; "mod.u" ]
+    (List.map name (List.filter Opcode.is_unchecked every_opcode));
+  Alcotest.(check int) "twelve check-site forms" 12
+    (List.length (List.filter (fun op -> Opcode.twin op <> None) every_opcode));
+  (* Each selector names the operator its opcode prints as. *)
+  List.iter
+    (fun op ->
+      Option.iter
+        (fun b -> Alcotest.(check string) "binop" (name op) (Opcode.bink_name b))
+        (Opcode.binop op);
+      Option.iter
+        (fun c -> Alcotest.(check string) "cmpop" (name op) (Opcode.cmp_name c))
+        (Opcode.cmpop op);
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) (name op ^ " writes a named local") true
+            (List.mem n (Opcode.locals op)))
+        (Opcode.writes op))
+    every_opcode;
+  Alcotest.(check int) "binary operators" 16
+    (List.length (List.filter (fun op -> Opcode.binop op <> None) every_opcode));
+  Alcotest.(check int) "comparisons" 6
+    (List.length (List.filter (fun op -> Opcode.cmpop op <> None) every_opcode))
+
 (* The VM refuses unverified malicious code end-to-end via load. *)
 let test_load_rejects () =
   let image = fresh_image "fn main() : int { return 0; }" in
@@ -977,6 +1130,10 @@ let () =
           Alcotest.test_case "bad local" `Quick test_verify_fused_bad_local;
           Alcotest.test_case "jump outside fn" `Quick
             test_verify_fused_jump_outside;
+          Alcotest.test_case "fused back edge terminates" `Quick
+            test_verify_fused_back_edge;
+          Alcotest.test_case "pass-1 heights" `Quick test_verify_heights;
+          Alcotest.test_case "opcode facts" `Quick test_opcode_facts;
         ] );
       ("disasm", [ Alcotest.test_case "renders" `Quick test_disasm ]);
       ( "differential",

@@ -347,6 +347,22 @@ let test_cli_chrome_all () =
         | Some (_ :: _) -> true
         | _ -> false)
 
+(* [graftkit trace SCENARIO --format=summary] end to end: it exits 0
+   and its table has a row on each of [tracks] and for each of
+   [events]. *)
+let test_cli_summary scenario ~tracks ~events () =
+  let code, out = Cli.graftkit [ "trace"; scenario; "--format=summary" ] in
+  check_int "exit" 0 code;
+  let rows = String.split_on_char '\n' out in
+  List.iter
+    (fun t ->
+      check_bool ("track " ^ t) true
+        (List.exists (String.starts_with ~prefix:("| " ^ t ^ " ")) rows))
+    tracks;
+  List.iter
+    (fun e -> check_bool ("event " ^ e) true (contains out (" " ^ e ^ " |")))
+    events
+
 let test_chrome_processes () =
   let js =
     Export.chrome_json_of
@@ -490,7 +506,8 @@ let test_manager_disable_traced =
       let g =
         Manager.register mgr ~name:"bad" ~tech:Technology.Safe_lang
           ~structure:Taxonomy.Prioritization ~motivation:Taxonomy.Policy
-          ~max_faults:1 ()
+          ~policy:{ Manager.default_policy with max_faults = 1 }
+          ()
       in
       Manager.attach_evict mgr ~graft_name:"bad" vm failing_evict
         ~hot_pages:(fun () -> [| 1 |]);
@@ -540,6 +557,13 @@ let () =
           Alcotest.test_case "per-domain processes" `Quick
             test_chrome_processes;
           Alcotest.test_case "graftkit trace all" `Quick test_cli_chrome_all;
+          Alcotest.test_case "graftkit trace evict summary" `Quick
+            (test_cli_summary "evict" ~tracks:[ "upcall" ]
+               ~events:[ "evict-hook" ]);
+          Alcotest.test_case "graftkit trace demux summary" `Quick
+            (test_cli_summary "demux" ~tracks:[] ~events:[ "map:lookup" ]);
+          Alcotest.test_case "graftkit trace hotset summary" `Quick
+            (test_cli_summary "hotset" ~tracks:[] ~events:[ "stackvm.jit" ]);
         ] );
       ( "opprof",
         [
