@@ -406,8 +406,12 @@ let digest_hex_of_cells cells base =
   done;
   Buffer.contents buf
 
-let load_bytes_into_cells cells base data =
-  for i = 0 to Bytes.length data - 1 do
+(* Copy the first [len] bytes of [data] into [cells] from [base],
+   straight from the caller's buffer. The length is checked once, so
+   the per-byte loop carries only the [cells] bounds check. *)
+let load_bytes_into_cells cells base data len =
+  if len > Bytes.length data then invalid_arg "Runners.load_bytes_into_cells";
+  for i = 0 to len - 1 do
     cells.(base + i) <- Char.code (Bytes.unsafe_get data i)
   done
 
@@ -427,7 +431,7 @@ let gel_md5 tech ~capacity =
     load =
       (fun data ->
         check_chunk ~capacity data;
-        load_bytes_into_cells cells data_w.Memory.base data);
+        load_bytes_into_cells cells data_w.Memory.base data (Bytes.length data));
     compute = (fun n -> ignore (entry ~entry:"run" ~args:[| n |]));
     digest_hex = (fun () -> digest_hex_of_cells cells digest_w.Memory.base);
   }
@@ -457,7 +461,7 @@ let script_md5 ~capacity =
     load =
       (fun data ->
         check_chunk ~capacity data;
-        load_bytes_into_cells cells data_w.Memory.base data);
+        load_bytes_into_cells cells data_w.Memory.base data (Bytes.length data));
     compute =
       (fun n ->
         ignore
@@ -619,7 +623,7 @@ let packet_filter (tech : Technology.t) ~protocol ~port :
     fun (pkt : Graft_kernel.Netpkt.t) ->
       let data = pkt.Graft_kernel.Netpkt.data in
       let len = min (Bytes.length data) pkt_window_cells in
-      load_bytes_into_cells cells w.Memory.base (Bytes.sub data 0 len);
+      load_bytes_into_cells cells w.Memory.base data len;
       entry ~entry:"accept" ~args:[| len |] <> 0
   in
   match tech with
@@ -653,7 +657,7 @@ let packet_filter (tech : Technology.t) ~protocol ~port :
       fun (pkt : Graft_kernel.Netpkt.t) ->
         let data = pkt.Graft_kernel.Netpkt.data in
         let len = min (Bytes.length data) pkt_window_cells in
-        load_bytes_into_cells cells w.Memory.base (Bytes.sub data 0 len);
+        load_bytes_into_cells cells w.Memory.base data len;
         int_of_string
           (script_fail
              (Graft_script.Script.call t "accept" [ string_of_int len ]))
@@ -694,7 +698,7 @@ let demux (tech : Technology.t) ~protocol ~marker : demux =
     fun (pkt : Graft_kernel.Netpkt.t) ->
       let data = pkt.Graft_kernel.Netpkt.data in
       let len = min (Bytes.length data) pkt_window_cells in
-      load_bytes_into_cells cells w.Memory.base (Bytes.sub data 0 len);
+      load_bytes_into_cells cells w.Memory.base data len;
       entry ~entry:"demux" ~args:[| len |]
   in
   let fn =

@@ -107,12 +107,22 @@ let ir_cmp = function
   | Opcode.Ceq -> Ir.Eq
   | Opcode.Cne -> Ir.Ne
 
-(* Joins at a program point widen only after the point has been visited
-   this many times. The threshold is deliberately generous: the
-   compiler's analysis widens loop heads almost immediately, so its
-   claims already absorb widening; the verifier must stay at least as
-   precise, and small counted loops (the common case) converge exactly
-   well before the cutoff. *)
+(* Widening at a loop head follows the compiler's analysis
+   ([Analyze.exec_while]: exact join on the first round, widening from
+   the second), so the verifier can re-derive the ranges the analysis
+   wrote its claims from:
+   - the worklist always takes the lowest pending pc, so every arm of
+     a loop body merges before the back edge runs and each pass over
+     the body reaches the head over a back edge once;
+   - an arrival over a back edge joins exactly the first time it
+     changes the head, and widens from its second change on;
+   - an arrival from outside the loop (a lower pc) joins exactly and
+     restarts that count, so an inner loop re-entered with a wider
+     outer counter keeps the counter's guard-refined range instead of
+     widening it to infinity.
+   Any arrival widens once the head has been visited [widen_after]
+   times, the termination backstop for arbitrary hand-built
+   bytecode. *)
 let widen_after = 300
 
 let check_elisions (p : Program.t) : (unit, string) result =
@@ -172,9 +182,27 @@ let check_elisions (p : Program.t) : (unit, string) result =
       | Some t when t >= lo && t <= pc -> widen_at.(t - lo) <- true
       | _ -> ()
     done;
-    let worklist = Queue.create () in
+    (* Changes a back edge has made at each loop head since an arrival
+       from outside the loop last changed it. *)
+    let back_changes = Array.make (max 1 (hi - lo)) 0 in
+    (* The worklist: pending pcs by offset, and the lowest offset that
+       may be pending (none below it is). *)
+    let pending = Array.make (max 1 (hi - lo)) false in
+    let first = ref (hi - lo) in
+    let enqueue i =
+      pending.(i) <- true;
+      if i < !first then first := i
+    in
+    let next_pending () =
+      while !first < hi - lo && not pending.(!first) do
+        incr first
+      done;
+      !first
+    in
     let sym_join a b = if a = b then a else Snone in
-    let schedule pc (locals, stack) =
+    (* [from] is the pc the state flows out of: [from >= pc] is a back
+       edge. *)
+    let schedule ~from pc (locals, stack) =
       if pc < lo || pc >= hi then
         bad "function %d (%s): pass-2 jump target %d outside [%d,%d)" fi
           f.Program.name pc lo hi;
@@ -182,12 +210,16 @@ let check_elisions (p : Program.t) : (unit, string) result =
       match states.(i) with
       | None ->
           states.(i) <- Some (locals, stack);
-          Queue.add pc worklist
+          enqueue i
       | Some (ol, os) ->
           if List.length os <> List.length stack then
             bad "function %d (%s): pass-2 stack height mismatch at %d" fi
               f.Program.name pc;
-          let wide = widen_at.(i) && visits.(i) > widen_after in
+          let back = from >= pc in
+          let wide =
+            widen_at.(i)
+            && (visits.(i) > widen_after || (back && back_changes.(i) >= 1))
+          in
           let up old now =
             let j = I.join old now in
             if wide then I.widen old j else j
@@ -204,13 +236,16 @@ let check_elisions (p : Program.t) : (unit, string) result =
           in
           if changed then begin
             states.(i) <- Some (jl, js);
-            Queue.add pc worklist
+            back_changes.(i) <- (if back then back_changes.(i) + 1 else 0);
+            enqueue i
           end
     in
-    schedule lo (Array.make (max 1 f.Program.nlocals) I.top, []);
-    while not (Queue.is_empty worklist) do
-      let pc = Queue.pop worklist in
+    schedule ~from:(lo - 1) lo (Array.make (max 1 f.Program.nlocals) I.top, []);
+    while next_pending () < hi - lo do
+      let pc = lo + !first in
+      pending.(pc - lo) <- false;
       visits.(pc - lo) <- visits.(pc - lo) + 1;
+      let schedule = schedule ~from:pc in
       let locals0, stack0 =
         match states.(pc - lo) with Some s -> s | None -> assert false
       in

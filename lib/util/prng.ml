@@ -1,13 +1,20 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in an 8-byte buffer, and [next]
+   is inlined into every draw, so the int64 arithmetic stays in
+   registers and a draw allocates nothing. A [mutable int64] record
+   field would box a fresh int64 on every step. *)
+type t = bytes
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 (Steele, Lea, Flood 2014). *)
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -3,7 +3,13 @@
     Workload generation must be reproducible across runs and
     technologies so that every technology sees the identical request
     stream; the stdlib [Random] state is global and version-dependent,
-    so we carry our own. *)
+    so we carry our own.
+
+    The state is kept unboxed, so [int], [bool] and [bytes] allocate
+    nothing per draw ([bytes] allocates only its result, [next] only
+    its boxed result). Every workload, fault plan and fuzz program is a
+    function of this stream, so it is pinned bit for bit in
+    [test_util]. *)
 
 type t
 

@@ -340,6 +340,22 @@ let test_serve_openmetrics () =
     ];
   Alcotest.(check string) "last line" "# EOF" (List.hd (List.rev lines))
 
+(* Set-up allocation budget: one tenant per tier (GEL compile,
+   analysis, verification, JIT and register-VM compile, maps, and the
+   tenant's packet, chunk and arrival pools) takes about 0.9M minor
+   words. The budget fails if the stack verifier walks counted loops
+   once per iteration or the PRNG boxes its draws. *)
+let test_serve_setup_allocation () =
+  let mgr = Graft_core.Manager.create () in
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length Serve.tech_rotation - 1 do
+    ignore (Sys.opaque_identity (Serve.make_tenant mgr Serve.default i))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 1.5e6 then
+    Alcotest.failf "make_tenant 0-5 allocated %.0f minor words (budget 1.5M)"
+      words
+
 let test_serve_json_parses () =
   let r = Serve.run tiny in
   let open Graft_util.Minijson in
@@ -548,6 +564,8 @@ let () =
           Alcotest.test_case "report shape" `Quick test_serve_shape;
           Alcotest.test_case "json parses" `Quick test_serve_json_parses;
           Alcotest.test_case "openmetrics snapshot" `Quick test_serve_openmetrics;
+          Alcotest.test_case "tenant set-up allocation" `Quick
+            test_serve_setup_allocation;
         ] );
       ( "servegate",
         [

@@ -456,6 +456,129 @@ let test_verify_fused_back_edge () =
             msg)
     [ false; true ]
 
+(* ---------- verifier: loop-head widening ---------- *)
+
+(* Load [src] on the statically checked tier and the JIT, both with
+   [~bounded:true] over a fresh 8-entry array map, and return the
+   static tier's (elided, total) check sites. *)
+let load_static_and_jit src =
+  let load loader =
+    let maps = [| Graft_kernel.Graftmap.create_array ~name:"m" 8 |] in
+    loader maps (fresh_image ~hosts:(Graft_core.Runners.map_hosts maps) src)
+  in
+  let p =
+    match load (fun maps -> Stackvm.load_static ~maps ~bounded:true) with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "static tier rejected: %s" msg
+  in
+  (match load (fun maps -> Graft_jit.Jit.load ~maps ~bounded:true) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "jit rejected: %s" msg);
+  Stackvm.elision_stats p
+
+(* The inner body indexes an array and a map key with the outer
+   counter. Each outer round re-enters the inner loop with a wider
+   counter; that entry must join exactly, so the inner head keeps the
+   outer guard's [0,7] rather than widening it to [0,+inf]. *)
+let nested_loops_src =
+  {|
+extern fn map_lookup(int, int) : int;
+array a[8];
+fn main() : int {
+  var s = 0;
+  for (var i = 0; i < 8; i = i + 1) {
+    for (var j = 0; j < 3; j = j + 1) {
+      s = s + a[i] + map_lookup(0, i) + j;
+    }
+  }
+  return s;
+}
+|}
+
+let test_widen_nested_loops () =
+  Alcotest.(check (pair int int)) "array index and map key elided" (2, 2)
+    (load_static_and_jit nested_loops_src)
+
+(* A one-armed [if] and an [if]/[else] with arms of different lengths
+   inside the loop: the skip edge reaches the join point before the
+   longer arm does. Both arms must merge before the back edge runs, so
+   one pass over the body changes the head once and [k] and [m] keep
+   the [0,3] and [0,5] the analysis proved. *)
+let test_widen_uneven_arms () =
+  Alcotest.(check (pair int int)) "a[k] and a[m] elided" (2, 2)
+    (load_static_and_jit
+       {|
+array a[8];
+fn main() : int {
+  var s = 0;
+  var k = 0;
+  var m = 0;
+  for (var i = 0; i < 8; i = i + 1) {
+    s = s + a[k] + a[m];
+    if (s > 5) { k = 3; }
+    if (s > 9) { m = 2; } else { s = s + 1; s = s * 2; m = 5; }
+  }
+  return s;
+}
+|})
+
+(* The inner loop reads [x] before reassigning it from the outer
+   counter. Each outer round enters the inner loop with a wider [i];
+   that arrival restarts the inner head's count, so the inner back edge
+   joins [x] exactly again and it stays within the outer guard's [0,7]
+   instead of widening to [0,+inf]. *)
+let test_widen_reentry_resets () =
+  Alcotest.(check (pair int int)) "a[x] elided" (1, 1)
+    (load_static_and_jit
+       {|
+array a[8];
+fn main() : int {
+  var s = 0;
+  for (var i = 0; i < 8; i = i + 1) {
+    var x = 0;
+    for (var j = 0; j < 3; j = j + 1) {
+      s = s + a[x];
+      x = i;
+    }
+  }
+  return s;
+}
+|})
+
+let test_widen_long_loop () =
+  Alcotest.(check (pair int int)) "a[i] elided" (1, 1)
+    (load_static_and_jit
+       {|
+array a[1000];
+fn main() : int {
+  var s = 0;
+  for (var i = 0; i < 1000; i = i + 1) {
+    s = s + a[i];
+  }
+  return s;
+}
+|})
+
+(* Re-deriving the MD5 graft's elisions walks each counted loop a few
+   times, not once per iteration. *)
+let test_widen_md5_allocation () =
+  let env =
+    Graft_core.Runners.gel_env Graft_core.Technology.Safe_lang_static
+      (Graft_grafts.Gel_sources.md5 ~data_cells:384)
+      [ ("data", 384, true); ("digest", 16, true) ]
+  in
+  let p = Stackvm.load_static_exn env.Graft_core.Runners.image in
+  let elided, _ = Stackvm.elision_stats p in
+  Alcotest.(check bool) "MD5 carries elisions" true (elided > 0);
+  let w0 = Gc.minor_words () in
+  (match Verify.verify p with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "MD5 rejected: %s" msg);
+  let words = Gc.minor_words () -. w0 in
+  if words >= 300_000. then
+    Alcotest.failf "Verify.verify allocated %.0f minor words (budget 300k)"
+      words
+
 let test_verify_heights () =
   let code =
     [| Opcode.Const 1; Opcode.Const 2; Opcode.Jmp 4; Opcode.Pop; Opcode.Add;
@@ -1134,6 +1257,19 @@ let () =
             test_verify_fused_back_edge;
           Alcotest.test_case "pass-1 heights" `Quick test_verify_heights;
           Alcotest.test_case "opcode facts" `Quick test_opcode_facts;
+        ] );
+      ( "widening",
+        [
+          Alcotest.test_case "nested loops keep the outer range" `Quick
+            test_widen_nested_loops;
+          Alcotest.test_case "uneven arms merge before the back edge" `Quick
+            test_widen_uneven_arms;
+          Alcotest.test_case "loop re-entry restarts the count" `Quick
+            test_widen_reentry_resets;
+          Alcotest.test_case "1,000-iteration counted loop" `Quick
+            test_widen_long_loop;
+          Alcotest.test_case "MD5 verify allocation" `Quick
+            test_widen_md5_allocation;
         ] );
       ("disasm", [ Alcotest.test_case "renders" `Quick test_disasm ]);
       ( "differential",

@@ -103,6 +103,54 @@ let test_prng_split_independent () =
   let s = Prng.split r in
   Alcotest.(check bool) "split differs" true (Prng.next r <> Prng.next s)
 
+(* The stream is pinned: every workload, fault plan and fuzz program
+   is a function of it, so any change to how [Prng] stores its state
+   must reproduce these values bit for bit. *)
+let test_prng_pinned () =
+  let check_next seed expected =
+    let r = Prng.create seed in
+    List.iter
+      (fun v -> Alcotest.(check int64) (Printf.sprintf "seed %Ld" seed) v (Prng.next r))
+      expected
+  in
+  check_next 42L
+    [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+      0x581ce1ff0e4ae394L ];
+  check_next 0x5EEDL
+    [ 0x09f1fd9d03f0a9b4L; 0x553274161bbf8475L; 0x5d5bca4696b343b3L;
+      0x70d29b6c7d22528dL ];
+  let r = Prng.create 7L in
+  Alcotest.(check (list int)) "int samples" [ 621; 951; 336; 50; 918; 76 ]
+    (List.init 6 (fun _ -> Prng.int r 1000));
+  Alcotest.(check string) "bytes sample" "\025\152m\024\232\2553OZ\\h\166"
+    (Bytes.to_string (Prng.bytes (Prng.create 9L) 12));
+  let r = Prng.create 3L in
+  let s = Prng.split r in
+  Alcotest.(check int64) "split stream" 0xbccdfd9c96a18897L (Prng.next s);
+  Alcotest.(check int64) "parent after split" 0xb3466f8a7b81a989L (Prng.next r);
+  Alcotest.(check (float 0.)) "float sample" 0.61297468254662435 (Prng.float r);
+  Alcotest.(check bool) "bool sample" true (Prng.bool r)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A draw allocates nothing: the state is not a boxed int64. *)
+let test_prng_no_allocation () =
+  let r = Prng.create 7L in
+  let acc = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          acc := !acc + Prng.int r 17
+        done)
+  in
+  Alcotest.(check (float 0.)) "10,000 Prng.int calls" 0. words;
+  (* [Prng.bytes 1000] allocates its 127-word buffer and nothing per byte. *)
+  let words = minor_words (fun () -> ignore (Sys.opaque_identity (Prng.bytes r 1000))) in
+  if words > 150. then Alcotest.failf "Prng.bytes 1000 allocated %.0f words" words
+
 (* ---------- Tablefmt ---------- *)
 
 let test_table_render () =
@@ -228,6 +276,9 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "bytes" `Quick test_prng_bytes;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
+          Alcotest.test_case "pinned stream" `Quick test_prng_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_prng_no_allocation;
         ] );
       ( "tablefmt",
         [
