@@ -60,9 +60,15 @@ type arm = {
   mutable fired : bool;
 }
 
+(* One record per site ticked so far, found with one lookup per tick. *)
+type site_state = {
+  mutable count : int;
+  site_arms : arm list;  (** this site's arms, in plan order *)
+}
+
 type t = {
   arms : arm list;
-  counters : (string, int) Hashtbl.t;
+  sites : (string, site_state) Hashtbl.t;
   mutable history : (string * fault_class * int) list;  (** reverse order *)
 }
 
@@ -75,7 +81,7 @@ let make specs =
         { site; fault; trigger; fired = false })
       specs
   in
-  { arms; counters = Hashtbl.create 8; history = [] }
+  { arms; sites = Hashtbl.create 8; history = [] }
 
 let arms t = List.map (fun a -> (a.site, a.fault, a.trigger)) t.arms
 
@@ -106,25 +112,35 @@ let of_seed ?(narms = 3) ?(max_trigger = 16) ?(classes = all_classes) ~sites
   in
   make specs
 
+let state_of t site =
+  try Hashtbl.find t.sites site
+  with Not_found ->
+    let s =
+      { count = 0; site_arms = List.filter (fun a -> a.site = site) t.arms }
+    in
+    Hashtbl.add t.sites site s;
+    s
+
+(* The first unfired arm whose trigger is [n]: fire it. *)
+let rec fire t n = function
+  | [] -> None
+  | a :: rest ->
+      if (not a.fired) && a.trigger = n then begin
+        a.fired <- true;
+        t.history <- (a.site, a.fault, n) :: t.history;
+        Graft_trace.Trace.instant ~arg:n Graft_trace.Trace.Manager
+          ("inject:" ^ class_name a.fault);
+        Some a.fault
+      end
+      else fire t n rest
+
 (** Count one invocation of [site]; returns the fault class to commit
     now if exactly one arm fires, choosing the first unfired arm in
     plan order when several share the trigger. *)
 let tick t site =
-  let n = (try Hashtbl.find t.counters site with Not_found -> 0) + 1 in
-  Hashtbl.replace t.counters site n;
-  let rec find = function
-    | [] -> None
-    | a :: rest ->
-        if (not a.fired) && a.site = site && a.trigger = n then begin
-          a.fired <- true;
-          t.history <- (site, a.fault, n) :: t.history;
-          Graft_trace.Trace.instant ~arg:n Graft_trace.Trace.Manager
-            ("inject:" ^ class_name a.fault);
-          Some a.fault
-        end
-        else find rest
-  in
-  find t.arms
+  let s = state_of t site in
+  s.count <- s.count + 1;
+  fire t s.count s.site_arms
 
 (** Tick [site] and raise the armed fault (as {!fault_of}) when one
     fires — the one-line injection hook for kernel-side sites. *)
@@ -136,9 +152,10 @@ let check t site =
 (** Arms fired so far: (site, class, trigger), in firing order. *)
 let fired t = List.rev t.history
 
-let ticks t site = try Hashtbl.find t.counters site with Not_found -> 0
+let ticks t site =
+  match Hashtbl.find t.sites site with s -> s.count | exception Not_found -> 0
 
 let reset t =
-  Hashtbl.reset t.counters;
+  Hashtbl.reset t.sites;
   t.history <- [];
   List.iter (fun a -> a.fired <- false) t.arms

@@ -32,32 +32,51 @@ let kind_name = function
   | Hash_map -> "hash"
   | Lru_map -> "lru"
 
+(* Hash and LRU maps are preallocated, as eBPF preallocates hash-map
+   elements by default: [max_entries] slots whose keys and values live
+   in int arrays. A key finds its slot through power-of-two bucket
+   heads and a per-slot chain; a free slot is threaded through the same
+   chain, so no operation allocates. Keys are small ints (pages, ports),
+   so a key's low bits pick its bucket, and a chain holds at most
+   [max_entries] slots. [lru] is the kernel's intrusive {!Lru} list
+   over the used slots: an LRU map moves a slot to the MRU end on every
+   touch and evicts from the LRU end, both O(1); a hash map never
+   touches, so there the list only counts. *)
 type t = {
   name : string;
   kind : kind;
   max_entries : int;
   arr : int array;  (** backing store, [Array_map] only (else [||]) *)
-  tbl : (int, int) Hashtbl.t;  (** entries, hash kinds only *)
-  recency : (int, int) Hashtbl.t;  (** key -> last-touch tick, LRU only *)
-  mutable tick : int;
+  keys : int array;  (** slot -> key, hash kinds only (else [||]) *)
+  vals : int array;  (** slot -> value, hash kinds only (else [||]) *)
+  heads : int array;  (** bucket -> first slot of its chain, or -1 *)
+  chain : int array;  (** slot -> next slot in its bucket or the free list *)
+  mutable free : int;  (** first free slot, or -1 when every slot is used *)
+  lru : Lru.t;  (** used slots; a one-frame stub on array maps *)
   m_lookups : Graft_metrics.counter;
   m_updates : Graft_metrics.counter;
   m_evictions : Graft_metrics.counter;
 }
+
+let rec pow2_at_least n p = if p >= n then p else pow2_at_least n (2 * p)
 
 let make name kind max_entries =
   if max_entries < 1 then
     invalid_arg (Printf.sprintf "Graftmap.%s: max_entries %d < 1" name
                    max_entries);
   let labels op = [ ("map", name); ("op", op) ] in
+  let slots = if kind = Array_map then 0 else max_entries in
   {
     name;
     kind;
     max_entries;
     arr = (if kind = Array_map then Array.make max_entries 0 else [||]);
-    tbl = Hashtbl.create 16;
-    recency = Hashtbl.create 16;
-    tick = 0;
+    keys = Array.make slots 0;
+    vals = Array.make slots 0;
+    heads = Array.make (pow2_at_least slots 1) (-1);
+    chain = Array.init slots (fun s -> if s + 1 < slots then s + 1 else -1);
+    free = (if slots = 0 then -1 else 0);
+    lru = Lru.create (max slots 1);
     m_lookups =
       Graft_metrics.counter "graftkit_map_ops" (labels "lookup")
         ~help:"Graft map operations by map and op";
@@ -83,28 +102,42 @@ let in_range t k = k >= 0 && k < t.max_entries
 let oob access k =
   Fault.raise_fault (Fault.Out_of_bounds { access; addr = k })
 
-let touch t k =
-  t.tick <- t.tick + 1;
-  Hashtbl.replace t.recency k t.tick
+let bucket t k = k land (Array.length t.heads - 1)
 
-(** Evict the least-recently-used key. Ticks are unique (strictly
-    increasing), so the argmin is unambiguous and iteration order of
-    the table cannot leak into behaviour. *)
+let rec find_from t k s =
+  if s < 0 || t.keys.(s) = k then s else find_from t k t.chain.(s)
+
+(* The slot holding [k], or -1. *)
+let slot_of t k = find_from t k t.heads.(bucket t k)
+
+(* Put [k] in the first free slot, at the head of its bucket's chain
+   and the MRU end of [lru]. The caller guarantees a free slot. *)
+let insert t k v =
+  let s = t.free in
+  let b = bucket t k in
+  t.free <- t.chain.(s);
+  t.keys.(s) <- k;
+  t.vals.(s) <- v;
+  t.chain.(s) <- t.heads.(b);
+  t.heads.(b) <- s;
+  Lru.push_mru t.lru s
+
+(* The slot before [s] in a chain that holds it, walking from [p]. *)
+let rec pred_of t s p = if t.chain.(p) = s then p else pred_of t s t.chain.(p)
+
+(* Unlink used slot [s] from its bucket and [lru], and free it. *)
+let release t s =
+  let b = bucket t t.keys.(s) in
+  if t.heads.(b) = s then t.heads.(b) <- t.chain.(s)
+  else t.chain.(pred_of t s t.heads.(b)) <- t.chain.(s);
+  Lru.remove t.lru s;
+  t.chain.(s) <- t.free;
+  t.free <- s
+
+(** Evict the least recently touched key: the head of [lru]. *)
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k tick acc ->
-        match acc with
-        | Some (_, best) when best <= tick -> acc
-        | _ -> Some (k, tick))
-      t.recency None
-  in
-  match victim with
-  | None -> ()
-  | Some (k, _) ->
-      Hashtbl.remove t.tbl k;
-      Hashtbl.remove t.recency k;
-      Graft_metrics.inc t.m_evictions
+  release t (Lru.lru_frame t.lru);
+  Graft_metrics.inc t.m_evictions
 
 (* Graftscope span names for the hot ops, preallocated: the tracer
    stores the pointer. On the fault paths the span is abandoned (the
@@ -120,14 +153,15 @@ let lookup t k =
   let v =
     match t.kind with
     | Array_map -> if in_range t k then t.arr.(k) else oob Fault.Read k
-    | Hash_map -> (
-        match Hashtbl.find_opt t.tbl k with Some v -> v | None -> 0)
-    | Lru_map -> (
-        match Hashtbl.find_opt t.tbl k with
-        | Some v ->
-            touch t k;
-            v
-        | None -> 0)
+    | Hash_map ->
+        let s = slot_of t k in
+        if s < 0 then 0 else t.vals.(s)
+    | Lru_map ->
+        let s = slot_of t k in
+        if s < 0 then 0
+        else (
+          Lru.touch t.lru s;
+          t.vals.(s))
   in
   Graft_trace.Trace.span_end ~arg:k Graft_trace.Trace.Map n_lookup tok;
   v
@@ -146,18 +180,22 @@ let update t k v =
           1)
         else oob Fault.Write k
     | Hash_map ->
-        if Hashtbl.mem t.tbl k then (
-          Hashtbl.replace t.tbl k v;
+        let s = slot_of t k in
+        if s >= 0 then (
+          t.vals.(s) <- v;
           1)
-        else if Hashtbl.length t.tbl >= t.max_entries then 0
+        else if t.free < 0 then 0
         else (
-          Hashtbl.replace t.tbl k v;
+          insert t k v;
           1)
     | Lru_map ->
-        if not (Hashtbl.mem t.tbl k) && Hashtbl.length t.tbl >= t.max_entries
-        then evict_lru t;
-        Hashtbl.replace t.tbl k v;
-        touch t k;
+        let s = slot_of t k in
+        if s >= 0 then (
+          t.vals.(s) <- v;
+          Lru.touch t.lru s)
+        else (
+          if t.free < 0 then evict_lru t;
+          insert t k v);
         1
   in
   Graft_trace.Trace.span_end ~arg:k Graft_trace.Trace.Map n_update tok;
@@ -176,9 +214,9 @@ let delete t k =
           1)
         else oob Fault.Write k
     | Hash_map | Lru_map ->
-        if Hashtbl.mem t.tbl k then (
-          Hashtbl.remove t.tbl k;
-          Hashtbl.remove t.recency k;
+        let s = slot_of t k in
+        if s >= 0 then (
+          release t s;
           1)
         else 0
   in
@@ -190,20 +228,20 @@ let delete t k =
 let contains t k =
   match t.kind with
   | Array_map -> if in_range t k then 1 else 0
-  | Hash_map | Lru_map -> if Hashtbl.mem t.tbl k then 1 else 0
+  | Hash_map | Lru_map -> if slot_of t k >= 0 then 1 else 0
 
 (** Occupancy: population for hash kinds, capacity for array maps
     (every array slot always exists). *)
 let size t =
   match t.kind with
   | Array_map -> t.max_entries
-  | Hash_map | Lru_map -> Hashtbl.length t.tbl
+  | Hash_map | Lru_map -> Lru.length t.lru
 
 let clear t =
   Array.fill t.arr 0 (Array.length t.arr) 0;
-  Hashtbl.reset t.tbl;
-  Hashtbl.reset t.recency;
-  t.tick <- 0
+  while not (Lru.is_empty t.lru) do
+    release t (Lru.lru_frame t.lru)
+  done
 
 (** Unchecked fast path for verified map opcodes ([Mlookup_u] /
     [Mupdate_u]). Only legal on array maps whose key interval the
@@ -222,8 +260,37 @@ let entries t =
       Array.to_list (Array.mapi (fun k v -> (k, v)) t.arr)
       |> List.filter (fun (_, v) -> v <> 0)
   | Hash_map | Lru_map ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
+      List.map (fun s -> (t.keys.(s), t.vals.(s))) (Lru.to_list t.lru)
       |> List.sort compare
+
+(** Internal-consistency check used by property tests: every bucket's
+    chain holds used slots of that bucket; each used slot's key finds
+    that slot, and only once; the free list holds the unused slots;
+    and [lru] is a sound list of the used slots, so [size] (its
+    length) is the population. *)
+let invariant_ok t =
+  let n = Array.length t.keys in
+  let used s = Lru.mem t.lru s in
+  (* The chain from [s] if it holds only slots satisfying [ok] and ends
+     within [n] steps: its length, else -1. *)
+  let rec chain_len ok s len =
+    if s < 0 then len
+    else if len >= n || not (ok s) then -1
+    else chain_len ok t.chain.(s) (len + 1)
+  in
+  let bucket_ok (b, s) =
+    chain_len (fun s -> used s && bucket t t.keys.(s) = b) s 0 >= 0
+  in
+  let found_once s =
+    let k = t.keys.(s) in
+    slot_of t k = s && find_from t k t.chain.(s) < 0
+  in
+  let nfree = chain_len (fun s -> not (used s)) t.free 0 in
+  Lru.invariant_ok t.lru
+  && Seq.for_all bucket_ok (Array.to_seqi t.heads)
+  && List.for_all found_once (Lru.to_list t.lru)
+  && nfree >= 0
+  && nfree + Lru.length t.lru = n
 
 (** Host-call dispatchers for the typed helper table. The first
     argument of every helper is the map id (an index into [maps]);

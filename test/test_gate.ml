@@ -99,6 +99,128 @@ let test_map_hosts () =
   | exception Graft_mem.Fault.Fault (Graft_mem.Fault.Illegal_instruction _) ->
       ())
 
+(* Hash and LRU maps against a reference model: an association list
+   in recency order, most recent first. An LRU map refreshes a key on
+   a hit and evicts the list's last key; a hash map never reads the
+   order. Multiples of 8 (and [min_int]) share bucket 0 at every
+   capacity up to 8, so chains longer than one slot are exercised. *)
+type map_op =
+  | Lookup of int
+  | Update of int * int
+  | Delete of int
+  | Contains of int
+  | Size
+  | Clear
+
+let show_map_op = function
+  | Lookup k -> Printf.sprintf "lookup %d" k
+  | Update (k, v) -> Printf.sprintf "update %d %d" k v
+  | Delete k -> Printf.sprintf "delete %d" k
+  | Contains k -> Printf.sprintf "contains %d" k
+  | Size -> "size"
+  | Clear -> "clear"
+
+let apply_map_op m = function
+  | Lookup k -> Map.lookup m k
+  | Update (k, v) -> Map.update m k v
+  | Delete k -> Map.delete m k
+  | Contains k -> Map.contains m k
+  | Size -> Map.size m
+  | Clear ->
+      Map.clear m;
+      0
+
+let model_step ~lru ~cap model = function
+  | Lookup k -> (
+      match List.assoc_opt k model with
+      | None -> (0, model)
+      | Some v -> (v, (k, v) :: List.remove_assoc k model))
+  | Update (k, v) ->
+      if List.mem_assoc k model then (1, (k, v) :: List.remove_assoc k model)
+      else if List.length model < cap then (1, (k, v) :: model)
+      else if lru then (1, (k, v) :: List.filteri (fun i _ -> i < cap - 1) model)
+      else (0, model)
+  | Delete k ->
+      if List.mem_assoc k model then (1, List.remove_assoc k model)
+      else (0, model)
+  | Contains k -> (Bool.to_int (List.mem_assoc k model), model)
+  | Size -> (List.length model, model)
+  | Clear -> (0, [])
+
+let prop_map_model =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [
+        (6, int_range (-3) 19);
+        (3, map (fun j -> 8 * j) (int_range (-8) 8));
+        (1, oneofl [ max_int; min_int ]);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Lookup k) key);
+        (5, map2 (fun k v -> Update (k, v)) key (int_range 1 999));
+        (2, map (fun k -> Delete k) key);
+        (2, map (fun k -> Contains k) key);
+        (1, return Size);
+        (1, return Clear);
+      ]
+  in
+  let print (lru, cap, ops) =
+    Printf.sprintf "%s map, capacity %d: %s"
+      (if lru then "lru" else "hash")
+      cap
+      (String.concat "; " (List.map show_map_op ops))
+  in
+  QCheck.Test.make ~name:"hash and lru maps match a reference model"
+    ~count:1000
+    (QCheck.make ~print (triple bool (int_range 1 8) (list_size (0 -- 80) op)))
+    (fun (lru, cap, ops) ->
+      let m =
+        if lru then Map.create_lru ~name:"t-model" cap
+        else Map.create_hash ~name:"t-model" cap
+      in
+      let step model op =
+        let want, model = model_step ~lru ~cap model op in
+        let got = apply_map_op m op in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s returned %d, model %d" (show_map_op op)
+            got want;
+        if Map.entries m <> List.sort compare model then
+          QCheck.Test.fail_reportf "entries differ after %s" (show_map_op op);
+        if not (Map.invariant_ok m) then
+          QCheck.Test.fail_reportf "invariant broken after %s" (show_map_op op);
+        model
+      in
+      ignore (List.fold_left step [] ops);
+      true)
+
+(* Minor words per call of [f], over [n] calls. *)
+let words_per_call n f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* A touch (lookup, then update) on a full 64-entry LRU map allocates
+   only the two trace spans' boxed [~arg]s, whether it hits or evicts:
+   the key index and the recency list are preallocated int arrays. *)
+let test_map_touch_allocation () =
+  let m = Map.create_lru ~name:"t-alloc" 64 in
+  let touch k = ignore (Map.update m k (Map.lookup m k + 1)) in
+  for k = 0 to 63 do
+    touch k
+  done;
+  let hit = words_per_call 10_000 (fun i -> touch (i land 63)) in
+  (* 256 keys cycled through 64 slots: every touch misses and evicts. *)
+  let evict = words_per_call 10_000 (fun i -> touch (64 + (i land 255))) in
+  check_int "still full" 64 (Map.size m);
+  if hit > 4. then Alcotest.failf "hit touch: %.1f minor words" hit;
+  if evict > 4. then Alcotest.failf "evicting touch: %.1f minor words" evict
+
 (* ------------------------------------------------------------------ *)
 (* The stateful demux across every tier.                               *)
 (* ------------------------------------------------------------------ *)
@@ -592,7 +714,9 @@ let () =
           Alcotest.test_case "hash map" `Quick test_hash_map;
           Alcotest.test_case "lru map" `Quick test_lru_map;
           Alcotest.test_case "helper dispatchers" `Quick test_map_hosts;
-        ] );
+          Alcotest.test_case "touch allocation" `Quick test_map_touch_allocation;
+        ]
+        @ qc [ prop_map_model ] );
       ( "demux",
         [
           Alcotest.test_case "reference semantics" `Quick test_demux_reference;

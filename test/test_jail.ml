@@ -326,6 +326,23 @@ let test_plan_triggers () =
     && Faultinject.tick plan "a" = None
     && Faultinject.tick plan "a" = Some Faultinject.Div_zero)
 
+(* A check that fires nothing allocates nothing: one lookup finds the
+   site's count and arms, and no closure is built per call. *)
+let test_check_allocation () =
+  let words plan =
+    Faultinject.check plan "hook";
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      Faultinject.check plan "hook"
+    done;
+    (Gc.minor_words () -. w0) /. 10_000.
+  in
+  Alcotest.(check (float 0.)) "empty plan" 0. (words (Faultinject.make []));
+  Alcotest.(check (float 0.)) "armed past the run" 0.
+    (words
+       (Faultinject.make
+          [ ("hook", Faultinject.Div_zero, 20_000); ("other", Faultinject.Nil_deref, 1) ]))
+
 (* ------------------------------------------------------------------ *)
 (* Kernel degradation paths.                                           *)
 (* ------------------------------------------------------------------ *)
@@ -487,6 +504,8 @@ let () =
             [
               Alcotest.test_case "determinism" `Quick test_plan_determinism;
               Alcotest.test_case "triggers" `Quick test_plan_triggers;
+              Alcotest.test_case "check allocation" `Quick
+                test_check_allocation;
             ] );
           ( "degradation",
             [
