@@ -448,6 +448,14 @@ let measure_cmd =
   in
   Cmd.v (Cmd.info "measure" ~doc:"Host measurements") Term.(const run $ what $ json)
 
+(* A value the libraries reject before any work ([Invalid_argument]
+   naming it) is a usage error: one stderr line and exit 2. *)
+let check_usage ~cmd check =
+  try check ()
+  with Invalid_argument msg ->
+    prerr_endline (cmd ^ ": " ^ msg);
+    exit 2
+
 (* ---------- trace ---------- *)
 
 let trace_cmd =
@@ -507,26 +515,14 @@ let trace_cmd =
         prerr_endline "trace: --serve supports only --format=chrome";
         exit 2
       end;
-      let r =
-        Graft_slo.Serve.run
-          { Graft_slo.Serve.smoke with lens = true; domains = serve_domains }
+      let cfg =
+        { Graft_slo.Serve.smoke with lens = true; domains = serve_domains }
       in
+      check_usage ~cmd:"trace" (fun () -> Graft_slo.Serve.validate cfg);
+      let r = Graft_slo.Serve.run cfg in
       match r.Graft_slo.Serve.r_lens with
       | None -> assert false
-      | Some lo ->
-          emit
-            (Graft_trace.Export.chrome_json_of
-               ~extra:(Graft_report.Envelope.fields ~schema_version:3)
-               (List.map
-                  (fun (k, evs, dropped) ->
-                    Graft_trace.Export.
-                      {
-                        p_pid = k + 1;
-                        p_name = Printf.sprintf "domain-%d" k;
-                        p_events = evs;
-                        p_dropped = dropped;
-                      })
-                  lo.Graft_slo.Serve.lo_shards))
+      | Some lo -> emit (Graft_slo.Flight.chrome_trace ~schema_version:3 lo)
     end
     else begin
       let scenario =
@@ -540,7 +536,8 @@ let trace_cmd =
       in
       (* sample=1: a one-shot scenario wants every span, not the
          steady-state sampling the overhead bench uses. *)
-      Graft_trace.Trace.enable ~capacity ~sample:1 ();
+      check_usage ~cmd:"trace" (fun () ->
+          Graft_trace.Trace.enable ~capacity ~sample:1 ());
       scenario ();
       let extra = Graft_report.Envelope.fields ~schema_version:3 in
       let body =
@@ -1010,6 +1007,10 @@ let serve_cmd =
           lens_threshold_us = Option.value ~default:0 lens_thr;
         }
     in
+    check_usage ~cmd:"serve" (fun () ->
+        if throughput then
+          Graft_slo.Throughput.validate ~reps ~domain_counts cfg
+        else Graft_slo.Serve.validate cfg);
     gated ~cmd:"serve" ?threshold ~baseline ~save @@ fun () ->
     if throughput then begin
       (* Scaling mode: ops per wall-second vs domain count; --baseline /

@@ -270,7 +270,9 @@ let rec invoke g f =
           fallback g;
           None
       | exception Failure msg ->
-          (* Runner wrappers turn faults into Failure. *)
+          (* Runners raise a graft's own fault; a Failure is a graft
+             that broke its host contract (a Tcl proc whose result is
+             not an integer). *)
           record_fault g (Fault.Host_error msg);
           fallback g;
           None

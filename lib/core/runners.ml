@@ -2,7 +2,8 @@
 
     A runner packages "the same graft, written for technology T" behind
     a uniform closure interface, so the benchmark harness and the graft
-    manager treat all technologies identically:
+    manager treat all technologies identically. {!regime} is the one
+    place that says which mechanism implements a technology:
 
     - native regimes (C / Modula-3 / SFI analogues) close over the
       functor instances from {!Graft_grafts};
@@ -11,6 +12,11 @@
     - the source interpreter evaluates the Tcl source from
       {!Graft_grafts.Script_sources} once and invokes its procs per
       call.
+
+    Both interpreted regimes load into one {!loaded} record, so each
+    paper graft has one interpreted runner. A graft's fault leaves a
+    runner as the graft's own [Fault.t], so the manager's barrier
+    files it under its true class.
 
     [Upcall_server] is not a wall-clock runner — its cost is a
     protection-boundary charge analysed by {!Breakeven} and simulated
@@ -26,22 +32,55 @@ let huge_fuel = max_int / 2
 let rec next_pow2_from n acc = if acc >= n then acc else next_pow2_from n (acc * 2)
 let next_pow2 n = next_pow2_from n 1024
 
+(* A graft's fault keeps its class on the way to the barrier; a bad
+   entry point is the caller's mistake, not the graft's. *)
 let run_fail = function
   | Ok v -> v
-  | Error (`Fault f) ->
-      failwith (Printf.sprintf "graft faulted: %s" (Fault.to_string f))
-  | Error (`Bad_entry m) -> failwith ("bad graft entry point: " ^ m)
+  | Error (`Fault f) -> Fault.raise_fault f
+  | Error (`Bad_entry m) -> invalid_arg ("bad graft entry point: " ^ m)
 
-let script_fail = function
-  | Ok v -> v
-  | Error f ->
-      failwith (Printf.sprintf "script graft faulted: %s" (Fault.to_string f))
+let script_fail = function Ok v -> v | Error f -> Fault.raise_fault f
+
+(* ------------------------------------------------------------------ *)
+(* The regime table.                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type regime =
+  | Native of (module Access.S)
+  | Vm
+  | Script
+  | Filter_vm
+  | Upcall
+
+let regime : Technology.t -> regime = function
+  | Technology.Unsafe_c -> Native (module Access.Unsafe)
+  | Technology.Safe_lang -> Native (module Access.Checked)
+  | Technology.Safe_lang_nil -> Native (module Access.Checked_nil)
+  | Technology.Sfi_write_jump -> Native (module Access.Sfi_wj)
+  | Technology.Sfi_full -> Native (module Access.Sfi_full)
+  | Technology.Bytecode_vm | Technology.Bytecode_opt
+  | Technology.Safe_lang_static | Technology.Jit | Technology.Ast_interp ->
+      Vm
+  | Technology.Source_interp -> Script
+  | Technology.Specialized_vm -> Filter_vm
+  | Technology.Upcall_server -> Upcall
 
 (* ------------------------------------------------------------------ *)
 (* Shared GEL plumbing.                                                *)
 (* ------------------------------------------------------------------ *)
 
 type gel_env = { image : Link.image; windows : (string * Memory.region) list }
+
+(* Map each (name, length, writable) window into [mem], in order. *)
+let alloc_windows mem windows =
+  List.map
+    (fun (name, len, writable) ->
+      let perm = if writable then Memory.perm_rw else Memory.perm_ro in
+      (name, Memory.alloc mem ~name ~len ~perm))
+    windows
+
+let window_cells windows =
+  List.fold_left (fun acc (_, len, _) -> acc + len) 0 windows
 
 (** Compile [source] for [tech] and link it into a fresh power-of-two
     memory with the given shared windows (name, length, writable). The
@@ -54,18 +93,9 @@ let gel_env ?(hosts = []) (tech : Technology.t) source windows =
     | Ok p -> p
     | Error e -> failwith ("GEL graft does not compile: " ^ Srcloc.to_string e)
   in
-  let window_cells =
-    List.fold_left (fun acc (_, len, _) -> acc + len) 0 windows
-  in
-  let size = next_pow2 (Link.footprint prog + window_cells + 64) in
+  let size = next_pow2 (Link.footprint prog + window_cells windows + 64) in
   let mem = Memory.create size in
-  let regions =
-    List.map
-      (fun (name, len, writable) ->
-        let perm = if writable then Memory.perm_rw else Memory.perm_ro in
-        (name, Memory.alloc mem ~name ~len ~perm))
-      windows
-  in
+  let regions = alloc_windows mem windows in
   match Link.link prog ~mem ~shared:regions ~hosts with
   | Ok image -> { image; windows = regions }
   | Error msg -> failwith ("GEL graft does not link: " ^ msg)
@@ -119,14 +149,17 @@ let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
   | Technology.Bytecode_opt ->
       (* Peephole-fused code runs on the same loop as plain code. *)
       stack (Graft_stackvm.Stackvm.load_opt_exn ?maps ~bounded image)
-  | Technology.Safe_lang_static ->
-      stack (Graft_stackvm.Stackvm.load_static_exn ?maps ~bounded image)
-  | Technology.Jit ->
+  | Technology.Jit when profile = None ->
       (* Graftjit: static-tier elisions, then closure-threaded native
          compilation; the session compiles once, entries are cheap. *)
       let t = Graft_jit.Jit.load_exn ?maps ~bounded image in
-      let session = Graft_jit.Jit.create_session ?profile t in
+      let session = Graft_jit.Jit.create_session t in
       fun ~entry ~args -> Graft_jit.Jit.run_session session ~entry ~args ~fuel
+  | Technology.Safe_lang_static | Technology.Jit ->
+      (* A JIT profile is read from the static-tier interpreter: the JIT
+         compiles that program and, by its parity obligation, executes
+         the same opcodes with the same fuel. *)
+      stack (Graft_stackvm.Stackvm.load_static_exn ?maps ~bounded image)
   | Technology.Sfi_write_jump | Technology.Sfi_full -> (
       (* The register-VM route, used for the A4 instruction-count
          ablation; headline SFI numbers come from the native masked
@@ -149,11 +182,54 @@ let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
 
 type gel_entry = entry:string -> args:int array -> int
 
-(** {!engine} at [huge_fuel], with faults and bad entries raised as
-    [Failure]. *)
-let gel_entry ?maps ?bounded tech env : gel_entry =
-  let run = engine ?maps ?bounded ~fuel:huge_fuel tech env.image in
+(** {!engine} at [fuel] (default [huge_fuel]), raising the graft's
+    own fault and [Invalid_argument] for a bad entry point. *)
+let gel_entry ?maps ?bounded ?(fuel = huge_fuel) tech env : gel_entry =
+  let run = engine ?maps ?bounded ~fuel tech env.image in
   fun ~entry ~args -> run_fail (run ~entry ~args)
+
+(* ------------------------------------------------------------------ *)
+(* Loaded interpreted grafts: the GEL tiers and the Tcl interpreter.   *)
+(* ------------------------------------------------------------------ *)
+
+type loaded = {
+  cells : int array;
+  shared : (string * Memory.region) list;
+  call : gel_entry;
+}
+
+let base g name = (List.assoc name g.shared).Memory.base
+
+(* On the GEL tiers [call] is {!gel_entry}'s closure itself. *)
+let gel_graft ?hosts ?maps ?bounded ?fuel tech source windows =
+  let env = gel_env ?hosts tech source windows in
+  {
+    cells = Memory.cells env.image.Link.mem;
+    shared = env.windows;
+    call = gel_entry ?maps ?bounded ?fuel tech env;
+  }
+
+(* Each call starts on a fresh [fuel] budget, as a VM session does. *)
+let tcl_graft ?(fuel = huge_fuel) ?(init = ignore) source windows =
+  let module S = Graft_script.Script in
+  let mem = Memory.create (window_cells windows + 8) in
+  let t = S.create ~fuel mem in
+  let shared = alloc_windows mem windows in
+  List.iter
+    (fun (name, r) ->
+      S.bind_array t ~name r ~writable:r.Memory.perm.Memory.write)
+    shared;
+  init t;
+  ignore (script_fail (S.eval t source));
+  {
+    cells = Memory.cells mem;
+    shared;
+    call =
+      (fun ~entry ~args ->
+        S.set_fuel t fuel;
+        let args = List.map string_of_int (Array.to_list args) in
+        int_of_string (script_fail (S.call t entry args)));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Page eviction.                                                      *)
@@ -171,123 +247,67 @@ type evict = {
 (** Cells needed for [capacity_nodes] list nodes. *)
 let evict_cells capacity_nodes = 1 + (2 * capacity_nodes)
 
-let check_capacity capacity_nodes ~hot ~lru =
-  if Array.length hot + Array.length lru > capacity_nodes then
-    invalid_arg "Runners.evict: refresh exceeds runner capacity"
-
-(* Shared refresh logic: build a fresh layout and install it via
-   [install] (a blit for window-backed runners). *)
-let make_refresh ~capacity_nodes ~rng ~install ~set_heads ~hot ~lru =
-  check_capacity capacity_nodes ~hot ~lru;
-  let layout =
-    Listlayout.build ?rng ~cells_len:(evict_cells capacity_nodes) ~hot ~lru ()
+(* The one refresh: build a fresh layout, copy it into [cells] from
+   [at], and track both list heads. *)
+let evict_refresh ~capacity_nodes ~rng cells at =
+  let hot_head = ref 0 and lru_head = ref 0 in
+  let refresh ~hot ~lru =
+    if Array.length hot + Array.length lru > capacity_nodes then
+      invalid_arg "Runners.evict: refresh exceeds runner capacity";
+    let l =
+      Listlayout.build ?rng ~cells_len:(evict_cells capacity_nodes) ~hot ~lru ()
+    in
+    Array.blit l.Listlayout.cells 0 cells at (Array.length l.Listlayout.cells);
+    hot_head := l.Listlayout.hot_head;
+    lru_head := l.Listlayout.lru_head
   in
-  install layout.Listlayout.cells;
-  set_heads layout.Listlayout.hot_head layout.Listlayout.lru_head
+  (refresh, hot_head, lru_head)
 
 let native_evict (module A : Access.S) tech ~capacity_nodes ~rng =
   let module E = Evict.Make (A) in
   (* SFI regimes mask into the container, so its length must be a
      power of two. *)
   let cells = Array.make (next_pow2 (evict_cells capacity_nodes)) 0 in
-  let hot_head = ref 0 and lru_head = ref 0 in
+  let refresh, hot_head, lru_head =
+    evict_refresh ~capacity_nodes ~rng cells 0
+  in
   {
     e_tech = tech;
-    refresh =
-      (fun ~hot ~lru ->
-        make_refresh ~capacity_nodes ~rng
-          ~install:(fun src -> Array.blit src 0 cells 0 (Array.length src))
-          ~set_heads:(fun h l ->
-            hot_head := h;
-            lru_head := l)
-          ~hot ~lru);
+    refresh;
     contains = (fun page -> E.contains cells ~head:!hot_head ~page);
     choose =
       (fun () -> E.choose_victim cells ~lru_head:!lru_head ~hot_head:!hot_head);
   }
 
-let gel_evict tech ~capacity_nodes ~rng =
-  let cells_len = evict_cells capacity_nodes in
-  let env =
-    gel_env tech
-      (Gel_sources.evict ~heap_cells:cells_len)
-      [ ("heap", cells_len, false) ]
+let interp_evict tech ~capacity_nodes ~rng g =
+  let refresh, hot_head, lru_head =
+    evict_refresh ~capacity_nodes ~rng g.cells (base g "heap")
   in
-  let w = window env "heap" in
-  let mem_cells = Memory.cells env.image.Link.mem in
-  let hot_head = ref 0 and lru_head = ref 0 in
-  let entry = gel_entry tech env in
+  let call = g.call in
   {
     e_tech = tech;
-    refresh =
-      (fun ~hot ~lru ->
-        make_refresh ~capacity_nodes ~rng
-          ~install:(fun src ->
-            Array.blit src 0 mem_cells w.Memory.base (Array.length src))
-          ~set_heads:(fun h l ->
-            hot_head := h;
-            lru_head := l)
-          ~hot ~lru);
+    refresh;
     contains =
-      (fun page -> entry ~entry:"contains" ~args:[| !hot_head; page |] <> 0);
-    choose =
-      (fun () -> entry ~entry:"choose" ~args:[| !lru_head; !hot_head |]);
-  }
-
-let script_evict ~capacity_nodes ~rng =
-  let cells_len = evict_cells capacity_nodes in
-  let mem = Memory.create (cells_len + 8) in
-  let w = Memory.alloc mem ~name:"heap" ~len:cells_len ~perm:Memory.perm_ro in
-  let t = Graft_script.Script.create ~fuel:huge_fuel mem in
-  Graft_script.Script.bind_array t ~name:"heap" w ~writable:false;
-  ignore (script_fail (Graft_script.Script.eval t Script_sources.evict));
-  let mem_cells = Memory.cells mem in
-  let hot_head = ref 0 and lru_head = ref 0 in
-  let call name args =
-    int_of_string (script_fail (Graft_script.Script.call t name args))
-  in
-  {
-    e_tech = Technology.Source_interp;
-    refresh =
-      (fun ~hot ~lru ->
-        make_refresh ~capacity_nodes ~rng
-          ~install:(fun src ->
-            Array.blit src 0 mem_cells w.Memory.base (Array.length src))
-          ~set_heads:(fun h l ->
-            hot_head := h;
-            lru_head := l)
-          ~hot ~lru);
-    contains =
-      (fun page ->
-        call "contains" [ string_of_int !hot_head; string_of_int page ] <> 0);
-    choose =
-      (fun () ->
-        call "choose" [ string_of_int !lru_head; string_of_int !hot_head ]);
+      (fun page -> call ~entry:"contains" ~args:[| !hot_head; page |] <> 0);
+    choose = (fun () -> call ~entry:"choose" ~args:[| !lru_head; !hot_head |]);
   }
 
 (** [evict tech ~capacity_nodes ()] builds a runner able to hold up to
     [capacity_nodes] list nodes; call [refresh] to install lists.
     [rng] shuffles node placement so traversal is a pointer chase. *)
 let evict ?rng (tech : Technology.t) ~capacity_nodes () : evict =
-  match tech with
-  | Technology.Unsafe_c ->
-      native_evict (module Access.Unsafe) tech ~capacity_nodes ~rng
-  | Technology.Safe_lang ->
-      native_evict (module Access.Checked) tech ~capacity_nodes ~rng
-  | Technology.Safe_lang_nil ->
-      native_evict (module Access.Checked_nil) tech ~capacity_nodes ~rng
-  | Technology.Sfi_write_jump ->
-      native_evict (module Access.Sfi_wj) tech ~capacity_nodes ~rng
-  | Technology.Sfi_full ->
-      native_evict (module Access.Sfi_full) tech ~capacity_nodes ~rng
-  | Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static
-  | Technology.Jit | Technology.Ast_interp
-    ->
-      gel_evict tech ~capacity_nodes ~rng
-  | Technology.Source_interp -> script_evict ~capacity_nodes ~rng
-  | Technology.Upcall_server ->
-      invalid_arg "Runners.evict: upcall cost is analysed by Breakeven"
-  | Technology.Specialized_vm ->
+  let cells_len = evict_cells capacity_nodes in
+  let heap = [ ("heap", cells_len, false) ] in
+  match regime tech with
+  | Native a -> native_evict a tech ~capacity_nodes ~rng
+  | Vm ->
+      interp_evict tech ~capacity_nodes ~rng
+        (gel_graft tech (Gel_sources.evict ~heap_cells:cells_len) heap)
+  | Script ->
+      interp_evict tech ~capacity_nodes ~rng
+        (tcl_graft Script_sources.evict heap)
+  | Upcall -> invalid_arg "Runners.evict: upcall cost is analysed by Breakeven"
+  | Filter_vm ->
       invalid_arg
         "Runners.evict: a packet-filter VM cannot express list traversal \
          (the paper's specialized-language expressiveness limit)"
@@ -305,21 +325,13 @@ let evict_regvm ?rng ?elide ~protection ~capacity_nodes () =
       (Gel_sources.evict ~heap_cells:cells_len)
       [ ("heap", cells_len, false) ]
   in
-  let w = window env "heap" in
-  let mem_cells = Memory.cells env.image.Link.mem in
-  let hot_head = ref 0 and lru_head = ref 0 in
-  ignore !lru_head;
+  let refresh, hot_head, _ =
+    evict_refresh ~capacity_nodes ~rng
+      (Memory.cells env.image.Link.mem)
+      (window env "heap").Memory.base
+  in
   let p = Graft_regvm.Regvm.load_exn ~protection ?elide env.image in
   let session = Graft_regvm.Machine.create_session p in
-  let refresh ~hot ~lru =
-    make_refresh ~capacity_nodes ~rng
-      ~install:(fun src ->
-        Array.blit src 0 mem_cells w.Memory.base (Array.length src))
-      ~set_heads:(fun h l ->
-        hot_head := h;
-        lru_head := l)
-      ~hot ~lru
-  in
   let contains page =
     let o =
       run_fail
@@ -415,80 +427,41 @@ let load_bytes_into_cells cells base data len =
     cells.(base + i) <- Char.code (Bytes.unsafe_get data i)
   done
 
-let gel_md5 tech ~capacity =
-  let data_cells = capacity + 128 in
-  let env =
-    gel_env tech
-      (Gel_sources.md5 ~data_cells)
-      [ ("data", data_cells, true); ("digest", 16, true) ]
-  in
-  let data_w = window env "data" in
-  let digest_w = window env "digest" in
-  let cells = Memory.cells env.image.Link.mem in
-  let entry = gel_entry tech env in
+let interp_md5 tech ~capacity g =
+  let data_at = base g "data" and digest_at = base g "digest" in
+  let call = g.call in
   {
     m_tech = tech;
     load =
       (fun data ->
         check_chunk ~capacity data;
-        load_bytes_into_cells cells data_w.Memory.base data (Bytes.length data));
-    compute = (fun n -> ignore (entry ~entry:"run" ~args:[| n |]));
-    digest_hex = (fun () -> digest_hex_of_cells cells digest_w.Memory.base);
-  }
-
-let script_md5 ~capacity =
-  let data_cells = capacity + 128 in
-  let mem = Memory.create (data_cells + 192) in
-  let data_w =
-    Memory.alloc mem ~name:"data" ~len:data_cells ~perm:Memory.perm_rw
-  in
-  let digest_w = Memory.alloc mem ~name:"digest" ~len:16 ~perm:Memory.perm_rw in
-  let t_w = Memory.alloc mem ~name:"t" ~len:64 ~perm:Memory.perm_ro in
-  let s_w = Memory.alloc mem ~name:"s" ~len:64 ~perm:Memory.perm_ro in
-  let x_w = Memory.alloc mem ~name:"x" ~len:16 ~perm:Memory.perm_rw in
-  Memory.blit_in mem t_w Md5_graft.t_table;
-  Memory.blit_in mem s_w Md5_graft.s_table;
-  let t = Graft_script.Script.create ~fuel:huge_fuel mem in
-  Graft_script.Script.bind_array t ~name:"data" data_w ~writable:true;
-  Graft_script.Script.bind_array t ~name:"digest" digest_w ~writable:true;
-  Graft_script.Script.bind_array t ~name:"t" t_w ~writable:false;
-  Graft_script.Script.bind_array t ~name:"s" s_w ~writable:false;
-  Graft_script.Script.bind_array t ~name:"x" x_w ~writable:true;
-  ignore (script_fail (Graft_script.Script.eval t Script_sources.md5));
-  let cells = Memory.cells mem in
-  {
-    m_tech = Technology.Source_interp;
-    load =
-      (fun data ->
-        check_chunk ~capacity data;
-        load_bytes_into_cells cells data_w.Memory.base data (Bytes.length data));
-    compute =
-      (fun n ->
-        ignore
-          (script_fail
-             (Graft_script.Script.call t "md5run" [ string_of_int n ])));
-    digest_hex = (fun () -> digest_hex_of_cells cells digest_w.Memory.base);
+        load_bytes_into_cells g.cells data_at data (Bytes.length data));
+    compute = (fun n -> ignore (call ~entry:"run" ~args:[| n |]));
+    digest_hex = (fun () -> digest_hex_of_cells g.cells digest_at);
   }
 
 (** [md5 tech ~capacity] builds a fingerprinting runner over a buffer
     of [capacity] bytes (a power of two for the SFI regimes). *)
 let md5 (tech : Technology.t) ~capacity : md5 =
-  match tech with
-  | Technology.Unsafe_c -> native_md5 (module Access.Unsafe) tech ~capacity
-  | Technology.Safe_lang -> native_md5 (module Access.Checked) tech ~capacity
-  | Technology.Safe_lang_nil ->
-      native_md5 (module Access.Checked_nil) tech ~capacity
-  | Technology.Sfi_write_jump ->
-      native_md5 (module Access.Sfi_wj) tech ~capacity
-  | Technology.Sfi_full -> native_md5 (module Access.Sfi_full) tech ~capacity
-  | Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static
-  | Technology.Jit | Technology.Ast_interp
-    ->
-      gel_md5 tech ~capacity
-  | Technology.Source_interp -> script_md5 ~capacity
-  | Technology.Upcall_server ->
-      invalid_arg "Runners.md5: upcall cost is analysed by Breakeven"
-  | Technology.Specialized_vm ->
+  let data_cells = capacity + 128 in
+  let io = [ ("data", data_cells, true); ("digest", 16, true) ] in
+  match regime tech with
+  | Native a -> native_md5 a tech ~capacity
+  | Vm ->
+      interp_md5 tech ~capacity
+        (gel_graft tech (Gel_sources.md5 ~data_cells) io)
+  | Script ->
+      (* The Tcl graft keeps the MD5 tables and its block scratch in
+         kernel windows too: Tcl 3.7 has no arrays of its own. *)
+      let g =
+        tcl_graft Script_sources.md5
+          (io @ [ ("t", 64, false); ("s", 64, false); ("x", 16, true) ])
+      in
+      Array.blit Md5_graft.t_table 0 g.cells (base g "t") 64;
+      Array.blit Md5_graft.s_table 0 g.cells (base g "s") 64;
+      interp_md5 tech ~capacity g
+  | Upcall -> invalid_arg "Runners.md5: upcall cost is analysed by Breakeven"
+  | Filter_vm ->
       invalid_arg
         "Runners.md5: a packet-filter VM has no loops or stores and cannot \
          express MD5"
@@ -496,19 +469,6 @@ let md5 (tech : Technology.t) ~capacity : md5 =
 (* ------------------------------------------------------------------ *)
 (* Logical disk.                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let native_logdisk (module A : Access.S) ~nblocks =
-  let module L = Logdisk_graft.Make (A) in
-  L.make_policy ~nblocks ()
-
-let gel_logdisk tech ~nblocks =
-  let env = gel_env tech (Gel_sources.logdisk ~nblocks) [] in
-  let entry = gel_entry tech env in
-  {
-    Graft_kernel.Logdisk.pname = Technology.name tech;
-    map_write = (fun logical -> entry ~entry:"map_write" ~args:[| logical |]);
-    lookup = (fun logical -> entry ~entry:"lookup" ~args:[| logical |]);
-  }
 
 (** Dynamic instruction count of [writes] logical-disk mapped writes
     on the register VM at the given protection level (ablation A4's
@@ -535,45 +495,40 @@ let logdisk_regvm_instructions ?elide ~protection ~nblocks ~writes () =
   done;
   !total
 
-let script_logdisk ~nblocks =
-  let mem = Memory.create (nblocks + 8) in
-  let map_w = Memory.alloc mem ~name:"map" ~len:nblocks ~perm:Memory.perm_rw in
-  Memory.fill mem map_w (-1);
-  let t = Graft_script.Script.create ~fuel:huge_fuel mem in
-  Graft_script.Script.bind_array t ~name:"map" map_w ~writable:true;
-  Graft_script.Script.define_variable t "nblocks" (string_of_int nblocks);
-  Graft_script.Script.define_variable t "next_free" "0";
-  ignore (script_fail (Graft_script.Script.eval t Script_sources.logdisk));
-  let call name args =
-    int_of_string (script_fail (Graft_script.Script.call t name args))
-  in
-  {
-    Graft_kernel.Logdisk.pname = Technology.name Technology.Source_interp;
-    map_write = (fun logical -> call "map_write" [ string_of_int logical ]);
-    lookup = (fun logical -> call "lookup" [ string_of_int logical ]);
-  }
-
 (** [logdisk_policy tech ~nblocks] builds a mapping-policy graft for
     {!Graft_kernel.Logdisk.run}. [nblocks] must be a power of two for
     the SFI regimes. *)
 let logdisk_policy (tech : Technology.t) ~nblocks : Graft_kernel.Logdisk.policy
     =
-  match tech with
-  | Technology.Unsafe_c -> native_logdisk (module Access.Unsafe) ~nblocks
-  | Technology.Safe_lang -> native_logdisk (module Access.Checked) ~nblocks
-  | Technology.Safe_lang_nil ->
-      native_logdisk (module Access.Checked_nil) ~nblocks
-  | Technology.Sfi_write_jump -> native_logdisk (module Access.Sfi_wj) ~nblocks
-  | Technology.Sfi_full -> native_logdisk (module Access.Sfi_full) ~nblocks
-  | Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static
-  | Technology.Jit | Technology.Ast_interp
-    ->
-      gel_logdisk tech ~nblocks
-  | Technology.Source_interp -> script_logdisk ~nblocks
-  | Technology.Upcall_server ->
+  let interpreted g =
+    let call = g.call in
+    {
+      Graft_kernel.Logdisk.pname = Technology.name tech;
+      map_write = (fun logical -> call ~entry:"map_write" ~args:[| logical |]);
+      lookup = (fun logical -> call ~entry:"lookup" ~args:[| logical |]);
+    }
+  in
+  match regime tech with
+  | Native (module A) ->
+      let module L = Logdisk_graft.Make (A) in
+      L.make_policy ~nblocks ()
+  | Vm -> interpreted (gel_graft tech (Gel_sources.logdisk ~nblocks) [])
+  | Script ->
+      let g =
+        tcl_graft
+          ~init:(fun t ->
+            Graft_script.Script.define_variable t "nblocks"
+              (string_of_int nblocks);
+            Graft_script.Script.define_variable t "next_free" "0")
+          Script_sources.logdisk
+          [ ("map", nblocks, true) ]
+      in
+      Array.fill g.cells (base g "map") nblocks (-1);
+      interpreted g
+  | Upcall ->
       invalid_arg
         "Runners.logdisk_policy: upcall cost is analysed by Breakeven"
-  | Technology.Specialized_vm ->
+  | Filter_vm ->
       invalid_arg
         "Runners.logdisk_policy: a packet-filter VM cannot maintain a \
          mapping (no stores)"
@@ -583,6 +538,17 @@ let logdisk_policy (tech : Technology.t) ~nblocks : Graft_kernel.Logdisk.policy
 (* ------------------------------------------------------------------ *)
 
 let pkt_window_cells = 2048
+let pkt_window = [ ("pkt", pkt_window_cells, false) ]
+
+(* Copy each packet into the graft's window (a graft address space
+   cannot alias kernel mbufs), then enter [entry] with its length. *)
+let staged_packet g ~entry =
+  let cells = g.cells and at = base g "pkt" and call = g.call in
+  fun (pkt : Graft_kernel.Netpkt.t) ->
+    let data = pkt.Graft_kernel.Netpkt.data in
+    let len = min (Bytes.length data) pkt_window_cells in
+    load_bytes_into_cells cells at data len;
+    call ~entry ~args:[| len |]
 
 (** [packet_filter tech ~protocol ~port] builds the canonical demux
     predicate ("ip and protocol and dst port") for the given
@@ -592,77 +558,44 @@ let pkt_window_cells = 2048
     model (a graft address space cannot alias kernel mbufs). *)
 let packet_filter (tech : Technology.t) ~protocol ~port :
     Graft_kernel.Netpkt.t -> bool =
-  let native (module A : Access.S) =
-    let module F = Pkt_filter.Make (A) in
-    fun (pkt : Graft_kernel.Netpkt.t) ->
-      let data = pkt.Graft_kernel.Netpkt.data in
-      F.proto_dst_port ~protocol ~port data ~len:(Bytes.length data)
+  let interpreted g =
+    let accept = staged_packet g ~entry:"accept" in
+    fun pkt -> accept pkt <> 0
   in
-  (* The masking regimes need a power-of-two container: the kernel
-     stages each packet into the graft's sandbox buffer, as real SFI
-     modules cannot alias kernel mbufs either. *)
-  let native_staged (module A : Access.S) =
-    let module F = Pkt_filter.Make (A) in
-    let staged = Bytes.make pkt_window_cells '\000' in
-    fun (pkt : Graft_kernel.Netpkt.t) ->
-      let data = pkt.Graft_kernel.Netpkt.data in
-      let len = min (Bytes.length data) pkt_window_cells in
-      Bytes.blit data 0 staged 0 len;
-      F.proto_dst_port ~protocol ~port staged ~len
-  in
-  let gel_based () =
-    let env =
-      gel_env tech
-        (Gel_sources.packet_filter ~window_cells:pkt_window_cells ~protocol
-           ~port)
-        [ ("pkt", pkt_window_cells, false) ]
-    in
-    let w = window env "pkt" in
-    let cells = Memory.cells env.image.Link.mem in
-    let entry = gel_entry tech env in
-    fun (pkt : Graft_kernel.Netpkt.t) ->
-      let data = pkt.Graft_kernel.Netpkt.data in
-      let len = min (Bytes.length data) pkt_window_cells in
-      load_bytes_into_cells cells w.Memory.base data len;
-      entry ~entry:"accept" ~args:[| len |] <> 0
-  in
-  match tech with
-  | Technology.Unsafe_c -> native (module Access.Unsafe)
-  | Technology.Safe_lang -> native (module Access.Checked)
-  | Technology.Safe_lang_nil -> native (module Access.Checked_nil)
-  | Technology.Sfi_write_jump -> native_staged (module Access.Sfi_wj)
-  | Technology.Sfi_full -> native_staged (module Access.Sfi_full)
-  | Technology.Specialized_vm ->
+  match regime tech with
+  | Native (module A) when Technology.trust tech = Technology.Software_isolation
+    ->
+      (* The masking regimes need a power-of-two container: the kernel
+         stages each packet into the graft's sandbox buffer, as real SFI
+         modules cannot alias kernel mbufs either. *)
+      let module F = Pkt_filter.Make (A) in
+      let staged = Bytes.make pkt_window_cells '\000' in
+      fun (pkt : Graft_kernel.Netpkt.t) ->
+        let data = pkt.Graft_kernel.Netpkt.data in
+        let len = min (Bytes.length data) pkt_window_cells in
+        Bytes.blit data 0 staged 0 len;
+        F.proto_dst_port ~protocol ~port staged ~len
+  | Native (module A) ->
+      let module F = Pkt_filter.Make (A) in
+      fun (pkt : Graft_kernel.Netpkt.t) ->
+        let data = pkt.Graft_kernel.Netpkt.data in
+        F.proto_dst_port ~protocol ~port data ~len:(Bytes.length data)
+  | Filter_vm ->
       let p = Graft_kernel.Pfvm.proto_dst_port ~protocol ~port in
       (match Graft_kernel.Pfvm.verify p with
       | Ok () -> ()
       | Error msg -> failwith ("packet filter failed verification: " ^ msg));
       fun pkt -> Graft_kernel.Pfvm.accepts p pkt
-  | Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static
-  | Technology.Jit | Technology.Ast_interp
-    ->
-      gel_based ()
-  | Technology.Source_interp ->
-      let mem = Memory.create (pkt_window_cells + 8) in
-      let w =
-        Memory.alloc mem ~name:"pkt" ~len:pkt_window_cells ~perm:Memory.perm_ro
-      in
-      let t = Graft_script.Script.create ~fuel:huge_fuel mem in
-      Graft_script.Script.bind_array t ~name:"pkt" w ~writable:false;
-      ignore
-        (script_fail
-           (Graft_script.Script.eval t
-              (Script_sources.packet_filter ~protocol ~port)));
-      let cells = Memory.cells mem in
-      fun (pkt : Graft_kernel.Netpkt.t) ->
-        let data = pkt.Graft_kernel.Netpkt.data in
-        let len = min (Bytes.length data) pkt_window_cells in
-        load_bytes_into_cells cells w.Memory.base data len;
-        int_of_string
-          (script_fail
-             (Graft_script.Script.call t "accept" [ string_of_int len ]))
-        <> 0
-  | Technology.Upcall_server ->
+  | Vm ->
+      interpreted
+        (gel_graft tech
+           (Gel_sources.packet_filter ~window_cells:pkt_window_cells ~protocol
+              ~port)
+           pkt_window)
+  | Script ->
+      interpreted
+        (tcl_graft (Script_sources.packet_filter ~protocol ~port) pkt_window)
+  | Upcall ->
       invalid_arg "Runners.packet_filter: upcall cost is analysed by Breakeven"
 
 (* ------------------------------------------------------------------ *)
@@ -685,28 +618,17 @@ type demux = {
     re-derives the scan loop's trip count. *)
 let demux (tech : Technology.t) ~protocol ~marker : demux =
   let conn = Graft_kernel.Graftmap.create_array ~name:"conn" 64 in
-  let gel_based () =
-    let maps = [| conn |] in
-    let env =
-      gel_env ~hosts:(map_hosts maps) tech
-        (Gel_sources.demux ~window_cells:pkt_window_cells ~protocol ~marker)
-        [ ("pkt", pkt_window_cells, false) ]
-    in
-    let w = window env "pkt" in
-    let cells = Memory.cells env.image.Link.mem in
-    let entry = gel_entry ~maps ~bounded:true tech env in
-    fun (pkt : Graft_kernel.Netpkt.t) ->
-      let data = pkt.Graft_kernel.Netpkt.data in
-      let len = min (Bytes.length data) pkt_window_cells in
-      load_bytes_into_cells cells w.Memory.base data len;
-      entry ~entry:"demux" ~args:[| len |]
-  in
   let fn =
     match tech with
     | Technology.Ast_interp | Technology.Bytecode_vm | Technology.Bytecode_opt
     | Technology.Safe_lang_static | Technology.Jit | Technology.Sfi_write_jump
     | Technology.Sfi_full ->
-        gel_based ()
+        let maps = [| conn |] in
+        staged_packet ~entry:"demux"
+          (gel_graft ~hosts:(map_hosts maps) ~maps ~bounded:true tech
+             (Gel_sources.demux ~window_cells:pkt_window_cells ~protocol
+                ~marker)
+             pkt_window)
     | Technology.Specialized_vm ->
         let scratch = Graft_kernel.Graftmap.create_array ~name:"scratch" 1 in
         let maps = [| conn; scratch |] in
@@ -734,13 +656,14 @@ type hotset = {
 let hotset (tech : Technology.t) ~capacity : hotset =
   let m = Graft_kernel.Graftmap.create_lru ~name:"hotset" capacity in
   let maps = [| m |] in
-  let env =
-    gel_env ~hosts:(map_hosts maps) tech Gel_sources.hotset []
+  let call =
+    (gel_graft ~hosts:(map_hosts maps) ~maps ~bounded:true tech
+       Gel_sources.hotset [])
+      .call
   in
-  let entry = gel_entry ~maps ~bounded:true tech env in
   {
     h_tech = tech;
-    touch = (fun page -> entry ~entry:"touch" ~args:[| page |]);
-    hot = (fun page -> entry ~entry:"hot" ~args:[| page |] <> 0);
+    touch = (fun page -> call ~entry:"touch" ~args:[| page |]);
+    hot = (fun page -> call ~entry:"hot" ~args:[| page |] <> 0);
     h_map = m;
   }

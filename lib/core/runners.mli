@@ -2,7 +2,8 @@
 
     A runner packages "the same graft, written for technology T" behind
     a uniform closure interface, so the benchmark harness and the graft
-    manager treat all technologies identically:
+    manager treat all technologies identically. {!regime} says which
+    mechanism implements each technology:
 
     - native regimes (C / Modula-3 / SFI analogues) close over the
       functor instances from {!Graft_grafts};
@@ -16,7 +17,11 @@
     - [Upcall_server] is not a wall-clock runner: its boundary cost is
       simulated ({!Graft_kernel.Upcall}) and analysed by {!Breakeven};
       the one exception is {!evict_upcall}, which runs the native graft
-      behind a simulated upcall for end-to-end experiments. *)
+      behind a simulated upcall for end-to-end experiments.
+
+    A graft that faults raises its own [Graft_mem.Fault.Fault], so the
+    manager's barrier records the fault's true class on every
+    technology. *)
 
 val huge_fuel : int
 
@@ -24,12 +29,29 @@ val huge_fuel : int
 val next_pow2 : int -> int
 
 (* ------------------------------------------------------------------ *)
+(** {1 The regime table} *)
+
+(** The mechanism that implements a technology's paper grafts. *)
+type regime =
+  | Native of (module Graft_grafts.Access.S)
+      (** the graft compiled once per access discipline (C, Modula-3,
+          SFI masking) *)
+  | Vm  (** GEL on the technology's tier of {!engine} *)
+  | Script  (** Tcl on the source interpreter *)
+  | Filter_vm  (** the specialized packet-filter VM *)
+  | Upcall  (** a user-level server, analysed by {!Breakeven} *)
+
+(** The one place that says which mechanism implements [tech]; the
+    graft builders below, Graftjail's saboteurs and the experiments'
+    size rules all dispatch on it. *)
+val regime : Technology.t -> regime
+
+(* ------------------------------------------------------------------ *)
 (** {1 Shared GEL plumbing and the tier table}
 
-    Exported for harnesses (the Graftjail saboteurs, the CLI) that
-    need a linked image but their own fuel budget or the faulting
-    [Fault.t] rather than the [Failure] wrapper the benchmark runners
-    use. *)
+    Exported for harnesses (the Graftjail saboteurs, the CLI, tests)
+    that need a linked image, their own fuel budget or the raw engine
+    result. *)
 
 type gel_env = {
   image : Graft_gel.Link.image;
@@ -86,14 +108,54 @@ val engine :
 
 type gel_entry = entry:string -> args:int array -> int
 
-(** {!engine} at {!huge_fuel} over [env]'s image, raising [Failure]
-    on a fault or a bad entry point. *)
+(** {!engine} at [fuel] (default {!huge_fuel}) over [env]'s image,
+    raising the graft's own [Fault.Fault] on a fault and
+    [Invalid_argument] for a bad entry point. *)
 val gel_entry :
   ?maps:Graft_kernel.Graftmap.t array ->
   ?bounded:bool ->
+  ?fuel:int ->
   Technology.t ->
   gel_env ->
   gel_entry
+
+(** {1 Loaded interpreted grafts}
+
+    The GEL tiers and the Tcl interpreter load a graft into the same
+    record, so each paper graft has one interpreted runner. *)
+
+type loaded = {
+  cells : int array;  (** the graft memory's cells *)
+  shared : (string * Graft_mem.Memory.region) list;
+      (** the shared windows, by name *)
+  call : gel_entry;
+      (** enter the graft; on the GEL tiers this is {!gel_entry}'s
+          closure itself *)
+}
+
+(** [gel_graft tech source windows]: {!gel_env}, then {!gel_entry}. *)
+val gel_graft :
+  ?hosts:Graft_gel.Link.host list ->
+  ?maps:Graft_kernel.Graftmap.t array ->
+  ?bounded:bool ->
+  ?fuel:int ->
+  Technology.t ->
+  string ->
+  (string * int * bool) list ->
+  loaded
+
+(** [tcl_graft source windows] maps the windows into a fresh memory,
+    binds each as a Tcl array of the same name, runs [init] (host
+    commands, kernel-set globals) and evaluates [source]. Each call
+    starts on a fresh [fuel] budget (default {!huge_fuel}) and returns
+    the proc's result as an integer; a proc whose result is not an
+    integer raises [Failure]. *)
+val tcl_graft :
+  ?fuel:int ->
+  ?init:(Graft_script.Script.t -> unit) ->
+  string ->
+  (string * int * bool) list ->
+  loaded
 
 (* ------------------------------------------------------------------ *)
 (** {1 Page eviction (Prioritization)} *)

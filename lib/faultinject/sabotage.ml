@@ -239,23 +239,7 @@ fn io() : int {
 
 let vm_fuel = 20_000
 
-(* A per-technology entry invoker over the saboteur image, raising the
-   original Fault (rather than Runners' Failure wrapper) so the matrix
-   records the true fault class at the barrier. *)
-let vm_entry tech =
-  let env =
-    Runners.gel_env
-      ~hosts:
-        (Runners.map_hosts [| K.Graftmap.create_array ~name:"jail-map" 8 |])
-      tech gel_saboteur
-      [ ("win", wlen, true) ]
-  in
-  let run = Runners.engine ~fuel:vm_fuel tech env.Runners.image in
-  fun ~entry ~args ->
-    match run ~entry ~args with
-    | Ok v -> v
-    | Error (`Fault f) -> Fault.raise_fault f
-    | Error (`Bad_entry m) -> failwith ("saboteur entry: " ^ m)
+let jail_map () = K.Graftmap.create_array ~name:"jail-map" 8
 
 (* Graftgate's negative control as a saboteur: submit the demux graft
    whose scan loop is a raw while (semantically bounded, but not the
@@ -264,46 +248,51 @@ let vm_entry tech =
    load — the fault class never reaches execution. *)
 let runaway_cell tech =
   let maps = [| K.Graftmap.create_array ~name:"conn" 64 |] in
-  let env =
-    Runners.gel_env ~hosts:(Runners.map_hosts maps) tech
+  match
+    Runners.gel_graft ~hosts:(Runners.map_hosts maps) ~maps ~bounded:true tech
       (Graft_grafts.Gel_sources.demux_unbounded
          ~window_cells:Runners.pkt_window_cells ~protocol:6 ~marker:0x42)
       [ ("pkt", Runners.pkt_window_cells, false) ]
-  in
-  match
-    let (_ : Runners.gel_entry) =
-      Runners.gel_entry ~maps ~bounded:true tech env
-    in
-    ()
   with
-  | () -> obs No_fault "bounded loader admitted an uncertified backward jump"
+  | (_ : Runners.loaded) ->
+      obs No_fault "bounded loader admitted an uncertified backward jump"
   | exception Failure msg -> obs Load_rejected msg
+
+(* Commit [fault] through a loaded interpreted saboteur (either the
+   GEL one on a VM tier or the Tcl one) under the barrier. *)
+let interp_cell tech (sab : Runners.loaded) (fault : Faultinject.fault_class) =
+  let g = fresh_graft tech in
+  let disk = K.Diskmodel.create K.Diskmodel.modern_params in
+  let call entry args = sab.Runners.call ~entry ~args in
+  observe g (fun () ->
+      match fault with
+      | Faultinject.Wild_store -> call "wild" [||]
+      | Faultinject.Nil_deref -> call "nil" [| Access.nil_sentinel |]
+      | Faultinject.Div_zero -> call "divz" [| 0 |]
+      | Faultinject.Infinite_loop | Faultinject.Runaway_loop ->
+          (* A runaway reaches execution only on the source
+             interpreter, which has no verifier: the fuel watchdog
+             contains it like any other spin. *)
+          call "spin" [||]
+      | Faultinject.Io_error ->
+          K.Diskmodel.arm_fault disk ~after:0;
+          ignore (K.Diskmodel.read disk ~block:7 ~count:1);
+          call "io" [||]
+      | Faultinject.Map_misuse -> call "mapoob" [||]
+      | Faultinject.Server_death -> assert false)
 
 let vm_cell tech (fault : Faultinject.fault_class) =
   match fault with
   | Faultinject.Server_death -> obs Not_applicable "no server process"
   | Faultinject.Runaway_loop -> runaway_cell tech
   | _ -> (
-      match vm_entry tech with
-      | entry ->
-          let g = fresh_graft tech in
-          let disk = K.Diskmodel.create K.Diskmodel.modern_params in
-          let saboteur () =
-            match fault with
-            | Faultinject.Wild_store -> entry ~entry:"wild" ~args:[||]
-            | Faultinject.Nil_deref ->
-                entry ~entry:"nil" ~args:[| Access.nil_sentinel |]
-            | Faultinject.Div_zero -> entry ~entry:"divz" ~args:[| 0 |]
-            | Faultinject.Infinite_loop -> entry ~entry:"spin" ~args:[||]
-            | Faultinject.Io_error ->
-                K.Diskmodel.arm_fault disk ~after:0;
-                ignore (K.Diskmodel.read disk ~block:7 ~count:1);
-                entry ~entry:"io" ~args:[||]
-            | Faultinject.Map_misuse -> entry ~entry:"mapoob" ~args:[||]
-            | Faultinject.Server_death | Faultinject.Runaway_loop ->
-                assert false
-          in
-          observe g saboteur
+      match
+        Runners.gel_graft
+          ~hosts:(Runners.map_hosts [| jail_map () |])
+          ~fuel:vm_fuel tech gel_saboteur
+          [ ("win", wlen, true) ]
+      with
+      | sab -> interp_cell tech sab fault
       | exception Failure msg -> obs Load_rejected msg)
 
 (* ------------------------------------------------------------------ *)
@@ -312,8 +301,8 @@ let vm_cell tech (fault : Faultinject.fault_class) =
 
 let script_saboteur =
   {|
-proc wild {} { kstore win 21 7 }
-proc nilstore {p} { kstore win $p 7 }
+proc wild {} { kstore win 21 7; return 0 }
+proc nil {p} { kstore win $p 7; return 0 }
 proc divz {d} { return [expr {7 / $d}] }
 proc spin {} { while {1 == 1} { set x 1 } }
 proc io {} { return 0 }
@@ -324,44 +313,19 @@ let script_cell (fault : Faultinject.fault_class) =
   match fault with
   | Faultinject.Server_death -> obs Not_applicable "no server process"
   | _ ->
-      let g = fresh_graft Technology.Source_interp in
-      let mem = Memory.create 1024 in
-      let win = Memory.alloc mem ~name:"win" ~len:wlen ~perm:Memory.perm_rw in
-      let interp = Graft_script.Script.create ~fuel:vm_fuel mem in
-      Graft_script.Script.bind_array interp ~name:"win" win ~writable:true;
-      let jail_map = K.Graftmap.create_array ~name:"jail-map" 8 in
-      Graft_script.Script.bind_command interp ~name:"kmaplookup"
-        (fun _ args ->
-          let key = match args with k :: _ -> int_of_string k | [] -> 0 in
-          string_of_int (K.Graftmap.lookup jail_map key));
-      (match Graft_script.Script.eval interp script_saboteur with
-      | Ok _ -> ()
-      | Error f -> failwith ("script saboteur: " ^ Fault.to_string f));
-      let disk = K.Diskmodel.create K.Diskmodel.modern_params in
-      let call proc args =
-        Graft_script.Script.set_fuel interp vm_fuel;
-        match Graft_script.Script.call interp proc args with
-        | Ok _ -> 0
-        | Error f -> Fault.raise_fault f
-      in
-      let saboteur () =
-        match fault with
-        | Faultinject.Wild_store -> call "wild" []
-        | Faultinject.Nil_deref -> call "nilstore" [ "-1" ]
-        | Faultinject.Div_zero -> call "divz" [ "0" ]
-        | Faultinject.Infinite_loop -> call "spin" []
-        | Faultinject.Io_error ->
-            K.Diskmodel.arm_fault disk ~after:0;
-            ignore (K.Diskmodel.read disk ~block:7 ~count:1);
-            call "io" []
-        | Faultinject.Map_misuse -> call "mapoob" []
-        | Faultinject.Runaway_loop ->
-            (* the source interpreter has no verifier; the fuel
-               watchdog contains the runaway like any other spin *)
-            call "spin" []
-        | Faultinject.Server_death -> assert false
-      in
-      observe g saboteur
+      let jail_map = jail_map () in
+      interp_cell Technology.Source_interp
+        (Runners.tcl_graft ~fuel:vm_fuel
+           ~init:(fun interp ->
+             Graft_script.Script.bind_command interp ~name:"kmaplookup"
+               (fun _ args ->
+                 let key =
+                   match args with k :: _ -> int_of_string k | [] -> 0
+                 in
+                 string_of_int (K.Graftmap.lookup jail_map key)))
+           script_saboteur
+           [ ("win", wlen, true) ])
+        fault
 
 (* ------------------------------------------------------------------ *)
 (* Upcall server: faults die in the server's own address space.        *)
@@ -470,19 +434,12 @@ let pfvm_cell (fault : Faultinject.fault_class) =
 (* ------------------------------------------------------------------ *)
 
 let run_cell_by_tech tech fault =
-  match tech with
-  | Technology.Unsafe_c -> native_cell (module Access.Unsafe) tech fault
-  | Technology.Safe_lang -> native_cell (module Access.Checked) tech fault
-  | Technology.Safe_lang_nil ->
-      native_cell (module Access.Checked_nil) tech fault
-  | Technology.Sfi_write_jump -> native_cell (module Access.Sfi_wj) tech fault
-  | Technology.Sfi_full -> native_cell (module Access.Sfi_full) tech fault
-  | Technology.Bytecode_vm | Technology.Bytecode_opt
-  | Technology.Safe_lang_static | Technology.Jit | Technology.Ast_interp ->
-      vm_cell tech fault
-  | Technology.Source_interp -> script_cell fault
-  | Technology.Upcall_server -> upcall_cell fault
-  | Technology.Specialized_vm -> pfvm_cell fault
+  match Runners.regime tech with
+  | Runners.Native a -> native_cell a tech fault
+  | Runners.Vm -> vm_cell tech fault
+  | Runners.Script -> script_cell fault
+  | Runners.Upcall -> upcall_cell fault
+  | Runners.Filter_vm -> pfvm_cell fault
 
 let run_cell tech fault =
   match (tech, fault) with

@@ -168,6 +168,35 @@ fn lookup(logical : int) : int {
 |}
     nblocks nblocks nblocks
 
+(* The demux graft around its payload marker scan: [scan_loop] sets
+   [scan] to the marker's index in payload bytes 54..69 (it starts at
+   16, "absent"). *)
+let demux_around ~window_cells ~protocol scan_loop =
+  Printf.sprintf
+    {|
+shared array pkt[%d];
+
+extern fn map_lookup(int, int) : int;
+extern fn map_update(int, int, int) : int;
+
+fn be16(off : int) : int {
+  return pkt[off] * 256 + pkt[off + 1];
+}
+
+fn demux(len : int) : int {
+  if (len < 70) { return 0; }
+  if (be16(12) != 2048) { return 0; }
+  if (pkt[23] != %d) { return 0; }
+  var scan = 16;
+%s
+  var key = be16(34) & 63;
+  var n = map_lookup(0, key) + 1;
+  map_update(0, key, n);
+  return scan * 1024 + n;
+}
+|}
+    window_cells protocol scan_loop
+
 (** Stateful connection demux — the Graftgate showcase graft: a packet
     filter with a bounded marker scan (certified loop) and per-
     connection counters in graft map 0 ("conn", a 64-entry array map,
@@ -178,66 +207,26 @@ fn lookup(logical : int) : int {
     [~bounded:true] on every tier: the one loop is the canonical
     counted shape {!Graft_analysis.Loopbound} derives. *)
 let demux ~window_cells ~protocol ~marker =
-  Printf.sprintf
-    {|
-shared array pkt[%d];
-
-extern fn map_lookup(int, int) : int;
-extern fn map_update(int, int, int) : int;
-
-fn be16(off : int) : int {
-  return pkt[off] * 256 + pkt[off + 1];
-}
-
-fn demux(len : int) : int {
-  if (len < 70) { return 0; }
-  if (be16(12) != 2048) { return 0; }
-  if (pkt[23] != %d) { return 0; }
-  var scan = 16;
-  for (var i = 0; i < 16; i = i + 1) {
+  demux_around ~window_cells ~protocol
+    (Printf.sprintf
+       {|  for (var i = 0; i < 16; i = i + 1) {
     if (pkt[54 + i] == %d) { scan = i; break; }
-  }
-  var key = be16(34) & 63;
-  var n = map_lookup(0, key) + 1;
-  map_update(0, key, n);
-  return scan * 1024 + n;
-}
-|}
-    window_cells protocol marker
+  }|}
+       marker)
 
 (** The same demux with the scan loop written as a raw [while] whose
     counter bumps inside the body — semantically identical, but not
     the canonical counted shape, so every [~bounded:true] loader must
     reject it (the negative control for the verifier tests). *)
 let demux_unbounded ~window_cells ~protocol ~marker =
-  Printf.sprintf
-    {|
-shared array pkt[%d];
-
-extern fn map_lookup(int, int) : int;
-extern fn map_update(int, int, int) : int;
-
-fn be16(off : int) : int {
-  return pkt[off] * 256 + pkt[off + 1];
-}
-
-fn demux(len : int) : int {
-  if (len < 70) { return 0; }
-  if (be16(12) != 2048) { return 0; }
-  if (pkt[23] != %d) { return 0; }
-  var scan = 16;
-  var i = 0;
+  demux_around ~window_cells ~protocol
+    (Printf.sprintf
+       {|  var i = 0;
   while (i < 16) {
     if (pkt[54 + i] == %d) { scan = i; break; }
     i = i + 1;
-  }
-  var key = be16(34) & 63;
-  var n = map_lookup(0, key) + 1;
-  map_update(0, key, n);
-  return scan * 1024 + n;
-}
-|}
-    window_cells protocol marker
+  }|}
+       marker)
 
 (** Hot-set tracking over an LRU graft map (map 0): [touch(page)]
     counts an access and returns the page's access count, [hot(page)]

@@ -75,7 +75,7 @@ proc transform {base} {
   set s3 [expr {($s3 + $d) & 0xFFFFFFFF}]
 }
 
-proc md5run {n} {
+proc run {n} {
   global s0 s1 s2 s3
   set s0 [expr {0x67452301}]
   set s1 [expr {0xefcdab89}]

@@ -24,10 +24,10 @@
     - {b faults}: bounds, writability, divisor and depth checks raise
       the same {!Graft_mem.Fault.t} at the same program points, after
       the same fuel charge.
-    - {b profiling}: a [?profile] session counts every executed
-      opcode through {!Graft_trace.Opprof.hit} with the same class
-      index and width the interpreter reports, so JIT and interpreter
-      traces agree bit for bit.
+
+    The JIT keeps no opcode profile: by these obligations the
+    static-tier interpreter running {!program} executes the same
+    opcodes with the same fuel, so a JIT profile is read from it.
 
     One deliberate deviation, invisible to every test and graft we
     run: operand-stack capacity is checked once per function entry
@@ -197,7 +197,6 @@ type session = {
   blocks : (unit -> int) array;
       (** one closure per basic block; returns the successor block id,
           -1 to stop *)
-  prof : Graft_trace.Opprof.t option;
 }
 
 (* Compile every block of [plan] into a closure over the given session
@@ -206,8 +205,7 @@ type session = {
    unsafe accesses are sound because the entry capacity check bounds
    [bp + fmax] and the verifier bounds every height. *)
 let compile_blocks (plan : plan) (st : state) (stack : int array)
-    (frames : jframe array) (prof : Graft_trace.Opprof.t option) :
-    (unit -> int) array =
+    (frames : jframe array) : (unit -> int) array =
   let p = plan.prog in
   let code = p.Program.code in
   let cells = p.Program.cells in
@@ -220,8 +218,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
       let last = bi.b_start + bi.b_len - 1 in
       (* [comp pc] builds the closure chain from [pc] to the end of
          the block; each instruction closure charges its fuel, then
-         (when profiling) counts itself, then performs its effect —
-         the interpreter's exact order. [h] is the verifier's stack
+         performs its effect — the interpreter's exact order. [h] is the verifier's stack
          height at [pc], so every slot offset is a constant.
 
          [fused pc h] is the JIT's own superinstruction layer: runs of
@@ -237,9 +234,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
          run). Faultable instructions (checked Div/Mod, checked array
          ops) are deliberately NOT fusable: batching their fuel could
          turn a Division_by_zero into a Fuel_exhausted one charge
-         early. Profiled sessions skip fusion entirely so the Opprof
-         hit sequence stays per-instruction, bit-identical to the
-         interpreter's. *)
+         early. *)
       let rec comp pc : unit -> int =
         if pc > last then
           (* Fallthrough into the next leader. *)
@@ -247,7 +242,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
           fun () -> fall
         else
           let h = at.(pc) in
-          match (if prof = None then fused pc h else None) with
+          match fused pc h with
           | Some cl -> cl
           | None -> comp1 pc h
       and fused pc h : (unit -> int) option =
@@ -719,18 +714,10 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         | _ -> None
       and comp1 pc h : unit -> int =
           let instr = code.(pc) in
-          let idx = Opcode.index instr in
-          (* All instructions here are plain (width 1): [reject_fused]. *)
-          let note () =
-            match prof with
-            | None -> ()
-            | Some pr -> Graft_trace.Opprof.hit pr idx 1
-          in
           let charge () =
             let f = st.fuel - 1 in
             st.fuel <- f;
-            if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-            note ()
+            if f < 0 then Fault.raise_fault Fault.Fuel_exhausted
           in
           let rest () = comp (pc + 1) in
           (* Builders: [ia] second-from-top, [ib] top, result at [ia]. *)
@@ -1126,15 +1113,15 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
   in
   Array.map compile_block plan.blocks
 
-let create_session ?profile (t : t) : session =
+let create_session (t : t) : session =
   let st = { fuel = 0; bp = 0; depth = 0; result = 0; locals = [||] } in
   let stack = Array.make stack_size 0 in
   let frames =
     Array.init max_frames (fun _ ->
         { ret_block = -1; dst = 0; caller_bp = 0; locals = [||] })
   in
-  let blocks = compile_blocks t.plan st stack frames profile in
-  { t; st; frames; blocks; prof = profile }
+  let blocks = compile_blocks t.plan st stack frames in
+  { t; st; frames; blocks }
 
 (* ------------------------------------------------------------------ *)
 (* Running.                                                            *)
@@ -1183,10 +1170,6 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
             ("fault:" ^ Fault.class_name f);
           Error (`Fault f)
       in
-      (match s.prof with
-      | None -> ()
-      | Some pr ->
-          Graft_trace.Opprof.run_done pr ~fuel:(fuel0 - max 0 st.fuel));
       Graft_metrics.inc (m_sessions_jit ());
       Graft_metrics.inc (m_fuel_jit ()) ~by:(fuel0 - max 0 st.fuel);
       Graft_metrics.observe (m_fuel_hist ()) (fuel0 - max 0 st.fuel);

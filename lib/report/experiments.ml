@@ -316,13 +316,18 @@ let md5_full_bytes = 1024 * 1024
    code is fast enough to measure at full size, so its break-even
    point is measured, not extrapolated (scaled_from = None). *)
 let md5_measure_bytes scale tech =
-  match (tech, scale) with
-  | Technology.Source_interp, Quick -> 2048
-  | Technology.Source_interp, Full -> 16384
-  | (Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static | Technology.Ast_interp), Quick -> 65536
-  | (Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static | Technology.Ast_interp), Full -> 262144
+  match (Runners.regime tech, scale) with
+  | Runners.Script, Quick -> 2048
+  | Runners.Script, Full -> 16384
+  | Runners.Vm, Quick when tech <> Technology.Jit -> 65536
+  | Runners.Vm, Full when tech <> Technology.Jit -> 262144
   | _, Quick -> 262144
   | _, Full -> md5_full_bytes
+
+(* The source interpreter is timed over 3 single-shot rounds: one of
+   its ops takes seconds. *)
+let scripted tech =
+  match Runners.regime tech with Runners.Script -> true | _ -> false
 
 let table5_data scale =
   let rng = Prng.create 0x3D5DA7AL in
@@ -332,12 +337,12 @@ let table5_data scale =
       let runner = Runners.md5 tech ~capacity:size in
       let data = Prng.bytes rng size in
       runner.Runners.load data;
-      let runs = if tech = Technology.Source_interp then 3 else runs_of scale in
+      let runs = if scripted tech then 3 else runs_of scale in
       let op () = runner.Runners.compute size in
-      (* Single-shot for the source interpreter (one op takes seconds);
-         small calibrated batches for the rest so each timed window is
-         well above timer resolution and GC noise. *)
-      let max_iters = if tech = Technology.Source_interp then 1 else 64 in
+      (* Small calibrated batches for all but the source interpreter,
+         so each timed window is well above timer resolution and GC
+         noise. *)
+      let max_iters = if scripted tech then 1 else 64 in
       let meas =
         Harness.measure ~config:(slow_config ~max_iters ~rounds:runs scale) op
       in
@@ -426,11 +431,11 @@ let logdisk_full_writes = Paperdata.logdisk_writes
 (* As with MD5, the Jit tier takes the native arms: full workload,
    no extrapolation. *)
 let logdisk_measure_writes scale tech =
-  match (tech, scale) with
-  | Technology.Source_interp, Quick -> 1024
-  | Technology.Source_interp, Full -> 8192
-  | (Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static | Technology.Ast_interp), Quick -> 8192
-  | (Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static | Technology.Ast_interp), Full -> 65536
+  match (Runners.regime tech, scale) with
+  | Runners.Script, Quick -> 1024
+  | Runners.Script, Full -> 8192
+  | Runners.Vm, Quick when tech <> Technology.Jit -> 8192
+  | Runners.Vm, Full when tech <> Technology.Jit -> 65536
   | _, Quick -> 32768
   | _, Full -> logdisk_full_writes
 
@@ -452,7 +457,7 @@ let table6_data scale =
       let writes = logdisk_measure_writes scale tech in
       let workload = skewed_workload writes in
       let policy = Runners.logdisk_policy tech ~nblocks:logdisk_nblocks in
-      let runs = if tech = Technology.Source_interp then 3 else runs_of scale in
+      let runs = if scripted tech then 3 else runs_of scale in
       let meas =
         Harness.measure ~config:(slow_config ~rounds:runs scale) (fun () ->
             Array.iter

@@ -17,7 +17,10 @@ let schema_version = 1
 let triggered (r : Serve.result) =
   r.Serve.r_alerts_page > 0 || r.Serve.r_quarantined > 0
 
-let chrome_trace (lo : Serve.lens_out) =
+(** The retained spans as a Chrome trace, one process per domain,
+    under the caller's envelope version: the bundle's trace.json and
+    [graftkit trace --serve] share this writer. *)
+let chrome_trace ~schema_version (lo : Serve.lens_out) =
   Graft_trace.Export.chrome_json_of
     ~extra:(Graft_report.Envelope.fields ~schema_version)
     (List.map
@@ -40,26 +43,12 @@ let windows_json (r : Serve.result) =
   in
   Graft_report.Envelope.wrap ~schema_version
     (Printf.sprintf "\"suite\":\"serve-flight-windows\",\"windows\":[%s]"
-       (String.concat ","
-          (List.map
-             (fun (w : Serve.window_stat) ->
-               Printf.sprintf
-                 "{\"start_s\":%.2f,\"stop_s\":%.2f,\"total\":%d,\
-                  \"errors\":%d,\"p99_us\":%d,\"burn\":%.4f,\"alert\":%S}"
-                 w.Serve.ws_start_s w.Serve.ws_stop_s w.Serve.ws_total
-                 w.Serve.ws_errors w.Serve.ws_p99_us w.Serve.ws_burn
-                 w.Serve.ws_alert)
-             offending)))
+       (String.concat "," (List.map Serve.window_json offending)))
 
 let faults_json (r : Serve.result) =
   Graft_report.Envelope.wrap ~schema_version
     (Printf.sprintf "\"suite\":\"serve-flight-faults\",\"fired\":[%s]"
-       (String.concat ","
-          (List.map
-             (fun (site, cls, tick) ->
-               Printf.sprintf "{\"site\":%S,\"class\":%S,\"tick\":%d}" site
-                 cls tick)
-             r.Serve.r_fired)))
+       (String.concat "," (List.map Serve.fired_json r.Serve.r_fired)))
 
 let strikes_json (lo : Serve.lens_out) =
   Graft_report.Envelope.wrap ~schema_version
@@ -95,7 +84,7 @@ let bundle (r : Serve.result) =
   | Some lo ->
       let body =
         [
-          ("trace.json", chrome_trace lo);
+          ("trace.json", chrome_trace ~schema_version lo);
           ("windows.json", windows_json r);
           ("faults.json", faults_json r);
           ("strikes.json", strikes_json lo);

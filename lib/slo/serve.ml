@@ -765,11 +765,30 @@ let merge_snapshots cfg shards =
         s_trace_dropped = sum (fun sp -> sp.sp_dropped);
       })
 
-let run cfg =
-  if cfg.tenants < 1 then invalid_arg "Serve.run: tenants < 1";
-  if cfg.domains < 1 then invalid_arg "Serve.run: domains < 1";
+(** Reject a config that cannot run, before any work: raises
+    [Invalid_argument] naming the field and its value. A zero
+    [snapshot_every_s] would never advance the snapshot clock and a
+    zero [duration_s] has no throughput. *)
+let validate cfg =
+  let reject fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Serve.run: " ^ m)) fmt
+  in
+  List.iter
+    (fun (field, v) ->
+      if not (Float.is_finite v && v > 0.0) then
+        reject "%s must be positive and finite, not %g" field v)
+    [
+      ("duration_s", cfg.duration_s); ("base_rate", cfg.base_rate);
+      ("window_s", cfg.window_s); ("snapshot_every_s", cfg.snapshot_every_s);
+    ];
+  if cfg.narms < 0 then reject "narms must be >= 0, not %d" cfg.narms;
+  if cfg.tenants < 1 then reject "tenants must be >= 1, not %d" cfg.tenants;
+  if cfg.domains < 1 then reject "domains must be >= 1, not %d" cfg.domains;
   if cfg.domains > cfg.tenants then
-    invalid_arg "Serve.run: more domains than tenants";
+    reject "domains (%d) must not exceed tenants (%d)" cfg.domains cfg.tenants
+
+let run cfg =
+  validate cfg;
   let wall0 = Unix.gettimeofday () in
   Graft_metrics.enable ();
   (* Joined worker domains from a previous run must not leak counts

@@ -28,12 +28,18 @@ type report = {
   tr_rows : row list;  (** ascending domain count *)
 }
 
-(** Run the serve workload [reps] times at each domain count and
-    estimate ops per wall-second of the parallel section. Raises
-    [Invalid_argument] on an empty count list or [reps < 1]. *)
-let run ?(reps = 5) ~domain_counts cfg =
+(** Raise [Invalid_argument] on an empty count list, [reps < 1] or a
+    domain count {!Serve.validate} rejects for [cfg]. *)
+let validate ~reps ~domain_counts cfg =
   if domain_counts = [] then invalid_arg "Throughput.run: no domain counts";
   if reps < 1 then invalid_arg "Throughput.run: reps < 1";
+  List.iter (fun n -> Serve.validate { cfg with Serve.domains = n }) domain_counts
+
+(** Run the serve workload [reps] times at each domain count and
+    estimate ops per wall-second of the parallel section, after
+    {!validate}. *)
+let run ?(reps = 5) ~domain_counts cfg =
+  validate ~reps ~domain_counts cfg;
   let counts = List.sort_uniq compare domain_counts in
   let rows =
     List.map

@@ -2,11 +2,13 @@
    by every test executable in this directory. *)
 
 (** Run [../bin/graftkit.exe args] and return its exit code and
-    standard output. *)
-let graftkit args =
+    standard output; standard error goes to the file [stderr] if
+    given. *)
+let graftkit ?stderr args =
   let out = Filename.temp_file "graftkit" ".out" in
   let code =
-    Sys.command (Filename.quote_command "../bin/graftkit.exe" ~stdout:out args)
+    Sys.command
+      (Filename.quote_command "../bin/graftkit.exe" ~stdout:out ?stderr args)
   in
   let text = In_channel.with_open_bin out In_channel.input_all in
   Sys.remove out;

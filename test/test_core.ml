@@ -498,6 +498,37 @@ let test_manager_logdisk_wrap () =
   let g = Option.get (Manager.find m "lsd") in
   check_bool "invocations counted" true (g.Manager.invocations > 100)
 
+(* A graft's own fault keeps its class at the barrier: an out-of-range
+   mapped write is "oob-write" on every interpreted tier and the source
+   interpreter, exactly as on the native checked graft. *)
+let test_manager_fault_class_kept () =
+  List.iter
+    (fun tech ->
+      let name = Technology.name tech in
+      let g =
+        Manager.register (Manager.create ()) ~name:"lsd" ~tech
+          ~structure:Taxonomy.Black_box ~motivation:Taxonomy.Performance
+          ~policy:{ Manager.default_policy with max_faults = 1 }
+          ()
+      in
+      g.Manager.state <- Manager.Attached;
+      let policy = Runners.logdisk_policy tech ~nblocks:64 in
+      let write () = policy.Graft_kernel.Logdisk.map_write 1000 in
+      check_bool (name ^ ": kernel falls back") true
+        (Manager.invoke g write = None);
+      match g.Manager.state with
+      | Manager.Disabled f ->
+          check_str (name ^ ": fault class") "oob-write"
+            (Graft_mem.Fault.class_name f)
+      | s ->
+          Alcotest.failf "%s: expected disabled, got %s" name
+            (Manager.state_name s))
+    [
+      Technology.Safe_lang; Technology.Ast_interp; Technology.Bytecode_vm;
+      Technology.Bytecode_opt; Technology.Safe_lang_static; Technology.Jit;
+      Technology.Source_interp;
+    ]
+
 (* ---------- breakeven ---------- *)
 
 let test_breakeven_math () =
@@ -591,6 +622,8 @@ let () =
           Alcotest.test_case "unsafe panics" `Quick test_manager_unsafe_fault_panics;
           Alcotest.test_case "md5 filter" `Quick test_manager_md5_filter;
           Alcotest.test_case "logdisk wrap" `Quick test_manager_logdisk_wrap;
+          Alcotest.test_case "fault class kept" `Quick
+            test_manager_fault_class_kept;
         ] );
       ( "breakeven",
         [

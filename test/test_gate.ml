@@ -509,11 +509,17 @@ let test_map_oob_faults () =
       | (_ : int) ->
           Alcotest.failf "%s: out-of-range map key did not fault"
             (Technology.name tech)
-      | exception Failure msg ->
-          check_bool
+      | exception Graft_mem.Fault.Fault f ->
+          (* The map object's own fault reaches the caller intact. *)
+          Alcotest.(check string)
+            (Technology.name tech ^ ": fault is the map's bounds check")
+            "oob-read" (Graft_mem.Fault.class_name f);
+          check_int
             (Technology.name tech ^ ": fault names the bad key")
-            true
-            (String.length msg > 0))
+            99
+            (match f with
+            | Graft_mem.Fault.Out_of_bounds { addr; _ } -> addr
+            | _ -> -1))
     hotset_techs;
   (* The filter VM's runtime fallback rejects the packet instead: a
      dynamic key the verifier cannot range-check is checked by the map

@@ -433,6 +433,47 @@ let test_serve_json_parses () =
   check_bool "snapshot times strictly increase, ops never decrease" true
     (advancing series)
 
+let contains haystack needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0
+
+(* A config that would hang serve (a zero snapshot period never
+   advances the snapshot clock), divide by zero or generate nothing is
+   rejected before any work, naming the field. *)
+let rejects field cfg () =
+  match Serve.run cfg with
+  | _ -> Alcotest.failf "Serve.run accepted a bad %s" field
+  | exception Invalid_argument msg ->
+      check_bool (Printf.sprintf "%S names %s" msg field) true
+        (contains msg field)
+
+let rejected_configs =
+  [
+    ("duration_s", { tiny with Serve.duration_s = 0.0 });
+    ("base_rate", { tiny with Serve.base_rate = 0.0 });
+    ("window_s", { tiny with Serve.window_s = 0.0 });
+    ("snapshot_every_s", { tiny with Serve.snapshot_every_s = 0.0 });
+    ("narms", { tiny with Serve.narms = -1 });
+  ]
+
+(* The CLI prints the rejected value as one stderr line and exits 2. *)
+let test_cli_rejects_zero_snapshot () =
+  let err = Filename.temp_file "serve" ".err" in
+  let code, out =
+    Cli.graftkit ~stderr:err [ "serve"; "--smoke"; "--snapshot-every"; "0" ]
+  in
+  let msg = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  check_int "usage-error exit" 2 code;
+  check_bool "no report" true (out = "");
+  check_bool "one stderr line" true
+    (String.index_opt msg '\n' = Some (String.length msg - 1));
+  check_bool "names the field" true (contains msg "snapshot_every_s")
+
 (* ------------------------------------------------------------------ *)
 (* The serve gate.                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -516,6 +557,16 @@ let test_gate_cli_load_before_save () =
            (fun r -> r.Gate.key = "p50_us" && r.Gate.value <> 10.0)
            d.Gate.rows)
 
+(* CI's serve gate as a tier-1 case: serve's numbers are a pure
+   function of (seed, config), so a fresh smoke run must pass against
+   the committed baseline. *)
+let test_smoke_matches_committed_baseline () =
+  let code, out =
+    Cli.graftkit [ "serve"; "--smoke"; "--baseline"; "../BENCH_serve.json" ]
+  in
+  check_int "gate exit" 0 code;
+  check_bool "no regressions" true (contains out "serve: no regressions")
+
 (* ------------------------------------------------------------------ *)
 (* Entry point.                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -566,7 +617,16 @@ let () =
           Alcotest.test_case "openmetrics snapshot" `Quick test_serve_openmetrics;
           Alcotest.test_case "tenant set-up allocation" `Quick
             test_serve_setup_allocation;
-        ] );
+        ]
+        @ List.map
+            (fun (field, cfg) ->
+              Alcotest.test_case ("rejects bad " ^ field) `Quick
+                (rejects field cfg))
+            rejected_configs
+        @ [
+            Alcotest.test_case "cli rejects zero snapshot period" `Quick
+              test_cli_rejects_zero_snapshot;
+          ] );
       ( "servegate",
         [
           Alcotest.test_case "baseline roundtrip" `Quick
@@ -576,5 +636,7 @@ let () =
             test_servegate_config_mismatch;
           Alcotest.test_case "load before save" `Quick
             test_gate_cli_load_before_save;
+          Alcotest.test_case "smoke run matches committed baseline" `Quick
+            test_smoke_matches_committed_baseline;
         ] );
     ]
