@@ -6,9 +6,13 @@
     ratios. Real CPU time spent inside grafts is measured separately
     with {!Graft_util.Timer} and can be charged in by the caller. *)
 
-type t = { mutable now_s : float; mutable charges : (string * float) list }
+(* A label's running total. All-float, so adding to it allocates
+   nothing. *)
+type total = { mutable sum : float }
 
-let create () = { now_s = 0.0; charges = [] }
+type t = { mutable now_s : float; mutable totals : (string * total) list }
+
+let create () = { now_s = 0.0; totals = [] }
 
 let now t = t.now_s
 
@@ -17,7 +21,9 @@ let now t = t.now_s
 let charge t label dt =
   if dt < 0.0 then invalid_arg "Simclock.charge: negative time";
   t.now_s <- t.now_s +. dt;
-  t.charges <- (label, dt) :: t.charges;
+  (match List.assoc label t.totals with
+  | total -> total.sum <- total.sum +. dt
+  | exception Not_found -> t.totals <- (label, { sum = dt }) :: t.totals);
   (* Counter (not instant) so the trace summary can sum charge totals
      per label; the value is the charge in simulated nanoseconds. *)
   Graft_trace.Trace.counter Graft_trace.Trace.Clock label
@@ -31,20 +37,15 @@ let advance_to t target = if target > t.now_s then t.now_s <- target
 
 (** Total time charged under [label]. *)
 let charged t label =
-  List.fold_left
-    (fun acc (l, dt) -> if l = label then acc +. dt else acc)
-    0.0 t.charges
+  match List.assoc label t.totals with
+  | total -> total.sum
+  | exception Not_found -> 0.0
 
 (** Cost breakdown, aggregated by label, largest first. *)
 let breakdown t =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (l, dt) ->
-      Hashtbl.replace tbl l (dt +. Option.value ~default:0.0 (Hashtbl.find_opt tbl l)))
-    t.charges;
-  Hashtbl.fold (fun l dt acc -> (l, dt) :: acc) tbl []
+  List.map (fun (l, total) -> (l, total.sum)) t.totals
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 let reset t =
   t.now_s <- 0.0;
-  t.charges <- []
+  t.totals <- []

@@ -78,19 +78,8 @@ type summary = {
   m_max_s : float;
 }
 
-let summarize t =
-  let ds = durations t in
-  let n = List.length ds in
-  {
-    m_incidents = n;
-    m_open = (match t.current with Some _ -> 1 | None -> 0);
-    m_mean_s =
-      (if n = 0 then 0.0
-       else List.fold_left ( +. ) 0.0 ds /. float_of_int n);
-    m_max_s = List.fold_left max 0.0 ds;
-  }
-
-(** Pool several trackers' closed incidents into one summary. *)
+(** Pool several trackers' closed incidents into one summary. A
+    tracker that never saw a fault adds nothing. *)
 let summarize_all ts =
   let ds = List.concat_map durations ts in
   let n = List.length ds in
@@ -105,3 +94,5 @@ let summarize_all ts =
        else List.fold_left ( +. ) 0.0 ds /. float_of_int n);
     m_max_s = List.fold_left max 0.0 ds;
   }
+
+let summarize t = summarize_all [ t ]

@@ -14,7 +14,7 @@
     processes (rates Zipf-skewed across tenants), each operation
     {e really executes} its graft through {!Graft_core.Manager.invoke}
     (so supervision, metrics, and injected faults are genuine), and a
-    synthetic service time — calibrated per class and technology tier,
+    synthetic service time — hand-set per class and technology tier,
     with log-normal jitter — is charged to the tenant's simulated
     clock. Latency is completion minus arrival, so queueing delay
     during packet storms produces real tails.
@@ -77,7 +77,8 @@ let default =
   }
 
 (** The tail-retention bar: ops slower than this (or faulted) keep
-    their full span set. Defaults to the latency SLO itself. *)
+    their full span set. 0 means the latency SLO itself; {!validate}
+    rejects a negative bar. *)
 let lens_threshold cfg =
   if cfg.lens_threshold_us > 0 then cfg.lens_threshold_us
   else cfg.latency_slo_us
@@ -105,6 +106,10 @@ let class_name = function
   | Hotset -> "hotset"
   | Stream -> "stream"
   | Evict -> "evict"
+
+(* Every class, in the order a tenant's grafts and trackers are kept. *)
+let classes = [ Demux; Hotset; Stream; Evict ]
+let class_index = function Demux -> 0 | Hotset -> 1 | Stream -> 2 | Evict -> 3
 
 (* Class mix: packet handling dominates, as in the paper's motivating
    workloads. *)
@@ -198,7 +203,8 @@ type tenant = {
   t_arrival : Graft_util.Prng.t;  (** arrival times and op specs *)
   t_svc : Graft_util.Prng.t;  (** service-time jitter *)
   t_clock : Graft_kernel.Simclock.t;  (** this tenant's FIFO server *)
-  recorder : Window.recorder;
+  recorder : Window.recorder;  (** every op's latency or error, once *)
+  trackers : Mttr.t array;  (** one per graft, in {!classes} order *)
   mutable demand : int;  (** ops issued *)
   mutable good : int;  (** ops completed (graft or fallback) *)
   mutable errors : int;  (** ops lost to faults *)
@@ -269,6 +275,7 @@ let make_tenant mgr cfg i =
     t_svc = svc_rng;
     t_clock = Graft_kernel.Simclock.create ();
     recorder = Window.recorder ~subbits:cfg.subbits ~width_s:cfg.window_s ();
+    trackers = Array.of_list (List.map (fun _ -> Mttr.create ()) classes);
     demand = 0;
     good = 0;
     errors = 0;
@@ -284,9 +291,8 @@ let tenant_events cfg t =
     Graft_workload.Arrival.poisson_times rng ~rate:t.t_rate
       ~until:cfg.duration_s
   in
-  let seq = ref 0 in
-  List.map
-    (fun time ->
+  List.mapi
+    (fun i time ->
       let spec =
         match class_of_draw (Graft_util.Prng.int rng 100) with
         | Demux -> Op_demux (Graft_util.Prng.int rng 256)
@@ -298,8 +304,7 @@ let tenant_events cfg t =
             Op_evict
               (Graft_util.Prng.int rng t.btree.Graft_workload.Tpcb.npages)
       in
-      incr seq;
-      { ev_t = time; ev_seq = !seq; ev_tenant = t.t_idx; ev_spec = spec })
+      { ev_t = time; ev_seq = i + 1; ev_tenant = t.t_idx; ev_spec = spec })
     times
 
 let sort_events arr =
@@ -332,7 +337,7 @@ let fault_arm_specs cfg =
   let busy = max 1 (cfg.tenants / 3) in
   let sites =
     List.concat_map
-      (fun i -> List.map (graft_name i) [ Demux; Hotset; Stream; Evict ])
+      (fun i -> List.map (graft_name i) classes)
       (List.init busy (fun i -> i))
   in
   let seeded =
@@ -442,8 +447,23 @@ let objective cfg =
     ~target:cfg.slo_target
 
 (* ------------------------------------------------------------------ *)
-(* The per-shard run.                                                  *)
+(* One op, in named stages: model cost, supervise (whose barrier runs  *)
+(* execute) and account, inside the lens bracket.                      *)
 (* ------------------------------------------------------------------ *)
+
+let spec_class = function
+  | Op_demux _ -> Demux
+  | Op_hotset _ -> Hotset
+  | Op_stream _ -> Stream
+  | Op_evict _ -> Evict
+
+let graft t = function
+  | Demux -> t.demux_g
+  | Hotset -> t.hotset_g
+  | Stream -> t.stream_g
+  | Evict -> t.evict_g
+
+let grafts t = List.map (graft t) classes
 
 let count_states tenants =
   let q = ref 0 and d = ref 0 in
@@ -455,45 +475,152 @@ let count_states tenants =
           | Manager.Quarantined _ -> incr q
           | Manager.Disabled _ -> incr d
           | _ -> ())
-        [ t.demux_g; t.hotset_g; t.stream_g; t.evict_g ])
+        (grafts t))
     tenants;
   (!q, !d)
 
-let class_name_of_spec = function
-  | Op_demux _ -> "serve:demux"
-  | Op_hotset _ -> "serve:hotset"
-  | Op_stream _ -> "serve:stream"
-  | Op_evict _ -> "serve:evict"
+(* Clock charge labels and lens retention markers ({!Lens.markers}
+   recovers retained ops by the "op:" prefix), built once: the clock
+   and the tracer store the pointer. *)
+let per_class prefix =
+  Array.of_list (List.map (fun c -> prefix ^ class_name c) classes)
 
-(* Retention-marker names ({!Lens.markers} recovers retained ops by
-   this prefix). Preallocated: the tracer stores the pointer. *)
-let op_marker_of_spec = function
-  | Op_demux _ -> "op:demux"
-  | Op_hotset _ -> "op:hotset"
-  | Op_stream _ -> "op:stream"
-  | Op_evict _ -> "op:evict"
+let charge_labels = per_class "serve:"
+let marker_labels = per_class "op:"
+let class_name_of_spec spec = charge_labels.(class_index (spec_class spec))
 
-(* A shard's contribution to one snapshot: plain sums plus a frozen
-   copy of the run-so-far latency histogram (merged bucketwise on
-   assembly, so the merged p99 equals the single-domain value). *)
-type snap_part = {
-  sp_t : float;
-  sp_ops : int;
-  sp_errors : int;
-  sp_quar : int;
-  sp_dis : int;
-  sp_dropped : int;
-  sp_histo : Graft_trace.Histo.t;
-}
+(* Stage: execute, inside the barrier. A storm demux op delivers
+   [batch] packets. *)
+let execute t ~batch = function
+  | Op_demux k ->
+      let pkt = t.packets.(k) in
+      for _ = 2 to batch do
+        ignore (t.demux_r.Runners.demux pkt)
+      done;
+      t.demux_r.Runners.demux pkt
+  | Op_hotset (l3, child) ->
+      Graft_workload.Tpcb.lookup_path t.btree ~l3_index:l3 ~child_index:child
+      |> Array.fold_left (fun _ page -> t.hotset_r.Runners.touch page) 0
+  | Op_stream k ->
+      let chunk = t.chunks.(k) in
+      t.stream_r.Runners.load chunk;
+      t.stream_r.Runners.compute (Bytes.length chunk);
+      0
+  | Op_evict page -> if t.evict_r.Runners.contains page then 1 else 0
+
+(* Stage: model cost, in simulated µs before jitter. *)
+let model_cost_us t ~batch spec =
+  (match spec with
+  | Op_demux k ->
+      float_of_int batch
+      *. base_us Demux ~size:(Graft_kernel.Netpkt.length t.packets.(k))
+  | Op_hotset _ -> base_us Hotset ~size:0
+  | Op_stream _ -> base_us Stream ~size:stream_chunk
+  | Op_evict _ -> base_us Evict ~size:0)
+  *. tech_mult t.t_tech
+
+(* Stage: supervise. The fault plan's check and [execute] run through
+   the graft's barrier at the op's arrival. *)
+let supervise plan t ~batch ev =
+  let g = graft t (spec_class ev.ev_spec) in
+  Graft_kernel.Simclock.advance_to t.t_clock ev.ev_t;
+  let tf_before = g.Manager.total_faults in
+  let result =
+    Manager.invoke g (fun () ->
+        Graft_faultinject.Faultinject.check plan g.Manager.g_name;
+        execute t ~batch ev.ev_spec)
+  in
+  if g.Manager.total_faults > tf_before then Mttr.Faulted
+  else match result with Some _ -> Mttr.Graft_ok | None -> Mttr.Fallback_ok
+
+(* Stage: account. Charge the jittered service time to the tenant's
+   clock and record the op once, on its tenant. Returns its latency. *)
+let account t ev ~cost_us outcome =
+  let cls = spec_class ev.ev_spec in
+  let quarantined =
+    match (graft t cls).Manager.state with
+    | Manager.Quarantined _ -> true
+    | _ -> false
+  in
+  Mttr.observe t.trackers.(class_index cls) ~now:ev.ev_t ~quarantined outcome;
+  let jitter = Graft_workload.Arrival.lognormal t.t_svc ~sigma:0.3 in
+  let svc_us =
+    (match outcome with
+    | Mttr.Graft_ok -> cost_us
+    | Mttr.Fallback_ok -> fallback_us
+    | Mttr.Faulted -> (cost_us /. 2.0) +. fault_penalty_us)
+    *. jitter
+  in
+  Graft_kernel.Simclock.charge t.t_clock charge_labels.(class_index cls)
+    (svc_us *. 1e-6);
+  let latency_us =
+    int_of_float
+      (Float.round ((Graft_kernel.Simclock.now t.t_clock -. ev.ev_t) *. 1e6))
+  in
+  t.demand <- t.demand + 1;
+  if outcome = Mttr.Faulted then begin
+    t.errors <- t.errors + 1;
+    Window.record_error t.recorder ~t:ev.ev_t
+  end
+  else begin
+    t.good <- t.good + 1;
+    Window.record t.recorder ~t:ev.ev_t ~latency_us
+  end;
+  latency_us
+
+let run_op cfg plan ~storms t ev =
+  (* Lens bracket: everything the op touches until [op_end] records
+     under its trace id. A faulted or over-threshold op keeps every
+     span it touched (and stamps a retention marker); the rest fall
+     back to 1-in-N sampling. *)
+  if cfg.lens then
+    Graft_trace.Trace.op_begin
+      (Lens.tid_of ~tenant:ev.ev_tenant ~seq:ev.ev_seq);
+  let batch =
+    match ev.ev_spec with
+    | Op_demux _ when Graft_workload.Arrival.in_intervals ev.ev_t storms ->
+        storm_batch
+    | _ -> 1
+  in
+  (* The application publishes an evict graft's hot list, outside the
+     barrier. *)
+  (match ev.ev_spec with
+  | Op_evict _ ->
+      t.evict_ops <- t.evict_ops + 1;
+      if t.evict_ops mod evict_refresh_every = 1 then
+        t.evict_r.Runners.refresh ~lru:[||]
+          ~hot:
+            (Array.init hot_pages_per_refresh (fun _ ->
+                 Graft_util.Prng.int t.refresh_rng
+                   t.btree.Graft_workload.Tpcb.npages))
+  | _ -> ());
+  let cost_us = model_cost_us t ~batch ev.ev_spec in
+  let outcome = supervise plan t ~batch ev in
+  let latency_us = account t ev ~cost_us outcome in
+  if cfg.lens then
+    Graft_trace.Trace.op_end ~arg:latency_us
+      ~retain:(outcome = Mttr.Faulted || latency_us > lens_threshold cfg)
+      marker_labels.(class_index (spec_class ev.ev_spec))
+
+(* ------------------------------------------------------------------ *)
+(* The per-shard run.                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The run-so-far latencies: every window of every tenant, merged. *)
+let latencies cfg tenants =
+  let h = Graft_trace.Histo.create ~subbits:cfg.subbits () in
+  let add w = Graft_trace.Histo.merge_into ~dst:h w.Window.histo in
+  Array.iter (fun t -> List.iter add (Window.windows t.recorder)) tenants;
+  h
+
+let sum_tenants f tenants = Array.fold_left (fun acc t -> acc + f t) 0 tenants
 
 type shard_out = {
-  so_tenants : tenant array;
-  so_ops : int;
-  so_good : int;
-  so_errors : int;
-  so_recorder : Window.recorder;  (** shard-global windows *)
-  so_snaps : snap_part list;  (** oldest first; same times in every shard *)
-  so_trackers : (string * Mttr.t) list;  (** per-graft MTTR, by name *)
+  so_tenants : tenant array;  (** counters, windows and trackers *)
+  so_snaps : (snapshot * Graft_trace.Histo.t) list;
+      (** oldest first, same times in every shard: the shard's counts
+          (p99 left 0) and its run-so-far latencies, merged bucketwise
+          on assembly so the merged p99 equals the single-domain one *)
   so_fired :
     (string * Graft_faultinject.Faultinject.fault_class * int) list;
   so_events : Graft_trace.Trace.event array;
@@ -517,63 +644,45 @@ let run_shard cfg ~specs ~storms k =
   if cfg.lens then Graft_trace.Trace.enable ~capacity:8192 ~logical:true ()
   else Graft_trace.Trace.enable ~capacity:4096 ();
   let mgr = Manager.create () in
+  (* Shard [k] owns tenants k, k+N, ...: tenant [i] sits at [i / N]. *)
   let tenants =
-    Array.of_list
-      (List.filter_map
-         (fun i ->
-           if i mod cfg.domains = k then Some (make_tenant mgr cfg i) else None)
-         (List.init cfg.tenants (fun i -> i)))
+    Array.init
+      ((cfg.tenants - k + cfg.domains - 1) / cfg.domains)
+      (fun j -> make_tenant mgr cfg (k + (j * cfg.domains)))
   in
   let events =
     sort_events
       (Array.of_list
          (List.concat_map (tenant_events cfg) (Array.to_list tenants)))
   in
-  let my_sites = Hashtbl.create 32 in
-  Array.iter
-    (fun t ->
-      List.iter
-        (fun g -> Hashtbl.replace my_sites g.Manager.g_name ())
-        [ t.demux_g; t.hotset_g; t.stream_g; t.evict_g ])
-    tenants;
+  let my_sites =
+    List.concat_map
+      (fun t -> List.map (fun g -> g.Manager.g_name) (grafts t))
+      (Array.to_list tenants)
+  in
   let plan =
     Graft_faultinject.Faultinject.make
-      (List.filter (fun (site, _, _) -> Hashtbl.mem my_sites site) specs)
-  in
-  let by_idx = Hashtbl.create 16 in
-  Array.iter (fun t -> Hashtbl.replace by_idx t.t_idx t) tenants;
-  let global = Window.recorder ~subbits:cfg.subbits ~width_s:cfg.window_s () in
-  (* Run-so-far latencies, for snapshot percentiles: a plain histogram
-     is cheaper to copy at snapshot time than re-merging windows. *)
-  let all_lat = Graft_trace.Histo.create ~subbits:cfg.subbits () in
-  let trackers : (string, Mttr.t) Hashtbl.t = Hashtbl.create 64 in
-  let tracker g =
-    match Hashtbl.find_opt trackers g.Manager.g_name with
-    | Some m -> m
-    | None ->
-        let m = Mttr.create () in
-        Hashtbl.add trackers g.Manager.g_name m;
-        m
+      (List.filter (fun (site, _, _) -> List.mem site my_sites) specs)
   in
   let dlabel =
     if cfg.domains = 1 then [] else [ ("domain", string_of_int k) ]
   in
   let snaps = ref [] in
-  let ops = ref 0 and good = ref 0 and errors = ref 0 in
   let take_snapshot t_now =
     Manager.publish_state_gauges mgr;
     Graft_metrics.publish_trace_gauges ~labels:dlabel ();
     let q, d = count_states tenants in
     snaps :=
-      {
-        sp_t = t_now;
-        sp_ops = !ops;
-        sp_errors = !errors;
-        sp_quar = q;
-        sp_dis = d;
-        sp_dropped = Graft_trace.Trace.dropped ();
-        sp_histo = Graft_trace.Histo.copy all_lat;
-      }
+      ( {
+          s_t = t_now;
+          s_ops = sum_tenants (fun t -> t.demand) tenants;
+          s_errors = sum_tenants (fun t -> t.errors) tenants;
+          s_p99_us = 0;
+          s_quarantined = q;
+          s_disabled = d;
+          s_trace_dropped = Graft_trace.Trace.dropped ();
+        },
+        latencies cfg tenants )
       :: !snaps
   in
   let next_snapshot = ref cfg.snapshot_every_s in
@@ -583,113 +692,7 @@ let run_shard cfg ~specs ~storms k =
         take_snapshot !next_snapshot;
         next_snapshot := !next_snapshot +. cfg.snapshot_every_s
       done;
-      let t = Hashtbl.find by_idx ev.ev_tenant in
-      (* Causal scope: everything the op touches from here to op_end —
-         Manager invocation, VM session, map helpers, kernel fallback,
-         strike transitions — records under its trace id. *)
-      if cfg.lens then
-        Graft_trace.Trace.op_begin
-          (Lens.tid_of ~tenant:ev.ev_tenant ~seq:ev.ev_seq);
-      let in_storm = Graft_workload.Arrival.in_intervals ev.ev_t storms in
-      let g, thunk, svc =
-        match ev.ev_spec with
-        | Op_demux k ->
-            let pkt = t.packets.(k) in
-            let batch = if in_storm then storm_batch else 1 in
-            let per = base_us Demux ~size:(Graft_kernel.Netpkt.length pkt) in
-            ( t.demux_g,
-              (fun () ->
-                for _ = 2 to batch do
-                  ignore (t.demux_r.Runners.demux pkt)
-                done;
-                t.demux_r.Runners.demux pkt),
-              float_of_int batch *. per )
-        | Op_hotset (l3, child) ->
-            let path =
-              Graft_workload.Tpcb.lookup_path t.btree ~l3_index:l3
-                ~child_index:child
-            in
-            ( t.hotset_g,
-              (fun () ->
-                Array.fold_left
-                  (fun _ page -> t.hotset_r.Runners.touch page)
-                  0 path),
-              base_us Hotset ~size:0 )
-        | Op_stream k ->
-            let chunk = t.chunks.(k) in
-            ( t.stream_g,
-              (fun () ->
-                t.stream_r.Runners.load chunk;
-                t.stream_r.Runners.compute (Bytes.length chunk);
-                0),
-              base_us Stream ~size:stream_chunk )
-        | Op_evict page ->
-            t.evict_ops <- t.evict_ops + 1;
-            if t.evict_ops mod evict_refresh_every = 1 then begin
-              let hot =
-                Array.init hot_pages_per_refresh (fun _ ->
-                    Graft_util.Prng.int t.refresh_rng
-                      t.btree.Graft_workload.Tpcb.npages)
-              in
-              t.evict_r.Runners.refresh ~hot ~lru:[||]
-            end;
-            ( t.evict_g,
-              (fun () -> if t.evict_r.Runners.contains page then 1 else 0),
-              base_us Evict ~size:0 )
-      in
-      Graft_kernel.Simclock.advance_to t.t_clock ev.ev_t;
-      let tf_before = g.Manager.total_faults in
-      let result =
-        Manager.invoke g (fun () ->
-            Graft_faultinject.Faultinject.check plan g.Manager.g_name;
-            thunk ())
-      in
-      let faulted = g.Manager.total_faults > tf_before in
-      let quarantined =
-        match g.Manager.state with Manager.Quarantined _ -> true | _ -> false
-      in
-      let outcome =
-        if faulted then Mttr.Faulted
-        else
-          match result with Some _ -> Mttr.Graft_ok | None -> Mttr.Fallback_ok
-      in
-      Mttr.observe (tracker g) ~now:ev.ev_t ~quarantined outcome;
-      let jitter = Graft_workload.Arrival.lognormal t.t_svc ~sigma:0.3 in
-      let svc_us =
-        (match outcome with
-        | Mttr.Graft_ok -> svc *. tech_mult t.t_tech
-        | Mttr.Fallback_ok -> fallback_us
-        | Mttr.Faulted -> (svc *. tech_mult t.t_tech /. 2.0) +. fault_penalty_us)
-        *. jitter
-      in
-      Graft_kernel.Simclock.charge t.t_clock (class_name_of_spec ev.ev_spec)
-        (svc_us *. 1e-6);
-      let latency_us =
-        int_of_float
-          (Float.round ((Graft_kernel.Simclock.now t.t_clock -. ev.ev_t) *. 1e6))
-      in
-      incr ops;
-      t.demand <- t.demand + 1;
-      if outcome = Mttr.Faulted then begin
-        incr errors;
-        t.errors <- t.errors + 1;
-        Window.record_error t.recorder ~t:ev.ev_t;
-        Window.record_error global ~t:ev.ev_t
-      end
-      else begin
-        incr good;
-        t.good <- t.good + 1;
-        Graft_trace.Histo.add all_lat latency_us;
-        Window.record t.recorder ~t:ev.ev_t ~latency_us;
-        Window.record global ~t:ev.ev_t ~latency_us
-      end;
-      (* Tail-based retention: faulted or over-threshold ops keep
-         every span they touched (and stamp a retention marker); the
-         rest fall back to 1-in-N sampling. *)
-      if cfg.lens then
-        Graft_trace.Trace.op_end ~arg:latency_us
-          ~retain:(outcome = Mttr.Faulted || latency_us > lens_threshold cfg)
-          (op_marker_of_spec ev.ev_spec))
+      run_op cfg plan ~storms tenants.(ev.ev_tenant / cfg.domains) ev)
     events;
   (* Drain the snapshot schedule: every shard snapshots at the same
      times — multiples of the period below [duration_s], plus the
@@ -702,12 +705,7 @@ let run_shard cfg ~specs ~storms k =
   take_snapshot cfg.duration_s;
   {
     so_tenants = tenants;
-    so_ops = !ops;
-    so_good = !good;
-    so_errors = !errors;
-    so_recorder = global;
     so_snaps = List.rev !snaps;
-    so_trackers = Hashtbl.fold (fun n m acc -> (n, m) :: acc) trackers [];
     so_fired = Graft_faultinject.Faultinject.fired plan;
     (* The ring is domain-local: snapshot it now, before this worker
        domain is joined and its DLS becomes unreachable. *)
@@ -721,21 +719,21 @@ let run_shard cfg ~specs ~storms k =
 (* The run: fan out, join, merge.                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Group every shard's aligned windows by start time and merge each
+(* Group every tenant's aligned windows by start time and merge each
    group bucketwise. Recorder windows are aligned to multiples of the
-   width, so same-start groups cover the same span; a shard with no
+   width, so same-start groups cover the same span; a tenant with no
    traffic in a slot simply contributes nothing to that group. *)
-let merge_windows shards =
+let merge_windows tenants =
   let tbl : (float, Window.t list) Hashtbl.t = Hashtbl.create 32 in
   Array.iter
-    (fun so ->
+    (fun t ->
       List.iter
         (fun w ->
           let key = w.Window.start_s in
           let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
           Hashtbl.replace tbl key (w :: prev))
-        (Window.windows so.so_recorder))
-    shards;
+        (Window.windows t.recorder))
+    tenants;
   Hashtbl.fold (fun _ ws acc -> Window.merge_all ws :: acc) tbl []
   |> List.sort (fun a b -> compare a.Window.start_s b.Window.start_s)
 
@@ -745,24 +743,20 @@ let merge_windows shards =
 let merge_snapshots cfg shards =
   let parts = Array.map (fun so -> Array.of_list so.so_snaps) shards in
   let n = Array.length parts.(0) in
-  Array.iter
-    (fun p -> assert (Array.length p = n))
-    parts;
+  Array.iter (fun p -> assert (Array.length p = n)) parts;
   List.init n (fun j ->
       let at = Array.map (fun p -> p.(j)) parts in
       let histo = Graft_trace.Histo.create ~subbits:cfg.subbits () in
-      Array.iter
-        (fun sp -> Graft_trace.Histo.merge_into ~dst:histo sp.sp_histo)
-        at;
-      let sum f = Array.fold_left (fun acc sp -> acc + f sp) 0 at in
+      Array.iter (fun (_, h) -> Graft_trace.Histo.merge_into ~dst:histo h) at;
+      let sum f = Array.fold_left (fun acc (s, _) -> acc + f s) 0 at in
       {
-        s_t = at.(0).sp_t;
-        s_ops = sum (fun sp -> sp.sp_ops);
-        s_errors = sum (fun sp -> sp.sp_errors);
+        s_t = (fst at.(0)).s_t;
+        s_ops = sum (fun s -> s.s_ops);
+        s_errors = sum (fun s -> s.s_errors);
         s_p99_us = Graft_trace.Histo.percentile histo 0.99;
-        s_quarantined = sum (fun sp -> sp.sp_quar);
-        s_disabled = sum (fun sp -> sp.sp_dis);
-        s_trace_dropped = sum (fun sp -> sp.sp_dropped);
+        s_quarantined = sum (fun s -> s.s_quarantined);
+        s_disabled = sum (fun s -> s.s_disabled);
+        s_trace_dropped = sum (fun s -> s.s_trace_dropped);
       })
 
 (** Reject a config that cannot run, before any work: raises
@@ -782,6 +776,8 @@ let validate cfg =
       ("window_s", cfg.window_s); ("snapshot_every_s", cfg.snapshot_every_s);
     ];
   if cfg.narms < 0 then reject "narms must be >= 0, not %d" cfg.narms;
+  if cfg.lens_threshold_us < 0 then
+    reject "lens_threshold_us must be >= 0, not %d" cfg.lens_threshold_us;
   if cfg.tenants < 1 then reject "tenants must be >= 1, not %d" cfg.tenants;
   if cfg.domains < 1 then reject "domains must be >= 1, not %d" cfg.domains;
   if cfg.domains > cfg.tenants then
@@ -821,10 +817,10 @@ let run cfg =
     Array.sort (fun a b -> compare a.t_idx b.t_idx) all;
     all
   in
-  let ops = Array.fold_left (fun acc so -> acc + so.so_ops) 0 shards in
-  let good = Array.fold_left (fun acc so -> acc + so.so_good) 0 shards in
-  let errors = Array.fold_left (fun acc so -> acc + so.so_errors) 0 shards in
-  let merged_windows = merge_windows shards in
+  let ops = sum_tenants (fun t -> t.demand) tenants in
+  let good = sum_tenants (fun t -> t.good) tenants in
+  let errors = sum_tenants (fun t -> t.errors) tenants in
+  let merged_windows = merge_windows tenants in
   let overall =
     match merged_windows with
     | [] -> Window.make ~subbits:cfg.subbits ~start_s:0.0 ~stop_s:0.0 ()
@@ -842,13 +838,10 @@ let run cfg =
   let shares = Fairness.shares ~demand ~goodput in
   let q, _ = count_states tenants in
   let faults =
-    Array.fold_left
-      (fun acc t ->
-        List.fold_left
-          (fun acc g -> acc + g.Manager.total_faults)
-          acc
-          [ t.demux_g; t.hotset_g; t.stream_g; t.evict_g ])
-      0 tenants
+    sum_tenants
+      (fun t ->
+        List.fold_left (fun acc g -> acc + g.Manager.total_faults) 0 (grafts t))
+      tenants
   in
   let tenant_stats =
     Array.to_list
@@ -887,13 +880,15 @@ let run cfg =
         })
       merged_windows
   in
-  (* MTTR trackers and fired arms are combined in a canonical order
-     (graft name; site/tick) so float folds and report lists cannot
-     depend on shard count or hash-table iteration. *)
-  let trackers =
-    Array.to_list shards
-    |> List.concat_map (fun so -> so.so_trackers)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  (* Grafts (with their MTTR trackers) and fired arms are combined in a
+     canonical order (graft name; site/tick) so float folds and report
+     lists cannot depend on shard count. *)
+  let sites =
+    Array.to_list tenants
+    |> List.concat_map (fun t ->
+           List.combine (grafts t) (Array.to_list t.trackers))
+    |> List.sort (fun (a, _) (b, _) ->
+           String.compare a.Manager.g_name b.Manager.g_name)
   in
   let fired =
     Array.to_list shards
@@ -909,18 +904,14 @@ let run cfg =
         Array.to_list (Array.mapi (fun k so -> (k, so.so_events, so.so_trace_dropped)) shards)
       in
       let strikes =
-        Array.to_list tenants
-        |> List.concat_map (fun t ->
-               List.map
-                 (fun g ->
-                   ( g.Manager.g_name,
-                     Manager.state_name g.Manager.state,
-                     g.Manager.strikes,
-                     g.Manager.total_faults,
-                     g.Manager.fallbacks ))
-                 [ t.demux_g; t.hotset_g; t.stream_g; t.evict_g ])
-        |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) ->
-               String.compare a b)
+        List.map
+          (fun (g, _) ->
+            ( g.Manager.g_name,
+              Manager.state_name g.Manager.state,
+              g.Manager.strikes,
+              g.Manager.total_faults,
+              g.Manager.fallbacks ))
+          sites
       in
       (* Exemplar feed: publish the overall latency histogram as an
          OpenMetrics series and link each hot bucket to the trace id
@@ -976,7 +967,7 @@ let run cfg =
     r_budget_left = a.Slo.a_budget_left;
     r_alerts_page = pages;
     r_alerts_ticket = tickets;
-    r_mttr = Mttr.summarize_all (List.map snd trackers);
+    r_mttr = Mttr.summarize_all (List.map snd sites);
     r_faults = faults;
     r_quarantined = q;
     r_fired = fired;

@@ -13,8 +13,7 @@ let check_estimate label (e : Robust.estimate) =
   check_bool (label ^ " CI ordered") true
     (e.Robust.ci95_lo <= e.Robust.median && e.Robust.median <= e.Robust.ci95_hi)
 
-let test_signalbench () =
-  let r = Signalbench.measure ~rounds:30 () in
+let check_signalbench (r : Signalbench.result) =
   let med = r.Signalbench.per_signal_s.Robust.median in
   check_bool "group size" true (r.Signalbench.group_size = 20);
   check_estimate "per-signal" r.Signalbench.per_signal_s;
@@ -24,6 +23,37 @@ let test_signalbench () =
     (r.Signalbench.post_only_s < med *. 20.0);
   let upcall = Signalbench.upcall_estimate_s r in
   check_bool "upcall is 60%" true (Float.abs (upcall -. (med *. 0.6)) < 1e-12)
+
+let test_signalbench () = check_signalbench (Signalbench.measure ~rounds:30 ())
+
+(* Many short measurements in a row, each under an alarm. A child
+   that can miss a signal (one landing between the runtime's
+   pending-signal check and the wait) leaves the parent waiting for
+   its acknowledgement forever, and host drift between separate
+   handled and baseline phases can flip the paired difference to a
+   zero median: the alarm turns the first into a failure, the bounds
+   catch the second. *)
+let test_signalbench_repeated () =
+  let fired = ref false in
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> fired := true))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+      for i = 1 to 50 do
+        ignore (Unix.alarm 10);
+        (match Signalbench.measure ~rounds:30 () with
+        | r -> check_signalbench r
+        | exception e ->
+            Alcotest.failf "measurement %d raised %s (alarm fired: %b)" i
+              (Printexc.to_string e) !fired);
+        ignore (Unix.alarm 0);
+        check_bool (Printf.sprintf "measurement %d within its alarm" i) false
+          !fired
+      done)
 
 let test_diskbench () =
   let r = Diskbench.measure ~runs:2 ~file_bytes:(2 * 1024 * 1024) () in
@@ -94,6 +124,8 @@ let () =
       ( "measure",
         [
           Alcotest.test_case "signalbench" `Quick test_signalbench;
+          Alcotest.test_case "signalbench, 50 in a row" `Quick
+            test_signalbench_repeated;
           Alcotest.test_case "diskbench" `Quick test_diskbench;
           Alcotest.test_case "faultbench" `Quick test_faultbench;
           Alcotest.test_case "upcallbench" `Quick test_upcallbench;

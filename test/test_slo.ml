@@ -458,21 +458,42 @@ let rejected_configs =
     ("window_s", { tiny with Serve.window_s = 0.0 });
     ("snapshot_every_s", { tiny with Serve.snapshot_every_s = 0.0 });
     ("narms", { tiny with Serve.narms = -1 });
+    ("lens_threshold_us", { tiny with Serve.lens_threshold_us = -5 });
   ]
 
 (* The CLI prints the rejected value as one stderr line and exits 2. *)
-let test_cli_rejects_zero_snapshot () =
+let cli_rejects field args () =
   let err = Filename.temp_file "serve" ".err" in
-  let code, out =
-    Cli.graftkit ~stderr:err [ "serve"; "--smoke"; "--snapshot-every"; "0" ]
-  in
+  let code, out = Cli.graftkit ~stderr:err ("serve" :: "--smoke" :: args) in
   let msg = In_channel.with_open_bin err In_channel.input_all in
   Sys.remove err;
   check_int "usage-error exit" 2 code;
   check_bool "no report" true (out = "");
   check_bool "one stderr line" true
     (String.index_opt msg '\n' = Some (String.length msg - 1));
-  check_bool "names the field" true (contains msg "snapshot_every_s")
+  check_bool "names the field" true (contains msg field)
+
+(* [doc] without the envelope members that name the machine it ran
+   on (its host and OCaml version). *)
+let machine_free doc =
+  let v = Serve.schema_version in
+  let env = "{" ^ Graft_report.Envelope.prefix ~schema_version:v ^ "," in
+  let n = String.length env in
+  check_bool "report opens with the envelope" true
+    (String.length doc >= n && String.sub doc 0 n = env);
+  Printf.sprintf "{\"schema_version\":%d," v
+  ^ String.sub doc n (String.length doc - n)
+
+(* serve --smoke --lens --json, byte for byte against a committed
+   golden: every field of the report, the lens's retained-op count
+   included, is a pure function of (seed, config). *)
+let test_serve_json_golden () =
+  let r = Serve.run { Serve.smoke with Serve.lens = true } in
+  let expected =
+    In_channel.with_open_text "serve_expected.json" In_channel.input_all
+  in
+  Alcotest.(check string) "serve --json matches committed golden" expected
+    (machine_free (Serve.to_json r) ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* The serve gate.                                                     *)
@@ -617,6 +638,8 @@ let () =
           Alcotest.test_case "openmetrics snapshot" `Quick test_serve_openmetrics;
           Alcotest.test_case "tenant set-up allocation" `Quick
             test_serve_setup_allocation;
+          Alcotest.test_case "smoke lens json matches committed golden"
+            `Quick test_serve_json_golden;
         ]
         @ List.map
             (fun (field, cfg) ->
@@ -625,7 +648,10 @@ let () =
             rejected_configs
         @ [
             Alcotest.test_case "cli rejects zero snapshot period" `Quick
-              test_cli_rejects_zero_snapshot;
+              (cli_rejects "snapshot_every_s" [ "--snapshot-every"; "0" ]);
+            Alcotest.test_case "cli rejects negative lens threshold" `Quick
+              (cli_rejects "lens_threshold_us"
+                 [ "--lens"; "--lens-threshold=-5"; "--json" ]);
           ] );
       ( "servegate",
         [
