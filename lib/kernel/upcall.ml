@@ -131,4 +131,7 @@ let upcall_supervised domain ?(extra_words = 0) handler args =
 
 (** The paper's estimate: an upcall mechanism measured on BSD/OS ran
     about 40% quicker than signal delivery. *)
-let switch_from_signal_time signal_s = signal_s *. 0.6 /. 2.0
+let signal_fraction = 0.6
+
+let estimate_from_signal_s signal_s = signal_s *. signal_fraction
+let switch_from_signal_time signal_s = estimate_from_signal_s signal_s /. 2.0

@@ -60,6 +60,10 @@ val upcall_supervised :
   domain -> ?extra_words:int -> (int array -> int) -> int array -> int option
 
 (** The paper's estimate: an upcall mechanism measured on BSD/OS ran
-    about 40% quicker than signal delivery; this derives one switch
-    cost from a measured per-signal time. *)
+    about 40% quicker than signal delivery, so an upcall round trip
+    costs [signal_fraction] (0.6) of a per-signal time;
+    [switch_from_signal_time] is half of that round trip. *)
+val signal_fraction : float
+
+val estimate_from_signal_s : float -> float
 val switch_from_signal_time : float -> float

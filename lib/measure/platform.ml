@@ -105,7 +105,7 @@ let measure_host ?(signal_rounds = 100) ?(disk_runs = 3) ?(fault_pages = 1024)
   }
 
 (** Upcall estimate (the paper's: ~40% quicker than a signal). *)
-let upcall_s p = p.signal_s *. 0.6
+let upcall_s p = Graft_kernel.Upcall.estimate_from_signal_s p.signal_s
 
 (** 1MB access time at the profile's disk bandwidth (Table 4). *)
 let mb_access_s p = (1024.0 *. kb) /. p.disk_bytes_per_s

@@ -147,7 +147,7 @@ let measure ?(rounds = 100) () : result =
     rounds;
   }
 
-(** The paper's upcall estimate from a signal time: its measured upcall
-    was ~40% quicker than signal delivery. *)
+(** The paper's upcall estimate from the measured signal time. *)
 let upcall_estimate_s (r : result) =
-  r.per_signal_s.Graft_stats.Robust.median *. 0.6
+  Graft_kernel.Upcall.estimate_from_signal_s
+    r.per_signal_s.Graft_stats.Robust.median

@@ -33,6 +33,11 @@ let enable () = on := true
 let disable () = on := false
 let enabled () = !on
 
+let with_enabled flag f =
+  let saved = !on in
+  on := flag;
+  Fun.protect ~finally:(fun () -> on := saved) f
+
 type labels = (string * string) list
 
 type counter = { mutable c : int }

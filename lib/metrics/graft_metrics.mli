@@ -21,6 +21,10 @@ val enable : unit -> unit
 val disable : unit -> unit
 val enabled : unit -> bool
 
+(** [with_enabled on f] runs [f] with counting switched [on] (or off),
+    then restores the flag it found, whether [f] returns or raises. *)
+val with_enabled : bool -> (unit -> 'a) -> 'a
+
 (** Zero every value in every registry; registrations survive. *)
 val reset : unit -> unit
 

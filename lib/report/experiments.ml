@@ -43,29 +43,20 @@ let table_techs =
     Technology.Safe_lang_static; Technology.Jit;
   ]
 
-let target_s = function Quick -> 0.02 | Full -> 0.1
 let runs_of = function Quick -> 5 | Full -> 10
 
 (* Every timing below goes through the shared harness: interleaved
    GC-fenced rounds, outlier rejection, bootstrap CIs, auto-repetition
    until the CI converges. The scale picks the preset. *)
-let harness_config ?max_iters scale =
-  let base =
-    match scale with Quick -> Harness.quick | Full -> Harness.full
-  in
-  match max_iters with None -> base | Some m -> { base with max_iters = m }
+let harness_config = function Quick -> Harness.quick | Full -> Harness.full
 
 (* Slow (interpreted, single-shot) ops: a fixed small round count
    instead of CI-driven repetition, or a reduced run would take
    minutes. *)
 let slow_config ?(max_iters = 1) ~rounds scale =
-  { (harness_config ~max_iters scale) with
-    min_rounds = rounds;
-    max_rounds = rounds + 1;
-  }
+  { (harness_config scale) with max_iters; min_rounds = rounds; max_rounds = rounds + 1 }
 
-let time_op ?max_iters scale op =
-  Harness.measure ~config:(harness_config ?max_iters scale) op
+let time_op scale op = Harness.measure ~config:(harness_config scale) op
 
 (* Minor words per call of [op], over [n] calls: an allocation count
    that, unlike a time, does not depend on host speed. *)
@@ -92,11 +83,10 @@ let fmt_breakeven v =
 let table1 ?(rounds = 100) () =
   let host = Signalbench.measure ~rounds () in
   let upcall = Upcallbench.measure ~rounds:(20 * rounds) () in
+  let estimate = Graft_kernel.Upcall.estimate_from_signal_s in
   let t = Tablefmt.create [| "Platform"; "Signal handling time"; "Upcall estimate" |] in
   List.iter
-    (fun (name, s) ->
-      Tablefmt.add_row t
-        [| name; fmt_time s; fmt_time (s *. 0.6) |])
+    (fun (name, s) -> Tablefmt.add_row t [| name; fmt_time s; fmt_time (estimate s) |])
     Paperdata.table1_signal_s;
   Tablefmt.add_sep t;
   (* Medians: signal and IPC measurements are long-tailed on a busy
@@ -105,7 +95,7 @@ let table1 ?(rounds = 100) () =
     [|
       "host (measured)";
       Robust.pp_percall host.Signalbench.per_signal_s;
-      fmt_time (host.Signalbench.per_signal_s.Robust.median *. 0.6);
+      fmt_time (Signalbench.upcall_estimate_s host);
     |];
   Tablefmt.add_row t
     [|
@@ -113,6 +103,7 @@ let table1 ?(rounds = 100) () =
       "-";
       Robust.pp_percall upcall.Upcallbench.round_trip_s;
     |];
+  let pct f = 100.0 *. f in
   {
     id = "Table 1";
     title = "Signal Handling Time";
@@ -123,8 +114,11 @@ let table1 ?(rounds = 100) () =
           "host row measured over %d rounds of a %d-signal group; paper rows \
            are the published 1996 values"
           host.Signalbench.rounds host.Signalbench.group_size;
-        "upcall estimate is 60%% of signal time (the paper's BSD/OS \
-         measurement ran ~40%% quicker than a signal)";
+        Printf.sprintf
+          "upcall estimate is %.0f%% of signal time (the paper's BSD/OS \
+           measurement ran ~%.0f%% quicker than a signal)"
+          (pct Graft_kernel.Upcall.signal_fraction)
+          (pct (1.0 -. Graft_kernel.Upcall.signal_fraction));
         Printf.sprintf
           "the real-upcall row measures an actual forked server reached \
            over pipes (%d round trips): the paper's structure, built and \
@@ -134,18 +128,109 @@ let table1 ?(rounds = 100) () =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The row rule of the technology tables (2, 5 and 6).                 *)
+(* ------------------------------------------------------------------ *)
+
+type tech_timing = {
+  tt_tech : Technology.t;
+  meas : Harness.measurement;  (** at the measured size *)
+  scaled_by : int;  (** full size / measured size; 1 when not extrapolated *)
+  full_s : float;  (** per-op seconds at full size *)
+}
+
+(* The sizes a scaled table measures at, as (quick, full) per regime.
+   Interpreters run reduced and extrapolate linearly (the paper did the
+   same for Tcl). The JIT takes the native sizes: closure-threaded code
+   is fast enough to run at [full] under [Full], where its row is
+   measured, not extrapolated; under [Quick] it is extrapolated from
+   [native_quick] like the native rows. *)
+type sizes = {
+  full : int;  (** the paper's size, every row's extrapolation target *)
+  script : int * int;  (** the source interpreter *)
+  vm : int * int;  (** the interpreted VM tiers *)
+  native_quick : int;  (** native code and the JIT under [Quick] *)
+}
+
+let measured_size sizes scale tech =
+  let pick (quick, full) = match scale with Quick -> quick | Full -> full in
+  match Runners.regime tech with
+  | Runners.Script -> pick sizes.script
+  | Runners.Vm when tech <> Technology.Jit -> pick sizes.vm
+  | _ -> pick (sizes.native_quick, sizes.full)
+
+(* One row of a scaled table. [prepare size] builds the op at the
+   technology's measured size and the check its result must pass; the
+   check runs after the timing, before the row is trusted. The source
+   interpreter is timed over 3 single-shot rounds (one of its ops takes
+   seconds), every other technology over the scale's rounds in batches
+   of up to [max_iters]. The median is extrapolated to [sizes.full]:
+   it resists the occasional GC pause in large-buffer runs. *)
+let scaled_row ?(max_iters = 1) sizes scale tech prepare =
+  let size = measured_size sizes scale tech in
+  let op, check = prepare size in
+  let rounds, max_iters =
+    match Runners.regime tech with
+    | Runners.Script -> (3, 1)
+    | _ -> (runs_of scale, max_iters)
+  in
+  let meas = Harness.measure ~config:(slow_config ~max_iters ~rounds scale) op in
+  check ();
+  {
+    tt_tech = tech;
+    meas;
+    scaled_by = sizes.full / size;
+    full_s =
+      Breakeven.extrapolate ~measured_s:(med meas) ~measured_size:size
+        ~full_size:sizes.full;
+  }
+
+let norm_cell ~base_s t_s = fmt_norm (Breakeven.normalized ~baseline_s:base_s ~t_s)
+
+(* A technology table: per row its name, raw cell (the measurement, or
+   the extrapolated full-size time and where it came from), the
+   full-size time normalised to the C row's, then [extra]'s cells. *)
+let tech_table ~raw ~extra_headers ~extra rows =
+  let c = (List.find (fun d -> d.tt_tech = Technology.Unsafe_c) rows).full_s in
+  let t =
+    Tablefmt.create (Array.of_list ([ "Technology"; raw; "norm" ] @ extra_headers))
+  in
+  List.iter
+    (fun d ->
+      let raw =
+        if d.scaled_by = 1 then fmt_meas d.meas
+        else
+          Printf.sprintf "%s (x%d from %s)" (fmt_time d.full_s) d.scaled_by
+            (fmt_time (med d.meas))
+      in
+      Tablefmt.add_row t
+        (Array.of_list
+           ([ Technology.paper_name d.tt_tech; raw; norm_cell ~base_s:c d.full_s ]
+           @ extra d)))
+    rows;
+  Tablefmt.render t
+
+(* The ablations' table: labelled measurements, each normalised to the
+   first row's (the C row in every ablation that uses it). *)
+let vs_first_table (label, what) rows =
+  let base_s = med (snd (List.hd rows)) in
+  let t = Tablefmt.create [| label; what; "vs C" |] in
+  List.iter
+    (fun (name, m) -> Tablefmt.add_row t [| name; fmt_meas m; norm_cell ~base_s (med m) |])
+    rows;
+  Tablefmt.render t
+
+(* ------------------------------------------------------------------ *)
 (* Table 2: VM page eviction.                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The measured operation: search a 64-entry hot list for a page that
+(* The measured operation: search the 64-entry hot list for a page that
    is not on it (the common case — a hit occurs once per 781 faults). *)
-let hot_pages = Array.init 64 (fun i -> 3 * i)
 let absent_page = 100_000
 
 let contains_op tech =
   let rng = Prng.create 0x7AB2EL in
   let runner = Runners.evict ~rng tech ~capacity_nodes:128 () in
-  runner.Runners.refresh ~hot:hot_pages ~lru:[||];
+  runner.Runners.refresh ~hot:Paperdata.hot_list ~lru:[||];
   (* Defeat any possibility of the result being cached: alternate the
      probed page (both absent). *)
   let flip = ref false in
@@ -153,68 +238,55 @@ let contains_op tech =
     flip := not !flip;
     ignore (runner.Runners.contains (if !flip then absent_page else absent_page + 1))
 
-let measure_contains scale tech = time_op scale (contains_op tech)
+(* Each technology's search is timed once per scale and process: Table
+   2, Figure 1, A1 and A3 print the same measurement of the same fact,
+   as the paper's Figure 1 reuses its Table 2. *)
+let contains_timings : (scale * Technology.t, Harness.measurement) Hashtbl.t =
+  Hashtbl.create 16
 
-type tech_timing = {
-  tt_tech : Technology.t;
-  meas : Harness.measurement;
-  scaled_from : int option;  (** measured size, when extrapolated *)
-  full_s : float;  (** per-op seconds at full size *)
-}
+let measure_contains scale tech =
+  match Hashtbl.find_opt contains_timings (scale, tech) with
+  | Some m -> m
+  | None ->
+      let m = time_op scale (contains_op tech) in
+      Hashtbl.replace contains_timings (scale, tech) m;
+      m
 
 let table2_data scale =
   List.map
     (fun tech ->
       let meas = measure_contains scale tech in
-      { tt_tech = tech; meas; scaled_from = None; full_s = med meas })
+      { tt_tech = tech; meas; scaled_by = 1; full_s = med meas })
     table_techs
 
+(* Break-even against a platform's page fault (Table 3), as Table 2's
+   columns and Figure 1's lines give it. *)
+let fault_be (p : Platform.profile) graft_s =
+  Breakeven.break_even ~event_cost_s:p.Platform.fault_s ~graft_cost_s:graft_s
+
+let solaris = Platform.find_paper "Solaris"
+
 let table2 scale =
-  let data = table2_data scale in
-  let baseline =
-    (List.find (fun d -> d.tt_tech = Technology.Unsafe_c) data).full_s
+  let body =
+    tech_table ~raw:"raw"
+      ~extra_headers:
+        (List.map (fun p -> "BE " ^ p.Platform.pname) Platform.paper_profiles
+        @ [ "helps? (781)" ])
+      ~extra:(fun d ->
+        List.map (fun p -> fmt_breakeven (fault_be p d.full_s)) Platform.paper_profiles
+        @ [
+            (if
+               Breakeven.worthwhile ~break_even:(fault_be solaris d.full_s)
+                 ~save_period:Breakeven.paper_save_period
+             then "yes"
+             else "no");
+          ])
+      (table2_data scale)
   in
-  let headers =
-    Array.of_list
-      ([ "Technology"; "raw"; "norm" ]
-      @ List.map
-          (fun (p : Platform.profile) -> "BE " ^ p.Platform.pname)
-          Platform.paper_profiles
-      @ [ "helps? (781)" ])
-  in
-  let t = Tablefmt.create headers in
-  List.iter
-    (fun d ->
-      let be =
-        List.map
-          (fun (p : Platform.profile) ->
-            fmt_breakeven
-              (Breakeven.break_even ~event_cost_s:p.Platform.fault_s
-                 ~graft_cost_s:d.full_s))
-          Platform.paper_profiles
-      in
-      let solaris = Platform.find_paper "Solaris" in
-      let helps =
-        Breakeven.worthwhile
-          ~break_even:
-            (Breakeven.break_even ~event_cost_s:solaris.Platform.fault_s
-               ~graft_cost_s:d.full_s)
-          ~save_period:Breakeven.paper_save_period
-      in
-      Tablefmt.add_row t
-        (Array.of_list
-           ([
-              Technology.paper_name d.tt_tech;
-              fmt_meas d.meas;
-              fmt_norm (Breakeven.normalized ~baseline_s:baseline ~t_s:d.full_s);
-            ]
-           @ be
-           @ [ (if helps then "yes" else "no") ])))
-    data;
   {
     id = "Table 2";
     title = "VM Page Eviction (64-entry hot-list search)";
-    body = Tablefmt.render t;
+    body;
     notes =
       [
         "BE <platform> = break-even point against that platform's page-fault \
@@ -308,108 +380,44 @@ let table4 ?(runs = 3) () =
 (* Table 5: MD5 fingerprinting.                                        *)
 (* ------------------------------------------------------------------ *)
 
-let md5_full_bytes = 1024 * 1024
-
-(* Per-technology measurement size: interpreters run reduced and
-   extrapolate linearly (the paper did the same for Tcl). The Jit
-   tier deliberately falls through to the native arms: closure-threaded
-   code is fast enough to measure at full size, so its break-even
-   point is measured, not extrapolated (scaled_from = None). *)
-let md5_measure_bytes scale tech =
-  match (Runners.regime tech, scale) with
-  | Runners.Script, Quick -> 2048
-  | Runners.Script, Full -> 16384
-  | Runners.Vm, Quick when tech <> Technology.Jit -> 65536
-  | Runners.Vm, Full when tech <> Technology.Jit -> 262144
-  | _, Quick -> 262144
-  | _, Full -> md5_full_bytes
-
-(* The source interpreter is timed over 3 single-shot rounds: one of
-   its ops takes seconds. *)
-let scripted tech =
-  match Runners.regime tech with Runners.Script -> true | _ -> false
+let md5_sizes =
+  { full = 1024 * 1024; script = (2048, 16384); vm = (65536, 262144); native_quick = 262144 }
 
 let table5_data scale =
   let rng = Prng.create 0x3D5DA7AL in
   List.map
     (fun tech ->
-      let size = md5_measure_bytes scale tech in
-      let runner = Runners.md5 tech ~capacity:size in
-      let data = Prng.bytes rng size in
-      runner.Runners.load data;
-      let runs = if scripted tech then 3 else runs_of scale in
-      let op () = runner.Runners.compute size in
-      (* Small calibrated batches for all but the source interpreter,
-         so each timed window is well above timer resolution and GC
-         noise. *)
-      let max_iters = if scripted tech then 1 else 64 in
-      let meas =
-        Harness.measure ~config:(slow_config ~max_iters ~rounds:runs scale) op
-      in
-      (* Verify the digest before trusting the timing. *)
-      let expect =
-        Graft_md5.Md5.to_hex (Graft_md5.Md5.digest_bytes data)
-      in
-      if runner.Runners.digest_hex () <> expect then
-        failwith
-          ("table5: wrong digest from " ^ Technology.name tech);
-      let full_s =
-        (* Median resists the occasional GC pause in large-buffer runs. *)
-        Breakeven.extrapolate ~measured_s:(med meas) ~measured_size:size
-          ~full_size:md5_full_bytes
-      in
-      {
-        tt_tech = tech;
-        meas;
-        scaled_from = (if size = md5_full_bytes then None else Some size);
-        full_s;
-      })
+      (* Small calibrated batches, so each timed window is well above
+         timer resolution and GC noise. *)
+      scaled_row ~max_iters:64 md5_sizes scale tech (fun size ->
+          let runner = Runners.md5 tech ~capacity:size in
+          let data = Prng.bytes rng size in
+          runner.Runners.load data;
+          let expect = Graft_md5.Md5.to_hex (Graft_md5.Md5.digest_bytes data) in
+          ( (fun () -> runner.Runners.compute size),
+            fun () ->
+              if runner.Runners.digest_hex () <> expect then
+                failwith ("table5: wrong digest from " ^ Technology.name tech) )))
     table_techs
 
 let table5 scale =
-  let data = table5_data scale in
-  let baseline =
-    (List.find (fun d -> d.tt_tech = Technology.Unsafe_c) data).full_s
-  in
-  let headers =
-    Array.of_list
-      ([ "Technology"; "raw (1MB)"; "norm" ]
-      @ List.map
-          (fun (p : Platform.profile) -> "MD5/disk " ^ p.Platform.pname)
-          Platform.paper_profiles)
-  in
-  let t = Tablefmt.create headers in
-  List.iter
-    (fun d ->
-      let ratios =
+  let body =
+    tech_table ~raw:"raw (1MB)"
+      ~extra_headers:
+        (List.map (fun p -> "MD5/disk " ^ p.Platform.pname) Platform.paper_profiles)
+      ~extra:(fun d ->
         List.map
-          (fun (p : Platform.profile) ->
+          (fun p ->
             fmt_norm
               (Breakeven.md5_disk_ratio ~compute_s:d.full_s
                  ~disk_s:(Platform.mb_access_s p)))
-          Platform.paper_profiles
-      in
-      let raw =
-        match d.scaled_from with
-        | None -> fmt_meas d.meas
-        | Some n ->
-            Printf.sprintf "%s (x%d from %s)" (fmt_time d.full_s)
-              (md5_full_bytes / n)
-              (fmt_time (med d.meas))
-      in
-      Tablefmt.add_row t
-        (Array.of_list
-           ([
-              Technology.paper_name d.tt_tech;
-              raw;
-              fmt_norm (Breakeven.normalized ~baseline_s:baseline ~t_s:d.full_s);
-            ]
-           @ ratios)))
-    data;
+          Platform.paper_profiles)
+      (table5_data scale)
+  in
   {
     id = "Table 5";
     title = "MD5 Fingerprinting (1MB)";
-    body = Tablefmt.render t;
+    body;
     notes =
       [
         "MD5/disk < 1 means the fingerprint hides inside the disk transfer \
@@ -425,19 +433,11 @@ let table5 scale =
 (* Table 6: Logical Disk.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let logdisk_nblocks = 262144
-let logdisk_full_writes = Paperdata.logdisk_writes
+let logdisk_config = Graft_kernel.Logdisk.paper_config
+let logdisk_nblocks = logdisk_config.Graft_kernel.Logdisk.nblocks
 
-(* As with MD5, the Jit tier takes the native arms: full workload,
-   no extrapolation. *)
-let logdisk_measure_writes scale tech =
-  match (Runners.regime tech, scale) with
-  | Runners.Script, Quick -> 1024
-  | Runners.Script, Full -> 8192
-  | Runners.Vm, Quick when tech <> Technology.Jit -> 8192
-  | Runners.Vm, Full when tech <> Technology.Jit -> 65536
-  | _, Quick -> 32768
-  | _, Full -> logdisk_full_writes
+let logdisk_sizes =
+  { full = Paperdata.logdisk_writes; script = (1024, 8192); vm = (8192, 65536); native_quick = 32768 }
 
 (* 80% of writes to 20% of blocks (paper section 5.6). *)
 let skewed_workload n =
@@ -446,94 +446,62 @@ let skewed_workload n =
       if Prng.float r < 0.8 then Prng.int r (logdisk_nblocks / 5)
       else (logdisk_nblocks / 5) + Prng.int r (logdisk_nblocks * 4 / 5))
 
-type logdisk_timing = {
-  lt : tech_timing;
-  io_result : Graft_kernel.Logdisk.result;
-}
-
 let table6_data scale =
   List.map
     (fun tech ->
-      let writes = logdisk_measure_writes scale tech in
-      let workload = skewed_workload writes in
-      let policy = Runners.logdisk_policy tech ~nblocks:logdisk_nblocks in
-      let runs = if scripted tech then 3 else runs_of scale in
-      let meas =
-        Harness.measure ~config:(slow_config ~rounds:runs scale) (fun () ->
-            Array.iter
-              (fun logical ->
-                ignore (policy.Graft_kernel.Logdisk.map_write logical))
-              workload)
-      in
-      (* Run the engine once for mapping verification and I/O savings
-         (era disk: Solaris profile). *)
-      let io_result =
-        Graft_kernel.Logdisk.run
-          { Graft_kernel.Logdisk.nblocks = logdisk_nblocks; segment_blocks = 16 }
-          (Runners.logdisk_policy tech ~nblocks:logdisk_nblocks)
-          workload
-      in
-      if io_result.Graft_kernel.Logdisk.mapping_errors <> 0 then
-        failwith ("table6: mapping errors from " ^ Technology.name tech);
-      let full_s =
-        Breakeven.extrapolate ~measured_s:(med meas) ~measured_size:writes
-          ~full_size:logdisk_full_writes
-      in
-      {
-        lt =
-          {
-            tt_tech = tech;
-            meas;
-            scaled_from =
-              (if writes = logdisk_full_writes then None else Some writes);
-            full_s;
-          };
-        io_result;
-      })
+      scaled_row logdisk_sizes scale tech (fun writes ->
+          let workload = skewed_workload writes in
+          let policy = Runners.logdisk_policy tech ~nblocks:logdisk_nblocks in
+          ( (fun () ->
+              Array.iter
+                (fun logical -> ignore (policy.Graft_kernel.Logdisk.map_write logical))
+                workload),
+            fun () ->
+              (* The engine shadow-checks a fresh policy's mappings. *)
+              let r =
+                Graft_kernel.Logdisk.run logdisk_config
+                  (Runners.logdisk_policy tech ~nblocks:logdisk_nblocks)
+                  workload
+              in
+              if r.Graft_kernel.Logdisk.mapping_errors <> 0 then
+                failwith ("table6: mapping errors from " ^ Technology.name tech) )))
     table_techs
 
+(* The disk time of the full workload, log-structured and in place, on
+   the engine's Solaris-era disk. Every policy writes the same blocks in
+   the same segments — the technologies differ only in bookkeeping — so
+   it is one figure, taken with the engine's reference policy. *)
+let table6_io () =
+  Graft_kernel.Logdisk.run logdisk_config
+    (Graft_kernel.Logdisk.native_policy logdisk_config)
+    (skewed_workload logdisk_sizes.full)
+
 let table6 scale =
-  let data = table6_data scale in
-  let baseline =
-    (List.find (fun d -> d.lt.tt_tech = Technology.Unsafe_c) data).lt.full_s
+  let full = logdisk_sizes.full in
+  let body =
+    tech_table
+      ~raw:(Printf.sprintf "raw (%d writes)" full)
+      ~extra_headers:[ "per block" ]
+      ~extra:(fun d -> [ fmt_time (Breakeven.per_block_s ~total_s:d.full_s ~blocks:full) ])
+      (table6_data scale)
   in
-  let t =
-    Tablefmt.create
-      [| "Technology"; "raw (262144 writes)"; "norm"; "per block"; "LSD IO"; "in-place IO" |]
-  in
-  List.iter
-    (fun d ->
-      let raw =
-        match d.lt.scaled_from with
-        | None -> fmt_meas d.lt.meas
-        | Some n ->
-            Printf.sprintf "%s (x%d from %s)" (fmt_time d.lt.full_s)
-              (logdisk_full_writes / n)
-              (fmt_time (med d.lt.meas))
-      in
-      Tablefmt.add_row t
-        [|
-          Technology.paper_name d.lt.tt_tech;
-          raw;
-          fmt_norm (Breakeven.normalized ~baseline_s:baseline ~t_s:d.lt.full_s);
-          fmt_time
-            (Breakeven.per_block_s ~total_s:d.lt.full_s
-               ~blocks:logdisk_full_writes);
-          fmt_time d.io_result.Graft_kernel.Logdisk.lsd_io_s;
-          fmt_time d.io_result.Graft_kernel.Logdisk.inplace_io_s;
-        |])
-    data;
+  let io = table6_io () in
   {
     id = "Table 6";
     title = "Logical Disk (80/20-skewed writes, 1GB disk, 64KB segments)";
-    body = Tablefmt.render t;
+    body;
     notes =
       [
         "per block = bookkeeping overhead one write must recoup; paper \
          (Solaris): C 7.2us, Modula-3 11.1us, Omniware 8.4us, Java 94us";
-        "LSD/in-place IO columns use the Solaris-era disk model over the \
-         same (possibly reduced) workload: batching wins by an order of \
-         magnitude, dwarfing every technology's bookkeeping cost";
+        Printf.sprintf
+          "disk I/O for all %d writes on the Solaris-era disk model, the \
+           same for every technology: LSD IO %s, in-place IO %s — batching \
+           wins by an order of magnitude, dwarfing every technology's \
+           bookkeeping cost"
+          io.Graft_kernel.Logdisk.writes
+          (fmt_time io.Graft_kernel.Logdisk.lsd_io_s)
+          (fmt_time io.Graft_kernel.Logdisk.inplace_io_s);
         "mappings shadow-verified for every technology before timing";
       ];
   }
@@ -542,8 +510,11 @@ let table6 scale =
 (* Figure 1: break-even vs upcall time.                                *)
 (* ------------------------------------------------------------------ *)
 
-let figure1 ?(event_cost_s = 6.9e-3) scale =
-  (* Measure the native graft and the two compiled safe technologies. *)
+let figure1 scale =
+  let event_cost_s = solaris.Platform.fault_s in
+  let be = fault_be solaris in
+  (* The native graft and the two compiled safe technologies, as Table 2
+     timed them. *)
   let native = med (measure_contains scale Technology.Unsafe_c) in
   let m3 = med (measure_contains scale Technology.Safe_lang) in
   let sfi = med (measure_contains scale Technology.Sfi_write_jump) in
@@ -552,31 +523,22 @@ let figure1 ?(event_cost_s = 6.9e-3) scale =
     Breakeven.upcall_sweep ~event_cost_s ~native_graft_s:native
       ~upcall_times_s:upcalls
   in
-  let horizontal s =
-    let be = Breakeven.break_even ~event_cost_s ~graft_cost_s:s in
-    [| (0.0, be); (50e-6, be) |]
-  in
   let to_points l = Array.of_list (List.map (fun (u, b) -> (u *. 1e6, b)) l) in
+  let in_kernel glyph name s =
+    {
+      Asciiplot.label = Printf.sprintf "%s in kernel (BE %s)" name (fmt_breakeven (be s));
+      points = to_points [ (0.0, be s); (50e-6, be s) ];
+      glyph;
+    }
+  in
   let plot =
     Asciiplot.render ~width:64 ~height:20
       ~title:"Figure 1: Break-even vs upcall time (eviction graft, Solaris fault 6.9ms)"
       ~xlabel:"upcall time (us)" ~ylabel:"break-even (invocations)" ~logy:true
       [
         { Asciiplot.label = "user-level server"; points = to_points curve; glyph = '*' };
-        {
-          Asciiplot.label = Printf.sprintf "Modula-3 in kernel (BE %.0f)" (event_cost_s /. m3);
-          points =
-            (let a = horizontal m3 in
-             Array.map (fun (u, b) -> (u *. 1e6, b)) a);
-          glyph = 'm';
-        };
-        {
-          Asciiplot.label = Printf.sprintf "SFI in kernel (BE %.0f)" (event_cost_s /. sfi);
-          points =
-            (let a = horizontal sfi in
-             Array.map (fun (u, b) -> (u *. 1e6, b)) a);
-          glyph = 's';
-        };
+        in_kernel 'm' "Modula-3" m3;
+        in_kernel 's' "SFI" sfi;
       ]
   in
   let cross_m3 = Breakeven.competitive_upcall_s ~in_kernel_s:m3 ~native_graft_s:native in
@@ -616,25 +578,22 @@ let figure1 ?(event_cost_s = 6.9e-3) scale =
 (* Ablations.                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let contains_rows scale =
+  List.map (fun (name, tech) -> (name, measure_contains scale tech))
+
 (* A1: explicit NIL checks vs trap-based (the paper's Linux anomaly). *)
 let ablation_nil scale =
-  let checked = measure_contains scale Technology.Safe_lang in
-  let nil = measure_contains scale Technology.Safe_lang_nil in
-  let unsafe = measure_contains scale Technology.Unsafe_c in
-  let t = Tablefmt.create [| "Regime"; "raw"; "vs C" |] in
-  let base = med unsafe in
-  List.iter
-    (fun (name, m) ->
-      Tablefmt.add_row t [| name; fmt_meas m; fmt_norm (med m /. base) |])
-    [
-      ("C (unsafe)", unsafe);
-      ("Modula-3, trap-based NIL (Solaris/Alpha)", checked);
-      ("Modula-3, explicit NIL checks (Linux)", nil);
-    ];
   {
     id = "Ablation A1";
     title = "NIL-check strategy (paper Table 2's Linux anomaly)";
-    body = Tablefmt.render t;
+    body =
+      vs_first_table ("Regime", "raw")
+        (contains_rows scale
+           [
+             ("C (unsafe)", Technology.Unsafe_c);
+             ("Modula-3, trap-based NIL (Solaris/Alpha)", Technology.Safe_lang);
+             ("Modula-3, explicit NIL checks (Linux)", Technology.Safe_lang_nil);
+           ]);
     notes =
       [
         "the paper saw 1.1x with trap-based NIL and 2.5x with explicit \
@@ -650,25 +609,17 @@ let ablation_sfi scale =
   let row tech =
     let runner = Runners.md5 tech ~capacity:size in
     runner.Runners.load data;
-    let m =
+    ( Technology.paper_name tech,
       Harness.measure
         ~config:(slow_config ~rounds:(runs_of scale) scale)
-        (fun () -> runner.Runners.compute size)
-    in
-    (tech, m)
+        (fun () -> runner.Runners.compute size) )
   in
-  let rows = List.map row [ Technology.Unsafe_c; Technology.Sfi_write_jump; Technology.Sfi_full ] in
-  let base = med (snd (List.hd rows)) in
-  let t = Tablefmt.create [| "Protection"; "MD5 raw"; "vs C" |] in
-  List.iter
-    (fun (tech, m) ->
-      Tablefmt.add_row t
-        [| Technology.paper_name tech; fmt_meas m; fmt_norm (med m /. base) |])
-    rows;
   {
     id = "Ablation A2";
     title = "SFI protection level (write+jump vs full read+write)";
-    body = Tablefmt.render t;
+    body =
+      vs_first_table ("Protection", "MD5 raw")
+        (List.map row [ Technology.Unsafe_c; Technology.Sfi_write_jump; Technology.Sfi_full ]);
     notes =
       [
         Printf.sprintf "MD5 over %d bytes; the paper's Omniware beta had no \
@@ -679,25 +630,18 @@ let ablation_sfi scale =
 
 (* A3: interpreter designs. *)
 let ablation_interp scale =
-  let data =
-    List.map
-      (fun tech -> (tech, measure_contains scale tech))
-      [
-        Technology.Unsafe_c; Technology.Bytecode_vm; Technology.Ast_interp;
-        Technology.Source_interp;
-      ]
-  in
-  let base = med (snd (List.hd data)) in
-  let t = Tablefmt.create [| "Interpreter"; "hot-list search"; "vs C" |] in
-  List.iter
-    (fun (tech, m) ->
-      Tablefmt.add_row t
-        [| Technology.paper_name tech; fmt_meas m; fmt_norm (med m /. base) |])
-    data;
   {
     id = "Ablation A3";
     title = "Interpreter design: bytecode vs AST walk vs source re-parse";
-    body = Tablefmt.render t;
+    body =
+      vs_first_table ("Interpreter", "hot-list search")
+        (contains_rows scale
+           (List.map
+              (fun tech -> (Technology.paper_name tech, tech))
+              [
+                Technology.Unsafe_c; Technology.Bytecode_vm; Technology.Ast_interp;
+                Technology.Source_interp;
+              ]));
     notes =
       [
         "the paper's Java/Tcl gap (31x vs ~8900x on Solaris) is an \
@@ -710,13 +654,12 @@ let ablation_interp scale =
    a read-heavy graft (hot-list search) and a store-heavy one (64
    logical-disk mapped writes). *)
 let ablation_regvm () =
-  let hot = hot_pages in
   let search_count ?elide protection =
     let refresh, contains =
       Runners.evict_regvm ~rng:(Prng.create 0xA4L) ?elide ~protection
         ~capacity_nodes:128 ()
     in
-    refresh ~hot ~lru:[||];
+    refresh ~hot:Paperdata.hot_list ~lru:[||];
     let _, icount = contains absent_page in
     icount
   in
@@ -766,13 +709,14 @@ let ablation_regvm () =
 (* A5: upcall marshalling for the stream graft (paper section 5.5's
    16-upcalls-per-MB estimate). *)
 let ablation_upcall () =
+  let mb = md5_sizes.full in
   let native_md5_1mb =
-    let runner = Runners.md5 Technology.Unsafe_c ~capacity:md5_full_bytes in
-    let data = Prng.bytes (Prng.create 1L) md5_full_bytes in
+    let runner = Runners.md5 Technology.Unsafe_c ~capacity:mb in
+    let data = Prng.bytes (Prng.create 1L) mb in
     runner.Runners.load data;
     med
       (Harness.measure ~config:(slow_config ~rounds:3 Quick) (fun () ->
-           runner.Runners.compute md5_full_bytes))
+           runner.Runners.compute mb))
   in
   let t =
     Tablefmt.create
@@ -780,7 +724,7 @@ let ablation_upcall () =
   in
   List.iter
     (fun chunk ->
-      let upcalls = md5_full_bytes / chunk in
+      let upcalls = mb / chunk in
       let clock = Graft_kernel.Simclock.create () in
       let d =
         Graft_kernel.Upcall.create ~name:"md5srv" ~clock ~switch_s:25e-6 ()
@@ -836,10 +780,9 @@ let ablation_pfvm scale =
           i := (!i + 1) land 255;
           ignore (accepts traffic.(!i))
         in
-        (tech, time_op scale op))
+        (Technology.paper_name tech, time_op scale op))
       techs
   in
-  let base = med (snd (List.hd data)) in
   let matches =
     let accepts =
       Runners.packet_filter Technology.Unsafe_c
@@ -847,16 +790,10 @@ let ablation_pfvm scale =
     in
     Array.fold_left (fun acc p -> if accepts p then acc + 1 else acc) 0 traffic
   in
-  let t = Tablefmt.create [| "Technology"; "per packet"; "vs C" |] in
-  List.iter
-    (fun (tech, m) ->
-      Tablefmt.add_row t
-        [| Technology.paper_name tech; fmt_meas m; fmt_norm (med m /. base) |])
-    data;
   {
     id = "Ablation A6";
     title = "Specialized vs general-purpose extension language (packet demux)";
-    body = Tablefmt.render t;
+    body = vs_first_table ("Technology", "per packet") data;
     notes =
       [
         Printf.sprintf
@@ -875,7 +812,7 @@ let ablation_pfvm scale =
    technologies on full victim selection. *)
 let ablation_hipec scale =
   let npages = 4096 in
-  let hot = Array.init 64 (fun i -> 3 * i) in
+  let hot = Paperdata.hot_list in
   (* LRU queue whose first 8 candidates are hot, so every policy walks
      a little before selecting. *)
   let lru =
@@ -921,17 +858,12 @@ let ablation_hipec scale =
       if got <> expect then
         failwith (Printf.sprintf "A7: %s picked %d, expected %d" name got expect))
     rows;
-  let _, base, _ = List.hd rows in
-  let base = med base in
-  let t = Tablefmt.create [| "Mechanism"; "victim selection"; "vs C" |] in
-  List.iter
-    (fun (name, m, _) ->
-      Tablefmt.add_row t [| name; fmt_meas m; fmt_norm (med m /. base) |])
-    rows;
   {
     id = "Ablation A7";
     title = "HiPEC-style specialized policy language (full victim selection)";
-    body = Tablefmt.render t;
+    body =
+      vs_first_table ("Mechanism", "victim selection")
+        (List.map (fun (name, m, _) -> (name, m)) rows);
     notes =
       [
         "the HiPEC-like VM interprets a 3-instruction policy per page but \
@@ -973,10 +905,9 @@ let ablation_overhead scale =
   let techs =
     [ Technology.Unsafe_c; Technology.Safe_lang; Technology.Bytecode_vm ]
   in
-  let metrics_were_on = Graft_metrics.enabled () in
-  Graft_metrics.disable ();
   T.disable ();
   let rows =
+    Graft_metrics.with_enabled false @@ fun () ->
     List.map
       (fun tech ->
         let bare = contains_op tech in
@@ -1031,7 +962,6 @@ let ablation_overhead scale =
         (tech, stages, ms, !recorded))
       techs
   in
-  if metrics_were_on then Graft_metrics.enable ();
   let t =
     Tablefmt.create
       ~aligns:Tablefmt.[| Left; Left; Right; Right; Right; Right |]
@@ -1175,7 +1105,7 @@ let ablation_gate scale =
         | None -> ("n/a", "n/a")
       in
       Tablefmt.add_row t
-        [| Technology.paper_name tech; fmt_meas m; fmt_norm (med m /. base); time; words |])
+        [| Technology.paper_name tech; fmt_meas m; norm_cell ~base_s:base (med m); time; words |])
     data;
   {
     id = "Ablation A11";

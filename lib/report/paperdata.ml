@@ -23,6 +23,11 @@ let table2_search =
     { platform = "Solaris"; c_s = Some 4.5e-6; java_s = Some 141e-6; m3_s = Some 6.3e-6; omniware_s = Some 6.3e-6 };
   ]
 
+(* The 64-entry hot list Table 2 searches (pages 0, 3, ..., 189), the
+   one the hot-list ablations, the tier bench and the trace scenario
+   use too. *)
+let hot_list = Array.init 64 (fun i -> 3 * i)
+
 (* The paper's Tcl measurement for the same search (Solaris). *)
 let table2_tcl_solaris_s = 40e-3
 

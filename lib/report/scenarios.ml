@@ -57,7 +57,6 @@ let md5_stream () =
 
 let nframes = 64
 let npages = 4096
-let hot = Array.init 64 (fun i -> 3 * i)
 
 let drive_evict ~tech ~make_runner =
   let clock = K.Simclock.create () in
@@ -70,16 +69,16 @@ let drive_evict ~tech ~make_runner =
     (Manager.register manager ~name:"hotlist" ~tech
        ~structure:Taxonomy.Prioritization ~motivation:Taxonomy.Policy ());
   Manager.attach_evict manager ~graft_name:"hotlist" vm (make_runner clock)
-    ~hot_pages:(fun () -> hot);
+    ~hot_pages:(fun () -> Paperdata.hot_list);
   let touch p = ignore (K.Vmsys.access vm p) in
   (* Scan the hot set, thrash with unrelated pages, rescan: every
      eviction beyond the free frames consults the graft. *)
-  Array.iter touch hot;
+  Array.iter touch Paperdata.hot_list;
   let rng = Prng.create 0xDBL in
   for _ = 1 to 300 do
     touch (200 + Prng.int rng (npages - 200))
   done;
-  Array.iter touch hot
+  Array.iter touch Paperdata.hot_list
 
 let evict_db () =
   List.iter

@@ -19,13 +19,11 @@ type row = {
 (* The suite: each graft's core op under both bytecode tiers.          *)
 (* ------------------------------------------------------------------ *)
 
-let hot_pages = Array.init 64 (fun i -> 3 * i)
-
 let evict_op tech =
   let runner =
     Runners.evict ~rng:(Prng.create 0x5EEDL) tech ~capacity_nodes:128 ()
   in
-  runner.Runners.refresh ~hot:hot_pages ~lru:[||];
+  runner.Runners.refresh ~hot:Paperdata.hot_list ~lru:[||];
   fun () -> ignore (runner.Runners.contains 99_999)
 
 let md5_op tech =

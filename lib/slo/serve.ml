@@ -637,12 +637,14 @@ type shard_out = {
    which reproduces the pre-Graftswarm single-domain behaviour
    exactly. *)
 let run_shard cfg ~specs ~storms k =
-  (* Graftlens runs need a deeper ring (retained ops commit whole span
+  (* The shard's ring lives for the shard's run only: at one domain
+     that run is on the caller's domain, whose sink comes back after.
+     Graftlens runs need a deeper ring (retained ops commit whole span
      sets) and the logical clock, so ring contents — and the flight
      bundle rendered from them — are a pure function of (seed,
      config). The lens-off ring is untouched: byte-identity. *)
-  if cfg.lens then Graft_trace.Trace.enable ~capacity:8192 ~logical:true ()
-  else Graft_trace.Trace.enable ~capacity:4096 ();
+  let capacity, logical = if cfg.lens then (8192, true) else (4096, false) in
+  Graft_trace.Trace.with_ring ~capacity ~logical @@ fun () ->
   let mgr = Manager.create () in
   (* Shard [k] owns tenants k, k+N, ...: tenant [i] sits at [i / N]. *)
   let tenants =
@@ -685,12 +687,15 @@ let run_shard cfg ~specs ~storms k =
         latencies cfg tenants )
       :: !snaps
   in
-  let next_snapshot = ref cfg.snapshot_every_s in
+  (* Snapshot [n] is due at [n] periods: a product, not a running sum,
+     so the schedule advances for every period {!validate} admits. *)
+  let period = cfg.snapshot_every_s in
+  let next = ref 1 in
   Array.iter
     (fun ev ->
-      while ev.ev_t >= !next_snapshot do
-        take_snapshot !next_snapshot;
-        next_snapshot := !next_snapshot +. cfg.snapshot_every_s
+      while ev.ev_t >= float_of_int !next *. period do
+        take_snapshot (float_of_int !next *. period);
+        incr next
       done;
       run_op cfg plan ~storms tenants.(ev.ev_tenant / cfg.domains) ev)
     events;
@@ -698,9 +703,9 @@ let run_shard cfg ~specs ~storms k =
      times — multiples of the period below [duration_s], plus the
      final one — whether or not it had late events, so partials zip
      index-for-index at assembly. *)
-  while !next_snapshot < cfg.duration_s do
-    take_snapshot !next_snapshot;
-    next_snapshot := !next_snapshot +. cfg.snapshot_every_s
+  while float_of_int !next *. period < cfg.duration_s do
+    take_snapshot (float_of_int !next *. period);
+    incr next
   done;
   take_snapshot cfg.duration_s;
   {
@@ -759,10 +764,18 @@ let merge_snapshots cfg shards =
         s_trace_dropped = sum (fun s -> s.s_trace_dropped);
       })
 
+(** Caps on a run's snapshots ([duration_s / snapshot_every_s], rounded
+    up) and expected arrivals ([tenants x base_rate x duration_s]), far
+    above any config the repo runs (the default: 3 and about 5.9e4).
+    Each snapshot keeps a histogram per shard and every arrival exists
+    before the first op, so a run beyond either cannot finish. *)
+let max_snapshots = 10_000
+let max_arrivals = 10_000_000
+
 (** Reject a config that cannot run, before any work: raises
     [Invalid_argument] naming the field and its value. A zero
-    [snapshot_every_s] would never advance the snapshot clock and a
-    zero [duration_s] has no throughput. *)
+    [duration_s] has no throughput; a zero or tiny [snapshot_every_s],
+    or a vast run, breaks a cap above. *)
 let validate cfg =
   let reject fmt =
     Printf.ksprintf (fun m -> invalid_arg ("Serve.run: " ^ m)) fmt
@@ -781,12 +794,24 @@ let validate cfg =
   if cfg.tenants < 1 then reject "tenants must be >= 1, not %d" cfg.tenants;
   if cfg.domains < 1 then reject "domains must be >= 1, not %d" cfg.domains;
   if cfg.domains > cfg.tenants then
-    reject "domains (%d) must not exceed tenants (%d)" cfg.domains cfg.tenants
+    reject "domains (%d) must not exceed tenants (%d)" cfg.domains cfg.tenants;
+  let snapshots = Float.ceil (cfg.duration_s /. cfg.snapshot_every_s) in
+  if snapshots > float_of_int max_snapshots then
+    reject
+      "duration_s / snapshot_every_s = %g / %g asks for %.3g snapshots, over \
+       the cap of max_snapshots = %d"
+      cfg.duration_s cfg.snapshot_every_s snapshots max_snapshots;
+  let arrivals = float_of_int cfg.tenants *. cfg.base_rate *. cfg.duration_s in
+  if arrivals > float_of_int max_arrivals then
+    reject
+      "tenants x base_rate x duration_s = %d x %g x %g expects %.3g \
+       arrivals, over the cap of max_arrivals = %d"
+      cfg.tenants cfg.base_rate cfg.duration_s arrivals max_arrivals
 
 let run cfg =
   validate cfg;
+  Graft_metrics.with_enabled true @@ fun () ->
   let wall0 = Unix.gettimeofday () in
-  Graft_metrics.enable ();
   (* Joined worker domains from a previous run must not leak counts
      into this run's exports. *)
   Graft_metrics.reset_shards ();

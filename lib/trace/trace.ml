@@ -175,6 +175,11 @@ let enable ?(capacity = 65536) ?(sample = 32) ?(logical = false) () =
 
 let disable () = set_sink Null
 
+let with_ring ?capacity ?sample ?logical f =
+  let saved = get_sink () in
+  enable ?capacity ?sample ?logical ();
+  Fun.protect ~finally:(fun () -> set_sink saved) f
+
 let clear () =
   match get_sink () with
   | Null -> ()

@@ -49,6 +49,12 @@ val enable : ?capacity:int -> ?sample:int -> ?logical:bool -> unit -> unit
 (** Return to the [Null] sink, discarding the ring. *)
 val disable : unit -> unit
 
+(** [with_ring ?capacity ?sample ?logical f] runs [f] with a fresh ring
+    installed as by {!enable}, then puts back the sink this domain had
+    before (its own ring, or none), whether [f] returns or raises. *)
+val with_ring :
+  ?capacity:int -> ?sample:int -> ?logical:bool -> (unit -> 'a) -> 'a
+
 val enabled : unit -> bool
 
 (** Reset the ring in place (keeps capacity, sampling, and clock

@@ -19,6 +19,13 @@ let check_signalbench (r : Signalbench.result) =
   check_estimate "per-signal" r.Signalbench.per_signal_s;
   (* Signal handling on any machine: over 100ns, under 10ms. *)
   check_bool "plausible magnitude" true (med > 1e-7 && med < 1e-2);
+  (* [med] is the handled group's time per signal minus the ignored
+     group's, and the handled path pays two sigprocmask calls the
+     ignored one does not: those keep [med] at a few microseconds, over
+     a twentieth of a post. Delivery alone (a baseline making the same
+     two mask changes) read 0-2us against a ~22us post on a 2-core VM
+     and failed this bound, so it tests the host's post-to-delivery
+     ratio more than the measurement. *)
   check_bool "posting cheaper than handling" true
     (r.Signalbench.post_only_s < med *. 20.0);
   let upcall = Signalbench.upcall_estimate_s r in

@@ -25,6 +25,16 @@ let test_counter_gating () =
   M.inc c ~by:2;
   check_int "enabled counter counts" 3 (M.counter_value c)
 
+(* [with_enabled] puts the flag back when its body returns or raises. *)
+let test_with_enabled_restores () =
+  M.disable ();
+  check_bool "on inside" true (M.with_enabled true M.enabled);
+  check_bool "off after" false (M.enabled ());
+  M.enable ();
+  (try M.with_enabled false (fun () -> raise Exit) with Exit -> ());
+  check_bool "on after a raise" true (M.enabled ());
+  M.disable ()
+
 let test_gauge_ungated () =
   let g = M.gauge "test_gauge" [] in
   M.disable ();
@@ -176,6 +186,8 @@ let () =
             (with_registry test_counter_gating);
           Alcotest.test_case "gauge ungated" `Quick
             (with_registry test_gauge_ungated);
+          Alcotest.test_case "scoped flag restores" `Quick
+            test_with_enabled_restores;
           Alcotest.test_case "dedupe" `Quick (with_registry test_dedupe);
           Alcotest.test_case "reset" `Quick
             (with_registry test_reset_keeps_registrations);

@@ -442,14 +442,20 @@ let contains haystack needle =
   go 0
 
 (* A config that would hang serve (a zero snapshot period never
-   advances the snapshot clock), divide by zero or generate nothing is
-   rejected before any work, naming the field. *)
+   advances the snapshot clock), exhaust memory (a tiny period, a vast
+   run), divide by zero or generate nothing is rejected by
+   [Serve.validate], naming the field, and so by [Serve.run] before any
+   work. The run is reached only once validate has raised. *)
 let rejects field cfg () =
+  let names msg =
+    check_bool (Printf.sprintf "%S names %s" msg field) true (contains msg field)
+  in
+  (match Serve.validate cfg with
+  | () -> Alcotest.failf "Serve.validate accepted a bad %s" field
+  | exception Invalid_argument msg -> names msg);
   match Serve.run cfg with
   | _ -> Alcotest.failf "Serve.run accepted a bad %s" field
-  | exception Invalid_argument msg ->
-      check_bool (Printf.sprintf "%S names %s" msg field) true
-        (contains msg field)
+  | exception Invalid_argument msg -> names msg
 
 let rejected_configs =
   [
@@ -460,6 +466,42 @@ let rejected_configs =
     ("narms", { tiny with Serve.narms = -1 });
     ("lens_threshold_us", { tiny with Serve.lens_threshold_us = -5 });
   ]
+
+(* Configs over [Serve.max_snapshots] or [Serve.max_arrivals]: (test
+   label, the field the message must name, config). *)
+let capped_configs =
+  [
+    ( "snapshot_every_s (1e-20 s: 3e20 snapshots)",
+      "snapshot_every_s",
+      { tiny with Serve.snapshot_every_s = 1e-20 } );
+    ( "snapshot_every_s (1e-5 s: 3e5 snapshots)",
+      "snapshot_every_s",
+      { tiny with Serve.snapshot_every_s = 1e-5 } );
+    ("duration_s (1e308 s)", "duration_s", { tiny with Serve.duration_s = 1e308 });
+    ("base_rate (1e9/s: 1.2e10 arrivals)", "base_rate", { tiny with Serve.base_rate = 1e9 });
+  ]
+
+(* Serve.run installs a trace ring and switches metrics on for its own
+   run only. At one domain the shard runs on the caller's domain, so
+   the caller's tracer (none, or its own ring) and metrics flag must be
+   as it left them afterwards. *)
+let test_serve_restores_caller_state () =
+  let module T = Graft_trace.Trace in
+  T.disable ();
+  Graft_metrics.disable ();
+  ignore (Serve.run tiny);
+  check_bool "tracer still off" false (T.enabled ());
+  check_bool "metrics still off" false (Graft_metrics.enabled ());
+  T.enable ~capacity:64 ();
+  T.instant T.App "caller";
+  Graft_metrics.enable ();
+  ignore (Serve.run tiny);
+  let evs = T.events () in
+  check_bool "the caller's ring is back, holding only its own event" true
+    (Array.length evs = 1 && evs.(0).T.name = "caller");
+  check_bool "metrics still on" true (Graft_metrics.enabled ());
+  T.disable ();
+  Graft_metrics.disable ()
 
 (* The CLI prints the rejected value as one stderr line and exits 2. *)
 let cli_rejects field args () =
@@ -640,15 +682,26 @@ let () =
             test_serve_setup_allocation;
           Alcotest.test_case "smoke lens json matches committed golden"
             `Quick test_serve_json_golden;
+          Alcotest.test_case "restores the caller's tracer and metrics" `Quick
+            test_serve_restores_caller_state;
         ]
         @ List.map
             (fun (field, cfg) ->
               Alcotest.test_case ("rejects bad " ^ field) `Quick
                 (rejects field cfg))
             rejected_configs
+        @ List.map
+            (fun (label, field, cfg) ->
+              Alcotest.test_case ("rejects bad " ^ label) `Quick
+                (rejects field cfg))
+            capped_configs
         @ [
             Alcotest.test_case "cli rejects zero snapshot period" `Quick
               (cli_rejects "snapshot_every_s" [ "--snapshot-every"; "0" ]);
+            Alcotest.test_case "cli rejects a 1e-20 s snapshot period" `Quick
+              (cli_rejects "snapshot_every_s" [ "--snapshot-every"; "1e-20" ]);
+            Alcotest.test_case "cli rejects a 1e308 s run" `Quick
+              (cli_rejects "duration_s" [ "--duration"; "1e308" ]);
             Alcotest.test_case "cli rejects negative lens threshold" `Quick
               (cli_rejects "lens_threshold_us"
                  [ "--lens"; "--lens-threshold=-5"; "--json" ]);

@@ -171,6 +171,23 @@ let test_disabled_noop () =
   check_int "no drops" 0 (Trace.dropped ());
   check_int "no totals" 0 (Trace.total_recorded ())
 
+(* A scoped ring puts back the sink it found — the caller's own ring,
+   or none — when its body returns and when it raises. *)
+let test_with_ring_restores () =
+  Trace.enable ~capacity:16 ();
+  Trace.instant Trace.App "outer";
+  (try
+     Trace.with_ring ~capacity:8 (fun () ->
+         Trace.instant Trace.App "inner";
+         raise Exit)
+   with Exit -> ());
+  let evs = Trace.events () in
+  check_bool "the outer ring is back, without the inner event" true
+    (Array.length evs = 1 && evs.(0).Trace.name = "outer");
+  Trace.disable ();
+  check_bool "on inside" true (Trace.with_ring Trace.enabled);
+  check_bool "off after" false (Trace.enabled ())
+
 let test_sampling =
   with_tracer ~capacity:256 ~sample:4 (fun () ->
       for _ = 1 to 16 do
@@ -542,6 +559,8 @@ let () =
         [
           Alcotest.test_case "drop-oldest" `Quick test_ring_drop_oldest;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
+          Alcotest.test_case "scoped ring restores the sink" `Quick
+            test_with_ring_restores;
           Alcotest.test_case "sampling" `Quick test_sampling;
           Alcotest.test_case "op retention" `Quick test_op_retention;
           Alcotest.test_case "op pending spill" `Quick test_op_spill;
