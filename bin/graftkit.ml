@@ -794,8 +794,8 @@ let bench_cmd =
     let rows = Graft_report.Tierbench.run_suite ~config () in
     let t =
       Graft_util.Tablefmt.create
-        [| "Graft"; "interp"; "opt"; "jit"; "opt-speedup"; "jit-speedup";
-           "rounds" |]
+        [| "Graft"; "ast"; "interp"; "opt"; "jit"; "opt-speedup";
+           "jit-speedup"; "rounds" |]
     in
     List.iter
       (fun (r : Graft_report.Tierbench.row) ->
@@ -806,6 +806,7 @@ let bench_cmd =
         Graft_util.Tablefmt.add_row t
           [|
             r.Graft_report.Tierbench.graft;
+            cell r.Graft_report.Tierbench.ast;
             cell r.Graft_report.Tierbench.interp;
             cell r.Graft_report.Tierbench.opt;
             cell r.Graft_report.Tierbench.jit;

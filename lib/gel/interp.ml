@@ -5,25 +5,30 @@
     right (an AST-walking interpreter sits between a bytecode VM and a
     source-level interpreter in the paper's taxonomy of interpretation
     costs). Every access is checked; fuel is decremented per evaluated
-    node so runaway grafts are preempted. The walk recurses directly,
-    never through a partial application, so only a call allocates (its
-    arguments and locals). *)
+    node so runaway grafts are preempted.
+
+    Control flow is a value, not an exception: [exec] returns whether
+    the statement fell through, broke, continued or returned, and a
+    [return]'s result waits in the state. No handler is installed per
+    loop, iteration or call. The walk recurses directly, never through
+    a partial application, and reads [Const]/[Local] operands in place,
+    so only a call allocates: the callee's locals, into which its
+    arguments are evaluated (and a host call's argument array). *)
 
 open Graft_mem
 
-exception Return_exc of int
-exception Break_exc
-exception Continue_exc
+type flow = Next | Break | Continue | Return
 
 type state = {
   image : Link.image;
   mutable fuel : int;
   mutable depth : int;
+  mutable ret : int;  (** the value of the last [Return] flow *)
 }
 
 let max_depth = 256
 
-let tick st =
+let[@inline] tick st =
   st.fuel <- st.fuel - 1;
   if st.fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted
 
@@ -45,6 +50,11 @@ let store_arr st arr_idx idx v =
          { access = Fault.Write; addr = st.image.Link.arr_base.(arr_idx) + idx });
   (Memory.cells st.image.Link.mem).(st.image.Link.arr_base.(arr_idx) + idx) <- v
 
+(* [Wordops.mask], as a constant the written-out word arithmetic below
+   can fold: across modules, [-opaque] builds reach [Wordops] through
+   an indirect [caml_apply2] per operation. *)
+let word_mask = 0xFFFFFFFF
+
 let arith kind op a b =
   match (kind, op) with
   | Ir.Kint, Ir.Add -> a + b
@@ -60,22 +70,23 @@ let arith kind op a b =
   | Ir.Kint, Ir.Band -> a land b
   | Ir.Kint, Ir.Bor -> a lor b
   | Ir.Kint, Ir.Bxor -> a lxor b
-  | Ir.Kword, Ir.Add -> Wordops.add a b
-  | Ir.Kword, Ir.Sub -> Wordops.sub a b
-  | Ir.Kword, Ir.Mul -> Wordops.mul a b
+  (* Word arithmetic: [Wordops] semantics, written out. *)
+  | Ir.Kword, Ir.Add -> (a + b) land word_mask
+  | Ir.Kword, Ir.Sub -> (a - b) land word_mask
+  | Ir.Kword, Ir.Mul -> a * b land word_mask
   | Ir.Kword, Ir.Div ->
-      if b = 0 then Fault.raise_fault Fault.Division_by_zero
-      else Wordops.div a b
+      if b = 0 then Fault.raise_fault Fault.Division_by_zero else a / b
   | Ir.Kword, Ir.Mod ->
-      if b = 0 then Fault.raise_fault Fault.Division_by_zero
-      else Wordops.rem a b
-  | Ir.Kword, Ir.Shl -> Wordops.shl a b
-  | Ir.Kword, (Ir.Shr | Ir.Lshr) -> Wordops.shr a b
-  | Ir.Kword, Ir.Band -> Wordops.band a b
-  | Ir.Kword, Ir.Bor -> Wordops.bor a b
-  | Ir.Kword, Ir.Bxor -> Wordops.bxor a b
+      if b = 0 then Fault.raise_fault Fault.Division_by_zero else a mod b
+  | Ir.Kword, Ir.Shl -> (a lsl (b land 31)) land word_mask
+  | Ir.Kword, (Ir.Shr | Ir.Lshr) -> a lsr (b land 31)
+  | Ir.Kword, Ir.Band -> a land b
+  | Ir.Kword, Ir.Bor -> a lor b
+  | Ir.Kword, Ir.Bxor -> a lxor b
 
-let compare_vals cmp a b =
+(* Typed operands: untyped, [<] would be OCaml's polymorphic compare,
+   a C call per comparison. *)
+let compare_vals cmp (a : int) (b : int) =
   let r =
     match cmp with
     | Ir.Lt -> a < b
@@ -87,6 +98,11 @@ let compare_vals cmp a b =
   in
   if r then 1 else 0
 
+(* A call's locals, arguments first. *)
+let frame (f : Ir.func) =
+  let n = f.Ir.nlocals in
+  Array.make (if n > 1 then n else 1) 0
+
 let rec eval st locals (e : Ir.expr) : int =
   tick st;
   match e with
@@ -94,86 +110,142 @@ let rec eval st locals (e : Ir.expr) : int =
   | Ir.Local slot -> Array.unsafe_get locals slot
   | Ir.Global slot ->
       (Memory.cells st.image.Link.mem).(st.image.Link.global_base + slot)
-  | Ir.Load (arr, idx) -> load_arr st arr (eval st locals idx)
+  (* A [Const] or [Local] operand is read in place, charging the unit
+     its own [eval] would. *)
+  | Ir.Load (arr, idx) ->
+      let i =
+        match idx with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals idx
+      in
+      load_arr st arr i
   | Ir.Arith (kind, op, a, b) ->
-      let va = eval st locals a in
-      let vb = eval st locals b in
+      let va =
+        match a with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals a
+      in
+      let vb =
+        match b with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals b
+      in
       arith kind op va vb
   | Ir.Cmp (cmp, a, b) ->
-      let va = eval st locals a in
-      let vb = eval st locals b in
+      let va =
+        match a with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals a
+      in
+      let vb =
+        match b with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals b
+      in
       compare_vals cmp va vb
   | Ir.Not a -> if eval st locals a = 0 then 1 else 0
   | Ir.Bnot (Ir.Kint, a) -> lnot (eval st locals a)
-  | Ir.Bnot (Ir.Kword, a) -> Wordops.bnot (eval st locals a)
+  | Ir.Bnot (Ir.Kword, a) -> lnot (eval st locals a) land word_mask
   | Ir.Neg (Ir.Kint, a) -> -eval st locals a
-  | Ir.Neg (Ir.Kword, a) -> Wordops.neg (eval st locals a)
+  | Ir.Neg (Ir.Kword, a) -> -eval st locals a land word_mask
   | Ir.And (a, b) -> if eval st locals a = 0 then 0 else eval st locals b
   | Ir.Or (a, b) -> if eval st locals a <> 0 then 1 else eval st locals b
-  | Ir.Call (fidx, args) -> call st fidx (eval_args st locals args)
+  | Ir.Call (fidx, args) ->
+      let f = st.image.Link.prog.Ir.funcs.(fidx) in
+      let callee = frame f in
+      eval_into st locals args callee;
+      call st f callee
   | Ir.CallExt (eidx, args) ->
-      st.image.Link.host.(eidx) (eval_args st locals args)
-  | Ir.ToWord a -> Wordops.of_int (eval st locals a)
+      let argv = Array.make (Array.length args) 0 in
+      eval_into st locals args argv;
+      st.image.Link.host.(eidx) argv
+  | Ir.ToWord a -> eval st locals a land word_mask
   | Ir.ToBool a -> if eval st locals a = 0 then 0 else 1
 
-and exec st locals (s : Ir.stmt) : unit =
+(* Arguments in order, left to right, into the first slots of [dst]. *)
+and eval_into st locals args dst =
+  for i = 0 to Array.length args - 1 do
+    let e = Array.unsafe_get args i in
+    let v =
+      match e with
+      | Ir.Const n -> tick st; n
+      | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+      | _ -> eval st locals e
+    in
+    dst.(i) <- v
+  done
+
+and exec st locals (s : Ir.stmt) : flow =
   match s with
   | Ir.At (_, s) ->
       (* Transparent: located IR must cost the same fuel as plain IR. *)
       exec st locals s
-  | _ ->
-  tick st;
-  match s with
-  | Ir.At (_, s) -> exec st locals s
-  | Ir.Set_local (slot, e) -> Array.unsafe_set locals slot (eval st locals e)
-  | Ir.Set_global (slot, e) ->
-      (Memory.cells st.image.Link.mem).(st.image.Link.global_base + slot) <-
-        eval st locals e
-  | Ir.Store (arr, idx, v) ->
-      let i = eval st locals idx in
-      let value = eval st locals v in
-      store_arr st arr i value
-  | Ir.If (cond, t, f) ->
-      if eval st locals cond <> 0 then exec_block st locals t
-      else exec_block st locals f
-  | Ir.While (cond, body, step) -> (
-      try
-        while eval st locals cond <> 0 do
-          (try exec_block st locals body with Continue_exc -> ());
-          exec_block st locals step
-        done
-      with Break_exc -> ())
-  | Ir.Return None -> raise (Return_exc 0)
-  | Ir.Return (Some e) -> raise (Return_exc (eval st locals e))
-  | Ir.Break -> raise Break_exc
-  | Ir.Continue -> raise Continue_exc
-  | Ir.Eval e -> ignore (eval st locals e)
+  | _ -> (
+      tick st;
+      match s with
+      | Ir.At (_, s) -> exec st locals s
+      | Ir.Set_local (slot, e) ->
+          Array.unsafe_set locals slot (eval st locals e);
+          Next
+      | Ir.Set_global (slot, e) ->
+          (Memory.cells st.image.Link.mem).(st.image.Link.global_base + slot) <-
+            eval st locals e;
+          Next
+      | Ir.Store (arr, idx, v) ->
+          let i = eval st locals idx in
+          let value = eval st locals v in
+          store_arr st arr i value;
+          Next
+      | Ir.If (cond, t, f) ->
+          if eval st locals cond <> 0 then exec_block st locals t
+          else exec_block st locals f
+      | Ir.While (cond, body, step) -> exec_while st locals cond body step
+      | Ir.Return None ->
+          st.ret <- 0;
+          Return
+      | Ir.Return (Some e) ->
+          st.ret <- eval st locals e;
+          Return
+      | Ir.Break -> Break
+      | Ir.Continue -> Continue
+      | Ir.Eval e ->
+          ignore (eval st locals e);
+          Next)
 
 and exec_block st locals = function
-  | [] -> ()
-  | s :: rest ->
-      exec st locals s;
-      exec_block st locals rest
+  | [] -> Next
+  | [ s ] -> exec st locals s
+  | s :: rest -> (
+      match exec st locals s with
+      | Next -> exec_block st locals rest
+      | flow -> flow)
 
-(* Arguments in order, left to right, as [Array.map] would. *)
-and eval_args st locals args =
-  let argv = Array.make (Array.length args) 0 in
-  for i = 0 to Array.length args - 1 do
-    argv.(i) <- eval st locals args.(i)
-  done;
-  argv
+(* A [Break] in the body or the step ends this loop; a [Continue] in
+   the body goes on to the step, and one in the step belongs to an
+   enclosing loop. *)
+and exec_while st locals cond body step =
+  if eval st locals cond = 0 then Next
+  else
+    match exec_block st locals body with
+    | Break -> Next
+    | Return -> Return
+    | Next | Continue -> (
+        match exec_block st locals step with
+        | Next -> exec_while st locals cond body step
+        | Break -> Next
+        | (Continue | Return) as flow -> flow)
 
-and call st fidx argv =
+(* [locals] already holds the arguments. *)
+and call st (f : Ir.func) locals =
   st.depth <- st.depth + 1;
   if st.depth > max_depth then Fault.raise_fault Fault.Stack_overflow;
-  let f = st.image.Link.prog.Ir.funcs.(fidx) in
-  let locals = Array.make (max 1 f.Ir.nlocals) 0 in
-  Array.blit argv 0 locals 0 (Array.length argv);
   let result =
-    try
-      exec_block st locals f.Ir.body;
-      0
-    with Return_exc v -> v
+    match exec_block st locals f.Ir.body with Return -> st.ret | _ -> 0
   in
   st.depth <- st.depth - 1;
   result
@@ -195,6 +267,8 @@ let run image ~entry ~(args : int array) ~fuel :
             (Printf.sprintf "%s expects %d arguments, given %d" entry
                (List.length f.Ir.fparams) (Array.length args)))
       else begin
-        let st = { image; fuel; depth = 0 } in
-        try Ok (call st fidx args) with Fault.Fault f -> Error (`Fault f)
+        let st = { image; fuel; depth = 0; ret = 0 } in
+        let locals = frame f in
+        Array.blit args 0 locals 0 (Array.length args);
+        try Ok (call st f locals) with Fault.Fault f -> Error (`Fault f)
       end

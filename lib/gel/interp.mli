@@ -5,7 +5,8 @@
     right (an AST-walking interpreter sits between a bytecode VM and a
     source-level interpreter in the paper's taxonomy). Every access is
     checked; fuel is decremented per evaluated node so runaway grafts
-    are preempted. *)
+    are preempted. Control flow is carried as a value, never as an
+    exception, and only a call allocates (the callee's locals). *)
 
 (** [run image ~entry ~args ~fuel] invokes [entry] with integer
     [args]. Returns the result, the fault that stopped the graft, or an
@@ -17,8 +18,9 @@ val run :
   fuel:int ->
   (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
 
-(** Shared operator semantics, reused by the register VM's evaluator so
-    arithmetic cannot drift between engines. Both raise
+(** Shared operator semantics, reused by the register VM's evaluator
+    and the IR optimizer's folding so arithmetic cannot drift between
+    engines. [arith] writes the [Wordops] word semantics out and raises
     [Graft_mem.Fault.Fault] on division by zero. *)
 
 val arith : Ir.kind -> Ir.arith -> int -> int -> int

@@ -41,6 +41,7 @@ open Graft_mem
 open Graft_gel
 module Opcode = Graft_stackvm.Opcode
 module Program = Graft_stackvm.Program
+module Vm = Graft_stackvm.Vm
 
 let max_frames = 256
 let stack_size = 4096
@@ -315,7 +316,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 let f = st.fuel - 4 in
                 st.fuel <- f;
                 if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-                if Opcode.cmp_fn c (Array.unsafe_get st.locals n) k = jnz
+                if Vm.cmp_fn c (Array.unsafe_get st.locals n) k = jnz
                 then tgt
                 else fall)
         (* [const k; cmp; jz/jnz t] *)
@@ -334,7 +335,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 let f = st.fuel - 3 in
                 st.fuel <- f;
                 if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-                if Opcode.cmp_fn c (Array.unsafe_get stack (st.bp + ia)) k = jnz
+                if Vm.cmp_fn c (Array.unsafe_get stack (st.bp + ia)) k = jnz
                 then tgt
                 else fall)
         (* [cmp; jz/jnz t] *)
@@ -352,7 +353,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
                 let base = st.bp in
                 if
-                  Opcode.cmp_fn c
+                  Vm.cmp_fn c
                     (Array.unsafe_get stack (base + ia))
                     (Array.unsafe_get stack (base + ib))
                   = jnz
@@ -373,7 +374,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                   fun () -> Array.unsafe_get st.locals n
               | Opcode.Const k -> fun () -> k
               | op1 ->
-                  let fn = Opcode.bink_fn (force (Opcode.total_binop op1)) in
+                  let fn = Vm.bink_fn (force (Opcode.total_binop op1)) in
                   let ia = h - 2 and ib = h - 1 in
                   fun () ->
                     let base = st.bp in
@@ -451,7 +452,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [lload a; lload b; op] *)
         | Some (Opcode.Load_local a), Some (Opcode.Load_local b), Some op3, _
           when Opcode.total_binop op3 <> None ->
-            let fn = Opcode.bink_fn (force (Opcode.total_binop op3)) in
+            let fn = Vm.bink_fn (force (Opcode.total_binop op3)) in
             let kk = comp (pc + 3) in
             let i0 = h in
             Some
@@ -466,7 +467,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [lload n; const k; op] *)
         | Some (Opcode.Load_local n), Some (Opcode.Const k), Some op3, _
           when Opcode.total_binop op3 <> None ->
-            let fn = Opcode.bink_fn (force (Opcode.total_binop op3)) in
+            let fn = Vm.bink_fn (force (Opcode.total_binop op3)) in
             let kk = comp (pc + 3) in
             let i0 = h in
             Some
@@ -480,7 +481,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [const k; lload n; op] — konst-first binop (e.g. 32 - n). *)
         | Some (Opcode.Const k), Some (Opcode.Load_local n), Some op3, _
           when Opcode.total_binop op3 <> None ->
-            let fn = Opcode.bink_fn (force (Opcode.total_binop op3)) in
+            let fn = Vm.bink_fn (force (Opcode.total_binop op3)) in
             let kk = comp (pc + 3) in
             let i0 = h in
             Some
@@ -495,7 +496,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
            binop (the md5 round's x[k] / t[i] adds). *)
         | Some (Opcode.Load_local n), Some (Opcode.Aload_u arr), Some op3, _
           when Opcode.total_binop op3 <> None ->
-            let fn = Opcode.bink_fn (force (Opcode.total_binop op3)) in
+            let fn = Vm.bink_fn (force (Opcode.total_binop op3)) in
             let base0 = p.Program.arrays.(arr).Program.base in
             let kk = comp (pc + 3) in
             let ia = h - 1 in
@@ -575,7 +576,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [const k; op] *)
         | Some (Opcode.Const k), Some op2, _, _ when Opcode.total_binop op2 <> None ->
-            let fn = Opcode.bink_fn (force (Opcode.total_binop op2)) in
+            let fn = Vm.bink_fn (force (Opcode.total_binop op2)) in
             let kk = comp (pc + 2) in
             let ia = h - 1 in
             Some
@@ -614,7 +615,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [lload n; op] *)
         | Some (Opcode.Load_local n), Some op2, _, _ when Opcode.total_binop op2 <> None ->
-            let fn = Opcode.bink_fn (force (Opcode.total_binop op2)) in
+            let fn = Vm.bink_fn (force (Opcode.total_binop op2)) in
             let kk = comp (pc + 2) in
             let ia = h - 1 in
             Some
@@ -642,7 +643,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [op; lstore d] *)
         | Some op1, Some (Opcode.Store_local d), _, _ when Opcode.total_binop op1 <> None ->
-            let fn = Opcode.bink_fn (force (Opcode.total_binop op1)) in
+            let fn = Vm.bink_fn (force (Opcode.total_binop op1)) in
             let kk = comp (pc + 2) in
             let ia = h - 2 and ib = h - 1 in
             Some
@@ -659,8 +660,8 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [op1; op2] — two stacked binops: op2 combines the value
            under op1's operands with op1's result (e.g. wlshr; wor). *)
         | Some op1, Some op2, _, _ when Opcode.total_binop op1 <> None && Opcode.total_binop op2 <> None ->
-            let f1 = Opcode.bink_fn (force (Opcode.total_binop op1)) in
-            let f2 = Opcode.bink_fn (force (Opcode.total_binop op2)) in
+            let f1 = Vm.bink_fn (force (Opcode.total_binop op1)) in
+            let f2 = Vm.bink_fn (force (Opcode.total_binop op2)) in
             let kk = comp (pc + 2) in
             let ia = h - 3 and ib = h - 2 and ic = h - 1 in
             Some
@@ -962,7 +963,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 charge ();
                 let base = st.bp in
                 Array.unsafe_set stack (base + ia)
-                  (Opcode.bink_fn b
+                  (Vm.bink_fn b
                      (Array.unsafe_get stack (base + ia))
                      (Array.unsafe_get stack (base + ib)));
                 k ()
@@ -998,7 +999,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 let base = st.bp in
                 Array.unsafe_set stack (base + ia)
                   (if
-                     Opcode.cmp_fn c
+                     Vm.cmp_fn c
                        (Array.unsafe_get stack (base + ia))
                        (Array.unsafe_get stack (base + ib))
                    then 1

@@ -1,8 +1,8 @@
-(* The bytecode-tier benchmark behind BENCH_stackvm.json: the
-   interpreted, optimized and JIT tiers over each graft's core
-   operation, timed by the shared harness (interleaved rounds, GC
-   fences, CI-driven repetition). {!doc} turns a run into the twelve
-   graft/tier rows {!Gate} judges. *)
+(* The interpreter-tier benchmark behind BENCH_stackvm.json: the
+   interpreted, optimized and JIT bytecode tiers and the AST walker
+   over each graft's core operation, timed by the shared harness
+   (interleaved rounds, GC fences, CI-driven repetition). {!doc} turns
+   a run into the sixteen graft/tier rows {!Gate} judges. *)
 
 open Graft_util
 open Graft_core
@@ -12,11 +12,12 @@ type row = {
   interp : Graft_stats.Robust.estimate;  (** ns per op *)
   opt : Graft_stats.Robust.estimate;  (** ns per op *)
   jit : Graft_stats.Robust.estimate;  (** ns per op *)
+  ast : Graft_stats.Robust.estimate;  (** ns per op, the AST walker *)
   rounds : int;
 }
 
 (* ------------------------------------------------------------------ *)
-(* The suite: each graft's core op under both bytecode tiers.          *)
+(* The suite: each graft's core op under every interpreter tier.      *)
 (* ------------------------------------------------------------------ *)
 
 let evict_op tech =
@@ -84,15 +85,17 @@ let run_suite ?(config = Graft_stats.Harness.quick) () =
           Graft_stats.Harness.stage (mk Technology.Bytecode_vm);
           Graft_stats.Harness.stage (mk Technology.Bytecode_opt);
           Graft_stats.Harness.stage (mk Technology.Jit);
+          Graft_stats.Harness.stage (mk Technology.Ast_interp);
         |]
       in
       let ms = Graft_stats.Harness.interleaved ~config thunks in
-      let interp = ms.(0) and opt = ms.(1) and jit = ms.(2) in
+      let interp = ms.(0) and opt = ms.(1) and jit = ms.(2) and ast = ms.(3) in
       {
         graft = name;
         interp = ns interp.Graft_stats.Harness.est;
         opt = ns opt.Graft_stats.Harness.est;
         jit = ns jit.Graft_stats.Harness.est;
+        ast = ns ast.Graft_stats.Harness.est;
         rounds = Array.length interp.Graft_stats.Harness.samples;
       })
     suite
@@ -105,5 +108,5 @@ let doc rows =
            (fun (tier, e) ->
              Gate.of_estimate ~key:(r.graft ^ "/" ^ tier) ~higher_better:false
                ~threshold:(default_threshold r.graft) e)
-           [ ("interp", r.interp); ("opt", r.opt); ("jit", r.jit) ])
+           [ ("interp", r.interp); ("opt", r.opt); ("jit", r.jit); ("ast", r.ast) ])
        rows)

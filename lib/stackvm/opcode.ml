@@ -20,8 +20,8 @@
 (** Binary operators available in fused form with a constant or local
     operand. [KDiv]/[KMod] may only appear with a non-zero constant
     divisor (the peephole never fuses [Const 0; Div], and the verifier
-    rejects them in the local-operand forms), so {!bink_fn} can never
-    divide by zero in verified code. *)
+    rejects them in the local-operand forms), so {!Vm.bink_fn} can
+    never divide by zero in verified code. *)
 type bink =
   | KAdd | KSub | KMul
   | KDiv | KMod
@@ -137,45 +137,9 @@ let width = function
   | Local_addk _ | Jcmpk_local _ | Move_local2 _ -> 4
   | _ -> 1
 
-(* Uncurried on purpose: the interpreter calls these once per executed
-   fused instruction, and a fully-applied known function costs one
-   direct call where a selector-returns-closure shape costs two
-   indirect ones. *)
-let bink_fn op a b =
-  match op with
-  | KAdd -> a + b
-  | KSub -> a - b
-  | KMul -> a * b
-  | KDiv ->
-      if b = 0 then Graft_mem.Fault.raise_fault Graft_mem.Fault.Division_by_zero;
-      a / b
-  | KMod ->
-      if b = 0 then Graft_mem.Fault.raise_fault Graft_mem.Fault.Division_by_zero;
-      a mod b
-  | KShl -> Graft_gel.Wordops.int_shl a b
-  | KShr -> Graft_gel.Wordops.int_shr a b
-  | KLshr -> Graft_gel.Wordops.int_lshr a b
-  | KBand -> a land b
-  | KBor -> a lor b
-  | KBxor -> a lxor b
-  | KWadd -> Graft_gel.Wordops.add a b
-  | KWsub -> Graft_gel.Wordops.sub a b
-  | KWmul -> Graft_gel.Wordops.mul a b
-  | KWshl -> Graft_gel.Wordops.shl a b
-  | KWshr -> Graft_gel.Wordops.shr a b
-
 (** Can this operator fault on a zero right operand? Such operators may
     be fused only with a non-zero constant, never with a local. *)
 let bink_divlike = function KDiv | KMod -> true | _ -> false
-
-let cmp_fn c a b =
-  match c with
-  | Clt -> a < b
-  | Cle -> a <= b
-  | Cgt -> a > b
-  | Cge -> a >= b
-  | Ceq -> a = b
-  | Cne -> a <> b
 
 (* ------------------------------------------------------------------ *)
 (* Opcode facts. Each is matched here once, and every pass that needs  *)

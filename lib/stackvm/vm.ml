@@ -13,7 +13,9 @@
     its state in mutable locals no closure captures: without flambda a
     captured [ref] is a heap box and a helper closure an indirect call,
     so push, pop and every check are written out at each opcode
-    instead. *)
+    instead. The arithmetic is written out too: the plain arms spell
+    out the word operations, and the fused arms inline {!bink_fn} and
+    {!cmp_fn}, so no arm calls out of the loop for its operator. *)
 
 open Graft_mem
 open Graft_gel
@@ -75,6 +77,45 @@ let read_only (d : Program.arrdesc) i =
 (* [Wordops.mask], as a constant the loop's written-out word arithmetic
    can fold ([Wordops] is not inlined across modules). *)
 let word_mask = 0xFFFFFFFF
+
+(* The fused opcodes' operator and comparison, written out as the plain
+   arms write theirs and inlined into each fused arm, so a fused
+   instruction pays no call (an [Opcode] function costs an indirect
+   [caml_apply3] under [-opaque]). [KDiv]/[KMod] carry a non-zero
+   constant in verified code; the divisor test stays as defence in
+   depth. The JIT calls these too. [cmp_fn]'s operands are typed:
+   untyped, [<] would be OCaml's polymorphic compare, a C call. *)
+let[@inline] bink_fn op a b =
+  match op with
+  | Opcode.KAdd -> a + b
+  | Opcode.KSub -> a - b
+  | Opcode.KMul -> a * b
+  | Opcode.KDiv ->
+      if b = 0 then raise div_zero;
+      a / b
+  | Opcode.KMod ->
+      if b = 0 then raise div_zero;
+      a mod b
+  | Opcode.KShl -> Wordops.int_shl a b
+  | Opcode.KShr -> Wordops.int_shr a b
+  | Opcode.KLshr -> Wordops.int_lshr a b
+  | Opcode.KBand -> a land b
+  | Opcode.KBor -> a lor b
+  | Opcode.KBxor -> a lxor b
+  | Opcode.KWadd -> (a + b) land word_mask
+  | Opcode.KWsub -> (a - b) land word_mask
+  | Opcode.KWmul -> a * b land word_mask
+  | Opcode.KWshl -> (a lsl (b land 31)) land word_mask
+  | Opcode.KWshr -> a lsr (b land 31)
+
+let[@inline] cmp_fn c (a : int) (b : int) =
+  match c with
+  | Opcode.Clt -> a < b
+  | Opcode.Cle -> a <= b
+  | Opcode.Cgt -> a > b
+  | Opcode.Cge -> a >= b
+  | Opcode.Ceq -> a = b
+  | Opcode.Cne -> a <> b
 
 (* A frame's local slab, grown to hold [nlocals]. The slab is reused
    when big enough: GEL locals are always written before read, so
@@ -520,14 +561,14 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
                 let t = !sp - 1 in
                 if t < 0 then raise underflow;
                 Array.unsafe_set stack t
-                  (Opcode.bink_fn op (Array.unsafe_get stack t) k)
+                  (bink_fn op (Array.unsafe_get stack t) k)
             | Opcode.Cmpk (c, k) ->
                 fuel := !fuel - 1;
                 if !fuel < 0 then raise out_of_fuel;
                 let t = !sp - 1 in
                 if t < 0 then raise underflow;
                 Array.unsafe_set stack t
-                  (if Opcode.cmp_fn c (Array.unsafe_get stack t) k then 1
+                  (if cmp_fn c (Array.unsafe_get stack t) k then 1
                    else 0)
             | Opcode.Jcmp (c, flag, target) ->
                 fuel := !fuel - 1;
@@ -536,7 +577,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
                 if t < 0 then raise underflow;
                 sp := t;
                 if
-                  Opcode.cmp_fn c (Array.unsafe_get stack t)
+                  cmp_fn c (Array.unsafe_get stack t)
                     (Array.unsafe_get stack (t + 1))
                   = flag
                 then pc := target
@@ -546,7 +587,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
                 let t = !sp - 1 in
                 if t < 0 then raise underflow;
                 sp := t;
-                if Opcode.cmp_fn c (Array.unsafe_get stack t) k = flag then
+                if cmp_fn c (Array.unsafe_get stack t) k = flag then
                   pc := target
             | Opcode.Aload_k (arr, k) ->
                 fuel := !fuel - 1;
@@ -580,12 +621,12 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
                 let t = !sp - 1 in
                 if t < 0 then raise underflow;
                 Array.unsafe_set stack t
-                  (Opcode.bink_fn op (Array.unsafe_get stack t) v)
+                  (bink_fn op (Array.unsafe_get stack t) v)
             | Opcode.Bin_local2 (op, a, b) ->
                 fuel := !fuel - 2;
                 if !fuel < 0 then raise out_of_fuel;
                 let locals = !locs in
-                let v = Opcode.bink_fn op locals.(a) locals.(b) in
+                let v = bink_fn op locals.(a) locals.(b) in
                 let t = !sp in
                 if t >= stack_size then raise overflow;
                 Array.unsafe_set stack t v;
@@ -610,7 +651,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
             | Opcode.Jcmpk_local (c, n, k, flag, target) ->
                 fuel := !fuel - 3;
                 if !fuel < 0 then raise out_of_fuel;
-                if Opcode.cmp_fn c !locs.(n) k = flag then pc := target
+                if cmp_fn c !locs.(n) k = flag then pc := target
             | Opcode.Store_localk (n, k) ->
                 fuel := !fuel - 1;
                 if !fuel < 0 then raise out_of_fuel;
@@ -622,7 +663,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
                 if t < 0 then raise underflow;
                 sp := t;
                 !locs.(n) <-
-                  Opcode.bink_fn op (Array.unsafe_get stack t)
+                  bink_fn op (Array.unsafe_get stack t)
                     (Array.unsafe_get stack (t + 1))
             | Opcode.Bink_store (op, k, n) ->
                 fuel := !fuel - 2;
@@ -630,11 +671,11 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
                 let t = !sp - 1 in
                 if t < 0 then raise underflow;
                 sp := t;
-                !locs.(n) <- Opcode.bink_fn op (Array.unsafe_get stack t) k
+                !locs.(n) <- bink_fn op (Array.unsafe_get stack t) k
             | Opcode.Bink_local (op, n, k) ->
                 fuel := !fuel - 2;
                 if !fuel < 0 then raise out_of_fuel;
-                let v = Opcode.bink_fn op !locs.(n) k in
+                let v = bink_fn op !locs.(n) k in
                 let t = !sp in
                 if t >= stack_size then raise overflow;
                 Array.unsafe_set stack t v;
@@ -655,7 +696,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
                 let t = !sp - 1 in
                 if t < 0 then raise underflow;
                 Array.unsafe_set stack t
-                  (Opcode.bink_fn op (Array.unsafe_get stack t) v)
+                  (bink_fn op (Array.unsafe_get stack t) v)
             | Opcode.Aload_local_store (arr, n, dst) ->
                 fuel := !fuel - 1;
                 if !fuel < 0 then raise out_of_fuel;
@@ -681,15 +722,15 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
             ("fault:" ^ Fault.class_name f);
           Error (`Fault f)
       in
+      (* Fuel consumed = fuel charged: on exhaustion [!fuel] is
+         negative and the whole budget was burned. *)
+      let used = if !fuel > 0 then fuel0 - !fuel else fuel0 in
       (match prof with
       | None -> ()
-      | Some pr ->
-          (* Fuel consumed = fuel charged: on exhaustion [!fuel] is
-             negative and the whole budget was burned. *)
-          Graft_trace.Opprof.run_done pr ~fuel:(fuel0 - max 0 !fuel));
+      | Some pr -> Graft_trace.Opprof.run_done pr ~fuel:used);
       Graft_metrics.inc (m_sessions_interp ());
-      Graft_metrics.inc (m_fuel_interp ()) ~by:(fuel0 - max 0 !fuel);
-      Graft_metrics.observe (m_fuel_hist ()) (fuel0 - max 0 !fuel);
+      Graft_metrics.inc (m_fuel_interp ()) ~by:used;
+      Graft_metrics.observe (m_fuel_hist ()) used;
       Graft_trace.Trace.span_end Graft_trace.Trace.Vm_stack "stackvm.run" tok;
       outcome)
 

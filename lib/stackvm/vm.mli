@@ -24,6 +24,13 @@ val run_session :
   fuel:int ->
   (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
 
+(** The fused opcodes' operator ([Division_by_zero] on a zero [KDiv] or
+    [KMod] divisor) and comparison. The dispatch loop inlines them; the
+    JIT calls them, so both tiers share one semantics. *)
+val bink_fn : Opcode.bink -> int -> int -> int
+
+val cmp_fn : Opcode.cmp -> int -> int -> bool
+
 (** One-shot convenience; resident grafts should keep a session. *)
 val run :
   Program.t ->

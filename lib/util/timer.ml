@@ -36,8 +36,15 @@ let calibrate_iters ?(max_iters = 10_000_000) ~target_s f =
 
 let pp_seconds s =
   let abs = Float.abs s in
+  (* Three significant digits, but never an exponent: from 100 up,
+     where [%.3g] shows integers until 999.5 rounds to "1e+03", print
+     the integer. *)
+  let pp v unit =
+    if Float.abs v >= 100.0 then Printf.sprintf "%.0f%s" v unit
+    else Printf.sprintf "%.3g%s" v unit
+  in
   if abs = 0.0 then "0s"
-  else if abs < 1e-6 then Printf.sprintf "%.3gns" (s *. 1e9)
-  else if abs < 1e-3 then Printf.sprintf "%.3gus" (s *. 1e6)
-  else if abs < 1.0 then Printf.sprintf "%.3gms" (s *. 1e3)
-  else Printf.sprintf "%.3gs" s
+  else if abs < 1e-6 then pp (s *. 1e9) "ns"
+  else if abs < 1e-3 then pp (s *. 1e6) "us"
+  else if abs < 1.0 then pp (s *. 1e3) "ms"
+  else pp s "s"

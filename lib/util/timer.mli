@@ -17,5 +17,7 @@ val time_it : (unit -> 'a) -> float * 'a
     capped at [max_iters], default 10_000_000). *)
 val calibrate_iters : ?max_iters:int -> target_s:float -> (unit -> unit) -> int
 
-(** Human-readable seconds: ns/us/ms/s with 3 significant digits. *)
+(** Human-readable seconds: ns/us/ms/s with 3 significant digits and
+    never an exponent (a scaled value of 100 or more prints as an
+    integer: "4412s", "1000ms"). *)
 val pp_seconds : float -> string

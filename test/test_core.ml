@@ -313,7 +313,8 @@ let minor_words f =
 
 (* The interpreted loops keep their dispatch state in locals no closure
    captures, so a resident entry allocates no more than a JIT entry;
-   the AST walker allocates per call, never per node. *)
+   the AST walker allocates one locals array per call and nothing per
+   node or per loop iteration (about 640 words on a 160-byte op). *)
 let test_md5_runner_allocation () =
   let data = Prng.bytes (Prng.create 0x3D8L) 160 in
   let entry_words tech =
@@ -335,7 +336,7 @@ let test_md5_runner_allocation () =
       Technology.Bytecode_opt;
     ];
   let ast = entry_words Technology.Ast_interp in
-  if ast >= 2500. then
+  if ast > 1000. then
     Alcotest.failf "ast-interp: %.0f minor words per 160-byte op" ast
 
 (* ---------- logdisk runners across technologies ---------- *)

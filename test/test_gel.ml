@@ -259,6 +259,61 @@ let test_word_shr_logical () =
     (run_main
        "fn main() : int { var w : word = 0xFFFFFFFF; return int(w >> 1); }")
 
+(* The walker writes the word semantics out rather than calling
+   [Wordops]; hold every written-out operation to [Wordops] over edge
+   and random operands. *)
+let test_word_ops_match_wordops () =
+  let r = Graft_util.Prng.create 0x3DBL in
+  let edges = [| 0; 1; 7; 31; 32; 0x7FFFFFFF; 0x80000000; 0xFFFFFFFF |] in
+  let ne = Array.length edges in
+  let binops =
+    Ir.
+      [ (Add, Wordops.add); (Sub, Wordops.sub); (Mul, Wordops.mul);
+        (Shl, Wordops.shl); (Shr, Wordops.shr); (Lshr, Wordops.shr);
+        (Band, Wordops.band); (Bor, Wordops.bor); (Bxor, Wordops.bxor) ]
+  in
+  let image =
+    match
+      Link.link_fresh
+        (compile_ok
+           "fn main(a : int, op : int) : int {\n\
+            var x : word = word(a);\n\
+            if (op == 0) { return int(~x); }\n\
+            if (op == 1) { return int(-x); }\n\
+            return int(x);\n\
+            }")
+    with
+    | Ok image -> image
+    | Error msg -> Alcotest.failf "link error: %s" msg
+  in
+  for i = 0 to 299 do
+    let a, b =
+      if i < ne * ne then (edges.(i / ne), edges.(i mod ne))
+      else
+        ( Graft_util.Prng.int r 0x100000000,
+          Graft_util.Prng.int r 0x100000000 )
+    in
+    List.iter
+      (fun (op, f) ->
+        check_int
+          (Printf.sprintf "word op on (%d, %d)" a b)
+          (f a b) (Interp.arith Ir.Kword op a b))
+      binops;
+    if b <> 0 then begin
+      check_int "word div" (Wordops.div a b) (Interp.arith Ir.Kword Ir.Div a b);
+      check_int "word mod" (Wordops.rem a b) (Interp.arith Ir.Kword Ir.Mod a b)
+    end;
+    (* [word(a)] of any int, then [~] and unary [-] on the word. *)
+    let a = if i land 1 = 0 then a else Int64.to_int (Graft_util.Prng.next r) in
+    List.iter
+      (fun (op, expect) ->
+        match Interp.run image ~entry:"main" ~args:[| a; op |] ~fuel:100 with
+        | Ok v -> check_int (Printf.sprintf "unary %d on %d" op a) expect v
+        | Error _ -> Alcotest.fail "word program faulted")
+      [ (0, Wordops.bnot (Wordops.of_int a)); (1, Wordops.neg (Wordops.of_int a));
+        (2, Wordops.of_int a) ]
+  done
+
 let test_int_shr_arithmetic () =
   check_int "int >> keeps sign" (-2)
     (run_main "fn main() : int { var x = -4; return x >> 1; }")
@@ -759,6 +814,8 @@ let () =
           Alcotest.test_case "word mul" `Quick test_word_mul_mod32;
           Alcotest.test_case "word rotation" `Quick test_word_rotation_idiom;
           Alcotest.test_case "word shr logical" `Quick test_word_shr_logical;
+          Alcotest.test_case "word ops = Wordops" `Quick
+            test_word_ops_match_wordops;
           Alcotest.test_case "int shr arithmetic" `Quick test_int_shr_arithmetic;
           Alcotest.test_case "break/continue" `Quick test_break_continue;
           Alcotest.test_case "continue runs step" `Quick test_continue_runs_for_step;

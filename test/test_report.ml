@@ -68,6 +68,39 @@ let test_figure1_smoke () =
   check_bool "plot present" true (contains s "upcall time");
   check_bool "legend" true (contains s "user-level server")
 
+(* A median below C's leaves no upcall budget: the notes say so rather
+   than print a budget of 0s, and price the round trip only against a
+   positive budget. *)
+let test_figure1_notes () =
+  let notes =
+    Experiments.figure1_notes ~native_s:690e-9
+      ~in_kernel:[ ("Modula-3", 1.2e-6); ("SFI", 659e-9) ]
+      ~upcall_rtt_s:(Some 51e-6)
+  in
+  Alcotest.(check (list string))
+    "one technology under C"
+    [
+      "an upcall must cost under 510ns to match in-kernel Modula-3 (paper: \
+       ~5us, 'difficult to achieve')";
+      "SFI's median (659ns) does not exceed C's (690ns), so no upcall \
+       budget exists for it at this precision";
+      "the host's real upcall round trip (forked server over pipes) is 51us \
+       — 100x over Modula-3's budget, so user-level servers remain \
+       uncompetitive for this graft";
+    ]
+    notes;
+  let notes =
+    Experiments.figure1_notes ~native_s:690e-9
+      ~in_kernel:[ ("Modula-3", 690e-9); ("SFI", 659e-9) ]
+      ~upcall_rtt_s:(Some 51e-6)
+  in
+  check_bool "no budget, no ratio" true
+    (List.for_all
+       (fun n -> not (contains n "x over") && not (contains n "under 0s"))
+       notes);
+  Alcotest.(check int) "two no-budget notes and the round trip" 3
+    (List.length notes)
+
 (* The cells of every row of a rendered table, trimmed, header first. *)
 let rows s =
   String.split_on_char '\n' s
@@ -220,6 +253,7 @@ let () =
           Alcotest.test_case "table2 smoke" `Slow test_table2_smoke;
           Alcotest.test_case "table2 ordering" `Slow test_table2_ordering;
           Alcotest.test_case "figure1 smoke" `Slow test_figure1_smoke;
+          Alcotest.test_case "figure1 notes" `Quick test_figure1_notes;
           Alcotest.test_case "table5 headers and rows" `Slow test_table5;
           Alcotest.test_case "table6 headers and rows" `Slow test_table6;
           Alcotest.test_case "table6 I/O is one full-workload figure" `Slow

@@ -891,8 +891,8 @@ let test_tiers_differential () =
     diff_programs
 
 (* The dispatch loop writes the [Wordops] semantics out per opcode;
-   hold each written-out word opcode to the reference interpreter,
-   which calls [Wordops], over the whole int range. *)
+   hold each written-out word opcode to the reference interpreter
+   (itself held to [Wordops] in test_gel) over the whole int range. *)
 let word_ops_src =
   "fn main(a : int, b : int, op : int) : int {\n\
    var x : word = word(a);\n\
@@ -907,6 +907,34 @@ let word_ops_src =
    return int(x);\n\
    }"
 
+(* Run [p] and the reference interpreter on [src]'s [main(a, b, op)]
+   for every [op] below [nops]: every pair of edge operands first, then
+   random ones. *)
+let check_ops_against_interp ~tier ~seed p src nops =
+  let reference = fresh_image src in
+  let s = Vm.create_session p in
+  let r = Graft_util.Prng.create seed in
+  let edges =
+    [| 0; 1; -1; 7; 31; 32; 0xFFFFFFFF; 0x80000000; max_int; min_int |]
+  in
+  let ne = Array.length edges in
+  for i = 0 to 299 do
+    let a, b =
+      if i < ne * ne then (edges.(i / ne), edges.(i mod ne))
+      else
+        ( Int64.to_int (Graft_util.Prng.next r),
+          Int64.to_int (Graft_util.Prng.next r) )
+    in
+    for op = 0 to nops - 1 do
+      let args = [| a; b; op |] in
+      let expect = Interp.run reference ~entry:"main" ~args ~fuel:1000 in
+      let got = Vm.run_session s ~entry:"main" ~args ~fuel:1000 in
+      if got <> expect then
+        Alcotest.failf "op %d on (%d, %d): interp %s, %s %s" op a b
+          (show_tier expect) tier (show_tier got)
+    done
+  done
+
 let test_word_ops_written_out () =
   let p = Stackvm.load_exn (fresh_image word_ops_src) in
   List.iter
@@ -915,28 +943,7 @@ let test_word_ops_written_out () =
         Alcotest.failf "no %s in the plain code"
           Opcode.class_names.(Opcode.index op))
     Opcode.[ Wadd; Wsub; Wmul; Wshl; Wshr; Wbnot; Wneg; Wmask ];
-  let reference = fresh_image word_ops_src in
-  let s = Vm.create_session p in
-  let r = Graft_util.Prng.create 0x3D9L in
-  let edges = [| 0; 1; -1; 31; 32; 0xFFFFFFFF; 0x80000000; max_int; min_int |] in
-  let ne = Array.length edges in
-  for i = 0 to 299 do
-    (* Every pair of edge operands first, then random ones. *)
-    let a, b =
-      if i < ne * ne then (edges.(i / ne), edges.(i mod ne))
-      else
-        ( Int64.to_int (Graft_util.Prng.next r),
-          Int64.to_int (Graft_util.Prng.next r) )
-    in
-    for op = 0 to 7 do
-      let args = [| a; b; op |] in
-      let expect = Interp.run reference ~entry:"main" ~args ~fuel:1000 in
-      let plain = Vm.run_session s ~entry:"main" ~args ~fuel:1000 in
-      if plain <> expect then
-        Alcotest.failf "op %d on (%d, %d): interp %s, plain %s" op a b
-          (show_tier expect) (show_tier plain)
-    done
-  done
+  check_ops_against_interp ~tier:"plain" ~seed:0x3D9L p word_ops_src 8
 
 let faulty_src =
   (* Faults on purpose: a[n] is out of bounds for n outside [0, 8) and
@@ -1198,6 +1205,215 @@ let prop_tiers_agree_any_fuel =
           (show_tier base) (show_tier opt);
       true)
 
+(* The fused opcodes' arithmetic is written out in the dispatch loop
+   too; hold every fused operator, in its constant- and local-operand
+   forms, to the reference interpreter over edge and random operands. *)
+let fused_ops_src =
+  "fn main(a : int, b : int, op : int) : int {\n\
+   var x : word = word(a);\n\
+   var y : word = word(b);\n\
+   if (op == 0) { return int(x + y); }\n\
+   if (op == 1) { return int(x - y); }\n\
+   if (op == 2) { return int(x * y); }\n\
+   if (op == 3) { return int(x + 0x9E3779B9); }\n\
+   if (op == 4) { return int(x - 7); }\n\
+   if (op == 5) { return int(x * 0x9E3779B9); }\n\
+   if (op == 6) { return int(x << 7); }\n\
+   if (op == 7) { return int(x >> 7); }\n\
+   if (op == 8) { return a / 7; }\n\
+   if (op == 9) { return a % 7; }\n\
+   if (op == 10) { return a << 3; }\n\
+   if (op == 11) { return a >> 3; }\n\
+   if (op == 12) { return a >>> 3; }\n\
+   if (op == 13) { return (a & b) | (a ^ 5); }\n\
+   if (op == 14) { return a * b - a; }\n\
+   return a + b;\n\
+   }"
+
+let test_fused_ops_written_out () =
+  let p = Stackvm.load_opt_exn (fresh_image fused_ops_src) in
+  let fused =
+    Array.to_list p.Program.code
+    |> List.filter_map (function
+         | Opcode.Bink (op, _) | Opcode.Bin_local (op, _)
+         | Opcode.Bin_local2 (op, _, _) | Opcode.Bin_store (op, _)
+         | Opcode.Bink_store (op, _, _) | Opcode.Bink_local (op, _, _)
+         | Opcode.Bin_aload_local (op, _, _) ->
+             Some op
+         | _ -> None)
+  in
+  List.iter
+    (fun op ->
+      if not (List.mem op fused) then
+        Alcotest.failf "%s is not fused in the optimized code"
+          (Opcode.bink_name op))
+    Opcode.[ KWadd; KWsub; KWmul; KWshl; KWshr; KDiv; KMod; KShl; KShr; KLshr ];
+  check_ops_against_interp ~tier:"opt" ~seed:0x3DAL p fused_ops_src 16
+
+(* ---------- the AST walker's control flow ---------- *)
+
+(* Each case has its expected result, so the walker and the stack
+   tiers are pinned to the intended meaning, not only to each other. *)
+let control_flow_cases =
+  [
+    ( "return from a doubly nested loop",
+      "fn main(n : int) : int {\n\
+       var i = 0;\n\
+       while (i < n) {\n\
+       var j = 0;\n\
+       while (j < n) {\n\
+       if (i * j > 20) { return i * 100 + j; }\n\
+       j = j + 1;\n\
+       }\n\
+       i = i + 1;\n\
+       }\n\
+       return -1;\n\
+       }",
+      [ (10, 307); (4, -1) ] );
+    ( "a callee's return does not end the caller's loop",
+      "fn sq(x : int) : int { return x * x; }\n\
+       fn main(n : int) : int {\n\
+       var s = 0;\n\
+       for (var i = 0; i < n; i = i + 1) { s = s + sq(i); }\n\
+       return s;\n\
+       }",
+      [ (10, 285); (0, 0) ] );
+    ( "break in an if inside an inner while",
+      "fn main(n : int) : int {\n\
+       var s = 0;\n\
+       var i = 0;\n\
+       while (i < n) {\n\
+       var j = 0;\n\
+       while (j < n) {\n\
+       if (j == i) { break; }\n\
+       s = s + 1;\n\
+       j = j + 1;\n\
+       }\n\
+       i = i + 1;\n\
+       }\n\
+       return s;\n\
+       }",
+      [ (10, 45); (1, 0) ] );
+    ( "continue in a for still runs the step",
+      "fn main(n : int) : int {\n\
+       var s = 0;\n\
+       for (var i = 0; i < n; i = i + 1) {\n\
+       if (i % 2 == 0) { continue; }\n\
+       s = s + i;\n\
+       }\n\
+       return s;\n\
+       }",
+      [ (10, 25); (1, 0) ] );
+    ( "a value-less return from a function called in a loop",
+      "var total : int = 0;\n\
+       fn add(v : int) {\n\
+       if (v % 3 == 0) { return; }\n\
+       total = total + v;\n\
+       }\n\
+       fn main(n : int) : int {\n\
+       for (var i = 0; i < n; i = i + 1) { add(i); }\n\
+       return total;\n\
+       }",
+      [ (10, 27); (3, 3) ] );
+  ]
+
+let control_flow_techs =
+  Graft_core.Technology.
+    [ Ast_interp; Bytecode_vm; Bytecode_opt; Safe_lang_static; Jit ]
+
+let test_control_flow_agrees () =
+  List.iter
+    (fun (name, src, runs) ->
+      List.iter
+        (fun tech ->
+          List.iter
+            (fun (n, expect) ->
+              (* A fresh image per run: [total] is a global. *)
+              let env = Graft_core.Runners.gel_env tech src [] in
+              let engine =
+                Graft_core.Runners.engine ~fuel:1_000_000 tech
+                  env.Graft_core.Runners.image
+              in
+              match engine ~entry:"main" ~args:[| n |] with
+              | Ok v when v = expect -> ()
+              | r ->
+                  Alcotest.failf "%s, %s, n=%d: expected %d, got %s" name
+                    (Graft_core.Technology.name tech)
+                    n expect (show_tier r))
+            runs)
+        control_flow_techs)
+    control_flow_cases
+
+(* The least fuel with which ast-interp returns, measured on the walker
+   that unwound [return], [break] and [continue] with exceptions: the
+   walk charges one unit per evaluated node, in the same order, however
+   its control flow is carried. *)
+let check_fuel_pin name ~least run =
+  (match run least with
+  | Ok _ -> ()
+  | r -> Alcotest.failf "%s at fuel %d: %s" name least (show_tier r));
+  match run (least - 1) with
+  | Error (`Fault Fault.Fuel_exhausted) -> ()
+  | r -> Alcotest.failf "%s at fuel %d: %s" name (least - 1) (show_tier r)
+
+let md5_160_least_fuel = 16_087
+let loops_least_fuel = 1_645
+
+let test_md5_fuel_pin () =
+  check_fuel_pin "md5 run(160)" ~least:md5_160_least_fuel (fun fuel ->
+      let env =
+        Graft_core.Runners.gel_env Graft_core.Technology.Ast_interp
+          (Graft_grafts.Gel_sources.md5 ~data_cells:288)
+          [ ("data", 288, true); ("digest", 16, true) ]
+      in
+      Interp.run env.Graft_core.Runners.image ~entry:"run" ~args:[| 160 |]
+        ~fuel)
+
+let loops_src =
+  "var hits : int = 0;\n\
+   fn note(v : int) {\n\
+   if (v > 5) { return; }\n\
+   hits = hits + v;\n\
+   }\n\
+   fn first_over(n : int, limit : int) : int {\n\
+   var i = 0;\n\
+   while (i < n) {\n\
+   var j = 0;\n\
+   while (j < n) {\n\
+   if (i * j > limit) { return i * 100 + j; }\n\
+   j = j + 1;\n\
+   }\n\
+   i = i + 1;\n\
+   }\n\
+   return -1;\n\
+   }\n\
+   fn main(n : int) : int {\n\
+   var s = 0;\n\
+   for (var i = 0; i < n; i = i + 1) {\n\
+   if (i % 3 == 0) { continue; }\n\
+   var j = 0;\n\
+   while (true) {\n\
+   j = j + 1;\n\
+   if (j > i) { break; }\n\
+   if (j % 2 == 0) { continue; }\n\
+   s = s + j;\n\
+   note(j);\n\
+   }\n\
+   if (s > 60) { break; }\n\
+   }\n\
+   return s * 1000 + hits * 10 + first_over(n, 20);\n\
+   }"
+
+let test_loops_fuel_pin () =
+  check_fuel_pin "nested loops" ~least:loops_least_fuel (fun fuel ->
+      Interp.run (fresh_image loops_src) ~entry:"main" ~args:[| 12 |] ~fuel);
+  match
+    Interp.run (fresh_image loops_src) ~entry:"main" ~args:[| 12 |]
+      ~fuel:loops_least_fuel
+  with
+  | Ok v -> check_int "nested loops value" 72_631 v
+  | r -> Alcotest.failf "nested loops: %s" (show_tier r)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "graft_stackvm"
@@ -1283,8 +1499,17 @@ let () =
           Alcotest.test_case "tiers agree" `Quick test_tiers_differential;
           Alcotest.test_case "fuel parity at every budget" `Quick
             test_fuel_parity_sessions;
+          Alcotest.test_case "fused operators written out" `Quick
+            test_fused_ops_written_out;
         ]
         @ qc [ prop_tiers_agree_any_fuel ] );
+      ( "walker",
+        [
+          Alcotest.test_case "control flow agrees across tiers" `Quick
+            test_control_flow_agrees;
+          Alcotest.test_case "MD5 fuel pin" `Quick test_md5_fuel_pin;
+          Alcotest.test_case "nested-loop fuel pin" `Quick test_loops_fuel_pin;
+        ] );
       ( "bounded",
         [
           Alcotest.test_case "initialiser entry discipline" `Quick

@@ -165,9 +165,10 @@ let est median lo hi =
   let e = Robust.estimate [| median |] in
   { e with Robust.median; ci95_lo = lo; ci95_hi = hi }
 
-let tier ?jit graft i o =
+let tier ?jit ?ast graft i o =
   let jit = match jit with Some j -> j | None -> o in
-  { Tierbench.graft; interp = i; opt = o; jit; rounds = 15 }
+  let ast = match ast with Some a -> a | None -> i in
+  { Tierbench.graft; interp = i; opt = o; jit; ast; rounds = 15 }
 
 let test_gate_on_parsed_baseline () =
   let baseline =
@@ -183,7 +184,7 @@ let test_gate_on_parsed_baseline () =
     gate [ tier "md5_64k" (est 1005.0 992.0 1012.0) (est 402.0 396.0 406.0) ]
   in
   check_bool "unchanged passes" true (Gate.passed ok);
-  (* The baseline has no jit row, so only interp/opt are gated. *)
+  (* The baseline has no jit or ast row, so only interp/opt are gated. *)
   Alcotest.(check int) "two checks" 2 (List.length ok);
   (* Doctored: interp CI-disjoint and 50% over. *)
   let bad =
@@ -213,6 +214,7 @@ let test_roundtrip_json () =
     Tierbench.doc
       [ tier "md5_64k"
           ~jit:(est (200.0 +. (1.0 /. 3.0)) 198.0 202.37)
+          ~ast:(est 1500.0 1480.0 1525.5)
           (est 1000.0 990.0 1010.0) (est 400.0 395.0 405.0) ]
   in
   let d' = roundtrip d in
@@ -221,13 +223,13 @@ let test_roundtrip_json () =
   let checks =
     match Gate.gate ~baseline:d' d with Ok c -> c | Error e -> Alcotest.fail e
   in
-  (* The jit row round-trips, and the gate compares it. *)
-  Alcotest.(check int) "three checks with jit" 3 (List.length checks);
+  (* The jit and ast rows round-trip, and the gate compares them. *)
+  Alcotest.(check int) "four checks with jit and ast" 4 (List.length checks);
   check_bool "self-gate passes" true (Gate.passed checks);
   let hb = fresh [ row ~hb:true "x" (1.0 /. 3.0) 0.25 (2.0 /. 3.0) ] in
   check_bool "higher-better roundtrip" true (roundtrip hb = hb)
 
-(* {!Tierbench.doc} is the tier suite's whole policy: three lower-better
+(* {!Tierbench.doc} is the tier suite's whole policy: four lower-better
    rows per graft, md5_64k at 0.15 and the nanosecond-scale ops at
    0.30, keyed as the committed BENCH_stackvm.json keys them. *)
 let test_tier_rows () =
@@ -240,7 +242,8 @@ let test_tier_rows () =
   Alcotest.(check (list string))
     "keys"
     (List.concat_map
-       (fun g -> List.map (fun t -> g ^ "/" ^ t) [ "interp"; "opt"; "jit" ])
+       (fun g ->
+         List.map (fun t -> g ^ "/" ^ t) [ "interp"; "opt"; "jit"; "ast" ])
        grafts)
     (List.map (fun r -> r.Gate.key) d.Gate.rows);
   List.iter
@@ -257,13 +260,13 @@ let test_tier_rows () =
       match Gate.gate ~baseline d with
       | Error e -> Alcotest.fail e
       | Ok checks ->
-          Alcotest.(check int) "every committed row gated" 12
+          Alcotest.(check int) "every committed row gated" 16
             (List.length checks))
 
 (* ---------- the committed baselines ---------- *)
 
 let committed =
-  [ ("../BENCH_stackvm.json", "stackvm", 12);
+  [ ("../BENCH_stackvm.json", "stackvm", 16);
     ("../BENCH_serve.json", "serve", 9);
     ("../BENCH_throughput.json", "serve-throughput", 2) ]
 

@@ -98,6 +98,23 @@ let test_prng_bytes () =
   Alcotest.(check bool) "varied" true
     (Bytes.exists (fun c -> c <> first) b)
 
+(* [bytes] keeps the state in a local across its fill; it must give the
+   bytes, and leave the state, that one [int t 256] per byte would. *)
+let test_prng_bytes_reference () =
+  for seed = 0 to 199 do
+    let n = seed * 37 mod 301 in
+    let seed = Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L in
+    let fast = Prng.create seed and slow = Prng.create seed in
+    let expect = Bytes.init n (fun _ -> Char.chr (Prng.int slow 256)) in
+    Alcotest.(check string)
+      (Printf.sprintf "seed %Ld, %d bytes" seed n)
+      (Bytes.to_string expect)
+      (Bytes.to_string (Prng.bytes fast n));
+    Alcotest.(check int64)
+      (Printf.sprintf "seed %Ld, next draw after %d bytes" seed n)
+      (Prng.next slow) (Prng.next fast)
+  done
+
 let test_prng_split_independent () =
   let r = Prng.create 9L in
   let s = Prng.split r in
@@ -222,7 +239,11 @@ let test_pp_seconds () =
   Alcotest.(check string) "us" "12.3us" (Timer.pp_seconds 1.23e-5);
   Alcotest.(check string) "ms" "4ms" (Timer.pp_seconds 4e-3);
   Alcotest.(check string) "s" "2.5s" (Timer.pp_seconds 2.5);
-  Alcotest.(check string) "zero" "0s" (Timer.pp_seconds 0.0)
+  Alcotest.(check string) "zero" "0s" (Timer.pp_seconds 0.0);
+  Alcotest.(check string) "hundreds" "441us" (Timer.pp_seconds 4.412e-4);
+  Alcotest.(check string) "no exponent" "4412s" (Timer.pp_seconds 4412.3);
+  Alcotest.(check string) "rounds up to 1000" "1000ms"
+    (Timer.pp_seconds 0.9999)
 
 (* ---------- QCheck properties ---------- *)
 
@@ -275,6 +296,8 @@ let () =
           Alcotest.test_case "uniform-ish" `Quick test_prng_uniformish;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "bytes" `Quick test_prng_bytes;
+          Alcotest.test_case "bytes = per-byte int 256" `Quick
+            test_prng_bytes_reference;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
           Alcotest.test_case "pinned stream" `Quick test_prng_pinned;
           Alcotest.test_case "draws allocate nothing" `Quick
