@@ -143,7 +143,8 @@ let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
         match Graft_analysis.Loopbound.check_image image with
         | Ok () -> ()
         | Error msg -> failwith ("GEL graft rejected: " ^ msg));
-      fun ~entry ~args -> Interp.run image ~entry ~args ~fuel
+      let session = Interp.create_session image in
+      fun ~entry ~args -> Interp.run_session session ~entry ~args ~fuel
   | Technology.Bytecode_vm ->
       stack (Graft_stackvm.Stackvm.load_exn ?maps ~bounded image)
   | Technology.Bytecode_opt ->

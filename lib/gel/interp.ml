@@ -9,46 +9,107 @@
 
     Control flow is a value, not an exception: [exec] returns whether
     the statement fell through, broke, continued or returned, and a
-    [return]'s result waits in the state. No handler is installed per
+    [return]'s result waits in the session. No handler is installed per
     loop, iteration or call. The walk recurses directly, never through
-    a partial application, and reads [Const]/[Local] operands in place,
-    so only a call allocates: the callee's locals, into which its
-    arguments are evaluated (and a host call's argument array). *)
+    a partial application, and reads [Const]/[Local] operands in place.
+
+    A {!session}, made once per resident graft, holds what the walk
+    needs: the image's cells, array bases and array lengths, one frame
+    slab per call depth, and an argument staging area. A call evaluates
+    its arguments onto the staging area (a call nested in an argument
+    stages above them), then copies them into the slab of its depth, so
+    a GEL call allocates nothing; only a host call does (its argument
+    array). Slabs and the staging area grow on first use, to the size
+    the graft needs. The walk makes no call into another module: it
+    raises its faults itself, reads the cells from the session and
+    writes the word operations out.
+
+    Fuel is still one unit per node, charged in walk order, but units
+    that follow one another with no effect or fault between them are
+    charged in one write of the session's counter, so every run stops
+    at the same point, with the same effects done, as one charging each
+    unit alone. *)
 
 open Graft_mem
 
 type flow = Next | Break | Continue | Return
 
-type state = {
+let max_depth = 256
+
+type session = {
   image : Link.image;
+  funcs : Ir.func array;
+  cells : int array;
+  global_base : int;
+  arr_base : int array;
+  arr_len : int array;
+  arr_writable : bool array;
+  host : (int array -> int) array;
+  slabs : int array array;  (** the locals of the frame at each depth *)
+  mutable stage : int array;  (** call arguments, staged *)
+  mutable top : int;  (** staged arguments in use *)
   mutable fuel : int;
   mutable depth : int;
   mutable ret : int;  (** the value of the last [Return] flow *)
 }
 
-let max_depth = 256
+let create_session (image : Link.image) =
+  {
+    image;
+    funcs = image.Link.prog.Ir.funcs;
+    cells = Memory.cells image.Link.mem;
+    global_base = image.Link.global_base;
+    arr_base = image.Link.arr_base;
+    arr_len = image.Link.arr_len;
+    arr_writable = image.Link.arr_writable;
+    host = image.Link.host;
+    slabs = Array.make (max_depth + 1) [||];
+    stage = [||];
+    top = 0;
+    fuel = 0;
+    depth = 0;
+    ret = 0;
+  }
 
-let[@inline] tick st =
-  st.fuel <- st.fuel - 1;
-  if st.fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted
+(* Graftmeter counters, as the other engines keep theirs; counted once
+   per run, outside the walk. *)
+let m_sessions =
+  Graft_metrics.domain_counter "graftkit_vm_sessions" [ ("tier", "ast") ]
 
-let load_arr st arr_idx idx =
-  let len = st.image.Link.arr_len.(arr_idx) in
-  if idx < 0 || idx >= len then
-    Fault.raise_fault
-      (Fault.Out_of_bounds { access = Fault.Read; addr = idx });
-  (Memory.cells st.image.Link.mem).(st.image.Link.arr_base.(arr_idx) + idx)
+let m_fuel = Graft_metrics.domain_counter "graftkit_vm_fuel" [ ("tier", "ast") ]
 
-let store_arr st arr_idx idx v =
-  let len = st.image.Link.arr_len.(arr_idx) in
-  if idx < 0 || idx >= len then
-    Fault.raise_fault
-      (Fault.Out_of_bounds { access = Fault.Write; addr = idx });
-  if not st.image.Link.arr_writable.(arr_idx) then
-    Fault.raise_fault
-      (Fault.Protection
-         { access = Fault.Write; addr = st.image.Link.arr_base.(arr_idx) + idx });
-  (Memory.cells st.image.Link.mem).(st.image.Link.arr_base.(arr_idx) + idx) <- v
+(* The walk's faults, raised inline: a [Fault.raise_fault] call would
+   cross into another module, an indirect call under [-opaque]. *)
+let out_of_fuel = Fault.Fault Fault.Fuel_exhausted
+let div_zero = Fault.Fault Fault.Division_by_zero
+let stack_overflow = Fault.Fault Fault.Stack_overflow
+
+let[@inline] charge s n =
+  let fuel = s.fuel - n in
+  s.fuel <- fuel;
+  if fuel < 0 then raise out_of_fuel
+
+(* A [Const] or [Local] operand's value. *)
+let[@inline] simple locals (e : Ir.expr) =
+  match e with
+  | Ir.Const n -> n
+  | Ir.Local slot -> Array.unsafe_get locals slot
+  | _ -> assert false
+
+let load_arr s arr idx =
+  if idx < 0 || idx >= s.arr_len.(arr) then
+    raise
+      (Fault.Fault (Fault.Out_of_bounds { access = Fault.Read; addr = idx }));
+  s.cells.(s.arr_base.(arr) + idx)
+
+let store_arr s arr idx v =
+  if idx < 0 || idx >= s.arr_len.(arr) then
+    raise
+      (Fault.Fault (Fault.Out_of_bounds { access = Fault.Write; addr = idx }));
+  let addr = s.arr_base.(arr) + idx in
+  if not s.arr_writable.(arr) then
+    raise (Fault.Fault (Fault.Protection { access = Fault.Write; addr }));
+  s.cells.(addr) <- v
 
 (* [Wordops.mask], as a constant the written-out word arithmetic below
    can fold: across modules, [-opaque] builds reach [Wordops] through
@@ -60,29 +121,28 @@ let arith kind op a b =
   | Ir.Kint, Ir.Add -> a + b
   | Ir.Kint, Ir.Sub -> a - b
   | Ir.Kint, Ir.Mul -> a * b
-  | Ir.Kint, Ir.Div ->
-      if b = 0 then Fault.raise_fault Fault.Division_by_zero else a / b
-  | Ir.Kint, Ir.Mod ->
-      if b = 0 then Fault.raise_fault Fault.Division_by_zero else a mod b
-  | Ir.Kint, Ir.Shl -> Wordops.int_shl a b
-  | Ir.Kint, Ir.Shr -> Wordops.int_shr a b
-  | Ir.Kint, Ir.Lshr -> Wordops.int_lshr a b
-  | Ir.Kint, Ir.Band -> a land b
-  | Ir.Kint, Ir.Bor -> a lor b
-  | Ir.Kint, Ir.Bxor -> a lxor b
+  | (Ir.Kint | Ir.Kword), (Ir.Div | Ir.Mod) when b = 0 -> raise div_zero
+  | (Ir.Kint | Ir.Kword), Ir.Div -> a / b
+  | (Ir.Kint | Ir.Kword), Ir.Mod -> a mod b
+  (* [Wordops]' int shifts: amounts modulo 64, 63 saturating. *)
+  | Ir.Kint, Ir.Shl ->
+      let n = b land 63 in
+      if n > 62 then 0 else a lsl n
+  | Ir.Kint, Ir.Shr ->
+      let n = b land 63 in
+      if n > 62 then a asr 62 else a asr n
+  | Ir.Kint, Ir.Lshr ->
+      let n = b land 63 in
+      if n > 62 then 0 else (a land max_int) lsr n
+  | (Ir.Kint | Ir.Kword), Ir.Band -> a land b
+  | (Ir.Kint | Ir.Kword), Ir.Bor -> a lor b
+  | (Ir.Kint | Ir.Kword), Ir.Bxor -> a lxor b
   (* Word arithmetic: [Wordops] semantics, written out. *)
   | Ir.Kword, Ir.Add -> (a + b) land word_mask
   | Ir.Kword, Ir.Sub -> (a - b) land word_mask
   | Ir.Kword, Ir.Mul -> a * b land word_mask
-  | Ir.Kword, Ir.Div ->
-      if b = 0 then Fault.raise_fault Fault.Division_by_zero else a / b
-  | Ir.Kword, Ir.Mod ->
-      if b = 0 then Fault.raise_fault Fault.Division_by_zero else a mod b
   | Ir.Kword, Ir.Shl -> (a lsl (b land 31)) land word_mask
   | Ir.Kword, (Ir.Shr | Ir.Lshr) -> a lsr (b land 31)
-  | Ir.Kword, Ir.Band -> a land b
-  | Ir.Kword, Ir.Bor -> a lor b
-  | Ir.Kword, Ir.Bxor -> a lxor b
 
 (* Typed operands: untyped, [<] would be OCaml's polymorphic compare,
    a C call per comparison. *)
@@ -98,177 +158,251 @@ let compare_vals cmp (a : int) (b : int) =
   in
   if r then 1 else 0
 
-(* A call's locals, arguments first. *)
-let frame (f : Ir.func) =
-  let n = f.Ir.nlocals in
-  Array.make (if n > 1 then n else 1) 0
+(* The staging area, grown to hold [n] arguments. *)
+let grow_stage s n =
+  let stage = Array.make (max 16 (2 * n)) 0 in
+  Array.blit s.stage 0 stage 0 s.top;
+  s.stage <- stage
 
-let rec eval st locals (e : Ir.expr) : int =
-  tick st;
+(* The frame slab at [depth], grown to hold [nlocals]. It is reused:
+   GEL locals are always written before read, so stale values are
+   invisible. *)
+let grow_slab s depth nlocals =
+  let slab = Array.make (max 8 nlocals) 0 in
+  s.slabs.(depth) <- slab;
+  slab
+
+(* The walk charges one unit per evaluated node, in order. Units that
+   follow one another with no effect and no other fault between them
+   are charged together, so fuel runs out at the same point, with the
+   same effects done, as if they were charged one by one; the walk
+   just writes [s.fuel] less often. [eval s owed locals e] charges the
+   [owed] units its caller left with [e]'s own first unit, and a
+   [Const] or [Local] operand is read in place, its unit owed on to
+   the next charge. *)
+let rec eval s owed locals (e : Ir.expr) : int =
   match e with
-  | Ir.Const n -> n
-  | Ir.Local slot -> Array.unsafe_get locals slot
+  | Ir.Const n ->
+      charge s (owed + 1);
+      n
+  | Ir.Local slot ->
+      charge s (owed + 1);
+      Array.unsafe_get locals slot
   | Ir.Global slot ->
-      (Memory.cells st.image.Link.mem).(st.image.Link.global_base + slot)
-  (* A [Const] or [Local] operand is read in place, charging the unit
-     its own [eval] would. *)
+      charge s (owed + 1);
+      s.cells.(s.global_base + slot)
   | Ir.Load (arr, idx) ->
       let i =
         match idx with
-        | Ir.Const n -> tick st; n
-        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
-        | _ -> eval st locals idx
+        | Ir.Const n -> charge s (owed + 2); n
+        | Ir.Local slot -> charge s (owed + 2); Array.unsafe_get locals slot
+        | _ -> eval s (owed + 1) locals idx
       in
-      load_arr st arr i
-  | Ir.Arith (kind, op, a, b) ->
-      let va =
-        match a with
-        | Ir.Const n -> tick st; n
-        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
-        | _ -> eval st locals a
-      in
-      let vb =
-        match b with
-        | Ir.Const n -> tick st; n
-        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
-        | _ -> eval st locals b
-      in
-      arith kind op va vb
-  | Ir.Cmp (cmp, a, b) ->
-      let va =
-        match a with
-        | Ir.Const n -> tick st; n
-        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
-        | _ -> eval st locals a
-      in
-      let vb =
-        match b with
-        | Ir.Const n -> tick st; n
-        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
-        | _ -> eval st locals b
-      in
-      compare_vals cmp va vb
-  | Ir.Not a -> if eval st locals a = 0 then 1 else 0
-  | Ir.Bnot (Ir.Kint, a) -> lnot (eval st locals a)
-  | Ir.Bnot (Ir.Kword, a) -> lnot (eval st locals a) land word_mask
-  | Ir.Neg (Ir.Kint, a) -> -eval st locals a
-  | Ir.Neg (Ir.Kword, a) -> -eval st locals a land word_mask
-  | Ir.And (a, b) -> if eval st locals a = 0 then 0 else eval st locals b
-  | Ir.Or (a, b) -> if eval st locals a <> 0 then 1 else eval st locals b
+      load_arr s arr i
+  | Ir.Arith (kind, op, a, b) -> (
+      match a with
+      | Ir.Const _ | Ir.Local _ ->
+          let va = simple locals a in
+          arith kind op va
+            (match b with
+            | Ir.Const n -> charge s (owed + 3); n
+            | Ir.Local slot -> charge s (owed + 3); Array.unsafe_get locals slot
+            | _ -> eval s (owed + 2) locals b)
+      | _ ->
+          let va = eval s (owed + 1) locals a in
+          arith kind op va
+            (match b with
+            | Ir.Const n -> charge s 1; n
+            | Ir.Local slot -> charge s 1; Array.unsafe_get locals slot
+            | _ -> eval s 0 locals b))
+  | Ir.Cmp (cmp, a, b) -> (
+      match a with
+      | Ir.Const _ | Ir.Local _ ->
+          let va = simple locals a in
+          compare_vals cmp va
+            (match b with
+            | Ir.Const n -> charge s (owed + 3); n
+            | Ir.Local slot -> charge s (owed + 3); Array.unsafe_get locals slot
+            | _ -> eval s (owed + 2) locals b)
+      | _ ->
+          let va = eval s (owed + 1) locals a in
+          compare_vals cmp va
+            (match b with
+            | Ir.Const n -> charge s 1; n
+            | Ir.Local slot -> charge s 1; Array.unsafe_get locals slot
+            | _ -> eval s 0 locals b))
+  | Ir.Not a -> if eval s (owed + 1) locals a = 0 then 1 else 0
+  | Ir.Bnot (Ir.Kint, a) -> lnot (eval s (owed + 1) locals a)
+  | Ir.Bnot (Ir.Kword, a) -> lnot (eval s (owed + 1) locals a) land word_mask
+  | Ir.Neg (Ir.Kint, a) -> -eval s (owed + 1) locals a
+  | Ir.Neg (Ir.Kword, a) -> -eval s (owed + 1) locals a land word_mask
+  | Ir.And (a, b) ->
+      if eval s (owed + 1) locals a = 0 then 0 else eval s 0 locals b
+  | Ir.Or (a, b) ->
+      if eval s (owed + 1) locals a <> 0 then 1 else eval s 0 locals b
   | Ir.Call (fidx, args) ->
-      let f = st.image.Link.prog.Ir.funcs.(fidx) in
-      let callee = frame f in
-      eval_into st locals args callee;
-      call st f callee
+      let f = s.funcs.(fidx) in
+      let base = s.top in
+      let owed = stage_args s (owed + 1) locals args base in
+      if owed > 0 then charge s owed;
+      call s f base (Array.length args)
   | Ir.CallExt (eidx, args) ->
-      let argv = Array.make (Array.length args) 0 in
-      eval_into st locals args argv;
-      st.image.Link.host.(eidx) argv
-  | Ir.ToWord a -> eval st locals a land word_mask
-  | Ir.ToBool a -> if eval st locals a = 0 then 0 else 1
+      let base = s.top in
+      let owed = stage_args s (owed + 1) locals args base in
+      if owed > 0 then charge s owed;
+      s.host.(eidx) (Array.sub s.stage base (Array.length args))
+  | Ir.ToWord a -> eval s (owed + 1) locals a land word_mask
+  | Ir.ToBool a -> if eval s (owed + 1) locals a = 0 then 0 else 1
 
-(* Arguments in order, left to right, into the first slots of [dst]. *)
-and eval_into st locals args dst =
-  for i = 0 to Array.length args - 1 do
+(* Arguments in order, left to right, onto the staging area from
+   [base]; the slots stay reserved while a later argument's own call
+   stages above them, and are free again on return. Returns the units
+   still owed after the last argument. *)
+and stage_args s owed locals args base =
+  let n = Array.length args in
+  let top = base + n in
+  if Array.length s.stage < top then grow_stage s top;
+  s.top <- top;
+  let owed = ref owed in
+  for i = 0 to n - 1 do
     let e = Array.unsafe_get args i in
     let v =
       match e with
-      | Ir.Const n -> tick st; n
-      | Ir.Local slot -> tick st; Array.unsafe_get locals slot
-      | _ -> eval st locals e
+      | Ir.Const n -> incr owed; n
+      | Ir.Local slot -> incr owed; Array.unsafe_get locals slot
+      | _ ->
+          let v = eval s !owed locals e in
+          owed := 0;
+          v
     in
-    dst.(i) <- v
-  done
+    (* Read [s.stage] after the argument: its call may have grown it. *)
+    s.stage.(base + i) <- v
+  done;
+  s.top <- base;
+  !owed
 
-and exec st locals (s : Ir.stmt) : flow =
-  match s with
-  | Ir.At (_, s) ->
+(* Every statement but [At] charges one unit before its parts. *)
+and exec s locals (st : Ir.stmt) : flow =
+  match st with
+  | Ir.At (_, st) ->
       (* Transparent: located IR must cost the same fuel as plain IR. *)
-      exec st locals s
-  | _ -> (
-      tick st;
-      match s with
-      | Ir.At (_, s) -> exec st locals s
-      | Ir.Set_local (slot, e) ->
-          Array.unsafe_set locals slot (eval st locals e);
+      exec s locals st
+  | Ir.Set_local (slot, e) ->
+      Array.unsafe_set locals slot (eval s 1 locals e);
+      Next
+  | Ir.Set_global (slot, e) ->
+      let v = eval s 1 locals e in
+      s.cells.(s.global_base + slot) <- v;
+      Next
+  | Ir.Store (arr, idx, v) -> (
+      match idx with
+      | Ir.Const _ | Ir.Local _ ->
+          let i = simple locals idx in
+          store_arr s arr i (eval s 2 locals v);
           Next
-      | Ir.Set_global (slot, e) ->
-          (Memory.cells st.image.Link.mem).(st.image.Link.global_base + slot) <-
-            eval st locals e;
-          Next
-      | Ir.Store (arr, idx, v) ->
-          let i = eval st locals idx in
-          let value = eval st locals v in
-          store_arr st arr i value;
-          Next
-      | Ir.If (cond, t, f) ->
-          if eval st locals cond <> 0 then exec_block st locals t
-          else exec_block st locals f
-      | Ir.While (cond, body, step) -> exec_while st locals cond body step
-      | Ir.Return None ->
-          st.ret <- 0;
-          Return
-      | Ir.Return (Some e) ->
-          st.ret <- eval st locals e;
-          Return
-      | Ir.Break -> Break
-      | Ir.Continue -> Continue
-      | Ir.Eval e ->
-          ignore (eval st locals e);
+      | _ ->
+          let i = eval s 1 locals idx in
+          store_arr s arr i (eval s 0 locals v);
           Next)
+  | Ir.If (cond, t, f) ->
+      if eval s 1 locals cond <> 0 then exec_block s locals t
+      else exec_block s locals f
+  | Ir.While (cond, body, step) -> exec_while s 1 locals cond body step
+  | Ir.Return None ->
+      charge s 1;
+      s.ret <- 0;
+      Return
+  | Ir.Return (Some e) ->
+      s.ret <- eval s 1 locals e;
+      Return
+  | Ir.Break ->
+      charge s 1;
+      Break
+  | Ir.Continue ->
+      charge s 1;
+      Continue
+  | Ir.Eval e ->
+      ignore (eval s 1 locals e);
+      Next
 
-and exec_block st locals = function
+and exec_block s locals = function
   | [] -> Next
-  | [ s ] -> exec st locals s
-  | s :: rest -> (
-      match exec st locals s with
-      | Next -> exec_block st locals rest
+  | [ st ] -> exec s locals st
+  | st :: rest -> (
+      match exec s locals st with
+      | Next -> exec_block s locals rest
       | flow -> flow)
 
 (* A [Break] in the body or the step ends this loop; a [Continue] in
    the body goes on to the step, and one in the step belongs to an
-   enclosing loop. *)
-and exec_while st locals cond body step =
-  if eval st locals cond = 0 then Next
+   enclosing loop. The first test follows the [While]'s own unit. *)
+and exec_while s owed locals cond body step =
+  if eval s owed locals cond = 0 then Next
   else
-    match exec_block st locals body with
+    match exec_block s locals body with
     | Break -> Next
     | Return -> Return
     | Next | Continue -> (
-        match exec_block st locals step with
-        | Next -> exec_while st locals cond body step
+        match exec_block s locals step with
+        | Next -> exec_while s 0 locals cond body step
         | Break -> Next
         | (Continue | Return) as flow -> flow)
 
-(* [locals] already holds the arguments. *)
-and call st (f : Ir.func) locals =
-  st.depth <- st.depth + 1;
-  if st.depth > max_depth then Fault.raise_fault Fault.Stack_overflow;
-  let result =
-    match exec_block st locals f.Ir.body with Return -> st.ret | _ -> 0
+(* [f]'s [n] arguments are staged from [base]: the depth check comes
+   after they are evaluated, then they move into the slab of the new
+   depth. *)
+and call s (f : Ir.func) base n =
+  let depth = s.depth + 1 in
+  s.depth <- depth;
+  if depth > max_depth then raise stack_overflow;
+  let slab = s.slabs.(depth) in
+  let locals =
+    if Array.length slab < f.Ir.nlocals then grow_slab s depth f.Ir.nlocals
+    else slab
   in
-  st.depth <- st.depth - 1;
+  let stage = s.stage in
+  for i = 0 to n - 1 do
+    locals.(i) <- stage.(base + i)
+  done;
+  let result =
+    match exec_block s locals f.Ir.body with Return -> s.ret | _ -> 0
+  in
+  s.depth <- depth - 1;
   result
 
-(** [run image ~entry ~args ~fuel] invokes [entry] with integer [args].
-    Returns the result, the fault that stopped the graft, or an error
-    for a bad entry point. Fuel is decremented once per IR node
+(** [run_session s ~entry ~args ~fuel] invokes [entry] with integer
+    [args]. Returns the result, the fault that stopped the graft, or an
+    error for a bad entry point. Fuel is decremented once per IR node
     evaluated; when it runs out the graft is aborted with
     [Fault.Fuel_exhausted]. *)
-let run image ~entry ~(args : int array) ~fuel :
+let run_session s ~entry ~(args : int array) ~fuel :
     (int, [ `Fault of Fault.t | `Bad_entry of string ]) result =
-  match Ir.find_func image.Link.prog entry with
+  match Ir.find_func s.image.Link.prog entry with
   | None -> Error (`Bad_entry (Printf.sprintf "no function named %s" entry))
   | Some fidx ->
-      let f = image.Link.prog.Ir.funcs.(fidx) in
-      if List.length f.Ir.fparams <> Array.length args then
+      let f = s.funcs.(fidx) in
+      let n = Array.length args in
+      if List.length f.Ir.fparams <> n then
         Error
           (`Bad_entry
             (Printf.sprintf "%s expects %d arguments, given %d" entry
-               (List.length f.Ir.fparams) (Array.length args)))
+               (List.length f.Ir.fparams) n))
       else begin
-        let st = { image; fuel; depth = 0; ret = 0 } in
-        let locals = frame f in
-        Array.blit args 0 locals 0 (Array.length args);
-        try Ok (call st f locals) with Fault.Fault f -> Error (`Fault f)
+        s.fuel <- fuel;
+        s.depth <- 0;
+        s.top <- 0;
+        if Array.length s.stage < n then grow_stage s n;
+        Array.blit args 0 s.stage 0 n;
+        let outcome =
+          try Ok (call s f 0 n) with Fault.Fault f -> Error (`Fault f)
+        in
+        (* On exhaustion [s.fuel] is negative: the whole budget went. *)
+        let used = if s.fuel > 0 then fuel - s.fuel else fuel in
+        Graft_metrics.inc (m_sessions ());
+        Graft_metrics.inc (m_fuel ()) ~by:used;
+        outcome
       end
+
+(** One-shot convenience; resident grafts should keep a session. *)
+let run image ~entry ~args ~fuel =
+  run_session (create_session image) ~entry ~args ~fuel

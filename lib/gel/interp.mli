@@ -5,12 +5,34 @@
     right (an AST-walking interpreter sits between a bytecode VM and a
     source-level interpreter in the paper's taxonomy). Every access is
     checked; fuel is decremented per evaluated node so runaway grafts
-    are preempted. Control flow is carried as a value, never as an
-    exception, and only a call allocates (the callee's locals). *)
+    are preempted (consecutive units with nothing observable between
+    them are charged together, which moves no fault). Control flow is
+    carried as a value, never as an exception. *)
 
-(** [run image ~entry ~args ~fuel] invokes [entry] with integer
+(** Call depth at which a further GEL call faults [Stack_overflow]. *)
+val max_depth : int
+
+(** A session holds the image's cells and array tables, one frame slab
+    per call depth and an argument staging area, so a resident graft's
+    GEL calls allocate nothing; slabs and staging grow on first use.
+    Sessions are single-threaded and reusable across runs, not
+    reentrant. *)
+type session
+
+val create_session : Link.image -> session
+
+(** [run_session s ~entry ~args ~fuel] invokes [entry] with integer
     [args]. Returns the result, the fault that stopped the graft, or an
-    error for a bad entry point. *)
+    error for a bad entry point. Each run counts once into the
+    [graftkit_vm_sessions] and [graftkit_vm_fuel] series, tier ["ast"]. *)
+val run_session :
+  session ->
+  entry:string ->
+  args:int array ->
+  fuel:int ->
+  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+
+(** One-shot convenience; resident grafts should keep a session. *)
 val run :
   Link.image ->
   entry:string ->
@@ -20,8 +42,8 @@ val run :
 
 (** Shared operator semantics, reused by the register VM's evaluator
     and the IR optimizer's folding so arithmetic cannot drift between
-    engines. [arith] writes the [Wordops] word semantics out and raises
-    [Graft_mem.Fault.Fault] on division by zero. *)
+    engines. [arith] writes the [Wordops] word and int-shift semantics
+    out and raises [Graft_mem.Fault.Fault] on division by zero. *)
 
 val arith : Ir.kind -> Ir.arith -> int -> int -> int
 

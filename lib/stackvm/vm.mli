@@ -2,7 +2,14 @@
     style of the 1995 Java VM the paper measured — switch dispatch over
     a bytecode array, an operand stack, per-call local frames, and a
     fuel counter decremented on every instruction so the kernel can
-    preempt runaway grafts. *)
+    preempt runaway grafts.
+
+    One tail-recursive dispatch function runs every tier's stack code;
+    its state ([fuel], the session, the frame's locals, [sp], [pc]) is
+    its arguments, so it stays in registers. An instruction that needs
+    a call (a [Call] that must grow a frame slab, [Callext], the map
+    opcodes) leaves the loop and is performed by a small outer loop; a
+    profiled session single-steps the same loop. *)
 
 val max_frames : int
 val stack_size : int
@@ -12,9 +19,10 @@ val stack_size : int
     are single-threaded and reusable across calls, not reentrant. *)
 type session
 
-(** [create_session ?profile p] — when [profile] is given, the
-    dispatch loop counts every executed opcode and each entry's fuel
-    into it (see {!Graft_trace.Opprof}). *)
+(** [create_session ?profile p] — when [profile] is given, every
+    executed opcode and each entry's fuel are counted into it (see
+    {!Graft_trace.Opprof}): the outer loop runs the dispatch loop one
+    instruction at a time and counts each opcode before it runs. *)
 val create_session : ?profile:Graft_trace.Opprof.t -> Program.t -> session
 
 val run_session :

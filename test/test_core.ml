@@ -333,11 +333,8 @@ let test_md5_runner_allocation () =
           (Technology.name tech) w jit)
     [
       Technology.Bytecode_vm; Technology.Safe_lang_static;
-      Technology.Bytecode_opt;
-    ];
-  let ast = entry_words Technology.Ast_interp in
-  if ast > 1000. then
-    Alcotest.failf "ast-interp: %.0f minor words per 160-byte op" ast
+      Technology.Bytecode_opt; Technology.Ast_interp;
+    ]
 
 (* ---------- logdisk runners across technologies ---------- *)
 

@@ -1414,6 +1414,216 @@ let test_loops_fuel_pin () =
   | Ok v -> check_int "nested loops value" 72_631 v
   | r -> Alcotest.failf "nested loops: %s" (show_tier r)
 
+(* ---------- the dispatch loop's exits and the stepped profile ---------- *)
+
+(* One program that leaves the loop every way it can: calls that grow a
+   frame slab ([small] is the first call at depth 1, then [wide]'s 11
+   locals outgrow that slab), a host call ([map_contains] is never
+   lowered to an opcode), array-map opcodes (unchecked on the static
+   tier, whose key is the loop counter in [0, 8)) and LRU-map opcodes,
+   beside plain and fused instructions. *)
+let exits_src =
+  "extern fn map_lookup(int, int) : int;\n\
+   extern fn map_update(int, int, int) : int;\n\
+   extern fn map_contains(int, int) : int;\n\
+   array a[8];\n\
+   fn small(x : int) : int { return x + 1; }\n\
+   fn wide(x : int) : int {\n\
+   var a0 = x + 1; var a1 = a0 * 3; var a2 = a1 - x; var a3 = a2 + a0;\n\
+   var a4 = a3 + 1; var a5 = a4 + a1; var a6 = a5 - 2; var a7 = a6 + a3;\n\
+   var a8 = a7 + a2; var a9 = a8 + x;\n\
+   return a9;\n\
+   }\n\
+   fn main(n : int) : int {\n\
+   var s = 0;\n\
+   for (var i = 0; i < 8; i = i + 1) {\n\
+   map_update(0, i, i * n);\n\
+   a[i] = map_lookup(0, i) + small(i);\n\
+   map_update(1, i + n, a[i]);\n\
+   s = s + map_lookup(1, i + n) + map_contains(0, i);\n\
+   }\n\
+   return s + wide(s);\n\
+   }"
+
+let exits_tiers =
+  [
+    ("bytecode-vm", fun ~maps i -> Stackvm.load_exn ~maps i);
+    ("bytecode-opt", fun ~maps i -> Stackvm.load_opt_exn ~maps i);
+    ("safe-lang-static", fun ~maps i -> Stackvm.load_static_exn ~maps i);
+  ]
+
+(* Fresh maps and a fresh image per run, since the program writes both. *)
+let exits_prog = lazy (compile_ok exits_src)
+
+let exits_image () =
+  let maps =
+    [|
+      Graft_kernel.Graftmap.create_array ~name:"exits-array" 8;
+      Graft_kernel.Graftmap.create_lru ~name:"exits-lru" 4;
+    |]
+  in
+  match
+    Link.link_fresh ~hosts:(Graft_core.Runners.map_hosts maps)
+      (Lazy.force exits_prog)
+  with
+  | Ok image -> (maps, image)
+  | Error msg -> Alcotest.failf "link error: %s" msg
+
+(* One run's outcome, the fuel the session charged to Graftmeter, the
+   final cells and the array map's contents. *)
+let run_exits ?profile ~load ~fuel () =
+  let maps, image = exits_image () in
+  let s = Vm.create_session ?profile (load ~maps image) in
+  let fuel_cell =
+    Graft_metrics.counter "graftkit_vm_fuel" [ ("tier", "interp") ]
+  in
+  let before = Graft_metrics.counter_value fuel_cell in
+  let r =
+    Graft_metrics.with_enabled true (fun () ->
+        Vm.run_session s ~entry:"main" ~args:[| 3 |] ~fuel)
+  in
+  ( r,
+    Graft_metrics.counter_value fuel_cell - before,
+    Array.copy (Memory.cells image.Link.mem),
+    Array.init 8 (Graft_kernel.Graftmap.lookup maps.(0)) )
+
+let test_loop_exits_every_budget () =
+  (* The program must really reach every exit on some tier. *)
+  let has name load pred =
+    let maps, image = exits_image () in
+    if not (Array.exists pred (load ~maps image).Program.code) then
+      Alcotest.failf "the program has no %s" name
+  in
+  let plain = List.assoc "bytecode-vm" exits_tiers
+  and opt = List.assoc "bytecode-opt" exits_tiers
+  and static_ = List.assoc "safe-lang-static" exits_tiers in
+  has "call" plain (function Opcode.Call _ -> true | _ -> false);
+  has "host call" plain (function Opcode.Callext _ -> true | _ -> false);
+  has "mlookup" plain (function Opcode.Mlookup _ -> true | _ -> false);
+  has "mupdate" plain (function Opcode.Mupdate _ -> true | _ -> false);
+  has "mlookup_u" static_ (function Opcode.Mlookup_u _ -> true | _ -> false);
+  has "mupdate_u" static_ (function Opcode.Mupdate_u _ -> true | _ -> false);
+  has "fused opcode" opt (fun op -> Opcode.width op > 1);
+  let _, finish, _, _ = run_exits ~load:plain ~fuel:1_000_000 () in
+  List.iter
+    (fun (name, load) ->
+      for fuel = 0 to finish + 1 do
+        let ((r, used, cells, _) as unprofiled) = run_exits ~load ~fuel () in
+        let pr = Graft_trace.Opprof.create ~names:Opcode.class_names in
+        let ((r', _, _, _) as profiled) =
+          run_exits ~profile:pr ~load ~fuel ()
+        in
+        if unprofiled <> profiled then
+          Alcotest.failf "%s at fuel %d: %s unprofiled, %s profiled" name fuel
+            (show_tier r) (show_tier r');
+        (* Each opcode's profile fuel is its whole width, so a budget
+           that runs out inside a fused opcode counts up to 3 units more
+           than it charged; everywhere else the two are equal. *)
+        let counted = Graft_trace.Opprof.total_fuel pr in
+        (match r with
+        | Error (`Fault Fault.Fuel_exhausted) ->
+            check_int
+              (Printf.sprintf "%s at fuel %d: used" name fuel)
+              fuel used;
+            if counted < used || counted > used + 3 then
+              Alcotest.failf "%s at fuel %d: profile counts %d fuel" name fuel
+                counted
+        | _ ->
+            check_int
+              (Printf.sprintf "%s at fuel %d: profile fuel" name fuel)
+              used counted);
+        (* The JIT's parity obligation: it runs the static tier's
+           program to the same outcome and memory at every budget. *)
+        if name = "safe-lang-static" then begin
+          let maps, image = exits_image () in
+          let j =
+            Graft_jit.Jit.run
+              (Graft_jit.Jit.load_exn ~maps image)
+              ~entry:"main" ~args:[| 3 |] ~fuel
+          in
+          if j <> r || Memory.cells image.Link.mem <> cells then
+            Alcotest.failf "jit at fuel %d: %s, static tier %s" fuel
+              (show_tier j) (show_tier r)
+        end
+      done)
+    exits_tiers
+
+(* The walker's session keeps its frame slabs and staging area across
+   runs, and a call's arguments are staged before its depth check, so a
+   session must fault [Stack_overflow] exactly where a one-shot run and
+   the stack VM do, including for recursion through call arguments. *)
+let depth_src =
+  "fn down(n : int) : int {\n\
+   if (n == 0) { return 0; }\n\
+   return 1 + down(n - 1);\n\
+   }\n\
+   fn add(a : int, b : int) : int { return a + b; }\n\
+   fn nest(n : int) : int {\n\
+   if (n == 0) { return 0; }\n\
+   return add(nest(n - 1), add(1, 0));\n\
+   }\n\
+   fn main(n : int) : int {\n\
+   return add(down(n), add(nest(add(n, 1)), down(add(1, add(n, 2)))));\n\
+   }"
+
+let test_walker_session_depths () =
+  let session = Interp.create_session (fresh_image depth_src) in
+  let vm = Vm.create_session (Stackvm.load_exn (fresh_image depth_src)) in
+  let check entry n expect =
+    let fuel = 1_000_000 in
+    let s = Interp.run_session session ~entry ~args:[| n |] ~fuel in
+    let once = Interp.run (fresh_image depth_src) ~entry ~args:[| n |] ~fuel in
+    let v = Vm.run_session vm ~entry ~args:[| n |] ~fuel in
+    let label = Printf.sprintf "%s(%d)" entry n in
+    if s <> once then
+      Alcotest.failf "%s: session %s, one-shot %s" label (show_tier s)
+        (show_tier once);
+    if s <> expect then
+      Alcotest.failf "%s: %s, expected %s" label (show_tier s)
+        (show_tier expect);
+    match (s, v) with
+    | Ok a, Ok b when a = b -> ()
+    | Error (`Fault a), Error (`Fault b) when a = b -> ()
+    | _ ->
+        Alcotest.failf "%s: walker %s, vm %s" label (show_tier s)
+          (show_tier v)
+  in
+  (* [down n] and [nest n] run n + 1 frames deep. *)
+  List.iter
+    (fun depth ->
+      let expect =
+        if depth <= Interp.max_depth then Ok (depth - 1)
+        else Error (`Fault Fault.Stack_overflow)
+      in
+      check "down" (depth - 1) expect;
+      check "nest" (depth - 1) expect)
+    [ Interp.max_depth - 1; Interp.max_depth; Interp.max_depth + 1 ];
+  (* Calls nested in call arguments, after the faults above. *)
+  check "main" 5 (Ok (5 + 6 + 8));
+  check "main" 0 (Ok (0 + 1 + 3));
+  (* Each run counts once, with the fuel it used, tier "ast". *)
+  let cell name = Graft_metrics.counter name [ ("tier", "ast") ] in
+  let count () =
+    ( Graft_metrics.counter_value (cell "graftkit_vm_sessions"),
+      Graft_metrics.counter_value (cell "graftkit_vm_fuel") )
+  in
+  let least = ref 0 in
+  while
+    Interp.run_session session ~entry:"main" ~args:[| 2 |] ~fuel:!least
+    |> Result.is_error
+  do
+    incr least
+  done;
+  let s0, f0 = count () in
+  Graft_metrics.with_enabled true (fun () ->
+      List.iter
+        (fun fuel ->
+          ignore (Interp.run_session session ~entry:"main" ~args:[| 2 |] ~fuel))
+        [ 1_000; 5 ]);
+  let s1, f1 = count () in
+  check_int "ast sessions counted" 2 (s1 - s0);
+  check_int "ast fuel counted" (!least + 5) (f1 - f0)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "graft_stackvm"
@@ -1509,6 +1719,13 @@ let () =
             test_control_flow_agrees;
           Alcotest.test_case "MD5 fuel pin" `Quick test_md5_fuel_pin;
           Alcotest.test_case "nested-loop fuel pin" `Quick test_loops_fuel_pin;
+          Alcotest.test_case "session depths and nested calls" `Quick
+            test_walker_session_depths;
+        ] );
+      ( "loop exits",
+        [
+          Alcotest.test_case "every exit at every budget, profiled or not"
+            `Quick test_loop_exits_every_budget;
         ] );
       ( "bounded",
         [

@@ -498,6 +498,30 @@ let test_opprof_tier_parity () =
   check_int "fuel accumulates" (2 * total1) (Opprof.total_fuel pr2);
   check_int "two runs recorded" 2 (Histo.count (Opprof.runs pr2))
 
+(* [graftkit profile] pinned byte for byte: the per-opcode counts of a
+   finished run, and of one that exhausts its fuel inside a fused
+   opcode, must not depend on how the dispatch loop takes its profile.
+   Regenerate only for an intended report change, with
+   [(graftkit profile examples/grafts/gcd.gel -e gcd -a 48 -a 36;
+     graftkit profile examples/grafts/gcd.gel -e gcd -a 48 -a 36
+       --fuel 20) > test/profile_expected.txt]. *)
+let test_profile_golden () =
+  let run extra =
+    let code, out =
+      Cli.graftkit
+        ([ "profile"; "../examples/grafts/gcd.gel"; "-e"; "gcd"; "-a"; "48";
+           "-a"; "36" ]
+        @ extra)
+    in
+    check_int "graftkit profile exit code" 0 code;
+    out
+  in
+  let expected =
+    In_channel.with_open_text "profile_expected.txt" In_channel.input_all
+  in
+  Alcotest.(check string) "graftkit profile matches committed golden" expected
+    (run [] ^ run [ "--fuel"; "20" ])
+
 (* ------------------------------------------------------------------ *)
 (* Manager disable leaves a trace and the kernel falls back.           *)
 (* ------------------------------------------------------------------ *)
@@ -587,6 +611,8 @@ let () =
       ( "opprof",
         [
           Alcotest.test_case "tier parity" `Quick test_opprof_tier_parity;
+          Alcotest.test_case "graftkit profile golden" `Quick
+            test_profile_golden;
         ] );
       ( "manager",
         [
