@@ -22,13 +22,7 @@
     array). Slabs and the staging area grow on first use, to the size
     the graft needs. The walk makes no call into another module: it
     raises its faults itself, reads the cells from the session and
-    writes the word operations out.
-
-    Fuel is still one unit per node, charged in walk order, but units
-    that follow one another with no effect or fault between them are
-    charged in one write of the session's counter, so every run stops
-    at the same point, with the same effects done, as one charging each
-    unit alone. *)
+    writes the word operations out. *)
 
 open Graft_mem
 
@@ -84,32 +78,25 @@ let out_of_fuel = Fault.Fault Fault.Fuel_exhausted
 let div_zero = Fault.Fault Fault.Division_by_zero
 let stack_overflow = Fault.Fault Fault.Stack_overflow
 
-let[@inline] charge s n =
-  let fuel = s.fuel - n in
-  s.fuel <- fuel;
+let[@inline] tick st =
+  let fuel = st.fuel - 1 in
+  st.fuel <- fuel;
   if fuel < 0 then raise out_of_fuel
 
-(* A [Const] or [Local] operand's value. *)
-let[@inline] simple locals (e : Ir.expr) =
-  match e with
-  | Ir.Const n -> n
-  | Ir.Local slot -> Array.unsafe_get locals slot
-  | _ -> assert false
-
-let load_arr s arr idx =
-  if idx < 0 || idx >= s.arr_len.(arr) then
+let load_arr st arr idx =
+  if idx < 0 || idx >= st.arr_len.(arr) then
     raise
       (Fault.Fault (Fault.Out_of_bounds { access = Fault.Read; addr = idx }));
-  s.cells.(s.arr_base.(arr) + idx)
+  st.cells.(st.arr_base.(arr) + idx)
 
-let store_arr s arr idx v =
-  if idx < 0 || idx >= s.arr_len.(arr) then
+let store_arr st arr idx v =
+  if idx < 0 || idx >= st.arr_len.(arr) then
     raise
       (Fault.Fault (Fault.Out_of_bounds { access = Fault.Write; addr = idx }));
-  let addr = s.arr_base.(arr) + idx in
-  if not s.arr_writable.(arr) then
+  let addr = st.arr_base.(arr) + idx in
+  if not st.arr_writable.(arr) then
     raise (Fault.Fault (Fault.Protection { access = Fault.Write; addr }));
-  s.cells.(addr) <- v
+  st.cells.(addr) <- v
 
 (* [Wordops.mask], as a constant the written-out word arithmetic below
    can fold: across modules, [-opaque] builds reach [Wordops] through
@@ -159,228 +146,206 @@ let compare_vals cmp (a : int) (b : int) =
   if r then 1 else 0
 
 (* The staging area, grown to hold [n] arguments. *)
-let grow_stage s n =
+let grow_stage st n =
   let stage = Array.make (max 16 (2 * n)) 0 in
-  Array.blit s.stage 0 stage 0 s.top;
-  s.stage <- stage
+  Array.blit st.stage 0 stage 0 st.top;
+  st.stage <- stage
 
 (* The frame slab at [depth], grown to hold [nlocals]. It is reused:
    GEL locals are always written before read, so stale values are
    invisible. *)
-let grow_slab s depth nlocals =
+let grow_slab st depth nlocals =
   let slab = Array.make (max 8 nlocals) 0 in
-  s.slabs.(depth) <- slab;
+  st.slabs.(depth) <- slab;
   slab
 
-(* The walk charges one unit per evaluated node, in order. Units that
-   follow one another with no effect and no other fault between them
-   are charged together, so fuel runs out at the same point, with the
-   same effects done, as if they were charged one by one; the walk
-   just writes [s.fuel] less often. [eval s owed locals e] charges the
-   [owed] units its caller left with [e]'s own first unit, and a
-   [Const] or [Local] operand is read in place, its unit owed on to
-   the next charge. *)
-let rec eval s owed locals (e : Ir.expr) : int =
+let rec eval st locals (e : Ir.expr) : int =
+  tick st;
   match e with
-  | Ir.Const n ->
-      charge s (owed + 1);
-      n
-  | Ir.Local slot ->
-      charge s (owed + 1);
-      Array.unsafe_get locals slot
-  | Ir.Global slot ->
-      charge s (owed + 1);
-      s.cells.(s.global_base + slot)
+  | Ir.Const n -> n
+  | Ir.Local slot -> Array.unsafe_get locals slot
+  | Ir.Global slot -> st.cells.(st.global_base + slot)
+  (* A [Const] or [Local] operand is read in place, charging the unit
+     its own [eval] would. *)
   | Ir.Load (arr, idx) ->
       let i =
         match idx with
-        | Ir.Const n -> charge s (owed + 2); n
-        | Ir.Local slot -> charge s (owed + 2); Array.unsafe_get locals slot
-        | _ -> eval s (owed + 1) locals idx
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals idx
       in
-      load_arr s arr i
-  | Ir.Arith (kind, op, a, b) -> (
-      match a with
-      | Ir.Const _ | Ir.Local _ ->
-          let va = simple locals a in
-          arith kind op va
-            (match b with
-            | Ir.Const n -> charge s (owed + 3); n
-            | Ir.Local slot -> charge s (owed + 3); Array.unsafe_get locals slot
-            | _ -> eval s (owed + 2) locals b)
-      | _ ->
-          let va = eval s (owed + 1) locals a in
-          arith kind op va
-            (match b with
-            | Ir.Const n -> charge s 1; n
-            | Ir.Local slot -> charge s 1; Array.unsafe_get locals slot
-            | _ -> eval s 0 locals b))
-  | Ir.Cmp (cmp, a, b) -> (
-      match a with
-      | Ir.Const _ | Ir.Local _ ->
-          let va = simple locals a in
-          compare_vals cmp va
-            (match b with
-            | Ir.Const n -> charge s (owed + 3); n
-            | Ir.Local slot -> charge s (owed + 3); Array.unsafe_get locals slot
-            | _ -> eval s (owed + 2) locals b)
-      | _ ->
-          let va = eval s (owed + 1) locals a in
-          compare_vals cmp va
-            (match b with
-            | Ir.Const n -> charge s 1; n
-            | Ir.Local slot -> charge s 1; Array.unsafe_get locals slot
-            | _ -> eval s 0 locals b))
-  | Ir.Not a -> if eval s (owed + 1) locals a = 0 then 1 else 0
-  | Ir.Bnot (Ir.Kint, a) -> lnot (eval s (owed + 1) locals a)
-  | Ir.Bnot (Ir.Kword, a) -> lnot (eval s (owed + 1) locals a) land word_mask
-  | Ir.Neg (Ir.Kint, a) -> -eval s (owed + 1) locals a
-  | Ir.Neg (Ir.Kword, a) -> -eval s (owed + 1) locals a land word_mask
-  | Ir.And (a, b) ->
-      if eval s (owed + 1) locals a = 0 then 0 else eval s 0 locals b
-  | Ir.Or (a, b) ->
-      if eval s (owed + 1) locals a <> 0 then 1 else eval s 0 locals b
+      load_arr st arr i
+  | Ir.Arith (kind, op, a, b) ->
+      let va =
+        match a with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals a
+      in
+      let vb =
+        match b with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals b
+      in
+      arith kind op va vb
+  | Ir.Cmp (cmp, a, b) ->
+      let va =
+        match a with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals a
+      in
+      let vb =
+        match b with
+        | Ir.Const n -> tick st; n
+        | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+        | _ -> eval st locals b
+      in
+      compare_vals cmp va vb
+  | Ir.Not a -> if eval st locals a = 0 then 1 else 0
+  | Ir.Bnot (Ir.Kint, a) -> lnot (eval st locals a)
+  | Ir.Bnot (Ir.Kword, a) -> lnot (eval st locals a) land word_mask
+  | Ir.Neg (Ir.Kint, a) -> -eval st locals a
+  | Ir.Neg (Ir.Kword, a) -> -eval st locals a land word_mask
+  | Ir.And (a, b) -> if eval st locals a = 0 then 0 else eval st locals b
+  | Ir.Or (a, b) -> if eval st locals a <> 0 then 1 else eval st locals b
   | Ir.Call (fidx, args) ->
-      let f = s.funcs.(fidx) in
-      let base = s.top in
-      let owed = stage_args s (owed + 1) locals args base in
-      if owed > 0 then charge s owed;
-      call s f base (Array.length args)
+      let f = st.funcs.(fidx) in
+      let base = st.top in
+      stage_args st locals args base;
+      call st f base (Array.length args)
   | Ir.CallExt (eidx, args) ->
-      let base = s.top in
-      let owed = stage_args s (owed + 1) locals args base in
-      if owed > 0 then charge s owed;
-      s.host.(eidx) (Array.sub s.stage base (Array.length args))
-  | Ir.ToWord a -> eval s (owed + 1) locals a land word_mask
-  | Ir.ToBool a -> if eval s (owed + 1) locals a = 0 then 0 else 1
+      let base = st.top in
+      stage_args st locals args base;
+      st.host.(eidx) (Array.sub st.stage base (Array.length args))
+  | Ir.ToWord a -> eval st locals a land word_mask
+  | Ir.ToBool a -> if eval st locals a = 0 then 0 else 1
 
 (* Arguments in order, left to right, onto the staging area from
    [base]; the slots stay reserved while a later argument's own call
-   stages above them, and are free again on return. Returns the units
-   still owed after the last argument. *)
-and stage_args s owed locals args base =
+   stages above them, and are free again on return. *)
+and stage_args st locals args base =
   let n = Array.length args in
   let top = base + n in
-  if Array.length s.stage < top then grow_stage s top;
-  s.top <- top;
-  let owed = ref owed in
+  if Array.length st.stage < top then grow_stage st top;
+  st.top <- top;
   for i = 0 to n - 1 do
     let e = Array.unsafe_get args i in
     let v =
       match e with
-      | Ir.Const n -> incr owed; n
-      | Ir.Local slot -> incr owed; Array.unsafe_get locals slot
-      | _ ->
-          let v = eval s !owed locals e in
-          owed := 0;
-          v
+      | Ir.Const n -> tick st; n
+      | Ir.Local slot -> tick st; Array.unsafe_get locals slot
+      | _ -> eval st locals e
     in
-    (* Read [s.stage] after the argument: its call may have grown it. *)
-    s.stage.(base + i) <- v
+    (* Read [st.stage] after the argument: its call may have grown it. *)
+    st.stage.(base + i) <- v
   done;
-  s.top <- base;
-  !owed
+  st.top <- base
 
-(* Every statement but [At] charges one unit before its parts. *)
-and exec s locals (st : Ir.stmt) : flow =
-  match st with
-  | Ir.At (_, st) ->
+(* Every statement but [At] charges one unit before its parts. The
+   charge is written in each arm, so a statement is dispatched once. *)
+and exec st locals (s : Ir.stmt) : flow =
+  match s with
+  | Ir.At (_, s) ->
       (* Transparent: located IR must cost the same fuel as plain IR. *)
-      exec s locals st
+      exec st locals s
   | Ir.Set_local (slot, e) ->
-      Array.unsafe_set locals slot (eval s 1 locals e);
+      tick st;
+      Array.unsafe_set locals slot (eval st locals e);
       Next
   | Ir.Set_global (slot, e) ->
-      let v = eval s 1 locals e in
-      s.cells.(s.global_base + slot) <- v;
+      tick st;
+      st.cells.(st.global_base + slot) <- eval st locals e;
       Next
-  | Ir.Store (arr, idx, v) -> (
-      match idx with
-      | Ir.Const _ | Ir.Local _ ->
-          let i = simple locals idx in
-          store_arr s arr i (eval s 2 locals v);
-          Next
-      | _ ->
-          let i = eval s 1 locals idx in
-          store_arr s arr i (eval s 0 locals v);
-          Next)
+  | Ir.Store (arr, idx, v) ->
+      tick st;
+      let i = eval st locals idx in
+      let value = eval st locals v in
+      store_arr st arr i value;
+      Next
   | Ir.If (cond, t, f) ->
-      if eval s 1 locals cond <> 0 then exec_block s locals t
-      else exec_block s locals f
-  | Ir.While (cond, body, step) -> exec_while s 1 locals cond body step
+      tick st;
+      if eval st locals cond <> 0 then exec_block st locals t
+      else exec_block st locals f
+  | Ir.While (cond, body, step) ->
+      tick st;
+      exec_while st locals cond body step
   | Ir.Return None ->
-      charge s 1;
-      s.ret <- 0;
+      tick st;
+      st.ret <- 0;
       Return
   | Ir.Return (Some e) ->
-      s.ret <- eval s 1 locals e;
+      tick st;
+      st.ret <- eval st locals e;
       Return
   | Ir.Break ->
-      charge s 1;
+      tick st;
       Break
   | Ir.Continue ->
-      charge s 1;
+      tick st;
       Continue
   | Ir.Eval e ->
-      ignore (eval s 1 locals e);
+      tick st;
+      ignore (eval st locals e);
       Next
 
-and exec_block s locals = function
+and exec_block st locals = function
   | [] -> Next
-  | [ st ] -> exec s locals st
-  | st :: rest -> (
-      match exec s locals st with
-      | Next -> exec_block s locals rest
+  | [ s ] -> exec st locals s
+  | s :: rest -> (
+      match exec st locals s with
+      | Next -> exec_block st locals rest
       | flow -> flow)
 
 (* A [Break] in the body or the step ends this loop; a [Continue] in
    the body goes on to the step, and one in the step belongs to an
-   enclosing loop. The first test follows the [While]'s own unit. *)
-and exec_while s owed locals cond body step =
-  if eval s owed locals cond = 0 then Next
+   enclosing loop. *)
+and exec_while st locals cond body step =
+  if eval st locals cond = 0 then Next
   else
-    match exec_block s locals body with
+    match exec_block st locals body with
     | Break -> Next
     | Return -> Return
     | Next | Continue -> (
-        match exec_block s locals step with
-        | Next -> exec_while s 0 locals cond body step
+        match exec_block st locals step with
+        | Next -> exec_while st locals cond body step
         | Break -> Next
         | (Continue | Return) as flow -> flow)
 
 (* [f]'s [n] arguments are staged from [base]: the depth check comes
    after they are evaluated, then they move into the slab of the new
    depth. *)
-and call s (f : Ir.func) base n =
-  let depth = s.depth + 1 in
-  s.depth <- depth;
+and call st (f : Ir.func) base n =
+  let depth = st.depth + 1 in
+  st.depth <- depth;
   if depth > max_depth then raise stack_overflow;
-  let slab = s.slabs.(depth) in
+  let slab = st.slabs.(depth) in
   let locals =
-    if Array.length slab < f.Ir.nlocals then grow_slab s depth f.Ir.nlocals
+    if Array.length slab < f.Ir.nlocals then grow_slab st depth f.Ir.nlocals
     else slab
   in
-  let stage = s.stage in
+  let stage = st.stage in
   for i = 0 to n - 1 do
     locals.(i) <- stage.(base + i)
   done;
   let result =
-    match exec_block s locals f.Ir.body with Return -> s.ret | _ -> 0
+    match exec_block st locals f.Ir.body with Return -> st.ret | _ -> 0
   in
-  s.depth <- depth - 1;
+  st.depth <- depth - 1;
   result
 
-(** [run_session s ~entry ~args ~fuel] invokes [entry] with integer
+(** [run_session st ~entry ~args ~fuel] invokes [entry] with integer
     [args]. Returns the result, the fault that stopped the graft, or an
     error for a bad entry point. Fuel is decremented once per IR node
     evaluated; when it runs out the graft is aborted with
     [Fault.Fuel_exhausted]. *)
-let run_session s ~entry ~(args : int array) ~fuel :
+let run_session st ~entry ~(args : int array) ~fuel :
     (int, [ `Fault of Fault.t | `Bad_entry of string ]) result =
-  match Ir.find_func s.image.Link.prog entry with
+  match Ir.find_func st.image.Link.prog entry with
   | None -> Error (`Bad_entry (Printf.sprintf "no function named %s" entry))
   | Some fidx ->
-      let f = s.funcs.(fidx) in
+      let f = st.funcs.(fidx) in
       let n = Array.length args in
       if List.length f.Ir.fparams <> n then
         Error
@@ -388,16 +353,16 @@ let run_session s ~entry ~(args : int array) ~fuel :
             (Printf.sprintf "%s expects %d arguments, given %d" entry
                (List.length f.Ir.fparams) n))
       else begin
-        s.fuel <- fuel;
-        s.depth <- 0;
-        s.top <- 0;
-        if Array.length s.stage < n then grow_stage s n;
-        Array.blit args 0 s.stage 0 n;
+        st.fuel <- fuel;
+        st.depth <- 0;
+        st.top <- 0;
+        if Array.length st.stage < n then grow_stage st n;
+        Array.blit args 0 st.stage 0 n;
         let outcome =
-          try Ok (call s f 0 n) with Fault.Fault f -> Error (`Fault f)
+          try Ok (call st f 0 n) with Fault.Fault f -> Error (`Fault f)
         in
-        (* On exhaustion [s.fuel] is negative: the whole budget went. *)
-        let used = if s.fuel > 0 then fuel - s.fuel else fuel in
+        (* On exhaustion [st.fuel] is negative: the whole budget went. *)
+        let used = if st.fuel > 0 then fuel - st.fuel else fuel in
         Graft_metrics.inc (m_sessions ());
         Graft_metrics.inc (m_fuel ()) ~by:used;
         outcome

@@ -5,9 +5,8 @@
     right (an AST-walking interpreter sits between a bytecode VM and a
     source-level interpreter in the paper's taxonomy). Every access is
     checked; fuel is decremented per evaluated node so runaway grafts
-    are preempted (consecutive units with nothing observable between
-    them are charged together, which moves no fault). Control flow is
-    carried as a value, never as an exception. *)
+    are preempted. Control flow is carried as a value, never as an
+    exception. *)
 
 (** Call depth at which a further GEL call faults [Stack_overflow]. *)
 val max_depth : int

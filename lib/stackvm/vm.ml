@@ -28,9 +28,11 @@
     What leaves the loop. An instruction that needs a call — a [Call]
     whose callee's frame slab must grow, [Callext], and the four map
     opcodes — stores [pc], [sp] and [fuel] in the session and returns;
-    an outer loop performs it and re-enters. A finished entry returns with
-    its result in the session. A fault raises inline, after storing
-    [fuel] in the session, where the used-fuel accounting reads it.
+    an outer loop performs it and re-enters. For a [Call] the outer loop
+    only grows the slab and re-enters at the [Call] itself, so the call
+    is made in one place. A finished entry returns with its result in
+    the session. A fault raises inline, after storing [fuel] in the
+    session, where the used-fuel accounting reads it.
 
     The opcode profile single-steps the same loop. [exec] leaves when
     its fuel falls below the session's floor: without a profile the
@@ -720,37 +722,41 @@ let enter s floor =
   exec s.fuel s s.frames.(s.depth - 1).locals s.sp s.pc
 
 (* The instruction [exec] left: the one before the stored [pc], its
-   head's fuel charged. [s.fuel] is current, so a fault raises plainly. *)
+   head's fuel charged. [s.fuel] is current, so a fault raises plainly.
+   Returns whether the instruction is done. A [Call] is not: [perform]
+   only grows the callee's frame slab, then sets [pc] back to the
+   [Call] and gives back its head's fuel, and [exec]'s own arm makes
+   the call when the loop re-enters. *)
 let perform s =
   let p = s.p in
   let stack = s.stack in
   let sp = s.sp in
   match p.Program.code.(s.pc - 1) with
   | Opcode.Call target ->
-      (* Grow the callee's frame slab, then call as [exec] would. *)
-      let f = p.Program.funcs.(target) in
-      let fr = s.frames.(s.depth) in
-      let locals = frame_locals fr f.Program.nlocals in
-      let t = sp - f.Program.nargs in
-      if t < 0 then raise underflow;
-      Array.blit stack t locals 0 f.Program.nargs;
-      fr.ret_pc <- s.pc;
-      s.depth <- s.depth + 1;
-      s.sp <- t;
-      s.pc <- f.Program.entry
+      ignore
+        (frame_locals s.frames.(s.depth)
+           p.Program.funcs.(target).Program.nlocals);
+      s.pc <- s.pc - 1;
+      s.fuel <- s.fuel + 1;
+      false
   | Opcode.Callext target ->
+      (* A host call with no arguments pushes onto [sp] itself, which
+         may be the top of the stack. *)
       let arity = p.Program.ext_arity.(target) in
       let t = sp - arity in
       if t < 0 then raise underflow;
       let v = p.Program.host.(target) (Array.sub stack t arity) in
+      if t >= stack_size then raise overflow;
       Array.unsafe_set stack t v;
-      s.sp <- t + 1
+      s.sp <- t + 1;
+      true
   | Opcode.Mlookup m ->
       let t = sp - 1 in
       if t < 0 then raise underflow;
       Array.unsafe_set stack t
         (Graft_kernel.Graftmap.lookup p.Program.maps.(m)
-           (Array.unsafe_get stack t))
+           (Array.unsafe_get stack t));
+      true
   | Opcode.Mupdate m ->
       let t = sp - 2 in
       if t < 0 then raise underflow;
@@ -758,13 +764,15 @@ let perform s =
         (Graft_kernel.Graftmap.update p.Program.maps.(m)
            (Array.unsafe_get stack t)
            (Array.unsafe_get stack (t + 1)));
-      s.sp <- t + 1
+      s.sp <- t + 1;
+      true
   | Opcode.Mlookup_u m ->
       let t = sp - 1 in
       if t < 0 then raise underflow;
       Array.unsafe_set stack t
         (Graft_kernel.Graftmap.unsafe_get p.Program.maps.(m)
-           (Array.unsafe_get stack t))
+           (Array.unsafe_get stack t));
+      true
   | Opcode.Mupdate_u m ->
       let t = sp - 2 in
       if t < 0 then raise underflow;
@@ -772,31 +780,31 @@ let perform s =
         (Array.unsafe_get stack t)
         (Array.unsafe_get stack (t + 1));
       Array.unsafe_set stack t 1;
-      s.sp <- t + 1
+      s.sp <- t + 1;
+      true
   | _ -> assert false
 
 (* The outer loop without a profile: the floor is 0, so [exec] leaves
    only to finish or for [perform]. *)
 let rec drive s =
   if enter s 0 <> exit_done then begin
-    perform s;
+    ignore (perform s);
     drive s
   end
 
 (* With one: each instruction whose head's fuel is there is counted,
-   then run as one step of the same loop. At 0 fuel the entry faults
+   then run as one step of the same loop; a [Call] that [perform] sent
+   back to [exec] was counted already. At 0 fuel the entry faults
    uncounted, as the instruction's own fuel check would. *)
-let rec step s pr =
+let rec step s pr ~count =
   let fuel = s.fuel in
-  if fuel > 0 then begin
+  if count && fuel > 0 then begin
     let instr = s.code.(s.pc) in
     Graft_trace.Opprof.hit pr (Opcode.index instr) (Opcode.width instr)
   end;
   let exit = enter s (if fuel > 0 then fuel - 1 else 0) in
-  if exit <> exit_done then begin
-    if exit = exit_instr then perform s;
-    step s pr
-  end
+  if exit = exit_step then step s pr ~count:true
+  else if exit = exit_instr then step s pr ~count:(perform s)
 
 let run_session (s : session) ~entry ~(args : int array) ~fuel :
     (int, [ `Fault of Fault.t | `Bad_entry of string ]) result =
@@ -827,7 +835,9 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
       let tok = Graft_trace.Trace.hot_begin () in
       let outcome =
         try
-          (match s.prof with None -> drive s | Some pr -> step s pr);
+          (match s.prof with
+          | None -> drive s
+          | Some pr -> step s pr ~count:true);
           Ok s.result
         with Fault.Fault f ->
           Graft_trace.Trace.instant Graft_trace.Trace.Vm_stack

@@ -7,9 +7,10 @@
     One tail-recursive dispatch function runs every tier's stack code;
     its state ([fuel], the session, the frame's locals, [sp], [pc]) is
     its arguments, so it stays in registers. An instruction that needs
-    a call (a [Call] that must grow a frame slab, [Callext], the map
-    opcodes) leaves the loop and is performed by a small outer loop; a
-    profiled session single-steps the same loop. *)
+    a call ([Callext], the map opcodes) leaves the loop and is
+    performed by a small outer loop, which also grows a frame slab too
+    small for a [Call] and re-enters at that [Call]; a profiled session
+    single-steps the same loop. *)
 
 val max_frames : int
 val stack_size : int

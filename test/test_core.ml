@@ -311,10 +311,10 @@ let minor_words f =
   f ();
   Gc.minor_words () -. w0
 
-(* The interpreted loops keep their dispatch state in locals no closure
-   captures, so a resident entry allocates no more than a JIT entry;
-   the AST walker allocates one locals array per call and nothing per
-   node or per loop iteration (about 640 words on a 160-byte op). *)
+(* A resident entry of every interpreted tier allocates no more than a
+   JIT entry: the stack tiers keep their frames in the session, and the
+   AST walker keeps its frame slabs and staged call arguments in its
+   session too, so neither allocates per call, node or loop iteration. *)
 let test_md5_runner_allocation () =
   let data = Prng.bytes (Prng.create 0x3D8L) 160 in
   let entry_words tech =

@@ -1548,6 +1548,38 @@ let test_loop_exits_every_budget () =
       done)
     exits_tiers
 
+(* A host call with no arguments pushes its result where the stack's
+   top is, so it must check for overflow as every push does. [fill]
+   runs [Vm.max_frames] frames deep, each above the leaf holding 16
+   pending operands while it calls, and the leaf [leaf] more before its
+   host call: at 16 the host call finds all [Vm.stack_size] slots
+   full, and at 15 one is left. *)
+let stack_top_src leaf =
+  let nest n = String.concat "" (List.init n (fun _ -> "1 + (")) in
+  Printf.sprintf
+    "extern fn ticks() : int;\n\
+     fn fill(n : int) : int {\n\
+     if (n == 0) { return %sticks()%s; }\n\
+     return %sfill(n - 1)%s;\n\
+     }"
+    (nest leaf) (String.make leaf ')') (nest 16) (String.make 16 ')')
+
+let test_host_call_at_stack_top () =
+  let hosts = [ { Link.hname = "ticks"; hfn = (fun _ -> 0) } ] in
+  List.iter
+    (fun (name, load) ->
+      let run leaf =
+        let p = load ~maps:[||] (fresh_image ~hosts (stack_top_src leaf)) in
+        Vm.run p ~entry:"fill" ~args:[| Vm.max_frames - 1 |] ~fuel:1_000_000
+      in
+      (match run 15 with
+      | Ok v -> check_int (name ^ ": one slot left") (Vm.stack_size - 1) v
+      | r -> Alcotest.failf "%s, one slot left: %s" name (show_tier r));
+      match run 16 with
+      | Error (`Fault Fault.Stack_overflow) -> ()
+      | r -> Alcotest.failf "%s, stack full: %s" name (show_tier r))
+    exits_tiers
+
 (* The walker's session keeps its frame slabs and staging area across
    runs, and a call's arguments are staged before its depth check, so a
    session must fault [Stack_overflow] exactly where a one-shot run and
@@ -1726,6 +1758,8 @@ let () =
         [
           Alcotest.test_case "every exit at every budget, profiled or not"
             `Quick test_loop_exits_every_budget;
+          Alcotest.test_case "host call at the stack's top" `Quick
+            test_host_call_at_stack_top;
         ] );
       ( "bounded",
         [
