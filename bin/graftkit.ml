@@ -701,7 +701,7 @@ let jit_dump_cmd =
     | Ok t ->
         let elided, total = Graft_jit.Jit.elision_stats t in
         Printf.printf
-          "-- Graftjit plan (%d of %d checks elided at compile time) --\n"
+          "-- Graftjit plan (%d of %d checks elided at load time) --\n"
           elided total;
         print_string (Graft_jit.Jit.describe t)
   in
@@ -709,8 +709,8 @@ let jit_dump_cmd =
     (Cmd.info "dump"
        ~doc:"Print the closure-threaded compilation plan: basic blocks, \
              entry stack heights, the per-instruction closure listing, and \
-             which bounds/divisor checks the verifier's interval proofs \
-             allowed the compiler to elide")
+             which bounds/divisor checks the verifier's interval analysis \
+             elided")
     Term.(const run $ file)
 
 let jit_cmd =

@@ -1,35 +1,21 @@
-(** Flow-sensitive abstract interpretation over GEL IR.
+(** Flow-sensitive abstract interpretation over GEL IR: the engine
+    behind [graftkit check].
 
-    One engine, two front doors:
-
-    - {!facts_for_image} computes, for every bounds-checked access and
-      every division in a linked program, whether the access is
-      provably safe, together with the interval that proves it. The
-      stack-VM compiler consumes these facts (in exactly the compiler's
-      emission order) to elide run-time checks; the claimed intervals
-      travel with the object code as a proof manifest that the
-      load-time verifier re-checks independently.
-    - {!check} runs the same engine over located IR
-      ([Typecheck.check_program_located]) and reports provable
-      out-of-bounds accesses, guaranteed division by zero, unreachable
-      code, and unused locals/functions as source-anchored diagnostics.
+    {!check} runs over located IR ([Typecheck.check_program_located])
+    and reports provable out-of-bounds accesses, guaranteed division by
+    zero, unreachable code, and unused locals/functions as
+    source-anchored diagnostics. It decides no check elision: the
+    static tier's elisions come from the stack verifier's own interval
+    analysis over the compiled bytecode ([Graft_stackvm.Verify.elide]),
+    so nothing here is trusted by a loader.
 
     The domain is {!Interval}; loops run to a fixpoint with widening at
     the loop head, and comparison guards refine the interval of a local
-    on both branch edges. Globals and array contents are deliberately
-    untracked (always top): the bytecode-level re-verifier cannot
-    recover types for them, and keeping the two passes equally precise
-    is what makes compile-time elision verifiable at load time. *)
+    on both branch edges. Globals and array contents are untracked
+    (always top), as in the bytecode verifier. *)
 
 open Graft_gel
 module I = Interval
-
-(** One fact per access/division site, in the stack-VM compiler's
-    emission order: [Load] sites after their subscript subtree, [Store]
-    sites after subscript and value, division sites after both
-    operands; [If] emits condition/then/else, [While] emits
-    condition/body/step once each. *)
-type fact = { safe : bool; claim : I.t }
 
 type diag = { dpos : Srcloc.pos; dkind : string; dmsg : string }
 
@@ -65,27 +51,19 @@ type loop_frame = { mutable brk : state; mutable cont : state }
 type ctx = {
   prog : Ir.program;
   lens : int array;  (** index bound per array *)
-  writable : bool array;
-  maps : Helpers.map_meta array option;
-      (** when present, lowerable map-helper calls emit key facts *)
-  diagnose : bool;
   mutable recording : bool;
-      (** facts/diags are emitted only in the recording pass; loop
+      (** diagnostics are emitted only in the recording pass; loop
           fixpoint iterations run silent *)
-  mutable facts_rev : fact list;
   mutable loops : loop_frame list;
   mutable pos : Srcloc.pos;  (** nearest enclosing [Ir.At] *)
   mutable diags_rev : diag list;
   mutable report_dead : bool;
 }
 
-let emit_fact ctx safe claim =
-  if ctx.recording then ctx.facts_rev <- { safe; claim } :: ctx.facts_rev
-
 let emit_diag ctx kind fmt =
   Printf.ksprintf
     (fun msg ->
-      if ctx.recording && ctx.diagnose then
+      if ctx.recording then
         ctx.diags_rev <- { dpos = ctx.pos; dkind = kind; dmsg = msg } :: ctx.diags_rev)
     fmt
 
@@ -94,11 +72,10 @@ let emit_diag ctx kind fmt =
 (* ------------------------------------------------------------------ *)
 
 (* Assume [e] evaluates to [truth] and narrow the state accordingly.
-   Only [Local]-vs-[Local]/[Const] comparison shapes (and their
-   [&&]/[||]/[!] compositions) refine — exactly the shapes the
-   bytecode-level re-verifier can recognize from operand provenance,
-   which keeps compile-time facts re-derivable at load time. Returns
-   [None] when the guard cannot evaluate to [truth]. *)
+   Only [Local]-vs-[Local]/[Const] comparison shapes (and their [!]
+   compositions) refine — the shapes the bytecode verifier recognizes
+   from operand provenance. Returns [None] when the guard cannot
+   evaluate to [truth]. *)
 let rec refine ctx (st : state) (e : Ir.expr) (truth : bool) : state =
   match st with
   | None -> None
@@ -131,20 +108,20 @@ let rec refine ctx (st : state) (e : Ir.expr) (truth : bool) : state =
       | Ir.Const n -> if (n <> 0) = truth then st else None
       | Ir.Not e -> refine ctx st e (not truth)
       | Ir.And _ | Ir.Or _ ->
-          (* No refinement through short-circuit operators: their
-             compiled form joins the short-circuit path back in before
-             the branch, so the bytecode verifier cannot re-derive a
-             narrowing that escapes the operator — and a fact the
-             verifier cannot re-derive would reject the program. The
-             right-hand side is still evaluated under the left-hand
-             refinement (see [eval]), which the verifier does see as a
-             branch edge. *)
+          (* No refinement through short-circuit operators, as in the
+             bytecode verifier, whose compiled [&&]/[||] joins the
+             short-circuit path back in before the branch. Nothing
+             here feeds an elision, but the rule decides which accesses
+             [graftkit check] proves out of bounds and which code it
+             reports unreachable, so refining here would change its
+             diagnostics. The right-hand side is still evaluated under
+             the left-hand refinement (see [eval]). *)
           st
       | _ -> st)
 
 (* After a checked access [a[l]] succeeds, local [l] is known to be a
-   valid index. The stack-VM verifier applies the same narrowing from
-   operand provenance, so facts that rely on it re-verify. *)
+   valid index, the same narrowing the stack-VM verifier applies from
+   operand provenance. *)
 let post_refine ctx (st : state) (idx : Ir.expr) arr =
   match (st, idx) with
   | Some locals, Ir.Local n ->
@@ -152,7 +129,7 @@ let post_refine ctx (st : state) (idx : Ir.expr) arr =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation (emits facts at access/division sites).       *)
+(* Expression evaluation (diagnoses access and division sites).        *)
 (* ------------------------------------------------------------------ *)
 
 let dead st = st = None
@@ -164,18 +141,15 @@ let rec eval ctx (st : state) (e : Ir.expr) : I.t =
   | Ir.Global _ -> if dead st then I.bot else I.top
   | Ir.Load (arr, idx) ->
       let iv = eval ctx st idx in
-      access_site ctx st arr iv ~store:false;
+      access_site ctx st arr iv;
       post_refine ctx st idx arr;
       if dead st then I.bot else I.top
   | Ir.Arith (kind, op, a, b) ->
       let ia = eval ctx st a in
       let ib = eval ctx st b in
       (match op with
-      | Ir.Div | Ir.Mod ->
-          let ok = (not (dead st)) && (not (I.is_bot ib)) && not (I.contains ib 0) in
-          emit_fact ctx ok ib;
-          if (not (dead st)) && I.equal ib (I.const 0) then
-            emit_diag ctx "divzero" "division by zero: the divisor is always 0"
+      | (Ir.Div | Ir.Mod) when (not (dead st)) && I.equal ib (I.const 0) ->
+          emit_diag ctx "divzero" "division by zero: the divisor is always 0"
       | _ -> ());
       I.arith kind op ia ib
   | Ir.Cmp (_, a, b) ->
@@ -200,58 +174,17 @@ let rec eval ctx (st : state) (e : Ir.expr) : I.t =
       let stb = refine ctx (copy st) a false in
       ignore (eval ctx stb b);
       if dead st then I.bot else I.bool_result
-  | Ir.Call (_, args) ->
+  | Ir.Call (_, args) | Ir.CallExt (_, args) ->
       Array.iter (fun a -> ignore (eval ctx st a)) args;
-      if dead st then I.bot else I.top
-  | Ir.CallExt (eidx, args) ->
-      (* Lowerable map-helper calls follow the stack-VM compiler's
-         lowered emission: key subtree (and value, for updates), then
-         the map opcode's fact. [site_of_callext] is the same
-         predicate the compiler consults, so the fact stream stays in
-         sync with emission by construction. *)
-      (match
-         Option.map
-           (fun metas ->
-             (metas, Helpers.site_of_callext ctx.prog.Ir.externs eidx args))
-           ctx.maps
-       with
-      | Some (metas, Some (Helpers.Lookup m)) ->
-          let ivk = eval ctx st args.(1) in
-          map_site ctx st metas m ivk
-      | Some (metas, Some (Helpers.Update m)) ->
-          let ivk = eval ctx st args.(1) in
-          ignore (eval ctx st args.(2));
-          map_site ctx st metas m ivk
-      | _ -> Array.iter (fun a -> ignore (eval ctx st a)) args);
       if dead st then I.bot else I.top
   | Ir.ToWord a -> I.to_word (eval ctx st a)
   | Ir.ToBool a ->
       ignore (eval ctx st a);
       if dead st then I.bot else I.bool_result
 
-(* A map key is provably safe only on an array map with the key's
-   interval inside [0, max_entries). Hash kinds never elide: any int is
-   a legal hash key, the probe *is* the check. *)
-and map_site ctx st metas m iv =
-  let ok =
-    (not (dead st))
-    && (not (I.is_bot iv))
-    && m < Array.length metas
-    && metas.(m).Helpers.mm_array
-    && I.leq iv (I.range 0 (metas.(m).Helpers.mm_max - 1))
-  in
-  emit_fact ctx ok iv
-
-and access_site ctx st arr iv ~store =
+and access_site ctx st arr iv =
   let len = ctx.lens.(arr) in
   let legal = I.range 0 (len - 1) in
-  let ok =
-    (not (dead st))
-    && (not (I.is_bot iv))
-    && I.leq iv legal
-    && ((not store) || ctx.writable.(arr))
-  in
-  emit_fact ctx ok iv;
   if (not (dead st)) && (not (I.is_bot iv)) && I.is_bot (I.meet iv legal) then
     emit_diag ctx "oob"
       "index of array '%s' is provably out of bounds: %s is outside [0,%d]"
@@ -278,7 +211,7 @@ let rec exec ctx (st : state) (s : Ir.stmt) : state =
   | Ir.Store (arr, idx, v) ->
       let ii = eval ctx st idx in
       ignore (eval ctx st v);
-      access_site ctx st arr ii ~store:true;
+      access_site ctx st arr ii;
       post_refine ctx st idx arr;
       st
   | Ir.If (cond, t, f) ->
@@ -313,7 +246,7 @@ and exec_block ctx st stmts =
       (if !st <> None then ctx.report_dead <- true
        else if ctx.report_dead then begin
          ctx.report_dead <- false;
-         if ctx.recording && ctx.diagnose then begin
+         if ctx.recording then begin
            let p = pos_of_stmt ctx s in
            let saved = ctx.pos in
            ctx.pos <- p;
@@ -364,18 +297,14 @@ and exec_while ctx st cond body step =
   exit_st
 
 (* ------------------------------------------------------------------ *)
-(* Entry points.                                                       *)
+(* Diagnostics front-end.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let make_ctx ?maps prog ~lens ~writable ~diagnose =
+let make_ctx prog ~lens =
   {
     prog;
     lens;
-    writable;
-    maps;
-    diagnose;
     recording = true;
-    facts_rev = [];
     loops = [];
     pos = Srcloc.pos0;
     diags_rev = [];
@@ -386,22 +315,6 @@ let analyze_func ctx (f : Ir.func) =
   ctx.report_dead <- true;
   let locals = Array.make (max 1 f.Ir.nlocals) I.top in
   ignore (exec_block ctx (Some locals) f.Ir.body)
-
-(** Facts for every function of a linked program, flattened in function
-    order — the same order the stack-VM compiler walks. [arr_len] and
-    [arr_writable] come from the link ([Link.image]), so shared-window
-    sizes and write permissions are the real ones. *)
-let facts_for_image ?(maps : Helpers.map_meta array option) (prog : Ir.program)
-    ~(arr_len : int array) ~(arr_writable : bool array) : fact array =
-  let ctx =
-    make_ctx ?maps prog ~lens:arr_len ~writable:arr_writable ~diagnose:false
-  in
-  Array.iter (analyze_func ctx) prog.Ir.funcs;
-  Array.of_list (List.rev ctx.facts_rev)
-
-(* ------------------------------------------------------------------ *)
-(* Diagnostics front-end.                                              *)
-(* ------------------------------------------------------------------ *)
 
 let rec expr_reads acc (e : Ir.expr) =
   match e with
@@ -467,15 +380,13 @@ let rec stmt_calls acc (s : Ir.stmt) =
 
 (** Run the diagnostics pass over a located program
     ([Typecheck.check_program_located] output). Array bounds come from
-    the declarations; shared windows are assumed writable (the linker
-    decides that per image). [entries], when given, names the graft's
+    the declarations. [entries], when given, names the graft's
     entry points and enables the unused-function check (reachability
     over the call graph from those roots). *)
 let check ?entries (prog : Ir.program) (meta : Typecheck.program_meta) :
     diag list =
   let lens = Array.map (fun (a : Ir.arr) -> a.Ir.asize) prog.Ir.arrays in
-  let writable = Array.map (fun _ -> true) prog.Ir.arrays in
-  let ctx = make_ctx prog ~lens ~writable ~diagnose:true in
+  let ctx = make_ctx prog ~lens in
   Array.iteri
     (fun i (f : Ir.func) ->
       ctx.pos <- meta.Typecheck.fmeta.(i).Typecheck.mfpos;

@@ -70,9 +70,8 @@ let check_externs (prog : Ir.program) : (unit, string) result =
     stay host calls — correct, just not check-elidable.) *)
 type site = Lookup of int | Update of int
 
-(** Shared predicate: the analyser and the stack-VM compiler both ask
-    this exact question at every [CallExt], which keeps the fact
-    stream and the emission stream in sync by construction. *)
+(** The one predicate for a lowerable helper call: the stack-VM
+    compiler asks it at every [CallExt]. *)
 let site_of_callext (externs : Ir.ext array) eidx (args : Ir.expr array) :
     site option =
   if eidx < 0 || eidx >= Array.length externs then None
@@ -81,10 +80,3 @@ let site_of_callext (externs : Ir.ext array) eidx (args : Ir.expr array) :
     | "map_lookup", [| Ir.Const m; _ |] when m >= 0 -> Some (Lookup m)
     | "map_update", [| Ir.Const m; _; _ |] when m >= 0 -> Some (Update m)
     | _ -> None
-
-(** What the analyser needs to know about a map to judge a key
-    in-bounds: array maps with a known capacity admit elision, hash
-    kinds never do (any int is a legal hash key, so there is nothing
-    to elide — the "check" is the hash probe itself). Kept as plain
-    data so the analysis layer stays independent of the kernel. *)
-type map_meta = { mm_array : bool; mm_max : int }

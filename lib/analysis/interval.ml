@@ -284,11 +284,11 @@ let arith kind op i1 i2 =
   | Ir.Kint, Ir.Sub -> sub i1 i2
   | Ir.Kint, Ir.Mul -> mul i1 i2
   (* Kind-independent on purpose: these five lower to kind-erased
-     opcodes (Div, Mod, Band, Bor, Bxor), so the bytecode re-verifier
-     cannot tell word from int at these sites. Using one transfer on
-     both sides keeps compile-time claims re-derivable at load time;
-     it is sound for word operands because they are already masked,
-     so the int rules contain the (no-op) masked results. *)
+     opcodes (Div, Mod, Band, Bor, Bxor), so the bytecode verifier
+     cannot tell word from int at these sites, and every analysis uses
+     the one transfer for both kinds. It is sound for word operands
+     because they are already masked, so the int rules contain the
+     (no-op) masked results. *)
   | _, Ir.Div -> div i1 i2
   | _, Ir.Mod -> rem i1 i2
   | _, Ir.Band -> band i1 i2

@@ -21,11 +21,11 @@ type t =
           fusion, run on the stack VM's one dispatch loop — a stand-in
           for the JIT column the paper projects for Java *)
   | Safe_lang_static
-      (** the statically-checked tier: abstract interpretation over the
-          IR proves bounds and divisors, the bytecode carries the
-          proofs, and the load-time verifier re-derives them before
-          admitting the unchecked opcodes — the compile-time half of
-          the paper's Modula-3 safety story *)
+      (** the statically-checked tier: the load-time verifier's
+          interval analysis proves bounds and divisors over the
+          compiled bytecode and swaps each proven site to an unchecked
+          opcode carrying its proof — the static-check half of the
+          paper's Modula-3 safety story *)
   | Jit
       (** Graftjit: the statically-checked bytecode compiled to
           closure-threaded native code at load time — the measured

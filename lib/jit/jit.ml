@@ -1,15 +1,15 @@
 (** Graftjit: a closure-threaded native tier for the stack bytecode VM
     — the measured stand-in for the paper's "Java + JIT" column.
 
-    [load] runs the statically-checked loader pipeline (Graftcheck's
-    interval analysis elides provably safe bounds and divisor checks;
-    the load-time verifier re-derives every elision), then partitions
-    the verified bytecode into basic blocks. [create_session] compiles
-    each block to one pre-specialized OCaml closure over the session's
-    register file: every operand-stack slot becomes a compile-time
-    constant offset from the frame base (the verifier's pass-1 dataflow
-    proves each pc has a single stack height, so slot addresses are
-    static), opcode dispatch and operand decoding disappear entirely,
+    [load] runs the statically-checked loader pipeline (the load-time
+    verifier's interval analysis elides provably safe bounds and
+    divisor checks), then partitions the verified bytecode into basic
+    blocks. [create_session] compiles each block to one
+    pre-specialized OCaml closure over the session's register file:
+    every operand-stack slot becomes a compile-time constant offset
+    from the frame base (the verifier's pass-1 dataflow proves each pc
+    has a single stack height, so slot addresses are static), opcode
+    dispatch and operand decoding disappear entirely,
     and control transfers by returning the successor's index into a
     block array — a direct threaded jump rather than a [match] on
     opcodes.
@@ -154,9 +154,9 @@ let build_plan (prog : Program.t) : plan =
 (* Loading.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** The static-tier loader pipeline (interval analysis, elided checks,
-    verifier re-derivation) followed by block planning. With [maps],
-    lowerable helper calls compile to map opcodes over those kernel
+(** The static-tier loader pipeline (compile fully checked, then
+    {!Graft_stackvm.Verify.elide}) followed by block planning. With
+    [maps], lowerable helper calls compile to map opcodes over those kernel
     objects; with [bounded:true] every loop needs a re-derived
     loop-bound certificate (Graftgate mode). *)
 let load ?maps ?bounded (image : Graft_gel.Link.image) : (t, string) result =
@@ -1192,7 +1192,7 @@ let elision_stats (t : t) =
 
 (** Render the block/closure structure: per function, each basic block
     with its entry stack height, and per instruction the elided checks
-    with the proof interval the verifier re-derived. *)
+    with the proof interval the verifier derived. *)
 let describe (t : t) : string =
   let plan = t.plan in
   let p = plan.prog in

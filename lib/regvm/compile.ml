@@ -32,7 +32,6 @@ type ctx = {
   em : emitter;
   image : Link.image;
   mutable loops : loop_ctx list;
-  temp_base : int;  (** first register above the locals *)
   mutable temp : int;  (** next free temporary register *)
 }
 
@@ -247,17 +246,16 @@ let compile (image : Link.image) ~(segment : Program.segment) : Program.t =
   let funcs =
     Array.map
       (fun (f : Ir.func) ->
+        if f.Ir.nlocals > Isa.nregs - Isa.reg_base then
+          raise
+            (Compile_error
+               (Printf.sprintf
+                  "function %s has %d locals; the register file holds %d"
+                  f.Ir.fname f.Ir.nlocals (Isa.nregs - Isa.reg_base)));
         let entry = em.len in
         let ctx =
-          {
-            em;
-            image;
-            loops = [];
-            temp_base = Isa.reg_base + f.Ir.nlocals;
-            temp = Isa.reg_base + f.Ir.nlocals;
-          }
+          { em; image; loops = []; temp = Isa.reg_base + f.Ir.nlocals }
         in
-        ignore ctx.temp_base;
         List.iter (stmt ctx) f.Ir.body;
         emit em (Isa.Ret Isa.reg_zero);
         {

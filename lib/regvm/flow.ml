@@ -19,113 +19,100 @@
     - r0 starts at [0,0] and stays there, since the verifier's
       register-discipline pass refuses any write to it.
 
-    Iteration is round-robin sweeps to a fixpoint, switching from join
-    to widening after {!max_exact_sweeps} sweeps. Sweeping in code
-    order (rather than a worklist) makes the result a deterministic
-    function of the instruction array, so the instrumenter and the
-    verifier — analyzing code that differs only by straight-line
-    masking triples — converge to the same intervals for the registers
-    elisions depend on. *)
+    Iteration is the stack verifier's solver
+    ({!Graft_analysis.Fixpoint}): a lowest-pc worklist that widens only
+    at back-edge targets. The result is a deterministic function of the
+    instruction array, and the masking triples the instrumenter inserts
+    are straight-line code that writes only r1 and r2, so the
+    instrumenter and the verifier converge to the same intervals for
+    the registers elisions depend on. *)
 
 module I = Graft_analysis.Interval
-
-(** Sweeps allowed to converge exactly before widening kicks in.
-    Counted loops shorter than this many iterations get precise bounds;
-    anything slower is widened to ±∞ on the changing side. *)
-let max_exact_sweeps = 60
 
 let entry_state () =
   let s = Array.make Isa.nregs I.top in
   s.(Isa.reg_zero) <- I.const 0;
   s
 
+(* Join [now] into [old], register by register; [None] when nothing
+   grows. *)
+let merge ~wide old now =
+  if Array.for_all2 (fun o v -> I.leq v o) old now then None
+  else
+    Some
+      (Array.map2
+         (fun o v ->
+           let j = I.join o v in
+           if wide then I.widen o j else j)
+         old now)
+
 (** [analyze code funcs] returns the in-state for every pc: the
     register intervals that hold just before the instruction executes.
     [None] marks pcs the analysis never reached (dead code). *)
 let analyze (code : Isa.instr array) (funcs : Program.funcdesc array) :
     I.t array option array =
-  let n = Array.length code in
-  let states : I.t array option array = Array.make n None in
-  let changed = ref true in
-  let sweeps = ref 0 in
-  let merge pc (st : I.t array) =
-    if pc >= 0 && pc < n then
-      match states.(pc) with
-      | None ->
-          states.(pc) <- Some (Array.copy st);
-          changed := true
-      | Some old ->
-          for r = 0 to Isa.nregs - 1 do
-            let j = I.join old.(r) st.(r) in
-            let j = if !sweeps > max_exact_sweeps then I.widen old.(r) j else j in
-            if not (I.equal j old.(r)) then begin
-              old.(r) <- j;
-              changed := true
-            end
-          done
+  let transfer pc cur arrive =
+    let st = Array.copy cur in
+    let set rd iv = if rd <> Isa.reg_zero then st.(rd) <- iv in
+    let next () = arrive (pc + 1) st in
+    match code.(pc) with
+    | Isa.Movi (rd, imm) ->
+        set rd (I.const imm);
+        next ()
+    | Isa.Mov (rd, rs) ->
+        set rd st.(rs);
+        next ()
+    | Isa.Bin (k, op, rd, rs1, rs2) ->
+        set rd (I.arith k op st.(rs1) st.(rs2));
+        next ()
+    | Isa.Addi (rd, rs, imm) ->
+        set rd (I.add st.(rs) (I.const imm));
+        next ()
+    | Isa.Andi (rd, rs, imm) ->
+        set rd (I.arith Graft_gel.Ir.Kint Graft_gel.Ir.Band st.(rs)
+                  (I.const imm));
+        next ()
+    | Isa.Ori (rd, rs, imm) ->
+        set rd (I.arith Graft_gel.Ir.Kint Graft_gel.Ir.Bor st.(rs)
+                  (I.const imm));
+        next ()
+    | Isa.Cmp (_, rd, _, _) ->
+        set rd (I.range 0 1);
+        next ()
+    | Isa.Un (u, rd, rs) ->
+        let iv =
+          match u with
+          | Isa.Uneg k -> I.neg_k k st.(rs)
+          | Isa.Ubnot k -> I.bnot k st.(rs)
+          | Isa.Unot | Isa.Utobool -> I.range 0 1
+          | Isa.Umask -> I.to_word st.(rs)
+        in
+        set rd iv;
+        next ()
+    | Isa.Ld (rd, _, _) ->
+        set rd I.top;
+        next ()
+    | Isa.St _ -> next ()
+    | Isa.Br t -> arrive t st
+    | Isa.Brz (_, t) | Isa.Brnz (_, t) ->
+        arrive t st;
+        next ()
+    | Isa.Call { dst; _ } | Isa.Callext { dst; _ } ->
+        set dst I.top;
+        next ()
+    | Isa.Ret _ | Isa.Halt -> ()
   in
-  Array.iter
-    (fun (f : Program.funcdesc) -> merge f.Program.entry (entry_state ()))
-    funcs;
-  while !changed do
-    changed := false;
-    incr sweeps;
-    for pc = 0 to n - 1 do
-      match states.(pc) with
-      | None -> ()
-      | Some cur ->
-          let st = Array.copy cur in
-          let set rd iv = if rd <> Isa.reg_zero then st.(rd) <- iv in
-          let next () = merge (pc + 1) st in
-          (match code.(pc) with
-          | Isa.Movi (rd, imm) ->
-              set rd (I.const imm);
-              next ()
-          | Isa.Mov (rd, rs) ->
-              set rd st.(rs);
-              next ()
-          | Isa.Bin (k, op, rd, rs1, rs2) ->
-              set rd (I.arith k op st.(rs1) st.(rs2));
-              next ()
-          | Isa.Addi (rd, rs, imm) ->
-              set rd (I.add st.(rs) (I.const imm));
-              next ()
-          | Isa.Andi (rd, rs, imm) ->
-              set rd (I.arith Graft_gel.Ir.Kint Graft_gel.Ir.Band st.(rs)
-                        (I.const imm));
-              next ()
-          | Isa.Ori (rd, rs, imm) ->
-              set rd (I.arith Graft_gel.Ir.Kint Graft_gel.Ir.Bor st.(rs)
-                        (I.const imm));
-              next ()
-          | Isa.Cmp (_, rd, _, _) ->
-              set rd (I.range 0 1);
-              next ()
-          | Isa.Un (u, rd, rs) ->
-              let iv =
-                match u with
-                | Isa.Uneg k -> I.neg_k k st.(rs)
-                | Isa.Ubnot k -> I.bnot k st.(rs)
-                | Isa.Unot | Isa.Utobool -> I.range 0 1
-                | Isa.Umask -> I.to_word st.(rs)
-              in
-              set rd iv;
-              next ()
-          | Isa.Ld (rd, _, _) ->
-              set rd I.top;
-              next ()
-          | Isa.St _ -> next ()
-          | Isa.Br t -> merge t st
-          | Isa.Brz (_, t) | Isa.Brnz (_, t) ->
-              merge t st;
-              next ()
-          | Isa.Call { dst; _ } | Isa.Callext { dst; _ } ->
-              set dst I.top;
-              next ()
-          | Isa.Ret _ | Isa.Halt -> ())
-    done
-  done;
-  states
+  let target pc =
+    match code.(pc) with
+    | Isa.Br t | Isa.Brz (_, t) | Isa.Brnz (_, t) -> Some t
+    | _ -> None
+  in
+  Graft_analysis.Fixpoint.solve ~lo:0 ~hi:(Array.length code) ~target ~merge
+    ~transfer
+    (Array.to_list
+       (Array.map
+          (fun (f : Program.funcdesc) -> (f.Program.entry, entry_state ()))
+          funcs))
 
 (** Effective-address interval of a memory access [mem\[r.(rb) + off\]]
     given the in-state at its pc; [I.bot] if the pc is unreachable. *)

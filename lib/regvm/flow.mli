@@ -4,8 +4,8 @@
     sandbox segment; {!Verify} reruns it over the instrumented code to
     independently re-derive every recorded elision, so the analysis
     itself never joins the trusted base. Deliberately path-insensitive
-    (no branch refinement); deterministic round-robin iteration with
-    widening after a fixed number of exact sweeps. *)
+    (no branch refinement); it iterates on the stack verifier's solver
+    ({!Graft_analysis.Fixpoint}), widening only at back-edge targets. *)
 
 (** [analyze code funcs] returns, for every pc, the register intervals
     holding just before that instruction executes; [None] marks

@@ -36,11 +36,6 @@ type ctx = {
   em : emitter;
   image : Link.image;
   mutable loops : loop_ctx list;
-  facts : Graft_analysis.Analyze.fact array option;
-      (** per-site safety facts from [Analyze.facts_for_image], in this
-          compiler's emission order; [None] compiles fully checked *)
-  mutable fact_i : int;  (** cursor into [facts] *)
-  mutable proofs_rev : (int * Graft_analysis.Interval.t) list;
   lower_maps : bool;
       (** lower [map_lookup]/[map_update] helper calls with constant
           map ids to the dedicated map opcodes *)
@@ -51,30 +46,6 @@ type ctx = {
   mutable bounds_rev : (int * Graft_analysis.Loopbound.cert) list;
 }
 
-(* The analyzer emits exactly one fact per array access and per
-   division, in the order this compiler reaches them; a mismatch is a
-   compiler/analyzer bug, not a property of the input program. *)
-let next_fact ctx =
-  match ctx.facts with
-  | None -> None
-  | Some arr ->
-      if ctx.fact_i >= Array.length arr then
-        invalid_arg "Compile: fact stream out of sync with emission";
-      let f = arr.(ctx.fact_i) in
-      ctx.fact_i <- ctx.fact_i + 1;
-      Some f
-
-(* Emit the [checked] form of an access/division site or, under a
-   [safe] fact, its unchecked twin, recording the claimed interval for
-   the verifier when a check is elided. *)
-let emit_site ctx checked =
-  let em = ctx.em in
-  match next_fact ctx with
-  | Some { Graft_analysis.Analyze.safe = true; claim } ->
-      ctx.proofs_rev <- (em.len, claim) :: ctx.proofs_rev;
-      emit em (Option.get (Opcode.twin checked))
-  | _ -> emit em checked
-
 let rec compile_expr ctx (e : Ir.expr) =
   let em = ctx.em in
   match e with
@@ -84,14 +55,11 @@ let rec compile_expr ctx (e : Ir.expr) =
       emit em (Opcode.Load_global (ctx.image.Link.global_base + slot))
   | Ir.Load (arr, idx) ->
       compile_expr ctx idx;
-      emit_site ctx (Opcode.Aload arr)
-  | Ir.Arith (kind, op, a, b) -> (
+      emit em (Opcode.Aload arr)
+  | Ir.Arith (kind, op, a, b) ->
       compile_expr ctx a;
       compile_expr ctx b;
-      match op with
-      | Ir.Div -> emit_site ctx Opcode.Div
-      | Ir.Mod -> emit_site ctx Opcode.Mod
-      | _ -> emit em (arith_op kind op))
+      emit em (arith_op kind op)
   | Ir.Cmp (cmp, a, b) ->
       compile_expr ctx a;
       compile_expr ctx b;
@@ -142,17 +110,15 @@ let rec compile_expr ctx (e : Ir.expr) =
         else None
       in
       (* Lowered helper calls skip the constant map-id argument: the id
-         travels in the opcode. [Analyze] walks the same shapes through
-         the same [site_of_callext] predicate, keeping the fact stream
-         in sync. *)
+         travels in the opcode. *)
       match site with
       | Some (Graft_analysis.Helpers.Lookup m) ->
           compile_expr ctx args.(1);
-          emit_site ctx (Opcode.Mlookup m)
+          emit em (Opcode.Mlookup m)
       | Some (Graft_analysis.Helpers.Update m) ->
           compile_expr ctx args.(1);
           compile_expr ctx args.(2);
-          emit_site ctx (Opcode.Mupdate m)
+          emit em (Opcode.Mupdate m)
       | None ->
           Array.iter (compile_expr ctx) args;
           emit em (Opcode.Callext eidx))
@@ -195,7 +161,7 @@ let rec compile_stmt ctx (s : Ir.stmt) =
   | Ir.Store (arr, idx, v) ->
       compile_expr ctx idx;
       compile_expr ctx v;
-      emit_site ctx (Opcode.Astore arr)
+      emit em (Opcode.Astore arr)
   | Ir.If (cond, t, f) ->
       compile_expr ctx cond;
       let jz = emit_patch em in
@@ -261,11 +227,9 @@ and compile_block ctx stmts =
       prev := Some s)
     stmts
 
-(** Compile a linked image to an executable stack-VM program. When
-    [facts] (from [Analyze.facts_for_image] on the same image) is
-    given, provably safe sites compile to unchecked opcodes and the
-    claimed intervals are recorded in the program's proof manifest. *)
-let compile ?facts ?maps ?(bounds = false) (image : Link.image) : Program.t =
+(** Compile a linked image to an executable, fully checked stack-VM
+    program. *)
+let compile ?maps ?(bounds = false) (image : Link.image) : Program.t =
   let prog = image.Link.prog in
   let em = { code = Array.make 256 Opcode.Halt; len = 0 } in
   let ctx =
@@ -273,9 +237,6 @@ let compile ?facts ?maps ?(bounds = false) (image : Link.image) : Program.t =
       em;
       image;
       loops = [];
-      facts;
-      fact_i = 0;
-      proofs_rev = [];
       lower_maps = maps <> None;
       bounds;
       prev = None;
@@ -320,6 +281,6 @@ let compile ?facts ?maps ?(bounds = false) (image : Link.image) : Program.t =
     ext_names = Array.map (fun (e : Ir.ext) -> e.Ir.ename) prog.Ir.externs;
     cells = Graft_mem.Memory.cells image.Link.mem;
     maps = (match maps with Some m -> m | None -> [||]);
-    proofs = Array.of_list (List.rev ctx.proofs_rev);
+    proofs = [||];
     loop_bounds = Array.of_list (List.rev ctx.bounds_rev);
   }

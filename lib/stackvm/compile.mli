@@ -8,17 +8,13 @@
     guarantees a return on every path). *)
 
 val compile :
-  ?facts:Graft_analysis.Analyze.fact array ->
   ?maps:Graft_kernel.Graftmap.t array ->
   ?bounds:bool ->
   Graft_gel.Link.image ->
   Program.t
-(** [compile ?facts ?maps ?bounds image] compiles to fully-checked
-    bytecode. With [facts] (from
-    {!Graft_analysis.Analyze.facts_for_image} on the same image), sites
-    the analysis proved safe compile to unchecked opcodes and the
-    claimed intervals land in the program's proof manifest for the
-    load-time verifier to re-establish. With [maps], lowerable
+(** [compile ?maps ?bounds image] compiles to fully-checked bytecode
+    with an empty proof manifest: check elision is the verifier's
+    ({!Verify.elide}), not the compiler's. With [maps], lowerable
     [map_lookup]/[map_update] helper calls become dedicated map opcodes
     against those map objects. With [bounds:true], every loop must
     admit a {!Graft_analysis.Loopbound} certificate (recorded at the

@@ -28,9 +28,10 @@ type t = {
       (** proof manifest for unchecked instructions: [(pc, claim)]
           pairs, sorted by pc. For [Aload_u]/[Astore_u] the claim is
           the index interval, for [Div_u]/[Mod_u] the divisor interval,
-          for [Mlookup_u]/[Mupdate_u] the key interval. The claims are
-          untrusted compiler output; [Verify] re-derives its own
-          intervals and admits an unchecked instruction only if
+          for [Mlookup_u]/[Mupdate_u] the key interval. [Verify.elide]
+          records the intervals it derived; whoever wrote a claim, it is
+          untrusted: [Verify.verify] derives its own intervals and
+          admits an unchecked instruction only if
           derived ⊆ claim ⊆ legal. *)
   loop_bounds : (int * Graft_analysis.Loopbound.cert) array;
       (** loop-bound certificates keyed by the pc of the backward

@@ -18,17 +18,17 @@ module Disasm = Disasm
 (* Graftgate front checks shared by every loader: helper-named externs
    must match the typed helper table before anything is compiled, and
    bounded loading refuses loops the certificate derivation cannot
-   cover (raised as [Invalid_argument] by [Compile ~bounds]). *)
-let gate ~bounded image k =
+   cover (raised as [Invalid_argument] by [Compile ~bounds]). [admit]
+   is the verifier's last word on the compiled program. *)
+let gate ~admit image k =
   match Graft_analysis.Helpers.check_externs image.Graft_gel.Link.prog with
   | Error msg -> Error msg
   | Ok () -> (
       match k () with
-      | p -> (
-          match Verify.verify ~bounded p with
-          | Ok () -> Ok p
-          | Error msg -> Error msg)
+      | p -> admit p
       | exception Invalid_argument msg -> Error msg)
+
+let verified ~bounded p = Result.map (fun () -> p) (Verify.verify ~bounded p)
 
 (** Compile and verify a linked image; refuses unverifiable code as the
     kernel's loader would. [maps] attaches graft maps (and lowers
@@ -37,7 +37,8 @@ let gate ~bounded image k =
     re-derivable bound certificate. *)
 let load ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
-  gate ~bounded image (fun () -> Compile.compile ?maps ~bounds:bounded image)
+  gate ~admit:(verified ~bounded) image (fun () ->
+      Compile.compile ?maps ~bounds:bounded image)
 
 let load_exn ?maps ?bounded image =
   match load ?maps ?bounded image with
@@ -53,7 +54,7 @@ let load_exn ?maps ?bounded image =
     code like every other check. *)
 let load_opt ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
-  gate ~bounded image (fun () ->
+  gate ~admit:(verified ~bounded) image (fun () ->
       Peephole.optimize (Compile.compile ?maps ~bounds:bounded image))
 
 let load_opt_exn ?maps ?bounded image =
@@ -62,29 +63,15 @@ let load_opt_exn ?maps ?bounded image =
   | Error msg -> failwith msg
 
 (** The statically-checked tier's loader (the paper's "Modula-3 + static
-    checks" column): run the abstract interpretation over the image's
-    IR ({!Graft_analysis.Analyze}), compile provably safe accesses and
-    divisions to unchecked opcodes with their proving intervals
-    attached, then re-verify — the verifier derives its own intervals
-    from the bytecode and rejects any elision it cannot re-establish,
-    so the analysis never joins the trusted base. *)
+    checks" column): compile fully checked, then let the verifier elide
+    ({!Verify.elide}). Its interval analysis derives every check site's
+    operand range from the bytecode, and each site whose range is
+    provably legal becomes its unchecked twin under that range as its
+    claim. No analysis outside the verifier decides an elision. *)
 let load_static ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
-  let metas =
-    Option.map
-      (Array.map (fun m ->
-           {
-             Graft_analysis.Helpers.mm_array = Graft_kernel.Graftmap.is_array m;
-             mm_max = Graft_kernel.Graftmap.max_entries m;
-           }))
-      maps
-  in
-  let facts =
-    Graft_analysis.Analyze.facts_for_image ?maps:metas image.Graft_gel.Link.prog
-      ~arr_len:image.Graft_gel.Link.arr_len
-      ~arr_writable:image.Graft_gel.Link.arr_writable
-  in
-  gate ~bounded image (fun () -> Compile.compile ~facts ?maps ~bounds:bounded image)
+  gate ~admit:(Verify.elide ~bounded) image (fun () ->
+      Compile.compile ?maps ~bounds:bounded image)
 
 let load_static_exn ?maps ?bounded image =
   match load_static ?maps ?bounded image with

@@ -1,12 +1,15 @@
 (** Load-time bytecode verifier, in the spirit of the Java verifier the
     paper's interpreted technology relies on.
 
-    For each function it runs an abstract interpretation over stack
-    heights: every reachable instruction must have a single consistent
-    operand-stack height, never underflow, never exceed [max_stack],
-    never jump outside its own function, and only reference valid
-    locals, arrays, functions and externs. Code that fails is rejected
-    before it ever executes. *)
+    Pass 1 runs an abstract interpretation over stack heights: every
+    reachable instruction must have a single consistent operand-stack
+    height, never underflow, never exceed [max_stack], never jump
+    outside its own function, and only reference valid locals, arrays,
+    functions and externs. Pass 3 (bounded loading) re-derives each
+    loop's bound. Pass 2, an interval analysis, derives the operand
+    range at every check site: it decides the static tier's elisions
+    ({!elide}) and judges any claim a program arrives with. Code that
+    fails is rejected before it ever executes. *)
 
 let max_stack = 1024
 let max_locals = 4096
@@ -15,17 +18,19 @@ module I = Graft_analysis.Interval
 module Ir = Graft_gel.Ir
 
 (* ------------------------------------------------------------------ *)
-(* Pass 2: interval re-verification of unchecked instructions.         *)
+(* Pass 2: the interval analysis behind every check elision.           *)
 (*                                                                     *)
-(* The compiler may elide bounds/zero checks where its own analysis    *)
-(* proved them redundant, attaching the proving interval to the        *)
-(* program as a claim. Claims are untrusted: this pass re-derives      *)
-(* intervals from the bytecode alone — per-function dataflow over an   *)
-(* abstract operand stack and local file — and admits an unchecked     *)
-(* instruction only if derived ⊆ claim ⊆ legal. Operand provenance     *)
-(* (which local or constant produced a stack slot) is tracked just far *)
-(* enough to mirror the compiler's two refinements: comparison-guarded *)
-(* branches, and the success path of a checked array access.           *)
+(* Per-function dataflow over an abstract operand stack and local file *)
+(* derives, from the bytecode alone, the operand interval at every     *)
+(* check site. [elide] turns a checked site whose derived interval is  *)
+(* inside its legal range into its unchecked twin and records that     *)
+(* interval as the site's claim; [verify] admits an unchecked          *)
+(* instruction that arrives with a claim only if derived ⊆ claim ⊆     *)
+(* legal, so a claim, from this pass or from anywhere else, is never   *)
+(* believed. Operand provenance (which local or constant produced a    *)
+(* stack slot) is tracked just far enough for two refinements:         *)
+(* comparison-guarded branches, and the success path of a checked      *)
+(* array access.                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Provenance of an abstract stack slot. [Snot] preserves truthiness
@@ -107,148 +112,87 @@ let ir_cmp = function
   | Opcode.Ceq -> Ir.Eq
   | Opcode.Cne -> Ir.Ne
 
-(* Widening at a loop head follows the compiler's analysis
-   ([Analyze.exec_while]: exact join on the first round, widening from
-   the second), so the verifier can re-derive the ranges the analysis
-   wrote its claims from:
-   - the worklist always takes the lowest pending pc, so every arm of
-     a loop body merges before the back edge runs and each pass over
-     the body reaches the head over a back edge once;
-   - an arrival over a back edge joins exactly the first time it
-     changes the head, and widens from its second change on;
-   - an arrival from outside the loop (a lower pc) joins exactly and
-     restarts that count, so an inner loop re-entered with a wider
-     outer counter keeps the counter's guard-refined range instead of
-     widening it to infinity.
-   Any arrival widens once the head has been visited [widen_after]
-   times, the termination backstop for arbitrary hand-built
-   bytecode. *)
-let widen_after = 300
+(* Why [claim] does not make the unchecked instruction [op] at [pc]
+   safe, or [None] when it does. *)
+let claim_fault (p : Program.t) pc op claim =
+  let fault fmt = Printf.ksprintf Option.some fmt in
+  let beyond len = not (I.leq claim (I.range 0 (len - 1))) in
+  match op with
+  | Opcode.Aload_u a | Opcode.Astore_u a ->
+      (* Pass 1 checks array ids only where a path reaches. *)
+      if a < 0 || a >= Array.length p.arrays then
+        fault "array id %d out of range at %d" a pc
+      else if beyond p.arrays.(a).Program.len then
+        fault "claim %s at %d exceeds the bounds of array %d"
+          (I.to_string claim) pc a
+      else if op = Opcode.Astore_u a && not p.arrays.(a).Program.writable then
+        fault "unchecked store to read-only array %d at %d" a pc
+      else None
+  | Opcode.Div_u | Opcode.Mod_u ->
+      if I.contains claim 0 then
+        fault "claimed divisor %s at %d admits zero" (I.to_string claim) pc
+      else None
+  | Opcode.Mlookup_u m | Opcode.Mupdate_u m -> (
+      if m < 0 || m >= Array.length p.maps then
+        fault "map id %d out of range at %d" m pc
+      else
+        match Graft_kernel.Graftmap.backing p.maps.(m) with
+        | None -> fault "unchecked access to non-array map %d at %d" m pc
+        | Some _ ->
+            if beyond (Graft_kernel.Graftmap.max_entries p.maps.(m)) then
+              fault "claim %s at %d exceeds the bounds of map %d"
+                (I.to_string claim) pc m
+            else None)
+  | _ -> fault "proof attached to a checked instruction at %d" pc
 
-let check_elisions (p : Program.t) : (unit, string) result =
+(* Pass 2 over every function, on the shared solver
+   ({!Graft_analysis.Fixpoint}). Returns, per pc, the join of the
+   operand intervals every visit of a check site saw (its index, map
+   key or divisor; ⊥ at a pc no path reaches and at every other
+   instruction), and fails if an unchecked instruction lacks a legal
+   claim or a visit derives an operand outside it. A site and its
+   unchecked twin have the same transfer function, so swapping sites
+   leaves this fixpoint as it is. *)
+let check_elisions (p : Program.t) : (I.t array, string) result =
   let ncode = Array.length p.code in
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
   let claims = Hashtbl.create 16 in
-  let legal_claim pc claim =
-    match p.code.(pc) with
-    | Opcode.Aload_u a ->
-        if not (I.leq claim (I.range 0 (p.arrays.(a).Program.len - 1))) then
-          bad "claim %s at %d exceeds the bounds of array %d" (I.to_string claim)
-            pc a
-    | Opcode.Astore_u a ->
-        if not (I.leq claim (I.range 0 (p.arrays.(a).Program.len - 1))) then
-          bad "claim %s at %d exceeds the bounds of array %d" (I.to_string claim)
-            pc a;
-        if not p.arrays.(a).Program.writable then
-          bad "unchecked store to read-only array %d at %d" a pc
-    | Opcode.Div_u | Opcode.Mod_u ->
-        if I.contains claim 0 then
-          bad "claimed divisor %s at %d admits zero" (I.to_string claim) pc
-    | Opcode.Mlookup_u m | Opcode.Mupdate_u m -> (
-        if m < 0 || m >= Array.length p.maps then
-          bad "map id %d out of range at %d" m pc;
-        match Graft_kernel.Graftmap.backing p.maps.(m) with
-        | None -> bad "unchecked access to non-array map %d at %d" m pc
-        | Some _ ->
-            let cap = Graft_kernel.Graftmap.max_entries p.maps.(m) in
-            if not (I.leq claim (I.range 0 (cap - 1))) then
-              bad "claim %s at %d exceeds the bounds of map %d"
-                (I.to_string claim) pc m)
-    | _ -> bad "proof attached to a checked instruction at %d" pc
-  in
+  let derived = Array.make ncode I.bot in
   let setup () =
     Array.iter
       (fun (pc, claim) ->
         if pc < 0 || pc >= ncode then bad "proof at invalid pc %d" pc;
         if Hashtbl.mem claims pc then bad "duplicate proof at %d" pc;
-        legal_claim pc claim;
+        Option.iter (bad "%s") (claim_fault p pc p.code.(pc) claim);
         Hashtbl.add claims pc claim)
       p.proofs
   in
-  let check_func fi (f : Program.funcdesc) =
-    let lo = f.Program.entry and hi = f.Program.code_end in
-    let states = Array.make (max 1 (hi - lo)) None in
-    let visits = Array.make (max 1 (hi - lo)) 0 in
-    (* Widening points: targets of back edges (by pc order), fused
-       branches included. Every CFG cycle's minimum pc is entered from
-       a higher pc inside the cycle, so every cycle contains one —
-       enough for termination — while straight-line merge points keep
-       plain joins, so the narrowing a guard proves is not thrown away
-       downstream of a widened loop head. *)
-    let widen_at = Array.make (max 1 (hi - lo)) false in
-    for pc = lo to hi - 1 do
-      match Opcode.target p.code.(pc) with
-      | Some t when t >= lo && t <= pc -> widen_at.(t - lo) <- true
-      | _ -> ()
-    done;
-    (* Changes a back edge has made at each loop head since an arrival
-       from outside the loop last changed it. *)
-    let back_changes = Array.make (max 1 (hi - lo)) 0 in
-    (* The worklist: pending pcs by offset, and the lowest offset that
-       may be pending (none below it is). *)
-    let pending = Array.make (max 1 (hi - lo)) false in
-    let first = ref (hi - lo) in
-    let enqueue i =
-      pending.(i) <- true;
-      if i < !first then first := i
-    in
-    let next_pending () =
-      while !first < hi - lo && not pending.(!first) do
-        incr first
-      done;
-      !first
-    in
-    let sym_join a b = if a = b then a else Snone in
-    (* [from] is the pc the state flows out of: [from >= pc] is a back
-       edge. *)
-    let schedule ~from pc (locals, stack) =
-      if pc < lo || pc >= hi then
-        bad "function %d (%s): pass-2 jump target %d outside [%d,%d)" fi
-          f.Program.name pc lo hi;
-      let i = pc - lo in
-      match states.(i) with
-      | None ->
-          states.(i) <- Some (locals, stack);
-          enqueue i
-      | Some (ol, os) ->
-          if List.length os <> List.length stack then
-            bad "function %d (%s): pass-2 stack height mismatch at %d" fi
-              f.Program.name pc;
-          let back = from >= pc in
-          let wide =
-            widen_at.(i)
-            && (visits.(i) > widen_after || (back && back_changes.(i) >= 1))
-          in
-          let up old now =
-            let j = I.join old now in
-            if wide then I.widen old j else j
-          in
-          let jl = Array.mapi (fun k v -> up v locals.(k)) ol in
-          let js =
-            List.map2
-              (fun (oiv, osym) (iv, sym) -> (up oiv iv, sym_join osym sym))
-              os stack
-          in
-          let changed =
-            (not (Array.for_all2 I.equal jl ol))
-            || not (List.for_all2 (fun (a, sa) (b, sb) -> I.equal a b && sa = sb) js os)
-          in
-          if changed then begin
-            states.(i) <- Some (jl, js);
-            back_changes.(i) <- (if back then back_changes.(i) + 1 else 0);
-            enqueue i
-          end
-    in
-    schedule ~from:(lo - 1) lo (Array.make (max 1 f.Program.nlocals) I.top, []);
-    while next_pending () < hi - lo do
-      let pc = lo + !first in
-      pending.(pc - lo) <- false;
-      visits.(pc - lo) <- visits.(pc - lo) + 1;
-      let schedule = schedule ~from:pc in
-      let locals0, stack0 =
-        match states.(pc - lo) with Some s -> s | None -> assert false
+  let sym_join a b = if a = b then a else Snone in
+  (* Pass 1 gave every pc one stack height, so stacks meeting at a pc
+     have equal lengths. An arrival inside the stored state changes
+     nothing, and is told apart before anything is allocated. *)
+  let merge ~wide (ol, os) (locals, stack) =
+    if
+      Array.for_all2 (fun o v -> I.leq v o) ol locals
+      && List.for_all2
+           (fun (oiv, osym) (iv, sym) ->
+             I.leq iv oiv && (osym = sym || osym = Snone))
+           os stack
+    then None
+    else
+      let up old now =
+        let j = I.join old now in
+        if wide then I.widen old j else j
       in
+      Some
+        ( Array.map2 up ol locals,
+          List.map2
+            (fun (oiv, osym) (iv, sym) -> (up oiv iv, sym_join osym sym))
+            os stack )
+  in
+  let check_func fi (f : Program.funcdesc) =
+    let transfer pc (locals0, stack0) schedule =
       let locals = Array.copy locals0 in
       let stack = ref stack0 in
       let push iv sym = stack := (iv, sym) :: !stack in
@@ -261,20 +205,19 @@ let check_elisions (p : Program.t) : (unit, string) result =
             e
       in
       let next () = schedule (pc + 1) (locals, !stack) in
-      let claim_of () =
+      (* The operand a check site guards: joined into [derived], and
+         held to the claim where the check is elided. *)
+      let site iv what =
+        if not (I.leq iv derived.(pc)) then
+          derived.(pc) <- I.join derived.(pc) iv;
         match Hashtbl.find_opt claims pc with
-        | Some c -> c
-        | None ->
-            bad "function %d (%s): unchecked instruction without proof at %d"
-              fi f.Program.name pc
-      in
-      let require_sub derived claim what =
-        if not (I.leq derived claim) then
-          bad "function %d (%s): derived %s %s exceeds claim %s at %d" fi
-            f.Program.name what (I.to_string derived) (I.to_string claim) pc
+        | Some claim when not (I.leq iv claim) ->
+            bad "function %d (%s): derived %s %s exceeds claim %s at %d" fi
+              f.Program.name what (I.to_string iv) (I.to_string claim) pc
+        | _ -> ()
       in
       (* On the success path of an array access, a plain-local index is
-         known in bounds — the same narrowing the compiler applied. *)
+         known in bounds. *)
       let post_refine sym arr =
         match sym with
         | Slocal n ->
@@ -291,6 +234,12 @@ let check_elisions (p : Program.t) : (unit, string) result =
         let ib, _ = pop () in
         let ia, _ = pop () in
         push (I.arith kind op ia ib) Snone
+      in
+      let divide op =
+        let ib, _ = pop () in
+        let ia, _ = pop () in
+        site ib "divisor";
+        push (I.arith Ir.Kint op ia ib) Snone
       in
       let unop f =
         let iv, _ = pop () in
@@ -332,65 +281,34 @@ let check_elisions (p : Program.t) : (unit, string) result =
       | Opcode.Store_global _ ->
           ignore (pop ());
           next ()
-      | Opcode.Aload a ->
-          let _, si = pop () in
-          post_refine si a;
-          push I.top Snone;
-          next ()
-      | Opcode.Astore a ->
-          ignore (pop ());
-          let _, si = pop () in
-          post_refine si a;
-          next ()
-      | Opcode.Aload_u a ->
-          let claim = claim_of () in
+      | Opcode.Aload a | Opcode.Aload_u a ->
           let iv, si = pop () in
-          require_sub iv claim "index";
+          site iv "index";
           post_refine si a;
           push I.top Snone;
           next ()
-      | Opcode.Astore_u a ->
-          let claim = claim_of () in
+      | Opcode.Astore a | Opcode.Astore_u a ->
           ignore (pop ());
           let iv, si = pop () in
-          require_sub iv claim "index";
+          site iv "index";
           post_refine si a;
           next ()
-      | Opcode.Mlookup _ ->
-          ignore (pop ());
-          push I.top Snone;
-          next ()
-      | Opcode.Mupdate _ ->
-          ignore (pop ());
-          ignore (pop ());
-          push I.top Snone;
-          next ()
-      | Opcode.Mlookup_u _ ->
-          let claim = claim_of () in
+      | Opcode.Mlookup _ | Opcode.Mlookup_u _ ->
           let iv, _ = pop () in
-          require_sub iv claim "map key";
+          site iv "map key";
           push I.top Snone;
           next ()
-      | Opcode.Mupdate_u _ ->
-          let claim = claim_of () in
+      | Opcode.Mupdate _ | Opcode.Mupdate_u _ ->
           ignore (pop ());
           let iv, _ = pop () in
-          require_sub iv claim "map key";
+          site iv "map key";
           push I.top Snone;
           next ()
-      | Opcode.Div_u ->
-          let claim = claim_of () in
-          let ib, _ = pop () in
-          let ia, _ = pop () in
-          require_sub ib claim "divisor";
-          push (I.arith Ir.Kint Ir.Div ia ib) Snone;
+      | Opcode.Div | Opcode.Div_u ->
+          divide Ir.Div;
           next ()
-      | Opcode.Mod_u ->
-          let claim = claim_of () in
-          let ib, _ = pop () in
-          let ia, _ = pop () in
-          require_sub ib claim "divisor";
-          push (I.arith Ir.Kint Ir.Mod ia ib) Snone;
+      | Opcode.Mod | Opcode.Mod_u ->
+          divide Ir.Mod;
           next ()
       | op when Opcode.binop op <> None ->
           binop (Option.get (Opcode.binop op));
@@ -444,9 +362,9 @@ let check_elisions (p : Program.t) : (unit, string) result =
       | instr ->
           (* Fused superinstructions: modelled conservatively — operand
              effects from the opcode table, written locals havocked, no
-             refinement. The static tier never fuses (claims would not
-             survive pc remapping), so precision here is irrelevant;
-             soundness against hand-crafted programs is not. *)
+             refinement. Only the optimizing tier fuses, and it elides
+             nothing, so precision here is irrelevant; soundness against
+             hand-crafted programs is not. *)
           let pops, pushes = Opcode.effect instr in
           for _ = 1 to pops do
             ignore (pop ())
@@ -459,25 +377,27 @@ let check_elisions (p : Program.t) : (unit, string) result =
             (fun t -> schedule t (Array.copy locals, !stack))
             (Opcode.target instr);
           next ()
-    done
+    in
+    let lo = f.Program.entry in
+    ignore
+      (Graft_analysis.Fixpoint.solve ~lo ~hi:f.Program.code_end
+         ~target:(fun pc -> Opcode.target p.code.(pc))
+         ~merge ~transfer
+         [ (lo, (Array.make (max 1 f.Program.nlocals) I.top, [])) ])
   in
-  if Array.length p.proofs = 0 && not (Array.exists Opcode.is_unchecked p.code)
-  then
-    Ok ()
-  else
-    try
-      setup ();
-      (* Every unchecked instruction must carry a claim, even if this
-         pass never reaches it: unreachable unchecked code is dead
-         weight the compiler has no business emitting. *)
-      Array.iteri
-        (fun pc op ->
-          if Opcode.is_unchecked op && not (Hashtbl.mem claims pc) then
-            bad "unchecked instruction without proof at %d" pc)
-        p.code;
-      Array.iteri check_func p.funcs;
-      Ok ()
-    with Bad msg -> Error msg
+  try
+    setup ();
+    (* Every unchecked instruction must carry a claim, even if this
+       pass never reaches it: unreachable unchecked code is dead weight
+       no loader has any business shipping. *)
+    Array.iteri
+      (fun pc op ->
+        if Opcode.is_unchecked op && not (Hashtbl.mem claims pc) then
+          bad "unchecked instruction without proof at %d" pc)
+      p.code;
+    Array.iteri check_func p.funcs;
+    Ok derived
+  with Bad msg -> Error msg
 
 
 (* ------------------------------------------------------------------ *)
@@ -801,11 +721,39 @@ let heights (p : Program.t) : (heights, string) result =
     Ok { at; fmax }
   with Bad msg -> Error msg
 
-let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
+(* Passes 1 and 3: everything but the interval analysis. *)
+let structure ~bounded p =
   match heights p with
   | Error msg -> Error msg
-  | Ok _ -> (
-      match if bounded then check_bounds p else Ok () with
-      | Error _ as e -> e
-      | Ok () -> check_elisions p)
+  | Ok _ -> if bounded then check_bounds p else Ok ()
 
+let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
+  match structure ~bounded p with
+  | Error _ as e -> e
+  | Ok () ->
+      if Array.length p.proofs = 0 && not (Array.exists Opcode.is_unchecked p.code)
+      then Ok ()
+      else Result.map ignore (check_elisions p)
+
+let elide ?(bounded = false) (p : Program.t) : (Program.t, string) result =
+  match structure ~bounded p with
+  | Error msg -> Error msg
+  | Ok () -> (
+      match check_elisions p with
+      | Error msg -> Error msg
+      | Ok derived ->
+          let code = Array.copy p.code in
+          let fresh = ref [] in
+          for pc = Array.length code - 1 downto 0 do
+            match Opcode.check_site code.(pc) with
+            | Some (checked, unchecked)
+              when code.(pc) = checked
+                   && (not (I.is_bot derived.(pc)))
+                   && claim_fault p pc unchecked derived.(pc) = None ->
+                code.(pc) <- unchecked;
+                fresh := (pc, derived.(pc)) :: !fresh
+            | _ -> ()
+          done;
+          let proofs = Array.append p.proofs (Array.of_list !fresh) in
+          Array.stable_sort (fun (a, _) (b, _) -> compare a b) proofs;
+          Ok { p with Program.code; proofs })

@@ -1,6 +1,7 @@
 (* Tests for graft_analysis and its consumers: the interval domain, the
-   check-eliding static tier of the stack VM (compile-time proofs,
-   load-time re-verification), and the [graftkit check] diagnostics. *)
+   check-eliding static tier of the stack VM (elisions the load-time
+   verifier derives and re-checks), SFI mask elision on the register
+   VM, and the [graftkit check] diagnostics. *)
 
 open Graft_gel
 open Graft_mem
@@ -189,8 +190,8 @@ let test_parity_logdisk () =
 (* A counted loop past the verifier's widening threshold (300 visits):
    the loop head widens to [0,+inf), and the guard refinement must
    survive the straight-line merges in the body or the verifier cannot
-   re-derive the compiler's [0,511] store-index claim. Regression for
-   the logdisk graft at nblocks=512. *)
+   derive the [0,511] store index. Regression for the logdisk graft at
+   nblocks=512. *)
 let test_parity_wide_loop () =
   let src =
     {|
@@ -534,6 +535,143 @@ let prop_static_sound =
           seed a b (show_run r1) (show_run r2) src;
       Memory.cells img1.Link.mem = Memory.cells img2.Link.mem)
 
+(* ---------- elision pins ---------- *)
+
+module Runners = Graft_core.Runners
+module Technology = Graft_core.Technology
+
+let check_pair what expected got =
+  Alcotest.(check (pair int int)) what expected got
+
+(* The static tier's (elided, total) check sites on each paper graft,
+   loaded as its runner loads it. The verifier derives these elisions
+   from the bytecode; the counts are those of the analysis over the IR
+   that decided them before, so a derivation that loses precision
+   shows here. *)
+let test_pins_static () =
+  let static_ ?maps ?(bounded = false) image =
+    Stackvm.elision_stats
+      (match Stackvm.load_static ?maps ~bounded image with
+      | Ok p -> p
+      | Error msg -> Alcotest.failf "static load rejected: %s" msg)
+  in
+  let with_map m src windows =
+    let maps = [| m |] in
+    let env =
+      Runners.gel_env ~hosts:(Runners.map_hosts maps)
+        Technology.Safe_lang_static src windows
+    in
+    static_ ~maps ~bounded:true env.Runners.image
+  in
+  check_pair "md5" (30, 37) (static_ (md5_image ()));
+  check_pair "evict" (1, 6) (static_ (evict_image ()));
+  check_pair "logdisk" (1, 3) (static_ (logdisk_image ()));
+  check_pair "demux" (4, 6)
+    (with_map
+       (Graft_kernel.Graftmap.create_array ~name:"conn" 64)
+       (Gel_sources.demux ~window_cells:2048 ~protocol:6 ~marker:0x42)
+       [ ("pkt", 2048, false) ]);
+  check_pair "hotset" (0, 2)
+    (with_map
+       (Graft_kernel.Graftmap.create_lru ~name:"hotset" 64)
+       Gel_sources.hotset [])
+
+(* A4's register-VM grafts, loaded as A4 loads them: (elided, total)
+   maskable sites under each protection. *)
+let test_pins_a4 () =
+  let elided protection src windows =
+    let env = Runners.gel_env Technology.Sfi_write_jump src windows in
+    Regvm.elision_stats (Regvm.load_exn ~protection ~elide:true env.Runners.image)
+  in
+  let heap = Runners.evict_cells 128 in
+  let evict = Gel_sources.evict ~heap_cells:heap in
+  let logdisk = Gel_sources.logdisk ~nblocks:1024 in
+  let windows = [ ("heap", heap, false) ] in
+  check_pair "evict, write+jump" (0, 0) (elided Rprogram.Write_jump evict windows);
+  check_pair "evict, full" (0, 6) (elided Rprogram.Full evict windows);
+  check_pair "logdisk, write+jump" (4, 6) (elided Rprogram.Write_jump logdisk []);
+  check_pair "logdisk, full" (9, 12) (elided Rprogram.Full logdisk [])
+
+(* ---------- load-time work on deep and long loop nests ---------- *)
+
+(* [depth] nested counted loops around one store whose index only the
+   innermost loop's guard bounds. *)
+let nest_source depth =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "array a[4];\nfn main() : int {\n";
+  for d = 0 to depth - 1 do
+    Printf.bprintf b "for (var i%d = 0; i%d < 2; i%d = i%d + 1) {\n" d d d d
+  done;
+  Printf.bprintf b "a[i%d] = i0;\n" (depth - 1);
+  Buffer.add_string b (String.make depth '}');
+  Buffer.add_string b "\nreturn 0;\n}\n";
+  Buffer.contents b
+
+(* [n] sequential counted loops, each storing a global through a
+   masked index. *)
+let sequence_source n =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "array a[8];\nvar g : int = 1;\nfn main() : int {\n";
+  for k = 0 to n - 1 do
+    Printf.bprintf b
+      "for (var j%d = 0; j%d < 8; j%d = j%d + 1) { a[(j%d + %d) & 7] = g; }\n"
+      k k k k k k
+  done;
+  Buffer.add_string b "return 0;\n}\n";
+  Buffer.contents b
+
+(* Every VM tier loads a 16-deep nest and 64 sequential loops, bounded
+   and not; the analyses behind the elided loaders finish and elide
+   what they should. Under nested loops an analysis that re-runs each
+   inner fixpoint per outer round does exponential work, and one that
+   sweeps the whole program to widen does quadratic work in the number
+   of loops. *)
+let test_deep_loops_load () =
+  let nest = nest_source 16 and sequence = sequence_source 64 in
+  let vm_techs =
+    Technology.
+      [
+        Ast_interp; Bytecode_vm; Bytecode_opt; Safe_lang_static; Jit;
+        Sfi_write_jump; Sfi_full;
+      ]
+  in
+  List.iter
+    (fun (label, src, static_sites, wj_sites, full_sites) ->
+      List.iter
+        (fun bounded ->
+          List.iter
+            (fun tech ->
+              let env = Runners.gel_env tech src [] in
+              ignore
+                (Runners.engine ~bounded ~fuel:1000 tech env.Runners.image
+                  : Runners.engine))
+            vm_techs;
+          let image () = build_image src in
+          let what tier =
+            Printf.sprintf "%s, %s%s" label tier
+              (if bounded then ", bounded" else "")
+          in
+          check_pair (what "safe-lang-static") static_sites
+            (Stackvm.elision_stats
+               (Stackvm.load_static_exn ~bounded (image ())));
+          check_pair (what "jit") static_sites
+            (Graft_jit.Jit.elision_stats
+               (Graft_jit.Jit.load_exn ~bounded (image ()))))
+        [ false; true ];
+      List.iter
+        (fun (tier, protection, sites) ->
+          check_pair
+            (Printf.sprintf "%s, %s elided" label tier)
+            sites
+            (Regvm.elision_stats
+               (Regvm.load_exn ~protection ~elide:true (build_image src))))
+        [ ("sfi-wj", Rprogram.Write_jump, wj_sites);
+          ("sfi-full", Rprogram.Full, full_sites) ])
+    [
+      ("16-deep nest", nest, (1, 1), (0, 1), (0, 1));
+      ("64 sequential loops", sequence, (64, 64), (64, 64), (128, 128));
+    ]
+
 (* ---------- verifier rejects bogus proofs (stack VM) ---------- *)
 
 let test_bogus_proofs () =
@@ -599,6 +737,16 @@ let test_bogus_proofs () =
   check_bool "found a checked aload" true (!aload_pc >= 0);
   reject "claim on checked instruction"
     { checked with Program.proofs = [| (!aload_pc, I.range 0 7) |] };
+  (* A claimed unchecked access to an array that does not exist, past
+     the last function where no path reaches it: the verifier must
+     refuse it, not raise. *)
+  let n = Array.length checked.Program.code in
+  reject "claim on a nonexistent array"
+    {
+      checked with
+      Program.code = Array.append checked.Program.code [| Opcode.Aload_u 99 |];
+      proofs = [| (n, I.const 0) |];
+    };
   (* An unchecked store into a read-only window: patch a checked store
      to Astore_u with an in-bounds claim; the verifier must still
      refuse because the array is not writable. *)
@@ -772,6 +920,9 @@ let suite =
     ("sfi elision: logdisk parity", `Quick, test_regvm_elision_logdisk);
     ("sfi elision: md5 full protection", `Quick, test_regvm_elision_full_md5);
     ("sfi elision: bogus claims rejected", `Quick, test_regvm_bogus_claims);
+    ("elision pins: paper grafts, static tier", `Quick, test_pins_static);
+    ("elision pins: A4 register VM", `Quick, test_pins_a4);
+    ("deep and long loop nests load on every tier", `Quick, test_deep_loops_load);
     ("verifier rejects bogus proofs", `Quick, test_bogus_proofs);
     ("graftkit check diagnostics", `Quick, test_check_diagnostics);
     ("graftkit check --json", `Quick, test_check_json);

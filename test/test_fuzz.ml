@@ -186,11 +186,11 @@ let gen_program seed =
    loop-carried locals [k0..]. An index local is only ever assigned a
    constant in [0,7] or the counter of an enclosing loop of at most 8
    rounds, under one-armed ifs, if/else arms of different lengths and
-   nested loops. Every index is in range; the compiler's analysis
-   proves most of them, and the load-time verifier must re-derive each
-   proof it writes. Conditions test compound expressions, which
-   neither side refines, so no branch is provably dead. [gen_program]
-   masks every index and never builds this shape. *)
+   nested loops. Every index is in range, and the verifier's interval
+   analysis proves most of them from the bytecode. Conditions test
+   compound expressions, which it does not refine, so no branch is
+   provably dead. [gen_program] masks every index and never builds
+   this shape. *)
 let gen_carried_program seed =
   let rng = Prng.create seed in
   let buf = Buffer.create 1024 in
@@ -342,9 +342,9 @@ let stackvm_opt_engine ?(optimize = false) name =
         | Error (`Bad_entry m) -> Error m);
   }
 
-(* The statically checked tier: abstract-interpretation facts elide
-   bounds and divisor checks, and the load-time verifier re-derives
-   every elision. Must be observably identical to the checked tier. *)
+(* The statically checked tier: the load-time verifier's interval
+   analysis elides bounds and divisor checks it proves redundant. Must
+   be observably identical to the checked tier. *)
 let stackvm_static_engine name =
   {
     ename = name;
@@ -666,7 +666,9 @@ let test_generator_compiles () =
   done
 
 (* Load [src] on the statically checked tier and the JIT, both with
-   [~bounded:true], and return the static tier's program. *)
+   [~bounded:true], and return the static tier's program. The static
+   loader analyses the program once and does not verify what it
+   returns; here [Verify.verify] must accept it, claims and all. *)
 let load_static_and_jit ~label src =
   let load name loader =
     let maps = fuzz_maps () in
@@ -678,14 +680,18 @@ let load_static_and_jit ~label src =
     load "bytecode-static" (fun maps ->
         Graft_stackvm.Stackvm.load_static ~maps ~bounded:true)
   in
+  (match Graft_stackvm.Verify.verify ~bounded:true prog with
+  | Ok () -> ()
+  | Error msg ->
+      Alcotest.failf "%s: the verifier rejects the static tier's own \
+                      elisions: %s\n%s" label msg src);
   ignore (load "jit" (fun maps -> Graft_jit.Jit.load ~maps ~bounded:true));
   prog
 
 (* A deterministic sweep of the loaders alone: every generated program
-   loads on the statically checked tier and the JIT. A verifier that
-   loses precision the compiler's analysis keeps rejects some of these
-   programs' elisions, which the random property above hits on some
-   runs only. *)
+   loads on the statically checked tier and the JIT, and the static
+   tier's program, unchecked opcodes and claims included, passes the
+   verifier on its own. *)
 let test_generator_loads () =
   for i = 0 to 1999 do
     ignore
@@ -697,7 +703,7 @@ let test_generator_loads () =
    and the first 40 run alike on every engine. The analysis widens a
    local that keeps growing past a loop's second round, so some sites
    stay checked, but most (about 87%) are elided: the verifier really
-   re-derives unmasked loop-carried proofs here. *)
+   derives unmasked loop-carried ranges here. *)
 let test_carried_indices () =
   let elided = ref 0 and total = ref 0 in
   for i = 0 to 299 do

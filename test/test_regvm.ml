@@ -423,6 +423,28 @@ let test_register_exhaustion_rejected () =
   | Ok v -> Alcotest.(check int) "stackvm result" 201 v
   | Error _ -> Alcotest.fail "stackvm should run it"
 
+(* Locals live in registers and are never spilled: a function with
+   more locals than the registers above [Isa.reg_base] is refused by
+   name and local count, not as a too-deep expression. *)
+let test_too_many_locals_rejected () =
+  let src n =
+    let b = Buffer.create 2048 in
+    Buffer.add_string b "fn wide() : int {\n";
+    for i = 0 to n - 1 do
+      Printf.bprintf b "var x%d : int = %d;\n" i i
+    done;
+    Printf.bprintf b "return x0 + x%d;\n}\n" (n - 1);
+    Buffer.contents b
+  in
+  (match Regvm.load ~protection:Program.Write_jump (image_pow2 (src 130)) with
+  | Error msg ->
+      Alcotest.(check bool)
+        ("names the function and its local count: " ^ msg)
+        true
+        (contains msg "wide" && contains msg "130 locals")
+  | Ok _ -> Alcotest.fail "130 locals should not load");
+  check_int "100 locals" 99 (run ~entry:"wide" (src 100))
+
 (* ---------- disasm ---------- *)
 
 let test_disasm () =
@@ -565,6 +587,8 @@ let () =
         [
           Alcotest.test_case "register exhaustion" `Quick
             test_register_exhaustion_rejected;
+          Alcotest.test_case "more locals than registers" `Quick
+            test_too_many_locals_rejected;
         ] );
       ("disasm", [ Alcotest.test_case "renders" `Quick test_disasm ]);
       ( "differential",
