@@ -148,26 +148,34 @@ let gel_cmd =
   let run file entry args tech fuel dump optimize =
     let prog, link = load_gel ~optimize file in
     let image = link () in
+    (* A loader's refusal, like a compile or link error, exits 1. *)
+    let load_error msg =
+      prerr_endline ("load error: " ^ msg);
+      exit 1
+    in
     if dump then begin
-      print_endline "-- IR --";
-      print_string (Graft_gel.Pretty.program prog);
-      print_endline "-- stack VM --";
-      print_string
-        (Graft_stackvm.Disasm.program
-           (Graft_stackvm.Stackvm.load_exn image));
-      print_endline "-- stack VM (optimized) --";
-      print_string
-        (Graft_stackvm.Disasm.program
-           (Graft_stackvm.Stackvm.load_opt_exn image));
-      let static_p = Graft_stackvm.Stackvm.load_static_exn image in
-      let elided, total = Graft_stackvm.Stackvm.elision_stats static_p in
-      Printf.printf
-        "-- stack VM (static checks: %d of %d checks elided) --\n"
-        elided total;
-      print_string (Graft_stackvm.Disasm.program static_p);
-      print_endline "-- register VM (SFI write+jump) --";
-      print_string
-        (Graft_regvm.Disasm.program (Graft_regvm.Regvm.load_exn image))
+      let module S = Graft_stackvm.Stackvm in
+      match
+        let plain = S.load_exn image in
+        let opt = S.load_opt_exn image in
+        let static_p = S.load_static_exn image in
+        (plain, opt, static_p, Graft_regvm.Regvm.load_exn image)
+      with
+      | exception Failure msg -> load_error msg
+      | plain, opt, static_p, reg ->
+          print_endline "-- IR --";
+          print_string (Graft_gel.Pretty.program prog);
+          print_endline "-- stack VM --";
+          print_string (Graft_stackvm.Disasm.program plain);
+          print_endline "-- stack VM (optimized) --";
+          print_string (Graft_stackvm.Disasm.program opt);
+          let elided, total = S.elision_stats static_p in
+          Printf.printf
+            "-- stack VM (static checks: %d of %d checks elided) --\n"
+            elided total;
+          print_string (Graft_stackvm.Disasm.program static_p);
+          print_endline "-- register VM (SFI write+jump) --";
+          print_string (Graft_regvm.Disasm.program reg)
     end
     else
       match Graft_core.Runners.engine ~fuel tech image with
@@ -176,6 +184,7 @@ let gel_cmd =
             ("technology " ^ Technology.name tech
            ^ " does not execute GEL files");
           exit 2
+      | exception Failure msg -> load_error msg
       | run -> (
           match run ~entry ~args:(Array.of_list args) with
           | Ok v -> Printf.printf "%d\n" v
@@ -241,14 +250,14 @@ let check_cmd =
         | Ok (prog, meta) ->
             let entries = if entries = [] then None else Some entries in
             List.map
-              (fun (d : Graft_analysis.Analyze.diag) ->
+              (fun (d : Graft_stackvm.Check.diag) ->
                 incr warnings;
-                ( d.Graft_analysis.Analyze.dpos.Graft_gel.Srcloc.line,
-                  d.Graft_analysis.Analyze.dpos.Graft_gel.Srcloc.col,
+                ( d.Graft_stackvm.Check.dpos.Graft_gel.Srcloc.line,
+                  d.Graft_stackvm.Check.dpos.Graft_gel.Srcloc.col,
                   "warning",
-                  d.Graft_analysis.Analyze.dkind,
-                  d.Graft_analysis.Analyze.dmsg ))
-              (Graft_analysis.Analyze.check ?entries prog meta)
+                  d.Graft_stackvm.Check.dkind,
+                  d.Graft_stackvm.Check.dmsg ))
+              (Graft_stackvm.Check.run ?entries prog meta)
       in
       reports := (label, diags) :: !reports;
       if not json then

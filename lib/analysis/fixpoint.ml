@@ -4,7 +4,9 @@
     over the abstract state and the transfer function. The stack
     verifier's pass 2 ([Graft_stackvm.Verify]) and the register VM's
     [Graft_regvm.Flow] both call it, so the two verifiers share one
-    widening rule and one termination argument:
+    widening rule and one termination argument. [graftkit check] runs
+    no analysis of its own: it reads pass 2's fixpoint
+    ([Graft_stackvm.Check]), so its diagnostics keep the same rule:
 
     - the worklist always takes the lowest pending pc, so every arm of
       a loop body merges before the back edge runs and each pass over

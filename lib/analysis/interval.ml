@@ -1,5 +1,6 @@
-(** Integer intervals — the abstract domain shared by the IR analyzer
-    ([Analyze]), the stack-VM proof verifier and the register-VM flow
+(** Integer intervals — the abstract domain of both load-time interval
+    analyses: the stack-VM verifier's pass 2, whose fixpoint also
+    yields the [graftkit check] diagnostics, and the register VM's flow
     pass.
 
     Values are host ints (GEL's [int] is the host's 63-bit int; [word]

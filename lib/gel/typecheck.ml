@@ -31,7 +31,7 @@ let err = Srcloc.error
 (* except that every lowered statement is wrapped in [Ir.At] carrying  *)
 (* its source position, and a side table maps local slots back to      *)
 (* their names and declaration sites. The execution pipeline never     *)
-(* sees located IR; only the static analyzer consumes it.              *)
+(* sees located IR; only [graftkit check] compiles it.                 *)
 (* ------------------------------------------------------------------ *)
 
 type func_meta = {

@@ -94,13 +94,11 @@ let reject_fused code =
              (Opcode.to_string op)))
     code
 
-let build_plan (prog : Program.t) : plan =
+(* [heights] is pass 1's output from the verifier run that elided
+   [prog]: a checked site and its unchecked twin have the same stack
+   effect, so the checked program's heights are [prog]'s. *)
+let build_plan (prog : Program.t) heights : plan =
   reject_fused prog.Program.code;
-  let heights =
-    match Graft_stackvm.Verify.heights prog with
-    | Ok h -> h
-    | Error msg -> failwith msg
-  in
   let code = prog.Program.code in
   let ncode = Array.length code in
   (* A block ends after a branch, call, return or halt, and starts at
@@ -160,10 +158,10 @@ let build_plan (prog : Program.t) : plan =
     objects; with [bounded:true] every loop needs a re-derived
     loop-bound certificate (Graftgate mode). *)
 let load ?maps ?bounded (image : Graft_gel.Link.image) : (t, string) result =
-  match Graft_stackvm.Stackvm.load_static ?maps ?bounded image with
+  match Graft_stackvm.Stackvm.load_static_derived ?maps ?bounded image with
   | Error msg -> Error msg
-  | Ok prog -> (
-      match build_plan prog with
+  | Ok (prog, derived) -> (
+      match build_plan prog derived.Graft_stackvm.Verify.heights with
       | plan -> Ok { plan }
       | exception Failure msg -> Error msg)
 

@@ -44,6 +44,8 @@ type ctx = {
       (** statement lexically preceding the one being compiled, for
           the certificate's initialiser window *)
   mutable bounds_rev : (int * Graft_analysis.Loopbound.cert) list;
+  mutable starts_rev : (int * Srcloc.pos) list;
+      (** each [Ir.At] statement's first pc, latest first *)
 }
 
 let rec compile_expr ctx (e : Ir.expr) =
@@ -151,7 +153,9 @@ and arith_op kind op =
 let rec compile_stmt ctx (s : Ir.stmt) =
   let em = ctx.em in
   match s with
-  | Ir.At (_, s) -> compile_stmt ctx s
+  | Ir.At (pos, s) ->
+      ctx.starts_rev <- (em.len, pos) :: ctx.starts_rev;
+      compile_stmt ctx s
   | Ir.Set_local (slot, e) ->
       compile_expr ctx e;
       emit em (Opcode.Store_local slot)
@@ -228,8 +232,8 @@ and compile_block ctx stmts =
     stmts
 
 (** Compile a linked image to an executable, fully checked stack-VM
-    program. *)
-let compile ?maps ?(bounds = false) (image : Link.image) : Program.t =
+    program, with each [Ir.At] statement's first pc. *)
+let compile_starts ?maps ?(bounds = false) (image : Link.image) =
   let prog = image.Link.prog in
   let em = { code = Array.make 256 Opcode.Halt; len = 0 } in
   let ctx =
@@ -241,6 +245,7 @@ let compile ?maps ?(bounds = false) (image : Link.image) : Program.t =
       bounds;
       prev = None;
       bounds_rev = [];
+      starts_rev = [];
     }
   in
   let funcs =
@@ -271,7 +276,7 @@ let compile ?maps ?(bounds = false) (image : Link.image) : Program.t =
           writable = image.Link.arr_writable.(i);
         })
   in
-  {
+  ( {
     Program.code = Array.sub em.code 0 em.len;
     funcs;
     arrays;
@@ -283,4 +288,8 @@ let compile ?maps ?(bounds = false) (image : Link.image) : Program.t =
     maps = (match maps with Some m -> m | None -> [||]);
     proofs = [||];
     loop_bounds = Array.of_list (List.rev ctx.bounds_rev);
-  }
+  },
+    Array.of_list (List.rev ctx.starts_rev) )
+
+let compile ?maps ?bounds image = fst (compile_starts ?maps ?bounds image)
+let compile_located image = compile_starts image

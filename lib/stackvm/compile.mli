@@ -20,3 +20,10 @@ val compile :
     admit a {!Graft_analysis.Loopbound} certificate (recorded at the
     loop's backward [Jmp]); an underivable loop raises
     [Invalid_argument]. *)
+
+val compile_located :
+  Graft_gel.Link.image -> Program.t * (int * Graft_gel.Srcloc.pos) array
+(** [compile_located image] compiles located IR
+    ([Graft_gel.Typecheck.check_program_located]) as {!compile} does
+    and also returns, in pc order, each [Ir.At] statement's first pc
+    with its source position, for [graftkit check]'s diagnostics. *)

@@ -67,11 +67,16 @@ let load_opt_exn ?maps ?bounded image =
     ({!Verify.elide}). Its interval analysis derives every check site's
     operand range from the bytecode, and each site whose range is
     provably legal becomes its unchecked twin under that range as its
-    claim. No analysis outside the verifier decides an elision. *)
-let load_static ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
-    (Program.t, string) result =
+    claim. No analysis outside the verifier decides an elision. The
+    program comes with what the verifier derived, which the JIT's block
+    plan reads. *)
+let load_static_derived ?maps ?(bounded = false) (image : Graft_gel.Link.image)
+    : (Program.t * Verify.derived, string) result =
   gate ~admit:(Verify.elide ~bounded) image (fun () ->
       Compile.compile ?maps ~bounds:bounded image)
+
+let load_static ?maps ?bounded image =
+  Result.map fst (load_static_derived ?maps ?bounded image)
 
 let load_static_exn ?maps ?bounded image =
   match load_static ?maps ?bounded image with

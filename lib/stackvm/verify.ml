@@ -149,16 +149,18 @@ let claim_fault (p : Program.t) pc op claim =
    ({!Graft_analysis.Fixpoint}). Returns, per pc, the join of the
    operand intervals every visit of a check site saw (its index, map
    key or divisor; ⊥ at a pc no path reaches and at every other
-   instruction), and fails if an unchecked instruction lacks a legal
-   claim or a visit derives an operand outside it. A site and its
-   unchecked twin have the same transfer function, so swapping sites
-   leaves this fixpoint as it is. *)
-let check_elisions (p : Program.t) : (I.t array, string) result =
+   instruction) and whether any path reached the pc, and fails if an
+   unchecked instruction lacks a legal claim or a visit derives an
+   operand outside it. A site and its unchecked twin have the same
+   transfer function, so swapping sites leaves this fixpoint as it
+   is. *)
+let check_elisions (p : Program.t) : (I.t array * bool array, string) result =
   let ncode = Array.length p.code in
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
   let claims = Hashtbl.create 16 in
   let derived = Array.make ncode I.bot in
+  let reached = Array.make ncode false in
   let setup () =
     Array.iter
       (fun (pc, claim) ->
@@ -379,7 +381,8 @@ let check_elisions (p : Program.t) : (I.t array, string) result =
           next ()
     in
     let lo = f.Program.entry in
-    ignore
+    Array.iteri
+      (fun i st -> reached.(lo + i) <- st <> None)
       (Graft_analysis.Fixpoint.solve ~lo ~hi:f.Program.code_end
          ~target:(fun pc -> Opcode.target p.code.(pc))
          ~merge ~transfer
@@ -396,7 +399,7 @@ let check_elisions (p : Program.t) : (I.t array, string) result =
           bad "unchecked instruction without proof at %d" pc)
       p.code;
     Array.iteri check_func p.funcs;
-    Ok derived
+    Ok (derived, reached)
   with Bad msg -> Error msg
 
 
@@ -721,39 +724,42 @@ let heights (p : Program.t) : (heights, string) result =
     Ok { at; fmax }
   with Bad msg -> Error msg
 
+type derived = { heights : heights; operands : I.t array; reached : bool array }
+
 (* Passes 1 and 3: everything but the interval analysis. *)
 let structure ~bounded p =
   match heights p with
-  | Error msg -> Error msg
-  | Ok _ -> if bounded then check_bounds p else Ok ()
+  | Error _ as e -> e
+  | Ok h -> if bounded then Result.map (fun () -> h) (check_bounds p) else Ok h
+
+let derive ?(bounded = false) (p : Program.t) : (derived, string) result =
+  Result.bind (structure ~bounded p) (fun heights ->
+      Result.map
+        (fun (operands, reached) -> { heights; operands; reached })
+        (check_elisions p))
 
 let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
-  match structure ~bounded p with
-  | Error _ as e -> e
-  | Ok () ->
-      if Array.length p.proofs = 0 && not (Array.exists Opcode.is_unchecked p.code)
-      then Ok ()
-      else Result.map ignore (check_elisions p)
+  if Array.length p.proofs = 0 && not (Array.exists Opcode.is_unchecked p.code)
+  then Result.map ignore (structure ~bounded p)
+  else Result.map ignore (derive ~bounded p)
 
-let elide ?(bounded = false) (p : Program.t) : (Program.t, string) result =
-  match structure ~bounded p with
-  | Error msg -> Error msg
-  | Ok () -> (
-      match check_elisions p with
-      | Error msg -> Error msg
-      | Ok derived ->
-          let code = Array.copy p.code in
-          let fresh = ref [] in
-          for pc = Array.length code - 1 downto 0 do
-            match Opcode.check_site code.(pc) with
-            | Some (checked, unchecked)
-              when code.(pc) = checked
-                   && (not (I.is_bot derived.(pc)))
-                   && claim_fault p pc unchecked derived.(pc) = None ->
-                code.(pc) <- unchecked;
-                fresh := (pc, derived.(pc)) :: !fresh
-            | _ -> ()
-          done;
-          let proofs = Array.append p.proofs (Array.of_list !fresh) in
-          Array.stable_sort (fun (a, _) (b, _) -> compare a b) proofs;
-          Ok { p with Program.code; proofs })
+let elide ?bounded (p : Program.t) : (Program.t * derived, string) result =
+  Result.map
+    (fun d ->
+      let code = Array.copy p.code in
+      let fresh = ref [] in
+      for pc = Array.length code - 1 downto 0 do
+        let iv = d.operands.(pc) in
+        match Opcode.check_site code.(pc) with
+        | Some (checked, unchecked)
+          when code.(pc) = checked
+               && (not (I.is_bot iv))
+               && claim_fault p pc unchecked iv = None ->
+            code.(pc) <- unchecked;
+            fresh := (pc, iv) :: !fresh
+        | _ -> ()
+      done;
+      let proofs = Array.append p.proofs (Array.of_list !fresh) in
+      Array.stable_sort (fun (a, _) (b, _) -> compare a b) proofs;
+      ({ p with Program.code; proofs }, d))
+    (derive ?bounded p)

@@ -23,9 +23,24 @@ type heights = { at : int array; fmax : int array }
 val heights : Program.t -> (heights, string) result
 (** [heights p] runs pass 1 alone: the static tables, every operand,
     and the per-function stack-height dataflow. It fails exactly when
-    {!verify} fails pass 1, with the same message. Every later stage
-    that needs a stack height (the JIT's block plan) reads it from
-    here. *)
+    {!verify} fails pass 1, with the same message. *)
+
+(** What {!derive} hands back: pass 1's [heights], and pass 2's
+    [operands] (per pc, the join of the operand intervals every visit
+    of a check site saw: its index, map key or divisor; ⊥ at every
+    other pc and wherever pass 2 never arrives) and [reached] (whether
+    any path pass 2 admits arrives at the pc). *)
+type derived = {
+  heights : heights;
+  operands : Graft_analysis.Interval.t array;
+  reached : bool array;
+}
+
+val derive : ?bounded:bool -> Program.t -> (derived, string) result
+(** [derive ?bounded p] runs {!verify}'s passes over [p], pass 2
+    included, and returns what they derived. It fails exactly when
+    {!verify} [p] fails. [graftkit check] reads its diagnostics from
+    it. *)
 
 val verify : ?bounded:bool -> Program.t -> (unit, string) result
 (** [verify ?bounded p] checks [p]. With [bounded:true] (Graftgate
@@ -36,12 +51,14 @@ val verify : ?bounded:bool -> Program.t -> (unit, string) result
     instruction is admitted only under a claim in [p]'s proof manifest
     that the interval analysis re-derives: derived ⊆ claim ⊆ legal. *)
 
-val elide : ?bounded:bool -> Program.t -> (Program.t, string) result
-(** [elide ?bounded p] runs {!verify}'s passes over [p] once and
-    returns [p] with every checked site whose derived operand interval
-    (joined over all visits, never ⊥) lies inside its legal range
-    swapped to its unchecked twin, that interval recorded as the
-    site's claim. The static tier's elisions are the verifier's own: a
-    site and its twin have the same interval transfer function, so the
-    result passes {!verify} without a second analysis. It fails
+val elide :
+  ?bounded:bool -> Program.t -> (Program.t * derived, string) result
+(** [elide ?bounded p] runs {!derive} over [p] once and returns [p]
+    with every checked site whose derived operand interval (never ⊥)
+    lies inside its legal range swapped to its unchecked twin, that
+    interval recorded as the site's claim, together with what {!derive}
+    derived. The static tier's elisions are the verifier's own: a site
+    and its twin have the same stack effect and interval transfer
+    function, so the result passes {!verify} without a second analysis
+    and the derived heights and intervals are also its own. It fails
     exactly when {!verify} [p] fails. *)

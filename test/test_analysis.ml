@@ -11,7 +11,7 @@ module Opcode = Graft_stackvm.Opcode
 module Program = Graft_stackvm.Program
 module Vm = Graft_stackvm.Vm
 module Verify = Graft_stackvm.Verify
-module Analyze = Graft_analysis.Analyze
+module Check = Graft_stackvm.Check
 module I = Graft_analysis.Interval
 
 let check_int = Alcotest.(check int)
@@ -58,6 +58,12 @@ let evict_image () =
     (Gel_sources.evict ~heap_cells:256)
 
 let logdisk_image () = build_image (Gel_sources.logdisk ~nblocks:64)
+
+(* [graftkit check]'s diagnostics for a source. *)
+let check_source ?entries src =
+  match Gel.compile_located src with
+  | Ok (prog, meta) -> Check.run ?entries prog meta
+  | Error e -> Alcotest.failf "compile: %s" (Srcloc.to_string e)
 
 (* ---------- interval domain ---------- *)
 
@@ -622,10 +628,10 @@ let sequence_source n =
 
 (* Every VM tier loads a 16-deep nest and 64 sequential loops, bounded
    and not; the analyses behind the elided loaders finish and elide
-   what they should. Under nested loops an analysis that re-runs each
-   inner fixpoint per outer round does exponential work, and one that
-   sweeps the whole program to widen does quadratic work in the number
-   of loops. *)
+   what they should, and [graftkit check] finds nothing to report.
+   Under nested loops an analysis that re-runs each inner fixpoint per
+   outer round does exponential work, and one that sweeps the whole
+   program to widen does quadratic work in the number of loops. *)
 let test_deep_loops_load () =
   let nest = nest_source 16 and sequence = sequence_source 64 in
   let vm_techs =
@@ -666,7 +672,9 @@ let test_deep_loops_load () =
             (Regvm.elision_stats
                (Regvm.load_exn ~protection ~elide:true (build_image src))))
         [ ("sfi-wj", Rprogram.Write_jump, wj_sites);
-          ("sfi-full", Rprogram.Full, full_sites) ])
+          ("sfi-full", Rprogram.Full, full_sites) ];
+      check_int (label ^ ", check diagnostics") 0
+        (List.length (check_source src)))
     [
       ("16-deep nest", nest, (1, 1), (0, 1), (0, 1));
       ("64 sequential loops", sequence, (64, 64), (64, 64), (128, 128));
@@ -781,11 +789,30 @@ let test_bogus_proofs () =
 
 let diag_at kind line col diags =
   List.exists
-    (fun (d : Analyze.diag) ->
-      d.Analyze.dkind = kind
-      && d.Analyze.dpos.Srcloc.line = line
-      && d.Analyze.dpos.Srcloc.col = col)
+    (fun (d : Check.diag) ->
+      d.Check.dkind = kind
+      && d.Check.dpos.Srcloc.line = line
+      && d.Check.dpos.Srcloc.col = col)
     diags
+
+let dump_diags diags =
+  String.concat "\n"
+    (List.map
+       (fun (d : Check.diag) ->
+         Printf.sprintf "%d:%d %s %s" d.Check.dpos.Srcloc.line
+           d.Check.dpos.Srcloc.col d.Check.dkind d.Check.dmsg)
+       diags)
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  nl = 0 || go 0
+
+(* [(1 + (1 + ... n))], [depth] additions deep. *)
+let deep_expr_source depth =
+  Printf.sprintf "fn main(n : int) : int {\n  return %sn%s;\n}\n"
+    (String.concat "" (List.init depth (fun _ -> "(1 + ")))
+    (String.make depth ')')
 
 let test_check_diagnostics () =
   let src =
@@ -805,40 +832,83 @@ fn main(n : int) : int {
 }
 |}
   in
-  let prog, meta =
-    match Gel.compile_located src with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "compile: %s" (Srcloc.to_string e)
+  let expect ?(absent = false) kind line col diags =
+    if diag_at kind line col diags = absent then
+      Alcotest.failf "%s %s at %d:%d; got:\n%s"
+        (if absent then "unexpected" else "missing")
+        kind line col (dump_diags diags)
   in
-  let diags = Analyze.check ~entries:[ "main" ] prog meta in
-  let dump () =
-    String.concat "\n"
-      (List.map
-         (fun (d : Analyze.diag) ->
-           Printf.sprintf "%d:%d %s %s" d.Analyze.dpos.Srcloc.line
-             d.Analyze.dpos.Srcloc.col d.Analyze.dkind d.Analyze.dmsg)
-         diags)
+  let diags = check_source ~entries:[ "main" ] src in
+  expect "unused-fn" 2 1 diags;
+  expect "unused-local" 6 3 diags;
+  expect "oob" 8 3 diags;
+  expect "unreachable" 11 5 diags;
+  expect "divzero" 13 3 diags;
+  (* An access in a loop condition is reported at the loop, not at
+     the body or step statement that ran last. *)
+  let loops =
+    check_source
+      {|array a[4];
+fn main(n : int) : int {
+  var s : int = 0;
+  while (a[9] > 0) {
+    s = s + 1;
+  }
+  for (var j : int = 0; a[j + 5] < 3; j = j + 1) {
+    s = s + j;
+  }
+  return s;
+}
+|}
   in
-  let expect kind line col =
-    if not (diag_at kind line col diags) then
-      Alcotest.failf "missing %s at %d:%d; got:\n%s" kind line col (dump ())
+  expect "oob" 4 3 loops;
+  expect "oob" 7 3 loops;
+  expect ~absent:true "oob" 5 5 loops;
+  expect ~absent:true "oob" 7 39 loops;
+  (* A loop body that never runs is unreachable code. *)
+  expect "unreachable" 4 5
+    (check_source
+       {|fn main(n : int) : int {
+  var s : int = 0;
+  for (var i : int = 0; i < 0; i = i + 1) {
+    s = s + n;
+  }
+  return s;
+}
+|});
+  (* The checked [a[n]] in the [&&]'s right operand proves n in [0,3]
+     on the path that ran it, and n <= 2 on the other, so [!(n < 4)]
+     never holds. *)
+  let short_circuit =
+    check_source
+      {|array a[4];
+fn main(n : int) : int {
+  var s : int = 0;
+  if (n > 2 && a[n] > 0) {
+    s = 1;
+  }
+  if (!(n < 4)) {
+    s = a[n];
+  }
+  return s;
+}
+|}
   in
-  expect "unused-fn" 2 1;
-  expect "unused-local" 6 3;
-  expect "oob" 8 3;
-  expect "unreachable" 11 5;
-  expect "divzero" 13 3;
+  expect "unreachable" 8 5 short_circuit;
+  expect ~absent:true "oob" 8 5 short_circuit;
+  (* An expression deeper than the operand stack: no bytecode tier
+     loads it, and check says so with the verifier's message. *)
+  (match check_source (deep_expr_source 1100) with
+  | [ d ] ->
+      Alcotest.(check string) "verify kind" "verify" d.Check.dkind;
+      check_bool "stack overflow message" true
+        (contains d.Check.dmsg "stack overflow")
+  | ds -> Alcotest.failf "deep expression: got\n%s" (dump_diags ds));
   (* A clean graft yields no warnings. *)
-  let clean_prog, clean_meta =
-    match
-      Gel.compile_located (Gel_sources.evict ~heap_cells:256)
-    with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "compile: %s" (Srcloc.to_string e)
-  in
   check_int "builtin evict is clean" 0
     (List.length
-       (Analyze.check ~entries:[ "contains"; "choose" ] clean_prog clean_meta))
+       (check_source ~entries:[ "contains"; "choose" ]
+          (Gel_sources.evict ~heap_cells:256)))
 
 (* [graftkit check --json] as CI would consume it: the example grafts
    and the built-ins analyze clean under --werror, the document is the

@@ -167,7 +167,31 @@ let test_gel_cli () =
         true
         (String.starts_with ~prefix:"fault: " out))
     vm_techs;
-  Sys.remove probe
+  Sys.remove probe;
+  (* An expression deeper than the stack VM's operand stack runs on
+     the AST walker, and the stack tiers refuse it with a load error,
+     also under --dump. *)
+  let deep = Filename.temp_file "deep" ".gel" in
+  Out_channel.with_open_text deep (fun oc ->
+      Printf.fprintf oc "fn main(n : int) : int {\n  return %sn%s;\n}\n"
+        (String.concat "" (List.init 1100 (fun _ -> "(1 + ")))
+        (String.make 1100 ')'));
+  check_str "deep expression on ast-interp" "1101\n"
+    (snd (Cli.graftkit [ "gel"; deep; "-a"; "1" ]));
+  let err = Filename.temp_file "deep" ".err" in
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, out = Cli.graftkit ~stderr:err ([ "gel"; deep; "-a"; "1" ] @ args) in
+      let msg = In_channel.with_open_text err In_channel.input_all in
+      check_int (what ^ " exit") 1 code;
+      check_str (what ^ " stdout") "" out;
+      check_bool (what ^ " load error printed") true
+        (String.starts_with ~prefix:"load error: " msg))
+    [ [ "-t"; "bytecode-vm" ]; [ "-t"; "safe-lang-static" ]; [ "-t"; "jit" ];
+      [ "--dump" ] ];
+  Sys.remove err;
+  Sys.remove deep
 
 (* ---------- evict runners across technologies ---------- *)
 
