@@ -1,59 +1,40 @@
-(** Loop-bound certificates: Graftcheck's monotone-counter / trip-count
-    derivation.
+(** Loop bounds: Graftcheck's monotone-counter / trip-count derivation.
 
     The 1996 paper's verifiable tiers simply forbid backward jumps;
     eBPF-class runtimes instead admit loops the verifier can prove
-    terminate. Graftgate takes the proof-carrying route from PR 2: the
-    front end *derives* a bound certificate for each loop from the IR,
-    the certificate rides in the program's proof manifest, and each
-    backend verifier independently *re-derives* the bound from its own
-    instruction stream and admits the backward jump only if the two
-    agree. A tampered or missing certificate is a load failure, never
-    a runtime surprise.
+    terminate, from the instructions alone. Graftgate does the same:
+    the front end refuses any loop whose bound it cannot derive from
+    the IR ({!check_program}), and each backend verifier derives the
+    bound again from its own instruction stream (the counter's
+    initialiser, the loop-head test and the step) before it admits the
+    backward jump. No bound travels with the program, so there is none
+    to tamper with: a loop the code does not bound is a load failure,
+    never a runtime surprise.
 
     The derivable shape is the canonical counted loop GEL's [for]
-    lowers to (and the only shape the certificate format claims to
-    cover):
+    lowers to:
 
     {[ var i = INIT;                     (* immediately before loop *)
        while (i < LIMIT) {               (* Lt/Le, or Gt/Ge counting down *)
          ... body never assigns i ...
        } step { i = i + STEP; }          (* constant STEP >= 1 *) ]}
 
-    The trip count is then a closed form, capped at {!max_trip} so a
-    certificate can also serve as a fuel budget. *)
+    The trip count is then a closed form ({!trips}), capped at
+    {!max_trip} so a certified loop's count can also serve as a fuel
+    budget. {!entry_fault} is the one entry rule both verifiers hold a
+    certified loop to. *)
 
 module Ir = Graft_gel.Ir
-
-type cert = {
-  c_counter : int;  (** local slot of the counter *)
-  c_init : int;
-  c_limit : int;
-  c_cmp : Ir.cmp;  (** [Lt]/[Le] counting up, [Gt]/[Ge] counting down *)
-  c_step : int;  (** positive magnitude of the per-iteration step *)
-  c_trips : int;  (** maximum number of body executions *)
-}
 
 (** Ceiling on any certified trip count: a loop the verifier admits
     can run at most this many iterations, so certified grafts stay
     preemptible-by-construction even in unfueled tiers. *)
 let max_trip = 1_000_000
 
-let to_string c =
-  Printf.sprintf "local%d: %d %s %d step %d -> %d trips" c.c_counter c.c_init
-    (match c.c_cmp with
-    | Ir.Lt -> "<"
-    | Ir.Le -> "<="
-    | Ir.Gt -> ">"
-    | Ir.Ge -> ">="
-    | Ir.Eq -> "=="
-    | Ir.Ne -> "!=")
-    c.c_limit c.c_step c.c_trips
-
 (** Closed-form trip count, or [None] when the shape cannot terminate
     by counting ([step = 0], direction fights the comparison, or the
-    count exceeds {!max_trip}). Exported so backend verifiers recompute
-    the same number from their re-derived windows. *)
+    count exceeds {!max_trip}). Exported so backend verifiers compute
+    the same number from the windows they read. *)
 let trips ~init ~limit ~cmp ~step : int option =
   if step < 1 then None
   else
@@ -69,6 +50,38 @@ let trips ~init ~limit ~cmp ~step : int option =
     | Some n when n >= 0 && n <= max_trip -> Some n
     | _ -> None
 
+(** The entry rule every verifier holds a certified loop to, so the
+    bound it derived covers every execution that reaches the back
+    edge. The loop's initialiser starts at [init], its back edge is at
+    [back], and the [step_len] instructions before [back] are its step;
+    [target pc] reads the branch target of the instruction at [pc] in
+    an [ncode]-instruction code array, and [entries] pairs each
+    function's name with its entry pc. No jump from outside
+    [\[init, back\]] and no function entry may land in [(init, back]],
+    where the counter would start from an unproven value, and no jump
+    at all may land in the step window past its first instruction,
+    where it would reach the back edge without advancing the counter
+    (a jump to the step's first instruction is the compiled
+    [continue]). Returns why the rule fails, or [None]. *)
+let entry_fault ~target ~ncode ~entries ~init ~back ~step_len =
+  let inside u = u > init && u <= back in
+  let rec jumps pc =
+    if pc >= ncode then None
+    else
+      match target pc with
+      | Some u when inside u && (pc < init || pc > back) ->
+          Some (Printf.sprintf "jump at %d enters a certified loop at %d" pc u)
+      | Some u when u > back - step_len && u <= back ->
+          Some
+            (Printf.sprintf
+               "jump at %d enters a certified loop's step window at %d" pc u)
+      | _ -> jumps (pc + 1)
+  in
+  match List.find_opt (fun (_, e) -> inside e) entries with
+  | Some (name, e) ->
+      Some (Printf.sprintf "function %s starts inside a certified loop at %d" name e)
+  | None -> jumps 0
+
 let rec strip = function Ir.At (_, s) -> strip s | s -> s
 
 (** Does any statement in [stmts] (recursively) assign local [slot]? *)
@@ -82,10 +95,11 @@ let rec assigns_local slot stmts =
       | _ -> false)
     stmts
 
-(** Derive a certificate for one [While (cond, body, step)] given the
-    statement lexically preceding it (the counter's initialiser). *)
+(** The trip count of one [While (cond, body, step)] given the
+    statement lexically preceding it (the counter's initialiser), or
+    why the loop has none. *)
 let derive ~(prev : Ir.stmt option) (cond : Ir.expr) (body : Ir.stmt list)
-    (step : Ir.stmt list) : (cert, string) result =
+    (step : Ir.stmt list) : (int, string) result =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match cond with
   | Ir.Cmp (((Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as cmp), Ir.Local i, Ir.Const k)
@@ -117,16 +131,7 @@ let derive ~(prev : Ir.stmt option) (cond : Ir.expr) (body : Ir.stmt list)
                 | None ->
                     fail "trip count for local%d exceeds %d or diverges" i
                       max_trip
-                | Some n ->
-                    Ok
-                      {
-                        c_counter = i;
-                        c_init = v;
-                        c_limit = k;
-                        c_cmp = cmp;
-                        c_step = s;
-                        c_trips = n;
-                      })
+                | Some n -> Ok n)
           | _ -> fail "loop step is not a single constant bump of local%d" i))
   | _ -> Error "loop condition is not (counter CMP constant)"
 
@@ -150,10 +155,10 @@ let rec walk_block f stmts =
     stmts
 
 (** Check every loop in [prog] has a derivable bound. This is the
-    whole "verifier" for the AST-interpreter tier (which executes IR
-    directly, so the IR-level derivation *is* the independent check),
-    and the front gate for the register VM (whose instruction-level
-    verifier then re-derives each window). *)
+    whole loop check for the AST-interpreter tier (which executes IR
+    directly, so the IR-level derivation is the check), and the front
+    gate for the register VM (whose instruction-level verifier then
+    derives each loop's bound again from the machine code). *)
 let check_program (prog : Ir.program) : (unit, string) result =
   let err = ref None in
   Array.iter

@@ -120,11 +120,12 @@ type engine =
     loader and engine. Loading (verify, and compile where the tier
     compiles) happens once, here; each call enters a resident session
     with [fuel]. [maps] lets the stack tiers lower typed-helper calls
-    to map opcodes; [bounded] makes every tier's verifier demand a
-    loop-bound certificate for each backward jump (the reference
-    interpreter gates on the IR-level {!Graft_analysis.Loopbound}
-    check at construction); [profile] counts executed opcodes on the
-    tiers that keep a profile (all but the reference interpreter). *)
+    to map opcodes; [bounded] makes every tier's verifier admit a
+    backward jump only as the back edge of a loop whose bound it
+    derives from the code (the reference interpreter gates on the
+    IR-level {!Graft_analysis.Loopbound} check at construction);
+    [profile] counts executed opcodes on the tiers that keep a profile
+    (all but the reference interpreter). *)
 let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
     (image : Link.image) : engine =
   let stack p =
@@ -135,7 +136,7 @@ let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
   | Technology.Ast_interp ->
       (* No bytecode verifier on this tier: the gate is the same typed
          helper table plus the IR-level bound derivation the bytecode
-         verifiers re-check at machine level. *)
+         verifiers repeat at machine level. *)
       (match Graft_analysis.Helpers.check_externs image.Link.prog with
       | Ok () -> ()
       | Error msg -> failwith ("GEL graft rejected: " ^ msg));
@@ -615,8 +616,8 @@ type demux = {
     for the given technology: per-connection packet counters live in a
     fresh 64-entry array map, the payload marker scan is a certified
     bounded loop, and every tier loads with [~bounded:true] — the
-    backward jump is accepted only because each verifier independently
-    re-derives the scan loop's trip count. *)
+    backward jump is accepted only because each verifier derives the
+    scan loop's trip count from its own code. *)
 let demux (tech : Technology.t) ~protocol ~marker : demux =
   let conn = Graft_kernel.Graftmap.create_array ~name:"conn" 64 in
   let fn =

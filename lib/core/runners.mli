@@ -91,8 +91,9 @@ type engine =
     the one {!Graft_stackvm.Vm} loop; jit to Graftjit; sfi-wj and
     sfi-full to the register VM. [maps] lets the stack tiers lower
     typed-helper calls to map opcodes; [bounded] makes every tier's
-    verifier demand an independently re-derived loop-bound certificate
-    for each backward jump; [profile] counts executed opcodes (indexed
+    verifier admit a backward jump only as the back edge of a loop
+    whose bound it derives from the code, with nothing shipped beside
+    it; [profile] counts executed opcodes (indexed
     by {!Graft_stackvm.Opcode.class_names} on the stack tiers and the
     JIT, {!Graft_regvm.Isa.class_names} on the register VM; the
     reference interpreter keeps none). Raises [Failure] if the graft
@@ -266,8 +267,8 @@ type demux = {
     demux: per-connection packet counters in a fresh 64-entry array
     map, plus a certified bounded scan for [marker] in payload bytes
     54..69. Every tier loads with [~bounded:true] — the backward jump
-    is accepted only under a re-derived trip-count certificate. Raises
-    [Invalid_argument] for non-VM technologies. *)
+    is accepted only because the verifier derives the scan's trip
+    count. Raises [Invalid_argument] for non-VM technologies. *)
 val demux : Technology.t -> protocol:int -> marker:int -> demux
 
 type hotset = {

@@ -243,7 +243,7 @@ let jail_map () = K.Graftmap.create_array ~name:"jail-map" 8
 
 (* Graftgate's negative control as a saboteur: submit the demux graft
    whose scan loop is a raw while (semantically bounded, but not the
-   canonical counted shape the certificate derivation accepts) to the
+   canonical counted shape the bound derivation accepts) to the
    technology's bounded loader. Every verified tier must reject it at
    load — the fault class never reaches execution. *)
 let runaway_cell tech =

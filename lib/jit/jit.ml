@@ -155,8 +155,8 @@ let build_plan (prog : Program.t) heights : plan =
 (** The static-tier loader pipeline (compile fully checked, then
     {!Graft_stackvm.Verify.elide}) followed by block planning. With
     [maps], lowerable helper calls compile to map opcodes over those kernel
-    objects; with [bounded:true] every loop needs a re-derived
-    loop-bound certificate (Graftgate mode). *)
+    objects; with [bounded:true] every loop needs a bound the verifier
+    derives from the bytecode (Graftgate mode). *)
 let load ?maps ?bounded (image : Graft_gel.Link.image) : (t, string) result =
   match Graft_stackvm.Stackvm.load_static_derived ?maps ?bounded image with
   | Error msg -> Error msg
@@ -1190,15 +1190,16 @@ let elision_stats (t : t) =
 
 (** Render the block/closure structure: per function, each basic block
     with its entry stack height, and per instruction the elided checks
-    with the proof interval the verifier derived. *)
+    with the operand interval the verifier derives there (derived again
+    here, so no session keeps it). *)
 let describe (t : t) : string =
   let plan = t.plan in
   let p = plan.prog in
   let buf = Buffer.create 1024 in
-  let proof_at pc =
-    Array.fold_left
-      (fun acc (ppc, claim) -> if ppc = pc then Some claim else acc)
-      None p.Program.proofs
+  let operands =
+    match Graft_stackvm.Verify.derive p with
+    | Ok d -> d.Graft_stackvm.Verify.operands
+    | Error (_, msg) -> failwith ("Jit.describe: loaded plan fails verify: " ^ msg)
   in
   Array.iteri
     (fun fi (f : Program.funcdesc) ->
@@ -1232,11 +1233,8 @@ let describe (t : t) : string =
             let annot =
               if not (Opcode.is_unchecked p.Program.code.(pc)) then ""
               else
-                match proof_at pc with
-                | Some claim ->
-                    Printf.sprintf "   ; elided, proof %s"
-                      (Graft_analysis.Interval.to_string claim)
-                | None -> "   ; elided"
+                Printf.sprintf "   ; elided, proof %s"
+                  (Graft_analysis.Interval.to_string operands.(pc))
             in
             Buffer.add_string buf
               (Printf.sprintf "    %4d: %s%s\n" pc

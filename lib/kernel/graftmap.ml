@@ -245,9 +245,8 @@ let clear t =
 
 (** Unchecked fast path for verified map opcodes ([Mlookup_u] /
     [Mupdate_u]). Only legal on array maps whose key interval the
-    verifier has re-derived as within bounds; calling these without a
-    certificate is memory-unsafe by design, exactly like
-    [Aload_u]. *)
+    verifier has proven within bounds; calling these without that
+    proof is memory-unsafe by design, exactly like [Aload_u]. *)
 let unsafe_get t k = Array.unsafe_get t.arr k
 
 let unsafe_set t k v = Array.unsafe_set t.arr k v

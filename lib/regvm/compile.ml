@@ -276,5 +276,4 @@ let compile (image : Link.image) ~(segment : Program.segment) : Program.t =
     cells = Graft_mem.Memory.cells image.Link.mem;
     segment;
     protection = Program.Unprotected;
-    claims = [||];
   }

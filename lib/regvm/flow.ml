@@ -4,11 +4,11 @@
     point an interval per register ({!Graft_analysis.Interval}). It is
     the evidence base for mask elision: {!Sfi.instrument} uses it to
     find stores whose effective address is provably inside the sandbox
-    segment (so the masking triple is dead weight), and {!Verify} reruns
-    the same analysis over the instrumented code to re-derive — and
-    thereby admit or refuse — each recorded elision. Because both sides
-    call this one function, the compiler holds no special authority: a
-    claim the verifier cannot reproduce is rejected at load time.
+    segment (so the masking triple is dead weight), and {!Verify} runs
+    the same analysis over the instrumented code to admit or refuse
+    each access left unmasked. The instrumenter records nothing and
+    holds no special authority: an unmasked access the verifier's own
+    run cannot prove in-segment is rejected at load time.
 
     The analysis is deliberately blunt where bluntness is cheap:
     - no branch refinement — both edges of [brz]/[brnz] get the same

@@ -1,9 +1,10 @@
 (** Register-interval dataflow over SFI register code: the shared
     evidence base for mask elision. {!Sfi.instrument} consults it to
     find accesses whose effective address provably stays inside the
-    sandbox segment; {!Verify} reruns it over the instrumented code to
-    independently re-derive every recorded elision, so the analysis
-    itself never joins the trusted base. Deliberately path-insensitive
+    sandbox segment; {!Verify} runs it over the instrumented code and
+    admits an unmasked access only where its own run proves the
+    address in-segment, so the instrumenter never joins the trusted
+    base. Deliberately path-insensitive
     (no branch refinement); it iterates on the stack verifier's solver
     ({!Graft_analysis.Fixpoint}), widening only at back-edge targets. *)
 

@@ -1,4 +1,6 @@
-(** Executable form of a register-VM graft. *)
+(** Executable form of a register-VM graft. Nothing rides beside the
+    code for the verifier to read: an access left unmasked is admitted
+    only if {!Verify} proves it in-segment from the instructions. *)
 
 type funcdesc = {
   name : string;
@@ -28,14 +30,6 @@ type t = {
   cells : int array;
   segment : segment;
   protection : protection;
-  claims : (int * Graft_analysis.Interval.t) array;
-      (** Mask-elision proof annotations: [(pc, addr_interval)] pairs,
-          sorted by pc, one per memory access the SFI pass left
-          unmasked because its effective address provably falls inside
-          [segment]. Untrusted — {!Verify} re-derives each address
-          interval with {!Flow} and admits the elision only if its own
-          derivation is contained in the claim and the claim in the
-          segment. *)
 }
 
 let find_func p name =

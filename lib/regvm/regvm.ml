@@ -21,13 +21,13 @@ module Disasm = Disasm
 
 (** [~elide:true] lets the SFI pass skip the masking triple for
     accesses whose address the {!Flow} interval analysis proves
-    in-segment; each elision is recorded as a claim that the verifier
-    independently re-derives before accepting the program.
+    in-segment; the verifier proves each such access again from the
+    instrumented code before accepting the program.
 
-    [~bounded:true] (Graftgate mode) derives a loop-bound certificate
-    for every loop at the IR level ({!Graft_analysis.Loopbound}) and
-    then verifies with backward-branch windows re-derived from the
-    machine code; an underivable loop is a load error. *)
+    [~bounded:true] (Graftgate mode) derives a bound for every loop at
+    the IR level ({!Graft_analysis.Loopbound}) and then verifies with
+    the bound derived again from the machine code's backward-branch
+    windows; an underivable loop is a load error. *)
 let load ?(protection = Program.Write_jump) ?(elide = false)
     ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
@@ -62,17 +62,20 @@ let load_exn ?protection ?elide ?bounded image =
 (** (elided, total) counts of maskable access sites — stores, plus
     loads under [Full] protection — for the ablation report. In
     instrumented code every [St] is one site (masked through r1 or
-    elided under a claim), and under [Full] every [Ld] likewise; an
-    elided site is one carrying a verified claim. *)
+    elided), and under [Full] every [Ld] likewise; an elided site is
+    one that does not address through r1, which the verifier admits
+    only when it proves the address in-segment. *)
 let elision_stats (p : Program.t) : int * int =
   let full = p.Program.protection = Program.Full in
-  let total =
-    Array.fold_left
-      (fun acc instr ->
-        match instr with
-        | Isa.St _ -> acc + 1
-        | Isa.Ld _ when full -> acc + 1
-        | _ -> acc)
-      0 p.Program.code
+  let protected_ = p.Program.protection <> Program.Unprotected in
+  let site (elided, total) r =
+    ((if protected_ && r <> Isa.reg_sandbox then elided + 1 else elided),
+     total + 1)
   in
-  (Array.length p.Program.claims, total)
+  Array.fold_left
+    (fun acc instr ->
+      match instr with
+      | Isa.St (rb, _, _) -> site acc rb
+      | Isa.Ld (_, rs, _) when full -> site acc rs
+      | _ -> acc)
+    (0, 0) p.Program.code

@@ -16,7 +16,10 @@
     worst overwrite its own data — the paper's definition of
     sandboxing — at a cost of three extra ALU instructions per store.
 
-    The pass remaps all branch targets and function entry points. *)
+    The pass remaps all branch targets and function entry points. With
+    [~elide:true] it leaves unmasked the accesses whose address {!Flow}
+    proves in-segment; it records nothing about them, since {!Verify}
+    proves each unmasked access again from the instrumented code. *)
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -33,7 +36,7 @@ module I = Graft_analysis.Interval
 let instrument ?(elide = false) (p : Program.t)
     ~(protection : Program.protection) : Program.t =
   match protection with
-  | Program.Unprotected -> { p with Program.protection; claims = [||] }
+  | Program.Unprotected -> { p with Program.protection }
   | Program.Write_jump | Program.Full ->
       let seg = p.Program.segment in
       if not (is_pow2 seg.Program.size) then
@@ -46,9 +49,7 @@ let instrument ?(elide = false) (p : Program.t)
       (* Mask elision: an access whose effective address provably lies
          inside the segment behaves identically masked or not (for a
          size-aligned segment the and/or pair is the identity on
-         in-segment addresses), so the triple is pure overhead. The
-         interval each elision rests on is recorded in [claims] for the
-         load-time verifier to re-derive. *)
+         in-segment addresses), so the triple is pure overhead. *)
       let flow =
         if elide then Flow.analyze p.Program.code p.Program.funcs else [||]
       in
@@ -76,7 +77,6 @@ let instrument ?(elide = false) (p : Program.t)
       remap.(n) <- !total;
       let out = Array.make !total Isa.Halt in
       let pos = ref 0 in
-      let claims_rev = ref [] in
       let put instr =
         out.(!pos) <- instr;
         incr pos
@@ -86,21 +86,14 @@ let instrument ?(elide = false) (p : Program.t)
         put (Isa.Andi (Isa.reg_sandbox, Isa.reg_scratch, mask));
         put (Isa.Ori (Isa.reg_sandbox, Isa.reg_sandbox, base))
       in
-      let claim i r off =
-        claims_rev := (!pos, Flow.address flow i r off) :: !claims_rev
-      in
       Array.iteri
         (fun i instr ->
           match instr with
-          | Isa.St (rb, _, off) when provable i rb off ->
-              claim i rb off;
-              put instr
+          | Isa.St (rb, _, off) when provable i rb off -> put instr
           | Isa.St (rb, rs, off) ->
               sandbox rb off;
               put (Isa.St (Isa.reg_sandbox, rs, 0))
-          | Isa.Ld (_, rs, off) when full && provable i rs off ->
-              claim i rs off;
-              put instr
+          | Isa.Ld (_, rs, off) when full && provable i rs off -> put instr
           | Isa.Ld (rd, rs, off) when full ->
               sandbox rs off;
               put (Isa.Ld (rd, Isa.reg_sandbox, 0))
@@ -119,10 +112,4 @@ let instrument ?(elide = false) (p : Program.t)
             })
           p.Program.funcs
       in
-      {
-        p with
-        Program.code = out;
-        funcs;
-        protection;
-        claims = Array.of_list (List.rev !claims_rev);
-      }
+      { p with Program.code = out; funcs; protection }

@@ -22,7 +22,8 @@ val segment_of_memory : Graft_mem.Memory.t -> Program.segment
     [~elide:true] runs the {!Flow} interval analysis first and leaves
     accesses unmasked when their effective address provably lies inside
     the segment (where the size-aligned and/or masking pair is the
-    identity anyway), recording each elision and its proving interval
-    in the program's [claims] manifest for {!Verify} to re-derive. *)
+    identity anyway). Nothing records the elisions: {!Verify} admits
+    an unmasked access only if {!Flow} over the instrumented code
+    proves it in-segment. *)
 val instrument :
   ?elide:bool -> Program.t -> protection:Program.protection -> Program.t

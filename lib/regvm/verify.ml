@@ -15,20 +15,19 @@
       and the memory access — so r1 always holds an in-segment address
       when dereferenced;
     - r0 (hard-wired zero) is never written;
-    - all branch and call targets are in range.
+    - every register operand is in range, and all branch and call
+      targets are.
 
     One pass over the code; all checks O(1) per instruction.
 
     Mask elision ({!Sfi.instrument} with [~elide:true]) relaxes exactly
     one rule: a store (or, under [Full], a load) may skip the masking
-    sequence if the program carries a proof claim for its pc — an
-    address interval asserting the access stays inside the segment.
-    Claims are untrusted: a final pass reruns the {!Flow} interval
-    analysis over the instrumented code and admits each elision only if
-    its own derived address interval is contained in the claim and the
-    claim in the segment. An elision the verifier cannot re-establish
-    is a load error, so a buggy or malicious instrumenter cannot smuggle
-    an unsandboxed access past the loader. *)
+    sequence if the {!Flow} interval analysis, run by this verifier
+    over the code it is given, proves the access's effective address
+    inside the segment. Nothing the instrumenter wrote is believed, so
+    a buggy or malicious instrumenter cannot smuggle an unsandboxed
+    access past the loader: an access neither masked nor proven fails
+    with the masking rule it breaks. *)
 
 module I = Graft_analysis.Interval
 module Helpers = Graft_analysis.Helpers
@@ -51,16 +50,37 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
     p.Program.protection <> Program.Unprotected
   in
   let protected_ld = p.Program.protection = Program.Full in
-  let claims = Hashtbl.create 16 in
   (* Instructions that must not be branch targets: the ori completing a
      masking pair and any memory access through r1. *)
   let no_entry = Array.make n false in
+  (* Protected accesses not in masked form, with the masking rule each
+     breaks, left for {!Flow} to prove in-segment. *)
+  let unmasked = ref [] in
   let check_reg i r =
     if r < 0 || r >= Isa.nregs then bad i "register r%d out of range" r
   in
   let check_target i t =
     if t < 0 || t >= n then bad i "branch target %d out of range" t;
     if no_entry.(t) then bad i "branch into a masking sequence at %d" t
+  in
+  (* A protected access at [i] through [rb]+[off]: in masked form it
+     goes through r1 at offset 0 right after a completed masking pair. *)
+  let access i what rb off =
+    let rule =
+      if rb <> Isa.reg_sandbox then
+        Some (what ^ " does not address through the sandbox register")
+      else if off <> 0 then Some (what ^ " through sandbox register has offset")
+      else if
+        i = 0
+        || (match code.(i - 1) with
+           | Isa.Ori (rd, _, b) when rd = Isa.reg_sandbox && b = base -> false
+           | _ -> true)
+      then Some (what ^ " not preceded by a completed masking pair")
+      else None
+    in
+    match rule with
+    | None -> no_entry.(i) <- true
+    | Some rule -> unmasked := (i, rb, off, rule) :: !unmasked
   in
   try
     (* Helper-signature discipline (shared with every other tier): an
@@ -80,29 +100,21 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
                     e name p.Program.ext_arity.(e) s.Helpers.h_arity))
         | _ -> ())
       p.Program.ext_names;
-    (* Pass 0: claim manifest sanity. Each claim names a pc that must
-       hold a memory access the protection level would otherwise mask,
-       and its interval must fit inside the segment. *)
-    Array.iter
-      (fun (pc, iv) ->
-        if pc < 0 || pc >= n then
-          raise (Bad (Printf.sprintf "claim for pc %d out of range" pc));
-        if Hashtbl.mem claims pc then bad pc "duplicate elision claim";
-        if not protected_st then
-          bad pc "elision claim on an unprotected program";
-        (match code.(pc) with
-        | Isa.St _ -> ()
-        | Isa.Ld _ when protected_ld -> ()
-        | _ -> bad pc "elision claim on a non-access instruction");
-        if I.is_bot iv
-           || not (I.leq iv (I.range base (base + seg.Program.size - 1)))
-        then bad pc "claimed address interval escapes the segment";
-        Hashtbl.replace claims pc iv)
-      p.Program.claims;
     (* Pass 1: structural checks, dedicated-register discipline, and
        no-entry marking. *)
     for i = 0 to n - 1 do
       let instr = code.(i) in
+      (* Every register the instruction reads. *)
+      (match instr with
+      | Isa.Movi _ | Isa.Br _ | Isa.Halt -> ()
+      | Isa.Mov (_, r) | Isa.Addi (_, r, _) | Isa.Andi (_, r, _)
+      | Isa.Ori (_, r, _) | Isa.Un (_, _, r) | Isa.Ld (_, r, _)
+      | Isa.Brz (r, _) | Isa.Brnz (r, _) | Isa.Ret r
+      | Isa.Call { argbase = r; _ } | Isa.Callext { argbase = r; _ } ->
+          check_reg i r
+      | Isa.Bin (_, _, _, a, b) | Isa.Cmp (_, _, a, b) | Isa.St (a, b, _) ->
+          check_reg i a;
+          check_reg i b);
       List.iter
         (fun r ->
           check_reg i r;
@@ -131,61 +143,28 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
             | _ -> bad i "non-masking write to the sandbox register")
         (Isa.writes instr);
       (match instr with
-      | Isa.St (rb, rs, off) ->
-          check_reg i rb;
-          check_reg i rs;
-          if protected_st && not (Hashtbl.mem claims i) then begin
-            if rb <> Isa.reg_sandbox then
-              bad i "store does not address through the sandbox register";
-            if off <> 0 then bad i "store through sandbox register has offset";
-            if i = 0
-               || (match code.(i - 1) with
-                  | Isa.Ori (rd, _, b) when rd = Isa.reg_sandbox && b = base ->
-                      false
-                  | _ -> true)
-            then bad i "store not preceded by a completed masking pair";
-            no_entry.(i) <- true
-          end
-      | Isa.Ld (rd, rs, off) ->
-          check_reg i rd;
-          check_reg i rs;
-          if protected_ld && not (Hashtbl.mem claims i) then begin
-            if rs <> Isa.reg_sandbox then
-              bad i "load does not address through the sandbox register";
-            if off <> 0 then bad i "load through sandbox register has offset";
-            if i = 0
-               || (match code.(i - 1) with
-                  | Isa.Ori (rd', _, b) when rd' = Isa.reg_sandbox && b = base
-                    ->
-                      false
-                  | _ -> true)
-            then bad i "load not preceded by a completed masking pair";
-            no_entry.(i) <- true
-          end
+      | Isa.St (rb, _, off) -> if protected_st then access i "store" rb off
+      | Isa.Ld (_, rs, off) -> if protected_ld then access i "load" rs off
       | Isa.Call { f; argbase; nargs; _ } ->
           if f < 0 || f >= Array.length p.Program.funcs then
             bad i "call to invalid function %d" f;
           if nargs <> p.Program.funcs.(f).Program.nargs then
             bad i "call with %d args to function expecting %d" nargs
               p.Program.funcs.(f).Program.nargs;
-          check_reg i argbase;
-          if argbase + nargs > Isa.nregs then bad i "argument block overflows"
+          if argbase + nargs > Isa.nregs || Isa.reg_base + nargs > Isa.nregs
+          then bad i "argument block overflows"
       | Isa.Callext { e; argbase; nargs; _ } ->
           if e < 0 || e >= Array.length p.Program.host then
             bad i "call to invalid extern %d" e;
           if nargs <> p.Program.ext_arity.(e) then
             bad i "extern call arity mismatch";
-          check_reg i argbase;
           if argbase + nargs > Isa.nregs then bad i "argument block overflows"
       | _ -> ())
     done;
     (* Pass 2: branch targets (needs completed no_entry map). *)
     for i = 0 to n - 1 do
       match code.(i) with
-      | Isa.Br t -> check_target i t
-      | Isa.Brz (r, t) | Isa.Brnz (r, t) ->
-          check_reg i r;
-          check_target i t
+      | Isa.Br t | Isa.Brz (_, t) | Isa.Brnz (_, t) -> check_target i t
       | _ -> ()
     done;
     (* Function extents. *)
@@ -197,14 +176,36 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
             (Bad (Printf.sprintf "function %d (%s): bad code extent" fi
                     f.Program.name)))
       p.Program.funcs;
+    (* Pass 3 (only when some access is unmasked): run the interval
+       analysis over this code and admit each unmasked access only if
+       its derived address lies in the segment. An access no path
+       reaches is never elided, so it is refused too. *)
+    if !unmasked <> [] then begin
+      let flow = Flow.analyze code p.Program.funcs in
+      let seg_iv = I.range base (base + seg.Program.size - 1) in
+      List.iter
+        (fun (i, rb, off, rule) ->
+          let addr = Flow.address flow i rb off in
+          if I.is_bot addr || not (I.leq addr seg_iv) then bad i "%s" rule)
+        (List.rev !unmasked)
+    end;
     (* Graftgate mode: every backward branch must be the backedge of a
-       canonical counted loop whose trip count the verifier re-derives
+       canonical counted loop whose trip count the verifier derives
        from the instruction windows the compiler emits — the machine-
-       level half of the loop-bound certificate check (the IR-level
-       half is {!Graft_analysis.Loopbound.check_image}, run by the
-       loader). *)
+       level half of the loop-bound check (the IR-level half is
+       {!Graft_analysis.Loopbound.check_image}, run by the loader). *)
     if bounded then begin
-      let backedges = ref [] in
+      let target j =
+        match code.(j) with
+        | Isa.Br u | Isa.Brz (_, u) | Isa.Brnz (_, u) -> Some u
+        | _ -> None
+      in
+      let entries =
+        Array.to_list
+          (Array.map
+             (fun (f : Program.funcdesc) -> (f.Program.name, f.Program.entry))
+             p.Program.funcs)
+      in
       for b = 0 to n - 1 do
         match code.(b) with
         | (Isa.Brz (_, t) | Isa.Brnz (_, t)) when t <= b ->
@@ -263,67 +264,14 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
                 fail "counter r%d is also written at %d (%s)" ri j
                   (Isa.to_string code.(j))
             done;
-            (match Loopbound.trips ~init ~limit ~cmp ~step with
-            | Some _ -> ()
-            | None ->
-                fail "trip count exceeds %d or diverges" Loopbound.max_trip);
-            backedges := (t, b) :: !backedges
+            Option.iter
+              (fun m -> raise (Bad m))
+              (Loopbound.entry_fault ~target ~ncode:n ~entries ~init:(t - 2)
+                 ~back:b ~step_len:3);
+            if Loopbound.trips ~init ~limit ~cmp ~step = None then
+              fail "trip count exceeds %d or diverges" Loopbound.max_trip
         | _ -> ()
-      done;
-      (* Entry discipline: control may enter a certified window only
-         through its initialiser at [t-2] (so the counter is always
-         freshly initialised), and may reach the backedge only by
-         falling through the whole step window (so every backedge bumps
-         the counter). *)
-      List.iter
-        (fun (t, b) ->
-          let target_of j =
-            match code.(j) with
-            | Isa.Br u | Isa.Brz (_, u) | Isa.Brnz (_, u) -> Some u
-            | _ -> None
-          in
-          for j = 0 to n - 1 do
-            match target_of j with
-            | Some u ->
-                if (j < t - 2 || j > b) && u > t - 2 && u <= b then
-                  bad j "branch into a certified loop window at %d" u;
-                if u > b - 3 && u <= b && j <> b then
-                  bad j "branch into a certified loop's step window at %d" u
-            | None -> ()
-          done;
-          Array.iter
-            (fun (f : Program.funcdesc) ->
-              if f.Program.entry > t - 2 && f.Program.entry < b then
-                raise
-                  (Bad
-                     (Printf.sprintf
-                        "function %s enters a certified loop window"
-                        f.Program.name)))
-            p.Program.funcs)
-        !backedges
-    end;
-    (* Pass 3 (only when elisions are present): rerun the interval
-       analysis over the instrumented code and require every claimed
-       elision to be independently re-derivable — derived address
-       interval ⊆ claim ⊆ segment. The claim itself is never believed. *)
-    if Hashtbl.length claims > 0 then begin
-      let flow = Flow.analyze code p.Program.funcs in
-      Hashtbl.iter
-        (fun pc claim ->
-          let rb, off =
-            match code.(pc) with
-            | Isa.St (rb, _, off) -> (rb, off)
-            | Isa.Ld (_, rs, off) -> (rs, off)
-            | _ -> assert false (* pass 0 *)
-          in
-          let derived = Flow.address flow pc rb off in
-          if I.is_bot derived then
-            bad pc "elision claim on unreachable code";
-          if not (I.leq derived claim) then
-            bad pc
-              "cannot re-derive elision: address %s not within claimed %s"
-              (I.to_string derived) (I.to_string claim))
-        claims
+      done
     end;
     Ok ()
   with Bad msg -> Error msg

@@ -7,15 +7,19 @@
     store addresses through the dedicated sandbox register r1 at offset
     0; r1 is written only by the canonical [andi]/[ori] masking pair
     with the segment's exact constants; no branch lands inside a
-    masking sequence; r0 is never written; all branch and call targets
-    are in range. One pass, O(1) work per instruction. *)
+    masking sequence; r0 is never written; every register operand, and
+    every branch and call target, is in range. One pass, O(1) work per
+    instruction. An access not in masked form is admitted only if the
+    {!Flow} interval analysis over the same code proves its address
+    inside the segment; the verifier reads nothing but the code. *)
 
 val verify : ?bounded:bool -> Program.t -> (unit, string) result
 (** [verify ?bounded p] checks [p]. Externs named like typed helpers
     ({!Graft_analysis.Helpers}) must match the table's arity. With
     [bounded:true] (Graftgate mode) every backward branch must be the
-    backedge of a canonical counted loop: the verifier re-derives the
+    backedge of a canonical counted loop: the verifier reads the
     init/test/step windows, requires the step to be the loop's only
-    counter write, forbids entering the window except through its
-    initialiser, and recomputes a finite trip count — conditional or
-    non-conforming backward branches are load errors. *)
+    counter write, holds the loop to
+    {!Graft_analysis.Loopbound.entry_fault}, and computes a finite trip
+    count — conditional or non-conforming backward branches are load
+    errors. *)

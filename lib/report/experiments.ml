@@ -1076,8 +1076,8 @@ let ablation_overhead scale =
 
 (* A11: Graftgate's stateful grafts. The connection demux keeps
    per-connection packet counters in a 64-entry array graft map and
-   scans the payload for a marker under a load-time trip-count
-   certificate — the first graft in the suite whose state outlives an
+   scans the payload for a marker under a trip-count bound each
+   verifier derives at load — the first graft in the suite whose state outlives an
    invocation and whose loop runs with no per-iteration fuel check on
    any tier. The hot-set tracker puts the *policy* in the kernel
    object: an LRU map evicts for it, so the graft is loop-free. *)
@@ -1162,8 +1162,8 @@ let ablation_gate scale =
         "demux: per-connection counters in a 64-entry array map keyed by \
          src port, marker scan certified to 16 trips at load — the \
          backward jump runs with no fuel check on any tier, and every \
-         verifier re-derives the bound independently";
-        "the filter VM's counted Jloop budget is the same certificate in \
+         verifier derives the bound from its own code";
+        "the filter VM's counted Jloop budget is the same bound in \
          specialized clothing; its map opcodes are range-checked at load \
          where the key is static, per packet where it is not";
         "touch: hot-set tracking with eviction owned by the kernel's LRU \

@@ -12,7 +12,8 @@
     - [unreachable]: within a function, in pc order, the first
       statement that pass 2 never reaches after one it does;
     - a program pass 1 rejects: one [verify] diagnostic carrying the
-      verifier's message (no bytecode tier loads it).
+      verifier's message (no bytecode tier loads it), at the pc pass 1
+      failed at.
     A site takes the position of the last statement starting at or
     before its pc. Unused locals and functions are syntactic lints over
     the IR. *)
@@ -158,23 +159,28 @@ let rec stmt_calls acc (s : Ir.stmt) =
     roots). *)
 let run ?entries (prog : Ir.program) (meta : Typecheck.program_meta) :
     diag list =
-  let derived =
-    Result.bind (link_alone prog) (fun image ->
-        let p, starts = Compile.compile_located image in
-        Result.map (fun d -> (p, starts, d)) (Verify.derive p))
+  let verify_diag dpos msg =
+    { dpos; dkind = "verify"; dmsg = "the bytecode verifier rejects the graft: " ^ msg }
   in
   let diags_rev =
     ref
-      (match derived with
-      | Ok (p, starts, d) -> derived_diags_rev prog p starts d
-      | Error msg ->
-          [
-            {
-              dpos = Srcloc.pos0;
-              dkind = "verify";
-              dmsg = "the bytecode verifier rejects the graft: " ^ msg;
-            };
-          ])
+      (match link_alone prog with
+      | Error msg -> [ verify_diag Srcloc.pos0 msg ]
+      | Ok image -> (
+          let p, starts = Compile.compile_located image in
+          match Verify.derive p with
+          | Ok d -> derived_diags_rev prog p starts d
+          | Error (at, msg) ->
+              (* The last statement starting at or before the failing pc. *)
+              let pos =
+                match at with
+                | None -> Srcloc.pos0
+                | Some pc ->
+                    Array.fold_left
+                      (fun pos (start, spos) -> if start <= pc then spos else pos)
+                      Srcloc.pos0 starts
+              in
+              [ verify_diag pos msg ]))
   in
   (* Unused locals (parameters excluded). *)
   Array.iteri

@@ -4,7 +4,8 @@
     addresses are absolute. Short-circuit operators and loops lower to
     conditional jumps; [continue] jumps to the loop's step block and
     [break] past the loop, both back-patched once the loop extent is
-    known. *)
+    known. The output is fully checked and carries nothing beside the
+    code: the verifier derives elisions and loop bounds itself. *)
 
 open Graft_gel
 
@@ -39,11 +40,10 @@ type ctx = {
   lower_maps : bool;
       (** lower [map_lookup]/[map_update] helper calls with constant
           map ids to the dedicated map opcodes *)
-  bounds : bool;  (** derive a loop-bound certificate per loop *)
+  bounds : bool;  (** refuse any loop whose bound cannot be derived *)
   mutable prev : Ir.stmt option;
-      (** statement lexically preceding the one being compiled, for
-          the certificate's initialiser window *)
-  mutable bounds_rev : (int * Graft_analysis.Loopbound.cert) list;
+      (** statement lexically preceding the one being compiled: the
+          counter's initialiser when a loop follows *)
   mutable starts_rev : (int * Srcloc.pos) list;
       (** each [Ir.At] statement's first pc, latest first *)
 }
@@ -189,11 +189,10 @@ let rec compile_stmt ctx (s : Ir.stmt) =
       let step_target = em.len in
       compile_block ctx step;
       emit em (Opcode.Jmp top);
-      if ctx.bounds then begin
-        match Graft_analysis.Loopbound.derive ~prev cond body step with
-        | Ok c -> ctx.bounds_rev <- (em.len - 1, c) :: ctx.bounds_rev
-        | Error msg -> invalid_arg ("Compile: unbounded loop: " ^ msg)
-      end;
+      if ctx.bounds then
+        Result.iter_error
+          (fun msg -> invalid_arg ("Compile: unbounded loop: " ^ msg))
+          (Graft_analysis.Loopbound.derive ~prev cond body step);
       let exit_target = em.len in
       em.code.(jexit) <- Opcode.Jz exit_target;
       List.iter (fun i -> em.code.(i) <- Opcode.Jmp exit_target) loop.breaks;
@@ -221,7 +220,7 @@ let rec compile_stmt ctx (s : Ir.stmt) =
       emit em Opcode.Pop
 
 (* Compile a statement list, tracking the lexically-previous statement
-   for the loop-bound initialiser window. *)
+   for the loop-bound derivation's initialiser. *)
 and compile_block ctx stmts =
   let prev = ref None in
   List.iter
@@ -244,7 +243,6 @@ let compile_starts ?maps ?(bounds = false) (image : Link.image) =
       lower_maps = maps <> None;
       bounds;
       prev = None;
-      bounds_rev = [];
       starts_rev = [];
     }
   in
@@ -286,8 +284,6 @@ let compile_starts ?maps ?(bounds = false) (image : Link.image) =
     ext_names = Array.map (fun (e : Ir.ext) -> e.Ir.ename) prog.Ir.externs;
     cells = Graft_mem.Memory.cells image.Link.mem;
     maps = (match maps with Some m -> m | None -> [||]);
-    proofs = [||];
-    loop_bounds = Array.of_list (List.rev ctx.bounds_rev);
   },
     Array.of_list (List.rev ctx.starts_rev) )
 

@@ -12,14 +12,15 @@ val compile :
   ?bounds:bool ->
   Graft_gel.Link.image ->
   Program.t
-(** [compile ?maps ?bounds image] compiles to fully-checked bytecode
-    with an empty proof manifest: check elision is the verifier's
-    ({!Verify.elide}), not the compiler's. With [maps], lowerable
-    [map_lookup]/[map_update] helper calls become dedicated map opcodes
-    against those map objects. With [bounds:true], every loop must
-    admit a {!Graft_analysis.Loopbound} certificate (recorded at the
-    loop's backward [Jmp]); an underivable loop raises
-    [Invalid_argument]. *)
+(** [compile ?maps ?bounds image] compiles to fully-checked bytecode:
+    check elision is the verifier's ({!Verify.elide}), not the
+    compiler's. With [maps], lowerable [map_lookup]/[map_update] helper
+    calls become dedicated map opcodes against those map objects. With
+    [bounds:true], every loop must have a bound
+    {!Graft_analysis.Loopbound.derive} finds in the IR; an underivable
+    loop raises [Invalid_argument] ("Compile: unbounded loop: ...").
+    Nothing about the bound is recorded: the bounded verifier derives
+    it again from the bytecode. *)
 
 val compile_located :
   Graft_gel.Link.image -> Program.t * (int * Graft_gel.Srcloc.pos) array

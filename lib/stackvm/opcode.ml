@@ -41,11 +41,11 @@ type t =
   | Store_global of int
   | Aload of int  (** array id; pops index, pushes value *)
   | Astore of int  (** array id; pops value then index *)
-  (* Unchecked variants, emitted by the compiler only where static
-     analysis proved the check redundant. Each carries a proof
-     obligation in the program's manifest that the load-time verifier
-     re-establishes independently (see [Verify]); the interpreter runs
-     them with no bounds or zero test at all. *)
+  (* Unchecked variants, put in by the verifier's own elision pass
+     where its interval analysis proves the check redundant. The
+     load-time verifier admits one only where it proves the same from
+     the code (see [Verify]); the interpreter runs them with no bounds
+     or zero test at all. *)
   | Aload_u of int
   | Astore_u of int
   (* Graft-map access (map id into the program's map table).
@@ -203,8 +203,8 @@ let check_site = function
 (** The other form of a check site: [Aload a] <-> [Aload_u a], ... *)
 let twin op = Option.map (fun (c, u) -> if op = c then u else c) (check_site op)
 
-(** A check-elided instruction, admitted only under a re-verified
-    proof. *)
+(** A check-elided instruction, admitted only where the verifier
+    proves its operand legal. *)
 let is_unchecked op =
   match check_site op with Some (_, u) -> op = u | None -> false
 

@@ -47,12 +47,11 @@
     The output is re-verified by {!Stackvm.load_opt}; every jump target
     and function extent is remapped onto the shortened code array.
 
-    Loop-bound certificates survive the pass: the certified windows —
-    initialiser, head, and step, the instruction patterns
-    {!Verify.check_bounds} re-derives the trip count from — are pinned
-    unfused, and each certificate's backedge pc is remapped like any
-    other position. The loop {e body} between the windows still fuses.
-    The bounded loader then re-runs the certificate check on the fused
+    Under bounded loading ([~bounded:true]) counted loops survive the
+    pass: the windows around every backward [Jmp] — initialiser, head
+    and step, the instruction patterns the bounded verifier derives the
+    trip count from — are pinned unfused. The loop {e body} between the
+    windows still fuses. The bounded loader then verifies the fused
     program, so the termination bound holds of the code that actually
     executes and never rests on trusting this pass. *)
 
@@ -155,23 +154,25 @@ let match_at code free i =
   | None -> ( match len3 () with Some _ as r -> r | None -> len2 ())
 
 (** Fuse dispatch pairs in [p]'s code, remapping every jump target and
-    function extent onto the shortened array. Idempotent on its own
-    output (fused opcodes never match a pattern head). *)
-let optimize (p : Program.t) : Program.t =
+    function extent onto the shortened array. With [bounded:true] the
+    counted-loop windows of every backward [Jmp] stay unfused.
+    Idempotent on its own output (fused opcodes never match a pattern
+    head). *)
+let optimize ?(bounded = false) (p : Program.t) : Program.t =
   let code = p.code in
   let ncode = Array.length code in
   let is_entry = entry_points p in
-  (* Certified loop windows must reach the bounded verifier byte for
-     byte: [Verify.check_bounds] re-derives the trip count from the
-     exact [Const; Store_local] initialiser, [Load_local; Const; CMP;
-     Jz] head and [Load_local; Const; Add/Sub; Store_local] step, so
-     none of those positions may head or be swallowed by a fusion
-     pattern. The body between them is fair game. *)
+  (* Under bounded loading the loop windows must reach the verifier
+     byte for byte: it derives the trip count from the exact [Const;
+     Store_local] initialiser, [Load_local; Const; CMP; Jz] head and
+     [Load_local; Const; Add/Sub; Store_local] step, so none of those
+     positions may head or be swallowed by a fusion pattern. The body
+     between them is fair game. *)
   let no_fuse = Array.make (max 1 ncode) false in
-  Array.iter
-    (fun (b, _) ->
-      if b >= 0 && b < ncode then
-        match code.(b) with
+  if bounded then
+    Array.iteri
+      (fun b op ->
+        match op with
         | Opcode.Jmp t when t <= b ->
             let pin lo hi =
               for pc = max 0 lo to min (ncode - 1) hi do
@@ -181,7 +182,7 @@ let optimize (p : Program.t) : Program.t =
             pin (t - 2) (t + 3);
             pin (b - 4) b
         | _ -> ())
-    p.loop_bounds;
+      code;
   (* map.(old_pc) = new_pc for every pattern head; interior positions
      keep -1 and are provably never referenced. *)
   let map = Array.make (ncode + 1) (-1) in
@@ -217,16 +218,4 @@ let optimize (p : Program.t) : Program.t =
                  code_end = remap f.Program.code_end })
       p.funcs
   in
-  (* Unchecked opcodes never appear in a fusion pattern (patterns match
-     the checked constructors only), so every proof-manifest pc is a
-     pattern head and remaps cleanly. *)
-  let proofs =
-    Array.map (fun (pc, claim) -> (remap pc, claim)) p.Program.proofs
-  in
-  (* Certificate backedges are pinned unfused above, so each one is a
-     pattern head and remaps cleanly; the windows around them are
-     intact and the bounded verifier re-checks them on this output. *)
-  let loop_bounds =
-    Array.map (fun (pc, c) -> (remap pc, c)) p.Program.loop_bounds
-  in
-  { p with Program.code = code'; funcs; proofs; loop_bounds }
+  { p with Program.code = code'; funcs }

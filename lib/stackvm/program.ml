@@ -1,6 +1,8 @@
 (** Executable form of a stack-VM graft: one flat code array plus
     function, array, and host tables. Produced by [Compile], checked by
-    [Verify], executed by [Vm]. *)
+    [Verify], executed by [Vm]. Nothing rides beside the code for the
+    verifier to read: it judges every unchecked instruction and every
+    backward jump from the instructions alone. *)
 
 type funcdesc = {
   name : string;
@@ -24,19 +26,6 @@ type t = {
   cells : int array;  (** the graft address space backing store *)
   maps : Graft_kernel.Graftmap.t array;
       (** graft maps addressed by [Mlookup]/[Mupdate] map ids *)
-  proofs : (int * Graft_analysis.Interval.t) array;
-      (** proof manifest for unchecked instructions: [(pc, claim)]
-          pairs, sorted by pc. For [Aload_u]/[Astore_u] the claim is
-          the index interval, for [Div_u]/[Mod_u] the divisor interval,
-          for [Mlookup_u]/[Mupdate_u] the key interval. [Verify.elide]
-          records the intervals it derived; whoever wrote a claim, it is
-          untrusted: [Verify.verify] derives its own intervals and
-          admits an unchecked instruction only if
-          derived ⊆ claim ⊆ legal. *)
-  loop_bounds : (int * Graft_analysis.Loopbound.cert) array;
-      (** loop-bound certificates keyed by the pc of the backward
-          [Jmp] closing each loop; untrusted like [proofs], re-derived
-          by [Verify ~bounded] before a backward jump is admitted *)
 }
 
 let find_func p name =

@@ -1,6 +1,8 @@
 (** Front door for the stack bytecode VM (the paper's "Java"
     technology): compile a linked GEL image to bytecode, verify it, and
-    execute it.
+    execute it. The verifier judges the bytecode alone: check elisions
+    and loop bounds are derived from the code at load, never shipped
+    beside it.
 
     {[
       let prog = Stackvm.load_exn image in
@@ -17,9 +19,9 @@ module Disasm = Disasm
 
 (* Graftgate front checks shared by every loader: helper-named externs
    must match the typed helper table before anything is compiled, and
-   bounded loading refuses loops the certificate derivation cannot
-   cover (raised as [Invalid_argument] by [Compile ~bounds]). [admit]
-   is the verifier's last word on the compiled program. *)
+   bounded loading refuses loops whose bound the IR-level derivation
+   cannot find (raised as [Invalid_argument] by [Compile ~bounds]).
+   [admit] is the verifier's last word on the compiled program. *)
 let gate ~admit image k =
   match Graft_analysis.Helpers.check_externs image.Graft_gel.Link.prog with
   | Error msg -> Error msg
@@ -33,8 +35,8 @@ let verified ~bounded p = Result.map (fun () -> p) (Verify.verify ~bounded p)
 (** Compile and verify a linked image; refuses unverifiable code as the
     kernel's loader would. [maps] attaches graft maps (and lowers
     helper calls with constant map ids to map opcodes); [bounded]
-    switches on Graftgate loading, where every loop needs a
-    re-derivable bound certificate. *)
+    switches on Graftgate loading, where the verifier admits a loop
+    only if it derives the loop's bound from the bytecode. *)
 let load ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
   gate ~admit:(verified ~bounded) image (fun () ->
@@ -48,14 +50,13 @@ let load_exn ?maps ?bounded image =
 (** The optimizing tier's loader: compile, fuse superinstructions
     ({!Peephole}), then verify the fused code — the safety claim rests
     on load-time verification of the program that actually runs, not on
-    trusting the optimizer. That includes [bounded]: {!Peephole} pins
-    the certified loop windows unfused and remaps each certificate's
-    backedge pc, so the certificate re-derivation runs on the shipped
-    code like every other check. *)
+    trusting the optimizer. That includes [bounded]: {!Peephole}
+    leaves the counted-loop windows unfused, so the bound derivation
+    runs on the shipped code like every other check. *)
 let load_opt ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
   gate ~admit:(verified ~bounded) image (fun () ->
-      Peephole.optimize (Compile.compile ?maps ~bounds:bounded image))
+      Peephole.optimize ~bounded (Compile.compile ?maps ~bounds:bounded image))
 
 let load_opt_exn ?maps ?bounded image =
   match load_opt ?maps ?bounded image with
@@ -66,10 +67,10 @@ let load_opt_exn ?maps ?bounded image =
     checks" column): compile fully checked, then let the verifier elide
     ({!Verify.elide}). Its interval analysis derives every check site's
     operand range from the bytecode, and each site whose range is
-    provably legal becomes its unchecked twin under that range as its
-    claim. No analysis outside the verifier decides an elision. The
-    program comes with what the verifier derived, which the JIT's block
-    plan reads. *)
+    provably legal becomes its unchecked twin. No analysis outside the
+    verifier decides an elision, and nothing but the code records one.
+    The program comes with what the verifier derived, which the JIT's
+    block plan reads. *)
 let load_static_derived ?maps ?(bounded = false) (image : Graft_gel.Link.image)
     : (Program.t * Verify.derived, string) result =
   gate ~admit:(Verify.elide ~bounded) image (fun () ->

@@ -5,11 +5,12 @@
     reachable instruction must have a single consistent operand-stack
     height, never underflow, never exceed [max_stack], never jump
     outside its own function, and only reference valid locals, arrays,
-    functions and externs. Pass 3 (bounded loading) re-derives each
-    loop's bound. Pass 2, an interval analysis, derives the operand
-    range at every check site: it decides the static tier's elisions
-    ({!elide}) and judges any claim a program arrives with. Code that
-    fails is rejected before it ever executes. *)
+    functions and externs. Pass 2, an interval analysis, derives the
+    operand range at every check site: it decides the static tier's
+    elisions ({!elide}) and admits an unchecked instruction only where
+    the range it derived there is legal. Pass 3 (bounded loading)
+    derives each loop's bound. Every judgement rests on the code alone;
+    code that fails is rejected before it ever executes. *)
 
 let max_stack = 1024
 let max_locals = 4096
@@ -22,15 +23,13 @@ module Ir = Graft_gel.Ir
 (*                                                                     *)
 (* Per-function dataflow over an abstract operand stack and local file *)
 (* derives, from the bytecode alone, the operand interval at every     *)
-(* check site. [elide] turns a checked site whose derived interval is  *)
-(* inside its legal range into its unchecked twin and records that     *)
-(* interval as the site's claim; [verify] admits an unchecked          *)
-(* instruction that arrives with a claim only if derived ⊆ claim ⊆     *)
-(* legal, so a claim, from this pass or from anywhere else, is never   *)
-(* believed. Operand provenance (which local or constant produced a    *)
-(* stack slot) is tracked just far enough for two refinements:         *)
-(* comparison-guarded branches, and the success path of a checked      *)
-(* array access.                                                       *)
+(* check site. One legality test ([site_fault]) serves both sides:     *)
+(* [elide] turns a checked site whose derived interval passes it into  *)
+(* its unchecked twin, and [verify] admits an unchecked instruction    *)
+(* only if the interval derived at it passes it. Operand provenance    *)
+(* (which local or constant produced a stack slot) is tracked just far *)
+(* enough for two refinements: comparison-guarded branches, and the    *)
+(* success path of a checked array access.                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Provenance of an abstract stack slot. [Snot] preserves truthiness
@@ -112,25 +111,24 @@ let ir_cmp = function
   | Opcode.Ceq -> Ir.Eq
   | Opcode.Cne -> Ir.Ne
 
-(* Why [claim] does not make the unchecked instruction [op] at [pc]
-   safe, or [None] when it does. *)
-let claim_fault (p : Program.t) pc op claim =
+(* Why the unchecked instruction [op] at [pc] is unsafe for an operand
+   in [iv], or [None] when every value of [iv] is legal there. *)
+let site_fault (p : Program.t) pc op iv =
   let fault fmt = Printf.ksprintf Option.some fmt in
-  let beyond len = not (I.leq claim (I.range 0 (len - 1))) in
+  let beyond len = not (I.leq iv (I.range 0 (len - 1))) in
   match op with
   | Opcode.Aload_u a | Opcode.Astore_u a ->
-      (* Pass 1 checks array ids only where a path reaches. *)
       if a < 0 || a >= Array.length p.arrays then
         fault "array id %d out of range at %d" a pc
       else if beyond p.arrays.(a).Program.len then
-        fault "claim %s at %d exceeds the bounds of array %d"
-          (I.to_string claim) pc a
+        fault "index %s at %d exceeds the bounds of array %d"
+          (I.to_string iv) pc a
       else if op = Opcode.Astore_u a && not p.arrays.(a).Program.writable then
         fault "unchecked store to read-only array %d at %d" a pc
       else None
   | Opcode.Div_u | Opcode.Mod_u ->
-      if I.contains claim 0 then
-        fault "claimed divisor %s at %d admits zero" (I.to_string claim) pc
+      if I.contains iv 0 then
+        fault "divisor %s at %d admits zero" (I.to_string iv) pc
       else None
   | Opcode.Mlookup_u m | Opcode.Mupdate_u m -> (
       if m < 0 || m >= Array.length p.maps then
@@ -140,36 +138,26 @@ let claim_fault (p : Program.t) pc op claim =
         | None -> fault "unchecked access to non-array map %d at %d" m pc
         | Some _ ->
             if beyond (Graft_kernel.Graftmap.max_entries p.maps.(m)) then
-              fault "claim %s at %d exceeds the bounds of map %d"
-                (I.to_string claim) pc m
+              fault "key %s at %d exceeds the bounds of map %d"
+                (I.to_string iv) pc m
             else None)
-  | _ -> fault "proof attached to a checked instruction at %d" pc
+  | _ -> fault "%s at %d is not an unchecked instruction" (Opcode.to_string op) pc
 
 (* Pass 2 over every function, on the shared solver
    ({!Graft_analysis.Fixpoint}). Returns, per pc, the join of the
    operand intervals every visit of a check site saw (its index, map
    key or divisor; ⊥ at a pc no path reaches and at every other
-   instruction) and whether any path reached the pc, and fails if an
-   unchecked instruction lacks a legal claim or a visit derives an
-   operand outside it. A site and its unchecked twin have the same
-   transfer function, so swapping sites leaves this fixpoint as it
-   is. *)
-let check_elisions (p : Program.t) : (I.t array * bool array, string) result =
+   instruction) and whether any path reached the pc, and fails at an
+   unchecked instruction whose joined interval is ⊥ or fails
+   [site_fault]. A site and its unchecked twin have the same transfer
+   function, so swapping sites leaves this fixpoint as it is. *)
+let check_elisions (p : Program.t) :
+    (I.t array * bool array, int option * string) result =
   let ncode = Array.length p.code in
-  let exception Bad of string in
-  let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
-  let claims = Hashtbl.create 16 in
+  let exception Bad of int * string in
+  let bad pc fmt = Printf.ksprintf (fun msg -> raise (Bad (pc, msg))) fmt in
   let derived = Array.make ncode I.bot in
   let reached = Array.make ncode false in
-  let setup () =
-    Array.iter
-      (fun (pc, claim) ->
-        if pc < 0 || pc >= ncode then bad "proof at invalid pc %d" pc;
-        if Hashtbl.mem claims pc then bad "duplicate proof at %d" pc;
-        Option.iter (bad "%s") (claim_fault p pc p.code.(pc) claim);
-        Hashtbl.add claims pc claim)
-      p.proofs
-  in
   let sym_join a b = if a = b then a else Snone in
   (* Pass 1 gave every pc one stack height, so stacks meeting at a pc
      have equal lengths. An arrival inside the stored state changes
@@ -201,22 +189,17 @@ let check_elisions (p : Program.t) : (I.t array * bool array, string) result =
       let pop () =
         match !stack with
         | [] ->
-            bad "function %d (%s): pass-2 underflow at %d" fi f.Program.name pc
+            bad pc "function %d (%s): pass-2 underflow at %d" fi f.Program.name
+              pc
         | e :: rest ->
             stack := rest;
             e
       in
       let next () = schedule (pc + 1) (locals, !stack) in
-      (* The operand a check site guards: joined into [derived], and
-         held to the claim where the check is elided. *)
-      let site iv what =
+      (* The operand a check site guards, joined into [derived]. *)
+      let site iv =
         if not (I.leq iv derived.(pc)) then
-          derived.(pc) <- I.join derived.(pc) iv;
-        match Hashtbl.find_opt claims pc with
-        | Some claim when not (I.leq iv claim) ->
-            bad "function %d (%s): derived %s %s exceeds claim %s at %d" fi
-              f.Program.name what (I.to_string iv) (I.to_string claim) pc
-        | _ -> ()
+          derived.(pc) <- I.join derived.(pc) iv
       in
       (* On the success path of an array access, a plain-local index is
          known in bounds. *)
@@ -240,7 +223,7 @@ let check_elisions (p : Program.t) : (I.t array * bool array, string) result =
       let divide op =
         let ib, _ = pop () in
         let ia, _ = pop () in
-        site ib "divisor";
+        site ib;
         push (I.arith Ir.Kint op ia ib) Snone
       in
       let unop f =
@@ -285,25 +268,25 @@ let check_elisions (p : Program.t) : (I.t array * bool array, string) result =
           next ()
       | Opcode.Aload a | Opcode.Aload_u a ->
           let iv, si = pop () in
-          site iv "index";
+          site iv;
           post_refine si a;
           push I.top Snone;
           next ()
       | Opcode.Astore a | Opcode.Astore_u a ->
           ignore (pop ());
           let iv, si = pop () in
-          site iv "index";
+          site iv;
           post_refine si a;
           next ()
       | Opcode.Mlookup _ | Opcode.Mlookup_u _ ->
           let iv, _ = pop () in
-          site iv "map key";
+          site iv;
           push I.top Snone;
           next ()
       | Opcode.Mupdate _ | Opcode.Mupdate_u _ ->
           ignore (pop ());
           let iv, _ = pop () in
-          site iv "map key";
+          site iv;
           push I.top Snone;
           next ()
       | Opcode.Div | Opcode.Div_u ->
@@ -389,46 +372,53 @@ let check_elisions (p : Program.t) : (I.t array * bool array, string) result =
          [ (lo, (Array.make (max 1 f.Program.nlocals) I.top, [])) ])
   in
   try
-    setup ();
-    (* Every unchecked instruction must carry a claim, even if this
-       pass never reaches it: unreachable unchecked code is dead weight
-       no loader has any business shipping. *)
+    Array.iteri check_func p.funcs;
+    (* An unchecked instruction must be one this pass reaches (dead
+       unchecked code is weight no loader has any business shipping)
+       with a legal operand interval. *)
     Array.iteri
       (fun pc op ->
-        if Opcode.is_unchecked op && not (Hashtbl.mem claims pc) then
-          bad "unchecked instruction without proof at %d" pc)
+        if Opcode.is_unchecked op then
+          if I.is_bot derived.(pc) then
+            bad pc "unchecked instruction %s at %d that no path reaches"
+              (Opcode.to_string op) pc
+          else Option.iter (bad pc "%s") (site_fault p pc op derived.(pc)))
       p.code;
-    Array.iteri check_func p.funcs;
     Ok (derived, reached)
-  with Bad msg -> Error msg
+  with Bad (pc, msg) -> Error (Some pc, msg)
 
 
 (* ------------------------------------------------------------------ *)
-(* Pass 3 (bounded loading only): backward jumps are admitted only     *)
-(* under a loop-bound certificate the verifier re-derives itself.      *)
+(* Pass 3 (bounded loading only): a backward jump is admitted only as  *)
+(* the back edge of a counted loop whose bound this pass derives.      *)
 (*                                                                     *)
-(* The certificate names a counter, its constant initialiser, limit    *)
-(* and step, and a trip count. None of that is trusted: the pass       *)
-(* re-reads the canonical counted-loop windows straight from the       *)
+(* The pass reads the canonical counted-loop windows straight from the *)
 (* bytecode — init [Const v; Store_local c] immediately before the     *)
 (* head, head [Load_local c; Const k; CMP; Jz exit], step              *)
 (* [Load_local c; Const s; Add/Sub; Store_local c] immediately before  *)
-(* the backward Jmp — recomputes the closed-form trip count, and       *)
-(* requires exact agreement with the claim. It further checks that     *)
-(* nothing else in the loop writes the counter and that no jump from   *)
-(* outside enters the loop past the initialiser, so the re-derived     *)
-(* bound covers every execution that can reach the back edge.          *)
+(* the backward Jmp — and requires a finite closed-form trip count,    *)
+(* no other write to the counter inside the loop, and the entry rule   *)
+(* of {!Graft_analysis.Loopbound.entry_fault}, so the derived bound    *)
+(* covers every execution that can reach the back edge.                *)
 (* ------------------------------------------------------------------ *)
 
-let check_bounds (p : Program.t) : (unit, string) result =
+let check_bounds (p : Program.t) : (unit, int option * string) result =
   let ncode = Array.length p.code in
-  let exception Bad of string in
-  let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
+  let exception Bad of int * string in
   let disasm pc = Opcode.to_string p.code.(pc) in
-  (* Re-derive the loop windows for a backward [Jmp t] at [b] and check
-     them against certificate [c]. *)
-  let check_window b t (c : Graft_analysis.Loopbound.cert) =
-    let fail reason = bad "backward jump at %d (%s): %s" b (disasm b) reason in
+  let bad pc what =
+    raise (Bad (pc, Printf.sprintf "%s at %d (%s)" what pc (disasm pc)))
+  in
+  let entries =
+    Array.to_list
+      (Array.map (fun (f : Program.funcdesc) -> (f.Program.name, f.Program.entry))
+         p.funcs)
+  in
+  (* Derive the bound of the loop a backward [Jmp t] at [b] closes. *)
+  let check_loop b t =
+    let fail reason =
+      raise (Bad (b, Printf.sprintf "backward jump at %d (%s): %s" b (disasm b) reason))
+    in
     (* The whole loop, initialiser included, must sit inside one
        function so the windows cannot straddle an entry point. *)
     let in_one_func =
@@ -438,7 +428,7 @@ let check_bounds (p : Program.t) : (unit, string) result =
         p.funcs
     in
     if t < 2 || b - 4 < t + 4 || not in_one_func then
-      fail "loop too small to carry the certified windows";
+      fail "loop too small to hold the counted-loop windows";
     (* Head: Load_local c; Const k; CMP; Jz exit, with exit past b. *)
     let counter =
       match p.code.(t) with
@@ -488,81 +478,26 @@ let check_bounds (p : Program.t) : (unit, string) result =
         fail
           (Printf.sprintf "counter is also written at %d (%s)" pc (disasm pc))
     done;
-    (* No jump from outside may enter past the initialiser: an entry
-       that skips [Const v; Store_local c] — even one landing on the
-       [Store_local] alone, which would seed the counter from an
-       arbitrary stack value — would start the counter at an unproven
-       value. Only [t - 2], the initialiser's [Const], is a legal entry. *)
-    for pc = 0 to ncode - 1 do
-      if pc < t - 2 || pc > b then
-        Option.iter
-          (fun u ->
-            if u >= t - 1 && u <= b then
-              bad "jump at %d (%s) enters a certified loop at %d" pc
-                (disasm pc) u)
-          (Opcode.target p.code.(pc))
-    done;
-    (* Nor may any jump — even from inside the body — land past the
-       step window's start: reaching the back edge must mean the whole
-       [Load_local; Const; Add; Store_local] step just ran, or a body
-       jump straight to the back edge would iterate without ever
-       advancing the counter and the certified bound would not cover
-       that path. (A jump to b-4, the step's first instruction, is the
-       compiled [continue] and runs the full step.) *)
-    for pc = 0 to ncode - 1 do
-      Option.iter
-        (fun u ->
-          if u > b - 4 && u <= b then
-            bad "jump at %d (%s) enters a certified loop's step window at %d"
-              pc (disasm pc) u)
-        (Opcode.target p.code.(pc))
-    done;
-    (* Recompute the closed form and require exact agreement. *)
-    match Graft_analysis.Loopbound.trips ~init ~limit ~cmp ~step with
-    | None -> fail "re-derived trip count diverges or exceeds the ceiling"
-    | Some n ->
-        if
-          c.Graft_analysis.Loopbound.c_counter <> counter
-          || c.Graft_analysis.Loopbound.c_init <> init
-          || c.Graft_analysis.Loopbound.c_limit <> limit
-          || c.Graft_analysis.Loopbound.c_cmp <> cmp
-          || c.Graft_analysis.Loopbound.c_step <> step
-          || c.Graft_analysis.Loopbound.c_trips <> n
-        then
-          fail
-            (Printf.sprintf "certificate (%s) does not match the re-derived bound"
-               (Graft_analysis.Loopbound.to_string c))
+    Option.iter
+      (fun msg -> raise (Bad (b, msg)))
+      (Graft_analysis.Loopbound.entry_fault
+         ~target:(fun pc -> Opcode.target p.code.(pc))
+         ~ncode ~entries ~init:(t - 2) ~back:b ~step_len:4);
+    if Graft_analysis.Loopbound.trips ~init ~limit ~cmp ~step = None then
+      fail "trip count diverges or exceeds the ceiling"
   in
-  let certs = Hashtbl.create 8 in
   try
-    Array.iter
-      (fun (pc, c) ->
-        if pc < 0 || pc >= ncode then bad "loop certificate at invalid pc %d" pc;
-        (match p.code.(pc) with
-        | Opcode.Jmp t when t <= pc -> ()
-        | _ ->
-            bad "loop certificate at %d (%s) is not a backward jmp" pc
-              (disasm pc));
-        if Hashtbl.mem certs pc then bad "duplicate loop certificate at %d" pc;
-        Hashtbl.add certs pc c)
-      p.loop_bounds;
     Array.iteri
       (fun pc instr ->
         match (instr, Opcode.target instr) with
         | _, None -> ()
         | _, Some t when t > pc -> ()
-        | Opcode.Jmp _, Some t -> (
-            match Hashtbl.find_opt certs pc with
-            | Some c -> check_window pc t c
-            | None ->
-                bad "backward jump at %d (%s) without a loop-bound certificate"
-                  pc (disasm pc))
-        | (Opcode.Jz _ | Opcode.Jnz _), _ ->
-            bad "conditional backward jump at %d (%s)" pc (disasm pc)
-        | _ -> bad "fused backward jump at %d (%s)" pc (disasm pc))
+        | Opcode.Jmp _, Some t -> check_loop pc t
+        | (Opcode.Jz _ | Opcode.Jnz _), _ -> bad pc "conditional backward jump"
+        | _ -> bad pc "fused backward jump")
       p.code;
     Ok ()
-  with Bad msg -> Error msg
+  with Bad (pc, msg) -> Error (Some pc, msg)
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: tables, operands, and one stack height per reachable pc.    *)
@@ -570,13 +505,13 @@ let check_bounds (p : Program.t) : (unit, string) result =
 
 type heights = { at : int array; fmax : int array }
 
-let heights (p : Program.t) : (heights, string) result =
+let heights (p : Program.t) : (heights, int option * string) result =
   let ncode = Array.length p.code in
   let nfuncs = Array.length p.funcs in
   let narrays = Array.length p.arrays in
   let nexterns = Array.length p.host in
-  let exception Bad of string in
-  let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
+  let exception Bad of int option * string in
+  let bad fmt = Printf.ksprintf (fun msg -> raise (Bad (None, msg))) fmt in
   (* Static tables. *)
   let check_tables () =
     if Array.length p.ext_arity <> nexterns then
@@ -617,6 +552,15 @@ let heights (p : Program.t) : (heights, string) result =
     let lo = f.Program.entry and hi = f.Program.code_end in
     let heights = Array.make (hi - lo) (-1) in
     let worklist = Queue.create () in
+    (* The instruction being checked (-1 before the first), which a
+       failure names. *)
+    let checking = ref (-1) in
+    let bad fmt =
+      Printf.ksprintf
+        (fun msg ->
+          raise (Bad ((if !checking < 0 then None else Some !checking), msg)))
+        fmt
+    in
     let schedule pc h =
       if pc < lo || pc >= hi then
         bad "function %d (%s): jump target %d outside [%d,%d)" fi
@@ -633,6 +577,7 @@ let heights (p : Program.t) : (heights, string) result =
     schedule lo 0;
     while not (Queue.is_empty worklist) do
       let pc = Queue.pop worklist in
+      checking := pc;
       let h = heights.(pc - lo) in
       let instr = p.code.(pc) in
       let pops, pushes =
@@ -722,7 +667,7 @@ let heights (p : Program.t) : (heights, string) result =
     check_tables ();
     Array.iteri check_func p.funcs;
     Ok { at; fmax }
-  with Bad msg -> Error msg
+  with Bad (pc, msg) -> Error (pc, msg)
 
 type derived = { heights : heights; operands : I.t array; reached : bool array }
 
@@ -732,34 +677,33 @@ let structure ~bounded p =
   | Error _ as e -> e
   | Ok h -> if bounded then Result.map (fun () -> h) (check_bounds p) else Ok h
 
-let derive ?(bounded = false) (p : Program.t) : (derived, string) result =
+let derive ?(bounded = false) (p : Program.t) =
   Result.bind (structure ~bounded p) (fun heights ->
       Result.map
         (fun (operands, reached) -> { heights; operands; reached })
         (check_elisions p))
 
 let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
-  if Array.length p.proofs = 0 && not (Array.exists Opcode.is_unchecked p.code)
-  then Result.map ignore (structure ~bounded p)
-  else Result.map ignore (derive ~bounded p)
+  Result.map_error snd
+    (if Array.exists Opcode.is_unchecked p.code then
+       Result.map ignore (derive ~bounded p)
+     else Result.map ignore (structure ~bounded p))
 
 let elide ?bounded (p : Program.t) : (Program.t * derived, string) result =
-  Result.map
-    (fun d ->
-      let code = Array.copy p.code in
-      let fresh = ref [] in
-      for pc = Array.length code - 1 downto 0 do
-        let iv = d.operands.(pc) in
-        match Opcode.check_site code.(pc) with
-        | Some (checked, unchecked)
-          when code.(pc) = checked
-               && (not (I.is_bot iv))
-               && claim_fault p pc unchecked iv = None ->
-            code.(pc) <- unchecked;
-            fresh := (pc, iv) :: !fresh
-        | _ -> ()
-      done;
-      let proofs = Array.append p.proofs (Array.of_list !fresh) in
-      Array.stable_sort (fun (a, _) (b, _) -> compare a b) proofs;
-      ({ p with Program.code; proofs }, d))
-    (derive ?bounded p)
+  match derive ?bounded p with
+  | Error (_, msg) -> Error msg
+  | Ok d ->
+      let code =
+        Array.mapi
+          (fun pc op ->
+            let iv = d.operands.(pc) in
+            match Opcode.check_site op with
+            | Some (checked, unchecked)
+              when op = checked
+                   && (not (I.is_bot iv))
+                   && site_fault p pc unchecked iv = None ->
+                unchecked
+            | _ -> op)
+          p.code
+      in
+      Ok ({ p with Program.code }, d)

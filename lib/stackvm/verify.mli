@@ -7,9 +7,9 @@
     jump outside its own function, and only reference valid locals,
     arrays, functions and externs. An interval analysis over the same
     bytecode then derives the operand range at every check site, which
-    both decides the static tier's elisions ({!elide}) and judges any
-    claim a program arrives with ({!verify}). Code that fails is
-    rejected before it ever executes. *)
+    both decides the static tier's elisions ({!elide}) and admits each
+    unchecked instruction ({!verify}). It reads nothing but the code:
+    code that fails is rejected before it ever executes. *)
 
 val max_stack : int
 val max_locals : int
@@ -20,10 +20,12 @@ val max_locals : int
     ([fmax]). *)
 type heights = { at : int array; fmax : int array }
 
-val heights : Program.t -> (heights, string) result
+val heights : Program.t -> (heights, int option * string) result
 (** [heights p] runs pass 1 alone: the static tables, every operand,
     and the per-function stack-height dataflow. It fails exactly when
-    {!verify} fails pass 1, with the same message. *)
+    {!verify} fails pass 1, with the same message, paired with the pc
+    of the instruction being checked when it failed ([None] for a
+    table or function-extent failure). *)
 
 (** What {!derive} hands back: pass 1's [heights], and pass 2's
     [operands] (per pc, the join of the operand intervals every visit
@@ -36,29 +38,34 @@ type derived = {
   reached : bool array;
 }
 
-val derive : ?bounded:bool -> Program.t -> (derived, string) result
+val derive :
+  ?bounded:bool -> Program.t -> (derived, int option * string) result
 (** [derive ?bounded p] runs {!verify}'s passes over [p], pass 2
     included, and returns what they derived. It fails exactly when
-    {!verify} [p] fails. [graftkit check] reads its diagnostics from
-    it. *)
+    {!verify} [p] fails, with the same message and, where there is
+    one, the pc it failed at. [graftkit check] reads its diagnostics
+    from it. *)
 
 val verify : ?bounded:bool -> Program.t -> (unit, string) result
-(** [verify ?bounded p] checks [p]. With [bounded:true] (Graftgate
-    mode), every backward jump must additionally be covered by a
-    loop-bound certificate from [p]'s manifest, which this pass
-    re-derives from the bytecode windows and matches exactly; any
-    conditional or uncertified backward jump is rejected. An unchecked
-    instruction is admitted only under a claim in [p]'s proof manifest
-    that the interval analysis re-derives: derived ⊆ claim ⊆ legal. *)
+(** [verify ?bounded p] checks [p]. An unchecked instruction is
+    admitted only if pass 2 reaches it and the operand interval it
+    derives there is legal: an index inside its array (and, for a
+    store, a writable one), a divisor that excludes zero, a key inside
+    an array map. With [bounded:true] (Graftgate mode) every backward
+    jump must close a canonical counted loop whose init, head and step
+    windows give a finite trip count ({!Graft_analysis.Loopbound.trips}),
+    with no other write to the counter and no entry that skips the
+    initialiser or the step ({!Graft_analysis.Loopbound.entry_fault});
+    any conditional or other backward jump is rejected. *)
 
 val elide :
   ?bounded:bool -> Program.t -> (Program.t * derived, string) result
 (** [elide ?bounded p] runs {!derive} over [p] once and returns [p]
     with every checked site whose derived operand interval (never ⊥)
-    lies inside its legal range swapped to its unchecked twin, that
-    interval recorded as the site's claim, together with what {!derive}
-    derived. The static tier's elisions are the verifier's own: a site
-    and its twin have the same stack effect and interval transfer
-    function, so the result passes {!verify} without a second analysis
-    and the derived heights and intervals are also its own. It fails
-    exactly when {!verify} [p] fails. *)
+    is legal for its unchecked twin swapped to that twin, together with
+    what {!derive} derived. The static tier's elisions are the
+    verifier's own: a site and its twin have the same stack effect and
+    interval transfer function, and {!verify} applies the same legality
+    test to the same intervals, so the result passes {!verify} and the
+    derived heights and intervals are also its own. It fails exactly
+    when {!verify} [p] fails. *)

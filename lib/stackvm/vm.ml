@@ -270,9 +270,9 @@ let rec exec fuel s locs sp pc =
         exec fuel s locs t pc
     (* Unchecked accesses: the verifier proved the index in bounds (and
        the array writable) before execution began, so these really do
-       skip the tests — a wrong proof admitted here would corrupt the
-       host, which is why [Verify] derives its own intervals instead of
-       trusting the manifest. *)
+       skip the tests — a wrong elision admitted here would corrupt the
+       host, which is why [Verify] admits one only where its own
+       intervals prove it, from the code alone. *)
     | Opcode.Aload_u arr ->
         let d = s.arrays.(arr) in
         let t = sp - 1 in

@@ -17,6 +17,11 @@ module I = Graft_analysis.Interval
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  nl = 0 || go 0
+
 (* ---------- image plumbing (mirrors Runners.gel_env) ---------- *)
 
 let next_pow2 n =
@@ -332,10 +337,11 @@ let test_regvm_elision_full_md5 () =
     (fun () -> md5_image ())
     [ ("run", [| 2 |]) ]
 
-(* The regvm verifier must refuse claims it cannot re-derive. *)
-let test_regvm_bogus_claims () =
+(* The regvm verifier admits an unmasked access only where its own
+   interval analysis proves the address in-segment. *)
+let test_regvm_unproven_accesses () =
   let seg = { Rprogram.base = 0; size = 1024 } in
-  let mk code claims =
+  let mk code =
     {
       Rprogram.code;
       funcs =
@@ -353,39 +359,44 @@ let test_regvm_bogus_claims () =
       cells = Array.make 1024 0;
       segment = seg;
       protection = Rprogram.Write_jump;
-      claims;
     }
   in
   let reject what p =
     match Graft_regvm.Verify.verify p with
-    | Ok () -> Alcotest.failf "%s: verifier accepted bogus program" what
-    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s: verifier accepted an unproven access" what
+    | Error msg ->
+        check_bool (what ^ ": masking message") true
+          (contains msg "sandbox register")
   in
   let accept what p =
     match Graft_regvm.Verify.verify p with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "%s: verifier refused sound program: %s" what msg
   in
-  (* Store at a constant in-segment address, properly claimed. *)
-  let good = [| Isa.St (Isa.reg_zero, Isa.reg_zero, 100); Isa.Ret Isa.reg_zero |] in
-  accept "const store" (mk good [| (0, I.const 100) |]);
-  (* Same store with no claim: unmasked protected store is refused. *)
-  reject "unmasked store" (mk good [||]);
-  (* Claim whose interval escapes the segment. *)
-  reject "claim escapes segment" (mk good [| (0, I.range 100 5000) |]);
-  (* Claim on a pc that is not a memory access. *)
-  reject "claim on non-access"
-    (mk good [| (0, I.const 100); (1, I.const 0) |]);
-  (* Address the analysis cannot bound (register from a load), with an
-     in-segment claim the verifier must fail to re-derive. *)
-  let wild =
-    [|
-      Isa.Ld (4, Isa.reg_zero, 0);
-      Isa.St (4, Isa.reg_zero, 0);
-      Isa.Ret Isa.reg_zero;
-    |]
+  let store_at off =
+    [| Isa.St (Isa.reg_zero, Isa.reg_zero, off); Isa.Ret Isa.reg_zero |]
   in
-  reject "underivable claim" (mk wild [| (1, I.range 0 1023) |])
+  (* Unmasked stores at constant addresses: inside the segment is
+     provable, outside it is not. *)
+  accept "const store in segment" (mk (store_at 100));
+  reject "const store outside segment" (mk (store_at 5000));
+  (* An address the analysis cannot bound (register from a load). *)
+  reject "store through a loaded address"
+    (mk
+       [|
+         Isa.Ld (4, Isa.reg_zero, 0);
+         Isa.St (4, Isa.reg_zero, 0);
+         Isa.Ret Isa.reg_zero;
+       |]);
+  (* An unmasked store no path reaches is never one the SFI pass
+     leaves, so it is refused too. *)
+  reject "unreachable store"
+    (mk
+       [|
+         Isa.Ret Isa.reg_zero;
+         Isa.St (Isa.reg_zero, Isa.reg_zero, 100);
+         Isa.Ret Isa.reg_zero;
+       |])
 
 (* Faulting programs keep their faults in the static tier: an index the
    analysis cannot prove stays checked. *)
@@ -680,110 +691,93 @@ let test_deep_loops_load () =
       ("64 sequential loops", sequence, (64, 64), (64, 64), (128, 128));
     ]
 
-(* ---------- verifier rejects bogus proofs (stack VM) ---------- *)
+(* ---------- verifier rejects unprovable elisions (stack VM) ---------- *)
 
-let test_bogus_proofs () =
-  let reject what p =
+(* Each case is the code edit a bad loader or a hostile program would
+   make: an unchecked opcode the verifier cannot prove safe from the
+   bytecode must be refused. *)
+let test_unprovable_elisions () =
+  let reject what fragment p =
     match Verify.verify p with
-    | Ok () -> Alcotest.failf "%s: verifier accepted a bogus proof" what
-    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s: verifier accepted an unprovable elision" what
+    | Error msg ->
+        if not (contains msg fragment) then
+          Alcotest.failf "%s: error %S does not mention %S" what msg fragment
   in
-  (* A program with real elisions: constant divisor and masked index. *)
-  let src =
-    {|
-      array a[8];
-      fn main(i : int) : int {
-        var d : int = 3;
-        a[i & 7] = i / d;
-        return a[i & 7];
-      }
-    |}
+  let edit (p : Program.t) f = { p with Program.code = Array.mapi f p.Program.code } in
+  let first pred (p : Program.t) =
+    let pc = ref (-1) in
+    Array.iteri (fun i op -> if !pc < 0 && pred op then pc := i) p.Program.code;
+    check_bool "found the site" true (!pc >= 0);
+    !pc
   in
-  let p = Stackvm.load_static_exn (build_image src) in
-  check_bool "has elisions" true (Array.length p.Program.proofs > 0);
-  (* Stripping the proof manifest leaves naked unchecked opcodes. *)
-  reject "stripped proofs" { p with Program.proofs = [||] };
-  (* Inflating every claim to top makes them illegal (an index claim
-     must fit the array, a divisor claim must exclude zero). *)
-  reject "inflated claims"
-    {
-      p with
-      Program.proofs = Array.map (fun (pc, _) -> (pc, I.top)) p.Program.proofs;
-    };
-  (* A divisor claim straddling zero. *)
-  reject "divisor claim contains 0"
-    {
-      p with
-      Program.proofs =
-        Array.map
-          (fun (pc, iv) ->
-            match p.Program.code.(pc) with
-            | Opcode.Div_u -> (pc, I.range (-1) 5)
-            | _ -> (pc, iv))
-          p.Program.proofs;
-    };
-  (* A legal-looking claim the verifier cannot re-derive: the divisor
-     is [3,3]; claiming [4,5] excludes zero but doesn't contain it. *)
-  reject "underivable claim"
-    {
-      p with
-      Program.proofs =
-        Array.map
-          (fun (pc, iv) ->
-            match p.Program.code.(pc) with
-            | Opcode.Div_u -> (pc, I.range 4 5)
-            | _ -> (pc, iv))
-          p.Program.proofs;
-    };
-  (* A claim attached to a checked instruction. *)
-  let checked = Stackvm.load_exn (build_image src) in
-  let aload_pc = ref (-1) in
-  Array.iteri
-    (fun i op ->
-      match op with Opcode.Aload _ when !aload_pc < 0 -> aload_pc := i | _ -> ())
-    checked.Program.code;
-  check_bool "found a checked aload" true (!aload_pc >= 0);
-  reject "claim on checked instruction"
-    { checked with Program.proofs = [| (!aload_pc, I.range 0 7) |] };
-  (* A claimed unchecked access to an array that does not exist, past
-     the last function where no path reaches it: the verifier must
-     refuse it, not raise. *)
-  let n = Array.length checked.Program.code in
-  reject "claim on a nonexistent array"
+  (* The verifier's own elisions: a masked index and a constant
+     divisor. *)
+  let elided =
+    Stackvm.load_static_exn
+      (build_image
+         {|
+           array a[8];
+           fn main(i : int) : int {
+             var d : int = 3;
+             a[i & 7] = i / d;
+             return a[i & 7];
+           }
+         |})
+  in
+  check_pair "three sites elided" (3, 3) (Stackvm.elision_stats elided);
+  (match Verify.verify elided with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "own elisions rejected: %s" msg);
+  (* Widen the mask of [a[i & 7]] to 15: the index can pass the end of
+     the 8-element array. *)
+  let band = first (fun op -> op = Opcode.Band) elided in
+  reject "mask widened to 15" "exceeds the bounds of array"
+    (edit elided (fun pc op -> if pc = band - 1 then Opcode.Const 15 else op));
+  (* Unchecked sites over operands the analysis cannot bound. *)
+  let checked =
+    Stackvm.load_exn
+      (build_image
+         {|
+           array a[8];
+           fn main(i : int, d : int) : int {
+             return a[i] / d;
+           }
+         |})
+  in
+  let aload = first (function Opcode.Aload _ -> true | _ -> false) checked in
+  let div = first (fun op -> op = Opcode.Div) checked in
+  reject "unbounded index" "exceeds the bounds of array"
+    (edit checked (fun pc op -> if pc = aload then Opcode.Aload_u 0 else op));
+  reject "divisor may be zero" "admits zero"
+    (edit checked (fun pc op -> if pc = div then Opcode.Div_u else op));
+  reject "missing array" "array id 99 out of range"
+    (edit checked (fun pc op -> if pc = aload then Opcode.Aload_u 99 else op));
+  (* A legal-looking unchecked access no path reaches: past the last
+     function. *)
+  reject "unreached unchecked access" "no path reaches"
     {
       checked with
-      Program.code = Array.append checked.Program.code [| Opcode.Aload_u 99 |];
-      proofs = [| (n, I.const 0) |];
+      Program.code =
+        Array.append checked.Program.code [| Opcode.Const 0; Opcode.Aload_u 0 |];
     };
-  (* An unchecked store into a read-only window: patch a checked store
-     to Astore_u with an in-bounds claim; the verifier must still
-     refuse because the array is not writable. *)
-  let ro_img =
-    build_image ~windows:[ ("w", 8, false) ]
-      {|
-        shared array w[8];
-        fn main(i : int) : int {
-          w[0] = i;
-          return 0;
-        }
-      |}
+  (* An unchecked store into a read-only window, at an index in
+     bounds. *)
+  let ro =
+    Stackvm.load_exn
+      (build_image ~windows:[ ("w", 8, false) ]
+         {|
+           shared array w[8];
+           fn main(i : int) : int {
+             w[0] = i;
+             return 0;
+           }
+         |})
   in
-  let ro = Stackvm.load_exn ro_img in
-  let store_pc = ref (-1) in
-  let arr = ref 0 in
-  Array.iteri
-    (fun i op ->
-      match op with
-      | Opcode.Astore a when !store_pc < 0 ->
-          store_pc := i;
-          arr := a
-      | _ -> ())
-    ro.Program.code;
-  check_bool "found the store" true (!store_pc >= 0);
-  let code = Array.copy ro.Program.code in
-  code.(!store_pc) <- Opcode.Astore_u !arr;
-  reject "unchecked store to read-only window"
-    { ro with Program.code; proofs = [| (!store_pc, I.const 0) |] }
+  let store = first (function Opcode.Astore _ -> true | _ -> false) ro in
+  reject "unchecked store to read-only window" "read-only array"
+    (edit ro (fun pc op ->
+         match op with Opcode.Astore a when pc = store -> Opcode.Astore_u a | _ -> op))
 
 (* ---------- graftkit check diagnostics ---------- *)
 
@@ -802,11 +796,6 @@ let dump_diags diags =
          Printf.sprintf "%d:%d %s %s" d.Check.dpos.Srcloc.line
            d.Check.dpos.Srcloc.col d.Check.dkind d.Check.dmsg)
        diags)
-
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
 
 (* [(1 + (1 + ... n))], [depth] additions deep. *)
 let deep_expr_source depth =
@@ -902,7 +891,8 @@ fn main(n : int) : int {
   | [ d ] ->
       Alcotest.(check string) "verify kind" "verify" d.Check.dkind;
       check_bool "stack overflow message" true
-        (contains d.Check.dmsg "stack overflow")
+        (contains d.Check.dmsg "stack overflow");
+      check_bool "placed at the return" true (diag_at "verify" 2 3 [ d ])
   | ds -> Alcotest.failf "deep expression: got\n%s" (dump_diags ds));
   (* A clean graft yields no warnings. *)
   check_int "builtin evict is clean" 0
@@ -989,11 +979,11 @@ let suite =
     ("sfi elision: masked index + globals", `Quick, test_regvm_elision_masked_index);
     ("sfi elision: logdisk parity", `Quick, test_regvm_elision_logdisk);
     ("sfi elision: md5 full protection", `Quick, test_regvm_elision_full_md5);
-    ("sfi elision: bogus claims rejected", `Quick, test_regvm_bogus_claims);
+    ("sfi elision: unproven accesses rejected", `Quick, test_regvm_unproven_accesses);
     ("elision pins: paper grafts, static tier", `Quick, test_pins_static);
     ("elision pins: A4 register VM", `Quick, test_pins_a4);
     ("deep and long loop nests load on every tier", `Quick, test_deep_loops_load);
-    ("verifier rejects bogus proofs", `Quick, test_bogus_proofs);
+    ("verifier rejects unprovable elisions", `Quick, test_unprovable_elisions);
     ("graftkit check diagnostics", `Quick, test_check_diagnostics);
     ("graftkit check --json", `Quick, test_check_json);
   ]

@@ -719,6 +719,82 @@ let test_carried_indices () =
   if !elided * 4 < !total * 3 then
     Alcotest.failf "only %d of %d check sites elided" !elided !total
 
+(* One legality rule decides both sides: flip any one check site of a
+   fully checked program to its unchecked twin, and the verifier
+   accepts the result exactly when its own elision pass flips that
+   site. Returns (flips accepted, flips tried). *)
+let flips_agree ~label (p : Graft_stackvm.Program.t) =
+  let module P = Graft_stackvm.Program in
+  let module Op = Graft_stackvm.Opcode in
+  let module V = Graft_stackvm.Verify in
+  match V.elide p with
+  | Error msg -> Alcotest.failf "%s: the verifier rejects the checked program: %s" label msg
+  | Ok (elided, _) ->
+      let accepted = ref 0 and tried = ref 0 in
+      Array.iteri
+        (fun pc op ->
+          match Op.check_site op with
+          | Some (checked, unchecked) when op = checked ->
+              let code = Array.copy p.P.code in
+              code.(pc) <- unchecked;
+              let admits = V.verify { p with P.code } = Ok () in
+              let elides = elided.P.code.(pc) = unchecked in
+              if admits <> elides then
+                Alcotest.failf "%s: pc %d (%s): verify %s the flip, elide %s it"
+                  label pc (Op.to_string op)
+                  (if admits then "accepts" else "rejects")
+                  (if elides then "makes" else "does not make");
+              incr tried;
+              if admits then incr accepted
+          | _ -> ())
+        p.P.code;
+      (!accepted, !tried)
+
+let test_flips_agree () =
+  let module Gs = Graft_grafts.Gel_sources in
+  let module R = Graft_core.Runners in
+  let module T = Graft_core.Technology in
+  let module M = Graft_kernel.Graftmap in
+  let total = ref (0, 0) in
+  let add (a, t) = total := (fst !total + a, snd !total + t) in
+  List.iter
+    (fun (label, src, windows, maps) ->
+      let env = R.gel_env ~hosts:(R.map_hosts maps) T.Bytecode_vm src windows in
+      match Graft_stackvm.Stackvm.load ~maps env.R.image with
+      | Ok p -> add (flips_agree ~label p)
+      | Error msg -> Alcotest.failf "%s: %s" label msg)
+    [
+      ("md5", Gs.md5 ~data_cells:2048, [ ("data", 2048, true); ("digest", 16, true) ], [||]);
+      ("evict", Gs.evict ~heap_cells:256, [ ("heap", 256, false) ], [||]);
+      ("logdisk", Gs.logdisk ~nblocks:64, [], [||]);
+      ( "demux",
+        Gs.demux ~window_cells:2048 ~protocol:6 ~marker:0x42,
+        [ ("pkt", 2048, false) ],
+        [| M.create_array ~name:"conn" 64 |] );
+      ("hotset", Gs.hotset, [], [| M.create_lru ~name:"hotset" 64 |]);
+      ( "packet filter",
+        Gs.packet_filter ~window_cells:2048 ~protocol:6 ~port:80,
+        [ ("pkt", 2048, false) ],
+        [||] );
+    ];
+  for i = 0 to 199 do
+    List.iter
+      (fun (label, gen) ->
+        let src = gen (Int64.of_int i) in
+        let maps = fuzz_maps () in
+        match
+          Graft_stackvm.Stackvm.load ~maps (build_image ~hosts:(map_hosts maps) src)
+        with
+        | Ok p -> add (flips_agree ~label:(Printf.sprintf "%s seed %d" label i) p)
+        | Error msg -> Alcotest.failf "%s seed %d: %s\n%s" label i msg src)
+      [ ("plain", gen_program); ("carried", gen_carried_program) ]
+  done;
+  (* Both answers occur, so neither side can pass by always saying
+     one thing. *)
+  let accepted, tried = !total in
+  if accepted = 0 || accepted = tried then
+    Alcotest.failf "%d of %d flips accepted" accepted tried
+
 (* ------------------------------------------------------------------ *)
 (* Entry point.                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -765,6 +841,8 @@ let () =
                 test_generator_loads;
               Alcotest.test_case "loop-carried indices" `Quick
                 test_carried_indices;
+              Alcotest.test_case "verifier admits exactly the elider's flips"
+                `Quick test_flips_agree;
               Alcotest.test_case "fixed corpus" `Quick test_fixed_corpus;
             ]
             @ qc [ prop_engines_agree ] );

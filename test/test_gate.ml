@@ -5,8 +5,8 @@
    jump + two map helpers) must load and run identically on every VM
    tier; the same graft with its loop written outside the canonical
    counted shape must be rejected by every bounded loader; tampered
-   bound certificates, helper-arity mismatches and out-of-range map
-   keys must all be caught; and a qcheck property ties the closed-form
+   loop windows, helper-arity mismatches and out-of-range map keys
+   must all be caught; and a qcheck property ties the closed-form
    trip counts to an independent simulation. *)
 
 open Graft_core
@@ -17,6 +17,11 @@ module Ir = Graft_gel.Ir
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  nl = 0 || go 0
 
 let protocol = K.Netpkt.proto_tcp
 let marker = 0x42
@@ -439,10 +444,11 @@ let test_helper_mismatch_rejected () =
   let entry = Runners.gel_entry ~maps Technology.Bytecode_vm env in
   check_int "non-helper externs still link" 42 (entry ~entry:"main" ~args:[| 0 |])
 
-(* A certificate the verifier cannot re-derive to the same number is a
-   forgery: inflate, deflate, or repoint each field and the stack-VM
-   loader's re-check must refuse to run the program. *)
-let test_tampered_cert_rejected () =
+(* The bounded stack verifier derives the demux scan loop's bound from
+   its bytecode windows. Each edit below is one a bad compiler or a
+   hostile program could make to those windows, and each must leave
+   the loop unbounded in the verifier's eyes. *)
+let test_tampered_windows_rejected () =
   let maps, env =
     demux_env
       ~src:
@@ -450,43 +456,147 @@ let test_tampered_cert_rejected () =
            ~protocol ~marker)
       Technology.Bytecode_vm
   in
-  let p = Graft_stackvm.Stackvm.load_exn ~maps ~bounded:true env.Runners.image in
   let module SP = Graft_stackvm.Program in
-  (match Graft_stackvm.Verify.verify ~bounded:true p with
+  let module Op = Graft_stackvm.Opcode in
+  let p = Graft_stackvm.Stackvm.load_exn ~maps ~bounded:true env.Runners.image in
+  let verify p = Graft_stackvm.Verify.verify ~bounded:true p in
+  (match verify p with
   | Ok () -> ()
-  | Error m -> Alcotest.failf "genuine certificate rejected: %s" m);
-  check_bool "the demux carries a loop certificate" true
-    (Array.length p.SP.loop_bounds > 0);
-  let pc, cert = p.SP.loop_bounds.(0) in
-  let rejects what cert' =
-    p.SP.loop_bounds.(0) <- (pc, cert');
-    (match Graft_stackvm.Verify.verify ~bounded:true p with
-    | Ok () -> Alcotest.failf "verifier accepted %s" what
-    | Error _ -> ());
-    p.SP.loop_bounds.(0) <- (pc, cert)
+  | Error m -> Alcotest.failf "genuine loop rejected: %s" m);
+  (* The scan loop: its back edge [b] jumps to the head [t]. *)
+  let b, t =
+    let found = ref None in
+    Array.iteri
+      (fun pc op ->
+        match op with
+        | Op.Jmp t when t <= pc && !found = None -> found := Some (pc, t)
+        | _ -> ())
+      p.SP.code;
+    match !found with Some bt -> bt | None -> Alcotest.fail "no loop in demux"
   in
-  rejects "an inflated trip count" { cert with Lb.c_trips = cert.Lb.c_trips + 1 };
-  rejects "a deflated trip count" { cert with Lb.c_trips = cert.Lb.c_trips - 1 };
-  rejects "a repointed counter slot"
-    { cert with Lb.c_counter = cert.Lb.c_counter + 1 };
-  rejects "a widened limit" { cert with Lb.c_limit = cert.Lb.c_limit + 1 };
-  rejects "a forged step" { cert with Lb.c_step = cert.Lb.c_step + 1 };
-  (* A certificate for the wrong pc is as useless as none at all. *)
-  (let saved = p.SP.loop_bounds.(0) in
-   p.SP.loop_bounds.(0) <- (pc + 1, cert);
-   (match Graft_stackvm.Verify.verify ~bounded:true p with
-   | Ok () -> Alcotest.fail "verifier accepted a mispointed certificate"
-   | Error _ -> ());
-   p.SP.loop_bounds.(0) <- saved);
-  (* And with the table stripped, the backward jump is naked. *)
-  let stripped = { p with SP.loop_bounds = [||] } in
-  (match Graft_stackvm.Verify.verify ~bounded:true stripped with
-  | Ok () -> Alcotest.fail "verifier accepted a certificate-free backedge"
-  | Error _ -> ());
-  (* The untampered program still loads — the harness restored it. *)
-  match Graft_stackvm.Verify.verify ~bounded:true p with
+  let counter =
+    match p.SP.code.(t) with
+    | Op.Load_local n -> n
+    | op -> Alcotest.failf "loop head reads %s" (Op.to_string op)
+  in
+  (* A body store to another local, to repoint at the counter. *)
+  let body_store =
+    let found = ref (-1) in
+    for pc = t + 4 to b - 5 do
+      match p.SP.code.(pc) with
+      | Op.Store_local n when n <> counter && !found < 0 -> found := pc
+      | _ -> ()
+    done;
+    !found
+  in
+  check_bool "the scan body stores a local" true (body_store >= 0);
+  let rejects what fragment edits =
+    let code = Array.copy p.SP.code in
+    List.iter (fun (pc, op) -> code.(pc) <- op) edits;
+    match verify { p with SP.code } with
+    | Ok () -> Alcotest.failf "verifier accepted %s" what
+    | Error m ->
+        if not (contains m fragment) then
+          Alcotest.failf "%s: error %S does not mention %S" what m fragment
+  in
+  rejects "a zero step" "not positive" [ (b - 3, Op.Const 0) ];
+  rejects "a backwards step" "does not advance" [ (b - 2, Op.Sub) ];
+  rejects "a second counter write" "also written"
+    [ (body_store, Op.Store_local counter) ];
+  rejects "a non-constant limit" "no constant limit"
+    [ (t + 1, Op.Load_local counter) ];
+  rejects "a non-constant initialiser" "no constant initialiser"
+    [ (t - 2, Op.Load_local counter) ];
+  (* The body's [break], repointed at the back edge, would iterate
+     without the step. *)
+  let break_pc =
+    let found = ref (-1) in
+    for pc = t + 4 to b - 5 do
+      match p.SP.code.(pc) with
+      | Op.Jmp u when u > b && !found < 0 -> found := pc
+      | _ -> ()
+    done;
+    !found
+  in
+  check_bool "the scan body breaks out" true (break_pc >= 0);
+  rejects "a body jump into the step window" "step window"
+    [ (break_pc, Op.Jmp b) ]
+
+(* The register-code twin: [c = 0; while (c < 4) { body; c = c + 1 }]
+   with its head at pc 2, an optional body from pc 5, then the step and
+   the back edge [br 2]. [extra] functions follow it. *)
+let register_loop ?(body = []) ?(funcs = []) ?(extra = []) () =
+  let module Isa = Graft_regvm.Isa in
+  let module RP = Graft_regvm.Program in
+  let nb = List.length body in
+  let back = 8 + nb in
+  let code =
+    Array.of_list
+      ([
+         Isa.Movi (5, 0);
+         Isa.Mov (4, 5);
+         Isa.Movi (6, 4);
+         Isa.Cmp (Ir.Lt, 7, 4, 6);
+         Isa.Brz (7, back + 1);
+       ]
+      @ body
+      @ [
+          Isa.Movi (8, 1);
+          Isa.Bin (Ir.Kint, Ir.Add, 8, 4, 8);
+          Isa.Mov (4, 8);
+          Isa.Br 2;
+          Isa.Ret Isa.reg_zero;
+        ]
+      @ extra)
+  in
+  let fdesc name nargs entry code_end = { RP.name; nargs; entry; code_end } in
+  {
+    RP.code;
+    funcs =
+      Array.of_list
+        (fdesc "main" 0 0 (back + 2)
+        :: List.map
+             (fun (name, nargs, entry) ->
+               fdesc name nargs entry (Array.length code))
+             funcs);
+    host = [||];
+    ext_arity = [||];
+    ext_names = [||];
+    cells = Array.make 1024 0;
+    segment = { RP.base = 0; size = 1024 };
+    protection = RP.Unprotected;
+  }
+
+(* The bounded register verifier holds a loop to the same entry rule as
+   the stack verifier: no conditional back edge, no way into the loop
+   past the initialiser, and no way into the step window. *)
+let test_register_windows_rejected () =
+  let module Isa = Graft_regvm.Isa in
+  let verify p = Graft_regvm.Verify.verify ~bounded:true p in
+  (match verify (register_loop ()) with
   | Ok () -> ()
-  | Error m -> Alcotest.failf "restoration failed: %s" m
+  | Error m -> Alcotest.failf "genuine register loop rejected: %s" m);
+  let rejects what fragment p =
+    match verify p with
+    | Ok () -> Alcotest.failf "register verifier accepted %s" what
+    | Error m ->
+        if not (contains m fragment) then
+          Alcotest.failf "%s: error %S does not mention %S" what m fragment
+  in
+  (* [h] starts at the back edge, so its argument is the counter:
+     h(-10_000_000) would run ten million trips past the bound of 4. *)
+  rejects "a function starting at the back edge" "starts inside a certified loop"
+    (register_loop ~funcs:[ ("h", 1, 8) ] ());
+  rejects "a conditional backward branch" "conditional backward branch"
+    (let p = register_loop () in
+     let code = Array.copy p.Graft_regvm.Program.code in
+     code.(8) <- Isa.Brnz (4, 2);
+     { p with Graft_regvm.Program.code });
+  rejects "an outside jump into the loop" "enters a certified loop at 3"
+    (register_loop ~extra:[ Isa.Br 3; Isa.Ret Isa.reg_zero ]
+       ~funcs:[ ("k", 0, 10) ] ());
+  rejects "a body jump into the step window" "step window at 7"
+    (register_loop ~body:[ Isa.Br 7 ] ())
 
 (* Out-of-range map keys: statically unprovable accesses fall back to
    the kernel object's runtime check, which faults on array maps — on
@@ -735,8 +845,10 @@ let () =
           Alcotest.test_case "unbounded loop" `Quick test_unbounded_rejected;
           Alcotest.test_case "helper mismatch" `Quick
             test_helper_mismatch_rejected;
-          Alcotest.test_case "tampered certificate" `Quick
-            test_tampered_cert_rejected;
+          Alcotest.test_case "tampered loop windows" `Quick
+            test_tampered_windows_rejected;
+          Alcotest.test_case "register loop windows" `Quick
+            test_register_windows_rejected;
           Alcotest.test_case "map key out of range" `Quick test_map_oob_faults;
           Alcotest.test_case "pfvm verifier" `Quick test_pfvm_verifier;
           Alcotest.test_case "pfvm shift semantics" `Quick test_pfvm_shifts;

@@ -392,6 +392,33 @@ let test_verify_rejects_call_arity () =
   Alcotest.(check bool) "tampered" true !tampered;
   expect_reject { p with Program.code } "args"
 
+(* Every register an instruction reads, and every register a call's
+   arguments land in, must exist: the machine's register file is a
+   bounds-checked array, so a verified program reading r200 would raise
+   instead of faulting. *)
+let test_verify_rejects_register_range () =
+  let p = instrumented store_heavy_src in
+  let main =
+    match Program.find_func p "main" with
+    | Some f -> p.Program.funcs.(f)
+    | None -> Alcotest.fail "no main"
+  in
+  let edit pc instr =
+    let code = Array.copy p.Program.code in
+    code.(pc) <- instr;
+    { p with Program.code }
+  in
+  let at = main.Program.entry in
+  expect_reject (edit at (Isa.Mov (4, 200))) "r200 out of range";
+  expect_reject (edit at (Isa.Ret 200)) "r200 out of range";
+  let big =
+    { Program.name = "big"; nargs = 126; entry = at; code_end = main.Program.code_end }
+  in
+  let p' = edit at (Isa.Call { f = Array.length p.Program.funcs; dst = 4; argbase = 0; nargs = 126 }) in
+  expect_reject
+    { p' with Program.funcs = Array.append p'.Program.funcs [| big |] }
+    "argument block overflows"
+
 let test_load_rejects_tampered () =
   (* End-to-end: Regvm.load refuses a program whose memory is not a
      power of two (cannot build a mask). *)
@@ -581,6 +608,8 @@ let () =
             test_verify_rejects_branch_into_sequence;
           Alcotest.test_case "rejects bad target" `Quick test_verify_rejects_bad_branch_target;
           Alcotest.test_case "rejects call arity" `Quick test_verify_rejects_call_arity;
+          Alcotest.test_case "rejects out-of-range registers" `Quick
+            test_verify_rejects_register_range;
           Alcotest.test_case "load rejects non-pow2" `Quick test_load_rejects_tampered;
         ] );
       ( "limits",

@@ -200,7 +200,7 @@ let test_readonly_store_faults () =
 let trivial_arrays = [||]
 
 let mkprog ?(funcs = [||]) ?(arrays = trivial_arrays) ?(ext_arity = [||])
-    ?(ncells = 16) ?(proofs = [||]) ?(maps = [||]) ?(loop_bounds = [||]) code =
+    ?(ncells = 16) ?(maps = [||]) code =
   {
     Program.code;
     funcs;
@@ -210,8 +210,6 @@ let mkprog ?(funcs = [||]) ?(arrays = trivial_arrays) ?(ext_arity = [||])
     ext_names = Array.map (fun _ -> "") ext_arity;
     cells = Array.make ncells 0;
     maps;
-    proofs;
-    loop_bounds;
   }
 
 let fdesc ?(nargs = 0) ?(nlocals = 1) ~entry ~code_end name =
@@ -417,7 +415,7 @@ let within_seconds n f =
       try f () with Timeout -> Alcotest.failf "did not finish within %ds" n)
 
 (* A counting loop whose step is plain [lload; const; add; lstore],
-   followed by one proved [aload.u] that sends the program through
+   followed by one [aload.u] at index 0 that sends the program through
    pass 2. [~fused] closes the loop with [Jcmpk_local], which pass 2
    models without refinement, so the counter's interval grows by one
    per round until the loop head widens; the twin closes it with
@@ -439,7 +437,6 @@ let counted_loop ~fused =
   let n = Array.length code in
   mkprog
     ~arrays:[| { Program.base = 0; len = 4; writable = false } |]
-    ~proofs:[| (n - 2, Graft_analysis.Interval.const 0) |]
     ~funcs:[| fdesc ~entry:0 ~code_end:n "f" |]
     code
 
@@ -585,7 +582,7 @@ let test_verify_heights () =
        Opcode.Ret |]
   in
   match Verify.heights (mkprog ~funcs:[| fdesc ~entry:0 ~code_end:6 "f" |] code) with
-  | Error msg -> Alcotest.failf "rejected: %s" msg
+  | Error (_, msg) -> Alcotest.failf "rejected: %s" msg
   | Ok h ->
       Alcotest.(check (array int)) "per-pc heights" [| 0; 1; 2; -1; 2; 1 |]
         h.Verify.at;
@@ -785,10 +782,14 @@ let prop_differential_expr =
 
 (* The verifier must be total: random instruction sequences either
    verify or are rejected with a message — never an exception — and
-   anything it accepts must run without crashing the host. *)
+   anything it accepts must run without crashing the host. The
+   sequences index an 8-cell array and divide, with checked and
+   unchecked sites both, so an accepted unchecked site must be one the
+   verifier proved: the program ends exactly as its all-checked twin
+   does. *)
 let random_instr rng ncode =
   let open Opcode in
-  match Graft_util.Prng.int rng 14 with
+  match Graft_util.Prng.int rng 21 with
   | 0 -> Const (Graft_util.Prng.int rng 100)
   | 1 -> Load_local (Graft_util.Prng.int rng 4)
   | 2 -> Store_local (Graft_util.Prng.int rng 4)
@@ -802,35 +803,74 @@ let random_instr rng ncode =
   | 10 -> Lt
   | 11 -> Wadd
   | 12 -> Load_global (Graft_util.Prng.int rng 20)
-  | _ -> Ne
+  | 13 -> Ne
+  | 14 -> Const (Graft_util.Prng.int rng 10)
+  | 15 -> Aload 0
+  | 16 -> Aload_u 0
+  | 17 -> Astore 0
+  | 18 -> Astore_u 0
+  | 19 -> Div
+  | _ -> Div_u
+
+(* [n] random instructions, each replaced by a constant where the
+   straight-line path has not pushed what it pops, closed by a return:
+   about a third of them verify, so accepted code is common. *)
+let random_code rng n =
+  let h = ref 0 in
+  let body =
+    List.init n (fun _ ->
+        let op = random_instr rng n in
+        let pops, pushes = Opcode.effect op in
+        if pops > !h then begin
+          incr h;
+          Opcode.Const (Graft_util.Prng.int rng 10)
+        end
+        else begin
+          h := !h - pops + pushes;
+          op
+        end)
+  in
+  Array.of_list
+    (body @ if !h = 0 then [ Opcode.Const 0; Opcode.Ret ] else [ Opcode.Ret ])
 
 let prop_verifier_total_and_safe =
   QCheck.Test.make ~name:"verifier total; accepted code runs safely" ~count:300
     QCheck.(pair int64 (int_range 1 24))
     (fun (seed, n) ->
       let rng = Graft_util.Prng.create seed in
-      let code = Array.init n (fun _ -> random_instr rng n) in
-      let p =
+      let code = random_code rng n in
+      let prog code =
         {
           Program.code;
-          funcs = [| { Program.name = "f"; nargs = 0; nlocals = 4; entry = 0; code_end = n } |];
-          arrays = [||];
+          funcs =
+            [| { Program.name = "f"; nargs = 0; nlocals = 4; entry = 0;
+                 code_end = Array.length code } |];
+          arrays = [| { Program.base = 4; len = 8; writable = true } |];
           host = [||];
           ext_arity = [||];
           ext_names = [||];
           cells = Array.make 16 0;
           maps = [||];
-          proofs = [||];
-          loop_bounds = [||];
         }
       in
+      let p = prog code in
       match Verify.verify p with
       | Error _ -> true
       | Ok () -> (
-          (* Verified code must execute without host-level surprises. *)
-          match Vm.run p ~entry:"f" ~args:[||] ~fuel:10_000 with
-          | Ok _ | Error (`Fault _) -> true
-          | Error (`Bad_entry _) -> false))
+          (* Verified code must execute without host-level surprises,
+             and end as the same code with every check kept does. *)
+          let checked =
+            prog
+              (Array.map
+                 (fun op -> if Opcode.is_unchecked op then Option.get (Opcode.twin op) else op)
+                 code)
+          in
+          let r = Vm.run p ~entry:"f" ~args:[||] ~fuel:10_000 in
+          match r with
+          | Error (`Bad_entry _) -> false
+          | Ok _ | Error (`Fault _) ->
+              r = Vm.run checked ~entry:"f" ~args:[||] ~fuel:10_000
+              && p.Program.cells = checked.Program.cells))
 
 (* ---------- the optimized tier: peephole-fused code ---------- *)
 
@@ -1039,7 +1079,7 @@ let test_peephole_verifier_roundtrip () =
     Alcotest.failf "fused constructors never emitted by the corpus: %s"
       (String.concat ", " !missing)
 
-(* ---------- bounded loading: certificates under the optimizer ---------- *)
+(* ---------- bounded loading: counted loops under the optimizer ---------- *)
 
 let expect_reject_bounded p fragment =
   match Verify.verify ~bounded:true p with
@@ -1051,9 +1091,10 @@ let expect_reject_bounded p fragment =
 (* A certified loop may be entered from outside only through its
    initialiser's first instruction (the [Const]). A jump that lands one
    instruction later — on the [Store_local] — would seed the counter
-   from whatever the jumper left on the stack, and the certificate's
-   closed-form trip count would not cover that path. *)
-let bounds_entry_program ~outside_target =
+   from whatever the jumper left on the stack, and the derived
+   closed-form trip count would not cover that path. [g], when given,
+   is a one-argument function starting at that pc. *)
+let bounds_entry_program ?g ~outside_target () =
   let code =
     [|
       (* 0 *) Opcode.Const 7;
@@ -1073,61 +1114,69 @@ let bounds_entry_program ~outside_target =
       (* 14 *) Opcode.Ret;
     |]
   in
-  let cert =
-    {
-      Graft_analysis.Loopbound.c_counter = 0;
-      c_init = 0;
-      c_limit = 4;
-      c_cmp = Ir.Lt;
-      c_step = 1;
-      c_trips = 4;
-    }
+  let g =
+    Option.to_list
+      (Option.map (fun entry -> fdesc ~nargs:1 ~entry ~code_end:15 "g") g)
   in
   mkprog
-    ~funcs:[| fdesc ~nlocals:1 ~entry:0 ~code_end:15 "main" |]
-    ~loop_bounds:[| (12, cert) |]
+    ~funcs:(Array.of_list (fdesc ~nlocals:1 ~entry:0 ~code_end:15 "main" :: g))
     code
 
 let test_bounds_entry_discipline () =
   (* Entering at the initialiser's Const re-initialises the counter:
-     legal. *)
-  (match Verify.verify ~bounded:true (bounds_entry_program ~outside_target:2) with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "entry through the initialiser rejected: %s" m);
+     legal, and so is a function that starts there. *)
+  List.iter
+    (fun g ->
+      match
+        Verify.verify ~bounded:true (bounds_entry_program ?g ~outside_target:2 ())
+      with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "entry through the initialiser rejected: %s" m)
+    [ None; Some 2 ];
   (* Entering at the Store_local skips the Const and seeds the counter
      from the jumper's stack: must be rejected... *)
   expect_reject_bounded
-    (bounds_entry_program ~outside_target:3)
+    (bounds_entry_program ~outside_target:3 ())
     "enters a certified loop";
   (* ...as must entering at the loop head, past the whole initialiser. *)
   expect_reject_bounded
-    (bounds_entry_program ~outside_target:4)
-    "enters a certified loop"
+    (bounds_entry_program ~outside_target:4 ())
+    "enters a certified loop";
+  (* A function may not start inside the loop either: [g] starting at
+     the head runs the loop from its argument, so g(-10_000_000) would
+     run ten million trips past the derived bound of 4. (Pass 1 refuses
+     any later start, whose extent leaves out the head the back edge
+     jumps to, and a start on the [Store_local], which pops an empty
+     stack.) *)
+  expect_reject_bounded
+    (bounds_entry_program ~g:4 ~outside_target:2 ())
+    "starts inside a certified loop"
 
-(* Under bounded loading the optimizer must neither drop certificates
-   nor break their windows: load_opt fuses the loop body, remaps the
-   certificate to the fused backedge, and the bounded verifier
-   re-derives the bound from the fused code it ships. *)
+(* Under bounded loading the optimizer must not break the loop
+   windows: load_opt fuses the loop body around them, and the bounded
+   verifier derives the bound from the fused code it ships. Unbounded,
+   the same windows fuse. *)
 let test_bounded_opt_certified () =
   let plain = Stackvm.load_exn ~bounded:true (fresh_image loopy_src) in
   let opt = Stackvm.load_opt_exn ~bounded:true (fresh_image loopy_src) in
-  Alcotest.(check bool) "certificate survives fusion" true
-    (Array.length opt.Program.loop_bounds = Array.length plain.Program.loop_bounds
-    && Array.length opt.Program.loop_bounds > 0);
+  let backward (p : Program.t) =
+    let n = ref 0 in
+    Array.iteri
+      (fun pc op ->
+        match op with Opcode.Jmp t when t <= pc -> incr n | _ -> ())
+      p.Program.code;
+    !n
+  in
+  Alcotest.(check bool) "the counted loop survives fusion" true
+    (backward opt = backward plain && backward opt > 0);
   Alcotest.(check bool) "fusion still shortens certified code" true
     (Array.length opt.Program.code < Array.length plain.Program.code);
   (match Verify.verify ~bounded:true opt with
   | Ok () -> ()
   | Error m -> Alcotest.failf "fused certified program fails re-verify: %s" m);
-  (* The remapped backedge still points at the backward jump. *)
-  Array.iter
-    (fun (pc, _) ->
-      match opt.Program.code.(pc) with
-      | Opcode.Jmp t when t <= pc -> ()
-      | op ->
-          Alcotest.failf "certificate pc %d is %s, not a backward jmp" pc
-            (Opcode.to_string op))
-    opt.Program.loop_bounds;
+  (match Verify.verify ~bounded:true (Stackvm.load_opt_exn (fresh_image loopy_src)) with
+  | Ok () -> Alcotest.fail "unbounded fusion kept the loop windows"
+  | Error _ -> ());
   List.iter
     (fun n ->
       let base = Vm.run plain ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
@@ -1765,7 +1814,7 @@ let () =
         [
           Alcotest.test_case "initialiser entry discipline" `Quick
             test_bounds_entry_discipline;
-          Alcotest.test_case "certificates survive fusion" `Quick
+          Alcotest.test_case "certified windows survive fusion" `Quick
             test_bounded_opt_certified;
         ] );
     ]
