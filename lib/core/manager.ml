@@ -3,6 +3,11 @@
     misbehaving ones — the machinery that makes every technology except
     unsafe C survivable (paper sections 1 and 4).
 
+    The manager owns the kernel's module table ({!Runners.modules}):
+    each distinct GEL module its grafts use is loaded and verified
+    once, and every graft runs its own instance of it. The table is
+    empty at {!create} and lives as long as the manager.
+
     Supervision policy (Graftjail): every invocation runs under an
     exception barrier. A graft that exhausts its per-window fault
     budget earns a {e strike} and is disabled; the kernel falls back to
@@ -62,9 +67,16 @@ type graft = {
   m_quarantines : Graft_metrics.counter;
 }
 
-type t = { grafts : (string, graft) Hashtbl.t }
+type t = {
+  grafts : (string, graft) Hashtbl.t;
+  modules : Runners.modules;
+      (** every GEL module this kernel loaded, each once *)
+}
 
-let create () = { grafts = Hashtbl.create 8 }
+let create () =
+  { grafts = Hashtbl.create 8; modules = Runners.create_modules () }
+
+let modules t = t.modules
 
 let register t ~name ~tech ~structure ~motivation ?(policy = default_policy)
     () =

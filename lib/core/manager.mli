@@ -11,7 +11,14 @@
     strikes the graft is quarantined permanently. If an {e unsafe}
     graft faults, the manager raises {!Kernel_panic}: with no
     protection there is nothing to contain the failure, which is the
-    reliability argument the paper opens with. *)
+    reliability argument the paper opens with.
+
+    The manager owns the kernel's module table ({!Runners.modules}):
+    each distinct GEL module its grafts use is loaded and verified
+    once, and every graft runs its own instance of it, with its own
+    memory, maps and host closures. The table is empty at {!create}
+    and lives as long as the manager, so nothing is shared between
+    managers (one per serve shard, one per benchmark set-up). *)
 
 exception Kernel_panic of string
 
@@ -57,7 +64,12 @@ type graft = {
 
 type t
 
+(** A manager with no grafts and an empty module table. *)
 val create : unit -> t
+
+(** The kernel's module table: pass it to the {!Runners} builders so
+    each distinct module loads once. *)
+val modules : t -> Runners.modules
 
 (** Register a graft under [policy] (default {!default_policy}).
     Raises [Invalid_argument] on duplicate names or a policy with any

@@ -7,8 +7,12 @@
 
     - native regimes (C / Modula-3 / SFI analogues) close over the
       functor instances from {!Graft_grafts};
-    - VM technologies compile the GEL source from
-      {!Graft_grafts.Gel_sources} once and enter it per call;
+    - VM technologies load the GEL source from
+      {!Graft_grafts.Gel_sources} as a module (front end, compile,
+      verify) found or loaded in a module table, and enter it per call
+      through an instance: the graft's own memory, maps, host closures
+      and session over the module's code. A kernel's table
+      ({!Manager.modules}) loads each distinct module once;
     - the source interpreter evaluates the Tcl source from
       {!Graft_grafts.Script_sources} once and invokes its procs per
       call.
@@ -82,23 +86,31 @@ let alloc_windows mem windows =
 let window_cells windows =
   List.fold_left (fun acc (_, len, _) -> acc + len) 0 windows
 
-(** Compile [source] for [tech] and link it into a fresh power-of-two
-    memory with the given shared windows (name, length, writable). The
-    IR optimizer runs first for bytecode-opt alone: it is that tier's
-    pre-pass. [hosts] resolves extern declarations (e.g. the graft-map
-    helper dispatchers from {!Graft_kernel.Graftmap.hosts}). *)
-let gel_env ?(hosts = []) (tech : Technology.t) source windows =
-  let prog =
-    match Gel.compile ~optimize:(tech = Technology.Bytecode_opt) source with
-    | Ok p -> p
-    | Error e -> failwith ("GEL graft does not compile: " ^ Srcloc.to_string e)
-  in
+(* The GEL front end for [tech]: the IR optimizer runs for bytecode-opt
+   alone, as that tier's pre-pass. *)
+let optimizes tech = tech = Technology.Bytecode_opt
+
+let compile_ir ~optimize source =
+  match Gel.compile ~optimize source with
+  | Ok p -> p
+  | Error e -> failwith ("GEL graft does not compile: " ^ Srcloc.to_string e)
+
+(* Link [prog] into a fresh power-of-two memory with the given shared
+   windows. *)
+let link_env ~hosts prog windows =
   let size = next_pow2 (Link.footprint prog + window_cells windows + 64) in
   let mem = Memory.create size in
   let regions = alloc_windows mem windows in
   match Link.link prog ~mem ~shared:regions ~hosts with
   | Ok image -> { image; windows = regions }
   | Error msg -> failwith ("GEL graft does not link: " ^ msg)
+
+(** Compile [source] for [tech] and link it into a fresh power-of-two
+    memory with the given shared windows (name, length, writable).
+    [hosts] resolves extern declarations (e.g. the graft-map helper
+    dispatchers from {!Graft_kernel.Graftmap.hosts}). *)
+let gel_env ?(hosts = []) (tech : Technology.t) source windows =
+  link_env ~hosts (compile_ir ~optimize:(optimizes tech) source) windows
 
 let window env name =
   match List.assoc_opt name env.windows with
@@ -116,22 +128,18 @@ type engine =
   args:int array ->
   (int, [ `Fault of Fault.t | `Bad_entry of string ]) result
 
-(** The tier table: the one place that maps a VM technology to its
-    loader and engine. Loading (verify, and compile where the tier
-    compiles) happens once, here; each call enters a resident session
-    with [fuel]. [maps] lets the stack tiers lower typed-helper calls
-    to map opcodes; [bounded] makes every tier's verifier admit a
-    backward jump only as the back edge of a loop whose bound it
-    derives from the code (the reference interpreter gates on the
-    IR-level {!Graft_analysis.Loopbound} check at construction);
-    [profile] counts executed opcodes on the tiers that keep a profile
-    (all but the reference interpreter). *)
-let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
-    (image : Link.image) : engine =
-  let stack p =
-    let session = Graft_stackvm.Vm.create_session ?profile p in
-    fun ~entry ~args -> Graft_stackvm.Vm.run_session session ~entry ~args ~fuel
-  in
+(* ------------------------------------------------------------------ *)
+(* The tier table, in two halves: [load_code] is what a tier derives   *)
+(* from the code alone, [start] one tenant's session over it.          *)
+(* ------------------------------------------------------------------ *)
+
+type code =
+  | Tree  (** ast-interp: the linked IR itself, once the gate admits it *)
+  | Stack of Graft_stackvm.Program.t
+  | Jitted of Graft_jit.Jit.t
+  | Reg of Graft_regvm.Program.t
+
+let load_code ?maps ~bounded (tech : Technology.t) (image : Link.image) =
   match tech with
   | Technology.Ast_interp ->
       (* No bytecode verifier on this tier: the gate is the same typed
@@ -144,25 +152,18 @@ let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
         match Graft_analysis.Loopbound.check_image image with
         | Ok () -> ()
         | Error msg -> failwith ("GEL graft rejected: " ^ msg));
-      let session = Interp.create_session image in
-      fun ~entry ~args -> Interp.run_session session ~entry ~args ~fuel
+      Tree
   | Technology.Bytecode_vm ->
-      stack (Graft_stackvm.Stackvm.load_exn ?maps ~bounded image)
+      Stack (Graft_stackvm.Stackvm.load_exn ?maps ~bounded image)
   | Technology.Bytecode_opt ->
       (* Peephole-fused code runs on the same loop as plain code. *)
-      stack (Graft_stackvm.Stackvm.load_opt_exn ?maps ~bounded image)
-  | Technology.Jit when profile = None ->
-      (* Graftjit: static-tier elisions, then closure-threaded native
-         compilation; the session compiles once, entries are cheap. *)
-      let t = Graft_jit.Jit.load_exn ?maps ~bounded image in
-      let session = Graft_jit.Jit.create_session t in
-      fun ~entry ~args -> Graft_jit.Jit.run_session session ~entry ~args ~fuel
-  | Technology.Safe_lang_static | Technology.Jit ->
-      (* A JIT profile is read from the static-tier interpreter: the JIT
-         compiles that program and, by its parity obligation, executes
-         the same opcodes with the same fuel. *)
-      stack (Graft_stackvm.Stackvm.load_static_exn ?maps ~bounded image)
-  | Technology.Sfi_write_jump | Technology.Sfi_full -> (
+      Stack (Graft_stackvm.Stackvm.load_opt_exn ?maps ~bounded image)
+  | Technology.Safe_lang_static ->
+      Stack (Graft_stackvm.Stackvm.load_static_exn ?maps ~bounded image)
+  | Technology.Jit ->
+      (* Graftjit: static-tier elisions, then the block plan. *)
+      Jitted (Graft_jit.Jit.load_exn ?maps ~bounded image)
+  | Technology.Sfi_write_jump | Technology.Sfi_full ->
       (* The register-VM route, used for the A4 instruction-count
          ablation; headline SFI numbers come from the native masked
          regimes. Maps reach this tier as linked host calls, so [maps]
@@ -171,7 +172,37 @@ let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
         if tech = Technology.Sfi_full then Graft_regvm.Program.Full
         else Graft_regvm.Program.Write_jump
       in
-      let p = Graft_regvm.Regvm.load_exn ~protection ~bounded image in
+      Reg (Graft_regvm.Regvm.load_exn ~protection ~bounded image)
+  | t ->
+      invalid_arg ("Runners.engine: not a VM technology: " ^ Technology.name t)
+
+(* A session over [code] for the tenant whose linked image is [image]
+   and whose maps are [maps]: each call enters it with [fuel]. *)
+let start ?profile ~fuel ~maps code (image : Link.image) : engine =
+  let cells = Memory.cells image.Link.mem and host = image.Link.host in
+  let stack p =
+    let p = Graft_stackvm.Program.instantiate p ~cells ~host ~maps in
+    let session = Graft_stackvm.Vm.create_session ?profile p in
+    fun ~entry ~args -> Graft_stackvm.Vm.run_session session ~entry ~args ~fuel
+  in
+  match code with
+  | Tree ->
+      let session = Interp.create_session image in
+      fun ~entry ~args -> Interp.run_session session ~entry ~args ~fuel
+  | Stack p -> stack p
+  | Jitted t when profile = None ->
+      (* The session compiles the blocks to closures once; entries are
+         cheap. *)
+      let t = Graft_jit.Jit.instantiate t ~cells ~host ~maps in
+      let session = Graft_jit.Jit.create_session t in
+      fun ~entry ~args -> Graft_jit.Jit.run_session session ~entry ~args ~fuel
+  | Jitted t ->
+      (* A JIT profile is read from the static-tier interpreter: the JIT
+         compiles that program and, by its parity obligation, executes
+         the same opcodes with the same fuel. *)
+      stack (Graft_jit.Jit.program t)
+  | Reg p -> (
+      let p = Graft_regvm.Program.instantiate p ~cells ~host in
       let session = Graft_regvm.Machine.create_session ?profile p in
       fun ~entry ~args ->
         match
@@ -179,8 +210,23 @@ let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
         with
         | Ok o -> Ok o.Graft_regvm.Machine.value
         | Error e -> Error e)
-  | t ->
-      invalid_arg ("Runners.engine: not a VM technology: " ^ Technology.name t)
+
+(** The tier table: the one place that maps a VM technology to its
+    loader and engine. Loading (verify, and compile where the tier
+    compiles) happens once, here; each call enters a resident session
+    with [fuel]. [maps] lets the stack tiers lower typed-helper calls
+    to map opcodes; [bounded] makes every tier's verifier admit a
+    backward jump only as the back edge of a loop whose bound it
+    derives from the code (the reference interpreter gates on the
+    IR-level {!Graft_analysis.Loopbound} check at construction);
+    [profile] counts executed opcodes on the tiers that keep a profile
+    (all but the reference interpreter). *)
+let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
+    (image : Link.image) : engine =
+  start ?profile ~fuel
+    ~maps:(Option.value maps ~default:[||])
+    (load_code ?maps ~bounded tech image)
+    image
 
 type gel_entry = entry:string -> args:int array -> int
 
@@ -189,6 +235,117 @@ type gel_entry = entry:string -> args:int array -> int
 let gel_entry ?maps ?bounded ?(fuel = huge_fuel) tech env : gel_entry =
   let run = engine ?maps ?bounded ~fuel tech env.image in
   fun ~entry ~args -> run_fail (run ~entry ~args)
+
+(* ------------------------------------------------------------------ *)
+(* Modules and instances.                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every input a load reads, compared structurally. The hosts and the
+   maps themselves are the instance's; only each map's kind and
+   capacity reach the verifier. *)
+type key = {
+  k_tech : Technology.t;
+  k_source : string;
+  k_windows : (string * int * bool) list;
+  k_maps : (Graft_kernel.Graftmap.kind * int) list option;
+  k_bounded : bool;
+}
+
+(* What a link fixes and the verified code assumes. *)
+type layout = {
+  global_base : int;
+  arr_base : int array;
+  arr_len : int array;
+  arr_writable : bool array;
+  mem_size : int;
+}
+
+let layout_of (image : Link.image) =
+  {
+    global_base = image.Link.global_base;
+    arr_base = image.Link.arr_base;
+    arr_len = image.Link.arr_len;
+    arr_writable = image.Link.arr_writable;
+    mem_size = Memory.size image.Link.mem;
+  }
+
+type gel_module = { ir : Ir.program; layout : layout; code : code }
+
+type modules = {
+  fronts : (string * bool, Ir.program) Hashtbl.t;
+      (** IR by (source, optimized): every tier that compiles the same
+          source shares it *)
+  loaded : (key, gel_module) Hashtbl.t;
+}
+
+let create_modules () =
+  { fronts = Hashtbl.create 8; loaded = Hashtbl.create 32 }
+
+let module_count t = Hashtbl.length t.loaded
+
+let rec front_end t ~optimize source =
+  match Hashtbl.find_opt t.fronts (source, optimize) with
+  | Some ir -> ir
+  | None ->
+      let ir =
+        if optimize then Optimize.program (front_end t ~optimize:false source)
+        else compile_ir ~optimize:false source
+      in
+      Hashtbl.add t.fronts (source, optimize) ir;
+      ir
+
+(* A module owns its image: scratch cells, hosts that are never called
+   and maps of the key's kinds and capacities, so it holds no tenant's
+   state. Its maps take the caller's map names, so they add no metric
+   series. *)
+let never_called _ = invalid_arg "Runners: a module's own hosts never run"
+
+let module_map m =
+  Graft_kernel.Graftmap.make
+    (Graft_kernel.Graftmap.name m)
+    (Graft_kernel.Graftmap.kind m)
+    (Graft_kernel.Graftmap.max_entries m)
+
+(** The module [tech] loads from [source] with [windows] mapped, from
+    [t] if it is there; loaded into [t] otherwise. Raises [Failure] if
+    the graft is rejected. *)
+let load_module t ?maps ?(bounded = false) (tech : Technology.t) source windows =
+  let key =
+    {
+      k_tech = tech;
+      k_source = source;
+      k_windows = windows;
+      k_maps =
+        Option.map
+          (fun maps ->
+            Array.to_list
+              (Array.map
+                 (fun m ->
+                   ( Graft_kernel.Graftmap.kind m,
+                     Graft_kernel.Graftmap.max_entries m ))
+                 maps))
+          maps;
+      k_bounded = bounded;
+    }
+  in
+  match Hashtbl.find_opt t.loaded key with
+  | Some m -> m
+  | None ->
+      let ir = front_end t ~optimize:(optimizes tech) source in
+      let hosts =
+        Array.to_list
+          (Array.map
+             (fun (e : Ir.ext) -> { Link.hname = e.Ir.ename; hfn = never_called })
+             ir.Ir.externs)
+      in
+      let env = link_env ~hosts ir windows in
+      let code =
+        load_code ?maps:(Option.map (Array.map module_map) maps) ~bounded tech
+          env.image
+      in
+      let m = { ir; layout = layout_of env.image; code } in
+      Hashtbl.add t.loaded key m;
+      m
 
 (* ------------------------------------------------------------------ *)
 (* Loaded interpreted grafts: the GEL tiers and the Tcl interpreter.   *)
@@ -202,14 +359,29 @@ type loaded = {
 
 let base g name = (List.assoc name g.shared).Memory.base
 
-(* On the GEL tiers [call] is {!gel_entry}'s closure itself. *)
-let gel_graft ?hosts ?maps ?bounded ?fuel tech source windows =
-  let env = gel_env ?hosts tech source windows in
+(** One tenant's instance of [m]: its IR linked into a fresh memory
+    with [windows] and [hosts], and a session over [m]'s code with the
+    tenant's [maps]. A link whose layout differs from the module's is
+    refused with [Failure], as is a map of another kind or capacity
+    (by [Invalid_argument]): the code was verified for the module's. *)
+let instantiate ?(hosts = []) ?(maps = [||]) ?(fuel = huge_fuel) m windows =
+  let env = link_env ~hosts m.ir windows in
+  if layout_of env.image <> m.layout then
+    failwith "GEL graft instance: its link's layout differs from its module's";
+  let run = start ~fuel ~maps m.code env.image in
   {
     cells = Memory.cells env.image.Link.mem;
     shared = env.windows;
-    call = gel_entry ?maps ?bounded ?fuel tech env;
+    call = (fun ~entry ~args -> run_fail (run ~entry ~args));
   }
+
+(* Every GEL runner: find or load the module, then instantiate it. A
+   caller without a kernel's table loads into a fresh one. *)
+let gel_graft ?(modules = create_modules ()) ?hosts ?maps ?bounded ?fuel tech
+    source windows =
+  instantiate ?hosts ?maps ?fuel
+    (load_module modules ?maps ?bounded tech source windows)
+    windows
 
 (* Each call starts on a fresh [fuel] budget, as a VM session does. *)
 let tcl_graft ?(fuel = huge_fuel) ?(init = ignore) source windows =
@@ -297,14 +469,14 @@ let interp_evict tech ~capacity_nodes ~rng g =
 (** [evict tech ~capacity_nodes ()] builds a runner able to hold up to
     [capacity_nodes] list nodes; call [refresh] to install lists.
     [rng] shuffles node placement so traversal is a pointer chase. *)
-let evict ?rng (tech : Technology.t) ~capacity_nodes () : evict =
+let evict ?modules ?rng (tech : Technology.t) ~capacity_nodes () : evict =
   let cells_len = evict_cells capacity_nodes in
   let heap = [ ("heap", cells_len, false) ] in
   match regime tech with
   | Native a -> native_evict a tech ~capacity_nodes ~rng
   | Vm ->
       interp_evict tech ~capacity_nodes ~rng
-        (gel_graft tech (Gel_sources.evict ~heap_cells:cells_len) heap)
+        (gel_graft ?modules tech (Gel_sources.evict ~heap_cells:cells_len) heap)
   | Script ->
       interp_evict tech ~capacity_nodes ~rng
         (tcl_graft Script_sources.evict heap)
@@ -444,14 +616,14 @@ let interp_md5 tech ~capacity g =
 
 (** [md5 tech ~capacity] builds a fingerprinting runner over a buffer
     of [capacity] bytes (a power of two for the SFI regimes). *)
-let md5 (tech : Technology.t) ~capacity : md5 =
+let md5 ?modules (tech : Technology.t) ~capacity : md5 =
   let data_cells = capacity + 128 in
   let io = [ ("data", data_cells, true); ("digest", 16, true) ] in
   match regime tech with
   | Native a -> native_md5 a tech ~capacity
   | Vm ->
       interp_md5 tech ~capacity
-        (gel_graft tech (Gel_sources.md5 ~data_cells) io)
+        (gel_graft ?modules tech (Gel_sources.md5 ~data_cells) io)
   | Script ->
       (* The Tcl graft keeps the MD5 tables and its block scratch in
          kernel windows too: Tcl 3.7 has no arrays of its own. *)
@@ -618,7 +790,7 @@ type demux = {
     bounded loop, and every tier loads with [~bounded:true] — the
     backward jump is accepted only because each verifier derives the
     scan loop's trip count from its own code. *)
-let demux (tech : Technology.t) ~protocol ~marker : demux =
+let demux ?modules (tech : Technology.t) ~protocol ~marker : demux =
   let conn = Graft_kernel.Graftmap.create_array ~name:"conn" 64 in
   let fn =
     match tech with
@@ -627,7 +799,7 @@ let demux (tech : Technology.t) ~protocol ~marker : demux =
     | Technology.Sfi_full ->
         let maps = [| conn |] in
         staged_packet ~entry:"demux"
-          (gel_graft ~hosts:(map_hosts maps) ~maps ~bounded:true tech
+          (gel_graft ?modules ~hosts:(map_hosts maps) ~maps ~bounded:true tech
              (Gel_sources.demux ~window_cells:pkt_window_cells ~protocol
                 ~marker)
              pkt_window)
@@ -655,11 +827,11 @@ type hotset = {
     fresh LRU map of the given capacity. Eviction policy lives in the
     kernel's map object; the graft itself is loop-free and loads with
     [~bounded:true] on every tier. *)
-let hotset (tech : Technology.t) ~capacity : hotset =
+let hotset ?modules (tech : Technology.t) ~capacity : hotset =
   let m = Graft_kernel.Graftmap.create_lru ~name:"hotset" capacity in
   let maps = [| m |] in
   let call =
-    (gel_graft ~hosts:(map_hosts maps) ~maps ~bounded:true tech
+    (gel_graft ?modules ~hosts:(map_hosts maps) ~maps ~bounded:true tech
        Gel_sources.hotset [])
       .call
   in

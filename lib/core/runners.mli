@@ -7,9 +7,13 @@
 
     - native regimes (C / Modula-3 / SFI analogues) close over the
       functor instances from {!Graft_grafts};
-    - VM technologies compile the GEL source from
-      {!Graft_grafts.Gel_sources} once (including verification) and
-      enter it per call through a resident session;
+    - VM technologies load the GEL source from
+      {!Graft_grafts.Gel_sources} as a {e module} (front end, compile
+      where the tier compiles, verify) and enter it per call through an
+      {e instance}: the tenant's own memory, maps, host closures and
+      resident session over the module's code. A kernel keeps its
+      modules in one {!modules} table ({!Manager.modules}), so a graft
+      many tenants run is loaded once per kernel;
     - the source interpreter evaluates the Tcl source from
       {!Graft_grafts.Script_sources} once and invokes its procs;
     - the specialized filter VM runs only packet filters (asking it for
@@ -130,12 +134,72 @@ type loaded = {
   shared : (string * Graft_mem.Memory.region) list;
       (** the shared windows, by name *)
   call : gel_entry;
-      (** enter the graft; on the GEL tiers this is {!gel_entry}'s
-          closure itself *)
+      (** enter the graft; on the GEL tiers this enters the instance's
+          session and raises the graft's fault, as {!gel_entry} does *)
 }
 
-(** [gel_graft tech source windows]: {!gel_env}, then {!gel_entry}. *)
+(** {1 Modules and instances}
+
+    A module is what loading derives from the code alone: the GEL IR
+    (shared by every tier that compiles the same source; bytecode-opt's
+    optimized IR is its own) and the tier's verified program — the
+    stack code with its tables, the JIT's block plan, the register
+    VM's instrumented code, or the AST tier's checked IR. It is loaded
+    against an image of its own (scratch cells, hosts that never run,
+    maps of the key's kinds and capacities), so it holds no tenant's
+    state. An instance is one tenant's: its memory linked from the
+    module's IR, its maps and host closures, and a session over the
+    module's code. *)
+
+(** A module table: each distinct module is loaded once per table. Its
+    key holds every input a load reads, compared structurally: the
+    technology, the GEL source text, the shared windows (name, cells,
+    writable), each map's kind and capacity, and [bounded]. A kernel
+    owns one ({!Manager.modules}); a table is never shared between
+    kernels or domains. *)
+type modules
+
+val create_modules : unit -> modules
+
+(** Modules loaded into the table so far. *)
+val module_count : modules -> int
+
+type gel_module
+
+(** [load_module t tech source windows] finds the module in [t], or
+    loads it into [t]: front end (shared per source and optimization
+    level), then the tier's loader. Raises [Failure] if the graft is
+    rejected; a rejected graft is not kept. *)
+val load_module :
+  modules ->
+  ?maps:Graft_kernel.Graftmap.t array ->
+  ?bounded:bool ->
+  Technology.t ->
+  string ->
+  (string * int * bool) list ->
+  gel_module
+
+(** [instantiate m windows] links [m]'s IR into a fresh memory with
+    [windows] and [hosts] and starts a session over [m]'s code with
+    [maps], entered at [fuel] (default {!huge_fuel}) per call. Raises
+    [Failure] when the link's layout (array bases, lengths and
+    writability, global base, memory size) differs from the module's,
+    and [Invalid_argument] for maps of another kind or capacity than
+    the module was verified with: code is never run on a layout it was
+    not verified for. *)
+val instantiate :
+  ?hosts:Graft_gel.Link.host list ->
+  ?maps:Graft_kernel.Graftmap.t array ->
+  ?fuel:int ->
+  gel_module ->
+  (string * int * bool) list ->
+  loaded
+
+(** [gel_graft tech source windows]: {!load_module} from [modules] (a
+    fresh table when absent), then {!instantiate}. Every GEL runner
+    below is built this way. *)
 val gel_graft :
+  ?modules:modules ->
   ?hosts:Graft_gel.Link.host list ->
   ?maps:Graft_kernel.Graftmap.t array ->
   ?bounded:bool ->
@@ -179,7 +243,12 @@ val evict_cells : int -> int
     them. Raises [Invalid_argument] for [Upcall_server] and
     [Specialized_vm]. *)
 val evict :
-  ?rng:Graft_util.Prng.t -> Technology.t -> capacity_nodes:int -> unit -> evict
+  ?modules:modules ->
+  ?rng:Graft_util.Prng.t ->
+  Technology.t ->
+  capacity_nodes:int ->
+  unit ->
+  evict
 
 (** The hardware-protection path: the native unsafe graft behind a
     simulated upcall per invocation (plus marshalling for the exported
@@ -217,7 +286,7 @@ type md5 = {
 (** [md5 tech ~capacity] builds a fingerprinting runner over a buffer
     of [capacity] bytes (a power of two for the SFI regimes). The
     digest is verified against RFC 1321 by callers before timing. *)
-val md5 : Technology.t -> capacity:int -> md5
+val md5 : ?modules:modules -> Technology.t -> capacity:int -> md5
 
 (* ------------------------------------------------------------------ *)
 (** {1 Logical disk (Black Box)} *)
@@ -269,7 +338,8 @@ type demux = {
     54..69. Every tier loads with [~bounded:true] — the backward jump
     is accepted only because the verifier derives the scan's trip
     count. Raises [Invalid_argument] for non-VM technologies. *)
-val demux : Technology.t -> protocol:int -> marker:int -> demux
+val demux :
+  ?modules:modules -> Technology.t -> protocol:int -> marker:int -> demux
 
 type hotset = {
   h_tech : Technology.t;
@@ -282,4 +352,4 @@ type hotset = {
     fresh LRU map: eviction policy lives in the kernel's map object,
     persistence across calls in the map, and the graft is loop-free.
     Raises [Invalid_argument] for non-VM technologies. *)
-val hotset : Technology.t -> capacity:int -> hotset
+val hotset : ?modules:modules -> Technology.t -> capacity:int -> hotset

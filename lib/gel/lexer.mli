@@ -1,6 +1,8 @@
 (** Hand-written lexer for GEL: decimal and [0x] hex literals, line
     ([//]) and block ([/* ... */]) comments, and the full operator set
-    including the logical shift [>>>]. *)
+    including the logical shift [>>>]. Characters are read and compared
+    in place, so looking at the input allocates nothing; each token,
+    its string and its position are the only allocations. *)
 
 type t
 

@@ -170,6 +170,15 @@ let load_exn ?maps ?bounded image =
 
 let program (t : t) = t.plan.prog
 
+(** The loaded graft over another tenant's cells, host closures and
+    maps ({!Graft_stackvm.Program.instantiate}, which refuses a state of
+    another shape). Blocks and heights depend on the code alone, so
+    every instance shares them; each session compiles its own closures
+    over its instance's cells. *)
+let instantiate (t : t) ~cells ~host ~maps =
+  let prog = Program.instantiate t.plan.prog ~cells ~host ~maps in
+  { plan = { t.plan with prog } }
+
 (* ------------------------------------------------------------------ *)
 (* Session compilation.                                                *)
 (* ------------------------------------------------------------------ *)

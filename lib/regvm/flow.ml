@@ -19,6 +19,11 @@
     - r0 starts at [0,0] and stays there, since the verifier's
       register-discipline pass refuses any write to it.
 
+    The state holds only the registers the code names (one past the
+    highest register any instruction reads or writes), not the
+    machine's 128: a register no instruction names never changes, so
+    leaving it out changes no interval of the ones that are named.
+
     Iteration is the stack verifier's solver
     ({!Graft_analysis.Fixpoint}): a lowest-pc worklist that widens only
     at back-edge targets. The result is a deterministic function of the
@@ -29,8 +34,38 @@
 
 module I = Graft_analysis.Interval
 
-let entry_state () =
-  let s = Array.make Isa.nregs I.top in
+(* One past the highest register [code] reads or writes, a call's
+   argument block included: the registers the state must track. *)
+let named_registers (code : Isa.instr array) =
+  let hi = ref Isa.reg_zero in
+  let see r = if r > !hi then hi := r in
+  Array.iter
+    (function
+      | Isa.Movi (rd, _) -> see rd
+      | Isa.Mov (rd, rs)
+      | Isa.Addi (rd, rs, _)
+      | Isa.Andi (rd, rs, _)
+      | Isa.Ori (rd, rs, _)
+      | Isa.Un (_, rd, rs)
+      | Isa.Ld (rd, rs, _)
+      | Isa.St (rd, rs, _) ->
+          see rd;
+          see rs
+      | Isa.Bin (_, _, rd, rs1, rs2) | Isa.Cmp (_, rd, rs1, rs2) ->
+          see rd;
+          see rs1;
+          see rs2
+      | Isa.Brz (rs, _) | Isa.Brnz (rs, _) | Isa.Ret rs -> see rs
+      | Isa.Call { dst; argbase; nargs; _ }
+      | Isa.Callext { dst; argbase; nargs; _ } ->
+          see dst;
+          see (argbase + nargs - 1)
+      | Isa.Br _ | Isa.Halt -> ())
+    code;
+  !hi + 1
+
+let entry_state nregs =
+  let s = Array.make nregs I.top in
   s.(Isa.reg_zero) <- I.const 0;
   s
 
@@ -51,6 +86,7 @@ let merge ~wide old now =
     [None] marks pcs the analysis never reached (dead code). *)
 let analyze (code : Isa.instr array) (funcs : Program.funcdesc array) :
     I.t array option array =
+  let nregs = named_registers code in
   let transfer pc cur arrive =
     let st = Array.copy cur in
     let set rd iv = if rd <> Isa.reg_zero then st.(rd) <- iv in
@@ -111,7 +147,7 @@ let analyze (code : Isa.instr array) (funcs : Program.funcdesc array) :
     ~transfer
     (Array.to_list
        (Array.map
-          (fun (f : Program.funcdesc) -> (f.Program.entry, entry_state ()))
+          (fun (f : Program.funcdesc) -> (f.Program.entry, entry_state nregs))
           funcs))
 
 (** Effective-address interval of a memory access [mem\[r.(rb) + off\]]

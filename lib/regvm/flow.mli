@@ -11,7 +11,10 @@
 (** [analyze code funcs] returns, for every pc, the register intervals
     holding just before that instruction executes; [None] marks
     unreachable pcs. r0 is pinned to [0,0] (the verifier refuses writes
-    to it); loads and call results are ⊤. *)
+    to it); loads and call results are ⊤. Each state holds the
+    registers [code] names — one past the highest any instruction reads
+    or writes, a call's argument block included — so its cost follows
+    the code, not the machine's register count. *)
 val analyze :
   Isa.instr array ->
   Program.funcdesc array ->

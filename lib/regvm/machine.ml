@@ -3,7 +3,12 @@
     Besides the result it reports the number of instructions executed,
     which gives an interpreter-speed-independent measure of the SFI
     instrumentation overhead (the extra and/or/addi per store) used by
-    the ablation benches. *)
+    the ablation benches.
+
+    A session starts with no register files: the frame at depth d gets
+    its zero-filled file when a call first reaches d (frame 0 at the
+    first entry), on the call path only, so creating one costs a few
+    hundred words however deep the frame limit. *)
 
 open Graft_mem
 open Graft_gel
@@ -21,25 +26,36 @@ type outcome = { value : int; instructions : int }
 
 type frame = { regs : int array; mutable ret_pc : int; mutable dst : int }
 
-(** Preallocated register windows, reused across kernel-to-graft
-    entries like a resident VM's. Safe because generated code writes
-    every register before reading it (locals are initialized at
-    declaration; r0 is never written and stays zero). *)
+(** Register windows, made on first use and reused across
+    kernel-to-graft entries like a resident VM's. Safe because
+    generated code writes every register before reading it (locals are
+    initialized at declaration; r0 is never written and stays zero). *)
 type session = {
   p : Program.t;
   frames : frame array;
+      (** the frame at each depth, {!unused} until a call first
+          reaches it *)
   mutable prof : Graft_trace.Opprof.t option;
       (** when set, the dispatch loop counts every executed opcode *)
 }
 
+(* The placeholder of a depth no call has reached. Never written: its
+   slot is replaced by a fresh frame before the frame is used. *)
+let unused = { regs = [||]; ret_pc = -1; dst = 0 }
+
+(* The frame at depth [d], with a zero-filled register file on the
+   first call that reaches [d]. *)
+let frame_at frames d =
+  let f = Array.unsafe_get frames d in
+  if f != unused then f
+  else begin
+    let f = { regs = Array.make Isa.nregs 0; ret_pc = -1; dst = 0 } in
+    frames.(d) <- f;
+    f
+  end
+
 let create_session ?profile p =
-  {
-    p;
-    frames =
-      Array.init max_frames (fun _ ->
-          { regs = Array.make Isa.nregs 0; ret_pc = -1; dst = 0 });
-    prof = profile;
-  }
+  { p; frames = Array.make max_frames unused; prof = profile }
 
 let run_session (s : session) ~entry ~(args : int array) ~fuel :
     (outcome, [ `Fault of Fault.t | `Bad_entry of string ]) result =
@@ -72,7 +88,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
           (* Frame 0, set up in place: no closure captures [regs],
              [depth] or any other mutable loop variable, so none of
              them lives in a heap box. *)
-          let frame = frames.(0) in
+          let frame = frame_at frames 0 in
           frame.ret_pc <- -1;
           frame.dst <- 0;
           depth := 1;
@@ -128,7 +144,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
           | Isa.Call { f; dst; argbase; nargs } ->
               let dp = !depth in
               if dp >= max_frames then Fault.raise_fault Fault.Stack_overflow;
-              let frame = frames.(dp) in
+              let frame = frame_at frames dp in
               frame.ret_pc <- !pc;
               frame.dst <- dst;
               depth := dp + 1;

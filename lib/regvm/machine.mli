@@ -11,8 +11,11 @@ val max_frames : int
 
 type outcome = { value : int; instructions : int }
 
-(** Preallocated register windows, reused across kernel-to-graft
-    entries like a resident VM's. Single-threaded, not reentrant. *)
+(** Register windows reused across kernel-to-graft entries like a
+    resident VM's. A session starts with no register file: the frame
+    at depth d gets its zero-filled file when a call first reaches d
+    (frame 0 at the first entry), so a session costs what its grafts'
+    call depth uses. Single-threaded, not reentrant. *)
 type session
 
 (** [create_session ?profile p] — when [profile] is given, the

@@ -1,6 +1,10 @@
 (** Executable form of a register-VM graft. Nothing rides beside the
     code for the verifier to read: an access left unmasked is admitted
-    only if {!Verify} proves it in-segment from the instructions. *)
+    only if {!Verify} proves it in-segment from the instructions.
+
+    The instrumented code, its tables and its segment are the verified
+    module; [host] and [cells] are one tenant's state, which
+    {!instantiate} swaps for another's of the same shape. *)
 
 type funcdesc = {
   name : string;
@@ -39,6 +43,16 @@ let find_func p name =
     else go (i + 1)
   in
   go 0
+
+(** [p]'s verified code over another tenant's cells and host closures.
+    The segment the code was sandboxed and verified for is the memory
+    size, so cells of another length (or another extern count) raise
+    [Invalid_argument]. *)
+let instantiate p ~cells ~host =
+  if Array.length cells <> Array.length p.cells
+     || Array.length host <> Array.length p.host
+  then invalid_arg "Program.instantiate: state differs from the verified shape";
+  { p with cells; host }
 
 let protection_to_string = function
   | Unprotected -> "unprotected"

@@ -251,6 +251,7 @@ let make_tenant mgr cfg i =
     g
   in
   let weights = tenant_weights cfg.tenants in
+  let modules = Manager.modules mgr in
   {
     t_idx = i;
     t_name = name;
@@ -258,13 +259,15 @@ let make_tenant mgr cfg i =
     t_rate = cfg.base_rate *. weights.(i);
     demux_g = register Demux;
     demux_r =
-      Runners.demux tech ~protocol:Graft_kernel.Netpkt.proto_udp ~marker:0x7F;
+      Runners.demux ~modules tech ~protocol:Graft_kernel.Netpkt.proto_udp
+        ~marker:0x7F;
     hotset_g = register Hotset;
-    hotset_r = Runners.hotset tech ~capacity:64;
+    hotset_r = Runners.hotset ~modules tech ~capacity:64;
     stream_g = register Stream;
-    stream_r = Runners.md5 tech ~capacity:md5_capacity;
+    stream_r = Runners.md5 ~modules tech ~capacity:md5_capacity;
     evict_g = register Evict;
-    evict_r = Runners.evict ~rng:evict_rng tech ~capacity_nodes:128 ();
+    evict_r =
+      Runners.evict ~modules ~rng:evict_rng tech ~capacity_nodes:128 ();
     packets =
       Graft_kernel.Netpkt.random_sized_traffic packets_rng ~count:256
         ~protocol:Graft_kernel.Netpkt.proto_udp ~port:(graft_port i);

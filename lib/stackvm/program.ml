@@ -2,7 +2,11 @@
     function, array, and host tables. Produced by [Compile], checked by
     [Verify], executed by [Vm]. Nothing rides beside the code for the
     verifier to read: it judges every unchecked instruction and every
-    backward jump from the instructions alone. *)
+    backward jump from the instructions alone.
+
+    The code and its function, array and extern tables are the verified
+    module; [host], [cells] and [maps] are one tenant's state, which
+    {!instantiate} swaps for another's of the same shape. *)
 
 type funcdesc = {
   name : string;
@@ -35,3 +39,22 @@ let find_func p name =
     else go (i + 1)
   in
   go 0
+
+(** [p]'s verified code over another tenant's cells, host closures and
+    maps. The verifier's judgement rests on the memory size, the extern
+    count and each map's kind and capacity, so a state that differs in
+    any of them raises [Invalid_argument] rather than run code verified
+    for another shape. *)
+let instantiate p ~cells ~host ~maps =
+  let same_map a b =
+    Graft_kernel.Graftmap.kind a = Graft_kernel.Graftmap.kind b
+    && Graft_kernel.Graftmap.max_entries a
+       = Graft_kernel.Graftmap.max_entries b
+  in
+  if
+    Array.length cells <> Array.length p.cells
+    || Array.length host <> Array.length p.host
+    || Array.length maps <> Array.length p.maps
+    || not (Array.for_all2 same_map maps p.maps)
+  then invalid_arg "Program.instantiate: state differs from the verified shape";
+  { p with cells; host; maps }

@@ -601,6 +601,128 @@ let test_taxonomy_names () =
   check_str "stream" "MD5 fingerprinting" (Taxonomy.representative Taxonomy.Stream);
   check_str "black box" "Logical Disk" (Taxonomy.representative Taxonomy.Black_box)
 
+(* ---------- modules and instances ---------- *)
+
+(* One observable transcript of a demux runner over [pkts], its answers
+   then its connection map. *)
+let demux_transcript (r : Runners.demux) pkts =
+  let answers = Array.to_list (Array.map r.Runners.demux pkts) in
+  answers
+  @ List.init 64 (fun k -> Graft_kernel.Graftmap.lookup r.Runners.d_conn k)
+
+let hotset_transcript (r : Runners.hotset) =
+  let touches = List.init 300 (fun i -> r.Runners.touch (i * 7 mod 200)) in
+  touches
+  @ List.init 200 (fun p -> if r.Runners.hot p then 1 else 0)
+
+(* A runner that differs from another in one input loads its own
+   module, and answers as a build with no table does; a runner with
+   the same inputs loads nothing. *)
+let test_module_key () =
+  let rng = Prng.create 77L in
+  let pkts =
+    Graft_kernel.Netpkt.random_sized_traffic rng ~count:200
+      ~protocol:Graft_kernel.Netpkt.proto_udp ~port:4000
+  in
+  List.iter
+    (fun tech ->
+      let name = Technology.name tech in
+      let modules = Runners.create_modules () in
+      let loads () = Runners.module_count modules in
+      let demux ~protocol ~marker =
+        let shared = Runners.demux ~modules tech ~protocol ~marker in
+        let fresh = Runners.demux tech ~protocol ~marker in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s demux %d/%x answers" name protocol marker)
+          (demux_transcript fresh pkts)
+          (demux_transcript shared pkts)
+      in
+      demux ~protocol:Graft_kernel.Netpkt.proto_udp ~marker:0x7F;
+      check_int (name ^ ": first demux") 1 (loads ());
+      demux ~protocol:Graft_kernel.Netpkt.proto_udp ~marker:0x7F;
+      check_int (name ^ ": same demux again") 1 (loads ());
+      demux ~protocol:Graft_kernel.Netpkt.proto_udp ~marker:0x42;
+      check_int (name ^ ": another marker") 2 (loads ());
+      demux ~protocol:Graft_kernel.Netpkt.proto_tcp ~marker:0x42;
+      check_int (name ^ ": another protocol") 3 (loads ());
+      let hotset capacity =
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s hotset %d answers" name capacity)
+          (hotset_transcript (Runners.hotset tech ~capacity))
+          (hotset_transcript (Runners.hotset ~modules tech ~capacity))
+      in
+      hotset 64;
+      check_int (name ^ ": hotset") 4 (loads ());
+      hotset 32;
+      check_int (name ^ ": another map size") 5 (loads ());
+      (* [bounded] alone: the same source and windows. *)
+      let src = Graft_grafts.Gel_sources.logdisk ~nblocks:16 in
+      let g1 = Runners.gel_graft ~modules tech src [] in
+      let g2 = Runners.gel_graft ~modules ~bounded:true tech src [] in
+      check_int (name ^ ": bounded") 7 (loads ());
+      List.iter
+        (fun (g : Runners.loaded) ->
+          check_int (name ^ " logdisk") (-1) (g.Runners.call ~entry:"lookup" ~args:[| 3 |]))
+        [ g1; g2 ];
+      if Runners.regime tech = Runners.Vm then begin
+        let digest capacity (r : Runners.md5) =
+          let data = Bytes.init capacity (fun i -> Char.chr (i * 31 land 0xFF)) in
+          r.Runners.load data;
+          r.Runners.compute capacity;
+          r.Runners.digest_hex ()
+        in
+        List.iteri
+          (fun i capacity ->
+            check_str
+              (Printf.sprintf "%s md5 %d" name capacity)
+              (digest capacity (Runners.md5 tech ~capacity))
+              (digest capacity (Runners.md5 ~modules tech ~capacity));
+            check_int (name ^ ": md5 capacity") (8 + i) (loads ()))
+          [ 256; 512 ]
+      end)
+    vm_techs
+
+(* An instance is refused when its link's layout is not its module's,
+   or its maps are not the kinds and capacities the code was verified
+   for. *)
+let test_instance_layout_refused () =
+  let src = Graft_grafts.Gel_sources.evict ~heap_cells:257 in
+  List.iter
+    (fun tech ->
+      let modules = Runners.create_modules () in
+      let m = Runners.load_module modules tech src [ ("heap", 257, false) ] in
+      let refused windows =
+        match Runners.instantiate m windows with
+        | (_ : Runners.loaded) -> false
+        | exception Failure _ -> true
+      in
+      check_bool "same windows" false (refused [ ("heap", 257, false) ]);
+      check_bool "larger window" true (refused [ ("heap", 2000, false) ]);
+      check_bool "writable window" true (refused [ ("heap", 257, true) ]);
+      check_bool "window moved" true
+        (refused [ ("pad", 8, false); ("heap", 257, false) ]))
+    vm_techs;
+  let maps n = [| Graft_kernel.Graftmap.create_lru ~name:"hotset" n |] in
+  List.iter
+    (fun tech ->
+      let modules = Runners.create_modules () in
+      let m =
+        Runners.load_module modules ~maps:(maps 64) ~bounded:true tech
+          Graft_grafts.Gel_sources.hotset []
+      in
+      let mine = maps 64 in
+      let (_ : Runners.loaded) =
+        Runners.instantiate ~hosts:(Runners.map_hosts mine) ~maps:mine m []
+      in
+      let other = maps 32 in
+      check_bool (Technology.name tech ^ ": map of another capacity") true
+        (match
+           Runners.instantiate ~hosts:(Runners.map_hosts other) ~maps:other m []
+         with
+        | (_ : Runners.loaded) -> false
+        | exception Invalid_argument _ -> true))
+    Technology.[ Bytecode_vm; Bytecode_opt; Safe_lang_static; Jit ]
+
 let () =
   Alcotest.run "graft_core"
     [
@@ -617,6 +739,12 @@ let () =
             test_tier_table_agrees;
           Alcotest.test_case "loaders" `Quick test_tier_table_loaders;
           Alcotest.test_case "graftkit gel" `Quick test_gel_cli;
+        ] );
+      ( "modules",
+        [
+          Alcotest.test_case "one module per key" `Quick test_module_key;
+          Alcotest.test_case "instance on another layout refused" `Quick
+            test_instance_layout_refused;
         ] );
       ( "evict runners",
         [

@@ -77,6 +77,81 @@ let test_lex_positions () =
       check_int "col b" 3 p2.Srcloc.col
   | _ -> Alcotest.fail "unexpected token count"
 
+(* Every token and position of the built-in graft sources and the
+   example grafts, pinned by digest, so no lexer change can move a
+   token or a position unnoticed. *)
+let token_stream src =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (tok, (p : Srcloc.pos)) ->
+      Printf.bprintf b "%d:%d %s\n" p.Srcloc.line p.Srcloc.col
+        (match tok with
+        | Token.INT n -> "#" ^ string_of_int n
+        | Token.IDENT s -> "$" ^ s
+        | t -> Token.to_string t))
+    (Lexer.tokenize src);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_lex_streams () =
+  let module G = Graft_grafts.Gel_sources in
+  let read f = In_channel.with_open_text f In_channel.input_all in
+  List.iter
+    (fun (name, src, digest) ->
+      Alcotest.(check string) name digest (token_stream src))
+    [
+      ("evict", G.evict ~heap_cells:257, "0b6bf5319bae5dda4631bcbb9fc8f7bd");
+      ("md5", G.md5 ~data_cells:384, "f21b29ee07062362e1c12eecaf25fbf3");
+      ("logdisk", G.logdisk ~nblocks:64, "fd280c9b8708a51f4b9b9438990aa6ac");
+      ( "packet filter",
+        G.packet_filter ~window_cells:2048 ~protocol:17 ~port:4000,
+        "753fe2a18ea78fb6dd05c92ceac795fa" );
+      ( "demux",
+        G.demux ~window_cells:2048 ~protocol:17 ~marker:0x7F,
+        "e5436bf5eda99ce64afd8fc61e1f42e2" );
+      ( "unbounded demux",
+        G.demux_unbounded ~window_cells:2048 ~protocol:6 ~marker:0x42,
+        "7268f25957ff6de77dc2626a045359ca" );
+      ("hotset", G.hotset, "9acd40fb875f5a4ed917c9dbdb17275f");
+      ( "crc32.gel",
+        read "../examples/grafts/crc32.gel",
+        "cc2108cc7e0895def2627897cb7f588b" );
+      ( "gcd.gel",
+        read "../examples/grafts/gcd.gel",
+        "92b396ea9859798ef62fd8302a4c5862" );
+    ]
+
+(* Each lexer error keeps its position and text; the inputs that lex
+   keep their token counts. *)
+let test_lex_errors () =
+  List.iter
+    (fun (src, want) ->
+      let got =
+        match Lexer.tokenize src with
+        | toks -> Printf.sprintf "ok %d" (List.length toks)
+        | exception Srcloc.Error e -> Srcloc.to_string e
+      in
+      Alcotest.(check string) (String.escaped src) want got)
+    [
+      ("/* oops", "line 1, col 1: unterminated block comment");
+      ("a @ b", "line 1, col 3: unexpected character '@'");
+      ("x = 0x;", "line 1, col 5: empty hex literal");
+      ( "0xFFFFFFFFFFFFFFFFFFFF",
+        "line 1, col 1: hex literal out of range: 0xFFFFFFFFFFFFFFFFFFFF" );
+      ( "99999999999999999999999",
+        "line 1, col 1: integer literal out of range: 99999999999999999999999"
+      );
+      ("fn f() {\n  /* a\n b", "line 2, col 3: unterminated block comment");
+      ("\n\n  $", "line 3, col 3: unexpected character '$'");
+      ("a\n\t#", "line 2, col 2: unexpected character '#'");
+      ("0x", "line 1, col 1: empty hex literal");
+      ("12ab", "ok 3");
+      ("a/", "ok 3");
+      ("/", "ok 2");
+      ("x >>>= 1", "ok 5");
+      ("a & & b", "ok 5");
+      ("x\r\ny", "ok 3");
+    ]
+
 (* ---------- parser / precedence via evaluation ---------- *)
 
 let test_precedence_mul_add () =
@@ -773,6 +848,9 @@ let () =
           Alcotest.test_case "unterminated comment" `Quick test_lex_unterminated_comment;
           Alcotest.test_case "bad char" `Quick test_lex_bad_char;
           Alcotest.test_case "positions" `Quick test_lex_positions;
+          Alcotest.test_case "token streams of the grafts" `Quick
+            test_lex_streams;
+          Alcotest.test_case "error positions and text" `Quick test_lex_errors;
         ] );
       ( "parser",
         [

@@ -161,6 +161,73 @@ let test_fault_recursion () =
   | Fault.Stack_overflow -> ()
   | f -> Alcotest.failf "wrong fault %s" (Fault.to_string f)
 
+(* A session makes the frame at each depth on the first call that
+   reaches it; a deep recursion still meets the frame limit after 256
+   counted entries (the entry and 255 calls), the next call faulting. *)
+let test_recursion_depth_count () =
+  let src =
+    "var calls : int = 0;\n\
+     fn f(n : int) : int { calls = calls + 1; return f(n + 1); }"
+  in
+  List.iter
+    (fun protection ->
+      let image = image_pow2 src in
+      let p = Regvm.load_exn ~protection image in
+      (match Machine.run p ~entry:"f" ~args:[| 0 |] ~fuel:10_000_000 with
+      | Error (`Fault Fault.Stack_overflow) -> ()
+      | Error (`Fault f) -> Alcotest.failf "wrong fault %s" (Fault.to_string f)
+      | _ -> Alcotest.fail "recursion did not fault");
+      check_int
+        (Program.protection_to_string protection ^ " calls before overflow")
+        256
+        (Memory.cells image.Link.mem).(image.Link.global_base))
+    [ Program.Write_jump; Program.Full ]
+
+(* Words a call allocates, the direct major-heap ones included (the
+   counters see those after a minor collection). *)
+let words_allocated f =
+  Gc.minor ();
+  let m0, p0, j0 = Gc.counters () in
+  let r = f () in
+  Gc.minor ();
+  let m1, p1, j1 = Gc.counters () in
+  ignore (Sys.opaque_identity r);
+  m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
+
+let test_session_is_lean () =
+  let p = Regvm.load_exn (image_pow2 "fn main() : int { return 1; }") in
+  let words = words_allocated (fun () -> Machine.create_session p) in
+  if words >= 1000.0 then
+    Alcotest.failf "creating a session allocated %.0f words (limit 1000)" words;
+  (* The first entry makes frame 0 and runs. *)
+  match Machine.run_session (Machine.create_session p) ~entry:"main" ~args:[||]
+          ~fuel:100 with
+  | Ok o -> check_int "first entry" 1 o.Machine.value
+  | Error _ -> Alcotest.fail "first entry failed"
+
+(* The elided MD5 load runs the interval analysis twice (instrumenter
+   and verifier). Its state tracks the registers the code names, so a
+   load allocates under a quarter of the 620k-658k minor words that
+   tracking all 128 registers costs. *)
+let test_elided_load_allocation () =
+  let src = Graft_grafts.Gel_sources.md5 ~data_cells:384 in
+  let env =
+    Graft_core.Runners.gel_env Graft_core.Technology.Sfi_full src
+      [ ("data", 384, true); ("digest", 16, true) ]
+  in
+  List.iter
+    (fun protection ->
+      let w0 = Gc.minor_words () in
+      ignore
+        (Sys.opaque_identity
+           (Regvm.load_exn ~elide:true ~protection env.Graft_core.Runners.image));
+      let words = Gc.minor_words () -. w0 in
+      if words >= 155_000.0 then
+        Alcotest.failf "elided %s md5 load allocated %.0f minor words"
+          (Program.protection_to_string protection)
+          words)
+    [ Program.Write_jump; Program.Full ]
+
 let test_unprotected_wild_read_machine_fault () =
   (* With no SFI and no bounds checks, a wild access escapes the graft
      entirely and hits the machine's memory limit: the "kernel crash"
@@ -580,6 +647,12 @@ let () =
           Alcotest.test_case "div by zero" `Quick test_fault_div;
           Alcotest.test_case "fuel" `Quick test_fault_fuel;
           Alcotest.test_case "deep recursion" `Quick test_fault_recursion;
+          Alcotest.test_case "calls before stack overflow" `Quick
+            test_recursion_depth_count;
+          Alcotest.test_case "session allocates frames on use" `Quick
+            test_session_is_lean;
+          Alcotest.test_case "elided load allocation" `Quick
+            test_elided_load_allocation;
           Alcotest.test_case "wild read machine fault" `Quick
             test_unprotected_wild_read_machine_fault;
         ] );

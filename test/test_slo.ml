@@ -347,14 +347,119 @@ let test_serve_openmetrics () =
    once per iteration or the PRNG boxes its draws. *)
 let test_serve_setup_allocation () =
   let mgr = Graft_core.Manager.create () in
-  let w0 = Gc.minor_words () in
-  for i = 0 to Array.length Serve.tech_rotation - 1 do
-    ignore (Sys.opaque_identity (Serve.make_tenant mgr Serve.default i))
-  done;
-  let words = Gc.minor_words () -. w0 in
+  let make lo hi =
+    let w0 = Gc.minor_words () in
+    for i = lo to hi do
+      ignore (Sys.opaque_identity (Serve.make_tenant mgr Serve.default i))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let words = make 0 5 in
   if words >= 1.5e6 then
     Alcotest.failf "make_tenant 0-5 allocated %.0f minor words (budget 1.5M)"
-      words
+      words;
+  (* Tenants 6-11 run the same six modules: they pay their instances
+     (memory, maps, sessions, JIT closures) and input pools, not the
+     front end, compile or verify again. *)
+  let again = make 6 11 in
+  if again > 0.4 *. words then
+    Alcotest.failf
+      "make_tenant 6-11 allocated %.0f minor words, over 40%% of 0-5's %.0f"
+      again words
+
+(* ---------- shared modules ---------- *)
+
+module Runners = Graft_core.Runners
+module Manager = Graft_core.Manager
+
+let loads mgr = Runners.module_count (Manager.modules mgr)
+
+(* A kernel loads each distinct module once: the default set-up's 206
+   GEL grafts (56 tenants x 4, less the native MD5 and evict grafts of
+   the 9 sfi-full tenants) are 22 modules; a second manager loads its
+   own; and the shards of a 2-domain run, which own the even and the
+   odd tenants, load 10 and 12. *)
+let test_modules_per_kernel () =
+  let cfg = Serve.default in
+  let setup tenants =
+    let mgr = Manager.create () in
+    check_int "empty at create" 0 (loads mgr);
+    List.iter (fun i -> ignore (Serve.make_tenant mgr cfg i)) tenants;
+    mgr
+  in
+  let all = List.init cfg.Serve.tenants Fun.id in
+  let gel =
+    List.fold_left
+      (fun n i ->
+        let tech = Serve.tech_rotation.(i mod Array.length Serve.tech_rotation) in
+        n + 2 + if Runners.regime tech = Runners.Vm then 2 else 0)
+      0 all
+  in
+  check_int "GEL grafts" 206 gel;
+  let first = setup all in
+  check_int "one manager" 22 (loads first);
+  let second = setup all in
+  check_int "a second manager" 22 (loads second);
+  check_int "the first unchanged" 22 (loads first);
+  let shard k = setup (List.filter (fun i -> i mod 2 = k) all) in
+  check_int "shard 0 of 2" 10 (loads (shard 0));
+  check_int "shard 1 of 2" 12 (loads (shard 1))
+
+(* Every answer a tenant's grafts give, and its maps' entries. *)
+let transcript (t : Serve.tenant) =
+  let b = Buffer.create 4096 in
+  let open Runners in
+  Array.iter (fun p -> Printf.bprintf b "d%d " (t.Serve.demux_r.demux p))
+    t.Serve.packets;
+  for i = 0 to 299 do
+    Printf.bprintf b "h%d " (t.Serve.hotset_r.touch (i * 7 mod 200))
+  done;
+  Array.iter
+    (fun c ->
+      t.Serve.stream_r.load c;
+      t.Serve.stream_r.compute (Bytes.length c);
+      Printf.bprintf b "%s " (t.Serve.stream_r.digest_hex ()))
+    t.Serve.chunks;
+  t.Serve.evict_r.refresh
+    ~hot:(Array.init 32 (fun i -> i * 3))
+    ~lru:(Array.init 64 (fun i -> 200 + i));
+  for p = 0 to 99 do
+    Printf.bprintf b "%b " (t.Serve.evict_r.contains p)
+  done;
+  Printf.bprintf b "v%d " (t.Serve.evict_r.choose ());
+  for k = 0 to 63 do
+    Printf.bprintf b "c%d "
+      (Graft_kernel.Graftmap.lookup t.Serve.demux_r.d_conn k)
+  done;
+  for p = 0 to 199 do
+    Printf.bprintf b "m%d %b "
+      (Graft_kernel.Graftmap.lookup t.Serve.hotset_r.h_map p)
+      (t.Serve.hotset_r.hot p)
+  done;
+  Buffer.contents b
+
+(* Tenants i and i + 6 run one tier, so in one manager they share its
+   modules. Driving tenant i through all four grafts, with hot-set
+   evictions, a refreshed evict window and a fault inside the shared
+   MD5 program (a compute past the data window), leaves tenant i + 6
+   answering exactly as the same tenant built alone. *)
+let test_shared_module_isolation () =
+  let cfg = Serve.default in
+  let mgr = Manager.create () in
+  let tenants = Array.init 12 (fun i -> Serve.make_tenant mgr cfg i) in
+  check_int "twelve tenants, six tiers" 22 (loads mgr);
+  for i = 0 to 5 do
+    let a = tenants.(i) and b = tenants.(i + 6) in
+    ignore (transcript a);
+    (* sfi-full's MD5 is native and refuses the length instead. *)
+    (match a.Serve.stream_r.Runners.compute 100_000 with
+    | () -> Alcotest.fail "compute past the data window returned"
+    | exception (Graft_mem.Fault.Fault _ | Invalid_argument _) -> ());
+    let alone = Serve.make_tenant (Manager.create ()) cfg (i + 6) in
+    Alcotest.(check string)
+      (Graft_core.Technology.name b.Serve.t_tech ^ " tenant answers alone")
+      (transcript alone) (transcript b)
+  done
 
 let test_serve_json_parses () =
   let r = Serve.run tiny in
@@ -680,6 +785,10 @@ let () =
           Alcotest.test_case "openmetrics snapshot" `Quick test_serve_openmetrics;
           Alcotest.test_case "tenant set-up allocation" `Quick
             test_serve_setup_allocation;
+          Alcotest.test_case "one module load per kernel" `Quick
+            test_modules_per_kernel;
+          Alcotest.test_case "shared modules isolate tenants" `Quick
+            test_shared_module_isolation;
           Alcotest.test_case "smoke lens json matches committed golden"
             `Quick test_serve_json_golden;
           Alcotest.test_case "restores the caller's tracer and metrics" `Quick

@@ -165,10 +165,15 @@ let parse_stripped r =
   | Ok doc -> strip doc
   | Error msg -> Alcotest.fail ("serve JSON did not parse: " ^ msg)
 
-let test_serve_domains_equivalent () =
-  let r1 = Serve.run { tiny with Serve.domains = 1 } in
-  let r2 = Serve.run { tiny with Serve.domains = 2 } in
-  let r4 = Serve.run { tiny with Serve.domains = 4 } in
+(* 13 tenants: every tier has two or more, so each shard's manager
+   shares modules between its tenants, and N = 4 splits same-tier
+   tenants across shards (tenants 0 and 6 land on shards 0 and 2). *)
+let shared = { tiny with tenants = 13; base_rate = 10.0 }
+
+let domains_equivalent cfg () =
+  let r1 = Serve.run { cfg with Serve.domains = 1 } in
+  let r2 = Serve.run { cfg with Serve.domains = 2 } in
+  let r4 = Serve.run { cfg with Serve.domains = 4 } in
   check_int "same ops at N=2" r1.Serve.r_ops r2.Serve.r_ops;
   check_int "same ops at N=4" r1.Serve.r_ops r4.Serve.r_ops;
   check_int "same errors at N=2" r1.Serve.r_errors r2.Serve.r_errors;
@@ -399,7 +404,9 @@ let () =
       ( "serve differential",
         [
           Alcotest.test_case "N in {1,2,4} merge to the N=1 report" `Quick
-            test_serve_domains_equivalent;
+            (domains_equivalent tiny);
+          Alcotest.test_case "same with shared modules (13 tenants)" `Quick
+            (domains_equivalent shared);
           Alcotest.test_case "byte-stable replay" `Quick
             test_serve_replay_stable;
           Alcotest.test_case "throughput sweep" `Quick test_throughput_sweep;
