@@ -114,6 +114,15 @@ let load_gel ~optimize file =
       in
       (prog, link)
 
+(* [entry]'s index in [prog] for [nargs] arguments, resolved once; a bad
+   entry point prints the resolver's message and exits 2. *)
+let resolve_entry prog entry ~nargs =
+  match Graft_gel.Ir.entry prog entry ~nargs with
+  | Ok fn -> fn
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
+
 let tech_conv =
   let parse s =
     match Technology.of_name s with
@@ -186,14 +195,12 @@ let gel_cmd =
           exit 2
       | exception Failure msg -> load_error msg
       | run -> (
-          match run ~entry ~args:(Array.of_list args) with
-          | Ok v -> Printf.printf "%d\n" v
-          | Error (`Fault f) ->
+          let fn = resolve_entry prog entry ~nargs:(List.length args) in
+          match run ~fn ~args:(Array.of_list args) with
+          | v -> Printf.printf "%d\n" v
+          | exception Graft_mem.Fault.Fault f ->
               Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f);
-              exit 1
-          | Error (`Bad_entry m) ->
-              prerr_endline m;
-              exit 2)
+              exit 1)
   in
   Cmd.v
     (Cmd.info "gel" ~doc:"Compile and run a GEL graft")
@@ -637,8 +644,9 @@ let profile_cmd =
   in
   let run file entry args fuel top repeat =
     (* Fresh image per tier: the program mutates its own memory. *)
-    let _, fresh_image = load_gel ~optimize:false file in
+    let prog, fresh_image = load_gel ~optimize:false file in
     let argv = Array.of_list args in
+    let fn = resolve_entry prog entry ~nargs:(Array.length argv) in
     let report label prof result =
       let total_fuel = Graft_trace.Opprof.total_fuel prof in
       Printf.printf "== %s: %d ops, %d fuel ==\n" label
@@ -646,11 +654,7 @@ let profile_cmd =
         total_fuel;
       (match result with
       | Ok v -> Printf.printf "result: %d\n" v
-      | Error (`Fault f) ->
-          Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f)
-      | Error (`Bad_entry m) ->
-          prerr_endline m;
-          exit 2);
+      | Error f -> Printf.printf "fault: %s\n" (Graft_mem.Fault.to_string f));
       let t =
         Graft_util.Tablefmt.create [| "opcode"; "count"; "fuel"; "fuel%" |]
       in
@@ -678,9 +682,14 @@ let profile_cmd =
         let run =
           Graft_core.Runners.engine ~profile:prof ~fuel tech (fresh_image ())
         in
-        let last = ref (run ~entry ~args:argv) in
+        let call () =
+          match run ~fn ~args:argv with
+          | v -> Ok v
+          | exception Graft_mem.Fault.Fault f -> Error f
+        in
+        let last = ref (call ()) in
         for _ = 2 to repeat do
-          last := run ~entry ~args:argv
+          last := call ()
         done;
         report label prof !last)
       [

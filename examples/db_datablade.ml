@@ -64,6 +64,10 @@ let () =
   in
   let vm = Graft_stackvm.Stackvm.load_exn image in
   let session = Graft_stackvm.Vm.create_session vm in
+  (* Each UDF is resolved once; a call then enters it by index. *)
+  let udf name = Result.get_ok (Ir.entry prog name ~nargs:0) in
+  let keep = udf "keep" and buggy = udf "buggy" in
+  let run fn = Graft_stackvm.Vm.run_session session ~fn ~args:[||] ~fuel:10_000 in
   let cells = Memory.cells mem in
   let t_vm, vm_count =
     Graft_util.Timer.time_it (fun () ->
@@ -71,13 +75,10 @@ let () =
         for i = 0 to nrows - 1 do
           cells.(row.Memory.base) <- price.(i);
           cells.(row.Memory.base + 1) <- qty.(i);
-          match
-            Graft_stackvm.Vm.run_session session ~entry:"keep" ~args:[||]
-              ~fuel:10_000
-          with
-          | Ok 1 -> incr c
-          | Ok _ -> ()
-          | Error _ -> failwith "udf faulted"
+          match run keep with
+          | 1 -> incr c
+          | _ -> ()
+          | exception Fault.Fault _ -> failwith "udf faulted"
         done;
         !c)
   in
@@ -91,17 +92,13 @@ let () =
     (t_vm /. t_native);
   assert (native_count = vm_count);
   (* The buggy UDF faults; the server survives and keeps answering. *)
-  (match
-     Graft_stackvm.Vm.run_session session ~entry:"buggy" ~args:[||] ~fuel:10_000
-   with
-  | Error (`Fault f) ->
+  (match run buggy with
+  | exception Fault.Fault f ->
       Printf.printf "\nbuggy UDF contained: %s\n" (Fault.to_string f)
   | _ -> failwith "buggy UDF should fault");
-  (match
-     Graft_stackvm.Vm.run_session session ~entry:"keep" ~args:[||] ~fuel:10_000
-   with
-  | Ok _ -> print_endline "server still answering queries afterwards"
-  | Error _ -> failwith "server should survive");
+  (match run keep with
+  | _ -> print_endline "server still answering queries afterwards"
+  | exception Fault.Fault _ -> failwith "server should survive");
   print_endline
     "\nIllustra ran DataBlades unprotected ('does not currently protect\n\
      itself from misbehaved DataBlade code'); Thor paid interpretation\n\

@@ -45,41 +45,45 @@ let () =
     | Error msg -> failwith msg
   in
 
-  (* 2. The same graft, three execution technologies. *)
+  (* 2. Resolve each entry point once, by name and arity: the index
+     enters every technology, since each compiles function i of the IR
+     to its function i. A graft's fault raises [Fault.Fault]. *)
+  let entry name ~nargs = Result.get_ok (Ir.entry prog name ~nargs) in
+  let best = entry "best" ~nargs:1
+  and spin = entry "spin" ~nargs:0
+  and wild = entry "wild" ~nargs:1 in
+
+  (* 3. The same graft, three execution technologies. *)
   print_endline "-- best(12) under three technologies --";
   let fuel = 100_000 in
 
-  (match Interp.run image ~entry:"best" ~args:[| 12 |] ~fuel with
-  | Ok v -> Printf.printf "  AST interpreter      : index %d\n" v
-  | Error _ -> assert false);
+  Printf.printf "  AST interpreter      : index %d\n"
+    (Interp.run image ~fn:best ~args:[| 12 |] ~fuel);
 
   let bytecode = Graft_stackvm.Stackvm.load_exn image in
-  (match Graft_stackvm.Vm.run bytecode ~entry:"best" ~args:[| 12 |] ~fuel with
-  | Ok v -> Printf.printf "  bytecode VM (Java)   : index %d\n" v
-  | Error _ -> assert false);
+  Printf.printf "  bytecode VM (Java)   : index %d\n"
+    (Graft_stackvm.Vm.run bytecode ~fn:best ~args:[| 12 |] ~fuel);
 
   let sfi = Graft_regvm.Regvm.load_exn image in
-  (match Graft_regvm.Machine.run sfi ~entry:"best" ~args:[| 12 |] ~fuel with
-  | Ok o ->
-      Printf.printf "  register VM + SFI    : index %d (%d instructions)\n"
-        o.Graft_regvm.Machine.value o.Graft_regvm.Machine.instructions
-  | Error _ -> assert false);
+  let session = Graft_regvm.Machine.create_session sfi in
+  let v = Graft_regvm.Machine.run_session session ~fn:best ~args:[| 12 |] ~fuel in
+  Printf.printf "  register VM + SFI    : index %d (%d instructions)\n" v
+    (Graft_regvm.Machine.instructions session);
 
-  (* 3. Safety: a wild access faults instead of corrupting the kernel. *)
+  (* 4. Safety: a wild access faults instead of corrupting the kernel. *)
   print_endline "-- wild(9999): out-of-bounds access --";
-  (match Interp.run image ~entry:"wild" ~args:[| 9999 |] ~fuel with
-  | Error (`Fault f) ->
+  (match Interp.run image ~fn:wild ~args:[| 9999 |] ~fuel with
+  | exception Fault.Fault f ->
       Printf.printf "  contained: %s\n" (Fault.to_string f)
   | _ -> assert false);
 
-  (* 4. Safety: an infinite loop is preempted when its fuel runs out. *)
+  (* 5. Safety: an infinite loop is preempted when its fuel runs out. *)
   print_endline "-- spin(): runaway graft --";
-  (match Graft_stackvm.Vm.run bytecode ~entry:"spin" ~args:[||] ~fuel:5000 with
-  | Error (`Fault Fault.Fuel_exhausted) ->
+  (match Graft_stackvm.Vm.run bytecode ~fn:spin ~args:[||] ~fuel:5000 with
+  | exception Fault.Fault Fault.Fuel_exhausted ->
       print_endline "  preempted: CPU quantum exhausted"
   | _ -> assert false);
 
-  (* 5. The kernel carries on: the healthy entry point still works. *)
-  (match Interp.run image ~entry:"best" ~args:[| 12 |] ~fuel with
-  | Ok v -> Printf.printf "-- kernel survived; best(12) is still %d --\n" v
-  | Error _ -> assert false)
+  (* 6. The kernel carries on: the healthy entry point still works. *)
+  Printf.printf "-- kernel survived; best(12) is still %d --\n"
+    (Interp.run image ~fn:best ~args:[| 12 |] ~fuel)

@@ -174,5 +174,12 @@ let check_program (prog : Ir.program) : (unit, string) result =
     prog.Ir.funcs;
   match !err with None -> Ok () | Some msg -> Error msg
 
-let check_image (image : Graft_gel.Link.image) =
-  check_program image.Graft_gel.Link.prog
+(** The IR-level load gate of the tiers that check no stack bytecode
+    (the AST walker and the register VM): the typed helper table
+    ({!Helpers.check_externs}), then, under [bounded], a derived bound
+    for every loop ({!check_program}). *)
+let gate ~bounded (image : Graft_gel.Link.image) =
+  let prog = image.Graft_gel.Link.prog in
+  match Helpers.check_externs prog with
+  | Error _ as e -> e
+  | Ok () -> if bounded then check_program prog else Ok ()

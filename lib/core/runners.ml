@@ -36,12 +36,12 @@ let huge_fuel = max_int / 2
 let rec next_pow2_from n acc = if acc >= n then acc else next_pow2_from n (acc * 2)
 let next_pow2 n = next_pow2_from n 1024
 
-(* A graft's fault keeps its class on the way to the barrier; a bad
-   entry point is the caller's mistake, not the graft's. *)
-let run_fail = function
-  | Ok v -> v
-  | Error (`Fault f) -> Fault.raise_fault f
-  | Error (`Bad_entry m) -> invalid_arg ("bad graft entry point: " ^ m)
+(* [name]'s index in [ir], the IR a tier compiled. A bad entry point is
+   the caller's mistake, not the graft's. *)
+let resolve ir name ~nargs =
+  match Ir.entry ir name ~nargs with
+  | Ok fn -> fn
+  | Error msg -> invalid_arg ("bad graft entry point: " ^ msg)
 
 let script_fail = function Ok v -> v | Error f -> Fault.raise_fault f
 
@@ -123,10 +123,7 @@ let map_hosts maps =
     (fun (hname, hfn) -> { Link.hname; hfn })
     (Graft_kernel.Graftmap.hosts maps)
 
-type engine =
-  entry:string ->
-  args:int array ->
-  (int, [ `Fault of Fault.t | `Bad_entry of string ]) result
+type engine = fn:int -> args:int array -> int
 
 (* ------------------------------------------------------------------ *)
 (* The tier table, in two halves: [load_code] is what a tier derives   *)
@@ -145,13 +142,9 @@ let load_code ?maps ~bounded (tech : Technology.t) (image : Link.image) =
       (* No bytecode verifier on this tier: the gate is the same typed
          helper table plus the IR-level bound derivation the bytecode
          verifiers repeat at machine level. *)
-      (match Graft_analysis.Helpers.check_externs image.Link.prog with
+      (match Graft_analysis.Loopbound.gate ~bounded image with
       | Ok () -> ()
       | Error msg -> failwith ("GEL graft rejected: " ^ msg));
-      if bounded then (
-        match Graft_analysis.Loopbound.check_image image with
-        | Ok () -> ()
-        | Error msg -> failwith ("GEL graft rejected: " ^ msg));
       Tree
   | Technology.Bytecode_vm ->
       Stack (Graft_stackvm.Stackvm.load_exn ?maps ~bounded image)
@@ -177,39 +170,35 @@ let load_code ?maps ~bounded (tech : Technology.t) (image : Link.image) =
       invalid_arg ("Runners.engine: not a VM technology: " ^ Technology.name t)
 
 (* A session over [code] for the tenant whose linked image is [image]
-   and whose maps are [maps]: each call enters it with [fuel]. *)
+   and whose maps are [maps]: each call enters it with [fuel] and
+   raises the graft's fault. *)
 let start ?profile ~fuel ~maps code (image : Link.image) : engine =
   let cells = Memory.cells image.Link.mem and host = image.Link.host in
   let stack p =
     let p = Graft_stackvm.Program.instantiate p ~cells ~host ~maps in
     let session = Graft_stackvm.Vm.create_session ?profile p in
-    fun ~entry ~args -> Graft_stackvm.Vm.run_session session ~entry ~args ~fuel
+    fun ~fn ~args -> Graft_stackvm.Vm.run_session session ~fn ~args ~fuel
   in
   match code with
   | Tree ->
       let session = Interp.create_session image in
-      fun ~entry ~args -> Interp.run_session session ~entry ~args ~fuel
+      fun ~fn ~args -> Interp.run_session session ~fn ~args ~fuel
   | Stack p -> stack p
   | Jitted t when profile = None ->
       (* The session compiles the blocks to closures once; entries are
          cheap. *)
       let t = Graft_jit.Jit.instantiate t ~cells ~host ~maps in
       let session = Graft_jit.Jit.create_session t in
-      fun ~entry ~args -> Graft_jit.Jit.run_session session ~entry ~args ~fuel
+      fun ~fn ~args -> Graft_jit.Jit.run_session session ~fn ~args ~fuel
   | Jitted t ->
       (* A JIT profile is read from the static-tier interpreter: the JIT
          compiles that program and, by its parity obligation, executes
          the same opcodes with the same fuel. *)
       stack (Graft_jit.Jit.program t)
-  | Reg p -> (
+  | Reg p ->
       let p = Graft_regvm.Program.instantiate p ~cells ~host in
       let session = Graft_regvm.Machine.create_session ?profile p in
-      fun ~entry ~args ->
-        match
-          Graft_regvm.Machine.run_session session ~entry ~args ~fuel
-        with
-        | Ok o -> Ok o.Graft_regvm.Machine.value
-        | Error e -> Error e)
+      fun ~fn ~args -> Graft_regvm.Machine.run_session session ~fn ~args ~fuel
 
 (** The tier table: the one place that maps a VM technology to its
     loader and engine. Loading (verify, and compile where the tier
@@ -227,14 +216,6 @@ let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
     ~maps:(Option.value maps ~default:[||])
     (load_code ?maps ~bounded tech image)
     image
-
-type gel_entry = entry:string -> args:int array -> int
-
-(** {!engine} at [fuel] (default [huge_fuel]), raising the graft's
-    own fault and [Invalid_argument] for a bad entry point. *)
-let gel_entry ?maps ?bounded ?(fuel = huge_fuel) tech env : gel_entry =
-  let run = engine ?maps ?bounded ~fuel tech env.image in
-  fun ~entry ~args -> run_fail (run ~entry ~args)
 
 (* ------------------------------------------------------------------ *)
 (* Modules and instances.                                              *)
@@ -354,7 +335,7 @@ let load_module t ?maps ?(bounded = false) (tech : Technology.t) source windows 
 type loaded = {
   cells : int array;
   shared : (string * Memory.region) list;
-  call : gel_entry;
+  entry : string -> nargs:int -> int array -> int;
 }
 
 let base g name = (List.assoc name g.shared).Memory.base
@@ -369,11 +350,11 @@ let instantiate ?(hosts = []) ?(maps = [||]) ?(fuel = huge_fuel) m windows =
   if layout_of env.image <> m.layout then
     failwith "GEL graft instance: its link's layout differs from its module's";
   let run = start ~fuel ~maps m.code env.image in
-  {
-    cells = Memory.cells env.image.Link.mem;
-    shared = env.windows;
-    call = (fun ~entry ~args -> run_fail (run ~entry ~args));
-  }
+  let entry name ~nargs =
+    let fn = resolve m.ir name ~nargs in
+    fun args -> run ~fn ~args
+  in
+  { cells = Memory.cells env.image.Link.mem; shared = env.windows; entry }
 
 (* Every GEL runner: find or load the module, then instantiate it. A
    caller without a kernel's table loads into a fresh one. *)
@@ -398,11 +379,11 @@ let tcl_graft ?(fuel = huge_fuel) ?(init = ignore) source windows =
   {
     cells = Memory.cells mem;
     shared;
-    call =
-      (fun ~entry ~args ->
+    entry =
+      (fun name ~nargs:_ args ->
         S.set_fuel t fuel;
         let args = List.map string_of_int (Array.to_list args) in
-        int_of_string (script_fail (S.call t entry args)));
+        int_of_string (script_fail (S.call t name args)));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -457,13 +438,13 @@ let interp_evict tech ~capacity_nodes ~rng g =
   let refresh, hot_head, lru_head =
     evict_refresh ~capacity_nodes ~rng g.cells (base g "heap")
   in
-  let call = g.call in
+  let contains = g.entry "contains" ~nargs:2
+  and choose = g.entry "choose" ~nargs:2 in
   {
     e_tech = tech;
     refresh;
-    contains =
-      (fun page -> call ~entry:"contains" ~args:[| !hot_head; page |] <> 0);
-    choose = (fun () -> call ~entry:"choose" ~args:[| !lru_head; !hot_head |]);
+    contains = (fun page -> contains [| !hot_head; page |] <> 0);
+    choose = (fun () -> choose [| !lru_head; !hot_head |]);
   }
 
 (** [evict tech ~capacity_nodes ()] builds a runner able to hold up to
@@ -506,13 +487,13 @@ let evict_regvm ?rng ?elide ~protection ~capacity_nodes () =
   in
   let p = Graft_regvm.Regvm.load_exn ~protection ?elide env.image in
   let session = Graft_regvm.Machine.create_session p in
+  let fn = resolve env.image.Link.prog "contains" ~nargs:2 in
   let contains page =
-    let o =
-      run_fail
-        (Graft_regvm.Machine.run_session session ~entry:"contains"
-           ~args:[| !hot_head; page |] ~fuel:huge_fuel)
+    let v =
+      Graft_regvm.Machine.run_session session ~fn ~args:[| !hot_head; page |]
+        ~fuel:huge_fuel
     in
-    (o.Graft_regvm.Machine.value <> 0, o.Graft_regvm.Machine.instructions)
+    (v <> 0, Graft_regvm.Machine.instructions session)
   in
   (refresh, contains)
 
@@ -603,14 +584,14 @@ let load_bytes_into_cells cells base data len =
 
 let interp_md5 tech ~capacity g =
   let data_at = base g "data" and digest_at = base g "digest" in
-  let call = g.call in
+  let run = g.entry "run" ~nargs:1 in
   {
     m_tech = tech;
     load =
       (fun data ->
         check_chunk ~capacity data;
         load_bytes_into_cells g.cells data_at data (Bytes.length data));
-    compute = (fun n -> ignore (call ~entry:"run" ~args:[| n |]));
+    compute = (fun n -> ignore (run [| n |]));
     digest_hex = (fun () -> digest_hex_of_cells g.cells digest_at);
   }
 
@@ -652,20 +633,19 @@ let logdisk_regvm_instructions ?elide ~protection ~nblocks ~writes () =
   let env = gel_env Technology.Sfi_write_jump (Gel_sources.logdisk ~nblocks) [] in
   let p = Graft_regvm.Regvm.load_exn ~protection ?elide env.image in
   let session = Graft_regvm.Machine.create_session p in
-  let total = ref 0 in
+  let fn = resolve env.image.Link.prog "map_write" ~nargs:1 in
+  let map_write block =
+    ignore
+      (Graft_regvm.Machine.run_session session ~fn ~args:[| block |]
+         ~fuel:huge_fuel);
+    Graft_regvm.Machine.instructions session
+  in
   (* First call triggers the graft's lazy map initialization; exclude
      it so the counts reflect steady-state writes. *)
-  ignore
-    (run_fail
-       (Graft_regvm.Machine.run_session session ~entry:"map_write"
-          ~args:[| 0 |] ~fuel:huge_fuel));
+  ignore (map_write 0);
+  let total = ref 0 in
   for i = 1 to writes do
-    let o =
-      run_fail
-        (Graft_regvm.Machine.run_session session ~entry:"map_write"
-           ~args:[| i mod nblocks |] ~fuel:huge_fuel)
-    in
-    total := !total + o.Graft_regvm.Machine.instructions
+    total := !total + map_write (i mod nblocks)
   done;
   !total
 
@@ -675,11 +655,12 @@ let logdisk_regvm_instructions ?elide ~protection ~nblocks ~writes () =
 let logdisk_policy (tech : Technology.t) ~nblocks : Graft_kernel.Logdisk.policy
     =
   let interpreted g =
-    let call = g.call in
+    let map_write = g.entry "map_write" ~nargs:1
+    and lookup = g.entry "lookup" ~nargs:1 in
     {
       Graft_kernel.Logdisk.pname = Technology.name tech;
-      map_write = (fun logical -> call ~entry:"map_write" ~args:[| logical |]);
-      lookup = (fun logical -> call ~entry:"lookup" ~args:[| logical |]);
+      map_write = (fun logical -> map_write [| logical |]);
+      lookup = (fun logical -> lookup [| logical |]);
     }
   in
   match regime tech with
@@ -717,12 +698,13 @@ let pkt_window = [ ("pkt", pkt_window_cells, false) ]
 (* Copy each packet into the graft's window (a graft address space
    cannot alias kernel mbufs), then enter [entry] with its length. *)
 let staged_packet g ~entry =
-  let cells = g.cells and at = base g "pkt" and call = g.call in
+  let cells = g.cells and at = base g "pkt" in
+  let call = g.entry entry ~nargs:1 in
   fun (pkt : Graft_kernel.Netpkt.t) ->
     let data = pkt.Graft_kernel.Netpkt.data in
     let len = min (Bytes.length data) pkt_window_cells in
     load_bytes_into_cells cells at data len;
-    call ~entry ~args:[| len |]
+    call [| len |]
 
 (** [packet_filter tech ~protocol ~port] builds the canonical demux
     predicate ("ip and protocol and dst port") for the given
@@ -830,14 +812,14 @@ type hotset = {
 let hotset ?modules (tech : Technology.t) ~capacity : hotset =
   let m = Graft_kernel.Graftmap.create_lru ~name:"hotset" capacity in
   let maps = [| m |] in
-  let call =
-    (gel_graft ?modules ~hosts:(map_hosts maps) ~maps ~bounded:true tech
-       Gel_sources.hotset [])
-      .call
+  let g =
+    gel_graft ?modules ~hosts:(map_hosts maps) ~maps ~bounded:true tech
+      Gel_sources.hotset []
   in
+  let touch = g.entry "touch" ~nargs:1 and hot = g.entry "hot" ~nargs:1 in
   {
     h_tech = tech;
-    touch = (fun page -> call ~entry:"touch" ~args:[| page |]);
-    hot = (fun page -> call ~entry:"hot" ~args:[| page |] <> 0);
+    touch = (fun page -> touch [| page |]);
+    hot = (fun page -> hot [| page |] <> 0);
     h_map = m;
   }

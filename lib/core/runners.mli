@@ -54,8 +54,8 @@ val regime : Technology.t -> regime
 (** {1 Shared GEL plumbing and the tier table}
 
     Exported for harnesses (the Graftjail saboteurs, the CLI, tests)
-    that need a linked image, their own fuel budget or the raw engine
-    result. *)
+    that need a linked image, their own fuel budget or a bare
+    engine. *)
 
 type gel_env = {
   image : Graft_gel.Link.image;
@@ -81,15 +81,16 @@ val window : gel_env -> string -> Graft_mem.Memory.region
 (** {!Graft_kernel.Graftmap.hosts} dispatchers as GEL link hosts. *)
 val map_hosts : Graft_kernel.Graftmap.t array -> Graft_gel.Link.host list
 
-type engine =
-  entry:string ->
-  args:int array ->
-  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+(** Enter function [fn], an index from {!Graft_gel.Ir.entry} into the
+    IR the tier compiled, with [args]; returns its result and raises
+    the graft's [Graft_mem.Fault.Fault]. *)
+type engine = fn:int -> args:int array -> int
 
 (** The tier table: [engine ~fuel tech image] loads [image] for VM
     technology [tech] (verifying, and compiling where the tier
     compiles) and returns an invoker that enters a resident session
-    with [fuel] per call. This is the only place that maps a VM
+    with [fuel] per call. Entries resolve against [image]'s IR. This
+    is the only place that maps a VM
     technology to its loader and engine: ast-interp to {!Graft_gel.Interp};
     bytecode-vm, bytecode-opt and safe-lang-static to their loaders and
     the one {!Graft_stackvm.Vm} loop; jit to Graftjit; sfi-wj and
@@ -111,19 +112,6 @@ val engine :
   Graft_gel.Link.image ->
   engine
 
-type gel_entry = entry:string -> args:int array -> int
-
-(** {!engine} at [fuel] (default {!huge_fuel}) over [env]'s image,
-    raising the graft's own [Fault.Fault] on a fault and
-    [Invalid_argument] for a bad entry point. *)
-val gel_entry :
-  ?maps:Graft_kernel.Graftmap.t array ->
-  ?bounded:bool ->
-  ?fuel:int ->
-  Technology.t ->
-  gel_env ->
-  gel_entry
-
 (** {1 Loaded interpreted grafts}
 
     The GEL tiers and the Tcl interpreter load a graft into the same
@@ -133,9 +121,13 @@ type loaded = {
   cells : int array;  (** the graft memory's cells *)
   shared : (string * Graft_mem.Memory.region) list;
       (** the shared windows, by name *)
-  call : gel_entry;
-      (** enter the graft; on the GEL tiers this enters the instance's
-          session and raises the graft's fault, as {!gel_entry} does *)
+  entry : string -> nargs:int -> int array -> int;
+      (** [entry name ~nargs] resolves [name] once and returns the call
+          that enters it with [nargs] arguments. On the GEL tiers it
+          checks the arity ({!Graft_gel.Ir.entry}) and raises
+          [Invalid_argument] for a bad entry point; the call enters
+          the instance's session and raises the graft's fault. On Tcl
+          it closes over the proc name. *)
 }
 
 (** {1 Modules and instances}

@@ -23,14 +23,16 @@ type t =
   | Safe_lang_static
       (** the statically-checked tier: the load-time verifier's
           interval analysis proves bounds and divisors over the
-          compiled bytecode and swaps each proven site to an unchecked
-          opcode carrying its proof — the static-check half of the
-          paper's Modula-3 safety story *)
+          compiled bytecode and swaps each proven site to its unchecked
+          twin; nothing ships beside the code, and the verifier derives
+          each elision again whenever it admits the program — the
+          static-check half of the paper's Modula-3 safety story *)
   | Jit
-      (** Graftjit: the statically-checked bytecode compiled to
-          closure-threaded native code at load time — the measured
-          replacement for the "Java+JIT" column the paper could only
-          project *)
+      (** Graftjit: the statically-checked bytecode cut into basic
+          blocks at load, a plan every instance of the module shares;
+          each session compiles the blocks to closure-threaded code
+          over its own memory — the measured replacement for the
+          "Java+JIT" column the paper could only project *)
   | Ast_interp  (** ablation A3: AST-walking interpreter *)
   | Source_interp  (** paper: "Tcl" — string-based source interpreter *)
   | Specialized_vm

@@ -263,23 +263,27 @@ let runaway_cell tech =
 let interp_cell tech (sab : Runners.loaded) (fault : Faultinject.fault_class) =
   let g = fresh_graft tech in
   let disk = K.Diskmodel.create K.Diskmodel.modern_params in
-  let call entry args = sab.Runners.call ~entry ~args in
+  let entry, args =
+    match fault with
+    | Faultinject.Wild_store -> ("wild", [||])
+    | Faultinject.Nil_deref -> ("nil", [| Access.nil_sentinel |])
+    | Faultinject.Div_zero -> ("divz", [| 0 |])
+    | Faultinject.Infinite_loop | Faultinject.Runaway_loop ->
+        (* A runaway reaches execution only on the source interpreter,
+           which has no verifier: the fuel watchdog contains it like
+           any other spin. *)
+        ("spin", [||])
+    | Faultinject.Io_error -> ("io", [||])
+    | Faultinject.Map_misuse -> ("mapoob", [||])
+    | Faultinject.Server_death -> assert false
+  in
+  let call = sab.Runners.entry entry ~nargs:(Array.length args) in
   observe g (fun () ->
-      match fault with
-      | Faultinject.Wild_store -> call "wild" [||]
-      | Faultinject.Nil_deref -> call "nil" [| Access.nil_sentinel |]
-      | Faultinject.Div_zero -> call "divz" [| 0 |]
-      | Faultinject.Infinite_loop | Faultinject.Runaway_loop ->
-          (* A runaway reaches execution only on the source
-             interpreter, which has no verifier: the fuel watchdog
-             contains it like any other spin. *)
-          call "spin" [||]
-      | Faultinject.Io_error ->
-          K.Diskmodel.arm_fault disk ~after:0;
-          ignore (K.Diskmodel.read disk ~block:7 ~count:1);
-          call "io" [||]
-      | Faultinject.Map_misuse -> call "mapoob" [||]
-      | Faultinject.Server_death -> assert false)
+      if fault = Faultinject.Io_error then begin
+        K.Diskmodel.arm_fault disk ~after:0;
+        ignore (K.Diskmodel.read disk ~block:7 ~count:1)
+      end;
+      call args)
 
 let vm_cell tech (fault : Faultinject.fault_class) =
   match fault with

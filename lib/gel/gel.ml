@@ -3,8 +3,11 @@
     {[
       let prog = Gel.compile_exn source in
       let image = Gel.Link.link_fresh prog |> Result.get_ok in
-      Gel.Interp.run image ~entry:"main" ~args:[||] ~fuel:1_000_000
-    ]} *)
+      let fn = Gel.Ir.entry prog "main" ~nargs:0 |> Result.get_ok in
+      Gel.Interp.run image ~fn ~args:[||] ~fuel:1_000_000
+    ]}
+
+    A graft fault raises [Graft_mem.Fault.Fault]. *)
 
 module Srcloc = Srcloc
 module Token = Token

@@ -31,7 +31,6 @@ type flow = Next | Break | Continue | Return
 let max_depth = 256
 
 type session = {
-  image : Link.image;
   funcs : Ir.func array;
   cells : int array;
   global_base : int;
@@ -49,7 +48,6 @@ type session = {
 
 let create_session (image : Link.image) =
   {
-    image;
     funcs = image.Link.prog.Ir.funcs;
     cells = Memory.cells image.Link.mem;
     global_base = image.Link.global_base;
@@ -335,39 +333,34 @@ and call st (f : Ir.func) base n =
   st.depth <- depth - 1;
   result
 
-(** [run_session st ~entry ~args ~fuel] invokes [entry] with integer
-    [args]. Returns the result, the fault that stopped the graft, or an
-    error for a bad entry point. Fuel is decremented once per IR node
-    evaluated; when it runs out the graft is aborted with
+(* Count a run that started with [fuel]. On exhaustion [st.fuel] is
+   negative: the whole budget went. *)
+let account st fuel =
+  let used = if st.fuel > 0 then fuel - st.fuel else fuel in
+  Graft_metrics.inc (m_sessions ());
+  Graft_metrics.inc (m_fuel ()) ~by:used
+
+(** [run_session st ~fn ~args ~fuel] invokes function [fn] (an
+    {!Ir.entry} index) with integer [args] and returns its result; a
+    graft fault raises [Fault.Fault]. Fuel is decremented once per IR
+    node evaluated; when it runs out the graft is aborted with
     [Fault.Fuel_exhausted]. *)
-let run_session st ~entry ~(args : int array) ~fuel :
-    (int, [ `Fault of Fault.t | `Bad_entry of string ]) result =
-  match Ir.find_func st.image.Link.prog entry with
-  | None -> Error (`Bad_entry (Printf.sprintf "no function named %s" entry))
-  | Some fidx ->
-      let f = st.funcs.(fidx) in
-      let n = Array.length args in
-      if List.length f.Ir.fparams <> n then
-        Error
-          (`Bad_entry
-            (Printf.sprintf "%s expects %d arguments, given %d" entry
-               (List.length f.Ir.fparams) n))
-      else begin
-        st.fuel <- fuel;
-        st.depth <- 0;
-        st.top <- 0;
-        if Array.length st.stage < n then grow_stage st n;
-        Array.blit args 0 st.stage 0 n;
-        let outcome =
-          try Ok (call st f 0 n) with Fault.Fault f -> Error (`Fault f)
-        in
-        (* On exhaustion [st.fuel] is negative: the whole budget went. *)
-        let used = if st.fuel > 0 then fuel - st.fuel else fuel in
-        Graft_metrics.inc (m_sessions ());
-        Graft_metrics.inc (m_fuel ()) ~by:used;
-        outcome
-      end
+let run_session st ~fn ~(args : int array) ~fuel =
+  let f = st.funcs.(fn) in
+  let n = Array.length args in
+  st.fuel <- fuel;
+  st.depth <- 0;
+  st.top <- 0;
+  if Array.length st.stage < n then grow_stage st n;
+  Array.blit args 0 st.stage 0 n;
+  match call st f 0 n with
+  | v ->
+      account st fuel;
+      v
+  | exception (Fault.Fault _ as e) ->
+      account st fuel;
+      raise e
 
 (** One-shot convenience; resident grafts should keep a session. *)
-let run image ~entry ~args ~fuel =
-  run_session (create_session image) ~entry ~args ~fuel
+let run image ~fn ~args ~fuel =
+  run_session (create_session image) ~fn ~args ~fuel

@@ -20,24 +20,16 @@ type session
 
 val create_session : Link.image -> session
 
-(** [run_session s ~entry ~args ~fuel] invokes [entry] with integer
-    [args]. Returns the result, the fault that stopped the graft, or an
-    error for a bad entry point. Each run counts once into the
-    [graftkit_vm_sessions] and [graftkit_vm_fuel] series, tier ["ast"]. *)
-val run_session :
-  session ->
-  entry:string ->
-  args:int array ->
-  fuel:int ->
-  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+(** [run_session s ~fn ~args ~fuel] invokes function [fn], an
+    {!Ir.entry} index into the image's IR, with integer [args] and
+    returns its result; the fault that stops the graft raises
+    [Graft_mem.Fault.Fault]. Each run counts once into the
+    [graftkit_vm_sessions] and [graftkit_vm_fuel] series, tier
+    ["ast"]. *)
+val run_session : session -> fn:int -> args:int array -> fuel:int -> int
 
 (** One-shot convenience; resident grafts should keep a session. *)
-val run :
-  Link.image ->
-  entry:string ->
-  args:int array ->
-  fuel:int ->
-  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+val run : Link.image -> fn:int -> args:int array -> fuel:int -> int
 
 (** Shared operator semantics, reused by the register VM's evaluator
     and the IR optimizer's folding so arithmetic cannot drift between

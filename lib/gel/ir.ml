@@ -87,6 +87,20 @@ let find_func prog name =
   in
   go 0
 
+(** The index of [name], checked to take [nargs] arguments: the one
+    entry-point resolver. Every compiler and pass keeps IR function i
+    at index i, so the index enters every tier compiled from [prog];
+    an engine's [run_session ~fn] then compares no name. *)
+let entry prog name ~nargs =
+  match find_func prog name with
+  | None -> Error (Printf.sprintf "no function named %s" name)
+  | Some i ->
+      let arity = List.length prog.funcs.(i).fparams in
+      if arity <> nargs then
+        Error
+          (Printf.sprintf "%s expects %d arguments, given %d" name arity nargs)
+      else Ok i
+
 (** Count of expression + statement nodes, a rough program size used by
     fuel heuristics and tests. *)
 let size prog =

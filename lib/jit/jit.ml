@@ -1138,56 +1138,52 @@ let create_session (t : t) : session =
 let rec drive blocks id =
   if id >= 0 then drive blocks ((Array.unsafe_get blocks id) ())
 
-let run_session (s : session) ~entry ~(args : int array) ~fuel :
-    (int, [ `Fault of Fault.t | `Bad_entry of string ]) result =
-  let plan = s.t.plan in
-  let p = plan.prog in
-  match Program.find_func p entry with
-  | None -> Error (`Bad_entry (Printf.sprintf "no function named %s" entry))
-  | Some fidx when p.Program.funcs.(fidx).Program.nargs <> Array.length args
-    ->
-      Error
-        (`Bad_entry
-          (Printf.sprintf "%s expects %d arguments, given %d" entry
-             p.Program.funcs.(fidx).Program.nargs (Array.length args)))
-  | Some fidx -> (
-      let st = s.st in
-      let fuel0 = fuel in
-      st.fuel <- fuel;
-      st.bp <- 0;
-      st.result <- 0;
-      let tok = Graft_trace.Trace.hot_begin () in
-      let outcome =
-        try
-          let f = p.Program.funcs.(fidx) in
-          let frame = s.frames.(0) in
-          frame.ret_block <- -1;
-          frame.dst <- 0;
-          frame.caller_bp <- 0;
-          if Array.length frame.locals < f.Program.nlocals then
-            frame.locals <- Array.make (max 8 f.Program.nlocals) 0;
-          Array.blit args 0 frame.locals 0 (Array.length args);
-          st.depth <- 1;
-          st.locals <- frame.locals;
-          if plan.heights.Graft_stackvm.Verify.fmax.(fidx) > stack_size then
-            Fault.raise_fault Fault.Stack_overflow;
-          drive s.blocks plan.f_entry_block.(fidx);
-          Ok st.result
-        with Fault.Fault f ->
-          Graft_trace.Trace.instant Graft_trace.Trace.Vm_stack
-            ("fault:" ^ Fault.class_name f);
-          Error (`Fault f)
-      in
-      Graft_metrics.inc (m_sessions_jit ());
-      Graft_metrics.inc (m_fuel_jit ()) ~by:(fuel0 - max 0 st.fuel);
-      Graft_metrics.observe (m_fuel_hist ()) (fuel0 - max 0 st.fuel);
-      Graft_trace.Trace.span_end Graft_trace.Trace.Vm_stack "stackvm.jit" tok;
-      outcome)
+(* Count an entry that started with [fuel]. *)
+let account st fuel tok =
+  let used = fuel - max 0 st.fuel in
+  Graft_metrics.inc (m_sessions_jit ());
+  Graft_metrics.inc (m_fuel_jit ()) ~by:used;
+  Graft_metrics.observe (m_fuel_hist ()) used;
+  Graft_trace.Trace.span_end Graft_trace.Trace.Vm_stack "stackvm.jit" tok
+
+(* Frame 0 for function [fn], its arguments as the first locals, then
+   the blocks from its entry block. *)
+let enter (s : session) fn args =
+  let st = s.st and plan = s.t.plan in
+  let f = plan.prog.Program.funcs.(fn) in
+  let frame = s.frames.(0) in
+  frame.ret_block <- -1;
+  frame.dst <- 0;
+  frame.caller_bp <- 0;
+  if Array.length frame.locals < f.Program.nlocals then
+    frame.locals <- Array.make (max 8 f.Program.nlocals) 0;
+  Array.blit args 0 frame.locals 0 (Array.length args);
+  st.depth <- 1;
+  st.locals <- frame.locals;
+  if plan.heights.Graft_stackvm.Verify.fmax.(fn) > stack_size then
+    Fault.raise_fault Fault.Stack_overflow;
+  drive s.blocks plan.f_entry_block.(fn)
+
+let run_session (s : session) ~fn ~(args : int array) ~fuel =
+  let st = s.st in
+  st.fuel <- fuel;
+  st.bp <- 0;
+  st.result <- 0;
+  let tok = Graft_trace.Trace.hot_begin () in
+  match enter s fn args with
+  | () ->
+      account st fuel tok;
+      st.result
+  | exception (Fault.Fault f as e) ->
+      Graft_trace.Trace.instant Graft_trace.Trace.Vm_stack
+        ("fault:" ^ Fault.class_name f);
+      account st fuel tok;
+      raise e
 
 (** One-shot convenience; resident grafts should keep a session (the
     closure compilation happens once per session, not per entry). *)
-let run (t : t) ~entry ~args ~fuel =
-  run_session (create_session t) ~entry ~args ~fuel
+let run (t : t) ~fn ~args ~fuel =
+  run_session (create_session t) ~fn ~args ~fuel
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics: `graftkit jit dump`.                                   *)

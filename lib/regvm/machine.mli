@@ -1,15 +1,13 @@
 (** Evaluator for register-VM code.
 
-    Besides the result it reports the number of instructions executed,
-    giving an interpreter-speed-independent measure of the SFI
-    instrumentation overhead for the ablation benches. Wild accesses
-    that escape the physical cell array fault like a hardware MMU
-    would; accesses inside it are unchecked (SFI masking, not checking,
-    is the protection story). *)
+    Besides the result it counts the instructions each entry executes
+    ({!instructions}), giving an interpreter-speed-independent measure
+    of the SFI instrumentation overhead for the ablation benches. Wild
+    accesses that escape the physical cell array fault like a hardware
+    MMU would; accesses inside it are unchecked (SFI masking, not
+    checking, is the protection story). *)
 
 val max_frames : int
-
-type outcome = { value : int; instructions : int }
 
 (** Register windows reused across kernel-to-graft entries like a
     resident VM's. A session starts with no register file: the frame
@@ -23,17 +21,15 @@ type session
     into it (see {!Graft_trace.Opprof}). *)
 val create_session : ?profile:Graft_trace.Opprof.t -> Program.t -> session
 
-val run_session :
-  session ->
-  entry:string ->
-  args:int array ->
-  fuel:int ->
-  (outcome, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+(** [run_session s ~fn ~args ~fuel] enters function [fn] (an index from
+    {!Graft_gel.Ir.entry} into the IR the program was compiled from)
+    with [args] in its argument registers and returns its result. The
+    fault that stops the graft raises [Graft_mem.Fault.Fault]. *)
+val run_session : session -> fn:int -> args:int array -> fuel:int -> int
+
+(** Instructions the session's last entry executed, up to its fault if
+    it faulted. *)
+val instructions : session -> int
 
 (** One-shot convenience; resident grafts should keep a session. *)
-val run :
-  Program.t ->
-  entry:string ->
-  args:int array ->
-  fuel:int ->
-  (outcome, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+val run : Program.t -> fn:int -> args:int array -> fuel:int -> int

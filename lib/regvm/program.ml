@@ -36,14 +36,6 @@ type t = {
   protection : protection;
 }
 
-let find_func p name =
-  let rec go i =
-    if i >= Array.length p.funcs then None
-    else if p.funcs.(i).name = name then Some i
-    else go (i + 1)
-  in
-  go 0
-
 (** [p]'s verified code over another tenant's cells and host closures.
     The segment the code was sandboxed and verified for is the memory
     size, so cells of another length (or another extern count) raise

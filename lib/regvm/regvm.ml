@@ -3,7 +3,8 @@
 
     {[
       let p = Regvm.load_exn ~protection:Program.Write_jump image in
-      Regvm.Machine.run p ~entry:"main" ~args:[||] ~fuel:1_000_000
+      let fn = Graft_gel.Ir.entry image.Link.prog "main" ~nargs:0 in
+      Regvm.Machine.run p ~fn:(Result.get_ok fn) ~args:[||] ~fuel:1_000_000
     ]}
 
     [load] compiles the linked image, applies the SFI instrumentation
@@ -31,13 +32,7 @@ module Disasm = Disasm
 let load ?(protection = Program.Write_jump) ?(elide = false)
     ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
-  let gate =
-    match Graft_analysis.Helpers.check_externs image.Graft_gel.Link.prog with
-    | Error _ as e -> e
-    | Ok () ->
-        if bounded then Graft_analysis.Loopbound.check_image image else Ok ()
-  in
-  match gate with
+  match Graft_analysis.Loopbound.gate ~bounded image with
   | Error msg -> Error msg
   | Ok () -> (
       match

@@ -193,7 +193,7 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
        canonical counted loop whose trip count the verifier derives
        from the instruction windows the compiler emits — the machine-
        level half of the loop-bound check (the IR-level half is
-       {!Graft_analysis.Loopbound.check_image}, run by the loader). *)
+       {!Graft_analysis.Loopbound.gate}, run by the loader). *)
     if bounded then begin
       let target j =
         match code.(j) with

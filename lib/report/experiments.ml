@@ -140,22 +140,21 @@ type tech_timing = {
 
 (* The sizes a scaled table measures at, as (quick, full) per regime.
    Interpreters run reduced and extrapolate linearly (the paper did the
-   same for Tcl). The JIT takes the native sizes: closure-threaded code
-   is fast enough to run at [full] under [Full], where its row is
-   measured, not extrapolated; under [Quick] it is extrapolated from
-   [native_quick] like the native rows. *)
+   same for Tcl). Every GEL tier, the JIT included, runs at [vm], so the
+   JIT and bytecode-opt rows come from one size and their ratio from
+   like measurements. *)
 type sizes = {
   full : int;  (** the paper's size, every row's extrapolation target *)
   script : int * int;  (** the source interpreter *)
-  vm : int * int;  (** the interpreted VM tiers *)
-  native_quick : int;  (** native code and the JIT under [Quick] *)
+  vm : int * int;  (** the GEL tiers *)
+  native_quick : int;  (** native code under [Quick] *)
 }
 
 let measured_size sizes scale tech =
   let pick (quick, full) = match scale with Quick -> quick | Full -> full in
   match Runners.regime tech with
   | Runners.Script -> pick sizes.script
-  | Runners.Vm when tech <> Technology.Jit -> pick sizes.vm
+  | Runners.Vm -> pick sizes.vm
   | _ -> pick (sizes.native_quick, sizes.full)
 
 (* One row of a scaled table. [prepare size] builds the op at the

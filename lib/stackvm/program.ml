@@ -32,14 +32,6 @@ type t = {
       (** graft maps addressed by [Mlookup]/[Mupdate] map ids *)
 }
 
-let find_func p name =
-  let rec go i =
-    if i >= Array.length p.funcs then None
-    else if p.funcs.(i).name = name then Some i
-    else go (i + 1)
-  in
-  go 0
-
 (** [p]'s verified code over another tenant's cells, host closures and
     maps. The verifier's judgement rests on the memory size, the extern
     count and each map's kind and capacity, so a state that differs in

@@ -6,7 +6,8 @@
 
     {[
       let prog = Stackvm.load_exn image in
-      Stackvm.Vm.run prog ~entry:"main" ~args:[||] ~fuel:1_000_000
+      let fn = Graft_gel.Ir.entry image.Link.prog "main" ~nargs:0 in
+      Stackvm.Vm.run prog ~fn:(Result.get_ok fn) ~args:[||] ~fuel:1_000_000
     ]} *)
 
 module Opcode = Opcode

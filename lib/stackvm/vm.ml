@@ -806,55 +806,45 @@ let rec step s pr ~count =
   if exit = exit_step then step s pr ~count:true
   else if exit = exit_instr then step s pr ~count:(perform s)
 
-let run_session (s : session) ~entry ~(args : int array) ~fuel :
-    (int, [ `Fault of Fault.t | `Bad_entry of string ]) result =
-  let p = s.p in
-  match Program.find_func p entry with
-  | None -> Error (`Bad_entry (Printf.sprintf "no function named %s" entry))
-  | Some fidx when p.Program.funcs.(fidx).Program.nargs <> Array.length args
-    ->
-      Error
-        (`Bad_entry
-          (Printf.sprintf "%s expects %d arguments, given %d" entry
-             p.Program.funcs.(fidx).Program.nargs (Array.length args)))
-  | Some fidx ->
-      let f = p.Program.funcs.(fidx) in
-      (* Frame 0: the arguments become the entry's first locals, as if
-         pushed and popped by a call. *)
-      let fr = s.frames.(0) in
-      fr.ret_pc <- -1;
-      let locals = frame_locals fr f.Program.nlocals in
-      Array.blit args 0 locals 0 (Array.length args);
-      s.depth <- 1;
-      s.pc <- f.Program.entry;
-      s.sp <- 0;
-      s.fuel <- fuel;
-      (* Sampled entry span (see [Trace.hot_begin]): a resident graft is
-         entered once per kernel event, far too often to time every
-         run. *)
-      let tok = Graft_trace.Trace.hot_begin () in
-      let outcome =
-        try
-          (match s.prof with
-          | None -> drive s
-          | Some pr -> step s pr ~count:true);
-          Ok s.result
-        with Fault.Fault f ->
-          Graft_trace.Trace.instant Graft_trace.Trace.Vm_stack
-            ("fault:" ^ Fault.class_name f);
-          Error (`Fault f)
-      in
-      (* Fuel consumed = fuel charged: on exhaustion [s.fuel] is
-         negative and the whole budget was burned. *)
-      let used = if s.fuel > 0 then fuel - s.fuel else fuel in
-      (match s.prof with
-      | None -> ()
-      | Some pr -> Graft_trace.Opprof.run_done pr ~fuel:used);
-      Graft_metrics.inc (m_sessions_interp ());
-      Graft_metrics.inc (m_fuel_interp ()) ~by:used;
-      Graft_metrics.observe (m_fuel_hist ()) used;
-      Graft_trace.Trace.span_end Graft_trace.Trace.Vm_stack "stackvm.run" tok;
-      outcome
+(* Count an entry that started with [fuel]. Fuel consumed = fuel
+   charged: on exhaustion [s.fuel] is negative and the whole budget was
+   burned. *)
+let account s fuel tok =
+  let used = if s.fuel > 0 then fuel - s.fuel else fuel in
+  (match s.prof with
+  | None -> ()
+  | Some pr -> Graft_trace.Opprof.run_done pr ~fuel:used);
+  Graft_metrics.inc (m_sessions_interp ());
+  Graft_metrics.inc (m_fuel_interp ()) ~by:used;
+  Graft_metrics.observe (m_fuel_hist ()) used;
+  Graft_trace.Trace.span_end Graft_trace.Trace.Vm_stack "stackvm.run" tok
+
+let run_session (s : session) ~fn ~(args : int array) ~fuel =
+  let f = s.p.Program.funcs.(fn) in
+  (* Frame 0: the arguments become the entry's first locals, as if
+     pushed and popped by a call. *)
+  let fr = s.frames.(0) in
+  fr.ret_pc <- -1;
+  let locals = frame_locals fr f.Program.nlocals in
+  Array.blit args 0 locals 0 (Array.length args);
+  s.depth <- 1;
+  s.pc <- f.Program.entry;
+  s.sp <- 0;
+  s.fuel <- fuel;
+  (* Sampled entry span (see [Trace.hot_begin]): a resident graft is
+     entered once per kernel event, far too often to time every run. *)
+  let tok = Graft_trace.Trace.hot_begin () in
+  match
+    match s.prof with None -> drive s | Some pr -> step s pr ~count:true
+  with
+  | () ->
+      account s fuel tok;
+      s.result
+  | exception (Fault.Fault f as e) ->
+      Graft_trace.Trace.instant Graft_trace.Trace.Vm_stack
+        ("fault:" ^ Fault.class_name f);
+      account s fuel tok;
+      raise e
 
 (** One-shot convenience; resident grafts should keep a session. *)
-let run p ~entry ~args ~fuel = run_session (create_session p) ~entry ~args ~fuel
+let run p ~fn ~args ~fuel = run_session (create_session p) ~fn ~args ~fuel

@@ -26,12 +26,11 @@ type session
     instruction at a time and counts each opcode before it runs. *)
 val create_session : ?profile:Graft_trace.Opprof.t -> Program.t -> session
 
-val run_session :
-  session ->
-  entry:string ->
-  args:int array ->
-  fuel:int ->
-  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+(** [run_session s ~fn ~args ~fuel] enters function [fn] (an index
+    from {!Graft_gel.Ir.entry} into the IR the program was compiled
+    from) with [args] as its first locals and returns its result. The
+    fault that stops the graft raises [Graft_mem.Fault.Fault]. *)
+val run_session : session -> fn:int -> args:int array -> fuel:int -> int
 
 (** The fused opcodes' operator ([Division_by_zero] on a zero [KDiv] or
     [KMod] divisor) and comparison. The dispatch loop inlines them; the
@@ -41,9 +40,4 @@ val bink_fn : Opcode.bink -> int -> int -> int
 val cmp_fn : Opcode.cmp -> int -> int -> bool
 
 (** One-shot convenience; resident grafts should keep a session. *)
-val run :
-  Program.t ->
-  entry:string ->
-  args:int array ->
-  fuel:int ->
-  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
+val run : Program.t -> fn:int -> args:int array -> fuel:int -> int

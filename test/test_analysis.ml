@@ -131,12 +131,12 @@ let tier_parity ?(fuel = 100_000_000) mk_image calls =
   let ss = Vm.create_session static_ in
   List.iter
     (fun (entry, args) ->
-      let a = Vm.run_session cs ~entry ~args ~fuel in
-      let b = Vm.run_session ss ~entry ~args ~fuel in
+      let fn = Gelrun.fn checked_img entry ~args in
+      let a = Gelrun.outcome (fun () -> Vm.run_session cs ~fn ~args ~fuel) in
+      let b = Gelrun.outcome (fun () -> Vm.run_session ss ~fn ~args ~fuel) in
       let show = function
         | Ok v -> Printf.sprintf "Ok %d" v
         | Error (`Fault f) -> "Fault " ^ Fault.to_string f
-        | Error (`Bad_entry m) -> "Bad_entry " ^ m
       in
       Alcotest.(check string)
         (Printf.sprintf "%s(%s)" entry
@@ -248,18 +248,18 @@ let test_parity_fuel () =
       }
     |}
   in
-  let checked = Stackvm.load_exn (build_image src) in
+  let image = build_image src in
+  let checked = Stackvm.load_exn image in
   let static_ = Stackvm.load_static_exn (build_image src) in
   let e, t = Stackvm.elision_stats static_ in
   check_int "both sites present" 2 t;
   check_int "both sites elided" 2 e;
   for fuel = 0 to 120 do
-    let a = Vm.run checked ~entry:"main" ~args:[| 6 |] ~fuel in
-    let b = Vm.run static_ ~entry:"main" ~args:[| 6 |] ~fuel in
+    let a = Gelrun.vm image checked ~entry:"main" ~args:[| 6 |] ~fuel in
+    let b = Gelrun.vm image static_ ~entry:"main" ~args:[| 6 |] ~fuel in
     let show = function
       | Ok v -> Printf.sprintf "Ok %d" v
       | Error (`Fault f) -> "Fault " ^ Fault.to_string f
-      | Error (`Bad_entry m) -> "Bad_entry " ^ m
     in
     Alcotest.(check string) (Printf.sprintf "fuel %d" fuel) (show a) (show b)
   done
@@ -272,31 +272,38 @@ module Isa = Graft_regvm.Isa
 module Rprogram = Graft_regvm.Program
 
 let show_regvm = function
-  | Ok (o : Machine.outcome) -> Printf.sprintf "Ok %d" o.Machine.value
+  | Ok v -> Printf.sprintf "Ok %d" v
   | Error (`Fault f) -> "Fault " ^ Fault.to_string f
-  | Error (`Bad_entry m) -> "Bad_entry " ^ m
 
 (* The elided SFI tier must produce identical results to the fully
    masked one while executing strictly fewer instructions (each elided
    site saves its three-instruction masking triple). *)
 let regvm_parity ?(protection = Rprogram.Write_jump) mk_image calls =
-  let masked = Regvm.load_exn ~protection (mk_image ()) in
+  let image = mk_image () in
+  let masked = Machine.create_session (Regvm.load_exn ~protection image) in
   let elided = Regvm.load_exn ~protection ~elide:true (mk_image ()) in
   let e, t = Regvm.elision_stats elided in
   check_bool "some sites elided" true (e > 0 && e <= t);
+  let elided = Machine.create_session elided in
   let saved = ref 0 in
   List.iter
     (fun (entry, args) ->
-      let a = Machine.run masked ~entry ~args ~fuel:1_000_000 in
-      let b = Machine.run elided ~entry ~args ~fuel:1_000_000 in
+      let fn = Gelrun.fn image entry ~args in
+      let run s =
+        Gelrun.outcome (fun () ->
+            Machine.run_session s ~fn ~args ~fuel:1_000_000)
+      in
+      let a = run masked in
+      let b = run elided in
       check_bool
         (Printf.sprintf "%s parity: %s vs %s" entry (show_regvm a)
            (show_regvm b))
         true
         (show_regvm a = show_regvm b);
       match (a, b) with
-      | Ok oa, Ok ob ->
-          saved := !saved + (oa.Machine.instructions - ob.Machine.instructions)
+      | Ok _, Ok _ ->
+          saved :=
+            !saved + (Machine.instructions masked - Machine.instructions elided)
       | _ -> ())
     calls;
   check_bool "elision saves instructions" true (!saved > 0)
@@ -409,14 +416,15 @@ let test_parity_faults () =
       }
     |}
   in
-  let p = Stackvm.load_static_exn (build_image src) in
+  let image = build_image src in
+  let p = Stackvm.load_static_exn image in
   let elided, total = Stackvm.elision_stats p in
   check_int "nothing provable" 0 elided;
   check_int "two check sites" 2 total;
-  (match Vm.run p ~entry:"main" ~args:[| 12; 1 |] ~fuel:1000 with
+  (match Gelrun.vm image p ~entry:"main" ~args:[| 12; 1 |] ~fuel:1000 with
   | Error (`Fault (Fault.Out_of_bounds _)) -> ()
   | _ -> Alcotest.fail "expected out-of-bounds fault");
-  match Vm.run p ~entry:"main" ~args:[| 3; 0 |] ~fuel:1000 with
+  match Gelrun.vm image p ~entry:"main" ~args:[| 3; 0 |] ~fuel:1000 with
   | Error (`Fault Fault.Division_by_zero) -> ()
   | _ -> Alcotest.fail "expected division fault"
 
@@ -528,7 +536,6 @@ let gen_src seed =
 let show_run = function
   | Ok v -> Printf.sprintf "Ok %d" v
   | Error (`Fault f) -> "Fault " ^ Fault.to_string f
-  | Error (`Bad_entry m) -> "Bad_entry " ^ m
 
 (* The soundness property: whatever the analysis marked safe, the
    elided tier agrees with the checked tier on result, fault identity,
@@ -545,8 +552,8 @@ let prop_static_sound =
       let p1 = Stackvm.load_exn img1 in
       let p2 = Stackvm.load_static_exn img2 in
       let args = [| a; b |] in
-      let r1 = Vm.run p1 ~entry:"main" ~args ~fuel:1_000_000 in
-      let r2 = Vm.run p2 ~entry:"main" ~args ~fuel:1_000_000 in
+      let r1 = Gelrun.vm img1 p1 ~entry:"main" ~args ~fuel:1_000_000 in
+      let r2 = Gelrun.vm img2 p2 ~entry:"main" ~args ~fuel:1_000_000 in
       if show_run r1 <> show_run r2 then
         QCheck.Test.fail_reportf "divergence on seed %Ld (%d,%d): %s vs %s\n%s"
           seed a b (show_run r1) (show_run r2) src;

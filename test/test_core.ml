@@ -69,16 +69,18 @@ let table_src =
    IR pre-pass, so every tier runs the same program and fuel compares
    across tiers. *)
 let table_engine ?profile tech =
-  Runners.engine ?profile ~fuel:100_000 tech
-    (Runners.gel_env Technology.Bytecode_vm table_src []).Runners.image
+  let image = (Runners.gel_env Technology.Bytecode_vm table_src []).Runners.image in
+  let run = Runners.engine ?profile ~fuel:100_000 tech image in
+  fun ~entry ~args ->
+    let fn = Gelrun.fn image entry ~args in
+    Gelrun.outcome (fun () -> run ~fn ~args)
 
 let show_run = function
   | Ok v -> string_of_int v
   | Error (`Fault f) -> "fault " ^ Graft_mem.Fault.to_string f
-  | Error (`Bad_entry m) -> "bad entry " ^ m
 
 let test_tier_table_agrees () =
-  let calls = [ ("main", [| 3 |]); ("div", [| 7; 0 |]); ("nope", [||]) ] in
+  let calls = [ ("main", [| 3 |]); ("div", [| 7; 0 |]) ] in
   let reference = table_engine Technology.Ast_interp in
   let expected = List.map (fun (entry, args) -> reference ~entry ~args) calls in
   check_str "reference result" "84" (show_run (List.hd expected));
@@ -94,8 +96,25 @@ let test_tier_table_agrees () =
         calls expected)
     vm_techs;
   match table_engine Technology.Unsafe_c with
-  | (_ : Runners.engine) -> Alcotest.fail "unsafe-c got an engine"
+  | (_ : entry:string -> args:int array -> _) ->
+      Alcotest.fail "unsafe-c got an engine"
   | exception Invalid_argument _ -> ()
+
+(* A loaded graft resolves an entry point once, when asked for it: a
+   bad name or arity is refused then, with the resolver's message, on
+   every tier. *)
+let test_entry_resolution () =
+  List.iter
+    (fun tech ->
+      let name = Technology.name tech in
+      let g = Runners.gel_graft tech table_src [] in
+      check_int (name ^ " main") 84 (g.Runners.entry "main" ~nargs:1 [| 3 |]);
+      match g.Runners.entry "main" ~nargs:0 with
+      | (_ : int array -> int) -> Alcotest.failf "%s: a bad arity resolved" name
+      | exception Invalid_argument msg ->
+          check_str (name ^ " bad entry")
+            "bad graft entry point: main expects 1 arguments, given 0" msg)
+    vm_techs
 
 (* The table wires each technology to its own loader: only fused code
    executes superinstructions (the opcodes charging more fuel than one
@@ -359,6 +378,60 @@ let test_md5_runner_allocation () =
       Technology.Bytecode_vm; Technology.Safe_lang_static;
       Technology.Bytecode_opt; Technology.Ast_interp;
     ]
+
+(* Minor words per call of [f i], over 10,000 calls after 1,000
+   warm-up calls and a minor collection. *)
+let words_per_call f =
+  for i = 1 to 1_000 do
+    ignore (f i)
+  done;
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    ignore (f i)
+  done;
+  (Gc.minor_words () -. w0) /. 10_000.
+
+(* Upper bounds on the minor words of one GEL call, per tier: an evict
+   [contains] (on the tiers whose regime is [Vm]: the SFI technologies
+   run evict natively) and a hot-set [touch] (a GEL graft on every
+   tier). What a call still allocates is its argument array, the fuel
+   count the metrics take boxed and, on touch, the map helpers' host
+   calls. Each bound is below what a call costs that looks its entry up
+   by name and boxes its answer in a result (contains 14 words; touch
+   17 on the stack tiers and the JIT, 24 on the AST walker, 44 on the
+   register VM), so a return to that fails here. *)
+let call_words_max =
+  Technology.
+    [
+      (Ast_interp, Some 5, 15);
+      (Bytecode_vm, Some 5, 8);
+      (Bytecode_opt, Some 5, 8);
+      (Safe_lang_static, Some 5, 8);
+      (Jit, Some 5, 8);
+      (Sfi_write_jump, None, 30);
+      (Sfi_full, None, 30);
+    ]
+
+let test_call_allocation () =
+  List.iter
+    (fun (tech, contains_max, touch_max) ->
+      let check what max f =
+        let w = words_per_call f in
+        if w > float_of_int max then
+          Alcotest.failf "%s %s: %.2f minor words per call, at most %d"
+            (Technology.name tech) what w max
+      in
+      Option.iter
+        (fun max ->
+          let e = Runners.evict tech ~capacity_nodes:64 () in
+          e.Runners.refresh ~hot:(Array.init 16 (fun i -> 3 * i))
+            ~lru:(Array.init 32 Fun.id);
+          check "contains" max (fun i -> e.Runners.contains (i land 63)))
+        contains_max;
+      let h = Runners.hotset tech ~capacity:64 in
+      check "touch" touch_max (fun i -> h.Runners.touch (i land 255)))
+    call_words_max
 
 (* ---------- logdisk runners across technologies ---------- *)
 
@@ -662,7 +735,7 @@ let test_module_key () =
       check_int (name ^ ": bounded") 7 (loads ());
       List.iter
         (fun (g : Runners.loaded) ->
-          check_int (name ^ " logdisk") (-1) (g.Runners.call ~entry:"lookup" ~args:[| 3 |]))
+          check_int (name ^ " logdisk") (-1) (g.Runners.entry "lookup" ~nargs:1 [| 3 |]))
         [ g1; g2 ];
       if Runners.regime tech = Runners.Vm then begin
         let digest capacity (r : Runners.md5) =
@@ -738,6 +811,7 @@ let () =
           Alcotest.test_case "agrees with the interpreter" `Quick
             test_tier_table_agrees;
           Alcotest.test_case "loaders" `Quick test_tier_table_loaders;
+          Alcotest.test_case "entry resolution" `Quick test_entry_resolution;
           Alcotest.test_case "graftkit gel" `Quick test_gel_cli;
         ] );
       ( "modules",
@@ -762,6 +836,8 @@ let () =
           Alcotest.test_case "oversize chunk" `Quick test_md5_runner_rejects_oversize;
           Alcotest.test_case "entry allocation" `Quick test_md5_runner_allocation;
         ] );
+      ( "call allocation",
+        [ Alcotest.test_case "per call, every tier" `Quick test_call_allocation ] );
       ( "logdisk runners",
         [ Alcotest.test_case "all agree" `Quick test_logdisk_runners_agree ] );
       ( "manager",

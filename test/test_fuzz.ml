@@ -305,10 +305,9 @@ let interp_engine ?(optimize = false) name =
       (fun src ~args ->
         let maps = fuzz_maps () in
         let image = build_image ~optimize ~hosts:(map_hosts maps) src in
-        match Interp.run image ~entry:"main" ~args ~fuel with
+        match Gelrun.interp image ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
-        | Error (`Fault f) -> Error (Fault.to_string f)
-        | Error (`Bad_entry m) -> Error m);
+        | Error (`Fault f) -> Error (Fault.to_string f));
   }
 
 let stackvm_engine ?(optimize = false) name =
@@ -319,10 +318,9 @@ let stackvm_engine ?(optimize = false) name =
         let maps = fuzz_maps () in
         let image = build_image ~optimize ~hosts:(map_hosts maps) src in
         let prog = Graft_stackvm.Stackvm.load_exn image in
-        match Graft_stackvm.Vm.run prog ~entry:"main" ~args ~fuel with
+        match Gelrun.vm image prog ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
-        | Error (`Fault f) -> Error (Fault.to_string f)
-        | Error (`Bad_entry m) -> Error m);
+        | Error (`Fault f) -> Error (Fault.to_string f));
   }
 
 (* The optimized bytecode tier: peephole-fused program image run by the
@@ -336,10 +334,9 @@ let stackvm_opt_engine ?(optimize = false) name =
         let maps = fuzz_maps () in
         let image = build_image ~optimize ~hosts:(map_hosts maps) src in
         let prog = Graft_stackvm.Stackvm.load_opt_exn ~maps image in
-        match Graft_stackvm.Vm.run prog ~entry:"main" ~args ~fuel with
+        match Gelrun.vm image prog ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
-        | Error (`Fault f) -> Error (Fault.to_string f)
-        | Error (`Bad_entry m) -> Error m);
+        | Error (`Fault f) -> Error (Fault.to_string f));
   }
 
 (* The statically checked tier: the load-time verifier's interval
@@ -353,10 +350,9 @@ let stackvm_static_engine name =
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
         let prog = Graft_stackvm.Stackvm.load_static_exn ~maps ~bounded:true image in
-        match Graft_stackvm.Vm.run prog ~entry:"main" ~args ~fuel with
+        match Gelrun.vm image prog ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
-        | Error (`Fault f) -> Error (Fault.to_string f)
-        | Error (`Bad_entry m) -> Error m);
+        | Error (`Fault f) -> Error (Fault.to_string f));
   }
 
 (* The closure-threaded JIT tier: compiled from the same statically
@@ -370,10 +366,9 @@ let jit_engine name =
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
         let t = Graft_jit.Jit.load_exn ~maps ~bounded:true image in
-        match Graft_jit.Jit.run t ~entry:"main" ~args ~fuel with
+        match Gelrun.jit image t ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
-        | Error (`Fault f) -> Error (Fault.to_string f)
-        | Error (`Bad_entry m) -> Error m);
+        | Error (`Fault f) -> Error (Fault.to_string f));
   }
 
 let regvm_engine ?elide ?bounded ~protection name =
@@ -384,10 +379,9 @@ let regvm_engine ?elide ?bounded ~protection name =
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
         let prog = Graft_regvm.Regvm.load_exn ~protection ?elide ?bounded image in
-        match Graft_regvm.Machine.run prog ~entry:"main" ~args ~fuel with
-        | Ok o -> Ok (o.Graft_regvm.Machine.value, final_state maps image)
-        | Error (`Fault f) -> Error (Fault.to_string f)
-        | Error (`Bad_entry m) -> Error m);
+        match Gelrun.machine image prog ~entry:"main" ~args ~fuel with
+        | Ok v -> Ok (v, final_state maps image)
+        | Error (`Fault f) -> Error (Fault.to_string f));
   }
 
 let engines =
@@ -480,7 +474,6 @@ let gen_faulty_program seed classes =
 let fault_result = function
   | Ok v -> Printf.sprintf "ok:%d" v
   | Error (`Fault f) -> Fault.class_name f
-  | Error (`Bad_entry m) -> failwith m
 
 (* Engines that trap every fault class with a checked fault: the AST
    interpreter and all three stack-bytecode tiers. *)
@@ -494,7 +487,7 @@ let checked_fault_engines =
       fun src args ->
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
-        let r = run (load maps image) ~entry:"main" ~args ~fuel:fault_fuel in
+        let r = run image (load maps image) ~entry:"main" ~args ~fuel:fault_fuel in
         (fault_result r, final_state maps image) )
   in
   [
@@ -502,17 +495,17 @@ let checked_fault_engines =
       fun src args ->
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
-        let r = Interp.run image ~entry:"main" ~args ~fuel:fault_fuel in
+        let r = Gelrun.interp image ~entry:"main" ~args ~fuel:fault_fuel in
         (fault_result r, final_state maps image) );
     stack (fun _ image -> Graft_stackvm.Stackvm.load_exn image)
-      Graft_stackvm.Vm.run "bytecode-vm";
+      Gelrun.vm "bytecode-vm";
     stack (fun _ image -> Graft_stackvm.Stackvm.load_opt_exn image)
-      Graft_stackvm.Vm.run "bytecode-peep";
+      Gelrun.vm "bytecode-peep";
     stack (fun maps image ->
         Graft_stackvm.Stackvm.load_static_exn ~maps image)
-      Graft_stackvm.Vm.run "bytecode-static";
+      Gelrun.vm "bytecode-static";
     stack (fun maps image -> Graft_jit.Jit.load_exn ~maps image)
-      Graft_jit.Jit.run "jit";
+      Gelrun.jit "jit";
   ]
 
 (* The register VMs mask out-of-bounds accesses instead of trapping
@@ -525,12 +518,10 @@ let all_fault_engines =
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
         let prog = Graft_regvm.Regvm.load_exn ~protection image in
-        match Graft_regvm.Machine.run prog ~entry:"main" ~args ~fuel:fault_fuel with
-        | Ok o ->
-            (Printf.sprintf "ok:%d" o.Graft_regvm.Machine.value,
-             final_state maps image)
-        | Error (`Fault f) -> (Fault.class_name f, final_state maps image)
-        | Error (`Bad_entry m) -> failwith m )
+        let r =
+          Gelrun.machine image prog ~entry:"main" ~args ~fuel:fault_fuel
+        in
+        (fault_result r, final_state maps image) )
   in
   checked_fault_engines
   @ [

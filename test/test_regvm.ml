@@ -30,19 +30,17 @@ let run ?(protection = Program.Write_jump) ?(entry = "main") ?(args = [||])
     ?(fuel = 10_000_000) ?hosts src =
   let image = image_pow2 ?hosts src in
   let p = Regvm.load_exn ~protection image in
-  match Machine.run p ~entry ~args ~fuel with
-  | Ok o -> o.Machine.value
+  match Gelrun.machine image p ~entry ~args ~fuel with
+  | Ok v -> v
   | Error (`Fault f) -> Alcotest.failf "fault: %s" (Fault.to_string f)
-  | Error (`Bad_entry m) -> Alcotest.failf "bad entry: %s" m
 
 let run_fault ?(protection = Program.Write_jump) ?(entry = "main")
     ?(args = [||]) ?(fuel = 10_000_000) src =
   let image = image_pow2 src in
   let p = Regvm.load_exn ~protection image in
-  match Machine.run p ~entry ~args ~fuel with
-  | Ok o -> Alcotest.failf "expected fault, got %d" o.Machine.value
+  match Gelrun.machine image p ~entry ~args ~fuel with
+  | Ok v -> Alcotest.failf "expected fault, got %d" v
   | Error (`Fault f) -> f
-  | Error (`Bad_entry m) -> Alcotest.failf "bad entry: %s" m
 
 let check_int = Alcotest.(check int)
 
@@ -173,7 +171,7 @@ let test_recursion_depth_count () =
     (fun protection ->
       let image = image_pow2 src in
       let p = Regvm.load_exn ~protection image in
-      (match Machine.run p ~entry:"f" ~args:[| 0 |] ~fuel:10_000_000 with
+      (match Gelrun.machine image p ~entry:"f" ~args:[| 0 |] ~fuel:10_000_000 with
       | Error (`Fault Fault.Stack_overflow) -> ()
       | Error (`Fault f) -> Alcotest.failf "wrong fault %s" (Fault.to_string f)
       | _ -> Alcotest.fail "recursion did not fault");
@@ -195,14 +193,18 @@ let words_allocated f =
   m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
 
 let test_session_is_lean () =
-  let p = Regvm.load_exn (image_pow2 "fn main() : int { return 1; }") in
+  let image = image_pow2 "fn main() : int { return 1; }" in
+  let p = Regvm.load_exn image in
   let words = words_allocated (fun () -> Machine.create_session p) in
   if words >= 1000.0 then
     Alcotest.failf "creating a session allocated %.0f words (limit 1000)" words;
   (* The first entry makes frame 0 and runs. *)
-  match Machine.run_session (Machine.create_session p) ~entry:"main" ~args:[||]
-          ~fuel:100 with
-  | Ok o -> check_int "first entry" 1 o.Machine.value
+  let fn = Gelrun.fn image "main" ~args:[||] in
+  match
+    Gelrun.outcome (fun () ->
+        Machine.run_session (Machine.create_session p) ~fn ~args:[||] ~fuel:100)
+  with
+  | Ok v -> check_int "first entry" 1 v
   | Error _ -> Alcotest.fail "first entry failed"
 
 (* The elided MD5 load runs the interval analysis twice (instrumenter
@@ -266,7 +268,7 @@ let test_unprotected_store_corrupts_kernel () =
   let p = Compile.compile image ~segment in
   let a_base = image.Link.arr_base.(0) in
   let evil_index = sentinel - a_base in
-  (match Machine.run p ~entry:"main" ~args:[| evil_index |] ~fuel:10_000 with
+  (match Gelrun.machine image p ~entry:"main" ~args:[| evil_index |] ~fuel:10_000 with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "unprotected store should land in kernel memory");
   check_int "kernel cell corrupted" 66 (Memory.cells mem).(sentinel)
@@ -280,10 +282,9 @@ let test_sfi_store_confined () =
   | Error m -> Alcotest.failf "verify: %s" m);
   let a_base = image.Link.arr_base.(0) in
   let evil_index = sentinel - a_base in
-  (match Machine.run p ~entry:"main" ~args:[| evil_index |] ~fuel:10_000 with
+  (match Gelrun.machine image p ~entry:"main" ~args:[| evil_index |] ~fuel:10_000 with
   | Ok _ -> ()
-  | Error (`Fault f) -> Alcotest.failf "sandboxed store faulted: %s" (Fault.to_string f)
-  | Error (`Bad_entry m) -> Alcotest.fail m);
+  | Error (`Fault f) -> Alcotest.failf "sandboxed store faulted: %s" (Fault.to_string f));
   check_int "kernel cell intact" 0xBEEF (Memory.cells mem).(sentinel);
   (* The masked write landed inside the segment. *)
   let seg_cells =
@@ -304,8 +305,8 @@ let test_write_jump_does_not_stop_reads () =
   let p = Sfi.instrument p ~protection:Program.Write_jump in
   let a_base = image.Link.arr_base.(0) in
   let evil_index = sentinel - a_base in
-  match Machine.run p ~entry:"main" ~args:[| evil_index |] ~fuel:10_000 with
-  | Ok o -> check_int "kernel data leaked" 0xBEEF o.Machine.value
+  match Gelrun.machine image p ~entry:"main" ~args:[| evil_index |] ~fuel:10_000 with
+  | Ok v -> check_int "kernel data leaked" 0xBEEF v
   | Error _ -> Alcotest.fail "read should succeed under write+jump"
 
 let test_full_protection_confines_reads () =
@@ -318,12 +319,10 @@ let test_full_protection_confines_reads () =
   | Error m -> Alcotest.failf "verify: %s" m);
   let a_base = image.Link.arr_base.(0) in
   let evil_index = sentinel - a_base in
-  match Machine.run p ~entry:"main" ~args:[| evil_index |] ~fuel:10_000 with
-  | Ok o ->
-      Alcotest.(check bool) "read confined to segment" true
-        (o.Machine.value <> 0xBEEF)
+  match Gelrun.machine image p ~entry:"main" ~args:[| evil_index |] ~fuel:10_000 with
+  | Ok v ->
+      Alcotest.(check bool) "read confined to segment" true (v <> 0xBEEF)
   | Error (`Fault f) -> Alcotest.failf "fault: %s" (Fault.to_string f)
-  | Error (`Bad_entry m) -> Alcotest.fail m
 
 (* ---------- instrumentation overhead ---------- *)
 
@@ -336,9 +335,13 @@ let store_heavy_src =
 
 let icount ~protection src =
   let image = image_pow2 src in
-  let p = Regvm.load_exn ~protection image in
-  match Machine.run p ~entry:"main" ~args:[||] ~fuel:10_000_000 with
-  | Ok o -> o.Machine.instructions
+  let s = Machine.create_session (Regvm.load_exn ~protection image) in
+  let fn = Gelrun.fn image "main" ~args:[||] in
+  match
+    Gelrun.outcome (fun () ->
+        Machine.run_session s ~fn ~args:[||] ~fuel:10_000_000)
+  with
+  | Ok _ -> Machine.instructions s
   | Error _ -> Alcotest.fail "run failed"
 
 let test_sfi_instruction_overhead () =
@@ -466,9 +469,9 @@ let test_verify_rejects_call_arity () =
 let test_verify_rejects_register_range () =
   let p = instrumented store_heavy_src in
   let main =
-    match Program.find_func p "main" with
-    | Some f -> p.Program.funcs.(f)
-    | None -> Alcotest.fail "no main"
+    match Ir.entry (compile_ok store_heavy_src) "main" ~nargs:0 with
+    | Ok f -> p.Program.funcs.(f)
+    | Error msg -> Alcotest.fail msg
   in
   let edit pc instr =
     let code = Array.copy p.Program.code in
@@ -513,7 +516,7 @@ let test_register_exhaustion_rejected () =
   (* The stack VM handles the same program fine (1024-deep operand stack). *)
   let image2 = image_pow2 src in
   let p = Graft_stackvm.Stackvm.load_exn image2 in
-  match Graft_stackvm.Vm.run p ~entry:"main" ~args:[| 1 |] ~fuel:100_000 with
+  match Gelrun.vm image2 p ~entry:"main" ~args:[| 1 |] ~fuel:100_000 with
   | Ok v -> Alcotest.(check int) "stackvm result" 201 v
   | Error _ -> Alcotest.fail "stackvm should run it"
 
@@ -551,20 +554,18 @@ let test_disasm () =
 
 let both ?(entry = "main") ?(args = [||]) ?(fuel = 50_000_000) src =
   let i1 = image_pow2 src in
-  let r1 = Interp.run i1 ~entry ~args ~fuel in
+  let r1 = Gelrun.interp i1 ~entry ~args ~fuel in
   let i2 = image_pow2 src in
   let p = Regvm.load_exn ~protection:Program.Write_jump i2 in
-  let r2 = Machine.run p ~entry ~args ~fuel in
+  let r2 = Gelrun.machine i2 p ~entry ~args ~fuel in
   match (r1, r2) with
-  | Ok a, Ok o -> if a <> o.Machine.value then Alcotest.failf "interp=%d regvm=%d" a o.Machine.value
+  | Ok a, Ok b -> if a <> b then Alcotest.failf "interp=%d regvm=%d" a b
   | Error (`Fault fa), Error (`Fault fb) ->
       ignore (fa, fb) (* same failure class not guaranteed without bounds checks *)
   | Ok a, Error (`Fault f) ->
       Alcotest.failf "interp=%d but regvm faulted: %s" a (Fault.to_string f)
-  | Error (`Fault f), Ok o ->
-      Alcotest.failf "interp faulted (%s) but regvm=%d" (Fault.to_string f)
-        o.Machine.value
-  | _ -> Alcotest.fail "bad entry"
+  | Error (`Fault f), Ok b ->
+      Alcotest.failf "interp faulted (%s) but regvm=%d" (Fault.to_string f) b
 
 let test_differential () =
   let r = Graft_util.Prng.create 0x5EC0DE5L in
@@ -617,12 +618,12 @@ let prop_differential =
          }"
       in
       let i1 = image_pow2 src in
-      let r1 = Interp.run i1 ~entry:"main" ~args:[| a; b |] ~fuel:1_000_000 in
+      let r1 = Gelrun.interp i1 ~entry:"main" ~args:[| a; b |] ~fuel:1_000_000 in
       let i2 = image_pow2 src in
       let p = Regvm.load_exn i2 in
-      let r2 = Machine.run p ~entry:"main" ~args:[| a; b |] ~fuel:1_000_000 in
+      let r2 = Gelrun.machine i2 p ~entry:"main" ~args:[| a; b |] ~fuel:1_000_000 in
       match (r1, r2) with
-      | Ok x, Ok o -> x = o.Machine.value
+      | Ok x, Ok y -> x = y
       | _ -> false)
 
 let () =

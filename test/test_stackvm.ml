@@ -25,26 +25,24 @@ let fresh_image ?hosts src =
 let vm_run ?(entry = "main") ?(args = [||]) ?(fuel = 10_000_000) ?hosts src =
   let image = fresh_image ?hosts src in
   let p = Stackvm.load_exn image in
-  match Vm.run p ~entry ~args ~fuel with
+  match Gelrun.vm image p ~entry ~args ~fuel with
   | Ok v -> v
   | Error (`Fault f) -> Alcotest.failf "vm fault: %s" (Fault.to_string f)
-  | Error (`Bad_entry m) -> Alcotest.failf "bad entry: %s" m
 
 let vm_fault ?(entry = "main") ?(args = [||]) ?(fuel = 10_000_000) src =
   let image = fresh_image src in
   let p = Stackvm.load_exn image in
-  match Vm.run p ~entry ~args ~fuel with
+  match Gelrun.vm image p ~entry ~args ~fuel with
   | Ok v -> Alcotest.failf "expected fault, got %d" v
   | Error (`Fault f) -> f
-  | Error (`Bad_entry m) -> Alcotest.failf "bad entry: %s" m
 
 (* Differential: run [entry args] through both engines, expect equal. *)
 let both ?(entry = "main") ?(args = [||]) ?(fuel = 50_000_000) src =
   let ref_image = fresh_image src in
-  let ref_result = Interp.run ref_image ~entry ~args ~fuel in
+  let ref_result = Gelrun.interp ref_image ~entry ~args ~fuel in
   let vm_image = fresh_image src in
   let p = Stackvm.load_exn vm_image in
-  let vm_result = Vm.run p ~entry ~args ~fuel in
+  let vm_result = Gelrun.vm vm_image p ~entry ~args ~fuel in
   match (ref_result, vm_result) with
   | Ok a, Ok b ->
       if a <> b then Alcotest.failf "interp=%d vm=%d" a b;
@@ -191,7 +189,7 @@ let test_readonly_store_faults () =
     | Error m -> Alcotest.failf "link: %s" m
   in
   let p = Stackvm.load_exn image in
-  match Vm.run p ~entry:"main" ~args:[||] ~fuel:1000 with
+  match Gelrun.vm image p ~entry:"main" ~args:[||] ~fuel:1000 with
   | Error (`Fault (Fault.Protection _)) -> ()
   | _ -> Alcotest.fail "expected protection fault"
 
@@ -774,10 +772,10 @@ let prop_differential_expr =
          }"
       in
       let i1 = fresh_image src in
-      let r1 = Interp.run i1 ~entry:"main" ~args:[| a; b |] ~fuel:1_000_000 in
+      let r1 = Gelrun.interp i1 ~entry:"main" ~args:[| a; b |] ~fuel:1_000_000 in
       let i2 = fresh_image src in
       let p = Stackvm.load_exn i2 in
-      let r2 = Vm.run p ~entry:"main" ~args:[| a; b |] ~fuel:1_000_000 in
+      let r2 = Gelrun.vm i2 p ~entry:"main" ~args:[| a; b |] ~fuel:1_000_000 in
       match (r1, r2) with Ok x, Ok y -> x = y | _ -> false)
 
 (* The verifier must be total: random instruction sequences either
@@ -865,12 +863,10 @@ let prop_verifier_total_and_safe =
                  (fun op -> if Opcode.is_unchecked op then Option.get (Opcode.twin op) else op)
                  code)
           in
-          let r = Vm.run p ~entry:"f" ~args:[||] ~fuel:10_000 in
-          match r with
-          | Error (`Bad_entry _) -> false
-          | Ok _ | Error (`Fault _) ->
-              r = Vm.run checked ~entry:"f" ~args:[||] ~fuel:10_000
-              && p.Program.cells = checked.Program.cells))
+          let run p =
+            Gelrun.outcome (fun () -> Vm.run p ~fn:0 ~args:[||] ~fuel:10_000)
+          in
+          run p = run checked && p.Program.cells = checked.Program.cells))
 
 (* ---------- the optimized tier: peephole-fused code ---------- *)
 
@@ -906,16 +902,15 @@ let test_peephole_fuses () =
    peephole pass, so results, faults and fuel accounting must agree
    exactly, instruction for instruction. *)
 let run_both_tiers src ~args ~fuel =
-  let base = Vm.run (Stackvm.load_exn (fresh_image src)) ~entry:"main" ~args ~fuel in
-  let opt =
-    Vm.run (Stackvm.load_opt_exn (fresh_image src)) ~entry:"main" ~args ~fuel
+  let run load =
+    let image = fresh_image src in
+    Gelrun.vm image (load image) ~entry:"main" ~args ~fuel
   in
-  (base, opt)
+  (run Stackvm.load_exn, run Stackvm.load_opt_exn)
 
 let show_tier = function
   | Ok v -> Printf.sprintf "Ok %d" v
   | Error (`Fault f) -> "fault " ^ Fault.to_string f
-  | Error (`Bad_entry m) -> "bad entry " ^ m
 
 let test_tiers_differential () =
   let r = Graft_util.Prng.create 0x0B7L in
@@ -953,6 +948,7 @@ let word_ops_src =
 let check_ops_against_interp ~tier ~seed p src nops =
   let reference = fresh_image src in
   let s = Vm.create_session p in
+  let main = Gelrun.fn reference "main" ~args:[| 0; 0; 0 |] in
   let r = Graft_util.Prng.create seed in
   let edges =
     [| 0; 1; -1; 7; 31; 32; 0xFFFFFFFF; 0x80000000; max_int; min_int |]
@@ -967,8 +963,10 @@ let check_ops_against_interp ~tier ~seed p src nops =
     in
     for op = 0 to nops - 1 do
       let args = [| a; b; op |] in
-      let expect = Interp.run reference ~entry:"main" ~args ~fuel:1000 in
-      let got = Vm.run_session s ~entry:"main" ~args ~fuel:1000 in
+      let expect = Gelrun.interp reference ~entry:"main" ~args ~fuel:1000 in
+      let got =
+        Gelrun.outcome (fun () -> Vm.run_session s ~fn:main ~args ~fuel:1000)
+      in
       if got <> expect then
         Alcotest.failf "op %d on (%d, %d): interp %s, %s %s" op a b
           (show_tier expect) tier (show_tier got)
@@ -1157,7 +1155,8 @@ let test_bounds_entry_discipline () =
    verifier derives the bound from the fused code it ships. Unbounded,
    the same windows fuse. *)
 let test_bounded_opt_certified () =
-  let plain = Stackvm.load_exn ~bounded:true (fresh_image loopy_src) in
+  let image = fresh_image loopy_src in
+  let plain = Stackvm.load_exn ~bounded:true image in
   let opt = Stackvm.load_opt_exn ~bounded:true (fresh_image loopy_src) in
   let backward (p : Program.t) =
     let n = ref 0 in
@@ -1179,8 +1178,8 @@ let test_bounded_opt_certified () =
   | Error _ -> ());
   List.iter
     (fun n ->
-      let base = Vm.run plain ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
-      let fused = Vm.run opt ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
+      let base = Gelrun.vm image plain ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
+      let fused = Gelrun.vm image opt ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
       if base <> fused then
         Alcotest.failf "bounded tiers disagree on n=%d: %s vs %s" n
           (show_tier base) (show_tier fused))
@@ -1205,7 +1204,8 @@ let test_fuel_parity_sessions () =
   let run_tier load src args fuel =
     let image = fresh_image src in
     let s = Vm.create_session (load image) in
-    let r = Vm.run_session s ~entry:"main" ~args ~fuel in
+    let fn = Gelrun.fn image "main" ~args in
+    let r = Gelrun.outcome (fun () -> Vm.run_session s ~fn ~args ~fuel) in
     (r, Array.copy (Memory.cells image.Link.mem))
   in
   List.iter
@@ -1383,7 +1383,9 @@ let test_control_flow_agrees () =
                 Graft_core.Runners.engine ~fuel:1_000_000 tech
                   env.Graft_core.Runners.image
               in
-              match engine ~entry:"main" ~args:[| n |] with
+              let args = [| n |] in
+              let fn = Gelrun.fn env.Graft_core.Runners.image "main" ~args in
+              match Gelrun.outcome (fun () -> engine ~fn ~args) with
               | Ok v when v = expect -> ()
               | r ->
                   Alcotest.failf "%s, %s, n=%d: expected %d, got %s" name
@@ -1415,7 +1417,7 @@ let test_md5_fuel_pin () =
           (Graft_grafts.Gel_sources.md5 ~data_cells:288)
           [ ("data", 288, true); ("digest", 16, true) ]
       in
-      Interp.run env.Graft_core.Runners.image ~entry:"run" ~args:[| 160 |]
+      Gelrun.interp env.Graft_core.Runners.image ~entry:"run" ~args:[| 160 |]
         ~fuel)
 
 let loops_src =
@@ -1455,9 +1457,9 @@ let loops_src =
 
 let test_loops_fuel_pin () =
   check_fuel_pin "nested loops" ~least:loops_least_fuel (fun fuel ->
-      Interp.run (fresh_image loops_src) ~entry:"main" ~args:[| 12 |] ~fuel);
+      Gelrun.interp (fresh_image loops_src) ~entry:"main" ~args:[| 12 |] ~fuel);
   match
-    Interp.run (fresh_image loops_src) ~entry:"main" ~args:[| 12 |]
+    Gelrun.interp (fresh_image loops_src) ~entry:"main" ~args:[| 12 |]
       ~fuel:loops_least_fuel
   with
   | Ok v -> check_int "nested loops value" 72_631 v
@@ -1523,13 +1525,15 @@ let exits_image () =
 let run_exits ?profile ~load ~fuel () =
   let maps, image = exits_image () in
   let s = Vm.create_session ?profile (load ~maps image) in
+  let args = [| 3 |] in
+  let fn = Gelrun.fn image "main" ~args in
   let fuel_cell =
     Graft_metrics.counter "graftkit_vm_fuel" [ ("tier", "interp") ]
   in
   let before = Graft_metrics.counter_value fuel_cell in
   let r =
     Graft_metrics.with_enabled true (fun () ->
-        Vm.run_session s ~entry:"main" ~args:[| 3 |] ~fuel)
+        Gelrun.outcome (fun () -> Vm.run_session s ~fn ~args ~fuel))
   in
   ( r,
     Graft_metrics.counter_value fuel_cell - before,
@@ -1586,7 +1590,7 @@ let test_loop_exits_every_budget () =
         if name = "safe-lang-static" then begin
           let maps, image = exits_image () in
           let j =
-            Graft_jit.Jit.run
+            Gelrun.jit image
               (Graft_jit.Jit.load_exn ~maps image)
               ~entry:"main" ~args:[| 3 |] ~fuel
           in
@@ -1618,8 +1622,9 @@ let test_host_call_at_stack_top () =
   List.iter
     (fun (name, load) ->
       let run leaf =
-        let p = load ~maps:[||] (fresh_image ~hosts (stack_top_src leaf)) in
-        Vm.run p ~entry:"fill" ~args:[| Vm.max_frames - 1 |] ~fuel:1_000_000
+        let image = fresh_image ~hosts (stack_top_src leaf) in
+        Gelrun.vm image (load ~maps:[||] image) ~entry:"fill"
+          ~args:[| Vm.max_frames - 1 |] ~fuel:1_000_000
       in
       (match run 15 with
       | Ok v -> check_int (name ^ ": one slot left") (Vm.stack_size - 1) v
@@ -1648,13 +1653,19 @@ let depth_src =
    }"
 
 let test_walker_session_depths () =
-  let session = Interp.create_session (fresh_image depth_src) in
+  let image = fresh_image depth_src in
+  let session = Interp.create_session image in
   let vm = Vm.create_session (Stackvm.load_exn (fresh_image depth_src)) in
+  let walk ~entry ~args ~fuel =
+    let fn = Gelrun.fn image entry ~args in
+    Gelrun.outcome (fun () -> Interp.run_session session ~fn ~args ~fuel)
+  in
   let check entry n expect =
-    let fuel = 1_000_000 in
-    let s = Interp.run_session session ~entry ~args:[| n |] ~fuel in
-    let once = Interp.run (fresh_image depth_src) ~entry ~args:[| n |] ~fuel in
-    let v = Vm.run_session vm ~entry ~args:[| n |] ~fuel in
+    let fuel = 1_000_000 and args = [| n |] in
+    let s = walk ~entry ~args ~fuel in
+    let once = Gelrun.interp (fresh_image depth_src) ~entry ~args ~fuel in
+    let fn = Gelrun.fn image entry ~args in
+    let v = Gelrun.outcome (fun () -> Vm.run_session vm ~fn ~args ~fuel) in
     let label = Printf.sprintf "%s(%d)" entry n in
     if s <> once then
       Alcotest.failf "%s: session %s, one-shot %s" label (show_tier s)
@@ -1690,8 +1701,7 @@ let test_walker_session_depths () =
   in
   let least = ref 0 in
   while
-    Interp.run_session session ~entry:"main" ~args:[| 2 |] ~fuel:!least
-    |> Result.is_error
+    walk ~entry:"main" ~args:[| 2 |] ~fuel:!least |> Result.is_error
   do
     incr least
   done;
@@ -1699,7 +1709,7 @@ let test_walker_session_depths () =
   Graft_metrics.with_enabled true (fun () ->
       List.iter
         (fun fuel ->
-          ignore (Interp.run_session session ~entry:"main" ~args:[| 2 |] ~fuel))
+          ignore (walk ~entry:"main" ~args:[| 2 |] ~fuel))
         [ 1_000; 5 ]);
   let s1, f1 = count () in
   check_int "ast sessions counted" 2 (s1 - s0);

@@ -450,7 +450,10 @@ let test_opprof_tier_parity () =
       else Graft_stackvm.Stackvm.load_exn
     in
     let s = Graft_stackvm.Vm.create_session ~profile:pr (load image) in
-    match Graft_stackvm.Vm.run_session s ~entry:"main" ~args ~fuel with
+    let fn = Gelrun.fn image "main" ~args in
+    match
+      Gelrun.outcome (fun () -> Graft_stackvm.Vm.run_session s ~fn ~args ~fuel)
+    with
     | Ok v -> (v, pr)
     | Error _ -> Alcotest.fail "stack tier faulted"
   in
@@ -458,13 +461,18 @@ let test_opprof_tier_parity () =
   let v_o, pr_o = run_stack ~opt:true in
   let v_r, pr_r =
     let pr = Opprof.create ~names:Graft_regvm.Isa.class_names in
+    let image = make_image () in
     let prog =
-      Graft_regvm.Regvm.load_exn
-        ~protection:Graft_regvm.Program.Write_jump (make_image ())
+      Graft_regvm.Regvm.load_exn ~protection:Graft_regvm.Program.Write_jump
+        image
     in
     let s = Graft_regvm.Machine.create_session ~profile:pr prog in
-    match Graft_regvm.Machine.run_session s ~entry:"main" ~args ~fuel with
-    | Ok o -> (o.Graft_regvm.Machine.value, pr)
+    let fn = Gelrun.fn image "main" ~args in
+    match
+      Gelrun.outcome (fun () ->
+          Graft_regvm.Machine.run_session s ~fn ~args ~fuel)
+    with
+    | Ok v -> (v, pr)
     | Error _ -> Alcotest.fail "regvm faulted"
   in
   check_int "interp/opt values agree" v_i v_o;
@@ -492,7 +500,10 @@ let test_opprof_tier_parity () =
   let image = make_image () in
   let s = Graft_stackvm.Vm.create_session ~profile:pr2
       (Graft_stackvm.Stackvm.load_exn image) in
-  (match Graft_stackvm.Vm.run_session s ~entry:"main" ~args ~fuel with
+  let fn = Gelrun.fn image "main" ~args in
+  (match
+     Gelrun.outcome (fun () -> Graft_stackvm.Vm.run_session s ~fn ~args ~fuel)
+   with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "second run faulted");
   check_int "fuel accumulates" (2 * total1) (Opprof.total_fuel pr2);
