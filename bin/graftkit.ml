@@ -123,6 +123,11 @@ let resolve_entry prog entry ~nargs =
       prerr_endline msg;
       exit 2
 
+(* A loader's refusal, like a compile or link error, exits 1. *)
+let load_error msg =
+  prerr_endline ("load error: " ^ msg);
+  exit 1
+
 let tech_conv =
   let parse s =
     match Technology.of_name s with
@@ -157,11 +162,6 @@ let gel_cmd =
   let run file entry args tech fuel dump optimize =
     let prog, link = load_gel ~optimize file in
     let image = link () in
-    (* A loader's refusal, like a compile or link error, exits 1. *)
-    let load_error msg =
-      prerr_endline ("load error: " ^ msg);
-      exit 1
-    in
     if dump then begin
       let module S = Graft_stackvm.Stackvm in
       match
@@ -676,12 +676,26 @@ let profile_cmd =
       print_newline ()
     in
     let stack_ops = Graft_stackvm.Opcode.class_names in
+    (* Every tier loads before any runs, so a loader's refusal prints
+       no table. *)
+    let loaded =
+      List.map
+        (fun (label, tech, names) ->
+          let prof = Graft_trace.Opprof.create ~names in
+          match
+            Graft_core.Runners.engine ~profile:prof ~fuel tech (fresh_image ())
+          with
+          | run -> (label, prof, run)
+          | exception Failure msg -> load_error msg)
+        [
+          ("bytecode-vm", Technology.Bytecode_vm, stack_ops);
+          ("bytecode-opt", Technology.Bytecode_opt, stack_ops);
+          ("jit", Technology.Jit, stack_ops);
+          ("regvm (sfi-wj)", Technology.Sfi_write_jump, Graft_regvm.Isa.class_names);
+        ]
+    in
     List.iter
-      (fun (label, tech, names) ->
-        let prof = Graft_trace.Opprof.create ~names in
-        let run =
-          Graft_core.Runners.engine ~profile:prof ~fuel tech (fresh_image ())
-        in
+      (fun (label, prof, run) ->
         let call () =
           match run ~fn ~args:argv with
           | v -> Ok v
@@ -692,12 +706,7 @@ let profile_cmd =
           last := call ()
         done;
         report label prof !last)
-      [
-        ("bytecode-vm", Technology.Bytecode_vm, stack_ops);
-        ("bytecode-opt", Technology.Bytecode_opt, stack_ops);
-        ("jit", Technology.Jit, stack_ops);
-        ("regvm (sfi-wj)", Technology.Sfi_write_jump, Graft_regvm.Isa.class_names);
-      ]
+      loaded
   in
   Cmd.v
     (Cmd.info "profile"

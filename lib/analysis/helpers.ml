@@ -63,20 +63,3 @@ let check_externs (prog : Ir.program) : (unit, string) result =
                   (Printf.sprintf "helper %s must return int" e.Ir.ename))
     prog.Ir.externs;
   match !bad with None -> Ok () | Some msg -> Error msg
-
-(** A helper call site the stack-VM compiler can lower to a dedicated
-    map opcode instead of a generic [Callext]: [map_lookup]/[map_update]
-    with a *constant* map id. (Dynamic map ids, and the other helpers,
-    stay host calls — correct, just not check-elidable.) *)
-type site = Lookup of int | Update of int
-
-(** The one predicate for a lowerable helper call: the stack-VM
-    compiler asks it at every [CallExt]. *)
-let site_of_callext (externs : Ir.ext array) eidx (args : Ir.expr array) :
-    site option =
-  if eidx < 0 || eidx >= Array.length externs then None
-  else
-    match (externs.(eidx).Ir.ename, args) with
-    | "map_lookup", [| Ir.Const m; _ |] when m >= 0 -> Some (Lookup m)
-    | "map_update", [| Ir.Const m; _; _ |] when m >= 0 -> Some (Update m)
-    | _ -> None

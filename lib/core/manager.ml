@@ -275,7 +275,7 @@ let rec invoke g f =
       let tok = Graft_trace.Trace.hot_begin () in
       match f () with
       | v ->
-          Graft_trace.Trace.span_end Graft_trace.Trace.Manager g.g_name tok;
+          Graft_trace.Trace.span_end ~arg:0 Graft_trace.Trace.Manager g.g_name tok;
           Some v
       | exception Fault.Fault fault ->
           record_fault g fault;

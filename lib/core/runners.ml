@@ -10,8 +10,9 @@
     - VM technologies load the GEL source from
       {!Graft_grafts.Gel_sources} as a module (front end, compile,
       verify) found or loaded in a module table, and enter it per call
-      through an instance: the graft's own memory, maps, host closures
-      and session over the module's code. A kernel's table
+      through an instance: the graft's own memory, host closures (its
+      graft maps are reached through the typed helpers among them) and
+      session over the module's code. A kernel's table
       ({!Manager.modules}) loads each distinct module once;
     - the source interpreter evaluates the Tcl source from
       {!Graft_grafts.Script_sources} once and invokes its procs per
@@ -136,7 +137,7 @@ type code =
   | Jitted of Graft_jit.Jit.t
   | Reg of Graft_regvm.Program.t
 
-let load_code ?maps ~bounded (tech : Technology.t) (image : Link.image) =
+let load_code ~bounded (tech : Technology.t) (image : Link.image) =
   match tech with
   | Technology.Ast_interp ->
       (* No bytecode verifier on this tier: the gate is the same typed
@@ -147,20 +148,19 @@ let load_code ?maps ~bounded (tech : Technology.t) (image : Link.image) =
       | Error msg -> failwith ("GEL graft rejected: " ^ msg));
       Tree
   | Technology.Bytecode_vm ->
-      Stack (Graft_stackvm.Stackvm.load_exn ?maps ~bounded image)
+      Stack (Graft_stackvm.Stackvm.load_exn ~bounded image)
   | Technology.Bytecode_opt ->
       (* Peephole-fused code runs on the same loop as plain code. *)
-      Stack (Graft_stackvm.Stackvm.load_opt_exn ?maps ~bounded image)
+      Stack (Graft_stackvm.Stackvm.load_opt_exn ~bounded image)
   | Technology.Safe_lang_static ->
-      Stack (Graft_stackvm.Stackvm.load_static_exn ?maps ~bounded image)
+      Stack (Graft_stackvm.Stackvm.load_static_exn ~bounded image)
   | Technology.Jit ->
       (* Graftjit: static-tier elisions, then the block plan. *)
-      Jitted (Graft_jit.Jit.load_exn ?maps ~bounded image)
+      Jitted (Graft_jit.Jit.load_exn ~bounded image)
   | Technology.Sfi_write_jump | Technology.Sfi_full ->
       (* The register-VM route, used for the A4 instruction-count
          ablation; headline SFI numbers come from the native masked
-         regimes. Maps reach this tier as linked host calls, so [maps]
-         is unused here; [bounded] arms the machine-level window check. *)
+         regimes. [bounded] arms the machine-level window check. *)
       let protection =
         if tech = Technology.Sfi_full then Graft_regvm.Program.Full
         else Graft_regvm.Program.Write_jump
@@ -169,13 +169,13 @@ let load_code ?maps ~bounded (tech : Technology.t) (image : Link.image) =
   | t ->
       invalid_arg ("Runners.engine: not a VM technology: " ^ Technology.name t)
 
-(* A session over [code] for the tenant whose linked image is [image]
-   and whose maps are [maps]: each call enters it with [fuel] and
-   raises the graft's fault. *)
-let start ?profile ~fuel ~maps code (image : Link.image) : engine =
+(* A session over [code] for the tenant whose linked image is [image],
+   its maps reached through the image's hosts: each call enters it
+   with [fuel] and raises the graft's fault. *)
+let start ?profile ~fuel code (image : Link.image) : engine =
   let cells = Memory.cells image.Link.mem and host = image.Link.host in
   let stack p =
-    let p = Graft_stackvm.Program.instantiate p ~cells ~host ~maps in
+    let p = Graft_stackvm.Program.instantiate p ~cells ~host in
     let session = Graft_stackvm.Vm.create_session ?profile p in
     fun ~fn ~args -> Graft_stackvm.Vm.run_session session ~fn ~args ~fuel
   in
@@ -187,7 +187,7 @@ let start ?profile ~fuel ~maps code (image : Link.image) : engine =
   | Jitted t when profile = None ->
       (* The session compiles the blocks to closures once; entries are
          cheap. *)
-      let t = Graft_jit.Jit.instantiate t ~cells ~host ~maps in
+      let t = Graft_jit.Jit.instantiate t ~cells ~host in
       let session = Graft_jit.Jit.create_session t in
       fun ~fn ~args -> Graft_jit.Jit.run_session session ~fn ~args ~fuel
   | Jitted t ->
@@ -203,32 +203,26 @@ let start ?profile ~fuel ~maps code (image : Link.image) : engine =
 (** The tier table: the one place that maps a VM technology to its
     loader and engine. Loading (verify, and compile where the tier
     compiles) happens once, here; each call enters a resident session
-    with [fuel]. [maps] lets the stack tiers lower typed-helper calls
-    to map opcodes; [bounded] makes every tier's verifier admit a
+    with [fuel]. [bounded] makes every tier's verifier admit a
     backward jump only as the back edge of a loop whose bound it
     derives from the code (the reference interpreter gates on the
     IR-level {!Graft_analysis.Loopbound} check at construction);
     [profile] counts executed opcodes on the tiers that keep a profile
     (all but the reference interpreter). *)
-let engine ?maps ?(bounded = false) ?profile ~fuel (tech : Technology.t)
+let engine ?(bounded = false) ?profile ~fuel (tech : Technology.t)
     (image : Link.image) : engine =
-  start ?profile ~fuel
-    ~maps:(Option.value maps ~default:[||])
-    (load_code ?maps ~bounded tech image)
-    image
+  start ?profile ~fuel (load_code ~bounded tech image) image
 
 (* ------------------------------------------------------------------ *)
 (* Modules and instances.                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every input a load reads, compared structurally. The hosts and the
-   maps themselves are the instance's; only each map's kind and
-   capacity reach the verifier. *)
+(* Every input a load reads, compared structurally. The hosts, and
+   the maps they reach, are the instance's. *)
 type key = {
   k_tech : Technology.t;
   k_source : string;
   k_windows : (string * int * bool) list;
-  k_maps : (Graft_kernel.Graftmap.kind * int) list option;
   k_bounded : bool;
 }
 
@@ -275,39 +269,16 @@ let rec front_end t ~optimize source =
       Hashtbl.add t.fronts (source, optimize) ir;
       ir
 
-(* A module owns its image: scratch cells, hosts that are never called
-   and maps of the key's kinds and capacities, so it holds no tenant's
-   state. Its maps take the caller's map names, so they add no metric
-   series. *)
-let never_called _ = invalid_arg "Runners: a module's own hosts never run"
-
-let module_map m =
-  Graft_kernel.Graftmap.make
-    (Graft_kernel.Graftmap.name m)
-    (Graft_kernel.Graftmap.kind m)
-    (Graft_kernel.Graftmap.max_entries m)
+(* A module owns its image: scratch cells and hosts that are never
+   called, so it holds no tenant's state. *)
+let never_called _ _ = invalid_arg "Runners: a module's own hosts never run"
 
 (** The module [tech] loads from [source] with [windows] mapped, from
     [t] if it is there; loaded into [t] otherwise. Raises [Failure] if
     the graft is rejected. *)
-let load_module t ?maps ?(bounded = false) (tech : Technology.t) source windows =
+let load_module t ?(bounded = false) (tech : Technology.t) source windows =
   let key =
-    {
-      k_tech = tech;
-      k_source = source;
-      k_windows = windows;
-      k_maps =
-        Option.map
-          (fun maps ->
-            Array.to_list
-              (Array.map
-                 (fun m ->
-                   ( Graft_kernel.Graftmap.kind m,
-                     Graft_kernel.Graftmap.max_entries m ))
-                 maps))
-          maps;
-      k_bounded = bounded;
-    }
+    { k_tech = tech; k_source = source; k_windows = windows; k_bounded = bounded }
   in
   match Hashtbl.find_opt t.loaded key with
   | Some m -> m
@@ -320,10 +291,7 @@ let load_module t ?maps ?(bounded = false) (tech : Technology.t) source windows 
              ir.Ir.externs)
       in
       let env = link_env ~hosts ir windows in
-      let code =
-        load_code ?maps:(Option.map (Array.map module_map) maps) ~bounded tech
-          env.image
-      in
+      let code = load_code ~bounded tech env.image in
       let m = { ir; layout = layout_of env.image; code } in
       Hashtbl.add t.loaded key m;
       m
@@ -341,15 +309,15 @@ type loaded = {
 let base g name = (List.assoc name g.shared).Memory.base
 
 (** One tenant's instance of [m]: its IR linked into a fresh memory
-    with [windows] and [hosts], and a session over [m]'s code with the
-    tenant's [maps]. A link whose layout differs from the module's is
-    refused with [Failure], as is a map of another kind or capacity
-    (by [Invalid_argument]): the code was verified for the module's. *)
-let instantiate ?(hosts = []) ?(maps = [||]) ?(fuel = huge_fuel) m windows =
+    with [windows] and [hosts] (the tenant's map helpers among them),
+    and a session over [m]'s code. A link whose layout differs from the
+    module's is refused with [Failure]: the code was verified for the
+    module's. *)
+let instantiate ?(hosts = []) ?(fuel = huge_fuel) m windows =
   let env = link_env ~hosts m.ir windows in
   if layout_of env.image <> m.layout then
     failwith "GEL graft instance: its link's layout differs from its module's";
-  let run = start ~fuel ~maps m.code env.image in
+  let run = start ~fuel m.code env.image in
   let entry name ~nargs =
     let fn = resolve m.ir name ~nargs in
     fun args -> run ~fn ~args
@@ -358,10 +326,9 @@ let instantiate ?(hosts = []) ?(maps = [||]) ?(fuel = huge_fuel) m windows =
 
 (* Every GEL runner: find or load the module, then instantiate it. A
    caller without a kernel's table loads into a fresh one. *)
-let gel_graft ?(modules = create_modules ()) ?hosts ?maps ?bounded ?fuel tech
-    source windows =
-  instantiate ?hosts ?maps ?fuel
-    (load_module modules ?maps ?bounded tech source windows)
+let gel_graft ?(modules = create_modules ()) ?hosts ?bounded ?fuel tech source
+    windows =
+  instantiate ?hosts ?fuel (load_module modules ?bounded tech source windows)
     windows
 
 (* Each call starts on a fresh [fuel] budget, as a VM session does. *)
@@ -779,9 +746,8 @@ let demux ?modules (tech : Technology.t) ~protocol ~marker : demux =
     | Technology.Ast_interp | Technology.Bytecode_vm | Technology.Bytecode_opt
     | Technology.Safe_lang_static | Technology.Jit | Technology.Sfi_write_jump
     | Technology.Sfi_full ->
-        let maps = [| conn |] in
         staged_packet ~entry:"demux"
-          (gel_graft ?modules ~hosts:(map_hosts maps) ~maps ~bounded:true tech
+          (gel_graft ?modules ~hosts:(map_hosts [| conn |]) ~bounded:true tech
              (Gel_sources.demux ~window_cells:pkt_window_cells ~protocol
                 ~marker)
              pkt_window)
@@ -811,9 +777,8 @@ type hotset = {
     [~bounded:true] on every tier. *)
 let hotset ?modules (tech : Technology.t) ~capacity : hotset =
   let m = Graft_kernel.Graftmap.create_lru ~name:"hotset" capacity in
-  let maps = [| m |] in
   let g =
-    gel_graft ?modules ~hosts:(map_hosts maps) ~maps ~bounded:true tech
+    gel_graft ?modules ~hosts:(map_hosts [| m |]) ~bounded:true tech
       Gel_sources.hotset []
   in
   let touch = g.entry "touch" ~nargs:1 and hot = g.entry "hot" ~nargs:1 in

@@ -10,7 +10,8 @@
     - VM technologies load the GEL source from
       {!Graft_grafts.Gel_sources} as a {e module} (front end, compile
       where the tier compiles, verify) and enter it per call through an
-      {e instance}: the tenant's own memory, maps, host closures and
+      {e instance}: the tenant's own memory, host closures (its graft
+      maps are reached through the typed helpers among them) and
       resident session over the module's code. A kernel keeps its
       modules in one {!modules} table ({!Manager.modules}), so a graft
       many tenants run is loaded once per kernel;
@@ -94,8 +95,7 @@ type engine = fn:int -> args:int array -> int
     technology to its loader and engine: ast-interp to {!Graft_gel.Interp};
     bytecode-vm, bytecode-opt and safe-lang-static to their loaders and
     the one {!Graft_stackvm.Vm} loop; jit to Graftjit; sfi-wj and
-    sfi-full to the register VM. [maps] lets the stack tiers lower
-    typed-helper calls to map opcodes; [bounded] makes every tier's
+    sfi-full to the register VM. [bounded] makes every tier's
     verifier admit a backward jump only as the back edge of a loop
     whose bound it derives from the code, with nothing shipped beside
     it; [profile] counts executed opcodes (indexed
@@ -104,7 +104,6 @@ type engine = fn:int -> args:int array -> int
     reference interpreter keeps none). Raises [Failure] if the graft
     is rejected, [Invalid_argument] for non-VM technologies. *)
 val engine :
-  ?maps:Graft_kernel.Graftmap.t array ->
   ?bounded:bool ->
   ?profile:Graft_trace.Opprof.t ->
   fuel:int ->
@@ -137,16 +136,15 @@ type loaded = {
     optimized IR is its own) and the tier's verified program — the
     stack code with its tables, the JIT's block plan, the register
     VM's instrumented code, or the AST tier's checked IR. It is loaded
-    against an image of its own (scratch cells, hosts that never run,
-    maps of the key's kinds and capacities), so it holds no tenant's
-    state. An instance is one tenant's: its memory linked from the
-    module's IR, its maps and host closures, and a session over the
-    module's code. *)
+    against an image of its own (scratch cells and hosts that never
+    run), so it holds no tenant's state. An instance is one tenant's:
+    its memory linked from the module's IR, its host closures (its map
+    helpers among them), and a session over the module's code. *)
 
 (** A module table: each distinct module is loaded once per table. Its
     key holds every input a load reads, compared structurally: the
     technology, the GEL source text, the shared windows (name, cells,
-    writable), each map's kind and capacity, and [bounded]. A kernel
+    writable) and [bounded]. A kernel
     owns one ({!Manager.modules}); a table is never shared between
     kernels or domains. *)
 type modules
@@ -164,7 +162,6 @@ type gel_module
     rejected; a rejected graft is not kept. *)
 val load_module :
   modules ->
-  ?maps:Graft_kernel.Graftmap.t array ->
   ?bounded:bool ->
   Technology.t ->
   string ->
@@ -172,16 +169,14 @@ val load_module :
   gel_module
 
 (** [instantiate m windows] links [m]'s IR into a fresh memory with
-    [windows] and [hosts] and starts a session over [m]'s code with
-    [maps], entered at [fuel] (default {!huge_fuel}) per call. Raises
-    [Failure] when the link's layout (array bases, lengths and
-    writability, global base, memory size) differs from the module's,
-    and [Invalid_argument] for maps of another kind or capacity than
-    the module was verified with: code is never run on a layout it was
-    not verified for. *)
+    [windows] and [hosts] (a tenant's graft maps arrive as
+    {!map_hosts}) and starts a session over [m]'s code, entered at
+    [fuel] (default {!huge_fuel}) per call. Raises [Failure] when the
+    link's layout (array bases, lengths and writability, global base,
+    memory size) differs from the module's: code is never run on a
+    layout it was not verified for. *)
 val instantiate :
   ?hosts:Graft_gel.Link.host list ->
-  ?maps:Graft_kernel.Graftmap.t array ->
   ?fuel:int ->
   gel_module ->
   (string * int * bool) list ->
@@ -193,7 +188,6 @@ val instantiate :
 val gel_graft :
   ?modules:modules ->
   ?hosts:Graft_gel.Link.host list ->
-  ?maps:Graft_kernel.Graftmap.t array ->
   ?bounded:bool ->
   ?fuel:int ->
   Technology.t ->

@@ -249,7 +249,7 @@ let jail_map () = K.Graftmap.create_array ~name:"jail-map" 8
 let runaway_cell tech =
   let maps = [| K.Graftmap.create_array ~name:"conn" 64 |] in
   match
-    Runners.gel_graft ~hosts:(Runners.map_hosts maps) ~maps ~bounded:true tech
+    Runners.gel_graft ~hosts:(Runners.map_hosts maps) ~bounded:true tech
       (Graft_grafts.Gel_sources.demux_unbounded
          ~window_cells:Runners.pkt_window_cells ~protocol:6 ~marker:0x42)
       [ ("pkt", Runners.pkt_window_cells, false) ]

@@ -17,12 +17,12 @@
     needs: the image's cells, array bases and array lengths, one frame
     slab per call depth, and an argument staging area. A call evaluates
     its arguments onto the staging area (a call nested in an argument
-    stages above them), then copies them into the slab of its depth, so
-    a GEL call allocates nothing; only a host call does (its argument
-    array). Slabs and the staging area grow on first use, to the size
-    the graft needs. The walk makes no call into another module: it
-    raises its faults itself, reads the cells from the session and
-    writes the word operations out. *)
+    stages above them); a GEL call then copies them into the slab of
+    its depth, and a host call reads them where they are staged, so no
+    call allocates. Slabs and the staging area grow on first use, to
+    the size the graft needs. The walk makes no call into another
+    module: it raises its faults itself, reads the cells from the
+    session and writes the word operations out. *)
 
 open Graft_mem
 
@@ -37,7 +37,7 @@ type session = {
   arr_base : int array;
   arr_len : int array;
   arr_writable : bool array;
-  host : (int array -> int) array;
+  host : (int array -> int -> int) array;
   slabs : int array array;  (** the locals of the frame at each depth *)
   mutable stage : int array;  (** call arguments, staged *)
   mutable top : int;  (** staged arguments in use *)
@@ -216,7 +216,7 @@ let rec eval st locals (e : Ir.expr) : int =
   | Ir.CallExt (eidx, args) ->
       let base = st.top in
       stage_args st locals args base;
-      st.host.(eidx) (Array.sub st.stage base (Array.length args))
+      st.host.(eidx) st.stage base
   | Ir.ToWord a -> eval st locals a land word_mask
   | Ir.ToBool a -> if eval st locals a = 0 then 0 else 1
 
@@ -338,7 +338,7 @@ and call st (f : Ir.func) base n =
 let account st fuel =
   let used = if st.fuel > 0 then fuel - st.fuel else fuel in
   Graft_metrics.inc (m_sessions ());
-  Graft_metrics.inc (m_fuel ()) ~by:used
+  Graft_metrics.add (m_fuel ()) used
 
 (** [run_session st ~fn ~args ~fuel] invokes function [fn] (an
     {!Ir.entry} index) with integer [args] and returns its result; a

@@ -13,7 +13,8 @@ val max_depth : int
 
 (** A session holds the image's cells and array tables, one frame slab
     per call depth and an argument staging area, so a resident graft's
-    GEL calls allocate nothing; slabs and staging grow on first use.
+    calls, GEL and host alike, allocate nothing; slabs and staging grow
+    on first use.
     Sessions are single-threaded and reusable across runs, not
     reentrant. *)
 type session

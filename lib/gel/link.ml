@@ -4,9 +4,16 @@
     inside the supplied [Memory.t], binds shared arrays to kernel-mapped
     regions, and resolves extern declarations against the kernel's host
     function table. The result is an executable image consumed by the
-    reference interpreter and by the VM compilers. *)
+    reference interpreter and by the VM compilers.
 
-type host = { hname : string; hfn : int array -> int }
+    A host function reads its arguments in place: [hfn args i] gets the
+    calling engine's own argument storage (the walker's staging area,
+    the stack VM's operand stack, the JIT's operand slots or the
+    register file), valid only during the call, with the first argument
+    at [args.(i)] and the rest after it in order. So no engine builds
+    an argument array for a host call. *)
+
+type host = { hname : string; hfn : int array -> int -> int }
 
 type image = {
   prog : Ir.program;
@@ -15,7 +22,7 @@ type image = {
   arr_base : int array;  (** per-array base cell address *)
   arr_len : int array;  (** per-array element count *)
   arr_writable : bool array;  (** kernel-granted write permission *)
-  host : (int array -> int) array;  (** indexed like [prog.externs] *)
+  host : (int array -> int -> int) array;  (** indexed like [prog.externs] *)
 }
 
 (** Cells needed to link [prog] into a fresh memory, excluding shared

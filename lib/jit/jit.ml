@@ -154,29 +154,28 @@ let build_plan (prog : Program.t) heights : plan =
 
 (** The static-tier loader pipeline (compile fully checked, then
     {!Graft_stackvm.Verify.elide}) followed by block planning. With
-    [maps], lowerable helper calls compile to map opcodes over those kernel
-    objects; with [bounded:true] every loop needs a bound the verifier
-    derives from the bytecode (Graftgate mode). *)
-let load ?maps ?bounded (image : Graft_gel.Link.image) : (t, string) result =
-  match Graft_stackvm.Stackvm.load_static_derived ?maps ?bounded image with
+    [bounded:true] every loop needs a bound the verifier derives from
+    the bytecode (Graftgate mode). *)
+let load ?bounded (image : Graft_gel.Link.image) : (t, string) result =
+  match Graft_stackvm.Stackvm.load_static_derived ?bounded image with
   | Error msg -> Error msg
   | Ok (prog, derived) -> (
       match build_plan prog derived.Graft_stackvm.Verify.heights with
       | plan -> Ok { plan }
       | exception Failure msg -> Error msg)
 
-let load_exn ?maps ?bounded image =
-  match load ?maps ?bounded image with Ok t -> t | Error msg -> failwith msg
+let load_exn ?bounded image =
+  match load ?bounded image with Ok t -> t | Error msg -> failwith msg
 
 let program (t : t) = t.plan.prog
 
-(** The loaded graft over another tenant's cells, host closures and
-    maps ({!Graft_stackvm.Program.instantiate}, which refuses a state of
+(** The loaded graft over another tenant's cells and host closures
+    ({!Graft_stackvm.Program.instantiate}, which refuses a state of
     another shape). Blocks and heights depend on the code alone, so
     every instance shares them; each session compiles its own closures
     over its instance's cells. *)
-let instantiate (t : t) ~cells ~host ~maps =
-  let prog = Program.instantiate t.plan.prog ~cells ~host ~maps in
+let instantiate (t : t) ~cells ~host =
+  let prog = Program.instantiate t.plan.prog ~cells ~host in
   { plan = { t.plan with prog } }
 
 (* ------------------------------------------------------------------ *)
@@ -851,54 +850,6 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                   (base0 + Array.unsafe_get stack (base + ii))
                   (Array.unsafe_get stack (base + iv));
                 k ()
-          | Opcode.Mlookup m ->
-              let k = rest () in
-              let mp = p.Program.maps.(m) in
-              let i0 = h - 1 in
-              fun () ->
-                charge ();
-                let slot = st.bp + i0 in
-                Array.unsafe_set stack slot
-                  (Graft_kernel.Graftmap.lookup mp
-                     (Array.unsafe_get stack slot));
-                k ()
-          | Opcode.Mupdate m ->
-              let k = rest () in
-              let mp = p.Program.maps.(m) in
-              let ik = h - 2 and iv = h - 1 in
-              fun () ->
-                charge ();
-                let base = st.bp in
-                Array.unsafe_set stack (base + ik)
-                  (Graft_kernel.Graftmap.update mp
-                     (Array.unsafe_get stack (base + ik))
-                     (Array.unsafe_get stack (base + iv)));
-                k ()
-          | Opcode.Mlookup_u m ->
-              (* Elided: the verifier re-proved the key interval inside
-                 the (array) map's range. *)
-              let k = rest () in
-              let mp = p.Program.maps.(m) in
-              let i0 = h - 1 in
-              fun () ->
-                charge ();
-                let slot = st.bp + i0 in
-                Array.unsafe_set stack slot
-                  (Graft_kernel.Graftmap.unsafe_get mp
-                     (Array.unsafe_get stack slot));
-                k ()
-          | Opcode.Mupdate_u m ->
-              let k = rest () in
-              let mp = p.Program.maps.(m) in
-              let ik = h - 2 and iv = h - 1 in
-              fun () ->
-                charge ();
-                let base = st.bp in
-                Graft_kernel.Graftmap.unsafe_set mp
-                  (Array.unsafe_get stack (base + ik))
-                  (Array.unsafe_get stack (base + iv));
-                Array.unsafe_set stack (base + ik) 1;
-                k ()
           | Opcode.Add ->
               let k = rest () in
               let ia = h - 2 and ib = h - 1 in
@@ -1027,18 +978,15 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                   (Array.unsafe_get stack (base + i0));
                 k ()
           | Opcode.Callext target ->
+              (* The host reads its arguments in place, in the operand
+                 slots from [base]. *)
               let k = rest () in
-              let arity = p.Program.ext_arity.(target) in
               let hfn = p.Program.host.(target) in
-              let a0 = h - arity in
+              let a0 = h - p.Program.ext_arity.(target) in
               fun () ->
                 charge ();
                 let base = st.bp + a0 in
-                let argv = Array.make arity 0 in
-                for i = 0 to arity - 1 do
-                  argv.(i) <- Array.unsafe_get stack (base + i)
-                done;
-                Array.unsafe_set stack base (hfn argv);
+                Array.unsafe_set stack base (hfn stack base);
                 k ()
           (* -------- terminators -------- *)
           | Opcode.Jmp t ->
@@ -1142,9 +1090,9 @@ let rec drive blocks id =
 let account st fuel tok =
   let used = fuel - max 0 st.fuel in
   Graft_metrics.inc (m_sessions_jit ());
-  Graft_metrics.inc (m_fuel_jit ()) ~by:used;
+  Graft_metrics.add (m_fuel_jit ()) used;
   Graft_metrics.observe (m_fuel_hist ()) used;
-  Graft_trace.Trace.span_end Graft_trace.Trace.Vm_stack "stackvm.jit" tok
+  Graft_trace.Trace.span_end ~arg:0 Graft_trace.Trace.Vm_stack "stackvm.jit" tok
 
 (* Frame 0 for function [fn], its arguments as the first locals, then
    the blocks from its entry block. *)

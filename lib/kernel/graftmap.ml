@@ -5,10 +5,7 @@
 
     - [Array_map]: a dense [0, max_entries) table. Out-of-range keys
       fault ({!Graft_mem.Fault.Out_of_bounds}), which makes array maps
-      behave exactly like a graft-private array — and lets the static
-      analyser elide the bounds check when the key's interval is
-      provably in range (PR 2's proof-carrying elision, extended to
-      map opcodes by Graftgate).
+      behave exactly like a graft-private array.
     - [Hash_map]: sparse, capacity-bounded. Lookups miss to 0; an
       update that would grow past [max_entries] is refused (returns 0)
       rather than faulting, matching eBPF's [E2BIG] behaviour.
@@ -16,12 +13,11 @@
       instead of refusing when full. Lookup hits and updates both
       refresh recency.
 
-    Maps are reachable from every tier through one of two doors: the
-    typed helper table ([map_lookup]/[map_update]/...) dispatched as
-    extern host calls (AST interpreter, register VM), or the dedicated
-    stack-VM opcodes [Mlookup]/[Mupdate] and their check-elided [_u]
-    twins (bytecode tiers, JIT). Both doors land here, so semantics —
-    including fault behaviour — are identical by construction. *)
+    Every tier reaches a map through one door: the typed helper table
+    ([map_lookup]/[map_update]/...), dispatched as extern host calls
+    ({!hosts}) that read their arguments in the engine's own storage.
+    The map object checks every key, so semantics — including fault
+    behaviour — are the same on every tier. *)
 
 module Fault = Graft_mem.Fault
 
@@ -87,15 +83,7 @@ let make name kind max_entries =
 let create_array ~name max_entries = make name Array_map max_entries
 let create_hash ~name max_entries = make name Hash_map max_entries
 let create_lru ~name max_entries = make name Lru_map max_entries
-let name t = t.name
-let kind t = t.kind
-let max_entries t = t.max_entries
 let is_array t = t.kind = Array_map
-
-(** [Some backing] for array maps: the dense store the check-elided
-    fast path indexes directly once the verifier has admitted the
-    key's interval. *)
-let backing t = if t.kind = Array_map then Some t.arr else None
 
 let in_range t k = k >= 0 && k < t.max_entries
 
@@ -243,14 +231,6 @@ let clear t =
     release t (Lru.lru_frame t.lru)
   done
 
-(** Unchecked fast path for verified map opcodes ([Mlookup_u] /
-    [Mupdate_u]). Only legal on array maps whose key interval the
-    verifier has proven within bounds; calling these without that
-    proof is memory-unsafe by design, exactly like [Aload_u]. *)
-let unsafe_get t k = Array.unsafe_get t.arr k
-
-let unsafe_set t k v = Array.unsafe_set t.arr k v
-
 (** Snapshot of the map contents as a sorted (key, value) list — the
     differential fuzzer compares these across engines. *)
 let entries t =
@@ -291,13 +271,14 @@ let invariant_ok t =
   && nfree >= 0
   && nfree + Lru.length t.lru = n
 
-(** Host-call dispatchers for the typed helper table. The first
-    argument of every helper is the map id (an index into [maps]);
-    the dispatcher validates it and hands off to the map object, so
-    the AST interpreter and the register VM get byte-identical
-    semantics to the stack-VM map opcodes. The returned pairs plug
-    straight into GEL's linker as [(name, fn)] externs. *)
-let hosts (maps : t array) : (string * (int array -> int)) list =
+(** Host-call dispatchers for the typed helper table. A dispatcher
+    reads its arguments in place, from [a.(i)] on, in the calling
+    engine's own storage. The first argument of every helper is the
+    map id (an index into [maps]); the dispatcher validates it and
+    hands off to the map object, so every tier gets the same
+    semantics. The returned pairs plug straight into GEL's linker as
+    [(name, fn)] externs. *)
+let hosts (maps : t array) : (string * (int array -> int -> int)) list =
   let map_of id =
     if id < 0 || id >= Array.length maps then
       Fault.raise_fault
@@ -305,9 +286,9 @@ let hosts (maps : t array) : (string * (int array -> int)) list =
     else maps.(id)
   in
   [
-    ("map_lookup", fun argv -> lookup (map_of argv.(0)) argv.(1));
-    ("map_update", fun argv -> update (map_of argv.(0)) argv.(1) argv.(2));
-    ("map_delete", fun argv -> delete (map_of argv.(0)) argv.(1));
-    ("map_contains", fun argv -> contains (map_of argv.(0)) argv.(1));
-    ("map_size", fun argv -> size (map_of argv.(0)));
+    ("map_lookup", fun a i -> lookup (map_of a.(i)) a.(i + 1));
+    ("map_update", fun a i -> update (map_of a.(i)) a.(i + 1) a.(i + 2));
+    ("map_delete", fun a i -> delete (map_of a.(i)) a.(i + 1));
+    ("map_contains", fun a i -> contains (map_of a.(i)) a.(i + 1));
+    ("map_size", fun a i -> size (map_of a.(i)));
   ]

@@ -39,7 +39,7 @@ let m_bytes =
    filter that faults loses its span — the chain is unwinding anyway. *)
 let traced_push f data =
   Graft_metrics.inc (m_pushes ());
-  Graft_metrics.inc (m_bytes ()) ~by:(Bytes.length data);
+  Graft_metrics.add (m_bytes ()) (Bytes.length data);
   let tok = Graft_trace.Trace.span_begin () in
   let out = f.push data in
   Graft_trace.Trace.span_end ~arg:(Bytes.length data) Graft_trace.Trace.Streams

@@ -74,7 +74,7 @@ let cost domain ~words =
 let upcall domain ?(extra_words = 0) (handler : int array -> int)
     (args : int array) : int =
   domain.upcalls <- domain.upcalls + 1;
-  Graft_metrics.inc (m_crossings ()) ~by:2;
+  Graft_metrics.add (m_crossings ()) 2;
   let words = Array.length args + 1 + extra_words in
   Simclock.charge domain.clock
     (Printf.sprintf "upcall:%s" domain.name)

@@ -174,7 +174,8 @@ let set_exemplars name labels exs =
 
 (* The hot-path operations. Disabled cost: one global load, one
    branch. *)
-let inc ?(by = 1) c = if !on then c.c <- c.c + by
+let inc c = if !on then c.c <- c.c + 1
+let add c n = if !on then c.c <- c.c + n
 let observe h v = if !on then Graft_trace.Histo.add h v
 
 (* Gauges are configuration facts — always recorded. *)

@@ -37,9 +37,12 @@ type gauge
     registered with a different kind. *)
 val counter : ?help:string -> string -> labels -> counter
 
-(** Add [by] (default 1) when metrics are enabled; a load and a branch
-    otherwise. *)
-val inc : ?by:int -> counter -> unit
+(** Add 1 when metrics are enabled; a load and a branch otherwise. *)
+val inc : counter -> unit
+
+(** [add c n] adds [n] as {!inc} adds 1. The count is a plain
+    argument, so a call allocates nothing. *)
+val add : counter -> int -> unit
 
 val counter_value : counter -> int
 val gauge : ?help:string -> string -> labels -> gauge

@@ -67,8 +67,8 @@ let account s ~fuel0 ~fuel ~count tok =
   | None -> ()
   | Some pr -> Graft_trace.Opprof.run_done pr ~fuel:used);
   Graft_metrics.inc (m_sessions ());
-  Graft_metrics.inc (m_fuel ()) ~by:used;
-  Graft_trace.Trace.span_end Graft_trace.Trace.Vm_reg "regvm.run" tok
+  Graft_metrics.add (m_fuel ()) used;
+  Graft_trace.Trace.span_end ~arg:0 Graft_trace.Trace.Vm_reg "regvm.run" tok
 
 let run_session (s : session) ~fn ~(args : int array) ~fuel =
   let p = s.p in
@@ -156,9 +156,10 @@ let run_session (s : session) ~fn ~(args : int array) ~fuel =
           done;
           regs := callee;
           pc := p.Program.funcs.(f).Program.entry
-      | Isa.Callext { e; dst; argbase; nargs } ->
-          let argv = Array.init nargs (fun i -> r.(argbase + i)) in
-          r.(dst) <- p.Program.host.(e) argv
+      | Isa.Callext { e; dst; argbase; _ } ->
+          (* The host reads its arguments in place, in the register
+             file from [argbase]. *)
+          r.(dst) <- p.Program.host.(e) r argbase
       | Isa.Ret rs ->
           let v = r.(rs) in
           decr depth;

@@ -25,7 +25,9 @@ type protection =
 type t = {
   code : Isa.instr array;
   funcs : funcdesc array;
-  host : (int array -> int) array;
+  host : (int array -> int -> int) array;
+      (** per extern, reading its arguments in place
+          ({!Graft_gel.Link.host}) *)
   ext_arity : int array;
   ext_names : string array;
       (** Extern names, parallel to [host]/[ext_arity]; the verifier

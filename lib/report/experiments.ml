@@ -963,7 +963,7 @@ let ablation_overhead scale =
         let site () =
           let tok = T.hot_begin () in
           bare ();
-          T.span_end T.App "contains" tok
+          T.span_end ~arg:0 T.App "contains" tok
         in
         let g =
           Manager.register (Manager.create ())

@@ -44,7 +44,7 @@ let link_alone (prog : Ir.program) =
          (fun (e : Ir.ext) ->
            {
              Link.hname = e.Ir.ename;
-             hfn = (fun _ -> invalid_arg "graftkit check runs no graft");
+             hfn = (fun _ _ -> invalid_arg "graftkit check runs no graft");
            })
          prog.Ir.externs)
   in

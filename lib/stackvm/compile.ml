@@ -37,9 +37,6 @@ type ctx = {
   em : emitter;
   image : Link.image;
   mutable loops : loop_ctx list;
-  lower_maps : bool;
-      (** lower [map_lookup]/[map_update] helper calls with constant
-          map ids to the dedicated map opcodes *)
   bounds : bool;  (** refuse any loop whose bound cannot be derived *)
   mutable prev : Ir.stmt option;
       (** statement lexically preceding the one being compiled: the
@@ -104,26 +101,9 @@ let rec compile_expr ctx (e : Ir.expr) =
   | Ir.Call (fidx, args) ->
       Array.iter (compile_expr ctx) args;
       emit em (Opcode.Call fidx)
-  | Ir.CallExt (eidx, args) -> (
-      let site =
-        if ctx.lower_maps then
-          Graft_analysis.Helpers.site_of_callext
-            ctx.image.Link.prog.Ir.externs eidx args
-        else None
-      in
-      (* Lowered helper calls skip the constant map-id argument: the id
-         travels in the opcode. *)
-      match site with
-      | Some (Graft_analysis.Helpers.Lookup m) ->
-          compile_expr ctx args.(1);
-          emit em (Opcode.Mlookup m)
-      | Some (Graft_analysis.Helpers.Update m) ->
-          compile_expr ctx args.(1);
-          compile_expr ctx args.(2);
-          emit em (Opcode.Mupdate m)
-      | None ->
-          Array.iter (compile_expr ctx) args;
-          emit em (Opcode.Callext eidx))
+  | Ir.CallExt (eidx, args) ->
+      Array.iter (compile_expr ctx) args;
+      emit em (Opcode.Callext eidx)
   | Ir.ToWord a ->
       compile_expr ctx a;
       emit em Opcode.Wmask
@@ -232,20 +212,10 @@ and compile_block ctx stmts =
 
 (** Compile a linked image to an executable, fully checked stack-VM
     program, with each [Ir.At] statement's first pc. *)
-let compile_starts ?maps ?(bounds = false) (image : Link.image) =
+let compile_starts ?(bounds = false) (image : Link.image) =
   let prog = image.Link.prog in
   let em = { code = Array.make 256 Opcode.Halt; len = 0 } in
-  let ctx =
-    {
-      em;
-      image;
-      loops = [];
-      lower_maps = maps <> None;
-      bounds;
-      prev = None;
-      starts_rev = [];
-    }
-  in
+  let ctx = { em; image; loops = []; bounds; prev = None; starts_rev = [] } in
   let funcs =
     Array.map
       (fun (f : Ir.func) ->
@@ -283,9 +253,8 @@ let compile_starts ?maps ?(bounds = false) (image : Link.image) =
       Array.map (fun (e : Ir.ext) -> List.length e.Ir.eparams) prog.Ir.externs;
     ext_names = Array.map (fun (e : Ir.ext) -> e.Ir.ename) prog.Ir.externs;
     cells = Graft_mem.Memory.cells image.Link.mem;
-    maps = (match maps with Some m -> m | None -> [||]);
   },
     Array.of_list (List.rev ctx.starts_rev) )
 
-let compile ?maps ?bounds image = fst (compile_starts ?maps ?bounds image)
+let compile ?bounds image = fst (compile_starts ?bounds image)
 let compile_located image = compile_starts image

@@ -7,16 +7,11 @@
     safety net (unreachable in value functions — the typechecker
     guarantees a return on every path). *)
 
-val compile :
-  ?maps:Graft_kernel.Graftmap.t array ->
-  ?bounds:bool ->
-  Graft_gel.Link.image ->
-  Program.t
-(** [compile ?maps ?bounds image] compiles to fully-checked bytecode:
-    check elision is the verifier's ({!Verify.elide}), not the
-    compiler's. With [maps], lowerable [map_lookup]/[map_update] helper
-    calls become dedicated map opcodes against those map objects. With
-    [bounds:true], every loop must have a bound
+val compile : ?bounds:bool -> Graft_gel.Link.image -> Program.t
+(** [compile ?bounds image] compiles to fully-checked bytecode: check
+    elision is the verifier's ({!Verify.elide}), not the compiler's.
+    Every extern call, typed map helpers included, becomes a
+    [Callext]. With [bounds:true], every loop must have a bound
     {!Graft_analysis.Loopbound.derive} finds in the IR; an underivable
     loop raises [Invalid_argument] ("Compile: unbounded loop: ...").
     Nothing about the bound is recorded: the bounded verifier derives

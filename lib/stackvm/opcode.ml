@@ -48,15 +48,6 @@ type t =
      or zero test at all. *)
   | Aload_u of int
   | Astore_u of int
-  (* Graft-map access (map id into the program's map table).
-     [Mlookup] pops a key and pushes the value; [Mupdate] pops value
-     then key, stores, and pushes the success flag. The [_u] variants
-     are the check-elided forms for array maps with a verified key
-     interval, exactly parallel to [Aload_u]/[Astore_u]. *)
-  | Mlookup of int
-  | Mupdate of int
-  | Mlookup_u of int
-  | Mupdate_u of int
   (* int arithmetic *)
   | Add | Sub | Mul | Div | Mod
   | Div_u | Mod_u  (** unchecked: divisor proven non-zero *)
@@ -189,15 +180,13 @@ let cmpop = function
   | _ -> None
 
 (** The (checked, unchecked) forms of a check site, given either one.
-    These six pairs are the only instructions the static tier chooses
+    These four pairs are the only instructions the static tier chooses
     between. *)
 let check_site = function
   | Aload a | Aload_u a -> Some (Aload a, Aload_u a)
   | Astore a | Astore_u a -> Some (Astore a, Astore_u a)
   | Div | Div_u -> Some (Div, Div_u)
   | Mod | Mod_u -> Some (Mod, Mod_u)
-  | Mlookup m | Mlookup_u m -> Some (Mlookup m, Mlookup_u m)
-  | Mupdate m | Mupdate_u m -> Some (Mupdate m, Mupdate_u m)
   | _ -> None
 
 (** The other form of a check site: [Aload a] <-> [Aload_u a], ... *)
@@ -234,9 +223,8 @@ let writes = function
 let effect = function
   | Const _ | Load_local _ | Load_global _ -> (0, 1)
   | Store_local _ | Store_global _ -> (1, 0)
-  | Aload _ | Aload_u _ | Mlookup _ | Mlookup_u _ -> (1, 1)
+  | Aload _ | Aload_u _ -> (1, 1)
   | Astore _ | Astore_u _ -> (2, 0)
-  | Mupdate _ | Mupdate_u _ -> (2, 1)
   | Add | Sub | Mul | Div | Mod | Div_u | Mod_u
   | Shl | Shr | Lshr | Band | Bor | Bxor
   | Wadd | Wsub | Wmul | Wshl | Wshr
@@ -319,10 +307,6 @@ let index = function
   | Bin_aload_local _ -> 65
   | Aload_local_store _ -> 66
   | Move_local2 _ -> 67
-  | Mlookup _ -> 68
-  | Mupdate _ -> 69
-  | Mlookup_u _ -> 70
-  | Mupdate_u _ -> 71
 
 (** One display name per {!index} slot. *)
 let class_names =
@@ -337,7 +321,6 @@ let class_names =
     "bin.k"; "cmp.k"; "jcmp"; "jcmp.k"; "aload.k"; "laddk"; "lload2";
     "bin.l"; "bin.ll"; "aload.l"; "lmove"; "jcmp.lk"; "lstore.k";
     "bin.st"; "bin.kst"; "bin.lk"; "bin.al"; "aload.lst"; "lmove2";
-    "mlookup"; "mupdate"; "mlookup.u"; "mupdate.u";
   |]
 
 let bink_name = function
@@ -362,10 +345,6 @@ let to_string = function
   | Astore a -> Printf.sprintf "astore #%d" a
   | Aload_u a -> Printf.sprintf "aload.u #%d" a
   | Astore_u a -> Printf.sprintf "astore.u #%d" a
-  | Mlookup m -> Printf.sprintf "mlookup $%d" m
-  | Mupdate m -> Printf.sprintf "mupdate $%d" m
-  | Mlookup_u m -> Printf.sprintf "mlookup.u $%d" m
-  | Mupdate_u m -> Printf.sprintf "mupdate.u $%d" m
   | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div" | Mod -> "mod"
   | Div_u -> "div.u" | Mod_u -> "mod.u"
   | Shl -> "shl" | Shr -> "shr" | Lshr -> "lshr"

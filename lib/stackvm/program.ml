@@ -5,8 +5,9 @@
     backward jump from the instructions alone.
 
     The code and its function, array and extern tables are the verified
-    module; [host], [cells] and [maps] are one tenant's state, which
-    {!instantiate} swaps for another's of the same shape. *)
+    module; [host] and [cells] are one tenant's state, which
+    {!instantiate} swaps for another's of the same shape. A graft
+    reaches its maps through [host], as typed helper calls. *)
 
 type funcdesc = {
   name : string;
@@ -22,31 +23,23 @@ type t = {
   code : Opcode.t array;
   funcs : funcdesc array;
   arrays : arrdesc array;
-  host : (int array -> int) array;
+  host : (int array -> int -> int) array;
+      (** per extern, reading its arguments in place
+          ({!Graft_gel.Link.host}) *)
   ext_arity : int array;  (** argument count per extern, for the verifier *)
   ext_names : string array;
       (** extern names, so the verifier can hold helper-named externs
           to the typed helper table's signatures *)
   cells : int array;  (** the graft address space backing store *)
-  maps : Graft_kernel.Graftmap.t array;
-      (** graft maps addressed by [Mlookup]/[Mupdate] map ids *)
 }
 
-(** [p]'s verified code over another tenant's cells, host closures and
-    maps. The verifier's judgement rests on the memory size, the extern
-    count and each map's kind and capacity, so a state that differs in
-    any of them raises [Invalid_argument] rather than run code verified
-    for another shape. *)
-let instantiate p ~cells ~host ~maps =
-  let same_map a b =
-    Graft_kernel.Graftmap.kind a = Graft_kernel.Graftmap.kind b
-    && Graft_kernel.Graftmap.max_entries a
-       = Graft_kernel.Graftmap.max_entries b
-  in
+(** [p]'s verified code over another tenant's cells and host closures.
+    The verifier's judgement rests on the memory size and the extern
+    count, so a state that differs in either raises [Invalid_argument]
+    rather than run code verified for another shape. *)
+let instantiate p ~cells ~host =
   if
     Array.length cells <> Array.length p.cells
     || Array.length host <> Array.length p.host
-    || Array.length maps <> Array.length p.maps
-    || not (Array.for_all2 same_map maps p.maps)
   then invalid_arg "Program.instantiate: state differs from the verified shape";
-  { p with cells; host; maps }
+  { p with cells; host }

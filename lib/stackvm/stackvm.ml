@@ -34,17 +34,16 @@ let gate ~admit image k =
 let verified ~bounded p = Result.map (fun () -> p) (Verify.verify ~bounded p)
 
 (** Compile and verify a linked image; refuses unverifiable code as the
-    kernel's loader would. [maps] attaches graft maps (and lowers
-    helper calls with constant map ids to map opcodes); [bounded]
-    switches on Graftgate loading, where the verifier admits a loop
-    only if it derives the loop's bound from the bytecode. *)
-let load ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
+    kernel's loader would. [bounded] switches on Graftgate loading,
+    where the verifier admits a loop only if it derives the loop's
+    bound from the bytecode. *)
+let load ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
   gate ~admit:(verified ~bounded) image (fun () ->
-      Compile.compile ?maps ~bounds:bounded image)
+      Compile.compile ~bounds:bounded image)
 
-let load_exn ?maps ?bounded image =
-  match load ?maps ?bounded image with
+let load_exn ?bounded image =
+  match load ?bounded image with
   | Ok p -> p
   | Error msg -> failwith msg
 
@@ -54,13 +53,13 @@ let load_exn ?maps ?bounded image =
     trusting the optimizer. That includes [bounded]: {!Peephole}
     leaves the counted-loop windows unfused, so the bound derivation
     runs on the shipped code like every other check. *)
-let load_opt ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
+let load_opt ?(bounded = false) (image : Graft_gel.Link.image) :
     (Program.t, string) result =
   gate ~admit:(verified ~bounded) image (fun () ->
-      Peephole.optimize ~bounded (Compile.compile ?maps ~bounds:bounded image))
+      Peephole.optimize ~bounded (Compile.compile ~bounds:bounded image))
 
-let load_opt_exn ?maps ?bounded image =
-  match load_opt ?maps ?bounded image with
+let load_opt_exn ?bounded image =
+  match load_opt ?bounded image with
   | Ok p -> p
   | Error msg -> failwith msg
 
@@ -72,21 +71,21 @@ let load_opt_exn ?maps ?bounded image =
     verifier decides an elision, and nothing but the code records one.
     The program comes with what the verifier derived, which the JIT's
     block plan reads. *)
-let load_static_derived ?maps ?(bounded = false) (image : Graft_gel.Link.image)
-    : (Program.t * Verify.derived, string) result =
+let load_static_derived ?(bounded = false) (image : Graft_gel.Link.image) :
+    (Program.t * Verify.derived, string) result =
   gate ~admit:(Verify.elide ~bounded) image (fun () ->
-      Compile.compile ?maps ~bounds:bounded image)
+      Compile.compile ~bounds:bounded image)
 
-let load_static ?maps ?bounded image =
-  Result.map fst (load_static_derived ?maps ?bounded image)
+let load_static ?bounded image =
+  Result.map fst (load_static_derived ?bounded image)
 
-let load_static_exn ?maps ?bounded image =
-  match load_static ?maps ?bounded image with
+let load_static_exn ?bounded image =
+  match load_static ?bounded image with
   | Ok p -> p
   | Error msg -> failwith msg
 
-(** (elided, total) counts of check sites — array accesses, divisions,
-    and map accesses — in a program, for the [-O]/[--dump] report and
+(** (elided, total) counts of check sites — array accesses and
+    divisions — in a program, for the [-O]/[--dump] report and
     the elision-rate experiments. *)
 let elision_stats (p : Program.t) : int * int =
   Array.fold_left

@@ -130,23 +130,12 @@ let site_fault (p : Program.t) pc op iv =
       if I.contains iv 0 then
         fault "divisor %s at %d admits zero" (I.to_string iv) pc
       else None
-  | Opcode.Mlookup_u m | Opcode.Mupdate_u m -> (
-      if m < 0 || m >= Array.length p.maps then
-        fault "map id %d out of range at %d" m pc
-      else
-        match Graft_kernel.Graftmap.backing p.maps.(m) with
-        | None -> fault "unchecked access to non-array map %d at %d" m pc
-        | Some _ ->
-            if beyond (Graft_kernel.Graftmap.max_entries p.maps.(m)) then
-              fault "key %s at %d exceeds the bounds of map %d"
-                (I.to_string iv) pc m
-            else None)
   | _ -> fault "%s at %d is not an unchecked instruction" (Opcode.to_string op) pc
 
 (* Pass 2 over every function, on the shared solver
    ({!Graft_analysis.Fixpoint}). Returns, per pc, the join of the
-   operand intervals every visit of a check site saw (its index, map
-   key or divisor; ⊥ at a pc no path reaches and at every other
+   operand intervals every visit of a check site saw (its index or
+   divisor; ⊥ at a pc no path reaches and at every other
    instruction) and whether any path reached the pc, and fails at an
    unchecked instruction whose joined interval is ⊥ or fails
    [site_fault]. A site and its unchecked twin have the same transfer
@@ -277,17 +266,6 @@ let check_elisions (p : Program.t) :
           let iv, si = pop () in
           site iv;
           post_refine si a;
-          next ()
-      | Opcode.Mlookup _ | Opcode.Mlookup_u _ ->
-          let iv, _ = pop () in
-          site iv;
-          push I.top Snone;
-          next ()
-      | Opcode.Mupdate _ | Opcode.Mupdate_u _ ->
-          ignore (pop ());
-          let iv, _ = pop () in
-          site iv;
-          push I.top Snone;
           next ()
       | Opcode.Div | Opcode.Div_u ->
           divide Ir.Div;
@@ -619,7 +597,8 @@ let heights (p : Program.t) : (heights, int option * string) result =
           bad "function %d (%s): fused division by a popped operand at %d" fi
             f.Program.name pc
       | _ -> ());
-      (* Operand validity: array, global and map ids, then locals. *)
+      (* Operand validity: array ids and global addresses, then
+         locals. *)
       (match instr with
       | Opcode.Load_global a | Opcode.Store_global a ->
           if a < 0 || a >= Array.length p.cells then
@@ -634,11 +613,6 @@ let heights (p : Program.t) : (heights, int option * string) result =
              behaviour rather than fail at load time. *)
           if a < 0 || a >= narrays then
             bad "function %d (%s): array id %d out of range" fi f.Program.name a
-      | Opcode.Mlookup m | Opcode.Mupdate m | Opcode.Mlookup_u m
-      | Opcode.Mupdate_u m ->
-          if m < 0 || m >= Array.length p.maps then
-            bad "function %d (%s): map id %d out of range at %d (%s)" fi
-              f.Program.name m pc (Opcode.to_string instr)
       | Opcode.Halt ->
           bad "function %d (%s): reachable halt at %d (unpatched jump?)" fi
             f.Program.name pc

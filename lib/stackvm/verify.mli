@@ -29,7 +29,7 @@ val heights : Program.t -> (heights, int option * string) result
 
 (** What {!derive} hands back: pass 1's [heights], and pass 2's
     [operands] (per pc, the join of the operand intervals every visit
-    of a check site saw: its index, map key or divisor; ⊥ at every
+    of a check site saw: its index or divisor; ⊥ at every
     other pc and wherever pass 2 never arrives) and [reached] (whether
     any path pass 2 admits arrives at the pc). *)
 type derived = {
@@ -50,8 +50,8 @@ val verify : ?bounded:bool -> Program.t -> (unit, string) result
 (** [verify ?bounded p] checks [p]. An unchecked instruction is
     admitted only if pass 2 reaches it and the operand interval it
     derives there is legal: an index inside its array (and, for a
-    store, a writable one), a divisor that excludes zero, a key inside
-    an array map. With [bounded:true] (Graftgate mode) every backward
+    store, a writable one) or a divisor that excludes zero. With
+    [bounded:true] (Graftgate mode) every backward
     jump must close a canonical counted loop whose init, head and step
     windows give a finite trip count ({!Graft_analysis.Loopbound.trips}),
     with no other write to the counter and no entry that skips the

@@ -26,9 +26,11 @@
     keeps it or [pc] on the stack).
 
     What leaves the loop. An instruction that needs a call — a [Call]
-    whose callee's frame slab must grow, [Callext], and the four map
-    opcodes — stores [pc], [sp] and [fuel] in the session and returns;
-    an outer loop performs it and re-enters. For a [Call] the outer loop
+    whose callee's frame slab must grow, and [Callext] — stores [pc],
+    [sp] and [fuel] in the session and returns; an outer loop performs
+    it and re-enters. A host call reads its arguments where they lie on
+    the operand stack, so it copies nothing; graft maps are reached
+    this way too, through the typed helpers. For a [Call] the outer loop
     only grows the slab and re-enters at the [Call] itself, so the call
     is made in one place. A finished entry returns with its result in
     the session. A fault raises inline, after storing [fuel] in the
@@ -289,9 +291,7 @@ let rec exec fuel s locs sp pc =
           (d.Program.base + Array.unsafe_get stack t)
           (Array.unsafe_get stack (t + 1));
         exec fuel s locs t pc
-    | Opcode.Mlookup _ | Opcode.Mupdate _ | Opcode.Mlookup_u _
-    | Opcode.Mupdate_u _ | Opcode.Callext _ ->
-        out fuel s sp pc
+    | Opcode.Callext _ -> out fuel s sp pc
     | Opcode.Div_u ->
         let t = sp - 2 in
         if t < 0 then fault s fuel underflow;
@@ -740,46 +740,14 @@ let perform s =
       s.fuel <- s.fuel + 1;
       false
   | Opcode.Callext target ->
-      (* A host call with no arguments pushes onto [sp] itself, which
-         may be the top of the stack. *)
-      let arity = p.Program.ext_arity.(target) in
-      let t = sp - arity in
+      (* The host reads its arguments in place, from [t]. A host call
+         with no arguments pushes onto [sp] itself, which may be the
+         top of the stack. *)
+      let t = sp - p.Program.ext_arity.(target) in
       if t < 0 then raise underflow;
-      let v = p.Program.host.(target) (Array.sub stack t arity) in
+      let v = p.Program.host.(target) stack t in
       if t >= stack_size then raise overflow;
       Array.unsafe_set stack t v;
-      s.sp <- t + 1;
-      true
-  | Opcode.Mlookup m ->
-      let t = sp - 1 in
-      if t < 0 then raise underflow;
-      Array.unsafe_set stack t
-        (Graft_kernel.Graftmap.lookup p.Program.maps.(m)
-           (Array.unsafe_get stack t));
-      true
-  | Opcode.Mupdate m ->
-      let t = sp - 2 in
-      if t < 0 then raise underflow;
-      Array.unsafe_set stack t
-        (Graft_kernel.Graftmap.update p.Program.maps.(m)
-           (Array.unsafe_get stack t)
-           (Array.unsafe_get stack (t + 1)));
-      s.sp <- t + 1;
-      true
-  | Opcode.Mlookup_u m ->
-      let t = sp - 1 in
-      if t < 0 then raise underflow;
-      Array.unsafe_set stack t
-        (Graft_kernel.Graftmap.unsafe_get p.Program.maps.(m)
-           (Array.unsafe_get stack t));
-      true
-  | Opcode.Mupdate_u m ->
-      let t = sp - 2 in
-      if t < 0 then raise underflow;
-      Graft_kernel.Graftmap.unsafe_set p.Program.maps.(m)
-        (Array.unsafe_get stack t)
-        (Array.unsafe_get stack (t + 1));
-      Array.unsafe_set stack t 1;
       s.sp <- t + 1;
       true
   | _ -> assert false
@@ -815,9 +783,9 @@ let account s fuel tok =
   | None -> ()
   | Some pr -> Graft_trace.Opprof.run_done pr ~fuel:used);
   Graft_metrics.inc (m_sessions_interp ());
-  Graft_metrics.inc (m_fuel_interp ()) ~by:used;
+  Graft_metrics.add (m_fuel_interp ()) used;
   Graft_metrics.observe (m_fuel_hist ()) used;
-  Graft_trace.Trace.span_end Graft_trace.Trace.Vm_stack "stackvm.run" tok
+  Graft_trace.Trace.span_end ~arg:0 Graft_trace.Trace.Vm_stack "stackvm.run" tok
 
 let run_session (s : session) ~fn ~(args : int array) ~fuel =
   let f = s.p.Program.funcs.(fn) in

@@ -6,11 +6,11 @@
 
     One tail-recursive dispatch function runs every tier's stack code;
     its state ([fuel], the session, the frame's locals, [sp], [pc]) is
-    its arguments, so it stays in registers. An instruction that needs
-    a call ([Callext], the map opcodes) leaves the loop and is
-    performed by a small outer loop, which also grows a frame slab too
-    small for a [Call] and re-enters at that [Call]; a profiled session
-    single-steps the same loop. *)
+    its arguments, so it stays in registers. A host call ([Callext])
+    leaves the loop and is performed by a small outer loop, the host
+    reading its arguments in place on the operand stack; the outer loop
+    also grows a frame slab too small for a [Call] and re-enters at
+    that [Call]. A profiled session single-steps the same loop. *)
 
 val max_frames : int
 val stack_size : int

@@ -307,7 +307,7 @@ let hot_begin () =
       else if sampled then token (now r) true
       else nil_token
 
-let span_end ?(arg = 0) track name tok =
+let span_end ~arg track name tok =
   if tok <> nil_token then
     match get_sink () with
     | Null -> ()
@@ -345,7 +345,7 @@ let op_begin tid =
     conventionally the op's latency — and the op's id); [retain =
     false] commits only the events the 1-in-[sample] policy kept.
     [name] must be preallocated, like every event name. *)
-let op_end ?(arg = 0) ~retain name =
+let op_end ~arg ~retain name =
   match get_sink () with
   | Null -> ()
   | Ring r ->

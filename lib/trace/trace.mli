@@ -102,10 +102,12 @@ val span_begin : unit -> int
     non-retained op. *)
 val hot_begin : unit -> int
 
-(** Complete a span started by {!span_begin} or {!hot_begin}. The
-    [name] should be a preallocated string: the tracer stores the
-    pointer, it never copies or concatenates on the hot path. *)
-val span_end : ?arg:int -> track -> string -> int -> unit
+(** Complete a span started by {!span_begin} or {!hot_begin}, with
+    [arg] (0 when the span has nothing to say). The [name] should be a
+    preallocated string: the tracer stores the pointer, it never copies
+    or concatenates on the hot path. [arg] is a plain int, so closing a
+    span allocates nothing. *)
+val span_end : arg:int -> track -> string -> int -> unit
 
 (** Open an op scope with causal trace id [tid] (nonzero). Every event
     recorded on this domain until the matching {!op_end} carries [tid]
@@ -119,7 +121,7 @@ val op_begin : int -> unit
     (with [arg], conventionally the op latency, and the op's id);
     [retain = false] keeps only the events 1-in-[sample] sampling
     would have kept. [name] must be preallocated. *)
-val op_end : ?arg:int -> retain:bool -> string -> unit
+val op_end : arg:int -> retain:bool -> string -> unit
 
 type event = {
   ts_ns : int;

@@ -571,31 +571,31 @@ let check_pair what expected got =
    loaded as its runner loads it. The verifier derives these elisions
    from the bytecode; the counts are those of the analysis over the IR
    that decided them before, so a derivation that loses precision
-   shows here. *)
+   shows here. A map helper's key is not a check site: the map object
+   checks it. *)
 let test_pins_static () =
-  let static_ ?maps ?(bounded = false) image =
+  let static_ ?(bounded = false) image =
     Stackvm.elision_stats
-      (match Stackvm.load_static ?maps ~bounded image with
+      (match Stackvm.load_static ~bounded image with
       | Ok p -> p
       | Error msg -> Alcotest.failf "static load rejected: %s" msg)
   in
   let with_map m src windows =
-    let maps = [| m |] in
     let env =
-      Runners.gel_env ~hosts:(Runners.map_hosts maps)
+      Runners.gel_env ~hosts:(Runners.map_hosts [| m |])
         Technology.Safe_lang_static src windows
     in
-    static_ ~maps ~bounded:true env.Runners.image
+    static_ ~bounded:true env.Runners.image
   in
   check_pair "md5" (30, 37) (static_ (md5_image ()));
   check_pair "evict" (1, 6) (static_ (evict_image ()));
   check_pair "logdisk" (1, 3) (static_ (logdisk_image ()));
-  check_pair "demux" (4, 6)
+  check_pair "demux" (2, 4)
     (with_map
        (Graft_kernel.Graftmap.create_array ~name:"conn" 64)
        (Gel_sources.demux ~window_cells:2048 ~protocol:6 ~marker:0x42)
        [ ("pkt", 2048, false) ]);
-  check_pair "hotset" (0, 2)
+  check_pair "hotset" (0, 0)
     (with_map
        (Graft_kernel.Graftmap.create_lru ~name:"hotset" 64)
        Gel_sources.hotset [])

@@ -273,9 +273,8 @@ let fuel = 50_000_000
    helpers and works over an 8-entry array map (map 0), keys masked
    & 7 so access never faults. Each engine run gets a fresh map, and
    the map's final contents join the global/array state in the
-   differential comparison — so the helper-call door (AST interpreter,
-   register VM) and the lowered map-opcode door (stack tiers, JIT)
-   must leave byte-identical kernel state. *)
+   differential comparison — so every engine's helper calls must leave
+   byte-identical kernel state. *)
 let fuzz_maps () = [| Graft_kernel.Graftmap.create_array ~name:"fuzz" 8 |]
 
 let map_hosts = Graft_core.Runners.map_hosts
@@ -333,7 +332,7 @@ let stackvm_opt_engine ?(optimize = false) name =
       (fun src ~args ->
         let maps = fuzz_maps () in
         let image = build_image ~optimize ~hosts:(map_hosts maps) src in
-        let prog = Graft_stackvm.Stackvm.load_opt_exn ~maps image in
+        let prog = Graft_stackvm.Stackvm.load_opt_exn image in
         match Gelrun.vm image prog ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
         | Error (`Fault f) -> Error (Fault.to_string f));
@@ -349,7 +348,7 @@ let stackvm_static_engine name =
       (fun src ~args ->
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
-        let prog = Graft_stackvm.Stackvm.load_static_exn ~maps ~bounded:true image in
+        let prog = Graft_stackvm.Stackvm.load_static_exn ~bounded:true image in
         match Gelrun.vm image prog ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
         | Error (`Fault f) -> Error (Fault.to_string f));
@@ -365,7 +364,7 @@ let jit_engine name =
       (fun src ~args ->
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
-        let t = Graft_jit.Jit.load_exn ~maps ~bounded:true image in
+        let t = Graft_jit.Jit.load_exn ~bounded:true image in
         match Gelrun.jit image t ~entry:"main" ~args ~fuel with
         | Ok v -> Ok (v, final_state maps image)
         | Error (`Fault f) -> Error (Fault.to_string f));
@@ -431,7 +430,7 @@ let fault_stmt = function
   | c -> failwith ("unknown fault class " ^ c)
 
 (* Map misuse surfaces as the kernel object's own out-of-bounds fault,
-   whichever door (helper call or map opcode) committed it. *)
+   whichever engine's helper call committed it. *)
 let fault_name_of_class = function
   | "map-oob-read" -> "oob-read"
   | "map-oob-write" -> "oob-write"
@@ -478,16 +477,14 @@ let fault_result = function
 (* Engines that trap every fault class with a checked fault: the AST
    interpreter and all three stack-bytecode tiers. *)
 let checked_fault_engines =
-  (* A mix of doors: the interpreter and peephole tier reach the map
-     through helper host calls, the other stack tiers and the JIT
-     through lowered map opcodes — the injected misuse must class
-     identically either way. *)
+  (* Every engine reaches the map through the helper host calls: the
+     injected misuse must class identically on each. *)
   let stack load run name =
     ( name,
       fun src args ->
         let maps = fuzz_maps () in
         let image = build_image ~hosts:(map_hosts maps) src in
-        let r = run image (load maps image) ~entry:"main" ~args ~fuel:fault_fuel in
+        let r = run image (load image) ~entry:"main" ~args ~fuel:fault_fuel in
         (fault_result r, final_state maps image) )
   in
   [
@@ -497,15 +494,10 @@ let checked_fault_engines =
         let image = build_image ~hosts:(map_hosts maps) src in
         let r = Gelrun.interp image ~entry:"main" ~args ~fuel:fault_fuel in
         (fault_result r, final_state maps image) );
-    stack (fun _ image -> Graft_stackvm.Stackvm.load_exn image)
-      Gelrun.vm "bytecode-vm";
-    stack (fun _ image -> Graft_stackvm.Stackvm.load_opt_exn image)
-      Gelrun.vm "bytecode-peep";
-    stack (fun maps image ->
-        Graft_stackvm.Stackvm.load_static_exn ~maps image)
-      Gelrun.vm "bytecode-static";
-    stack (fun maps image -> Graft_jit.Jit.load_exn ~maps image)
-      Gelrun.jit "jit";
+    stack Graft_stackvm.Stackvm.load_exn Gelrun.vm "bytecode-vm";
+    stack Graft_stackvm.Stackvm.load_opt_exn Gelrun.vm "bytecode-peep";
+    stack Graft_stackvm.Stackvm.load_static_exn Gelrun.vm "bytecode-static";
+    stack Graft_jit.Jit.load_exn Gelrun.jit "jit";
   ]
 
 (* The register VMs mask out-of-bounds accesses instead of trapping
@@ -663,20 +655,19 @@ let test_generator_compiles () =
 let load_static_and_jit ~label src =
   let load name loader =
     let maps = fuzz_maps () in
-    match loader maps (build_image ~hosts:(map_hosts maps) src) with
+    match loader (build_image ~hosts:(map_hosts maps) src) with
     | Ok p -> p
     | Error msg -> Alcotest.failf "%s: %s rejected: %s\n%s" label name msg src
   in
   let prog =
-    load "bytecode-static" (fun maps ->
-        Graft_stackvm.Stackvm.load_static ~maps ~bounded:true)
+    load "bytecode-static" (Graft_stackvm.Stackvm.load_static ~bounded:true)
   in
   (match Graft_stackvm.Verify.verify ~bounded:true prog with
   | Ok () -> ()
   | Error msg ->
       Alcotest.failf "%s: the verifier rejects the static tier's own \
                       elisions: %s\n%s" label msg src);
-  ignore (load "jit" (fun maps -> Graft_jit.Jit.load ~maps ~bounded:true));
+  ignore (load "jit" (Graft_jit.Jit.load ~bounded:true));
   prog
 
 (* A deterministic sweep of the loaders alone: every generated program
@@ -751,7 +742,7 @@ let test_flips_agree () =
   List.iter
     (fun (label, src, windows, maps) ->
       let env = R.gel_env ~hosts:(R.map_hosts maps) T.Bytecode_vm src windows in
-      match Graft_stackvm.Stackvm.load ~maps env.R.image with
+      match Graft_stackvm.Stackvm.load env.R.image with
       | Ok p -> add (flips_agree ~label p)
       | Error msg -> Alcotest.failf "%s: %s" label msg)
     [
@@ -774,7 +765,7 @@ let test_flips_agree () =
         let src = gen (Int64.of_int i) in
         let maps = fuzz_maps () in
         match
-          Graft_stackvm.Stackvm.load ~maps (build_image ~hosts:(map_hosts maps) src)
+          Graft_stackvm.Stackvm.load (build_image ~hosts:(map_hosts maps) src)
         with
         | Ok p -> add (flips_agree ~label:(Printf.sprintf "%s seed %d" label i) p)
         | Error msg -> Alcotest.failf "%s seed %d: %s\n%s" label i msg src)

@@ -92,7 +92,7 @@ let test_map_hosts () =
   let a = Map.create_array ~name:"t-h0" 4 in
   let h = Map.create_hash ~name:"t-h1" 4 in
   let hosts = Map.hosts [| a; h |] in
-  let call name argv = (List.assoc name hosts) argv in
+  let call name argv = (List.assoc name hosts) argv 0 in
   check_int "update via helper" 1 (call "map_update" [| 0; 2; 7 |]);
   check_int "lookup via helper" 7 (call "map_lookup" [| 0; 2 |]);
   check_int "hash via helper" 1 (call "map_update" [| 1; 99; 5 |]);
@@ -211,8 +211,9 @@ let words_per_call n f =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 (* A touch (lookup, then update) on a full 64-entry LRU map allocates
-   only the two trace spans' boxed [~arg]s, whether it hits or evicts:
-   the key index and the recency list are preallocated int arrays. *)
+   nothing, whether it hits or evicts: the key index and the recency
+   list are preallocated int arrays, and the counters and trace spans
+   take their counts as plain ints. *)
 let test_map_touch_allocation () =
   let m = Map.create_lru ~name:"t-alloc" 64 in
   let touch k = ignore (Map.update m k (Map.lookup m k + 1)) in
@@ -223,8 +224,8 @@ let test_map_touch_allocation () =
   (* 256 keys cycled through 64 slots: every touch misses and evicts. *)
   let evict = words_per_call 10_000 (fun i -> touch (64 + (i land 255))) in
   check_int "still full" 64 (Map.size m);
-  if hit > 4. then Alcotest.failf "hit touch: %.1f minor words" hit;
-  if evict > 4. then Alcotest.failf "evicting touch: %.1f minor words" evict
+  if hit > 0. then Alcotest.failf "hit touch: %.1f minor words" hit;
+  if evict > 0. then Alcotest.failf "evicting touch: %.1f minor words" evict
 
 (* ------------------------------------------------------------------ *)
 (* The stateful demux across every tier.                               *)
@@ -364,9 +365,9 @@ let demux_env ~src tech =
 
 (* [env]'s graft loaded for [tech], entered by name at
    {!Runners.huge_fuel}; the graft's fault raises. *)
-let by_name ?bounded ~maps tech env =
+let by_name ?bounded tech env =
   let image = env.Runners.image in
-  let run = Runners.engine ~maps ?bounded ~fuel:Runners.huge_fuel tech image in
+  let run = Runners.engine ?bounded ~fuel:Runners.huge_fuel tech image in
   fun ~entry ~args -> run ~fn:(Gelrun.fn image entry ~args) ~args
 
 let expect_rejected what tech f =
@@ -388,13 +389,13 @@ let test_unbounded_rejected () =
   in
   List.iter
     (fun tech ->
-      let maps, env = demux_env ~src tech in
+      let _, env = demux_env ~src tech in
       expect_rejected "an uncertified backward jump" tech (fun () ->
-          by_name ~maps ~bounded:true tech env);
+          by_name ~bounded:true tech env);
       (* The same tier without ~bounded accepts it: the fuel watchdog
          is then the only backstop, which is exactly the trade the
          certificate removes. *)
-      let entry = by_name ~maps tech env in
+      let entry = by_name tech env in
       let pkt = packet ~src_port:9 ~mark:5 () in
       let cells = Graft_mem.Memory.cells env.Runners.image.Graft_gel.Link.mem in
       let w = Runners.window env "pkt" in
@@ -432,7 +433,7 @@ let test_helper_mismatch_rejected () =
           let maps = [| Map.create_array ~name:"m" 8 |] in
           let env = Runners.gel_env ~hosts:(Runners.map_hosts maps) tech src [] in
           expect_rejected what tech (fun () ->
-              by_name ~maps tech env))
+              by_name tech env))
         hotset_techs)
     cases;
   (* A non-helper extern remains unconstrained: its contract lives
@@ -441,14 +442,14 @@ let test_helper_mismatch_rejected () =
   let env =
     Runners.gel_env
       ~hosts:
-        ({ Graft_gel.Link.hname = "map_probe"; hfn = (fun _ -> 41) }
+        ({ Graft_gel.Link.hname = "map_probe"; hfn = (fun _ _ -> 41) }
         :: Runners.map_hosts maps)
       Technology.Bytecode_vm
       "extern fn map_probe(int) : int;\n\
        fn main(k : int) : int { return map_probe(k) + 1; }"
       []
   in
-  let entry = by_name ~maps Technology.Bytecode_vm env in
+  let entry = by_name Technology.Bytecode_vm env in
   check_int "non-helper externs still link" 42 (entry ~entry:"main" ~args:[| 0 |])
 
 (* The bounded stack verifier derives the demux scan loop's bound from
@@ -456,7 +457,7 @@ let test_helper_mismatch_rejected () =
    hostile program could make to those windows, and each must leave
    the loop unbounded in the verifier's eyes. *)
 let test_tampered_windows_rejected () =
-  let maps, env =
+  let _, env =
     demux_env
       ~src:
         (Graft_grafts.Gel_sources.demux ~window_cells:Runners.pkt_window_cells
@@ -465,7 +466,7 @@ let test_tampered_windows_rejected () =
   in
   let module SP = Graft_stackvm.Program in
   let module Op = Graft_stackvm.Opcode in
-  let p = Graft_stackvm.Stackvm.load_exn ~maps ~bounded:true env.Runners.image in
+  let p = Graft_stackvm.Stackvm.load_exn ~bounded:true env.Runners.image in
   let verify p = Graft_stackvm.Verify.verify ~bounded:true p in
   (match verify p with
   | Ok () -> ()
@@ -605,9 +606,8 @@ let test_register_windows_rejected () =
   rejects "a body jump into the step window" "step window at 7"
     (register_loop ~body:[ Isa.Br 7 ] ())
 
-(* Out-of-range map keys: statically unprovable accesses fall back to
-   the kernel object's runtime check, which faults on array maps — on
-   every tier, through either door (helper call or map opcode). *)
+(* Out-of-range map keys: the kernel object checks every key, and
+   faults on array maps — on every tier, through the helper call. *)
 let test_map_oob_faults () =
   let src =
     "extern fn map_lookup(int, int) : int;\n\
@@ -617,7 +617,7 @@ let test_map_oob_faults () =
     (fun tech ->
       let maps = [| Map.create_array ~name:"m8" 8 |] in
       let env = Runners.gel_env ~hosts:(Runners.map_hosts maps) tech src [] in
-      let entry = by_name ~maps tech env in
+      let entry = by_name tech env in
       check_int
         (Technology.name tech ^ ": in-range key reads")
         0
@@ -718,7 +718,7 @@ let test_demux_fuel_parity () =
   in
   let make_tier load run =
     let maps, env = demux_env ~src Technology.Safe_lang_static in
-    let prog = load ~maps ~bounded:true env.Runners.image in
+    let prog = load ~bounded:true env.Runners.image in
     let cells = Graft_mem.Memory.cells env.Runners.image.Graft_gel.Link.mem in
     let w = Runners.window env "pkt" in
     let pkt = packet ~src_port:300 ~mark:11 () in
@@ -737,13 +737,12 @@ let test_demux_fuel_parity () =
   in
   let static_at =
     make_tier
-      (fun ~maps ~bounded img ->
-        Graft_stackvm.Stackvm.load_static_exn ~maps ~bounded img)
+      (fun ~bounded img -> Graft_stackvm.Stackvm.load_static_exn ~bounded img)
       Gelrun.vm
   in
   let jit_at =
     make_tier
-      (fun ~maps ~bounded img -> Graft_jit.Jit.load_exn ~maps ~bounded img)
+      (fun ~bounded img -> Graft_jit.Jit.load_exn ~bounded img)
       Gelrun.jit
   in
   (* Sweep every budget until three past the first terminal outcome:

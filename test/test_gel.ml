@@ -637,8 +637,8 @@ let test_extern_host_call () =
   let calls = ref [] in
   let hosts =
     [
-      { Link.hname = "log2arg"; hfn = (fun args -> calls := args.(0) :: !calls; 0) };
-      { Link.hname = "mul3"; hfn = (fun args -> args.(0) * 3) };
+      { Link.hname = "log2arg"; hfn = (fun a i -> calls := a.(i) :: !calls; 0) };
+      { Link.hname = "mul3"; hfn = (fun a i -> a.(i) * 3) };
     ]
   in
   let v =

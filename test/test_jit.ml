@@ -112,7 +112,7 @@ let test_differential () =
     diff_corpus
 
 let test_extern () =
-  let hosts = [ { Link.hname = "twice"; hfn = (fun a -> 2 * a.(0)) } ] in
+  let hosts = [ { Link.hname = "twice"; hfn = (fun a i -> 2 * a.(i)) } ] in
   let src =
     "extern fn twice(int) : int;\n\
      fn main(n : int) : int { return twice(n) + twice(3); }"

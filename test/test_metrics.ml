@@ -18,11 +18,11 @@ let test_counter_gating () =
   let c = M.counter "test_gated" [ ("k", "v") ] in
   M.disable ();
   M.inc c;
-  M.inc c ~by:10;
+  M.add c 10;
   check_int "disabled counter stays 0" 0 (M.counter_value c);
   M.enable ();
   M.inc c;
-  M.inc c ~by:2;
+  M.add c 2;
   check_int "enabled counter counts" 3 (M.counter_value c)
 
 (* [with_enabled] puts the flag back when its body returns or raises. *)
@@ -59,7 +59,7 @@ let test_dedupe () =
 
 let test_reset_keeps_registrations () =
   let c = M.counter "test_reset" [] in
-  M.inc c ~by:5;
+  M.add c 5;
   M.reset ();
   check_int "value zeroed" 0 (M.counter_value c);
   M.inc c;
@@ -67,7 +67,7 @@ let test_reset_keeps_registrations () =
 
 let test_openmetrics_shape () =
   let c = M.counter "test_om" ~help:"a counter" [ ("g", "x") ] in
-  M.inc c ~by:7;
+  M.add c 7;
   let h = M.histogram "test_om_hist" [] in
   M.observe h 3;
   M.observe h 100;
@@ -92,7 +92,7 @@ let test_openmetrics_shape () =
 
 let test_json_parses () =
   let c = M.counter "test_json" [ ("a", "b\"c") ] in
-  M.inc c ~by:2;
+  M.add c 2;
   match Minijson.parse (M.to_json ()) with
   | Error e -> Alcotest.fail ("metrics JSON does not parse: " ^ e)
   | Ok doc ->

@@ -114,7 +114,7 @@ let test_short_circuit () =
         99; }")
 
 let test_extern () =
-  let hosts = [ { Link.hname = "twice"; hfn = (fun a -> 2 * a.(0)) } ] in
+  let hosts = [ { Link.hname = "twice"; hfn = (fun a i -> 2 * a.(i)) } ] in
   check_int "extern" 14
     (run ~hosts
        "extern fn twice(int) : int;\nfn main() : int { return twice(7); }")

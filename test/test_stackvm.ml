@@ -140,7 +140,7 @@ let test_short_circuit () =
         fn main() : int { if (true || a[9] == 1) { return 1; } return 2; }")
 
 let test_extern () =
-  let hosts = [ { Link.hname = "twice"; hfn = (fun a -> 2 * a.(0)) } ] in
+  let hosts = [ { Link.hname = "twice"; hfn = (fun a i -> 2 * a.(i)) } ] in
   check_int "extern" 14
     (vm_run ~hosts
        "extern fn twice(int) : int;\nfn main() : int { return twice(7); }")
@@ -198,16 +198,15 @@ let test_readonly_store_faults () =
 let trivial_arrays = [||]
 
 let mkprog ?(funcs = [||]) ?(arrays = trivial_arrays) ?(ext_arity = [||])
-    ?(ncells = 16) ?(maps = [||]) code =
+    ?(ncells = 16) code =
   {
     Program.code;
     funcs;
     arrays;
-    host = Array.map (fun _ -> fun _ -> 0) ext_arity;
+    host = Array.map (fun _ _ _ -> 0) ext_arity;
     ext_arity;
     ext_names = Array.map (fun _ -> "") ext_arity;
     cells = Array.make ncells 0;
-    maps;
   }
 
 let fdesc ?(nargs = 0) ?(nlocals = 1) ~entry ~code_end name =
@@ -454,19 +453,19 @@ let test_verify_fused_back_edge () =
 (* ---------- verifier: loop-head widening ---------- *)
 
 (* Load [src] on the statically checked tier and the JIT, both with
-   [~bounded:true] over a fresh 8-entry array map, and return the
-   static tier's (elided, total) check sites. *)
+   [~bounded:true] and a fresh 8-entry array map's helpers linked, and
+   return the static tier's (elided, total) check sites. *)
 let load_static_and_jit src =
   let load loader =
     let maps = [| Graft_kernel.Graftmap.create_array ~name:"m" 8 |] in
-    loader maps (fresh_image ~hosts:(Graft_core.Runners.map_hosts maps) src)
+    loader (fresh_image ~hosts:(Graft_core.Runners.map_hosts maps) src)
   in
   let p =
-    match load (fun maps -> Stackvm.load_static ~maps ~bounded:true) with
+    match load (Stackvm.load_static ~bounded:true) with
     | Ok p -> p
     | Error msg -> Alcotest.failf "static tier rejected: %s" msg
   in
-  (match load (fun maps -> Graft_jit.Jit.load ~maps ~bounded:true) with
+  (match load (Graft_jit.Jit.load ~bounded:true) with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "jit rejected: %s" msg);
   Stackvm.elision_stats p
@@ -474,7 +473,9 @@ let load_static_and_jit src =
 (* The inner body indexes an array and a map key with the outer
    counter. Each outer round re-enters the inner loop with a wider
    counter; that entry must join exactly, so the inner head keeps the
-   outer guard's [0,7] rather than widening it to [0,+inf]. *)
+   outer guard's [0,7] rather than widening it to [0,+inf]. The map
+   key is a helper call's argument, which the map object checks, so
+   the array index is the one check site. *)
 let nested_loops_src =
   {|
 extern fn map_lookup(int, int) : int;
@@ -491,7 +492,7 @@ fn main() : int {
 |}
 
 let test_widen_nested_loops () =
-  Alcotest.(check (pair int int)) "array index and map key elided" (2, 2)
+  Alcotest.(check (pair int int)) "array index elided" (1, 1)
     (load_static_and_jit nested_loops_src)
 
 (* A one-armed [if] and an [if]/[else] with arms of different lengths
@@ -593,11 +594,11 @@ let every_opcode =
   Opcode.
     [
       Const 1; Load_local 0; Store_local 0; Load_global 0; Store_global 0;
-      Aload 0; Astore 0; Aload_u 0; Astore_u 0; Mlookup 0; Mupdate 0;
-      Mlookup_u 0; Mupdate_u 0; Add; Sub; Mul; Div; Mod; Div_u; Mod_u; Shl;
-      Shr; Lshr; Band; Bor; Bxor; Bnot; Neg; Wadd; Wsub; Wmul; Wshl; Wshr;
-      Wbnot; Wneg; Wmask; Lt; Le; Gt; Ge; Eq; Ne; Tobool; Not; Jmp 5; Jz 5;
-      Jnz 5; Call 0; Callext 0; Ret; Pop; Dup; Halt; Bink (KAdd, 1);
+      Aload 0; Astore 0; Aload_u 0; Astore_u 0; Add; Sub; Mul; Div; Mod;
+      Div_u; Mod_u; Shl; Shr; Lshr; Band; Bor; Bxor; Bnot; Neg; Wadd; Wsub;
+      Wmul; Wshl; Wshr; Wbnot; Wneg; Wmask; Lt; Le; Gt; Ge; Eq; Ne; Tobool;
+      Not; Jmp 5; Jz 5; Jnz 5; Call 0; Callext 0; Ret; Pop; Dup; Halt;
+      Bink (KAdd, 1);
       Cmpk (Clt, 1); Jcmp (Clt, true, 5); Jcmpk (Clt, 1, true, 5);
       Aload_k (0, 1); Local_addk (0, 1); Load_local2 (0, 1);
       Bin_local (KAdd, 0); Bin_local2 (KAdd, 0, 1); Aload_local (0, 1);
@@ -629,7 +630,7 @@ let test_opcode_facts () =
     every_opcode;
   names "branches" [ "jmp"; "jz"; "jnz"; "jcmp"; "jcmp.k"; "jcmp.lk" ]
     (List.map name (List.filter (fun op -> Opcode.target op <> None) every_opcode));
-  (* [twin] pairs exactly the six checked/unchecked forms. *)
+  (* [twin] pairs exactly the four checked/unchecked forms. *)
   let pairs =
     List.filter_map
       (fun op ->
@@ -642,13 +643,12 @@ let test_opcode_facts () =
       every_opcode
   in
   names "check-site pairs"
-    [ "aload/aload.u"; "astore/astore.u"; "mlookup/mlookup.u";
-      "mupdate/mupdate.u"; "div/div.u"; "mod/mod.u" ]
+    [ "aload/aload.u"; "astore/astore.u"; "div/div.u"; "mod/mod.u" ]
     pairs;
   names "unchecked forms"
-    [ "aload.u"; "astore.u"; "mlookup.u"; "mupdate.u"; "div.u"; "mod.u" ]
+    [ "aload.u"; "astore.u"; "div.u"; "mod.u" ]
     (List.map name (List.filter Opcode.is_unchecked every_opcode));
-  Alcotest.(check int) "twelve check-site forms" 12
+  Alcotest.(check int) "eight check-site forms" 8
     (List.length (List.filter (fun op -> Opcode.twin op <> None) every_opcode));
   (* Each selector names the operator its opcode prints as. *)
   List.iter
@@ -848,7 +848,6 @@ let prop_verifier_total_and_safe =
           ext_arity = [||];
           ext_names = [||];
           cells = Array.make 16 0;
-          maps = [||];
         }
       in
       let p = prog code in
@@ -1469,10 +1468,8 @@ let test_loops_fuel_pin () =
 
 (* One program that leaves the loop every way it can: calls that grow a
    frame slab ([small] is the first call at depth 1, then [wide]'s 11
-   locals outgrow that slab), a host call ([map_contains] is never
-   lowered to an opcode), array-map opcodes (unchecked on the static
-   tier, whose key is the loop counter in [0, 8)) and LRU-map opcodes,
-   beside plain and fused instructions. *)
+   locals outgrow that slab) and host calls (the typed helpers over an
+   array map and an LRU map), beside plain and fused instructions. *)
 let exits_src =
   "extern fn map_lookup(int, int) : int;\n\
    extern fn map_update(int, int, int) : int;\n\
@@ -1498,9 +1495,9 @@ let exits_src =
 
 let exits_tiers =
   [
-    ("bytecode-vm", fun ~maps i -> Stackvm.load_exn ~maps i);
-    ("bytecode-opt", fun ~maps i -> Stackvm.load_opt_exn ~maps i);
-    ("safe-lang-static", fun ~maps i -> Stackvm.load_static_exn ~maps i);
+    ("bytecode-vm", fun i -> Stackvm.load_exn i);
+    ("bytecode-opt", fun i -> Stackvm.load_opt_exn i);
+    ("safe-lang-static", fun i -> Stackvm.load_static_exn i);
   ]
 
 (* Fresh maps and a fresh image per run, since the program writes both. *)
@@ -1524,7 +1521,7 @@ let exits_image () =
    final cells and the array map's contents. *)
 let run_exits ?profile ~load ~fuel () =
   let maps, image = exits_image () in
-  let s = Vm.create_session ?profile (load ~maps image) in
+  let s = Vm.create_session ?profile (load image) in
   let args = [| 3 |] in
   let fn = Gelrun.fn image "main" ~args in
   let fuel_cell =
@@ -1543,19 +1540,14 @@ let run_exits ?profile ~load ~fuel () =
 let test_loop_exits_every_budget () =
   (* The program must really reach every exit on some tier. *)
   let has name load pred =
-    let maps, image = exits_image () in
-    if not (Array.exists pred (load ~maps image).Program.code) then
+    let _, image = exits_image () in
+    if not (Array.exists pred (load image).Program.code) then
       Alcotest.failf "the program has no %s" name
   in
   let plain = List.assoc "bytecode-vm" exits_tiers
-  and opt = List.assoc "bytecode-opt" exits_tiers
-  and static_ = List.assoc "safe-lang-static" exits_tiers in
+  and opt = List.assoc "bytecode-opt" exits_tiers in
   has "call" plain (function Opcode.Call _ -> true | _ -> false);
   has "host call" plain (function Opcode.Callext _ -> true | _ -> false);
-  has "mlookup" plain (function Opcode.Mlookup _ -> true | _ -> false);
-  has "mupdate" plain (function Opcode.Mupdate _ -> true | _ -> false);
-  has "mlookup_u" static_ (function Opcode.Mlookup_u _ -> true | _ -> false);
-  has "mupdate_u" static_ (function Opcode.Mupdate_u _ -> true | _ -> false);
   has "fused opcode" opt (fun op -> Opcode.width op > 1);
   let _, finish, _, _ = run_exits ~load:plain ~fuel:1_000_000 () in
   List.iter
@@ -1588,10 +1580,10 @@ let test_loop_exits_every_budget () =
         (* The JIT's parity obligation: it runs the static tier's
            program to the same outcome and memory at every budget. *)
         if name = "safe-lang-static" then begin
-          let maps, image = exits_image () in
+          let _, image = exits_image () in
           let j =
             Gelrun.jit image
-              (Graft_jit.Jit.load_exn ~maps image)
+              (Graft_jit.Jit.load_exn image)
               ~entry:"main" ~args:[| 3 |] ~fuel
           in
           if j <> r || Memory.cells image.Link.mem <> cells then
@@ -1618,12 +1610,12 @@ let stack_top_src leaf =
     (nest leaf) (String.make leaf ')') (nest 16) (String.make 16 ')')
 
 let test_host_call_at_stack_top () =
-  let hosts = [ { Link.hname = "ticks"; hfn = (fun _ -> 0) } ] in
+  let hosts = [ { Link.hname = "ticks"; hfn = (fun _ _ -> 0) } ] in
   List.iter
     (fun (name, load) ->
       let run leaf =
         let image = fresh_image ~hosts (stack_top_src leaf) in
-        Gelrun.vm image (load ~maps:[||] image) ~entry:"fill"
+        Gelrun.vm image (load image) ~entry:"fill"
           ~args:[| Vm.max_frames - 1 |] ~fuel:1_000_000
       in
       (match run 15 with

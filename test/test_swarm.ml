@@ -53,7 +53,7 @@ let apply_op r (tag, fam, lab, v) =
       match tag mod 3 with
       | 0 ->
           let c = M.counter (Printf.sprintf "swarm_law_c%d" (fam mod 3)) labels in
-          M.inc c ~by:((v mod 5) + 1)
+          M.add c ((v mod 5) + 1)
       | 1 ->
           let name = Printf.sprintf "swarm_law_g%d" (fam mod 2) in
           let g = M.gauge name labels in

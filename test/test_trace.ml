@@ -164,9 +164,9 @@ let test_disabled_noop () =
   Trace.instant Trace.App "ignored";
   Trace.counter Trace.Clock "ignored" 42;
   let tok = Trace.span_begin () in
-  Trace.span_end Trace.App "ignored" tok;
+  Trace.span_end ~arg:0 Trace.App "ignored" tok;
   let tok = Trace.hot_begin () in
-  Trace.span_end Trace.App "ignored" tok;
+  Trace.span_end ~arg:0 Trace.App "ignored" tok;
   check_int "nothing recorded" 0 (Array.length (Trace.events ()));
   check_int "no drops" 0 (Trace.dropped ());
   check_int "no totals" 0 (Trace.total_recorded ())
@@ -192,13 +192,13 @@ let test_sampling =
   with_tracer ~capacity:256 ~sample:4 (fun () ->
       for _ = 1 to 16 do
         let tok = Trace.hot_begin () in
-        Trace.span_end Trace.App "hot" tok
+        Trace.span_end ~arg:0 Trace.App "hot" tok
       done;
       check_int "1-in-4 sampled" 4 (Array.length (Trace.events ()));
       Trace.clear ();
       for _ = 1 to 16 do
         let tok = Trace.span_begin () in
-        Trace.span_end Trace.App "cold" tok
+        Trace.span_end ~arg:0 Trace.App "cold" tok
       done;
       check_int "span_begin never sampled" 16 (Array.length (Trace.events ())))
 
@@ -216,7 +216,7 @@ let test_op_retention =
       check_int "tid ambient inside op" 0x1000001 (Trace.current_tid ());
       for _ = 1 to 8 do
         let tok = Trace.hot_begin () in
-        Trace.span_end Trace.Map "map:lookup" tok
+        Trace.span_end ~arg:0 Trace.Map "map:lookup" tok
       done;
       Trace.op_end ~arg:17 ~retain:false "op:demux";
       check_int "tid cleared after op" 0 (Trace.current_tid ());
@@ -235,7 +235,7 @@ let test_op_retention =
       Trace.op_begin 0x2000005;
       for _ = 1 to 8 do
         let tok = Trace.hot_begin () in
-        Trace.span_end Trace.Map "map:update" tok
+        Trace.span_end ~arg:0 Trace.Map "map:update" tok
       done;
       Trace.op_end ~arg:9999 ~retain:true "op:hotset";
       let evs = Trace.events () in
@@ -259,7 +259,7 @@ let test_op_spill =
       for _ = 1 to 300 do
         Trace.instant Trace.App "burst"
       done;
-      Trace.op_end ~retain:true "op:stream";
+      Trace.op_end ~arg:0 ~retain:true "op:stream";
       check_int "overflow counted" 44 (Trace.op_spilled ());
       check_int "scratch-full set + marker" 257
         (Array.length (Trace.events ())))
@@ -297,9 +297,9 @@ let test_folded_nesting =
       spin ();
       let inner = Trace.span_begin () in
       spin ();
-      Trace.span_end Trace.App "inner" inner;
+      Trace.span_end ~arg:0 Trace.App "inner" inner;
       spin ();
-      Trace.span_end Trace.App "outer" outer;
+      Trace.span_end ~arg:0 Trace.App "outer" outer;
       let f = Export.folded () in
       check_bool "outer line" true (contains f "workload;outer ");
       check_bool "inner nested under outer" true
@@ -319,7 +319,7 @@ let test_summary_contents =
   with_tracer (fun () ->
       let tok = Trace.span_begin () in
       spin ();
-      Trace.span_end Trace.Vmsys "evict-hook" tok;
+      Trace.span_end ~arg:0 Trace.Vmsys "evict-hook" tok;
       Trace.instant Trace.Manager "disable:bad";
       Trace.counter Trace.Clock "page-fault-io" 250;
       Trace.counter Trace.Clock "page-fault-io" 750;
@@ -533,6 +533,26 @@ let test_profile_golden () =
   Alcotest.(check string) "graftkit profile matches committed golden" expected
     (run [] ^ run [ "--fuel"; "20" ])
 
+(* A graft one tier's loader refuses makes [graftkit profile] print
+   the refusal and exit 1 before it prints any table: a 200-deep
+   expression loads on the stack tiers, and the register VM runs out
+   of registers for it. *)
+let test_profile_load_error () =
+  let deep = Filename.temp_file "deep" ".gel" in
+  Out_channel.with_open_text deep (fun oc ->
+      Printf.fprintf oc "fn main(a : int) : int {\n  return %sa%s;\n}\n"
+        (String.concat "" (List.init 200 (fun _ -> "(1 + ")))
+        (String.make 200 ')'));
+  let err = Filename.temp_file "deep" ".err" in
+  let code, out = Cli.graftkit ~stderr:err [ "profile"; deep; "-a"; "1" ] in
+  let msg = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  Sys.remove deep;
+  check_int "graftkit profile exit code" 1 code;
+  Alcotest.(check string) "no table printed" "" out;
+  Alcotest.(check string) "load error printed"
+    "load error: expression too deep: out of registers\n" msg
+
 (* ------------------------------------------------------------------ *)
 (* Manager disable leaves a trace and the kernel falls back.           *)
 (* ------------------------------------------------------------------ *)
@@ -624,6 +644,8 @@ let () =
           Alcotest.test_case "tier parity" `Quick test_opprof_tier_parity;
           Alcotest.test_case "graftkit profile golden" `Quick
             test_profile_golden;
+          Alcotest.test_case "graftkit profile load error" `Quick
+            test_profile_load_error;
         ] );
       ( "manager",
         [
